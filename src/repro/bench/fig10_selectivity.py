@@ -42,32 +42,29 @@ def _dataset(records: int, selectivity: float, seed: int = 10):
     return out
 
 
-def _aggregate(
-    fs, dataset: str, lazy: bool, execution: "str | None" = None
-) -> "tuple[float, int, int]":
-    metrics, total, matches = aggregate_metrics(fs, dataset, lazy, execution)
+def _aggregate(fs, dataset: str, lazy: bool) -> "tuple[float, int, int]":
+    metrics, total, matches = aggregate_metrics(fs, dataset, lazy)
     return metrics.task_time, total, matches
 
 
 def aggregate_metrics(
-    fs, dataset: str, lazy: bool, execution: "str | None" = None,
+    fs, dataset: str, lazy: bool, execution: str = "vectorized",
     profiler=None,
 ):
     """The Fig-10 aggregation; returns ``(Metrics, sum, match_count)``.
 
-    Both executions compute the identical answer and charge identical
-    simulated cost; the vectorized path pushes the pattern filter down
-    as a selection kernel and folds the surviving map values.
+    The pattern filter is pushed down as a selection kernel and the
+    surviving map values are folded.  ``execution="scalar"`` is the
+    ``vector_scan`` scenario's reference leg: the same aggregation
+    record by record, with the identical answer and simulated cost.
 
     When an :class:`~repro.obs.OperatorProfiler` is passed, it is
     installed for the scan and finished before returning; both branches
     mark operator boundaries at logically identical points so the two
     engines' profiles reconcile exactly on rows and cells.
     """
-    from repro.core.vector import resolve_execution
     from repro.obs import NULL_PROFILER
 
-    execution = resolve_execution(execution)
     fmt = ColumnInputFormat(
         dataset, columns=["str0", "attrs"], lazy=lazy, execution=execution
     )

@@ -185,8 +185,8 @@ def _rcfile_config(name: str, codec: Optional[str]) -> StorageConfig:
 def _cif_config(
     name: str,
     spec_fn: Callable[[Schema], Tuple[dict, Optional[ColumnSpec]]],
-    skip_reason=lambda case: None,
-    execution: str = "scalar",
+    skip_reason,
+    execution: str,
 ) -> StorageConfig:
     def write(fs, path, schema, records):
         specs, default_spec = spec_fn(schema)
@@ -209,6 +209,14 @@ def _cif_config(
         corrupt_suffix=corrupt_suffix,
         lazy_capable=True,
         skip_reason=skip_reason,
+    )
+
+
+def _cif_legs(layout: str, spec_fn, skip_reason=lambda case: None):
+    """One CIF layout's ``(reference leg, batch-reader leg)``."""
+    return (
+        _cif_config(f"cif-{layout}", spec_fn, skip_reason, "scalar"),
+        _cif_config(f"cif-{layout}-vec", spec_fn, skip_reason, "vectorized"),
     )
 
 
@@ -247,51 +255,29 @@ def matrix_configs(matrix: str) -> List[StorageConfig]:
         make_input=lambda path, columns, lazy: TextInputFormat(path),
         skip_reason=_all_primitive,
     )
-    plain = _cif_config(
-        "cif-plain", lambda schema: ({}, ColumnSpec("plain"))
+    # Every layout twice: the per-datum reference reader, and (-vec)
+    # the batch reader every scan outside this matrix opens.
+    plain, plain_vec = _cif_legs(
+        "plain", lambda schema: ({}, ColumnSpec("plain"))
     )
-    skiplist = _cif_config(
-        "cif-skiplist",
+    skiplist, skiplist_vec = _cif_legs(
+        "skiplist",
         lambda schema: ({}, ColumnSpec("skiplist", skip_sizes=SKIP_SIZES)),
     )
-    lzo = _cif_config(
-        "cif-lzo",
+    lzo, lzo_vec = _cif_legs(
+        "lzo",
         lambda schema: (
             {}, ColumnSpec("cblock", codec="lzo", block_bytes=CBLOCK_BYTES)
         ),
     )
-    zlib = _cif_config(
-        "cif-zlib",
+    zlib, zlib_vec = _cif_legs(
+        "zlib",
         lambda schema: (
             {}, ColumnSpec("cblock", codec="zlib", block_bytes=CBLOCK_BYTES)
         ),
     )
-    light = _cif_config("cif-light", _light_specs)
-    dcsl = _cif_config("cif-dcsl", _dcsl_specs, skip_reason=_has_map)
-    # Vectorized legs: same layouts drained through the batch layer.
-    plain_vec = _cif_config(
-        "cif-plain-vec", lambda schema: ({}, ColumnSpec("plain")),
-        execution="vectorized",
-    )
-    skiplist_vec = _cif_config(
-        "cif-skiplist-vec",
-        lambda schema: ({}, ColumnSpec("skiplist", skip_sizes=SKIP_SIZES)),
-        execution="vectorized",
-    )
-    zlib_vec = _cif_config(
-        "cif-zlib-vec",
-        lambda schema: (
-            {}, ColumnSpec("cblock", codec="zlib", block_bytes=CBLOCK_BYTES)
-        ),
-        execution="vectorized",
-    )
-    light_vec = _cif_config(
-        "cif-light-vec", _light_specs, execution="vectorized"
-    )
-    dcsl_vec = _cif_config(
-        "cif-dcsl-vec", _dcsl_specs, skip_reason=_has_map,
-        execution="vectorized",
-    )
+    light, light_vec = _cif_legs("light", _light_specs)
+    dcsl, dcsl_vec = _cif_legs("dcsl", _dcsl_specs, skip_reason=_has_map)
 
     if matrix == "quick":
         return [
@@ -318,6 +304,7 @@ def matrix_configs(matrix: str) -> List[StorageConfig]:
             dcsl,
             plain_vec,
             skiplist_vec,
+            lzo_vec,
             zlib_vec,
             light_vec,
             dcsl_vec,

@@ -27,25 +27,6 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 
-@contextlib.contextmanager
-def _execution_mode(mode: Optional[str]):
-    """Scope the ambient scan engine (``--execution``) to one command.
-
-    The previous default is restored on exit so library callers and
-    tests that share the process never see a leaked override.
-    """
-    if not mode:
-        yield
-        return
-    from repro.core import set_default_execution
-
-    previous = set_default_execution(mode)
-    try:
-        yield
-    finally:
-        set_default_execution(previous)
-
-
 def _version() -> str:
     """The installed package version, falling back to the source tree's."""
     try:
@@ -467,15 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset size override (records, or bytes for fig11)",
     )
     experiment.add_argument(
-        "--execution", choices=["scalar", "vectorized"], default=None,
-        help=(
-            "scan engine for every job the experiment runs (default "
-            "scalar; 'vectorized' decodes batched column frames — "
-            "identical answers and simulated charges, see "
-            "docs/vectorized.md)"
-        ),
-    )
-    experiment.add_argument(
         "--trace-out", dest="trace_out", default=None, metavar="PATH",
         help=(
             "run under a flight recorder and write the JSONL artifact "
@@ -665,14 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     crun_cluster.add_argument(
         "--policy", choices=["fair", "fifo"], default=None,
         help="override the profile's scheduling policy",
-    )
-    crun_cluster.add_argument(
-        "--execution", choices=["scalar", "vectorized"], default=None,
-        help=(
-            "scan engine for every job in the load (default scalar; "
-            "'vectorized' decodes batched column frames — identical "
-            "answers and simulated charges, see docs/vectorized.md)"
-        ),
     )
     crun_cluster.add_argument(
         "--compare", action="store_true",
@@ -1941,8 +1905,7 @@ def main(argv: Optional[List[str]] = None, out: Callable[[str], None] = print) -
     if args.command == "top":
         return _run_top(args, out)
     if args.command == "cluster":
-        with _execution_mode(getattr(args, "execution", None)):
-            return _run_cluster(args, out)
+        return _run_cluster(args, out)
     if args.command == "slo":
         return _run_slo(args, out)
     if args.command == "alerts":
@@ -2021,7 +1984,6 @@ def main(argv: Optional[List[str]] = None, out: Callable[[str], None] = print) -
             # modules construct internally — no parameter plumbing.
             if plan is not None:
                 stack.enter_context(plan.activate())
-            stack.enter_context(_execution_mode(args.execution))
             for name in names:
                 size = args.size if args.name != "all" else None
                 if recorder is not None:

@@ -9,7 +9,7 @@
   (Section 4.3),
 - :mod:`repro.core.cif` — ``ColumnInputFormat``: projection push-down
   via ``set_columns``, split generation over split-directories, and
-  eager/lazy record readers,
+  the batch record reader (plus the per-datum reference reader),
 - :mod:`repro.core.lazy` — ``LazyRecord`` with the split-level
   ``curPos`` / per-column ``lastPos`` scheme of Section 5.1.
 
@@ -32,13 +32,7 @@ from repro.core.columnio import ColumnSpec
 from repro.core.lazy import LazyRecord
 from repro.core.loader import ParallelLoadReport, parallel_load
 from repro.core.partitions import PartitionedDataset
-from repro.core.vector import (
-    VectorFrame,
-    default_execution,
-    reconcile_metrics,
-    resolve_execution,
-    set_default_execution,
-)
+from repro.core.vector import VectorFrame, reconcile_metrics
 
 __all__ = [
     "CIFSplit",
@@ -52,10 +46,7 @@ __all__ = [
     "VectorizedCIFRecordReader",
     "add_column",
     "declare_column",
-    "default_execution",
     "parallel_load",
     "reconcile_metrics",
-    "resolve_execution",
-    "set_default_execution",
     "write_dataset",
 ]

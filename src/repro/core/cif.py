@@ -6,10 +6,17 @@ projected columns in parallel positions and reassembles records.
 Projections are pushed down with :meth:`ColumnInputFormat.set_columns`
 — files of unprojected columns are never opened, let alone read.
 
-Two materialization strategies (Section 5.1): ``lazy=False`` builds an
-eager :class:`~repro.serde.record.Record` per record; ``lazy=True``
-yields a reused :class:`~repro.core.lazy.LazyRecord` that deserializes
-a column value only when the map function calls ``get()``.
+Two materialization strategies (Section 5.1): ``lazy=False`` decodes
+every projected column of every record; ``lazy=True`` deserializes a
+column value only when the map function calls ``get()``.
+
+:class:`VectorizedCIFRecordReader` is the reader every scan opens: it
+decodes column frames in batches and hands map functions
+:class:`~repro.core.vector.VectorRow` views.  :class:`CIFRecordReader`
+is the per-datum reference (eager :class:`~repro.serde.record.Record`,
+or a reused :class:`~repro.core.lazy.LazyRecord`) that ``repro.check``
+and the differential tests open with ``execution="scalar"`` to prove
+the batch reader record- and charge-identical.
 """
 
 from __future__ import annotations
@@ -65,7 +72,9 @@ class CIFSplit(InputSplit):
 
 
 class CIFRecordReader(RecordReader):
-    """Reassembles records from the column files of split-directories."""
+    """Reassembles records from the column files of split-directories,
+    one datum at a time: the reference the batch reader is checked
+    against (``execution="scalar"``)."""
 
     def __init__(
         self,
@@ -196,15 +205,16 @@ class CIFRecordReader(RecordReader):
 
 
 class VectorizedCIFRecordReader(CIFRecordReader):
-    """Batch-decoding CIF reader (the ``execution="vectorized"`` path).
+    """Batch-decoding CIF reader: what ``open_reader`` returns.
 
     Decodes column frames of up to ``batch_rows`` records with the
     whole-vector ``read_vector`` fast paths and supports two mutually
     exclusive drain styles:
 
     - **row iteration** (:meth:`read_next`): a drop-in for
-      :class:`CIFRecordReader` that yields :class:`~repro.core.vector.
-      VectorRow` views.  Lazy-materialization accounting replicates
+      :class:`CIFRecordReader` that yields eager Records, or (lazy)
+      :class:`~repro.core.vector.VectorRow` views valid until the
+      frame is left.  Lazy-materialization accounting replicates
       :class:`~repro.core.lazy.LazyRecord` exactly — a row's untouched
       columns settle as ``cells.skipped`` when the *next* row of the
       same directory is read, and a directory's final row never
@@ -299,7 +309,10 @@ class VectorizedCIFRecordReader(CIFRecordReader):
         self._pending = None if dir_last else (frame, row)
         if frame.ledger is not None:
             frame.ledger.on_rows(1)
-        return None, frame.row(row)
+        view = frame.row(row)
+        # Eager frames are fully decoded, so copying a row out charges
+        # nothing and keeps ``lazy=False`` yielding real Records.
+        return None, view if self._lazy else view.materialize()
 
     def read_batch(self) -> Optional[VectorFrame]:
         """Next frame with filters applied, or ``None`` at end of split."""
@@ -349,11 +362,13 @@ class ColumnInputFormat(InputFormat):
         lazy: bool = True,
         dirs_per_split: int = 1,
         predicates: Optional[Sequence[RangePredicate]] = None,
-        execution: Optional[str] = None,
+        execution: str = "vectorized",
         batch_rows: int = DEFAULT_BATCH_ROWS,
     ) -> None:
         if dirs_per_split < 1:
             raise ValueError("dirs_per_split must be >= 1")
+        if batch_rows < 1:
+            raise ValueError("batch_rows must be >= 1")
         self.dataset = dataset
         self.columns: Optional[List[str]] = None
         if columns is not None:
@@ -361,11 +376,9 @@ class ColumnInputFormat(InputFormat):
         self.lazy = lazy
         self.dirs_per_split = dirs_per_split
         self.predicates: List[RangePredicate] = list(predicates or [])
-        #: "scalar" | "vectorized" | None (None defers to the ambient
-        #: default set by repro.core.vector.set_default_execution)
-        self.execution = execution
-        if execution is not None:
-            resolve_execution(execution)  # validate eagerly
+        #: "vectorized" is the engine; "scalar" opens the per-datum
+        #: reference reader the differential oracle compares it against
+        self.execution = resolve_execution(execution)
         self.batch_rows = batch_rows
         self.filters: List = []
         #: split-directories pruned by zone maps on the last get_splits
@@ -433,17 +446,17 @@ class ColumnInputFormat(InputFormat):
         """Push full row filters (:class:`repro.query.expr.Expr`) down.
 
         Unlike :meth:`set_predicates` (zone-map pruning only), these
-        filter records: the vectorized reader applies them as selection
-        kernels in :meth:`VectorizedCIFRecordReader.read_batch`.  The
-        scalar path ignores them — scalar callers still filter per
-        record, exactly as before.
+        filter records: :meth:`VectorizedCIFRecordReader.read_batch`
+        applies them as selection kernels.  Row iteration and the
+        scalar reference reader ignore them — those callers filter per
+        record.
         """
         self.filters = list(exprs)
 
     def open_reader(self, fs, split: CIFSplit, ctx: TaskContext) -> RecordReader:
-        if resolve_execution(self.execution) == "vectorized":
-            return VectorizedCIFRecordReader(
-                fs, split, self.columns, self.lazy, ctx,
-                batch_rows=self.batch_rows, filters=self.filters,
-            )
-        return CIFRecordReader(fs, split, self.columns, self.lazy, ctx)
+        if self.execution == "scalar":
+            return CIFRecordReader(fs, split, self.columns, self.lazy, ctx)
+        return VectorizedCIFRecordReader(
+            fs, split, self.columns, self.lazy, ctx,
+            batch_rows=self.batch_rows, filters=self.filters,
+        )

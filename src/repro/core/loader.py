@@ -16,9 +16,9 @@ from typing import Dict, List, Optional
 
 from repro.core.cof import ColumnOutputFormat
 from repro.core.columnio import ColumnSpec
-from repro.core.lazy import LazyRecord
 from repro.mapreduce.scheduler import ScheduledTask, makespan, schedule_map_tasks
 from repro.mapreduce.types import InputFormat, InputSplit, TaskContext
+from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -66,7 +66,7 @@ def parallel_load(
         reader = input_format.open_reader(fs, split, ctx)
         try:
             for _, record in reader:
-                if isinstance(record, LazyRecord):
+                if not isinstance(record, Record):
                     record = record.materialize()
                 records.append(record)
         finally:

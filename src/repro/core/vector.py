@@ -1,16 +1,16 @@
-"""Columnar batch execution for the scan hot path.
+"""Columnar batch execution: the engine every CIF scan runs on.
 
-Scalar execution materializes and evaluates one record per Python
-iteration, so real wall-clock is dominated by interpreter overhead
-rather than the simulated I/O the cost model charges.  This module is
-the vectorized alternative: a column block is decoded into a typed
-vector **once** (ints/floats as flat ``array`` buffers, strings as
-offsets + one byte buffer, a validity bitmap for nulls), predicates
-from :mod:`repro.query.expr` are compiled into kernels that evaluate
-whole vectors producing **selection indexes**, and only surviving rows
-are late-materialized for map functions.
+Materializing and evaluating one record per Python iteration leaves
+real wall-clock dominated by interpreter overhead rather than the
+simulated I/O the cost model charges.  Here a column block is decoded
+into a typed vector **once** (ints/floats as flat ``array`` buffers,
+strings as offsets + one byte buffer, a validity bitmap for nulls),
+predicates from :mod:`repro.query.expr` are compiled into kernels that
+evaluate whole vectors producing **selection indexes**, and only
+surviving rows are late-materialized for map functions.
 
-The contract with the scalar path is *zero-tolerance equivalence*:
+The per-datum reader (``execution="scalar"``) is kept as the reference
+this engine is checked against, under *zero-tolerance equivalence*:
 
 - outputs are record-exact identical,
 - every integer metric (``disk_bytes``, ``seeks``, ``records``,
@@ -36,11 +36,11 @@ from array import array
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.serde.record import Record
+
 __all__ = [
     "EXECUTION_MODES",
     "DEFAULT_BATCH_ROWS",
-    "set_default_execution",
-    "default_execution",
     "resolve_execution",
     "Bitmap",
     "Vector",
@@ -67,47 +67,25 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Execution-mode switch
+# Readers
 # ---------------------------------------------------------------------------
 
+#: ``"vectorized"`` is the engine; ``"scalar"`` opens the per-datum
+#: reference reader the differential oracle compares it against
 EXECUTION_MODES = ("scalar", "vectorized")
 
 #: rows per decoded frame — large enough to amortize per-batch Python
 #: overhead, small enough that late materialization stays cache-friendly
 DEFAULT_BATCH_ROWS = 1024
 
-_default_execution = "scalar"
 
-
-def _validate_execution(mode: str) -> str:
+def resolve_execution(mode: str) -> str:
+    """Validate a reader name (one of :data:`EXECUTION_MODES`)."""
     if mode not in EXECUTION_MODES:
         raise ValueError(
             f"execution must be one of {EXECUTION_MODES}, got {mode!r}"
         )
     return mode
-
-
-def set_default_execution(mode: str) -> str:
-    """Set the ambient execution mode; returns the previous one.
-
-    Scans that were not given an explicit ``execution=`` resolve
-    against this (the CLI ``--execution`` flag sets it for a run).
-    """
-    global _default_execution
-    previous = _default_execution
-    _default_execution = _validate_execution(mode)
-    return previous
-
-
-def default_execution() -> str:
-    return _default_execution
-
-
-def resolve_execution(mode: Optional[str]) -> str:
-    """An explicit mode wins; ``None`` falls back to the ambient default."""
-    if mode is None:
-        return _default_execution
-    return _validate_execution(mode)
 
 
 def _compare_funcs() -> Dict[str, Callable]:
@@ -883,8 +861,6 @@ class VectorRow:
         return self._frame.get_value(name, self._row)
 
     def materialize(self):
-        from repro.serde.record import Record
-
         record = Record(self.schema)
         for name in self.schema.field_names:
             record.put(name, self.get(name))

@@ -421,7 +421,7 @@ class JobRunner:
         profiler = NULL_PROFILER
         if ctx.obs.enabled:
             profiler = OperatorProfiler(
-                "vectorized" if job.batch_op is not None else "scalar",
+                "scalar",  # until the batch drain below is taken
                 ctx.metrics,
                 meta={"job": job.name, "split": split.label},
                 clock=getattr(ctx.obs.tracer, "_clock", None) or _WALL_CLOCK,
@@ -433,6 +433,8 @@ class JobRunner:
                 if job.batch_op is not None and hasattr(reader, "read_batch"):
                     from repro.core.vector import run_batch_map
 
+                    if profiler.active:
+                        profiler.engine = "vectorized"
                     run_batch_map(job, reader, emit, ctx)
                 else:
                     switch = profiler.switch

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.cif import ColumnInputFormat
-from repro.core.lazy import LazyRecord
 from repro.mapreduce.job import Job
 from repro.mapreduce.multi import MultiInputFormat
 from repro.mapreduce.runner import JobResult, run_job
@@ -28,8 +27,6 @@ JOIN_KINDS = ("inner", "left", "right")
 
 
 def _row_of(record, columns: Sequence[str]) -> dict:
-    if isinstance(record, LazyRecord):
-        return {c: record.get(c) for c in columns}
     return {c: record.get(c) for c in columns}
 
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.cif import ColumnInputFormat
 from repro.core.stats import extract_range_predicates
-from repro.core.vector import BatchOp, resolve_execution
+from repro.core.vector import BatchOp
 from repro.mapreduce.job import Job
 from repro.mapreduce.runner import JobResult, run_job
 from repro.query.aggregates import Aggregate
@@ -201,68 +201,67 @@ class Q:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, fs, execution: Optional[str] = None) -> QueryResult:
-        """Execute; ``execution`` picks ``"scalar"`` or ``"vectorized"``
-        (``None`` defers to the ambient default — see
-        :func:`repro.core.vector.set_default_execution`).  Both paths
-        produce identical rows, counters, and simulated metrics; the
-        vectorized one batches decode and filtering per column frame.
+    def run(self, fs, execution: str = "vectorized") -> QueryResult:
+        """Execute: filters run as selection kernels over column
+        frames and only survivors are materialized.
+
+        ``execution="scalar"`` is for the differential checks only: it
+        opens the per-datum reference reader, which must produce
+        identical rows, counters and simulated metrics.
         """
-        execution = resolve_execution(execution)
         if self._aggregates:
             return self._run_aggregation(fs, execution)
         return self._run_projection(fs, execution)
 
-    def _input_format(self, execution: str = "scalar") -> ColumnInputFormat:
-        return ColumnInputFormat(
-            self.dataset,
-            columns=self.referenced_columns() or None,
-            lazy=True,
-            predicates=extract_range_predicates(self._filters),
-            execution=execution,
-        )
-
-    def _passes(self, record, ctx) -> bool:
-        return all(f.evaluate(record, ctx) for f in self._filters)
-
-    def _run_projection(self, fs, execution: str = "scalar") -> QueryResult:
-        selects = dict(self._selects)
-        if not selects:
-            raise QueryError("nothing to compute: add select() or aggregate()")
+    def _job(self, row_fn, execution: str, **job_args) -> Job:
+        """The query as a job: ``row_fn(row, emit, ctx)`` runs per
+        surviving row.  Filters run as selection kernels over whole
+        frames (``batch_op``); ``mapper`` is what the runner falls back
+        to when the reader has no ``read_batch`` (the scalar
+        reference), with operator boundaries mirroring
+        ``run_batch_map``'s so both readers profile identically."""
+        filters = self._filters
 
         def mapper(key, record, emit, ctx):
-            # Operator boundaries mirror run_batch_map's, so scalar and
-            # vectorized runs of the same query profile identically.
             profiler = ctx.profiler
-            if self._filters:
+            if filters:
                 profiler.switch("filter")
-                ok = self._passes(record, ctx)
+                ok = all(f.evaluate(record, ctx) for f in filters)
                 profiler.add_rows("filter", 1, 1 if ok else 0)
                 if not ok:
                     return
             profiler.switch("materialize")
             profiler.add_rows("materialize", 1, 1)
+            row_fn(record, emit, ctx)
+
+        input_format = ColumnInputFormat(
+            self.dataset,
+            columns=self.referenced_columns() or None,
+            lazy=True,
+            predicates=extract_range_predicates(filters),
+            execution=execution,
+        )
+        job = Job(f"query({self.dataset})", mapper, input_format, **job_args)
+        job.batch_op = BatchOp(filters, row_fn)
+        return job
+
+    def _run_projection(self, fs, execution: str) -> QueryResult:
+        selects = dict(self._selects)
+        if not selects:
+            raise QueryError("nothing to compute: add select() or aggregate()")
+
+        def project_row(row, emit, ctx):
             emit(None, tuple(
-                expr.evaluate(record, ctx) for expr in selects.values()
+                expr.evaluate(row, ctx) for expr in selects.values()
             ))
 
-        job = Job(f"query({self.dataset})", mapper, self._input_format(execution))
-        if execution == "vectorized":
-            # Filters run as selection kernels over whole frames; the
-            # per-survivor body is the mapper minus the _passes check.
-            def project_row(row, emit, ctx):
-                emit(None, tuple(
-                    expr.evaluate(row, ctx) for expr in selects.values()
-                ))
-
-            job.batch_op = BatchOp(self._filters, project_row)
-        job_result = run_job(fs, job)
+        job_result = run_job(fs, self._job(project_row, execution))
         rows = [
             dict(zip(selects.keys(), values)) for _, values in job_result.output
         ]
         return QueryResult(self._finalize_rows(rows), job_result)
 
-    def _run_aggregation(self, fs, execution: str = "scalar") -> QueryResult:
+    def _run_aggregation(self, fs, execution: str) -> QueryResult:
         group_exprs = dict(self._group_by)
         aggregates = dict(self._aggregates)
 
@@ -281,20 +280,6 @@ class Q:
             )
             emit(group_key, partial)
 
-        def mapper(key, record, emit, ctx):
-            # Same boundary discipline as the projection mapper: the
-            # vectorized engine runs partial_row under "materialize".
-            profiler = ctx.profiler
-            if self._filters:
-                profiler.switch("filter")
-                ok = self._passes(record, ctx)
-                profiler.add_rows("filter", 1, 1 if ok else 0)
-                if not ok:
-                    return
-            profiler.switch("materialize")
-            profiler.add_rows("materialize", 1, 1)
-            partial_row(record, emit, ctx)
-
         def merge(key, values, emit, ctx):
             merged: Optional[tuple] = None
             for partial in values:
@@ -312,16 +297,12 @@ class Q:
                 k, tuple(a.finish(m) for a, m in zip(aggregates.values(), merged))
             ), ctx)
 
-        job = Job(
-            f"query({self.dataset})",
-            mapper,
-            self._input_format(execution),
+        job = self._job(
+            partial_row, execution,
             reducer=reducer,
             combiner=merge if self._combinable() else None,
             num_reducers=self._num_reducers,
         )
-        if execution == "vectorized":
-            job.batch_op = BatchOp(self._filters, partial_row)
         job_result = run_job(fs, job)
         rows = []
         for group_key, finished in job_result.output:

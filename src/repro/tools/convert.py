@@ -13,11 +13,11 @@ from typing import Dict, Optional
 
 from repro.core.cof import write_dataset
 from repro.core.columnio import ColumnSpec
-from repro.core.lazy import LazyRecord
 from repro.formats.rcfile import write_rcfile
 from repro.formats.sequence_file import write_sequence_file
 from repro.formats.text import write_text
 from repro.mapreduce.types import InputFormat, TaskContext
+from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 
@@ -65,7 +65,7 @@ def convert_dataset(
         try:
             for _, record in reader:
                 # Lazy records are reused between rows; take a stable copy.
-                if isinstance(record, LazyRecord):
+                if not isinstance(record, Record):
                     record = record.materialize()
                 records.append(record)
         finally:

@@ -164,7 +164,9 @@ class ByteReader:
 
     def skip_len_prefixed(self) -> int:
         """Skip a length-prefixed field; returns bytes skipped (incl. prefix)."""
-        start = self.pos
+        # ``offset``, not ``pos``: a stream-backed reader may rebase its
+        # window (and so ``pos``) while refilling for the prefix.
+        start = self.offset
         n = self.read_varint()
         self.skip(n)
-        return self.pos - start
+        return self.offset - start

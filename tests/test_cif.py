@@ -145,6 +145,31 @@ class TestCifRoundtrip:
             record.get("attrs")
 
 
+class TestReaderChoice:
+    def test_default_opens_the_batch_reader(self, fs):
+        from repro.core.cif import CIFRecordReader, VectorizedCIFRecordReader
+
+        schema = micro_schema()
+        load(fs, micro_records(schema, 20), schema)
+        for kwargs, expected in (
+            ({}, VectorizedCIFRecordReader),
+            ({"execution": "vectorized"}, VectorizedCIFRecordReader),
+            ({"execution": "scalar"}, CIFRecordReader),
+        ):
+            fmt = ColumnInputFormat("/data/d1", **kwargs)
+            split = fmt.get_splits(fs, fs.cluster)[0]
+            reader = fmt.open_reader(fs, split, make_ctx())
+            assert type(reader) is expected
+
+    def test_bad_arguments_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            ColumnInputFormat("/data/d1", batch_rows=0)
+        with pytest.raises(ValueError):
+            ColumnInputFormat("/data/d1", execution="ambient")
+        with pytest.raises(ValueError):
+            ColumnInputFormat("/data/d1", execution=None)
+
+
 class TestCifSplits:
     def test_one_split_per_directory_by_default(self, fs):
         schema = micro_schema()

@@ -92,6 +92,22 @@ class TestSortDataset:
             (r.to_dict() for r in records), key=lambda d: d["ts"]
         )
 
+    def test_lazy_rows_are_copied_out_of_their_frame(self, fs):
+        # The default reader hands out lazy row views that die with
+        # their frame; sorting holds every row until the end, across
+        # many 7-row frames.
+        schema = event_schema()
+        records = shuffled_records(120)
+        write_dataset(fs, "/s/in", schema, records, split_bytes=2048)
+        sort_dataset(
+            fs, ColumnInputFormat("/s/in", batch_rows=7), schema, "ts",
+            "/s/out", partitions=2, split_bytes=1024,
+        )
+        values, _ = read_column(fs, "/s/out", "tag")
+        assert values == [
+            r.get("tag") for r in sorted(records, key=lambda r: r.get("ts"))
+        ]
+
     def test_sort_by_string_column(self, fs):
         schema = event_schema()
         records = shuffled_records(100)

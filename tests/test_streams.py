@@ -110,6 +110,20 @@ class TestStreamByteReader:
         reader.skip(511)
         assert reader.read_varint() == 300
 
+    def test_skip_len_prefixed_span_survives_a_window_rebase(self):
+        # A skip past the buffered window makes the next refill rebase
+        # ``pos`` to 0; the returned span (which the cost model charges)
+        # must still be prefix + payload, not a negative pos delta.
+        w = ByteWriter()
+        w.write_bytes(b"\x00")
+        w.write_bytes(b"\x00" * 2000)
+        w.write_len_prefixed(b"x" * 300)
+        reader = self.build(w.getvalue())
+        reader.read_byte()  # fill the first 512-byte window
+        reader.skip(2000)   # lazily, far past it
+        assert reader.skip_len_prefixed() == 302
+        assert reader.at_end()
+
     def test_zigzag_roundtrip_through_stream(self):
         w = ByteWriter()
         for v in (-1000000, -1, 0, 1, 1000000):
