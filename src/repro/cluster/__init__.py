@@ -1,15 +1,19 @@
-"""Multi-tenant job management over the simulated cluster.
+"""The scheduler, and multi-tenant job management on top of it.
 
-The single-job story (:func:`repro.mapreduce.runner.run_job`) gives one
-job every slot; this package is the production-shaped layer above it:
+:func:`repro.mapreduce.runner.run_job` gives one job every slot; it
+does so by handing its map phase to this package's event loop
+(:func:`repro.cluster.manager.run_alone`), the one scheduler in the
+repo.  The production-shaped layer above the loop:
 
 - :mod:`repro.cluster.config` — queues with guaranteed capacities,
   tenants with fair-share weights, admission bounds and slot quotas,
-- :mod:`repro.cluster.manager` — the event-driven resource manager
-  arbitrating one slot pool between concurrent jobs, with admission
-  control (including deadline-aware shedding), hierarchical fair share,
-  preemption, speculative execution, map-output loss re-execution and
-  a FIFO baseline,
+- :mod:`repro.cluster.manager` — the event-driven resource manager:
+  locality-aware placement, task attempts with re-placement, backoff
+  and blacklisting, speculative execution and map-output loss
+  re-execution for any work on the slot pool; and, arbitrating the
+  pool between concurrent jobs, admission control (including
+  deadline-aware shedding), hierarchical fair share, preemption and a
+  FIFO baseline,
 - :mod:`repro.cluster.speculate` — progress-based straggler-cloning
   policy knobs,
 - :mod:`repro.cluster.wal` — the write-ahead journal and crash-resume

@@ -1,16 +1,21 @@
-"""The multi-job resource manager: one slot pool, many jobs.
+"""The resource manager: one slot pool, one event loop, any number of jobs.
 
-Where :class:`~repro.mapreduce.runner.JobRunner` gives one job the
-whole cluster, :class:`ClusterManager` owns every map slot and
-arbitrates them between concurrently-running jobs on a shared simulated
-timeline.  It reuses the runner's execution primitives — map attempts
-run for real via ``JobRunner.execute_map_attempt`` and each finished
-job's shuffle/sort/reduce runs via ``JobRunner.run_reduce_phase`` — so
+:class:`ClusterManager` owns every map slot and is the only scheduler
+in the repo.  Its event loop places :class:`~repro.mapreduce.scheduler.
+MapWork` — splits plus the callable that runs one attempt — on slots,
+data-local first, on a shared simulated timeline, and carries Hadoop's
+fault-tolerance contract for it: task attempts re-placed away from the
+node that failed them, seeded backoff, node blacklisting, node-loss
+re-queue, durable map outputs, speculation.  ``run_job`` and
+``parallel_load`` hand it one unit of work through :func:`run_alone`;
+:meth:`ClusterManager.run` is the multi-request entry point, which
+turns each admitted :class:`JobRequest` into the same kind of work —
+map attempts run for real via ``JobRunner.execute_map_attempt`` and
+each finished job's sort/reduce via ``JobRunner.run_reduce_phase`` — so
 a job computes byte-identical output whether it runs alone or under
 contention.
 
-The manager adds the multi-tenancy layer the single-job path never
-needed:
+On top of the loop sits the multi-tenancy layer:
 
 - **admission control** — each tenant has a bounded queue of admitted-
   but-not-started jobs; submissions beyond it are rejected immediately
@@ -54,8 +59,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.hdfs.errors import FaultError
 from repro.hdfs.filesystem import FileSystem
@@ -63,14 +69,23 @@ from repro.mapreduce.backoff import ExponentialBackoff
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
 from repro.mapreduce.output import CollectOutputFormat
-from repro.mapreduce.runner import JobRunner, estimate_pair_size
-from repro.mapreduce.scheduler import ScheduledTask, _Pending
+from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.scheduler import (
+    JobFailedError,
+    MapWork,
+    ScheduledTask,
+    _Pending,
+)
 from repro.obs import Observability, current_obs
 from repro.sim.metrics import Metrics
 
-from repro.cluster.config import ClusterPolicy
+from repro.cluster.config import ClusterPolicy, TenantConfig
 from repro.cluster.report import ClusterReport, JobOutcome, percentile
+from repro.cluster.speculate import SpeculationConfig
 from repro.cluster.wal import ClusterWAL
+
+#: failed attempts on one node before the scheduler stops using it
+BLACKLIST_AFTER = 3
 
 
 @dataclass(frozen=True)
@@ -101,15 +116,19 @@ class _Running:
     slot: int
     end: float
     seq: int = 0
-    payload: Optional[Tuple[list, Counters]] = None
+    payload: object = None
     alive: bool = True      # False once preempted / node died / killed
     faulted: bool = False   # attempt failed mid-read (FaultError)
     speculative: bool = False
     partner_seq: Optional[int] = None  # the other attempt in a race
 
 
+def _ignore(*_args) -> None:
+    pass
+
+
 class _Execution:
-    """Mutable per-job state while a job is on the cluster.
+    """Mutable state of one unit of work while it is on the cluster.
 
     ``state`` walks ``mapping -> shuffling -> finished``; a node death
     that destroys committed map output reverts ``shuffling`` back to
@@ -117,17 +136,32 @@ class _Execution:
     """
 
     def __init__(
-        self, request: JobRequest, queue: str, splits: List, eid: int
+        self,
+        work: MapWork,
+        tenant: str,
+        queue: str,
+        eid: int,
+        arrival: float,
+        request_id: int,
     ) -> None:
-        self.request = request
+        self.work = work
+        self.name = work.name
+        self.tenant = tenant
         self.queue = queue
-        self.splits = splits
+        self.splits = work.splits
         self.eid = eid
+        self.arrival = arrival
+        self.request_id = request_id
+        #: the multi-request entry point hangs its job envelope here
+        #: (dispatch/failure events, the JobOutcome); work submitted
+        #: directly has none
+        self.on_dispatch = _ignore
+        self.on_fail = _ignore
         self.pending: List[_Pending] = [
-            _Pending(i, 0) for i in range(len(splits))
+            _Pending(i, 0) for i in range(len(self.splits))
         ]
-        self.attempts_used = [0] * len(splits)
-        self.payloads: Dict[int, Tuple[list, Counters]] = {}
+        self.attempts_used = [0] * len(self.splits)
+        self.payloads: Dict[int, object] = {}
         #: which node holds each committed split's spilled map output
         self.payload_nodes: Dict[int, int] = {}
         self.tasks: List[ScheduledTask] = []
@@ -143,14 +177,6 @@ class _Execution:
         self.map_output_losses = 0
         #: split indices that already have (or had) a speculative clone
         self.speculated: Set[int] = set()
-
-    @property
-    def job(self) -> Job:
-        return self.request.job
-
-    @property
-    def tenant(self) -> str:
-        return self.request.tenant
 
     def done(self) -> bool:
         return (
@@ -170,7 +196,7 @@ class _Execution:
 
 
 class ClusterManager:
-    """Arbitrates one cluster's map slots between many jobs."""
+    """Schedules map work on one cluster's slots; arbitrates between jobs."""
 
     def __init__(
         self,
@@ -198,10 +224,13 @@ class ClusterManager:
         self.free: List[Tuple[int, int]] = [
             (node, slot)
             for node in range(cluster.num_nodes)
+            if fs.is_node_live(node)
             for slot in range(cluster.map_slots_per_node)
         ]
         self.total_slots = len(self.free)
+        #: nodes that take no more work: died, retired or blacklisted
         self.dead_nodes: set = set()
+        self.node_failures: Dict[int, int] = {}
         self.running: Dict[int, _Running] = {}
         self._completions: List[Tuple[float, int]] = []
         self._shuffles: List[Tuple[float, int, int]] = []  # (end, eid, gen)
@@ -224,7 +253,7 @@ class ClusterManager:
         if self.wal is not None:
             self.wal.append(kind, **fields)
 
-    # -- public entry point --------------------------------------------
+    # -- public entry points -------------------------------------------
 
     def run(self, requests: List[JobRequest]) -> ClusterReport:
         """Run every request to completion; returns the latency report."""
@@ -238,6 +267,64 @@ class ClusterManager:
             tenants=len(self.policy.tenants),
             jobs=len(queue),
         )
+        self.drive(queue)
+        report = ClusterReport(
+            policy=self.policy.policy,
+            outcomes=sorted(
+                self.outcomes, key=lambda o: o.request_id
+            ),
+            makespan=self.horizon,
+            total_slots=self.total_slots,
+            busy_slot_seconds=self.busy_slot_seconds,
+            preemptions=self.preemptions,
+            map_output_losses=self.map_output_losses,
+            speculative_attempts=self.speculative_attempts,
+        )
+        self.obs.emit(
+            "cluster.finish", sim_time=self.horizon,
+            policy=self.policy.policy,
+            completed=len(report.completed),
+            rejected=len(report.rejected),
+            failed=len(report.failed),
+            shed=len(report.shed),
+            makespan=self.horizon,
+            utilization=report.utilization,
+            preemptions=self.preemptions,
+            map_output_losses=self.map_output_losses,
+            speculative_attempts=self.speculative_attempts,
+        )
+        self._wal_append(
+            "cluster_finish", t=self.horizon, makespan=self.horizon,
+            completed=len(report.completed),
+            rejected=len(report.rejected),
+            failed=len(report.failed), shed=len(report.shed),
+            preemptions=self.preemptions,
+            map_output_losses=self.map_output_losses,
+        )
+        return report
+
+    def submit(
+        self,
+        work: MapWork,
+        tenant: str,
+        arrival: float = 0.0,
+        request_id: int = 0,
+    ) -> _Execution:
+        """Put one unit of work on the cluster, beneath admission
+        control; :meth:`drive` runs it."""
+        execution = _Execution(
+            work, tenant, self.policy.tenant(tenant).queue,
+            len(self.executions), arrival, request_id,
+        )
+        self.executions.append(execution)
+        if not execution.splits:  # nothing to place: straight to commit
+            execution.started, execution.start = True, arrival
+            self._start_shuffle(execution, arrival)
+        return execution
+
+    def drive(self, queue: Sequence[JobRequest] = ()) -> None:
+        """The event loop: admit ``queue`` (sorted by arrival) as it
+        comes due and run everything submitted to completion."""
         next_req = 0
         while True:
             # Everything due at the current instant, in causal order:
@@ -303,40 +390,6 @@ class ClusterManager:
             self.now = max(self.now, min(future))
             self.horizon = max(self.horizon, self.now)
         self._flush_faults()
-        report = ClusterReport(
-            policy=self.policy.policy,
-            outcomes=sorted(
-                self.outcomes, key=lambda o: o.request_id
-            ),
-            makespan=self.horizon,
-            total_slots=self.total_slots,
-            busy_slot_seconds=self.busy_slot_seconds,
-            preemptions=self.preemptions,
-            map_output_losses=self.map_output_losses,
-            speculative_attempts=self.speculative_attempts,
-        )
-        self.obs.emit(
-            "cluster.finish", sim_time=self.horizon,
-            policy=self.policy.policy,
-            completed=len(report.completed),
-            rejected=len(report.rejected),
-            failed=len(report.failed),
-            shed=len(report.shed),
-            makespan=self.horizon,
-            utilization=report.utilization,
-            preemptions=self.preemptions,
-            map_output_losses=self.map_output_losses,
-            speculative_attempts=self.speculative_attempts,
-        )
-        self._wal_append(
-            "cluster_finish", t=self.horizon, makespan=self.horizon,
-            completed=len(report.completed),
-            rejected=len(report.rejected),
-            failed=len(report.failed), shed=len(report.shed),
-            preemptions=self.preemptions,
-            map_output_losses=self.map_output_losses,
-        )
-        return report
 
     # -- admission ------------------------------------------------------
 
@@ -364,17 +417,10 @@ class ClusterManager:
                 "reject", t=request.arrival, job=request.job.name,
                 tenant=request.tenant, queued=waiting,
             )
-            self.outcomes.append(JobOutcome(
-                request_id=request.request_id,
-                job_name=request.job.name,
-                tenant=request.tenant,
-                queue=queue,
-                kind=request.kind,
-                arrival=request.arrival,
-                status="rejected",
-                deadline=request.deadline,
+            self._outcome(
+                request, "rejected",
                 error=f"tenant queue full ({waiting}/{tenant.max_queued})",
-            ))
+            )
             return
         splits = request.job.input_format.get_splits(
             self.fs, self.fs.cluster
@@ -393,23 +439,14 @@ class ClusterManager:
                     tenant=request.tenant, predicted=predicted,
                     deadline=request.deadline,
                 )
-                self.outcomes.append(JobOutcome(
-                    request_id=request.request_id,
-                    job_name=request.job.name,
-                    tenant=request.tenant,
-                    queue=queue,
-                    kind=request.kind,
-                    arrival=request.arrival,
-                    status="shed",
-                    deadline=request.deadline,
+                self._outcome(
+                    request, "shed",
                     error=(
                         f"predicted latency {predicted:.3f}s exceeds "
                         f"deadline {request.deadline:.3f}s"
                     ),
-                ))
+                )
                 return
-        execution = _Execution(request, queue, splits, len(self.executions))
-        self.executions.append(execution)
         self.obs.emit(
             "admission.accept", sim_time=request.arrival,
             job=request.job.name, tenant=request.tenant, queue=queue,
@@ -419,6 +456,30 @@ class ClusterManager:
             "admit", t=request.arrival, job=request.job.name,
             tenant=request.tenant, queue=queue, splits=len(splits),
         )
+        work = self.runner.map_work(request.job, splits)
+        execution = self.submit(
+            replace(work, commit=partial(self._finalize, request)),
+            request.tenant, request.arrival, request.request_id,
+        )
+        execution.on_dispatch = self._job_dispatched
+        execution.on_fail = partial(self._job_failed, request)
+
+    def _outcome(
+        self, request: JobRequest, status: str, **fields
+    ) -> JobOutcome:
+        outcome = JobOutcome(
+            request_id=request.request_id,
+            job_name=request.job.name,
+            tenant=request.tenant,
+            queue=self.policy.tenant(request.tenant).queue,
+            kind=request.kind,
+            arrival=request.arrival,
+            status=status,
+            deadline=request.deadline,
+            **fields,
+        )
+        self.outcomes.append(outcome)
+        return outcome
 
     def _predict_latency(self, request: JobRequest, splits: List) -> float:
         """Cost-model estimate of the job's completion latency.
@@ -501,25 +562,11 @@ class ClusterManager:
             if not running.alive or running.node != node:
                 continue
             self._truncate(running, died_at, "node died")
+            self._resolve(
+                running, died_at, "lost", counted="node_lost",
+                error="node died",
+            )
             execution = running.execution
-            execution.running -= 1
-            self.obs.registry.counter(
-                "task.attempts", outcome="node_lost"
-            ).inc()
-            split_label = execution.splits[running.pending.index].label
-            self.obs.emit(
-                "task.finish", sim_time=died_at, kind="map",
-                split=split_label,
-                node=node, slot=running.slot,
-                attempt=running.pending.attempt, outcome="lost",
-                error="node died", duration=running.task.duration,
-                job=execution.job.name, tenant=execution.tenant,
-                speculative=running.speculative,
-            )
-            self._wal_append(
-                "complete", t=died_at, job=execution.job.name,
-                split=split_label, node=node, outcome="lost",
-            )
             if self._live_partner(running) is not None:
                 # The racing attempt on another node still covers this
                 # split; losing one contender costs nothing further.
@@ -553,16 +600,20 @@ class ClusterManager:
                 execution.shuffle_gen += 1
                 self.obs.emit(
                     "shuffle.abort", sim_time=died_at,
-                    job=execution.job.name, tenant=execution.tenant,
+                    job=execution.name, tenant=execution.tenant,
                     node=node, lost_splits=len(lost),
                 )
                 self._wal_append(
-                    "shuffle_abort", t=died_at, job=execution.job.name,
+                    "shuffle_abort", t=died_at, job=execution.name,
                     node=node,
                 )
             for index in lost:
                 del execution.payloads[index]
                 del execution.payload_nodes[index]
+                for task in execution.tasks:
+                    if task.split_index == index and task.produced_output:
+                        task.failed = True
+                        task.error = "map output lost"
                 execution.map_output_losses += 1
                 self.map_output_losses += 1
                 split_label = execution.splits[index].label
@@ -572,10 +623,10 @@ class ClusterManager:
                 self.obs.emit(
                     "mapoutput.lost", sim_time=died_at,
                     split=split_label, node=node,
-                    job=execution.job.name, tenant=execution.tenant,
+                    job=execution.name, tenant=execution.tenant,
                 )
                 self._wal_append(
-                    "output_lost", t=died_at, job=execution.job.name,
+                    "output_lost", t=died_at, job=execution.name,
                     split=split_label, node=node,
                 )
                 self._requeue(
@@ -593,12 +644,43 @@ class ClusterManager:
         self, running: _Running, at: float, error: str
     ) -> None:
         """Stop a live attempt at ``at``; its work so far is wasted."""
-        running.alive = False
         task = running.task
         task.failed = True
         task.error = error
         task.duration = max(0.0, at - task.start)
+
+    def _resolve(
+        self,
+        running: _Running,
+        at: float,
+        outcome: str,
+        counted: Optional[str] = None,
+        **attrs,
+    ) -> None:
+        """An attempt left its slot at ``at``, one way or another:
+        settle the slot-time and slot-pool books, publish the outcome."""
+        running.alive = False
+        execution = running.execution
+        execution.running -= 1
+        task = running.task
         self.busy_slot_seconds += task.duration
+        if running.node not in self.dead_nodes:
+            self.free.append((running.node, running.slot))
+        self.obs.registry.counter(
+            "task.attempts", outcome=counted or outcome
+        ).inc()
+        self.obs.emit(
+            "task.finish", sim_time=at, kind="map",
+            split=task.split.label, node=running.node, slot=running.slot,
+            attempt=task.attempt, outcome=outcome,
+            duration=task.duration, job=execution.name,
+            tenant=execution.tenant, speculative=running.speculative,
+            **attrs,
+        )
+        self._wal_append(
+            "complete", t=at, job=execution.name, split=task.split.label,
+            node=running.node, slot=running.slot, outcome=outcome,
+        )
 
     def _live_partner(self, running: _Running) -> Optional[_Running]:
         """The other attempt racing this one, if it is still alive."""
@@ -629,7 +711,7 @@ class ClusterManager:
             1,
             self.max_attempts
             if self.max_attempts is not None
-            else execution.job.max_attempts,
+            else execution.work.max_attempts,
         )
         if execution.attempts_used[index] >= limit:
             self._fail_job(
@@ -646,7 +728,7 @@ class ClusterManager:
             # exponential delay with jitter so simultaneous failures
             # spread out instead of re-colliding.
             label = (
-                f"{execution.job.name}:"
+                f"{execution.name}:"
                 f"{execution.splits[index].label or index}"
             )
             delay = self.retry_backoff.delay(
@@ -655,7 +737,7 @@ class ClusterManager:
             if delay > 0:
                 self.obs.emit(
                     "retry.backoff", sim_time=now,
-                    job=execution.job.name,
+                    job=execution.name,
                     split=execution.splits[index].label or str(index),
                     attempt=execution.attempts_used[index],
                     delay=delay, ready=now + delay,
@@ -667,7 +749,7 @@ class ClusterManager:
             pending.banned | banned,
         ))
         self._wal_append(
-            "requeue", t=now, job=execution.job.name,
+            "requeue", t=now, job=execution.name,
             split=execution.splits[index].label or str(index),
             ready=now + delay, attempt=execution.attempts_used[index],
         )
@@ -677,28 +759,30 @@ class ClusterManager:
     ) -> None:
         execution.failed = error
         execution.pending.clear()
+        execution.on_fail(execution, error, now)
+
+    def _job_failed(
+        self,
+        request: JobRequest,
+        execution: _Execution,
+        error: str,
+        now: float,
+    ) -> None:
         self.obs.emit(
             "job.finish", sim_time=now,
-            job=execution.job.name, tenant=execution.tenant,
+            job=execution.name, tenant=execution.tenant,
             queue=execution.queue, outcome="failed", error=error,
         )
         self._wal_append(
-            "job_failed", t=now, job=execution.job.name, error=error,
+            "job_failed", t=now, job=execution.name, error=error,
         )
-        self.outcomes.append(JobOutcome(
-            request_id=execution.request.request_id,
-            job_name=execution.job.name,
-            tenant=execution.tenant,
-            queue=execution.queue,
-            kind=execution.request.kind,
-            arrival=execution.request.arrival,
-            status="failed",
+        self._outcome(
+            request, "failed",
             start=execution.start,
             attempts=len(execution.tasks),
             preemptions=execution.preemptions,
-            deadline=execution.request.deadline,
             error=error,
-        ))
+        )
 
     def _strand(self) -> None:
         for execution in self.executions:
@@ -726,36 +810,13 @@ class ClusterManager:
             running = self.running.pop(seq, None)
             if running is None or not running.alive:
                 continue  # preempted or killed with the node
-            running.alive = False
             execution = running.execution
-            execution.running -= 1
-            self.busy_slot_seconds += running.task.duration
-            if running.node not in self.dead_nodes:
-                self.free.append((running.node, running.slot))
-            outcome = "failed" if running.faulted else "ok"
-            self.obs.registry.counter(
-                "task.attempts", outcome=outcome
-            ).inc()
-            split_label = execution.splits[running.pending.index].label
-            finish_attrs = dict(
-                kind="map",
-                split=split_label,
-                node=running.node, slot=running.slot,
-                attempt=running.pending.attempt, outcome=outcome,
-                duration=running.task.duration,
-                job=execution.job.name, tenant=execution.tenant,
-            )
-            if running.speculative:
-                finish_attrs["speculative"] = True
-            if running.faulted:
-                finish_attrs["error"] = running.task.error
-            self.obs.emit("task.finish", sim_time=end, **finish_attrs)
-            self._wal_append(
-                "complete", t=end, job=execution.job.name,
-                split=split_label, node=running.node, outcome=outcome,
-            )
             partner = self._live_partner(running)
             if running.faulted:
+                self._resolve(
+                    running, end, "failed", error=running.task.error
+                )
+                self._note_failure(running.node, end)
                 if running.speculative:
                     self.obs.registry.counter(
                         "scheduler.speculation", outcome="failed"
@@ -773,6 +834,7 @@ class ClusterManager:
                     consume_attempt=not running.speculative,
                 )
             else:
+                self._resolve(running, end, "ok")
                 execution.payloads[running.pending.index] = running.payload
                 execution.payload_nodes[running.pending.index] = running.node
                 self._durations.setdefault(
@@ -783,78 +845,53 @@ class ClusterManager:
             if execution.done():
                 self._start_shuffle(execution, end)
 
+    def _note_failure(self, node: int, now: float) -> None:
+        """Count a failed attempt against ``node``; one that keeps
+        failing them is blacklisted and takes no more work."""
+        failures = self.node_failures.get(node, 0) + 1
+        self.node_failures[node] = failures
+        if failures < BLACKLIST_AFTER or node in self.dead_nodes:
+            return
+        self.obs.registry.counter("scheduler.blacklisted", node=node).inc()
+        self.obs.emit(
+            "node.blacklisted", sim_time=now, node=node, failures=failures
+        )
+        self._wal_append("node_blacklisted", t=now, node=node)
+        self._retire_node(node)
+
     def _lose_race(
         self, loser: _Running, end: float, winner: _Running
     ) -> None:
         """First finisher wins: the moment the winner's payload commits,
         the racing attempt is killed (not failed — no budget, no
         requeue) and its slot returns to the pool."""
-        loser.alive = False
         task = loser.task
         task.killed = True
         task.duration = max(0.0, end - task.start)
-        self.busy_slot_seconds += task.duration
+        self._resolve(loser, end, "killed")
         execution = loser.execution
-        execution.running -= 1
-        if loser.node not in self.dead_nodes:
-            self.free.append((loser.node, loser.slot))
         outcome = "won" if winner.speculative else "lost"
-        self.obs.registry.counter("task.attempts", outcome="killed").inc()
         self.obs.registry.counter(
             "scheduler.speculation", outcome=outcome
         ).inc()
-        split_label = execution.splits[loser.pending.index].label
-        self.obs.emit(
-            "task.finish", sim_time=end, kind="map",
-            split=split_label, node=loser.node, slot=loser.slot,
-            attempt=loser.pending.attempt, outcome="killed",
-            duration=task.duration, job=execution.job.name,
-            tenant=execution.tenant, speculative=loser.speculative,
-        )
         self.obs.emit(
             "scheduler.speculation", sim_time=end,
-            split=split_label, job=execution.job.name,
+            split=task.split.label, job=execution.name,
             tenant=execution.tenant, outcome=outcome,
             winner_node=winner.node, loser_node=loser.node,
             saved=max(0.0, loser.end - end),
         )
-        self._wal_append(
-            "complete", t=end, job=execution.job.name,
-            split=split_label, node=loser.node, outcome="killed",
-        )
 
     # -- shuffle window -------------------------------------------------
-
-    def _shuffle_window(self, execution: _Execution) -> float:
-        """How long the job's map outputs stay vulnerable after the last
-        map finishes: the time the largest reduce partition takes to
-        cross the network.  Each reduce task charges at least its own
-        partition's shuffle time, so this is a lower bound on the reduce
-        makespan — the fault-free timeline is unchanged."""
-        job = execution.job
-        if job.is_map_only or job.num_reducers <= 0:
-            return 0.0
-        rate = self.fs.cluster.network.shuffle_bytes_per_sec
-        if rate <= 0:
-            return 0.0
-        partitions = max(job.num_reducers, 1)
-        per_partition = [0] * partitions
-        for payload, _counters in execution.payloads.values():
-            for index, partition in enumerate(payload):
-                per_partition[index] += sum(
-                    estimate_pair_size(key, value)
-                    for key, value in partition
-                )
-        return max(per_partition) / rate
 
     def _start_shuffle(self, execution: _Execution, map_end: float) -> None:
         """All splits committed: open the shuffle window.  The job's
         output is durable only once the window closes; until then a node
         death can claw back this job's map outputs."""
         execution.map_end = map_end
-        window = self._shuffle_window(execution)
+        window = execution.work.shuffle_window(execution.payloads)
         if window <= 0.0:
-            self._finalize(execution, map_end)
+            self._commit(execution, map_end)
             return
         execution.state = "shuffling"
         execution.shuffle_gen += 1
@@ -865,12 +902,11 @@ class ClusterManager:
         )
         self.obs.emit(
             "shuffle.start", sim_time=map_end,
-            job=execution.job.name, tenant=execution.tenant,
+            job=execution.name, tenant=execution.tenant,
             window=window, end=execution.shuffle_end,
-            partitions=max(execution.job.num_reducers, 1),
         )
         self._wal_append(
-            "shuffle_start", t=map_end, job=execution.job.name,
+            "shuffle_start", t=map_end, job=execution.name,
             end=execution.shuffle_end,
         )
 
@@ -898,16 +934,23 @@ class ClusterManager:
                 continue  # aborted (and possibly restarted) since
             self.obs.emit(
                 "shuffle.finish", sim_time=end,
-                job=execution.job.name, tenant=execution.tenant,
+                job=execution.name, tenant=execution.tenant,
             )
-            self._finalize(execution, execution.map_end)
+            self._commit(execution, execution.map_end)
 
-    def _finalize(self, execution: _Execution, map_end: float) -> None:
-        """Shuffle complete: run sort/reduce and commit the job.  From
-        here the job is immune to node deaths — its inputs are across
-        the network."""
+    def _commit(self, execution: _Execution, map_end: float) -> None:
+        """Shuffle complete: the work finishes itself (a job runs its
+        sort/reduce).  From here it is immune to node deaths — its
+        inputs are across the network."""
         execution.state = "finished"
-        job = execution.job
+        finish = execution.work.commit(execution, map_end)
+        self.horizon = max(self.horizon, finish)
+
+    def _finalize(
+        self, request: JobRequest, execution: _Execution, map_end: float
+    ) -> float:
+        """A request's commit: sort/reduce, then the job's outcome."""
+        job = request.job
         counters = Counters()
         map_outputs = []
         for index in range(len(execution.splits)):
@@ -926,28 +969,18 @@ class ClusterManager:
             map_end + reduce_makespan
             + self.fs.cluster.job_overhead_seconds
         )
-        self.horizon = max(self.horizon, finish)
-        request_id = execution.request.request_id
-        self.job_counters[request_id] = counters
+        self.job_counters[request.request_id] = counters
         if collect is not None:
-            self.job_outputs[request_id] = collect.collected
-        outcome = JobOutcome(
-            request_id=request_id,
-            job_name=job.name,
-            tenant=execution.tenant,
-            queue=execution.queue,
-            kind=execution.request.kind,
-            arrival=execution.request.arrival,
-            status="completed",
+            self.job_outputs[request.request_id] = collect.collected
+        outcome = self._outcome(
+            request, "completed",
             start=execution.start,
             finish=finish,
             map_makespan=map_end - execution.start,
             reduce_time=reduce_makespan,
             attempts=len(execution.tasks),
             preemptions=execution.preemptions,
-            deadline=execution.request.deadline,
         )
-        self.outcomes.append(outcome)
         finish_attrs = {}
         if outcome.deadline is not None:
             finish_attrs["deadline"] = outcome.deadline
@@ -962,6 +995,7 @@ class ClusterManager:
         self._wal_append(
             "job_complete", t=finish, job=job.name, finish=finish,
         )
+        return finish
 
     # -- preemption -----------------------------------------------------
 
@@ -1024,37 +1058,20 @@ class ClusterManager:
     ) -> None:
         self._truncate(running, now, "preempted")
         running.task.preempted = True
+        self._resolve(running, now, "preempted")
         execution = running.execution
-        execution.running -= 1
         execution.preemptions += 1
         self.preemptions += 1
-        self.free.append((running.node, running.slot))
-        split = execution.splits[running.pending.index]
-        self.obs.registry.counter(
-            "task.attempts", outcome="preempted"
-        ).inc()
         self.obs.registry.counter(
             "cluster.preemptions", queue=execution.queue
         ).inc()
         self.obs.emit(
-            "task.finish", sim_time=now, kind="map",
-            split=split.label, node=running.node, slot=running.slot,
-            attempt=running.pending.attempt, outcome="preempted",
-            duration=running.task.duration,
-            job=execution.job.name, tenant=execution.tenant,
-            speculative=running.speculative,
-        )
-        self.obs.emit(
             "task.preempted", sim_time=now,
-            split=split.label, node=running.node, slot=running.slot,
-            job=execution.job.name, tenant=execution.tenant,
+            split=running.task.split.label,
+            node=running.node, slot=running.slot,
+            job=execution.name, tenant=execution.tenant,
             queue=execution.queue, by_queue=by_queue,
             ran=running.task.duration, speculative=running.speculative,
-        )
-        self._wal_append(
-            "preempt", t=now, job=execution.job.name, split=split.label,
-            node=running.node, slot=running.slot,
-            speculative=running.speculative,
         )
         if running.speculative:
             # Evicting a clone must not touch the original attempt's
@@ -1091,7 +1108,7 @@ class ClusterManager:
             ordered = sorted(
                 (e for e in self.executions if e.ready(now)),
                 key=lambda e: (
-                    e.request.arrival, e.request.request_id
+                    e.arrival, e.request_id
                 ),
             )
             for execution in ordered:
@@ -1159,7 +1176,7 @@ class ClusterManager:
                 continue
             for execution in sorted(
                 by_tenant[name],
-                key=lambda e: (e.request.arrival, e.request.request_id),
+                key=lambda e: (e.arrival, e.request_id),
             ):
                 placed = self._place(execution, now)
                 if placed is not None:
@@ -1183,6 +1200,17 @@ class ClusterManager:
                 if node in pending.banned:
                     continue
                 return execution, pending, node, slot, False
+        # Every free slot is banned for every ready attempt.  A ban
+        # steers a retry towards another node; when no live node is
+        # left outside it — none free, none running that could free
+        # up — a banned node beats a stranded job.
+        live = {node for node, _slot in free}
+        live.update(r.node for r in self.running.values() if r.alive)
+        for pending in ready:
+            if live <= pending.banned:
+                node, slot = free[0]
+                locations = execution.splits[pending.index].locations
+                return execution, pending, node, slot, node in locations
         return None
 
     def _launch(
@@ -1204,33 +1232,20 @@ class ClusterManager:
                 # attempt started; the slot died with it.
                 execution.pending.append(pending)
                 return
-        job = execution.job
-        split = execution.splits[pending.index]
         execution.attempts_used[pending.index] += 1
         if not execution.started:
             execution.started = True
             execution.start = now
-            self.obs.emit(
-                "job.dispatch", sim_time=now,
-                job=job.name, tenant=execution.tenant,
-                queue=execution.queue, splits=len(execution.splits),
-                wait=now - execution.request.arrival,
-            )
-        placement = "local" if local else "remote"
-        self.obs.registry.counter(
-            "scheduler.assignments", placement=placement
-        ).inc()
-        self.obs.emit(
-            "task.start", sim_time=now, kind="map",
-            split=split.label, node=node, slot=slot,
-            attempt=pending.attempt, placement=placement,
-            job=job.name, tenant=execution.tenant, queue=execution.queue,
-        )
-        self._wal_append(
-            "launch", t=now, job=job.name, split=split.label,
-            node=node, slot=slot, attempt=pending.attempt,
-        )
+            execution.on_dispatch(execution, now)
         self._execute_attempt(now, execution, pending, node, slot, local)
+
+    def _job_dispatched(self, execution: _Execution, now: float) -> None:
+        self.obs.emit(
+            "job.dispatch", sim_time=now,
+            job=execution.name, tenant=execution.tenant,
+            queue=execution.queue, splits=len(execution.splits),
+            wait=now - execution.arrival,
+        )
 
     def _execute_attempt(
         self,
@@ -1244,15 +1259,27 @@ class ClusterManager:
         partner_seq: Optional[int] = None,
     ) -> _Running:
         """Run one attempt eagerly and register its completion event."""
-        job = execution.job
         split = execution.splits[pending.index]
+        placement = "local" if local else "remote"
+        self.obs.registry.counter(
+            "scheduler.assignments", placement=placement
+        ).inc()
+        self.obs.emit(
+            "task.start", sim_time=now, kind="map",
+            split=split.label, node=node, slot=slot,
+            attempt=pending.attempt, placement=placement,
+            speculative=speculative, job=execution.name,
+            tenant=execution.tenant, queue=execution.queue,
+        )
+        self._wal_append(
+            "launch", t=now, job=execution.name, split=split.label,
+            node=node, slot=slot, attempt=pending.attempt,
+            speculative=speculative,
+        )
         faulted = False
         payload = None
         try:
-            metrics, partitions, task_counters = (
-                self.runner.execute_map_attempt(job, split, node)
-            )
-            payload = (partitions, task_counters)
+            metrics, payload = execution.work.attempt(split, node)
             error = None
         except FaultError as exc:
             metrics = getattr(exc, "metrics", None) or Metrics()
@@ -1292,71 +1319,55 @@ class ClusterManager:
 
     # -- speculation ----------------------------------------------------
 
+    def _straggler_candidates(self):
+        """``(attempt, patience)`` for every running original that may
+        still be cloned, oldest first.
+
+        An attempt is a straggler once it has been running for its
+        ``patience``: ``slowdown`` times its queue's ``quantile``
+        completion duration (progress-based detection — the manager
+        never peeks at an attempt's predetermined end)."""
+        cfg = self.policy.speculation
+        for seq in sorted(self.running):
+            running = self.running[seq]
+            execution = running.execution
+            if (
+                not running.alive
+                or running.speculative
+                or self._live_partner(running) is not None
+                or execution.failed is not None
+                or running.pending.index in execution.speculated
+            ):
+                continue
+            samples = self._durations.get(execution.queue, ())
+            if len(samples) < cfg.min_samples:
+                continue
+            typical = percentile(samples, cfg.quantile * 100)
+            if typical > 0:
+                yield running, cfg.slowdown * typical
+
     def _next_speculation_time(self) -> Optional[float]:
         """Earliest instant a running attempt crosses the straggler
         threshold.  Without this the event loop would only notice a
         straggler at the next natural event — which in a quiet cluster
         is the straggler's own completion, too late to help."""
-        cfg = self.policy.speculation
-        wake = None
-        for running in self.running.values():
-            if not running.alive or running.speculative:
-                continue
-            if self._live_partner(running) is not None:
-                continue
-            execution = running.execution
-            if execution.failed is not None:
-                continue
-            if running.pending.index in execution.speculated:
-                continue
-            samples = self._durations.get(execution.queue, ())
-            if len(samples) < cfg.min_samples:
-                continue
-            typical = percentile(samples, cfg.quantile * 100)
-            if typical <= 0:
-                continue
-            threshold = running.task.start + cfg.slowdown * typical
-            if wake is None or threshold < wake:
-                wake = threshold
-        return wake
+        return min(
+            (
+                running.task.start + patience
+                for running, patience in self._straggler_candidates()
+            ),
+            default=None,
+        )
 
     def _speculate(self, now: float) -> None:
-        """Clone stragglers onto otherwise-idle slots.
-
-        A running original attempt is a straggler once it has been
-        running longer than ``slowdown`` times its queue's ``quantile``
-        completion duration (progress-based detection — the manager
-        never peeks at an attempt's predetermined end).  Worst straggler
+        """Clone stragglers onto otherwise-idle slots, worst straggler
         first; each clone is charged to the owning tenant's fair share
-        and quota, and never consumes the original's retry budget.
-        """
-        cfg = self.policy.speculation
-        stragglers = []
-        for seq in sorted(self.running):
-            running = self.running[seq]
-            if not running.alive or running.speculative:
-                continue
-            if self._live_partner(running) is not None:
-                continue
-            execution = running.execution
-            if execution.failed is not None:
-                continue
-            if running.pending.index in execution.speculated:
-                continue
-            samples = self._durations.get(execution.queue, ())
-            if len(samples) < cfg.min_samples:
-                continue
-            typical = percentile(samples, cfg.quantile * 100)
-            elapsed = now - running.task.start
-            # >= so the threshold-crossing wake-up itself qualifies
-            if typical <= 0 or elapsed < cfg.slowdown * typical:
-                continue
-            stragglers.append((-elapsed, seq, running))
-        stragglers.sort(key=lambda item: (item[0], item[1]))
-        for _neg_elapsed, _seq, original in stragglers:
+        and quota, and never consumes the original's retry budget."""
+        for original, patience in list(self._straggler_candidates()):
             if not self.free:
                 break
-            if not original.alive:
+            # not < so the threshold-crossing wake-up itself qualifies
+            if now - original.task.start < patience or not original.alive:
                 continue
             tenant = self.policy.tenant(original.execution.tenant)
             if tenant.max_running_slots > 0:
@@ -1366,24 +1377,17 @@ class ClusterManager:
                 )
                 if in_use >= tenant.max_running_slots:
                     continue
-            banned = original.pending.banned | frozenset({original.node})
-            split = original.execution.splits[original.pending.index]
-            placed = None
-            for node, slot in sorted(self.free):
-                if node in banned:
-                    continue
-                if node in split.locations:
-                    placed = (node, slot, True)
-                    break
-            if placed is None:
-                for node, slot in sorted(self.free):
-                    if node in banned:
-                        continue
-                    placed = (node, slot, False)
-                    break
-            if placed is None:
+            banned = original.pending.banned | {original.node}
+            free = [f for f in sorted(self.free) if f[0] not in banned]
+            if not free:
                 continue
-            self._launch_speculative(now, original, *placed)
+            locations = original.task.split.locations
+            node, slot = next(
+                (f for f in free if f[0] in locations), free[0]
+            )
+            self._launch_speculative(
+                now, original, node, slot, node in locations
+            )
 
     def _launch_speculative(
         self,
@@ -1428,28 +1432,53 @@ class ClusterManager:
             "task.speculative", sim_time=now, split=split.label,
             node=node, slot=slot, victim_node=original.node,
             elapsed=now - original.task.start,
-            job=execution.job.name, tenant=execution.tenant,
+            job=execution.name, tenant=execution.tenant,
             queue=execution.queue,
-        )
-        placement = "local" if local else "remote"
-        self.obs.registry.counter(
-            "scheduler.assignments", placement=placement
-        ).inc()
-        self.obs.emit(
-            "task.start", sim_time=now, kind="map",
-            split=split.label, node=node, slot=slot,
-            attempt=pending.attempt, placement=placement,
-            speculative=True,
-            job=execution.job.name, tenant=execution.tenant,
-            queue=execution.queue,
-        )
-        self._wal_append(
-            "launch", t=now, job=execution.job.name, split=split.label,
-            node=node, slot=slot, attempt=pending.attempt,
-            speculative=True,
         )
         duplicate = self._execute_attempt(
             now, execution, pending, node, slot, local,
             speculative=True, partner_seq=original.seq,
         )
         original.partner_seq = duplicate.seq
+
+
+def run_alone(
+    fs: FileSystem,
+    work: MapWork,
+    obs: Optional[Observability] = None,
+    faults=None,
+    speculative: bool = False,
+) -> _Execution:
+    """Give one unit of work the whole cluster: what ``run_job`` and
+    ``parallel_load`` do.
+
+    The work goes straight onto the event loop of a one-tenant FIFO
+    manager — no admission, no ``cluster.*`` envelope.  ``speculative``
+    turns on progress-based straggler cloning.  Raises
+    :class:`JobFailedError`, carrying the failed-attempt history, if a
+    split exhausts its attempts or no live slot remains.
+    """
+    policy = ClusterPolicy(
+        tenants=[TenantConfig("default", "default")],
+        policy="fifo",
+        speculation=SpeculationConfig(enabled=speculative),
+    )
+    manager = ClusterManager(fs, policy, obs, faults)
+    execution = manager.submit(work, "default")
+    manager.drive()
+    if execution.failed is not None:
+        raise JobFailedError(
+            execution.failed,
+            [
+                {
+                    "split": task.split.label,
+                    "node": task.node,
+                    "attempt": task.attempt,
+                    "start": task.start,
+                    "error": task.error,
+                }
+                for task in execution.tasks
+                if task.failed
+            ],
+        )
+    return execution

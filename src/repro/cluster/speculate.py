@@ -1,10 +1,10 @@
-"""Cluster-level speculative execution policy.
+"""Speculative execution policy: the scheduler's one algorithm.
 
-The single-job scheduler speculates with perfect knowledge: once no
-pending work remains it clones still-running non-local attempts onto
-idle data-local slots.  The multi-job manager cannot be that lazy —
-slots freed by one tenant must not silently subsidize another — so the
-cluster port is *progress-based*, the way Hadoop's JobTracker does it:
+Slots freed by one tenant must not silently subsidize another, and the
+scheduler must not peek at an attempt's predetermined end, so straggler
+cloning is *progress-based*, the way Hadoop's JobTracker does it
+(``Job.speculative`` turns it on for a ``run_job``, the policy's
+``speculation`` field for a shared cluster):
 
 - every completed map attempt's duration feeds a per-queue sample,
 - a running attempt becomes a straggler candidate once it has been

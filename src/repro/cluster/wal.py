@@ -6,8 +6,9 @@ turns crash recovery into *deterministic replay with an integrity
 check* instead of mutable-state snapshotting:
 
 - **Recording** — the manager appends one JSON record per scheduling
-  decision (admission, launch, attempt resolution, re-queue, shuffle
-  start/abort, map-output loss, preemption, job completion) to a JSONL
+  decision (admission, launch, attempt resolution — preemption
+  included — re-queue, shuffle start/abort, map-output loss, node
+  blacklisting, job completion) to a JSONL
   WAL.  Record 0 is a ``meta`` header embedding the full profile,
   policy name and fault plan — everything needed to re-derive the run.
   Lines are flushed one at a time and may be gzip-framed, exactly like
@@ -37,8 +38,9 @@ import gzip as _gzip
 import json
 from typing import List, Optional, Tuple
 
-#: bump when the record schema changes incompatibly
-WAL_VERSION = 1
+#: bump when the record schema changes incompatibly (2: every attempt
+#: resolution, eviction included, is one ``complete`` record)
+WAL_VERSION = 2
 
 
 class SimulatedCrash(RuntimeError):

@@ -16,8 +16,9 @@ from typing import Dict, List, Optional
 
 from repro.core.cof import ColumnOutputFormat
 from repro.core.columnio import ColumnSpec
-from repro.mapreduce.scheduler import ScheduledTask, makespan, schedule_map_tasks
+from repro.mapreduce.scheduler import MapWork, ScheduledTask, makespan
 from repro.mapreduce.types import InputFormat, InputSplit, TaskContext
+from repro.obs import NULL_OBS
 from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
@@ -58,7 +59,7 @@ def parallel_load(
     ordinal_of = {id(split): i for i, split in enumerate(splits)}
     counters = {"records": 0, "dirs": 0}
 
-    def execute(split: InputSplit, node: int) -> Metrics:
+    def attempt(split: InputSplit, node: int):
         ctx = TaskContext(
             node=node, cost=cost, io_buffer_size=cluster.io_buffer_size
         )
@@ -82,11 +83,14 @@ def parallel_load(
         )
         counters["records"] += len(records)
         counters["dirs"] += written
-        return ctx.metrics
+        return ctx.metrics, None
 
-    tasks = schedule_map_tasks(
-        splits, cluster.num_nodes, cluster.map_slots_per_node, execute
-    )
+    # Deferred import: repro.cluster builds on this package.
+    from repro.cluster.manager import run_alone
+
+    tasks = run_alone(
+        fs, MapWork("parallel_load", splits, attempt), NULL_OBS
+    ).tasks
     total = Metrics()
     for task in tasks:
         total.add(task.metrics)

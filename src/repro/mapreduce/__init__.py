@@ -3,12 +3,14 @@
 Implements the Hadoop abstractions the paper's techniques plug into
 (Section 2): ``InputFormat`` (split generation + record reading),
 ``OutputFormat``, hand-coded map and reduce functions over a generic
-record abstraction, and a locality-aware slot scheduler.
+record abstraction.  The locality-aware slot scheduler they run on is
+:class:`repro.cluster.manager.ClusterManager`; a single job is its
+only tenant.
 
 The engine *executes* jobs for real — mappers and reducers are Python
 functions that see actual decoded records — while *time* is simulated:
 each task accumulates I/O and CPU charges in its metrics, the scheduler
-replays the tasks against the cluster's map slots event-by-event, and
+places the tasks on the cluster's map slots event-by-event, and
 the job result reports the two quantities Table 1 reports: **map time**
 (total map-task seconds divided by the cluster's map slots) and **total
 time** (wall-clock makespan including shuffle/sort/reduce).

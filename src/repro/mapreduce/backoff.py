@@ -3,8 +3,7 @@
 Hadoop never relaunches a failed task attempt on the very next
 heartbeat: retries back off so a transiently-sick cluster (a wedged
 datanode, a full spill disk) isn't hammered by the very work it just
-failed.  The single-job scheduler and the multi-job cluster manager
-share this policy: a failed attempt's relaunch is delayed by
+failed.  A failed attempt's relaunch is delayed by
 ``base * factor**attempt`` seconds, capped at ``cap``, then spread by a
 ±``jitter/2`` proportional offset so simultaneous failures don't
 re-collide on the same instant (the classic thundering-herd fix).
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Union
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,8 @@ class ExponentialBackoff:
     ``delay(key, attempt)`` is the seconds to wait before relaunching
     ``key``'s retry number ``attempt`` (0-based: the delay before the
     *second* attempt uses ``attempt=0``).  ``key`` is any stable task
-    identity — the scheduler uses the split label, the cluster manager
-    ``job:split`` — so two tasks failing at the same instant draw
-    *different* jitter and spread out.
+    identity — the scheduler uses ``job:split`` — so two tasks failing
+    at the same instant draw *different* jitter and spread out.
     """
 
     def __init__(self, config: BackoffConfig = BackoffConfig()) -> None:
@@ -92,20 +89,3 @@ class ExponentialBackoff:
         rng = random.Random(f"{cfg.seed}:{key}:{attempt}")
         spread = cfg.jitter * (rng.random() - 0.5)
         return max(0.0, raw * (1.0 + spread))
-
-
-#: what scheduler entry points accept: a fixed delay or a full policy
-BackoffLike = Union[float, ExponentialBackoff]
-
-
-def resolve_backoff(value: BackoffLike) -> ExponentialBackoff:
-    """Coerce a legacy fixed-seconds delay into a jitterless policy."""
-    if isinstance(value, ExponentialBackoff):
-        return value
-    fixed = float(value)
-    if fixed <= 0:
-        return ExponentialBackoff(BackoffConfig(base=0.0))
-    # A fixed delay is "exponential" with factor 1 and no jitter.
-    return ExponentialBackoff(
-        BackoffConfig(base=fixed, factor=1.0, cap=fixed, jitter=0.0)
-    )

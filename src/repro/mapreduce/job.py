@@ -48,7 +48,8 @@ class Job:
         self.output_format = output_format
         self.num_reducers = num_reducers
         self.cost = cost if cost is not None else CpuCostModel()
-        #: enable Hadoop-style speculative execution of map stragglers
+        #: clone map stragglers (the scheduler's progress-based
+        #: speculation; see repro.cluster.speculate) under run_job
         self.speculative = speculative
         #: optional repro.core.vector.BatchOp — when set and the input
         #: format's reader supports read_batch(), the runner drains the

@@ -2,12 +2,13 @@
 
 ``run_job`` is the equivalent of Figure 1's ``JobRunner.submit(job)``.
 Map tasks run for real (decoding records through the configured
-InputFormat and invoking the user's map function) while the scheduler
-replays them against the cluster's slots; the shuffle, sort and reduce
-phases are then executed and timed.  The result carries the two numbers
-Table 1 reports per format — *map time* (total map-task seconds divided
-by the cluster's map slots) and *total time* (full-job makespan) — plus
-the bytes-read counters.
+InputFormat and invoking the user's map function) as the scheduler —
+the :class:`~repro.cluster.manager.ClusterManager` event loop, with
+this job as its only tenant — places them on the cluster's slots; the
+shuffle, sort and reduce phases are then executed and timed.  The
+result carries the two numbers Table 1 reports per format — *map time*
+(total map-task seconds divided by the cluster's map slots) and *total
+time* (full-job makespan) — plus the bytes-read counters.
 """
 
 from __future__ import annotations
@@ -15,20 +16,20 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults import FaultInjector, FaultPlan, current_fault_plan
 from repro.hdfs.errors import FaultError
 from repro.hdfs.filesystem import FileSystem
-from repro.mapreduce.backoff import BackoffConfig, ExponentialBackoff
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
 from repro.mapreduce.output import CollectOutputFormat
 from repro.mapreduce.scheduler import (
+    MapWork,
     ScheduledTask,
-    makespan,
-    schedule_map_tasks,
     simulate_wave_makespan,
 )
 from repro.mapreduce.types import InputSplit, TaskContext
@@ -147,83 +148,106 @@ class JobRunner:
         return result
 
     def _run_traced(self, job: Job, obs: Observability) -> JobResult:
-        cluster = self.fs.cluster
-        splits = job.input_format.get_splits(self.fs, cluster)
-        counters = Counters()
-        injector = self._injector()
-        # One entry per executed attempt, aligned with the scheduler's
-        # task list: (partitions, counters) for a completed attempt,
-        # None for one that died mid-read.
-        attempt_payloads: List[Optional[Tuple[list, Counters]]] = []
+        # The one scheduler lives a layer up (repro.cluster builds on
+        # this module), hence the deferred import.
+        from repro.cluster.manager import run_alone
 
-        def execute(split: InputSplit, node: int) -> Metrics:
+        splits = job.input_format.get_splits(self.fs, self.fs.cluster)
+        work = self.map_work(job, splits)
+        # One entry per executed attempt, aligned with the execution's
+        # task list (both in launch order): the attempt's payload, or
+        # None for one that died mid-read.
+        attempt_payloads: List[Optional[tuple]] = []
+
+        def attempt(split: InputSplit, node: int):
             try:
-                metrics, partitions, task_counters = (
-                    self.execute_map_attempt(job, split, node)
-                )
+                metrics, payload = work.attempt(split, node)
             except FaultError:
                 attempt_payloads.append(None)
                 raise
-            attempt_payloads.append((partitions, task_counters))
-            return metrics
+            attempt_payloads.append(payload)
+            return metrics, payload
 
-        input_fmt = type(job.input_format).__name__
-        with obs.tracer.span("map_phase", kind="phase", splits=len(splits)):
+        result: Optional[JobResult] = None
+        map_phase = ExitStack()
+
+        def commit(execution, map_end: float) -> float:
+            nonlocal result
+            self._record_map_phase(job, execution.tasks, map_end)
+            map_phase.close()
+            result = self._finish(
+                job, execution.tasks, attempt_payloads, map_end
+            )
+            return result.total_time
+
+        with map_phase:
+            map_phase.enter_context(obs.tracer.span(
+                "map_phase", kind="phase", splits=len(splits)
+            ))
             obs.emit(
                 "phase.start", sim_time=0.0, phase="map",
                 job=job.name, splits=len(splits),
             )
-            tasks = schedule_map_tasks(
-                splits,
-                cluster.num_nodes,
-                cluster.map_slots_per_node,
-                execute,
-                speculative=job.speculative,
-                obs=obs,
-                max_attempts=job.max_attempts,
-                faults=injector,
-                node_usable=self.fs.is_node_live,
-                retry_backoff=ExponentialBackoff(
-                    BackoffConfig(seed=cluster.seed)
-                ),
+            run_alone(
+                self.fs, replace(work, attempt=attempt, commit=commit),
+                obs, self.faults, speculative=job.speculative,
             )
-            map_durations = obs.registry.histogram(
-                "task.duration.seconds", TASK_DURATION_BOUNDARIES, kind="map"
+        return result
+
+    def _record_map_phase(
+        self, job: Job, tasks: List[ScheduledTask], map_end: float
+    ) -> None:
+        obs = self.obs
+        input_fmt = type(job.input_format).__name__
+        map_durations = obs.registry.histogram(
+            "task.duration.seconds", TASK_DURATION_BOUNDARIES, kind="map"
+        )
+        for task in tasks:
+            map_durations.observe(task.duration)
+            obs.tracer.record_span(
+                "map_task",
+                kind="task",
+                sim_start=task.start,
+                sim_duration=task.duration,
+                sim_io=task.metrics.io_time,
+                sim_cpu=task.metrics.cpu_time,
+                split=task.split.label,
+                node=task.node,
+                slot=task.slot,
+                data_local=task.data_local,
+                speculative=task.speculative,
+                killed=task.killed,
+                attempt=task.attempt,
+                failed=task.failed,
+                format=input_fmt,
+                disk_bytes=task.metrics.disk_bytes,
+                net_bytes=task.metrics.net_bytes,
+                requested_bytes=task.metrics.requested_bytes,
+                seeks=task.metrics.seeks,
+                records=task.metrics.records,
             )
-            for task in tasks:
-                map_durations.observe(task.duration)
-                obs.tracer.record_span(
-                    "map_task",
-                    kind="task",
-                    sim_start=task.start,
-                    sim_duration=task.duration,
-                    sim_io=task.metrics.io_time,
-                    sim_cpu=task.metrics.cpu_time,
-                    split=task.split.label,
-                    node=task.node,
-                    slot=task.slot,
-                    data_local=task.data_local,
-                    speculative=task.speculative,
-                    killed=task.killed,
-                    attempt=task.attempt,
-                    failed=task.failed,
-                    format=input_fmt,
-                    disk_bytes=task.metrics.disk_bytes,
-                    net_bytes=task.metrics.net_bytes,
-                    requested_bytes=task.metrics.requested_bytes,
-                    seeks=task.metrics.seeks,
-                    records=task.metrics.records,
-                )
-            obs.emit(
-                "phase.finish", sim_time=makespan(tasks), phase="map",
-                job=job.name, makespan=makespan(tasks), tasks=len(tasks),
-            )
-        # attempt_payloads is appended in execution order, which matches
-        # the task list.  Only surviving attempts — not killed in a
-        # speculative race, not failed by a fault — contribute output
-        # and job counters; that keeps both byte-identical between a
-        # fault-free run and any survivable chaos run (retry visibility
-        # lives in the obs registry's task.attempts counters instead).
+        obs.emit(
+            "phase.finish", sim_time=map_end, phase="map",
+            job=job.name, makespan=map_end, tasks=len(tasks),
+        )
+
+    def _finish(
+        self,
+        job: Job,
+        tasks: List[ScheduledTask],
+        attempt_payloads: List[Optional[tuple]],
+        map_makespan: float,
+    ) -> JobResult:
+        """Every split has committed and the shuffle window has closed:
+        run the reduce phase and assemble the result."""
+        cluster = self.fs.cluster
+        counters = Counters()
+        # Only surviving attempts — not killed in a speculative race,
+        # not failed by a fault, output not lost with its node —
+        # contribute output and job counters; that keeps both
+        # byte-identical between a fault-free run and any survivable
+        # chaos run (retry visibility lives in the obs registry's
+        # task.attempts counters instead).
         map_outputs: List[List[List[Tuple[object, object]]]] = []
         surviving: List[ScheduledTask] = []
         for task, payload in zip(tasks, attempt_payloads):
@@ -235,7 +259,6 @@ class JobRunner:
         map_metrics = Metrics()
         for task in tasks:
             map_metrics.add(task.metrics)
-        map_makespan = makespan(tasks)
         map_time = sum(t.duration for t in tasks) / cluster.total_map_slots
         # Job counters carry only *logical* facts (tasks, records) so a
         # survivable fault plan leaves them byte-identical to a
@@ -247,7 +270,7 @@ class JobRunner:
         counters.increment(
             "map.records", sum(t.metrics.records for t in surviving)
         )
-        obs.registry.counter("map.data_local_tasks").inc(
+        self.obs.registry.counter("map.data_local_tasks").inc(
             sum(1 for t in surviving if t.data_local)
         )
 
@@ -282,18 +305,25 @@ class JobRunner:
 
     # -- phases -----------------------------------------------------------
 
+    def map_work(self, job: Job, splits: List[InputSplit]) -> MapWork:
+        """The job's map phase as the scheduler takes it."""
+        return MapWork(
+            job.name,
+            splits,
+            partial(self.execute_map_attempt, job),
+            max_attempts=job.max_attempts,
+            shuffle_window=partial(self.shuffle_window, job),
+        )
+
     def execute_map_attempt(
         self, job: Job, split: InputSplit, node: Optional[int]
-    ) -> Tuple[Metrics, List[List[Tuple[object, object]]], Counters]:
+    ) -> Tuple[Metrics, Tuple[list, Counters]]:
         """Run one map attempt for real on ``node``.
 
-        Returns ``(metrics, partitions, counters)`` for a completed
+        Returns ``(metrics, (partitions, counters))`` for a completed
         attempt.  A :class:`FaultError` raised mid-read is re-raised
         with the attempt's partial metrics attached — the work still
         happened on the cluster even though it produced no output.
-
-        This is the unit of execution shared by the single-job
-        scheduler and the multi-job :mod:`repro.cluster` manager.
         """
         ctx = TaskContext(
             node=node,
@@ -307,7 +337,27 @@ class JobRunner:
             if exc.metrics is None:
                 exc.metrics = ctx.metrics
             raise
-        return ctx.metrics, partitions, ctx.counters
+        return ctx.metrics, (partitions, ctx.counters)
+
+    def shuffle_window(self, job: Job, payloads: Dict[int, tuple]) -> float:
+        """How long the job's map outputs stay vulnerable after the last
+        map finishes: the time the largest reduce partition takes to
+        cross the network.  Each reduce task charges at least its own
+        partition's shuffle time, so this is a lower bound on the reduce
+        makespan — the fault-free timeline is unchanged."""
+        if job.is_map_only or job.num_reducers <= 0:
+            return 0.0
+        rate = self.fs.cluster.network.shuffle_bytes_per_sec
+        if rate <= 0:
+            return 0.0
+        per_partition = [0] * max(job.num_reducers, 1)
+        for partitions, _counters in payloads.values():
+            for index, partition in enumerate(partitions):
+                per_partition[index] += sum(
+                    estimate_pair_size(key, value)
+                    for key, value in partition
+                )
+        return max(per_partition) / rate
 
     def run_reduce_phase(
         self,

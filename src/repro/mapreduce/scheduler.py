@@ -1,34 +1,64 @@
-"""Locality-aware, event-driven slot scheduling with task attempts.
+"""The scheduling vocabulary: units of work, attempts, wave packing.
 
-Reproduces the scheduling behaviour the paper's co-location argument
-depends on (Section 4.1): when a map slot frees up, the scheduler
-prefers a split whose data is local to that node; if none exists the
-task runs anyway and pays remote-read costs.  Task durations are not
-known in advance — the scheduler *executes* each task (via a callback)
-once it has decided where it runs, because placement determines how much
-of the split is read remotely.
+The paper's co-location argument (Section 4.1) depends on one thing the
+scheduler does: when a map slot frees up it prefers a split whose data
+is local to that node; if none exists the task runs anyway and pays
+remote-read costs.  That loop — together with Hadoop's fault-tolerance
+contract (task attempts, re-placement away from the failing node,
+backoff, node blacklisting, node-loss re-queue, speculation) — lives
+once, in :class:`repro.cluster.manager.ClusterManager`.  This module
+holds what its callers and its results are made of:
 
-On top of that sits Hadoop's fault-tolerance contract: each split is
-run as a sequence of *attempts*.  An attempt that raises a
-:class:`~repro.hdfs.errors.FaultError` (transient read error, dead
-node, missing block) — or that was running on a node when it died — is
-retried on a surviving node, up to ``max_attempts`` per split.  Nodes
-that repeatedly fail attempts are blacklisted.  When a split exhausts
-its attempts the job fails cleanly with a :class:`JobFailedError`
-carrying the attempt history.
+- :class:`MapWork` — what ``run_job`` and ``parallel_load`` hand the
+  event loop: splits plus the callable that runs one attempt,
+- :class:`ScheduledTask` — one executed attempt, as it appears in
+  ``JobResult.tasks`` and the loader's report,
+- :class:`JobFailedError` — a split exhausted its attempts (or the
+  cluster died), with the failed-attempt history,
+- :func:`simulate_wave_makespan` — the reduce phase's slot packing,
+  where there is no locality to schedule for.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.hdfs.errors import FaultError
-from repro.mapreduce.backoff import BackoffLike, resolve_backoff
 from repro.mapreduce.types import InputSplit
-from repro.obs import NULL_OBS, Observability
 from repro.sim.metrics import Metrics
+
+
+@dataclass
+class MapWork:
+    """One unit of work for the event loop: splits and how to run one.
+
+    ``attempt(split, node)`` performs one task attempt's real work on
+    ``node`` and returns ``(metrics, payload)``; the attempt's simulated
+    duration is ``metrics.task_time`` — not known in advance, because
+    placement decides how much of the split is read remotely.  An
+    ``attempt`` that raises a :class:`~repro.hdfs.errors.FaultError`
+    marks the attempt failed (the error's ``metrics``, if any, still
+    occupy the slot) and the split is retried on another node, up to
+    ``max_attempts`` attempts in total.
+
+    Once every split has a committed payload the outputs stay
+    vulnerable to node loss for ``shuffle_window(payloads)`` seconds
+    (``payloads`` maps split index to payload); then
+    ``commit(execution, map_end)`` finishes the work — for a job, its
+    reduce phase — and returns the simulated time it is done.
+    """
+
+    name: str
+    splits: Sequence[InputSplit]
+    attempt: Callable[[InputSplit, int], Tuple[Metrics, object]]
+    max_attempts: int = 1
+    shuffle_window: Callable[[Dict[int, object]], float] = (
+        lambda payloads: 0.0
+    )
+    commit: Callable[[object, float], float] = (
+        lambda execution, map_end: map_end
+    )
 
 
 @dataclass
@@ -80,452 +110,6 @@ class _Pending:
     attempt: int
     ready: float = 0.0
     banned: FrozenSet[int] = field(default_factory=frozenset)
-
-
-class _MapScheduler:
-    """Internal state machine behind :func:`schedule_map_tasks`."""
-
-    def __init__(
-        self,
-        splits: Sequence[InputSplit],
-        num_nodes: int,
-        slots_per_node: int,
-        execute: Callable[[InputSplit, int], Metrics],
-        obs: Observability,
-        max_attempts: int,
-        faults,
-        node_usable: Optional[Callable[[int], bool]],
-        blacklist_after: int,
-        retry_backoff: BackoffLike,
-    ) -> None:
-        self.splits = splits
-        self.execute = execute
-        self.obs = obs
-        self.max_attempts = max(1, max_attempts)
-        self.faults = faults
-        self.node_usable = node_usable
-        self.blacklist_after = blacklist_after
-        self.retry_backoff = resolve_backoff(retry_backoff)
-        self.pending: List[_Pending] = [
-            _Pending(i, 0) for i in range(len(splits))
-        ]
-        self.slots = [
-            (0.0, node, slot)
-            for node in range(num_nodes)
-            for slot in range(slots_per_node)
-        ]
-        heapq.heapify(self.slots)
-        self._had_slots = bool(self.slots)
-        self.tasks: List[ScheduledTask] = []
-        self.attempts_used = [0] * len(splits)
-        self.node_failures: dict = {}
-        self.blacklist: set = set()
-        self.history: List[dict] = []
-
-    # -- liveness -------------------------------------------------------
-
-    def usable(self, node: int) -> bool:
-        if node in self.blacklist:
-            return False
-        if self.node_usable is not None and not self.node_usable(node):
-            return False
-        return True
-
-    def _remove_slots(self, node: int) -> None:
-        self.slots = [s for s in self.slots if s[1] != node]
-        heapq.heapify(self.slots)
-
-    # -- fault plumbing -------------------------------------------------
-
-    def _handle_faults(self, now: float) -> None:
-        if self.faults is None:
-            return
-        for node, died_at in self.faults.drain_dead():
-            self._node_lost(node, died_at)
-        for node in self.faults.drain_retired():
-            self._remove_slots(node)
-
-    def _fire_time(self, now: float) -> None:
-        if self.faults is None:
-            return
-        self.faults.advance_time(now)
-        self._handle_faults(now)
-
-    def _node_lost(self, node: int, now: float) -> None:
-        """A datanode died at ``now``: drop its slots and fail every
-        attempt still running on it (their work so far is wasted)."""
-        self._remove_slots(node)
-        self.obs.emit("node.lost", sim_time=now, node=node)
-        for task in self.tasks:
-            if (
-                task.node == node
-                and task.produced_output
-                and task.end > now
-            ):
-                task.failed = True
-                task.error = "node died"
-                task.duration = max(0.0, now - task.start)
-                self.obs.registry.counter(
-                    "task.attempts", outcome="node_lost"
-                ).inc()
-                self.history.append({
-                    "split": task.split.label,
-                    "node": node,
-                    "attempt": task.attempt,
-                    "start": task.start,
-                    "error": "node died",
-                })
-                if task.speculative:
-                    continue  # the original attempt is still running
-                self._requeue(
-                    task.split_index, now, frozenset({node}), "node died"
-                )
-
-    # -- retry bookkeeping ----------------------------------------------
-
-    def _requeue(
-        self, index: int, now: float, banned: FrozenSet[int], error: str
-    ) -> None:
-        if self.attempts_used[index] >= self.max_attempts:
-            raise JobFailedError(
-                f"split {self.splits[index].label or index} failed "
-                f"{self.attempts_used[index]} of {self.max_attempts} "
-                f"allowed attempts (last error: {error})",
-                self.history,
-            )
-        attempt = self.attempts_used[index]
-        label = self.splits[index].label or str(index)
-        delay = self.retry_backoff.delay(label, max(0, attempt - 1))
-        if delay > 0:
-            self.obs.emit(
-                "retry.backoff", sim_time=now,
-                split=label, attempt=attempt, delay=delay,
-                ready=now + delay,
-            )
-        self.pending.append(_Pending(index, attempt, now + delay, banned))
-
-    def _note_node_failure(self, node: int) -> bool:
-        """Count a failed attempt against ``node``; True if the node was
-        just blacklisted (its freed slot must not return to the pool)."""
-        self.node_failures[node] = self.node_failures.get(node, 0) + 1
-        if (
-            self.blacklist_after > 0
-            and self.node_failures[node] >= self.blacklist_after
-            and node not in self.blacklist
-        ):
-            self.blacklist.add(node)
-            self.obs.registry.counter(
-                "scheduler.blacklisted", node=node
-            ).inc()
-            self.obs.emit(
-                "node.blacklisted", node=node,
-                failures=self.node_failures[node],
-            )
-            self._remove_slots(node)
-            return True
-        return False
-
-    # -- the event loop --------------------------------------------------
-
-    def run(self) -> List[ScheduledTask]:
-        while True:
-            self._drain_pending()
-            if not self.pending:
-                # The last assignment happened; fire remaining timed
-                # faults up to the makespan — a node can still die while
-                # assigned tasks are "running", failing them retroactively
-                # and refilling the pending queue.
-                self._fire_time(makespan(self.tasks))
-                if not self.pending:
-                    return self.tasks
-
-    def _drain_pending(self) -> None:
-        while self.pending:
-            if not self.slots:
-                if not self._had_slots:
-                    # Degenerate cluster (zero slots configured): run
-                    # nothing, matching pre-fault-tolerance behaviour.
-                    self.pending.clear()
-                    return
-                raise JobFailedError(
-                    "no live map slots remain "
-                    f"({len(self.pending)} splits unfinished)",
-                    self.history,
-                )
-            now = self.slots[0][0]
-            self._fire_time(now)
-            if not self.slots or self.slots[0][0] != now:
-                continue
-            # Take every slot freeing at the same instant as one batch
-            # (at t=0 that is the whole cluster) and match data-local
-            # pairs first — the effect Hadoop gets from per-node task
-            # lists and delay scheduling.  Leftover slots then run
-            # non-local tasks.
-            batch = []
-            while self.slots and self.slots[0][0] == now:
-                _, node, slot = heapq.heappop(self.slots)
-                if self.usable(node):
-                    batch.append((node, slot))
-            if not batch:
-                continue
-            if not any(p.ready <= now for p in self.pending):
-                # Every queued attempt is backing off; idle this batch
-                # until the earliest one becomes ready.
-                ready_at = min(p.ready for p in self.pending)
-                for node, slot in batch:
-                    heapq.heappush(self.slots, (ready_at, node, slot))
-                continue
-            spare = []
-            for node, slot in batch:
-                chosen = self._pick(node, now, local_only=True)
-                if chosen is None:
-                    spare.append((node, slot))
-                else:
-                    self._launch(now, node, slot, chosen, True)
-            leftover = []
-            for node, slot in spare:
-                if not self.pending:
-                    break
-                chosen = self._pick(node, now, local_only=False)
-                if chosen is None:
-                    leftover.append((node, slot))
-                    continue
-                local = node in self.splits[chosen.index].locations
-                self._launch(now, node, slot, chosen, local)
-            # Leftover slots found only retries banned from their node
-            # (or attempts still backing off).  Idle them until the next
-            # event so the retry can re-place on a different node — but
-            # if these are the last slots standing, a banned node beats
-            # a deadlocked job.
-            for node, slot in leftover:
-                if not self.pending:
-                    break
-                if self.slots:
-                    heapq.heappush(
-                        self.slots, (self.slots[0][0], node, slot)
-                    )
-                    continue
-                chosen = self._pick(
-                    node, now, local_only=False, allow_banned=True
-                )
-                if chosen is not None:
-                    local = node in self.splits[chosen.index].locations
-                    self._launch(now, node, slot, chosen, local)
-
-    def _pick(
-        self,
-        node: int,
-        now: float,
-        local_only: bool,
-        allow_banned: bool = False,
-    ) -> Optional[_Pending]:
-        for p in self.pending:
-            if p.ready > now:
-                continue
-            if local_only and node not in self.splits[p.index].locations:
-                continue
-            if not allow_banned and node in p.banned:
-                continue
-            return p
-        return None
-
-    def _launch(
-        self, now: float, node: int, slot: int, p: _Pending, local: bool
-    ) -> None:
-        self.pending.remove(p)
-        if self.faults is not None:
-            self.faults.on_task_start()
-            self._handle_faults(now)
-            if not self.usable(node) or (
-                self.faults is not None and self.faults.is_dead(node)
-            ):
-                # A task-boundary fault just took this node out; the
-                # attempt never started.
-                self.pending.append(p)
-                return
-        split = self.splits[p.index]
-        self.attempts_used[p.index] += 1
-        placement = "local" if local else "remote"
-        self.obs.registry.counter(
-            "scheduler.assignments", placement=placement
-        ).inc()
-        self.obs.emit(
-            "task.start", sim_time=now, kind="map",
-            split=split.label, node=node, slot=slot,
-            attempt=p.attempt, placement=placement,
-        )
-        try:
-            metrics = self.execute(split, node)
-        except FaultError as exc:
-            metrics = getattr(exc, "metrics", None) or Metrics()
-            duration = metrics.task_time
-            error = str(exc) or type(exc).__name__
-            self.tasks.append(ScheduledTask(
-                split, node, now, duration, metrics, local,
-                attempt=p.attempt, failed=True, error=error,
-                split_index=p.index, slot=slot,
-            ))
-            self.obs.registry.counter(
-                "task.attempts", outcome="failed"
-            ).inc()
-            self.obs.emit(
-                "task.finish", sim_time=now + duration, kind="map",
-                split=split.label, node=node, slot=slot,
-                attempt=p.attempt, outcome="failed", error=error,
-                duration=duration,
-            )
-            self.history.append({
-                "split": split.label,
-                "node": node,
-                "attempt": p.attempt,
-                "start": now,
-                "error": error,
-            })
-            if not self._note_node_failure(node):
-                heapq.heappush(self.slots, (now + duration, node, slot))
-            self._requeue(
-                p.index, now + duration, p.banned | {node}, error
-            )
-            return
-        duration = metrics.task_time
-        self.tasks.append(ScheduledTask(
-            split, node, now, duration, metrics, local,
-            attempt=p.attempt, split_index=p.index, slot=slot,
-        ))
-        self.obs.registry.counter("task.attempts", outcome="ok").inc()
-        self.obs.emit(
-            "task.finish", sim_time=now + duration, kind="map",
-            split=split.label, node=node, slot=slot,
-            attempt=p.attempt, outcome="ok", duration=duration,
-        )
-        heapq.heappush(self.slots, (now + duration, node, slot))
-
-
-def schedule_map_tasks(
-    splits: Sequence[InputSplit],
-    num_nodes: int,
-    slots_per_node: int,
-    execute: Callable[[InputSplit, int], Metrics],
-    speculative: bool = False,
-    obs: Optional[Observability] = None,
-    max_attempts: int = 1,
-    faults=None,
-    node_usable: Optional[Callable[[int], bool]] = None,
-    blacklist_after: int = 3,
-    retry_backoff: BackoffLike = 0.0,
-) -> List[ScheduledTask]:
-    """Run every split on the simulated cluster; returns executed tasks.
-
-    ``execute(split, node)`` performs the task's real work and returns
-    its metrics; the task's simulated duration is ``metrics.task_time``.
-    An ``execute`` that raises a :class:`~repro.hdfs.errors.FaultError`
-    marks the attempt failed; the split is retried (total attempts
-    capped at ``max_attempts``) with the failing node banned for the
-    retry.  ``faults`` is an optional
-    :class:`~repro.faults.FaultInjector` driven by the event loop;
-    ``node_usable(node)`` filters slots (dead/decommissioned nodes).
-    Nodes failing ``blacklist_after`` attempts are blacklisted.
-    ``retry_backoff`` delays each retry: either a fixed number of
-    seconds or an :class:`~repro.mapreduce.backoff.ExponentialBackoff`
-    (seeded exponential delay with jitter; each applied delay emits a
-    ``retry.backoff`` event).
-
-    With ``speculative=True``, once no pending work remains, idle slots
-    launch duplicates of still-running *non-local* tasks on nodes that
-    hold their data (Hadoop's speculative execution); whichever attempt
-    finishes first wins and the loser is marked ``killed``.  Both
-    attempts' durations count — speculation trades cluster work for
-    wall-clock time, exactly as in Hadoop.
-    """
-    obs = obs if obs is not None else NULL_OBS
-    scheduler = _MapScheduler(
-        splits, num_nodes, slots_per_node, execute, obs,
-        max_attempts, faults, node_usable, blacklist_after, retry_backoff,
-    )
-    tasks = scheduler.run()
-    if speculative:
-        _speculate(
-            tasks, scheduler.slots, execute, obs, usable=scheduler.usable
-        )
-    return tasks
-
-
-def _speculate(
-    tasks: List[ScheduledTask],
-    slots: List,
-    execute: Callable[[InputSplit, int], Metrics],
-    obs: Observability = NULL_OBS,
-    usable: Optional[Callable[[int], bool]] = None,
-) -> None:
-    """Duplicate slow non-local tasks onto idle data-local slots."""
-    speculated = set()
-
-    def eligible(task: ScheduledTask, now: float) -> bool:
-        return (
-            task.end > now
-            and not task.data_local
-            and not task.speculative
-            and task.produced_output
-            and id(task.split) not in speculated
-        )
-
-    while slots:
-        now, node, slot = heapq.heappop(slots)
-        if usable is not None and not usable(node):
-            continue
-        candidates = [
-            t for t in tasks
-            if eligible(t, now)
-            and node in t.split.locations
-            and t.node != node
-        ]
-        if not candidates:
-            # No-progress check: once nothing running is even eligible
-            # (for any node), later-freeing slots cannot speculate
-            # either — stop instead of draining the slot heap.
-            if not any(eligible(t, now) for t in tasks):
-                break
-            continue  # this slot has nothing useful to speculate on
-        victim = max(candidates, key=lambda t: t.end)
-        speculated.add(id(victim.split))
-        obs.emit(
-            "task.speculative", sim_time=now, split=victim.split.label,
-            node=node, slot=slot, victim_node=victim.node,
-        )
-        try:
-            metrics = execute(victim.split, node)
-        except FaultError as exc:
-            metrics = getattr(exc, "metrics", None) or Metrics()
-            duplicate = ScheduledTask(
-                victim.split, node, now, metrics.task_time, metrics,
-                data_local=True, speculative=True, failed=True,
-                error=str(exc) or type(exc).__name__,
-                split_index=victim.split_index, slot=slot,
-            )
-            tasks.append(duplicate)
-            obs.registry.counter(
-                "scheduler.speculation", outcome="failed"
-            ).inc()
-            continue  # the original keeps running; slot is dropped
-        duration = metrics.task_time
-        duplicate = ScheduledTask(
-            victim.split, node, now, duration, metrics,
-            data_local=True, speculative=True,
-            split_index=victim.split_index, slot=slot,
-        )
-        if duplicate.end < victim.end:
-            # The local duplicate wins; the original is killed the
-            # moment the duplicate commits.
-            victim.duration = duplicate.end - victim.start
-            victim.killed = True
-            obs.registry.counter("scheduler.speculation", outcome="won").inc()
-        else:
-            # The original finishes first; the duplicate dies with it.
-            duplicate.duration = max(0.0, victim.end - now)
-            duplicate.killed = True
-            obs.registry.counter("scheduler.speculation", outcome="lost").inc()
-        tasks.append(duplicate)
-        heapq.heappush(slots, (duplicate.end, node, slot))
 
 
 def makespan(tasks: Sequence[ScheduledTask]) -> float:

@@ -6,8 +6,11 @@ import random
 
 import pytest
 
+from repro.cluster.manager import run_alone
 from repro.hdfs import ClusterConfig, FileSystem
+from repro.mapreduce.scheduler import MapWork
 from repro.mapreduce.types import TaskContext
+from repro.obs import NULL_OBS
 from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
@@ -29,6 +32,26 @@ def ctx():
 
 def make_ctx() -> TaskContext:
     return TaskContext(node=None, cost=CpuCostModel(), io_buffer_size=4096)
+
+
+def schedule(
+    splits, num_nodes, slots_per_node, execute,
+    max_attempts=1, speculative=False, obs=NULL_OBS, faults=None,
+):
+    """Run synthetic map work alone on the one scheduler.
+
+    ``execute(split, node)`` returns the attempt's Metrics (its
+    simulated duration is ``metrics.task_time``) or raises a
+    FaultError; returns the executed attempts in launch order.
+    """
+    fs = FileSystem(
+        ClusterConfig(num_nodes=num_nodes, map_slots_per_node=slots_per_node)
+    )
+    work = MapWork(
+        "t", splits, lambda split, node: (execute(split, node), None),
+        max_attempts=max_attempts,
+    )
+    return run_alone(fs, work, obs, faults, speculative).tasks
 
 
 def micro_schema() -> Schema:

@@ -11,11 +11,7 @@ space instead of a handful of hand-picked examples.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapreduce.backoff import (
-    BackoffConfig,
-    ExponentialBackoff,
-    resolve_backoff,
-)
+from repro.mapreduce.backoff import BackoffConfig, ExponentialBackoff
 
 configs = st.builds(
     BackoffConfig,
@@ -96,12 +92,3 @@ def test_jitterless_growth_is_exponential_until_cap():
     assert oracle.delay("k", 2) == 0.4
     assert oracle.delay("k", 3) == 0.5  # capped
     assert oracle.delay("k", 10) == 0.5
-
-
-def test_resolve_backoff_coerces_fixed_delay():
-    oracle = resolve_backoff(0.25)
-    assert oracle.delay("k", 0) == 0.25
-    assert oracle.delay("k", 9) == 0.25
-    assert resolve_backoff(0.0).delay("k", 3) == 0.0
-    existing = ExponentialBackoff(BackoffConfig(seed=3))
-    assert resolve_backoff(existing) is existing

@@ -128,6 +128,39 @@ class TestSingleJobEquivalence:
         assert len(report.completed) == 1
         assert report.completed[0].status == "completed"
 
+    def test_run_job_equals_the_only_request(self):
+        # One scheduler: run_job is the manager's event loop with one
+        # tenant, so a job alone on the cluster gets the same attempts,
+        # timeline and answer through either entry point.
+        def reducer(key, values, emit, ctx):
+            emit(key, sorted(values))
+
+        def job():
+            j = make_job("only", 11, 0.01)
+            j.reducer, j.num_reducers = reducer, 2
+            return j
+
+        def attempts(tasks):
+            return [
+                (t.split.label, t.node, t.slot, t.start, t.duration,
+                 t.data_local, t.attempt)
+                for t in tasks
+            ]
+
+        manager = ClusterManager(small_fs(nodes=3), one_queue_policy())
+        report = manager.run([JobRequest(job(), "t", 0.0)])
+        (outcome,) = report.completed
+        result = run_job(small_fs(nodes=3), job())
+        assert attempts(result.tasks) == attempts(manager.executions[0].tasks)
+        assert result.map_makespan == outcome.map_makespan
+        assert result.reduce_time == outcome.reduce_time
+        assert result.total_time == outcome.finish == report.makespan
+        assert result.output == manager.job_outputs[0]
+        counters = manager.job_counters[0].as_dict()
+        counters["map.tasks"] = 11
+        counters["map.records"] = 11
+        assert result.counters.as_dict() == counters
+
     def test_makespan_covers_serialized_work(self):
         # 4 equal tasks on 4 slots: one wave, makespan ≈ task time
         # plus the per-job overhead.

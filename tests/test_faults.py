@@ -10,15 +10,17 @@ from repro.hdfs import (
     TransientReadError,
 )
 from repro.mapreduce import Job, JobFailedError, run_job
-from repro.mapreduce.scheduler import (
-    ScheduledTask,
-    _speculate,
-    schedule_map_tasks,
+from repro.cluster import (
+    ClusterManager,
+    ClusterPolicy,
+    JobRequest,
+    TenantConfig,
 )
+from repro.cluster.manager import BLACKLIST_AFTER
 from repro.mapreduce.types import InputSplit
 from repro.obs import FlightRecorder
 from repro.sim.metrics import Metrics
-from tests.conftest import micro_records, micro_schema
+from tests.conftest import micro_records, micro_schema, schedule
 
 
 def cpp_fs(num_nodes=6, block_size=16 * 1024):
@@ -224,7 +226,7 @@ class TestSchedulerRetry:
 
         recorder = FlightRecorder()
         with recorder.activate():
-            tasks = schedule_map_tasks(
+            tasks = schedule(
                 self._splits(4), 4, 1, execute, max_attempts=4,
                 obs=recorder,
             )
@@ -250,9 +252,7 @@ class TestSchedulerRetry:
             return self._metrics()
 
         with pytest.raises(JobFailedError) as info:
-            schedule_map_tasks(
-                self._splits(3), 4, 1, execute, max_attempts=2
-            )
+            schedule(self._splits(3), 4, 1, execute, max_attempts=2)
         assert len(info.value.attempts) == 2
         assert all(a["split"] == "s0" for a in info.value.attempts)
         assert info.value.attempts[0]["attempt"] == 0
@@ -265,18 +265,23 @@ class TestSchedulerRetry:
             return self._metrics()
 
         recorder = FlightRecorder()
-        tasks = schedule_map_tasks(
-            self._splits(8), 4, 1, execute, max_attempts=8,
-            blacklist_after=2, obs=recorder,
+        tasks = schedule(
+            self._splits(8), 4, 1, execute, max_attempts=8, obs=recorder,
         )
         survivors = [t for t in tasks if t.produced_output]
         assert len(survivors) == 8
         assert all(t.node != 0 for t in survivors)
         failures_on_0 = [t for t in tasks if t.node == 0 and t.failed]
-        assert len(failures_on_0) == 2  # then the node was benched
+        # then the node was benched
+        assert len(failures_on_0) == BLACKLIST_AFTER == 3
         assert recorder.registry.value_of(
             "scheduler.blacklisted", node=0
         ) == 1
+        blacklisted = [
+            e for e in recorder.events_log
+            if e.kind == "node.blacklisted"
+        ]
+        assert [e.attrs["node"] for e in blacklisted] == [0]
 
     def test_fault_metrics_occupy_the_slot(self):
         # A failed attempt's partial work still burned slot time.
@@ -287,44 +292,142 @@ class TestSchedulerRetry:
                 raise error
             return self._metrics(1.0)
 
-        tasks = schedule_map_tasks(
+        tasks = schedule(
             [InputSplit(10, [0], "s0")], 2, 1, execute, max_attempts=2
         )
         failed = [t for t in tasks if t.failed]
         assert failed and failed[0].duration == pytest.approx(7.0)
         retry = [t for t in tasks if t.produced_output][0]
-        assert retry.start >= 0.0
+        assert retry.node == 1
+        assert retry.start >= 7.0  # backed off from the failure's end
+
+    def test_last_resort_placement_on_a_banned_node(self):
+        # A ban steers the retry to another node; on a one-node cluster
+        # there is none, and the idle slot must not strand the job.
+        failed_once = []
+
+        def execute(split, node):
+            if not failed_once:
+                failed_once.append(node)
+                raise TransientReadError("flaky read")
+            return self._metrics()
+
+        tasks = schedule(
+            [InputSplit(10, [0], "s0")], 1, 1, execute, max_attempts=4
+        )
+        assert [(t.node, t.failed) for t in tasks] == [
+            (0, True), (0, False)
+        ]
+
+    def test_ban_is_honoured_while_another_node_can_free_up(self):
+        # Node 1 is busy, not gone: the retry waits for it rather than
+        # going back to the node that just failed it.
+        def execute(split, node):
+            if split.label == "s0" and node == 0:
+                raise TransientReadError("bad replica")
+            return self._metrics(5.0)
+
+        splits = [InputSplit(10, [0], "s0"), InputSplit(10, [1], "s1")]
+        tasks = schedule(splits, 2, 1, execute, max_attempts=4)
+        retry = [t for t in tasks if t.split.label == "s0"][-1]
+        assert retry.node == 1 and retry.start == pytest.approx(5.0)
+
+
+class TestManagerFaultPaths:
+    """Behaviours the single-job scheduler had and the manager lacked
+    until the two became one."""
+
+    @staticmethod
+    def _policy():
+        return ClusterPolicy(tenants=[TenantConfig("t", "default")])
+
+    @staticmethod
+    def _seq_job(fs, records=60):
+        from repro.formats.sequence_file import (
+            SequenceFileInputFormat,
+            write_sequence_file,
+        )
+
+        schema = micro_schema()
+        write_sequence_file(
+            fs, "/m/seq", schema, micro_records(schema, records)
+        )
+
+        def mapper(key, value, emit, ctx):
+            emit(value.get("int0") % 5, 1)
+
+        def reducer(key, values, emit, ctx):
+            emit(key, sum(values))
+
+        return Job(
+            "agg", mapper, SequenceFileInputFormat("/m/seq"),
+            reducer=reducer,
+        )
+
+    def test_one_node_cluster_survives_one_transient_error(self):
+        # Regression: the manager failed this job with "no live map
+        # slots remain" although its only slot was idle.
+        fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+        job = self._seq_job(fs)
+        fs.arm_transient_errors(0, 1)
+        report = ClusterManager(fs, self._policy()).run(
+            [JobRequest(job, "t", 0.0)]
+        )
+        assert [o.status for o in report.outcomes] == ["completed"]
+        assert report.outcomes[0].attempts == 2
+
+        fs2 = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+        job2 = self._seq_job(fs2)
+        fs2.arm_transient_errors(0, 1)
+        result = run_job(fs2, job2)
+        assert (result.attempts, result.failed_tasks) == (2, 1)
+
+    def test_decommissioned_node_gets_no_work(self):
+        # Every split lives on node 1, so seven of the eight run
+        # remote: the lowest free node used to be the decommissioned 0.
+        from repro.mapreduce.types import InputFormat, ListRecordReader
+
+        class OneHost(InputFormat):
+            def get_splits(self, fs, cluster):
+                return [InputSplit(10, [1], f"s{i}") for i in range(8)]
+
+            def open_reader(self, fs, split, ctx):
+                return ListRecordReader(ctx, [(split.label, 1)])
+
+        def mapper(key, value, emit, ctx):
+            ctx.metrics.charge_cpu(1.0)
+            emit(key, value)
+
+        fs = FileSystem(ClusterConfig(num_nodes=4, map_slots_per_node=1))
+        fs.decommission_node(0)
+        manager = ClusterManager(fs, self._policy())
+        assert manager.total_slots == 3
+        report = manager.run(
+            [JobRequest(Job("j", mapper, OneHost()), "t", 0.0)]
+        )
+        assert report.completed
+        (execution,) = manager.executions
+        assert {t.node for t in execution.tasks} == {1, 2, 3}
 
 
 class TestSpeculationTermination:
     def test_speculate_stops_once_nothing_is_eligible(self):
-        # Regression: the old guard compared the speculated set against
-        # the *growing* task list and never fired, so the loop drained
-        # every idle slot scanning for candidates that could not exist.
-        import heapq
+        # One straggler, 39 idle nodes: exactly one clone launches, and
+        # the loop ends when the race does instead of scanning idle
+        # slots for candidates that cannot exist.
+        splits = [InputSplit(10, [0], f"s{i}") for i in range(4)]
 
-        split = InputSplit(10, [0], "s0")
-        long_metrics = Metrics()
-        long_metrics.charge_io(100.0)
-        running = ScheduledTask(
-            split, 1, 0.0, 100.0, long_metrics, data_local=False
-        )
-        tasks = [running]
-        slots = [(0.0, node, 0) for node in range(40)]
-        heapq.heapify(slots)
-
-        def execute(s, node):
+        def execute(split, node):
             m = Metrics()
-            m.charge_io(1.0)
+            slow = split.label == "s3" and node == 3
+            m.charge_io(100.0 if slow else 1.0)
             return m
 
-        _speculate(tasks, slots, execute)
+        tasks = schedule(splits, 40, 1, execute, speculative=True)
         duplicates = [t for t in tasks if t.speculative]
         assert len(duplicates) == 1  # one duplicate, data-local, wins
-        assert duplicates[0].node == 0
-        # the fix: with nothing left to speculate on the loop stops
-        # instead of popping all 39 remaining idle slots
-        assert len(slots) > 0
+        assert duplicates[0].node == 0 and not duplicates[0].killed
+        assert len(tasks) == 5
 
     def test_speculative_run_duplicates_each_split_at_most_once(self):
         splits = [InputSplit(10, [0], f"s{i}") for i in range(6)]
@@ -334,13 +437,13 @@ class TestSpeculationTermination:
             m.charge_io(5.0 if node != 0 else 1.0)
             return m
 
-        tasks = schedule_map_tasks(splits, 3, 2, execute, speculative=True)
+        tasks = schedule(splits, 3, 2, execute, speculative=True)
         from collections import Counter
 
         per_split = Counter(t.split.label for t in tasks)
         assert all(count <= 2 for count in per_split.values())
         winners = [t for t in tasks if t.produced_output and not t.killed]
-        assert sorted({t.split.label for t in winners}) == sorted(
+        assert sorted(t.split.label for t in winners) == sorted(
             s.label for s in splits
         )
 
@@ -395,6 +498,64 @@ class TestJobLevelFaults:
             "task.attempts", outcome="node_lost"
         ) >= 1
         assert fs2.fsck_report().healthy
+
+    def test_node_death_in_the_shuffle_window_reruns_its_maps(self):
+        # run_job inherits durable map outputs: a node dying after the
+        # last map but before the shuffle has crossed the network takes
+        # its spilled outputs with it, and exactly those splits re-run.
+        def build():
+            fs = FileSystem(ClusterConfig(
+                num_nodes=6, replication=3, block_size=16 * 1024,
+                io_buffer_size=4096,
+            ))
+            return fs, self._dataset(fs)
+
+        def events(recorder, kind):
+            return [e for e in recorder.events_log if e.kind == kind]
+
+        fs, fmt = build()
+        recorder = FlightRecorder()
+        with recorder.activate():
+            baseline = run_job(fs, self._job(fmt))
+        (window,) = events(recorder, "shuffle.start")
+        assert window.sim_time == baseline.map_makespan
+        assert window.attrs["end"] > window.sim_time
+        victim = baseline.tasks[0].node
+        held = {
+            t.split.label for t in baseline.tasks if t.node == victim
+        }
+        plan = FaultPlan([FaultEvent(
+            "kill_node", node=victim,
+            at_time=(window.sim_time + window.attrs["end"]) / 2,
+        )])
+        recorder = FlightRecorder()
+        fs2, fmt2 = build()
+        with recorder.activate():
+            result = run_job(fs2, self._job(fmt2), faults=plan)
+        lost = {e.attrs["split"] for e in events(recorder, "mapoutput.lost")}
+        assert lost == held
+        assert events(recorder, "shuffle.abort")
+        assert result.attempts == len(baseline.tasks) + len(held)
+        assert result.failed_tasks == len(held)
+        assert sorted(result.output) == sorted(baseline.output)
+        assert result.counters.as_dict() == baseline.counters.as_dict()
+        assert result.total_time > baseline.total_time
+
+    def test_fault_during_the_reduce_phase_still_fires(self):
+        # Faults fire through job completion, not just the map phase.
+        fs = FileSystem(ClusterConfig(
+            num_nodes=6, replication=3, block_size=16 * 1024,
+            io_buffer_size=4096,
+        ))
+        fmt = self._dataset(fs)
+        baseline = run_job(fs, self._job(fmt))
+        assert baseline.reduce_time > 0
+        late = baseline.map_makespan + baseline.reduce_time
+        plan = FaultPlan([FaultEvent("kill_node", node=0, at_time=late)])
+        result = run_job(fs, self._job(fmt), faults=plan)
+        assert 0 in fs.failed_nodes
+        assert result.failed_tasks == 0
+        assert sorted(result.output) == sorted(baseline.output)
 
     def test_ambient_plan_reaches_run_job(self):
         fs = FileSystem(ClusterConfig(

@@ -9,7 +9,7 @@ from repro.mapreduce import Job, run_job
 from repro.mapreduce.output import TextOutputFormat
 from repro.mapreduce.scheduler import simulate_wave_makespan
 from repro.serde.schema import Schema
-from tests.conftest import make_ctx, micro_records, micro_schema
+from tests.conftest import make_ctx, micro_records, micro_schema, schedule
 
 
 def word_schema():
@@ -145,7 +145,6 @@ class TestScheduling:
         )
         fs.write_file("/f", b"x" * 6000)
         from repro.formats.common import block_splits
-        from repro.mapreduce.scheduler import schedule_map_tasks
         from repro.sim.metrics import Metrics
 
         splits = block_splits(fs, "/f", "b")
@@ -155,11 +154,10 @@ class TestScheduling:
             m.charge_io(1.0)
             return m
 
-        tasks = schedule_map_tasks(splits, 3, 1, execute)
+        tasks = schedule(splits, 3, 1, execute)
         assert all(t.data_local for t in tasks)
 
     def test_all_splits_executed_once(self):
-        from repro.mapreduce.scheduler import schedule_map_tasks
         from repro.mapreduce.types import InputSplit
         from repro.sim.metrics import Metrics
 
@@ -170,7 +168,7 @@ class TestScheduling:
             m.charge_io(0.5)
             return m
 
-        tasks = schedule_map_tasks(splits, 4, 2, execute)
+        tasks = schedule(splits, 4, 2, execute)
         assert sorted(t.split.label for t in tasks) == sorted(
             s.label for s in splits
         )
@@ -191,7 +189,6 @@ class TestScheduling:
         fs.write_file("/in/f", b"q" * 500_000)
 
         from repro.formats.common import block_splits
-        from repro.mapreduce.scheduler import schedule_map_tasks
         from repro.sim.metrics import Metrics
 
         splits = block_splits(fs, "/in/f", "b")

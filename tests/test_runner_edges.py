@@ -1,6 +1,15 @@
-"""Edge-case tests for the MapReduce runner and scheduler."""
+"""Edge-case tests for the MapReduce runner and the scheduler it runs on."""
 
 import pytest
+
+from repro.cluster import (
+    ClusterManager,
+    ClusterPolicy,
+    TenantConfig,
+    build_filesystem,
+    generate_requests,
+    sample_profile,
+)
 
 from repro.core import ColumnInputFormat, write_dataset
 from repro.formats.sequence_file import SequenceFileInputFormat, write_sequence_file
@@ -8,11 +17,11 @@ from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
 from repro.mapreduce.output import TextOutputFormat, render
 from repro.mapreduce.runner import estimate_pair_size
-from repro.mapreduce.scheduler import schedule_map_tasks
+from repro.mapreduce.scheduler import MapWork
 from repro.mapreduce.types import InputSplit
 from repro.serde.schema import Schema
 from repro.sim.metrics import Metrics
-from tests.conftest import micro_records, micro_schema
+from tests.conftest import micro_records, micro_schema, schedule
 
 
 def passthrough(key, value, emit, ctx):
@@ -115,7 +124,7 @@ class TestSchedulerWaves:
             m.charge_io(1.0)
             return m
 
-        tasks = schedule_map_tasks(splits, 2, 2, execute)
+        tasks = schedule(splits, 2, 2, execute)
         assert len(tasks) == 25
         # 25 unit tasks on 4 slots: ~7 waves.
         assert max(t.end for t in tasks) == pytest.approx(7.0)
@@ -129,18 +138,13 @@ class TestSchedulerWaves:
             m.charge_io(durations[split.label])
             return m
 
-        tasks = schedule_map_tasks(splits, 4, 1, execute)
+        tasks = schedule(splits, 4, 1, execute)
         assert max(t.end for t in tasks) >= 10.0
 
     def test_zero_duration_tasks_terminate(self):
         splits = [InputSplit(0, [0], f"z{i}") for i in range(10)]
-        tasks = schedule_map_tasks(splits, 1, 1, lambda s, n: Metrics())
+        tasks = schedule(splits, 1, 1, lambda s, n: Metrics())
         assert len(tasks) == 10
-
-    def test_no_slots_runs_nothing(self):
-        splits = [InputSplit(1, [0], "s")]
-        tasks = schedule_map_tasks(splits, 0, 6, lambda s, n: Metrics())
-        assert tasks == []
 
 
 class TestOutputRendering:
@@ -192,8 +196,36 @@ class TestShuffleSizing:
         assert big > small + 900
 
 
+def assert_schedule_invariants(manager):
+    """What any run of the one event loop must satisfy."""
+    executions = manager.executions
+    by_slot = {}
+    for execution in executions:
+        for task in execution.tasks:
+            by_slot.setdefault((task.node, task.slot), []).append(task)
+            # data_local flag is truthful
+            assert task.data_local == (task.node in task.split.locations)
+    # no (node, slot) is ever double-booked
+    for tasks in by_slot.values():
+        tasks.sort(key=lambda t: (t.start, t.end))
+        for earlier, later in zip(tasks, tasks[1:]):
+            assert later.start >= earlier.end - 1e-12
+    # every split has exactly one surviving attempt
+    for execution in executions:
+        if execution.failed is not None:
+            continue
+        survivors = sorted(
+            t.split_index for t in execution.tasks if t.produced_output
+        )
+        assert survivors == list(range(len(execution.splits)))
+    # busy slot time is the attempts' time, no more and no less
+    assert manager.busy_slot_seconds == pytest.approx(sum(
+        t.duration for e in executions for t in e.tasks
+    ))
+
+
 class TestSchedulerProperties:
-    """Hypothesis invariants over random split/locality configurations."""
+    """Invariants of the one scheduler, for one job and for many."""
 
     def test_random_configurations(self):
         from hypothesis import given, settings
@@ -216,29 +248,36 @@ class TestSchedulerProperties:
                     )
                 )
                 splits.append(InputSplit(1, locations, f"s{i}"))
-            durations = {}
 
-            def execute(split, node):
+            def attempt(split, node):
                 m = Metrics()
-                local = node in split.locations
-                m.charge_io(1.0 if local else 3.0)
-                durations[split.label] = m.task_time
-                return m
+                m.charge_io(1.0 if node in split.locations else 3.0)
+                return m, None
 
-            tasks = schedule_map_tasks(splits, num_nodes, slots, execute)
-            # every split runs exactly once
-            assert sorted(t.split.label for t in tasks) == sorted(
+            fs = FileSystem(ClusterConfig(
+                num_nodes=num_nodes, map_slots_per_node=slots
+            ))
+            manager = ClusterManager(fs, ClusterPolicy(
+                tenants=[TenantConfig("t", "default")], policy="fifo"
+            ))
+            manager.submit(MapWork("one", splits, attempt), "t")
+            manager.drive()
+            assert_schedule_invariants(manager)
+            (execution,) = manager.executions
+            # fault-free: every split runs exactly once
+            assert sorted(t.split.label for t in execution.tasks) == sorted(
                 s.label for s in splits
             )
-            # slot capacity is never exceeded at any task start time
-            for t in tasks:
-                concurrent = sum(
-                    1 for u in tasks
-                    if u.node == t.node and u.start <= t.start < u.end
-                )
-                assert concurrent <= slots
-            # data_local flag is truthful
-            for t in tasks:
-                assert t.data_local == (t.node in t.split.locations)
 
         check()
+
+    @pytest.mark.parametrize("policy", ["fair", "fifo"])
+    def test_sample_profile(self, policy):
+        profile = sample_profile()
+        profile.duration = 0.5
+        manager = ClusterManager(
+            build_filesystem(profile), profile.cluster_policy(policy)
+        )
+        report = manager.run(generate_requests(profile))
+        assert report.completed
+        assert_schedule_invariants(manager)

@@ -1,84 +1,130 @@
-"""Tests for speculative execution of map stragglers."""
+"""Tests for speculative execution of map stragglers.
+
+``Job.speculative`` turns on the scheduler's progress-based cloning: a
+running attempt that has taken ``slowdown`` (1.5) times the median of
+the completed attempts (at least ``min_samples`` = 3 of them) is cloned
+onto an idle slot; the first finisher wins and the loser is killed.
+"""
+
+from collections import Counter
 
 import pytest
 
 from repro.core import ColumnInputFormat, write_dataset
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
-from repro.mapreduce.scheduler import makespan, schedule_map_tasks
+from repro.mapreduce.scheduler import makespan
 from repro.mapreduce.types import InputSplit
 from repro.sim.metrics import Metrics
-from tests.conftest import micro_records, micro_schema
+from tests.conftest import micro_records, micro_schema, schedule
 
-#: node 0 reads locally in 1s; every other node takes 5s (remote).
-def _locality_execute(split, node):
-    m = Metrics()
-    m.charge_io(1.0 if node in split.locations else 5.0)
-    return m
+
+def _straggler_execute(slow_seconds):
+    """s3 crawls on its home node 3; everything else takes 1s."""
+
+    def execute(split, node):
+        m = Metrics()
+        slow = split.label == "s3" and node == 3
+        m.charge_io(slow_seconds if slow else 1.0)
+        return m
+
+    return execute
+
+
+def _attempts(tasks):
+    return [
+        (t.split.label, t.node, t.slot, t.start, t.duration, t.speculative)
+        for t in tasks
+    ]
 
 
 class TestSchedulerSpeculation:
-    def _splits(self, n, local_node=0):
-        return [InputSplit(10, [local_node], f"s{i}") for i in range(n)]
+    def _splits(self, n=4):
+        # 4 nodes x 1 slot, one split per node: one wave.
+        return [InputSplit(10, [i], f"s{i}") for i in range(n)]
 
     def test_duplicate_wins_and_original_killed(self):
-        # 2 nodes x 1 slot, 2 splits, both local only to node 0: node 1
-        # is forced remote; once node 0 frees, it speculates the remote
-        # task locally and wins.
-        tasks = schedule_map_tasks(
-            self._splits(2), 2, 1, _locality_execute, speculative=True
+        # s0..s2 finish at t=1 (three samples, median 1s); s3 crosses
+        # the 1.5s threshold, is cloned onto an idle node, and the
+        # clone commits at t=2.5 - long before the original would.
+        tasks = schedule(
+            self._splits(), 4, 1, _straggler_execute(100.0),
+            speculative=True,
         )
-        assert len(tasks) == 3  # 2 originals + 1 duplicate
+        assert len(tasks) == 5  # 4 originals + 1 duplicate
         duplicate = next(t for t in tasks if t.speculative)
-        original = next(t for t in tasks if not t.data_local)
+        original = next(
+            t for t in tasks if t.split.label == "s3" and not t.speculative
+        )
+        assert duplicate.start == pytest.approx(1.5)
+        assert duplicate.node != original.node
         assert not duplicate.killed
-        assert original.killed
+        assert original.killed and not original.failed
         assert original.end == duplicate.end  # killed at commit time
 
     def test_speculation_improves_makespan(self):
-        baseline = schedule_map_tasks(
-            self._splits(2), 2, 1, _locality_execute, speculative=False
+        baseline = schedule(
+            self._splits(), 4, 1, _straggler_execute(100.0),
+            speculative=False,
         )
-        speculated = schedule_map_tasks(
-            self._splits(2), 2, 1, _locality_execute, speculative=True
+        speculated = schedule(
+            self._splits(), 4, 1, _straggler_execute(100.0),
+            speculative=True,
         )
-        assert makespan(speculated) < makespan(baseline)
+        assert makespan(baseline) == pytest.approx(100.0)
+        assert makespan(speculated) == pytest.approx(2.5)
 
     def test_no_speculation_when_everything_local(self):
-        splits = [InputSplit(10, [0, 1], f"s{i}") for i in range(4)]
-        tasks = schedule_map_tasks(splits, 2, 1, _locality_execute,
-                                   speculative=True)
+        # Uniform local tasks in two waves: nobody ever runs 1.5x the
+        # median, so nothing is cloned.
+        splits = [InputSplit(10, [0, 1], f"s{i}") for i in range(8)]
+        tasks = schedule(
+            splits, 2, 2, _straggler_execute(1.0), speculative=True
+        )
+        assert len(tasks) == 8
         assert not any(t.speculative for t in tasks)
 
     def test_losing_duplicate_marked_killed(self):
-        # Make the duplicate slower than the original's remaining time:
-        # remote is only slightly slower, so by the time a local slot
-        # frees, rerunning from scratch cannot win.
-        def execute(split, node):
-            m = Metrics()
-            m.charge_io(1.0 if node in split.locations else 1.2)
-            return m
-
-        splits = [InputSplit(10, [0], f"s{i}") for i in range(2)]
-        tasks = schedule_map_tasks(splits, 2, 1, execute, speculative=True)
-        duplicates = [t for t in tasks if t.speculative]
-        if duplicates:  # the duplicate launched and lost
-            assert all(t.killed for t in duplicates)
-            original = next(t for t in tasks if not t.data_local)
-            assert not original.killed
+        # The straggler needs 2s: it is cloned at 1.5s, but a rerun
+        # from scratch takes 1s and cannot beat the 0.5s it has left.
+        tasks = schedule(
+            self._splits(), 4, 1, _straggler_execute(2.0),
+            speculative=True,
+        )
+        (duplicate,) = [t for t in tasks if t.speculative]
+        assert duplicate.killed
+        assert duplicate.end == pytest.approx(2.0)  # dies with the race
+        original = next(
+            t for t in tasks if t.split.label == "s3" and not t.speculative
+        )
+        assert original.produced_output
 
     def test_each_split_speculated_at_most_once(self):
-        tasks = schedule_map_tasks(
-            self._splits(3), 4, 1, _locality_execute, speculative=True
-        )
-        from collections import Counter
+        # Every node but 0 is slow for every split: many stragglers,
+        # many idle slots, still one clone per split at most.
+        def execute(split, node):
+            m = Metrics()
+            m.charge_io(1.0 if node == 0 else 20.0)
+            return m
 
-        per_split = Counter(t.split.label for t in tasks)
-        assert all(count <= 2 for count in per_split.values())
+        splits = [InputSplit(10, [0], f"s{i}") for i in range(9)]
+        tasks = schedule(splits, 4, 2, execute, speculative=True)
+        assert sum(t.speculative for t in tasks) == 6
+        clones = Counter(t.split.label for t in tasks if t.speculative)
+        assert all(count == 1 for count in clones.values())
+        survivors = Counter(
+            t.split.label for t in tasks if t.produced_output
+        )
+        assert survivors == Counter(s.label for s in splits)
 
     def test_off_by_default_matches_plain(self):
-        plain = schedule_map_tasks(self._splits(3), 2, 1, _locality_execute)
-        assert not any(t.speculative for t in plain)
+        default = schedule(self._splits(), 4, 1, _straggler_execute(100.0))
+        plain = schedule(
+            self._splits(), 4, 1, _straggler_execute(100.0),
+            speculative=False,
+        )
+        assert not any(t.speculative for t in default)
+        assert _attempts(default) == _attempts(plain)
 
 
 class TestJobSpeculation:
