@@ -91,11 +91,3 @@ def format_table(result: AddColumnResult) -> str:
         rows,
     )
     return table + f"\nRCFile does {result.io_ratio:.0f}x the I/O of CIF"
-
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -103,11 +103,3 @@ def format_table(result: BufferAblationResult) -> str:
         headers,
         rows,
     )
-
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -83,11 +83,3 @@ def format_table(result: ColocationResult) -> str:
         rows,
     )
     return table + f"\nCPP speedup: {result.speedup:.1f}x (paper: 5.1x)"
-
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -150,11 +150,3 @@ def format_table(result: EncodingsResult) -> str:
         headers,
         rows,
     )
-
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -190,14 +190,3 @@ def format_chart(result: Fig10Result) -> str:
         y_label="seconds (simulated)",
         height=12,
     )
-
-
-def main() -> None:
-    result = run()
-    print(format_table(result))
-    print()
-    print(format_chart(result))
-
-
-if __name__ == "__main__":
-    main()

@@ -115,14 +115,3 @@ def format_chart(result: Fig11Result) -> str:
         y_label="MB/s",
         height=14,
     )
-
-
-def main() -> None:
-    result = run()
-    print(format_table(result))
-    print()
-    print(format_chart(result))
-
-
-if __name__ == "__main__":
-    main()

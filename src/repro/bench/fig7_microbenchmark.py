@@ -134,14 +134,3 @@ def format_chart(result: Fig7Result) -> str:
         title="Figure 7 - scan time by projection (shorter is better)",
         unit=" s",
     )
-
-
-def main() -> None:
-    result = run()
-    print(format_table(result))
-    print()
-    print(format_chart(result))
-
-
-if __name__ == "__main__":
-    main()

@@ -146,14 +146,3 @@ def format_chart(result: Fig8Result) -> str:
         x_label="fraction typed",
         y_label="MB/s",
     )
-
-
-def main() -> None:
-    result = run()
-    print(format_table(result))
-    print()
-    print(format_chart(result))
-
-
-if __name__ == "__main__":
-    main()

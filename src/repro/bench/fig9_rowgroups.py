@@ -96,11 +96,3 @@ def format_table(result: Fig9Result) -> str:
     return table + "\n\n" + harness.format_table(
         "Bytes read per scan", headers, byte_rows
     )
-
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -125,11 +125,3 @@ def format_table(result: PruningResult) -> str:
         headers,
         rows,
     )
-
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -40,11 +40,12 @@ See ``docs/benchmarking.md`` for the baseline-update workflow.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 SCHEMA_VERSION = 1
 
@@ -87,16 +88,32 @@ def _fraction_slug(fraction: float) -> str:
 
 @dataclass
 class Scenario:
-    """One benchmark scenario: a smoke-size runner plus an extractor."""
+    """One benchmark scenario: a smoke-size runner plus an extractor.
+
+    ``source`` is the ``repro.bench`` module whose ``run()`` the
+    scenario calls (imported on first use, so listing scenarios imports
+    none of them) or, for a scenario that is not one module's ``run()``,
+    the callable itself.  The twelve paper experiments also carry the
+    ``title`` that ``repro list`` prints and the ``run()`` keyword that
+    ``repro experiment --records/--size`` maps onto, which makes this
+    the one table the CLI reads.
+    """
 
     name: str
-    runner: Callable[..., object]
+    source: Union[str, Callable[..., object]]
     params: Dict[str, object]
     extract: Callable[[object], Dict[str, float]]
     description: str = ""
+    title: str = ""
+    size_arg: Optional[str] = None
+
+    @property
+    def module(self):
+        return importlib.import_module(f"repro.bench.{self.source}")
 
     def run(self):
-        return self.runner(**self.params)
+        runner = self.source if callable(self.source) else self.module.run
+        return runner(**self.params)
 
 
 def _extract_fig7(result) -> Dict[str, float]:
@@ -367,78 +384,74 @@ def _extract_vector_scan(result) -> Dict[str, float]:
     return out
 
 
-def _lazy(module: str):
-    """Defer the scenario import so ``repro bench --help`` stays fast."""
-
-    def runner(**params):
-        import importlib
-
-        return importlib.import_module(f"repro.bench.{module}").run(**params)
-
-    return runner
-
-
 SCENARIOS: Dict[str, Scenario] = {}
 
 
-def _register(name, module_or_runner, params, extract, description):
-    runner = (
-        module_or_runner
-        if callable(module_or_runner)
-        else _lazy(module_or_runner)
-    )
-    SCENARIOS[name] = Scenario(name, runner, params, extract, description)
+def _register(name, *fields):
+    SCENARIOS[name] = Scenario(name, *fields)
 
 
 _register(
     "fig7", "fig7_microbenchmark", {"records": 600}, _extract_fig7,
     "single-node scan times/bytes per format and projection",
+    "Figure 7: scan microbenchmark (TXT/SEQ/CIF/RCFile)", "records",
 )
 _register(
     "fig8", "fig8_deserialization", {"records": 40, "seed": 8}, _extract_fig8,
     "deserialization bandwidth by type mix and runtime profile",
+    "Figure 8: deserialization cost vs typed fraction", "records",
 )
 _register(
     "fig9", "fig9_rowgroups", {"records": 600}, _extract_fig9,
     "RCFile row-group size sweep vs CIF",
+    "Figure 9: RCFile row-group size tuning", "records",
 )
 _register(
     "fig10", "fig10_selectivity", {"records": 500}, _extract_fig10,
     "lazy record construction / skip-list selectivity sweep",
+    "Figure 10: CIF vs CIF-SL vs predicate selectivity", "records",
 )
 _register(
     "fig11", "fig11_wide_records", {"total_bytes": 400_000}, _extract_fig11,
     "scan bandwidth vs record width",
+    "Figure 11: bandwidth vs number of columns", "total_bytes",
 )
 _register(
     "table1", "table1_crawl",
     {"records": 120, "content_bytes": 2048, "num_nodes": 8}, _extract_table1,
     "crawl workload: data read, map and total times per layout",
+    "Table 1: the 11-layout crawl comparison", "records",
 )
 _register(
     "table2", "table2_load_times", {"records": 500}, _extract_table2,
     "load times and bytes written per target layout",
+    "Table 2: load times (SEQ -> CIF/CIF-SL/RCFile)", "records",
 )
 _register(
     "colocation", "colocation", {"records": 60, "content_bytes": 1024},
     _extract_colocation,
     "column placement policy: locality fraction and map-time speedup",
+    "Section 6.4: co-location (CPP on/off)", "records",
 )
 _register(
     "addcolumn", "addcolumn_ablation", {"records": 400}, _extract_addcolumn,
     "adding a column after the fact: CIF vs RCFile rewrite cost",
+    "Section 4.3: adding a column, CIF vs RCFile", "records",
 )
 _register(
     "buffers", "buffer_ablation", {"records": 400}, _extract_buffers,
     "io-buffer size ablation per format",
+    "Ablation: io.file.buffer.size sensitivity sweep", "records",
 )
 _register(
     "encodings", "encodings_ablation", {"records": 400}, _extract_encodings,
     "column encoding sweep: file bytes, full and selective scans",
+    "Ablation: per-column lightweight encodings (rle/delta/dcsl)", "records",
 )
 _register(
     "pruning", "pruning_ablation", {"records": 500}, _extract_pruning,
     "range-predicate pruning on sorted vs shuffled data",
+    "Ablation: zone-map split pruning, clustered vs shuffled", "records",
 )
 _register(
     "scale_stability", _run_scale_stability, {"small": 1000, "large": 4000},

@@ -203,11 +203,3 @@ def format_table(result: Table1Result) -> str:
         headers,
         rows,
     )
-
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -88,11 +88,3 @@ def format_table(result: Table2Result) -> str:
         ["Load time (s)", "Bytes written"],
         rows,
     )
-
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

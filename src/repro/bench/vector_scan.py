@@ -183,11 +183,3 @@ def format_table(result: VectorScanResult) -> str:
         f"[eager {result.speedup_eager:.2f}x, "
         f"lazy {result.speedup_lazy:.2f}x]"
     )
-
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

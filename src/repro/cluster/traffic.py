@@ -60,6 +60,12 @@ POINT_CIF = "/cluster/point-cif"
 
 JOB_KINDS = ("crawl_scan", "analytics", "point_query")
 
+#: every top-level key :meth:`TrafficProfile.to_dict` can emit
+_PROFILE_FIELDS = frozenset({
+    "seed", "duration", "nodes", "map_slots_per_node", "block_kb", "policy",
+    "datasets", "queues", "tenants", "speculation", "backoff", "alerts",
+})
+
 
 @dataclass
 class TrafficTenant:
@@ -187,6 +193,15 @@ class TrafficProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrafficProfile":
+        # Every field is optional (a profile overlays the sample), so a
+        # document of another kind is told apart by what it adds.
+        if not isinstance(data, dict):
+            raise ValueError("a traffic profile must be a JSON object")
+        unknown = sorted(set(data) - _PROFILE_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"not a traffic profile: unknown field(s) {', '.join(unknown)}"
+            )
         base = sample_profile()
         queues = [
             QueueConfig(

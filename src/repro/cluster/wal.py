@@ -11,9 +11,11 @@ check* instead of mutable-state snapshotting:
   blacklisting, job completion) to a JSONL
   WAL.  Record 0 is a ``meta`` header embedding the full profile,
   policy name and fault plan — everything needed to re-derive the run.
-  Lines are flushed one at a time and may be gzip-framed, exactly like
-  the flight-recorder artifacts, so a crash mid-write leaves a readable
-  prefix and :meth:`ClusterWAL.load` tolerates the torn final line.
+  Lines go through :mod:`repro.util.jsonl` like the flight-recorder
+  artifacts: flushed one at a time, gzip-framed under a ``.gz`` name,
+  so a crash mid-write leaves a readable prefix and
+  :meth:`ClusterWAL.load` salvages a trailer-less gzip stream or a
+  torn final line with a warning.
 
 - **Resume** — :func:`resume_from_wal` rebuilds the profile and fault
   plan from the header and re-runs the traffic with a *verifying* WAL:
@@ -34,9 +36,9 @@ boundary of the sample profile.
 
 from __future__ import annotations
 
-import gzip as _gzip
-import json
 from typing import List, Optional, Tuple
+
+from repro.util import jsonl
 
 #: bump when the record schema changes incompatibly (2: every attempt
 #: resolution, eviction included, is one ``complete`` record)
@@ -55,7 +57,7 @@ class ClusterWAL:
     """One run's journal: appends records, optionally verifying them.
 
     ``path`` (optional) persists records as flushed JSONL (gzip framing
-    by ``.gz`` suffix or ``gzipped=True``).  ``crash_after=N`` raises
+    by ``.gz`` suffix).  ``crash_after=N`` raises
     :class:`SimulatedCrash` instead of writing record ``N`` (0-based),
     so the file holds exactly ``N`` records.  ``expected`` puts the WAL
     in resume mode: each appended record is checked against the loaded
@@ -67,7 +69,6 @@ class ClusterWAL:
         path: Optional[str] = None,
         crash_after: Optional[int] = None,
         expected: Optional[List[dict]] = None,
-        gzipped: Optional[bool] = None,
     ) -> None:
         if crash_after is not None and crash_after < 1:
             raise ValueError("crash_after must be >= 1 (the meta record)")
@@ -81,11 +82,7 @@ class ClusterWAL:
         #: loader warnings (torn tail) carried through a resume
         self.warnings: List[str] = []
         self._seq = 0
-        self._handle = None
-        if path is not None:
-            gz = gzipped if gzipped is not None else path.endswith(".gz")
-            opener = _gzip.open if gz else open
-            self._handle = opener(path, "wt", encoding="utf-8")
+        self._writer = jsonl.JsonlWriter(path) if path is not None else None
 
     def append(self, kind: str, /, **fields) -> dict:
         """Journal one record; returns it (with its ``seq`` assigned)."""
@@ -99,22 +96,20 @@ class ClusterWAL:
             if self.expected[self._seq] != record:
                 raise WalDivergence(
                     f"replay diverged at record {self._seq}: journal has "
-                    f"{json.dumps(self.expected[self._seq], sort_keys=True)} "
-                    f"but replay produced "
-                    f"{json.dumps(record, sort_keys=True)}"
+                    f"{jsonl.dumps(self.expected[self._seq])} "
+                    f"but replay produced {jsonl.dumps(record)}"
                 )
             self.verified += 1
         self.records.append(record)
-        if self._handle is not None:
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._handle.flush()
+        if self._writer is not None:
+            self._writer.write(record)
         self._seq += 1
         return record
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
     # -- loading -------------------------------------------------------
 
@@ -122,49 +117,17 @@ class ClusterWAL:
     def load(path: str) -> Tuple[List[dict], List[str]]:
         """Read a journal; returns ``(records, warnings)``.
 
-        Accepts gzip framing by content (magic bytes, not file name).
-        A torn final line — the record in flight when the manager
-        crashed — is dropped with a warning; any earlier malformed line
-        is a hard error.
+        The warnings are the codec's salvage notes: the record in
+        flight when the manager crashed, or a gzip stream that never
+        got its trailer.
         """
-        with open(path, "rb") as handle:
-            head = handle.read(2)
-        if head == b"\x1f\x8b":
-            with _gzip.open(path, "rt", encoding="utf-8") as handle:
-                text = handle.read()
-        else:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        records: List[dict] = []
-        warnings: List[str] = []
-        lines = text.splitlines()
-        last_payload = next(
-            (i for i in range(len(lines) - 1, -1, -1) if lines[i].strip()),
-            None,
-        )
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if records and lineno - 1 == last_payload:
-                    warnings.append(
-                        f"torn final record (line {lineno}) dropped: {exc}"
-                    )
-                    break
+        records, warnings = jsonl.read(path, "WAL record")
+        for index, record in enumerate(records):
+            if record.get("seq") != index:
                 raise ValueError(
-                    f"line {lineno} is not a WAL record: {exc}"
-                ) from exc
-            if not isinstance(record, dict) or "type" not in record:
-                raise ValueError(f"line {lineno} is not a WAL record")
-            if record.get("seq") != len(records):
-                raise ValueError(
-                    f"line {lineno}: expected seq {len(records)}, "
+                    f"record {index}: expected seq {index}, "
                     f"got {record.get('seq')!r}"
                 )
-            records.append(record)
         if not records:
             raise ValueError(f"{path}: empty WAL (nothing to resume)")
         if records[0].get("type") != "meta":

@@ -100,6 +100,11 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
+        unknown = sorted(set(data) - {"events", "seed"})
+        if unknown:
+            raise ValueError(
+                f"not a fault plan: unknown field(s) {', '.join(unknown)}"
+            )
         events = [
             FaultEvent(**event) for event in data.get("events", [])
         ]

@@ -21,9 +21,10 @@ instrumented code calls ``obs.emit(...)``, which hits the shared
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable, List, Optional
+
+from repro.util.jsonl import JsonlWriter
 
 
 class Event:
@@ -158,8 +159,8 @@ class JsonlEventSink:
     """A bus subscriber streaming events to a JSONL file, one flushed
 
     line per event — so a run that crashes mid-job still leaves every
-    event up to the crash on disk (readers tolerate the torn final
-    line, see :meth:`RunReport.from_jsonl`).
+    event up to the crash on disk (readers tolerate the torn tail, see
+    :mod:`repro.util.jsonl`).
 
     ``flush_every`` opts into buffered mode for high-volume runs
     (cluster traffic emits tens of thousands of events): the sink
@@ -168,12 +169,9 @@ class JsonlEventSink:
     """
 
     def __init__(self, path: str, flush_every: int = 1) -> None:
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
         self.path = path
         self.flush_every = flush_every
-        self._since_flush = 0
-        self._handle = open(path, "w", encoding="utf-8")
+        self._writer = JsonlWriter(path, flush_every)
         self._unsubscribe: Optional[Callable[[], None]] = None
 
     def attach(self, bus: EventBus) -> "JsonlEventSink":
@@ -181,23 +179,14 @@ class JsonlEventSink:
         return self
 
     def __call__(self, event: Event) -> None:
-        if self._handle.closed:
-            return
-        self._handle.write(
-            json.dumps({"type": "event", **event.to_dict()}, sort_keys=True)
-            + "\n"
-        )
-        self._since_flush += 1
-        if self._since_flush >= self.flush_every:
-            self._handle.flush()
-            self._since_flush = 0
+        if not self._writer.closed:
+            self._writer.write({"type": "event", **event.to_dict()})
 
     def close(self) -> None:
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
-        if not self._handle.closed:
-            self._handle.close()
+        self._writer.close()
 
     def __enter__(self) -> "JsonlEventSink":
         return self

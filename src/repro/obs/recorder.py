@@ -27,16 +27,14 @@ JSONL schema (see ``docs/observability.md``):
 - ``{"type": "event", "seq", "kind", "wall", ["sim", "span", "attrs"]}``
   — one per event-bus emission, in emission order
 
-Artifacts are written one flushed line at a time (and may be gzipped:
-``run.jsonl.gz``); a run that crashes mid-write leaves a readable
-prefix, and :meth:`RunReport.from_jsonl` tolerates the torn final line
-with a warning instead of raising.
+Artifacts are written one flushed line at a time (gzipped when the
+path ends in ``.gz``); a run that crashes mid-write leaves a readable
+prefix, which :meth:`RunReport.load` salvages with a warning instead of
+raising (the codec is :mod:`repro.util.jsonl`).
 """
 
 from __future__ import annotations
 
-import gzip as _gzip
-import json
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -47,6 +45,10 @@ from repro.obs.registry import (
     NullRegistry,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.util import jsonl
+
+#: what :mod:`repro.util.jsonl` calls this artifact's lines in errors
+_RECORD = "flight-recorder record"
 
 #: Metrics fields serialized into ``metrics`` records, in schema order.
 _METRICS_FIELDS = (
@@ -385,79 +387,50 @@ class RunReport:
 
     # -- serialization -------------------------------------------------
 
-    def iter_jsonl(self):
-        """Yield the artifact's lines (no trailing newlines), in order."""
-        yield json.dumps({"type": "meta", **self.meta}, sort_keys=True)
+    def _records(self):
+        """Yield the artifact's records, in file order."""
+        yield {"type": "meta", **self.meta}
         for span in self.spans:
-            yield json.dumps({"type": "span", **span}, sort_keys=True)
+            yield {"type": "span", **span}
         for event in self.events:
-            yield json.dumps({"type": "event", **event}, sort_keys=True)
+            yield {"type": "event", **event}
         for entry in self.registry:
-            yield json.dumps({"type": entry["kind"], **{
+            yield {"type": entry["kind"], **{
                 k: v for k, v in entry.items() if k != "kind"
-            }}, sort_keys=True)
+            }}
         for snap in self.metrics:
-            yield json.dumps({"type": "metrics", **snap}, sort_keys=True)
+            yield {"type": "metrics", **snap}
         for dump in self.counters:
-            yield json.dumps({"type": "counters", **dump}, sort_keys=True)
+            yield {"type": "counters", **dump}
 
     def to_jsonl(self) -> str:
-        return "\n".join(self.iter_jsonl()) + "\n"
+        return "".join(jsonl.dumps(r) + "\n" for r in self._records())
 
-    def write_jsonl(self, path: str, gzipped: Optional[bool] = None) -> None:
+    def write_jsonl(self, path: str) -> None:
         """Write the artifact, one flushed line per record.
 
         Flushing per line means a crash mid-write loses at most the
-        line in flight — readers tolerate that torn tail.  ``gzipped``
-        forces gzip framing; by default a ``.gz`` suffix decides.
+        line in flight — readers tolerate that torn tail.  A ``.gz``
+        suffix gzips.
         """
-        if gzipped is None:
-            gzipped = path.endswith(".gz")
-        opener = _gzip.open if gzipped else open
-        with opener(path, "wt", encoding="utf-8") as handle:
-            for line in self.iter_jsonl():
-                handle.write(line + "\n")
-                handle.flush()
+        with jsonl.JsonlWriter(path) as writer:
+            for record in self._records():
+                writer.write(record)
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "RunReport":
+    def _from_records(
+        cls, records: List[dict], warnings: List[str]
+    ) -> "RunReport":
+        if not records:
+            raise ValueError("no flight-recorder records")
         meta: dict = {}
         spans: List[dict] = []
         metrics: List[dict] = []
         counters: List[dict] = []
         registry: List[dict] = []
         events: List[dict] = []
-        warnings: List[str] = []
-        lines = text.splitlines()
-        last_payload = next(
-            (i for i in range(len(lines) - 1, -1, -1) if lines[i].strip()),
-            None,
-        )
-        parsed = 0
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if parsed and lineno - 1 == last_payload:
-                    # A crashed run tore its final line mid-write; the
-                    # prefix is still a valid recording.
-                    warnings.append(
-                        f"truncated final line (line {lineno}) dropped: {exc}"
-                    )
-                    break
-                raise ValueError(
-                    f"line {lineno} is not a flight-recorder record: {exc}"
-                ) from exc
-            try:
-                kind = record.pop("type")
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise ValueError(
-                    f"line {lineno} is not a flight-recorder record: {exc}"
-                ) from exc
-            parsed += 1
+        for index, record in enumerate(records):
+            kind = record.pop("type")
             if kind == "meta":
                 meta = record
             elif kind == "span":
@@ -471,26 +444,24 @@ class RunReport:
             elif kind == "counters":
                 counters.append(record)
             else:
-                raise ValueError(f"line {lineno}: unknown record type {kind!r}")
+                raise ValueError(
+                    f"record {index}: unknown record type {kind!r}"
+                )
         return cls(
             meta, spans, metrics, counters, registry,
             events=events, warnings=warnings,
         )
 
     @classmethod
-    def load(cls, path: str) -> "RunReport":
-        """Load an artifact, accepting gzip framing transparently.
+    def from_jsonl(cls, text: str) -> "RunReport":
+        return cls._from_records(*jsonl.parse(text, _RECORD))
 
-        Detection is by content (the two gzip magic bytes), not by file
-        name, so ``run.jsonl.gz`` and a gzipped ``run.jsonl`` both load.
-        """
-        with open(path, "rb") as handle:
-            head = handle.read(2)
-        if head == b"\x1f\x8b":
-            with _gzip.open(path, "rt", encoding="utf-8") as handle:
-                return cls.from_jsonl(handle.read())
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_jsonl(handle.read())
+    @classmethod
+    def load(cls, path: str) -> "RunReport":
+        """Load an artifact; gzip framing is sniffed from the content,
+        and a truncated stream or torn final line (a crashed run's
+        tail) loads as its readable prefix with a warning."""
+        return cls._from_records(*jsonl.read(path, _RECORD))
 
     # -- rendering -----------------------------------------------------
 

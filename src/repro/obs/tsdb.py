@@ -32,16 +32,15 @@ Design rules, inherited from the rest of the simulator:
 - **Merge-accumulating sidecar.**  ``save(path)`` folds any existing
   sidecar in first (like :meth:`DatasetHeatmap.save`), so successive
   runs accumulate; the file is gzip-framed JSONL written with
-  ``mtime=0`` (byte-stable) and the loader tolerates a torn final line
-  and even a torn gzip stream, like :meth:`ClusterWAL.load`.
+  ``mtime=0`` (byte-stable) and the loader salvages a torn final line
+  or a torn gzip stream like every :mod:`repro.util.jsonl` artifact.
 """
 
 from __future__ import annotations
 
-import gzip as _gzip
-import json
-import zlib
 from typing import Dict, List, Optional, Tuple
+
+from repro.util import jsonl
 
 #: bump when the sidecar schema changes incompatibly
 TSDB_VERSION = 1
@@ -523,75 +522,22 @@ class TimeSeriesStore:
         if merge:
             try:
                 previous, _ = TimeSeriesStore.load(path)
-            except FileNotFoundError:
-                previous = None
             except (OSError, ValueError):
                 previous = None
             if previous is not None:
                 previous.merge(self)
                 target = previous
-        text = "".join(
-            json.dumps(line, sort_keys=True) + "\n"
-            for line in target.to_lines()
-        )
-        blob = _gzip.compress(text.encode("utf-8"), 9, mtime=0)
-        with open(path, "wb") as handle:
-            handle.write(blob)
+        jsonl.write_frame(path, target.to_lines())
         return target
 
     @classmethod
     def load(cls, path: str) -> Tuple["TimeSeriesStore", List[str]]:
         """Read a sidecar; returns ``(store, warnings)``.
 
-        Gzip framing is sniffed by magic bytes.  A torn gzip stream is
-        salvaged to its readable prefix and a torn final line is
-        dropped — both with warnings — exactly like the WAL loader; any
+        Torn-tail salvage (and its warnings) is the codec's; any
         earlier malformed line is a hard error.
         """
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        warnings: List[str] = []
-        if blob[:2] == b"\x1f\x8b":
-            try:
-                text = _gzip.decompress(blob).decode("utf-8")
-            except (EOFError, OSError, zlib.error) as exc:
-                decompressor = zlib.decompressobj(31)
-                try:
-                    salvaged = decompressor.decompress(blob)
-                except zlib.error:
-                    raise ValueError(
-                        f"{path}: unreadable gzip stream: {exc}"
-                    ) from exc
-                text = salvaged.decode("utf-8", errors="replace")
-                warnings.append(
-                    f"torn gzip stream salvaged to {len(salvaged)} byte(s)"
-                )
-        else:
-            text = blob.decode("utf-8")
-        lines = text.splitlines()
-        last_payload = next(
-            (i for i in range(len(lines) - 1, -1, -1) if lines[i].strip()),
-            None,
-        )
-        records: List[dict] = []
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if records and lineno - 1 == last_payload:
-                    warnings.append(
-                        f"torn final record (line {lineno}) dropped: {exc}"
-                    )
-                    break
-                raise ValueError(
-                    f"line {lineno} is not a tsdb record: {exc}"
-                ) from exc
-            if not isinstance(record, dict) or "type" not in record:
-                raise ValueError(f"line {lineno} is not a tsdb record")
-            records.append(record)
+        records, warnings = jsonl.read(path, "tsdb record")
         if not records or records[0].get("type") != "meta":
             raise ValueError(f"{path}: missing tsdb meta header")
         header = records[0]

@@ -348,7 +348,7 @@ class TestExplainCli:
         trace = tmp_path / "explain.jsonl.gz"
         code = main(
             ["explain", "/data/again", "--records", "80", "--no-color",
-             "--quiet", "--trace-out", str(trace), "--gzip"],
+             "--quiet", "--trace-out", str(trace)],
             out=lambda s: None,
         )
         assert code == 0

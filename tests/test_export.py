@@ -159,17 +159,11 @@ class TestGzipFraming:
         assert target.read_bytes()[:2] == b"\x1f\x8b"
         assert RunReport.load(str(target)).summary() == recorded.summary()
 
-    def test_gzipped_flag_wins_over_suffix(self, recorded, tmp_path):
-        target = tmp_path / "run.jsonl"  # no .gz suffix
-        recorded.write_jsonl(str(target), gzipped=True)
-        assert target.read_bytes()[:2] == b"\x1f\x8b"
-        assert RunReport.load(str(target)).summary() == recorded.summary()
-
-    def test_cli_gzip_flag_on_fsck_trace_out(self, tmp_path):
-        target = tmp_path / "fsck.jsonl"
+    def test_cli_gz_suffix_on_fsck_trace_out(self, tmp_path):
+        target = tmp_path / "fsck.jsonl.gz"
         code = main(
             ["fsck", "/data/g", "--records", "60", "--trace-out",
-             str(target), "--gzip"],
+             str(target)],
             out=lambda s: None,
         )
         assert code == 0

@@ -190,12 +190,12 @@ class TestReportCommand:
     def test_report_writes_file(self, tmp_path, monkeypatch):
         # Patch the registry down to one fast experiment so the test
         # exercises the report plumbing, not every experiment's runtime.
-        import repro.cli as cli
+        from repro.bench import regress
 
         target = tmp_path / "results.md"
-        small = {"fig8": cli.EXPERIMENTS["fig8"]}
-        monkeypatch.setattr(cli, "EXPERIMENTS", small)
-        code = cli.main(["report", "--out", str(target)], out=lambda s: None)
+        small = {"fig8": regress.SCENARIOS["fig8"]}
+        monkeypatch.setattr(regress, "SCENARIOS", small)
+        code = main(["report", "--out", str(target)], out=lambda s: None)
         assert code == 0
         text = target.read_text()
         assert "# Reproduction results" in text
@@ -285,6 +285,20 @@ class TestPerfCli:
             ["perf", "critical-path", str(tmp_path / "nope.jsonl")]
         )
         assert code == 1 and "error:" in text
+
+    @pytest.mark.parametrize("verb", [
+        "critical-path", "timeline", "breakdown", "stragglers",
+        "operators", "diff",
+    ])
+    def test_torn_tail_trace_is_analysed_with_a_warning(
+        self, job_trace, tmp_path, verb
+    ):
+        torn = tmp_path / "crashed.jsonl"
+        torn.write_bytes(job_trace.read_bytes()[:-15])
+        traces = [str(torn)] * (2 if verb == "diff" else 1)
+        code, text = self.collect(["perf", verb, *traces])
+        assert code == 0
+        assert text.startswith("WARNING: truncated final line")
 
 
 class TestBenchCli:
