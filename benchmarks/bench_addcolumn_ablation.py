@@ -2,25 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import addcolumn_ablation as ablation
 
 
 @pytest.fixture(scope="module")
 def result():
     res = ablation.run(records=6000)
-    emit_bench_json("addcolumn", res, {"records": 6000})
     print("\n" + ablation.format_table(res))
     return res
-
-
-def test_addcolumn_benchmark(benchmark, result):
-    benchmark.pedantic(
-        ablation.run, kwargs={"records": 1500}, rounds=2, iterations=1
-    )
-    assert result.cif_bytes > 0
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

@@ -2,25 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import buffer_ablation
 
 
 @pytest.fixture(scope="module")
 def result():
     res = buffer_ablation.run(records=4000)
-    emit_bench_json("buffers", res, {"records": 4000})
     print("\n" + buffer_ablation.format_table(res))
     return res
-
-
-def test_buffer_ablation_benchmark(benchmark, result):
-    benchmark.pedantic(
-        buffer_ablation.run, kwargs={"records": 1000}, rounds=2, iterations=1
-    )
-    assert result.single_int
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

@@ -2,30 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import cluster_load
 
 
 @pytest.fixture(scope="module")
 def result():
     res = cluster_load.run(duration=1.0, seed=20110401)
-    emit_bench_json(
-        "cluster_load", res, {"duration": 1.0, "seed": 20110401}
-    )
     print("\n" + cluster_load.format_table(res))
     return res
-
-
-def test_cluster_load_benchmark(benchmark, result):
-    benchmark.pedantic(
-        cluster_load.run,
-        kwargs={"duration": 0.4, "seed": 20110401},
-        rounds=2,
-        iterations=1,
-    )
-    assert result.reports["fair"].completed
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

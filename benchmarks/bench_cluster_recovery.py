@@ -2,8 +2,6 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import cluster_recovery
 
 PARAMS = {
@@ -14,20 +12,8 @@ PARAMS = {
 @pytest.fixture(scope="module")
 def result():
     res = cluster_recovery.run(**PARAMS)
-    emit_bench_json("cluster_recovery", res, PARAMS)
     print("\n" + cluster_recovery.format_table(res))
     return res
-
-
-def test_cluster_recovery_benchmark(benchmark, result):
-    benchmark.pedantic(
-        cluster_recovery.run,
-        kwargs={**PARAMS, "duration": 0.4, "kill_time": 0.15},
-        rounds=2,
-        iterations=1,
-    )
-    assert result.reports["faulted"].completed
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

@@ -2,8 +2,6 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import cluster_slo
 
 PARAMS = {"duration": 1.0, "seed": 20110401}
@@ -12,20 +10,8 @@ PARAMS = {"duration": 1.0, "seed": 20110401}
 @pytest.fixture(scope="module")
 def result():
     res = cluster_slo.run(**PARAMS)
-    emit_bench_json("cluster_slo", res, PARAMS)
     print("\n" + cluster_slo.format_table(res))
     return res
-
-
-def test_cluster_slo_benchmark(benchmark, result):
-    benchmark.pedantic(
-        cluster_slo.run,
-        kwargs={**PARAMS, "duration": 0.4},
-        rounds=2,
-        iterations=1,
-    )
-    assert result.reports["monitored"].completed
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

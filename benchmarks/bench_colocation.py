@@ -2,28 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import colocation
 
 
 @pytest.fixture(scope="module")
 def result():
     res = colocation.run(records=400, content_bytes=16384)
-    emit_bench_json("colocation", res, {"records": 400, "content_bytes": 16384})
     print("\n" + colocation.format_table(res))
     return res
-
-
-def test_colocation_benchmark(benchmark, result):
-    benchmark.pedantic(
-        colocation.run,
-        kwargs={"records": 150, "content_bytes": 8192},
-        rounds=2,
-        iterations=1,
-    )
-    assert result.map_time_cpp > 0
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

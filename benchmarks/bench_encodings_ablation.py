@@ -2,25 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import encodings_ablation
 
 
 @pytest.fixture(scope="module")
 def result():
     res = encodings_ablation.run(records=5000)
-    emit_bench_json("encodings", res, {"records": 5000})
     print("\n" + encodings_ablation.format_table(res))
     return res
-
-
-def test_encodings_benchmark(benchmark, result):
-    benchmark.pedantic(
-        encodings_ablation.run, kwargs={"records": 1200}, rounds=2, iterations=1
-    )
-    assert result.rows
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

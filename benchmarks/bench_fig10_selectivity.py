@@ -2,25 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import fig10_selectivity as fig10
 
 
 @pytest.fixture(scope="module")
 def result():
     res = fig10.run(records=6000)
-    emit_bench_json("fig10", res, {"records": 6000})
     print("\n" + fig10.format_table(res))
     return res
-
-
-def test_fig10_benchmark(benchmark, result):
-    benchmark.pedantic(
-        fig10.run, kwargs={"records": 1500}, rounds=2, iterations=1
-    )
-    assert result.times
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

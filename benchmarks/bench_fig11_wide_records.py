@@ -2,25 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import fig11_wide_records as fig11
 
 
 @pytest.fixture(scope="module")
 def result():
     res = fig11.run(total_bytes=3 * 1024 * 1024)
-    emit_bench_json("fig11", res, {"total_bytes": 3 * 1024 * 1024})
     print("\n" + fig11.format_table(res))
     return res
-
-
-def test_fig11_benchmark(benchmark, result):
-    benchmark.pedantic(
-        fig11.run, kwargs={"total_bytes": 1024 * 1024}, rounds=2, iterations=1
-    )
-    assert result.bandwidth
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

@@ -2,8 +2,6 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import fig7_microbenchmark as fig7
 
 RECORDS = 8000
@@ -12,15 +10,8 @@ RECORDS = 8000
 @pytest.fixture(scope="module")
 def result():
     res = fig7.run(records=RECORDS)
-    emit_bench_json("fig7", res, {"records": RECORDS})
     print("\n" + fig7.format_table(res))
     return res
-
-
-def test_fig7_benchmark(benchmark, result):
-    benchmark.pedantic(fig7.run, kwargs={"records": 2000}, rounds=2, iterations=1)
-    assert result.times  # the module-scope run produced data
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

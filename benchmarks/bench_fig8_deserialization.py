@@ -2,23 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import fig8_deserialization as fig8
 
 
 @pytest.fixture(scope="module")
 def result():
     res = fig8.run(records=100)
-    emit_bench_json("fig8", res, {"records": 100, "seed": 8})
     print("\n" + fig8.format_table(res))
     return res
-
-
-def test_fig8_benchmark(benchmark, result):
-    benchmark.pedantic(fig8.run, kwargs={"records": 25}, rounds=2, iterations=1)
-    assert result.bandwidth
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

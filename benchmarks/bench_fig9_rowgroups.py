@@ -2,23 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import fig9_rowgroups as fig9
 
 
 @pytest.fixture(scope="module")
 def result():
     res = fig9.run(records=8000)
-    emit_bench_json("fig9", res, {"records": 8000})
     print("\n" + fig9.format_table(res))
     return res
-
-
-def test_fig9_benchmark(benchmark, result):
-    benchmark.pedantic(fig9.run, kwargs={"records": 2000}, rounds=2, iterations=1)
-    assert result.times
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

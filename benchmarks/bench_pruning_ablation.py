@@ -2,25 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import pruning_ablation
 
 
 @pytest.fixture(scope="module")
 def result():
     res = pruning_ablation.run(records=6000)
-    emit_bench_json("pruning", res, {"records": 6000})
     print("\n" + pruning_ablation.format_table(res))
     return res
-
-
-def test_pruning_benchmark(benchmark, result):
-    benchmark.pedantic(
-        pruning_ablation.run, kwargs={"records": 1500}, rounds=2, iterations=1
-    )
-    assert result.bytes_read
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

@@ -10,29 +10,14 @@ agree within tight bands.
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
+from repro.bench import scale_stability
 
-from repro.bench import fig7_microbenchmark as fig7
-
-SMALL, LARGE = 4000, 16000
+SMALL, LARGE = "small", "large"
 
 
 @pytest.fixture(scope="module")
 def result():
-    res = {n: fig7.run(records=n) for n in (SMALL, LARGE)}
-    emit_bench_json(
-        "scale_stability",
-        {"small": res[SMALL], "large": res[LARGE]},
-        {"small": SMALL, "large": LARGE},
-    )
-    return res
-
-
-def test_scale_stability_benchmark(benchmark, result):
-    benchmark.pedantic(fig7.run, kwargs={"records": SMALL}, rounds=2,
-                       iterations=1)
-    assert result
-    run_shape_checks(TestPaperShape, result)
+    return scale_stability.run(small=4000, large=16000)
 
 
 def _ratio(res, a, b, proj_a="AllColumns", proj_b="AllColumns"):

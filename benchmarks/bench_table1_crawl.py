@@ -2,32 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import table1_crawl as table1
 
 
 @pytest.fixture(scope="module")
 def result():
     res = table1.run(records=500, content_bytes=24576)
-    emit_bench_json("table1", res, {"records": 500, "content_bytes": 24576})
     print("\n" + table1.format_table(res))
     return res
-
-
-def test_table1_benchmark(benchmark, result):
-    benchmark.pedantic(
-        table1.run,
-        kwargs={
-            "records": 150,
-            "content_bytes": 8192,
-            "layouts": ["SEQ-custom", "CIF", "CIF-DCSL"],
-        },
-        rounds=2,
-        iterations=1,
-    )
-    assert result.rows
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

@@ -2,25 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import emit_bench_json, run_shape_checks
-
 from repro.bench import table2_load_times as table2
 
 
 @pytest.fixture(scope="module")
 def result():
     res = table2.run(records=8000)
-    emit_bench_json("table2", res, {"records": 8000})
     print("\n" + table2.format_table(res))
     return res
-
-
-def test_table2_benchmark(benchmark, result):
-    benchmark.pedantic(
-        table2.run, kwargs={"records": 2000}, rounds=2, iterations=1
-    )
-    assert result.load_times
-    run_shape_checks(TestPaperShape, result)
 
 
 class TestPaperShape:

@@ -1,14 +1,12 @@
-"""Vectorized scan engine: wall-clock speedup on the Fig-10 query.
+"""Vectorized scan engine: charge identity on the Fig-10 query.
 
-Unlike the other bench modules this one measures *real* wall time —
-the vectorized batch layer exists to make the reproduction itself
-faster while charging bit-identical simulated cost (which the shape
-checks below, and the differential suite, both assert).
+The vectorized batch layer exists to make the reproduction itself
+faster while charging bit-identical simulated cost.  The speed is
+``wallbench``'s to measure (its layer suite times these four legs); the
+shape checks below, and the differential suite, assert the identity.
 """
 
 import pytest
-
-from benchmarks.conftest import emit_bench_json, run_shape_checks
 
 from repro.bench import vector_scan
 
@@ -16,34 +14,11 @@ from repro.bench import vector_scan
 @pytest.fixture(scope="module")
 def result():
     res = vector_scan.run(records=4000)
-    emit_bench_json(
-        "vector_scan",
-        res,
-        {"records": 4000, "selectivity": 0.05, "reps": 3},
-    )
     print("\n" + vector_scan.format_table(res))
     return res
 
 
-def test_vector_scan_benchmark(benchmark, result):
-    benchmark.pedantic(
-        vector_scan.run, kwargs={"records": 1000, "reps": 1},
-        rounds=2, iterations=1,
-    )
-    assert result.wall_ms
-    run_shape_checks(TestPaperShape, result)
-
-
 class TestPaperShape:
-    def test_headline_speedup_floor(self, result):
-        # The Fig-10 pairing: vectorized late-materializing CIF-SL vs
-        # the scalar eager CIF reference scan, >= 5x wall clock.
-        assert result.speedup >= vector_scan.SPEEDUP_FLOOR
-
-    def test_vectorized_wins_on_both_layouts(self, result):
-        assert result.speedup_eager >= vector_scan.SAME_LAYOUT_FLOOR
-        assert result.speedup_lazy >= vector_scan.SAME_LAYOUT_FLOOR
-
     def test_engines_charge_identical_simulated_cost(self, result):
         assert result.mismatches == []
         assert result.simulated["scalar_eager"] == pytest.approx(

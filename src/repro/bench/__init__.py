@@ -1,10 +1,13 @@
 """Experiment harness: one module per table/figure in the paper.
 
-Each module exposes ``run(...) -> <Result>`` returning structured rows
-and a ``format_table(result) -> str`` that prints the same rows/series
-the paper reports.  The ``benchmarks/`` directory wires these into
-pytest-benchmark and asserts the paper's *shape* (who wins, rough
-factors, crossovers); EXPERIMENTS.md records paper-vs-measured values.
+Each module is one scenario: ``run(...) -> <Result>`` returns structured
+rows, ``format_table(result) -> str`` prints the same rows/series the
+paper reports, and ``metrics(result)`` flattens them into the canonical
+``BENCH_*.json`` keys that ``repro bench`` gates (``regress``).  Every
+number is simulated cost, so nothing here reads a wall clock.  The
+``benchmarks/`` directory runs each module at display size and asserts
+the paper's *shape* (who wins, rough factors, crossovers);
+EXPERIMENTS.md records paper-vs-measured values.
 
 | Module                     | Paper content                               |
 |----------------------------|---------------------------------------------|

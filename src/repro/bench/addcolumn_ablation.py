@@ -13,10 +13,11 @@ orders of magnitude more for wide records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.bench import harness
-from repro.core import add_column, write_dataset
-from repro.formats.rcfile import add_column_rewrite, write_rcfile
+from repro.core import add_column
+from repro.formats.rcfile import add_column_rewrite
 from repro.serde.schema import Schema
 from repro.sim.metrics import Metrics
 from repro.workloads.micro import micro_records, micro_schema
@@ -41,18 +42,14 @@ def run(records: int = 10000) -> AddColumnResult:
     ranks = [float(i % 97) for i in range(records)]
 
     fs = harness.single_node_fs()
-    write_dataset(
-        fs, "/ac/cif", schema, data, split_bytes=harness.MICRO_SPLIT_BYTES
-    )
+    harness.write_micro(fs, "/ac/cif", schema, data)
     cif_metrics = Metrics()
     add_column(
         fs, "/ac/cif", "rank", Schema.double(), ranks, metrics=cif_metrics
     )
 
     fs2 = harness.single_node_fs()
-    write_rcfile(
-        fs2, "/ac/rc", schema, data, row_group_bytes=harness.MICRO_ROW_GROUP
-    )
+    harness.write_micro(fs2, "/ac/rc", schema, data, "rcfile")
     rc_metrics = Metrics()
     add_column_rewrite(
         fs2, "/ac/rc", "/ac/rc2", "rank", Schema.double(), ranks,
@@ -68,26 +65,25 @@ def run(records: int = 10000) -> AddColumnResult:
     )
 
 
+def metrics(result: AddColumnResult) -> Dict[str, float]:
+    return {
+        "bytes.cif": result.cif_bytes,
+        "bytes.rcfile": result.rcfile_bytes,
+        "time.cif": result.cif_time,
+        "time.rcfile": result.rcfile_time,
+        "ratio.rcfile_over_cif_bytes": result.io_ratio,
+    }
+
+
 def format_table(result: AddColumnResult) -> str:
-    rows = [
-        harness.Row(
-            "CIF add_column",
-            {
-                "I/O bytes": result.cif_bytes,
-                "Time (s)": round(result.cif_time, 4),
-            },
-        ),
-        harness.Row(
-            "RCFile rewrite",
-            {
-                "I/O bytes": result.rcfile_bytes,
-                "Time (s)": round(result.rcfile_time, 4),
-            },
-        ),
-    ]
     table = harness.format_table(
         f"Section 4.3 - adding a derived column ({result.records} records)",
         ["I/O bytes", "Time (s)"],
-        rows,
+        [
+            ("CIF add_column", [result.cif_bytes, round(result.cif_time, 4)]),
+            ("RCFile rewrite", [
+                result.rcfile_bytes, round(result.rcfile_time, 4),
+            ]),
+        ],
     )
     return table + f"\nRCFile does {result.io_ratio:.0f}x the I/O of CIF"

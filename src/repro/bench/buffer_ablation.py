@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.bench import harness
-from repro.core import ColumnInputFormat, write_dataset
-from repro.formats.rcfile import RCFileInputFormat, write_rcfile
-from repro.formats.sequence_file import SequenceFileInputFormat, write_sequence_file
+from repro.bench.regress import flatten, slug
+from repro.core import ColumnInputFormat
+from repro.formats.rcfile import RCFileInputFormat
+from repro.formats.sequence_file import SequenceFileInputFormat
 from repro.workloads.micro import micro_records, micro_schema
 
 #: The paper's 4 KB / 128 KB / 1 MB sweep, scaled like MICRO_IO_BUFFER.
@@ -35,8 +36,8 @@ BUFFER_SIZES = {
 class BufferAblationResult:
     records: int
     #: times[buffer_label][format] for the single-integer scan
-    single_int: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    all_columns: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    single_int: harness.Grid = field(default_factory=harness.Grid)
+    all_columns: harness.Grid = field(default_factory=harness.Grid)
     rcfile_bytes_single_int: Dict[str, int] = field(default_factory=dict)
 
 
@@ -46,13 +47,9 @@ def run(records: int = 8000) -> BufferAblationResult:
     data = list(micro_records(records))
     for label, buffer_size in BUFFER_SIZES.items():
         fs = harness.single_node_fs(io_buffer=buffer_size)
-        write_sequence_file(fs, "/ba/seq", schema, data)
-        write_dataset(
-            fs, "/ba/cif", schema, data, split_bytes=harness.MICRO_SPLIT_BYTES
-        )
-        write_rcfile(
-            fs, "/ba/rc", schema, data, row_group_bytes=harness.MICRO_ROW_GROUP
-        )
+        harness.write_micro(fs, "/ba/seq", schema, data, "seq")
+        harness.write_micro(fs, "/ba/cif", schema, data)
+        harness.write_micro(fs, "/ba/rc", schema, data, "rcfile")
         seq = harness.scan(fs, SequenceFileInputFormat("/ba/seq"))
         cif_int = harness.scan(
             fs, ColumnInputFormat("/ba/cif", columns=["int0"], lazy=False)
@@ -74,28 +71,29 @@ def run(records: int = 8000) -> BufferAblationResult:
     return result
 
 
+def metrics(result: BufferAblationResult) -> Dict[str, float]:
+    out = {
+        **flatten(result.single_int, "time.1int.{}.{}"),
+        **flatten(result.all_columns, "time.all.{}.{}"),
+    }
+    for label, nbytes in result.rcfile_bytes_single_int.items():
+        out[f"bytes.rcfile_1int.{slug(label)}"] = nbytes
+    return out
+
+
 def format_table(result: BufferAblationResult) -> str:
     headers = list(BUFFER_SIZES)
-    rows = []
-    for fmt in ("SEQ", "CIF", "RCFile"):
-        rows.append(
-            harness.Row(
-                f"{fmt} (1 int)",
-                {h: round(result.single_int[h][fmt], 4) for h in headers},
-            )
+    rows = (
+        result.single_int.transposed().rows(
+            headers, digits=4, label="{} (1 int)"
         )
-    for fmt in ("SEQ", "CIF", "RCFile"):
-        rows.append(
-            harness.Row(
-                f"{fmt} (all)",
-                {h: round(result.all_columns[h][fmt], 4) for h in headers},
-            )
+        + result.all_columns.transposed().rows(
+            headers, digits=4, label="{} (all)"
         )
-    rows.append(
-        harness.Row(
+        + [(
             "RCFile bytes (1 int)",
-            {h: result.rcfile_bytes_single_int[h] for h in headers},
-        )
+            [result.rcfile_bytes_single_int[h] for h in headers],
+        )]
     )
     return harness.format_table(
         f"Ablation - io.file.buffer.size sweep ({result.records} records, "

@@ -20,39 +20,19 @@ half of FIFO's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.cluster.report import ClusterReport, percentile
-from repro.cluster.traffic import TrafficProfile, run_traffic, sample_profile
+from repro.bench import harness
+from repro.bench.regress import slug
+from repro.cluster.traffic import TrafficProfile, run_traffic
 
 POLICIES = ("fair", "fifo")
 
 
 @dataclass
-class ClusterLoadResult:
+class ClusterLoadResult(harness.TrafficResult):
     """Both policies' reports over one seeded traffic trace."""
-
-    profile: TrafficProfile
-    reports: Dict[str, ClusterReport] = field(default_factory=dict)
-
-    @property
-    def interactive_tenants(self) -> List[str]:
-        preempting = {
-            q.name for q in self.profile.queues if q.preempts
-        }
-        return sorted(
-            t.name for t in self.profile.tenants if t.queue in preempting
-        )
-
-    def interactive_p95(self, policy: str) -> float:
-        """Pooled p95 latency of every interactive tenant's jobs."""
-        report = self.reports[policy]
-        pooled = [
-            o.latency for o in report.completed
-            if o.tenant in self.interactive_tenants
-        ]
-        return percentile(pooled, 95)
 
     @property
     def interactive_p95_ratio(self) -> float:
@@ -68,14 +48,31 @@ def run(
     profile: Optional[TrafficProfile] = None,
 ) -> ClusterLoadResult:
     """Run the sample 3-tenant load under both policies."""
-    if profile is None:
-        profile = sample_profile()
-        profile.duration = duration
-        profile.seed = seed
+    profile = harness.sample_traffic(duration, seed, profile)
     result = ClusterLoadResult(profile=profile)
     for policy in POLICIES:
         result.reports[policy] = run_traffic(profile, policy=policy)
     return result
+
+
+def metrics(result: ClusterLoadResult) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for policy, report in result.reports.items():
+        out[f"time.makespan.{policy}"] = report.makespan
+        out[f"fraction.slots_busy.{policy}"] = report.utilization
+        out[f"count.completed.{policy}"] = len(report.completed)
+        out[f"count.rejected.{policy}"] = len(report.rejected)
+        out[f"count.failed.{policy}"] = len(report.failed)
+        out[f"count.preemptions.{policy}"] = report.preemptions
+        for tenant, summary in report.tenant_summaries().items():
+            base = f"time.latency.{policy}.{slug(tenant)}"
+            out[f"{base}.p50"] = summary.p50
+            out[f"{base}.p95"] = summary.p95
+            out[f"{base}.p99"] = summary.p99
+    out["ratio.fifo_over_fair_interactive_p95"] = (
+        result.interactive_p95_ratio
+    )
+    return out
 
 
 def format_table(result: ClusterLoadResult) -> str:

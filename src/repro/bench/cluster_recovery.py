@@ -19,41 +19,19 @@ shape test below and ``repro bench check`` both gate on it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
-from repro.cluster.report import ClusterReport, percentile
-from repro.cluster.traffic import TrafficProfile, run_traffic, sample_profile
+from repro.bench import harness
+from repro.cluster.traffic import TrafficProfile, run_traffic
 from repro.faults import FaultEvent, FaultPlan
 
 VARIANTS = ("faultfree", "faulted")
 
 
 @dataclass
-class ClusterRecoveryResult:
+class ClusterRecoveryResult(harness.TrafficResult):
     """Fault-free vs faulted reports over one seeded traffic trace."""
-
-    profile: TrafficProfile
-    plan: FaultPlan
-    reports: Dict[str, ClusterReport] = field(default_factory=dict)
-
-    @property
-    def interactive_tenants(self) -> List[str]:
-        preempting = {
-            q.name for q in self.profile.queues if q.preempts
-        }
-        return sorted(
-            t.name for t in self.profile.tenants if t.queue in preempting
-        )
-
-    def interactive_p95(self, variant: str) -> float:
-        """Pooled p95 latency of every interactive tenant's jobs."""
-        report = self.reports[variant]
-        pooled = [
-            o.latency for o in report.completed
-            if o.tenant in self.interactive_tenants
-        ]
-        return percentile(pooled, 95)
 
     @property
     def makespan_overhead(self) -> float:
@@ -76,21 +54,39 @@ def run(
     profile: Optional[TrafficProfile] = None,
 ) -> ClusterRecoveryResult:
     """Run the sample load fault-free and with one mid-run node kill."""
-    if profile is None:
-        profile = sample_profile()
-        profile.duration = duration
-        profile.seed = seed
+    profile = harness.sample_traffic(duration, seed, profile)
     profile.speculation = replace(profile.speculation, enabled=True)
     plan = FaultPlan(
         [FaultEvent("kill_node", node=kill_node, at_time=kill_time)],
         seed=seed,
     )
-    result = ClusterRecoveryResult(profile=profile, plan=plan)
+    result = ClusterRecoveryResult(profile=profile)
     result.reports["faultfree"] = run_traffic(profile, policy="fair")
     result.reports["faulted"] = run_traffic(
         profile, policy="fair", faults=plan,
     )
     return result
+
+
+def metrics(result: ClusterRecoveryResult) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for variant, report in result.reports.items():
+        out[f"time.makespan.{variant}"] = report.makespan
+        out[f"time.interactive_p95.{variant}"] = (
+            result.interactive_p95(variant)
+        )
+        out[f"count.completed.{variant}"] = len(report.completed)
+        out[f"count.rejected.{variant}"] = len(report.rejected)
+        out[f"count.failed.{variant}"] = len(report.failed)
+        out[f"count.speculative_attempts.{variant}"] = (
+            report.speculative_attempts
+        )
+    faulted = result.reports["faulted"]
+    out["count.map_output_losses"] = faulted.map_output_losses
+    # Oriented so higher = cheaper recovery (1.0 == a free node kill);
+    # a drop means the fault-tolerance machinery got more expensive.
+    out["ratio.recovery_efficiency"] = 1.0 / result.makespan_overhead
+    return out
 
 
 def format_table(result: ClusterRecoveryResult) -> str:

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cluster.report import ClusterReport
-from repro.cluster.traffic import TrafficProfile, run_traffic, sample_profile
+from repro.bench import harness
+from repro.cluster.traffic import TrafficProfile, run_traffic
 from repro.obs import EventBus, MetricRegistry, NULL_TRACER, Observability
 from repro.obs.alerts import ClusterMonitor
 from repro.obs.slo import SloStatus
@@ -35,11 +35,9 @@ VARIANTS = ("bare", "monitored")
 
 
 @dataclass
-class ClusterSloResult:
+class ClusterSloResult(harness.TrafficResult):
     """Bare vs monitored runs of one seeded SLO-declaring trace."""
 
-    profile: TrafficProfile
-    reports: Dict[str, ClusterReport] = field(default_factory=dict)
     store: Optional[TimeSeriesStore] = None
     statuses: List[SloStatus] = field(default_factory=list)
     mismatches: List[str] = field(default_factory=list)
@@ -72,10 +70,7 @@ def run(
     profile: Optional[TrafficProfile] = None,
 ) -> ClusterSloResult:
     """Run the sample load bare and under the continuous monitor."""
-    if profile is None:
-        profile = sample_profile()
-        profile.duration = duration
-        profile.seed = seed
+    profile = harness.sample_traffic(duration, seed, profile)
     result = ClusterSloResult(profile=profile)
     result.reports["bare"] = run_traffic(profile, policy="fair")
 
@@ -92,6 +87,26 @@ def run(
         monitor.store, result.reports["monitored"]
     )
     return result
+
+
+def metrics(result: ClusterSloResult) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for variant, report in result.reports.items():
+        out[f"time.makespan.{variant}"] = report.makespan
+        out[f"count.completed.{variant}"] = len(report.completed)
+    # The monitor is a pure observer: bare/monitored makespan must be
+    # exactly 1.0, and the folded store must reconcile exactly against
+    # the monitored report (mismatches gate at 0).
+    out["ratio.monitoring_efficiency"] = result.monitoring_efficiency
+    out["count.reconcile_mismatches"] = len(result.mismatches)
+    out["count.series"] = (
+        len(result.store) if result.store is not None else 0
+    )
+    out["count.alert_transitions"] = result.alert_transitions
+    out["count.alerts_firing"] = result.firing_transitions
+    for status in result.statuses:
+        out[f"fraction.compliance.{status.slo.tenant}"] = status.compliance
+    return out
 
 
 def format_table(result: ClusterSloResult) -> str:

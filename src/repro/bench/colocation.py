@@ -11,6 +11,7 @@ Paper shape target: map time with CPP ~5.1x better than without.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.bench import harness
 from repro.core import ColumnInputFormat, write_dataset
@@ -60,26 +61,29 @@ def run(records: int = 800, content_bytes: int = 32768) -> ColocationResult:
     )
 
 
+def metrics(result: ColocationResult) -> Dict[str, float]:
+    return {
+        "time.map.cpp": result.map_time_cpp,
+        "time.map.default": result.map_time_default,
+        "fraction.local.cpp": result.local_fraction_cpp,
+        "fraction.local.default": result.local_fraction_default,
+        "ratio.colocation_speedup": result.speedup,
+    }
+
+
 def format_table(result: ColocationResult) -> str:
-    rows = [
-        harness.Row(
-            "CIF with CPP",
-            {
-                "Map time (ms)": round(result.map_time_cpp * 1e3, 3),
-                "Data-local tasks": f"{result.local_fraction_cpp:.0%}",
-            },
-        ),
-        harness.Row(
-            "CIF default placement",
-            {
-                "Map time (ms)": round(result.map_time_default * 1e3, 3),
-                "Data-local tasks": f"{result.local_fraction_default:.0%}",
-            },
-        ),
-    ]
     table = harness.format_table(
         "Section 6.4 - impact of co-location",
         ["Map time (ms)", "Data-local tasks"],
-        rows,
+        [
+            ("CIF with CPP", [
+                round(result.map_time_cpp * 1e3, 3),
+                f"{result.local_fraction_cpp:.0%}",
+            ]),
+            ("CIF default placement", [
+                round(result.map_time_default * 1e3, 3),
+                f"{result.local_fraction_default:.0%}",
+            ]),
+        ],
     )
     return table + f"\nCPP speedup: {result.speedup:.1f}x (paper: 5.1x)"

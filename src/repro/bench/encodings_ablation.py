@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.bench import harness
-from repro.core import ColumnInputFormat, ColumnSpec, write_dataset
+from repro.bench.regress import slug
+from repro.core import ColumnInputFormat, ColumnSpec
 from repro.core.cof import split_dirs_of
 from repro.serde.record import Record
 from repro.serde.schema import Schema
@@ -97,6 +98,17 @@ def _column_bytes(fs, dataset: str, column: str) -> int:
     )
 
 
+def _touch_every_20th(column: str):
+    """The selective lazy scan's map function: read ``column`` for ~5%
+    of each split's records."""
+
+    def visit(i: int, record) -> None:
+        if i % 20 == 0:
+            record.get(column)
+
+    return visit
+
+
 def run(records: int = 8000) -> EncodingsResult:
     data = event_records(records)
     schema = event_schema()
@@ -104,21 +116,14 @@ def run(records: int = 8000) -> EncodingsResult:
     for column, specs in SWEEPS.items():
         for spec in specs:
             fs = harness.single_node_fs()
-            write_dataset(
-                fs, "/enc", schema, data,
-                specs={column: spec},
-                split_bytes=harness.MICRO_SPLIT_BYTES,
-            )
+            harness.write_micro(fs, "/enc", schema, data, specs={column: spec})
             full = harness.scan(
                 fs, ColumnInputFormat("/enc", columns=[column], lazy=False)
             )
-            # Selective lazy scan: touch the column for ~5% of records.
-            fmt = ColumnInputFormat("/enc", columns=["ts", column], lazy=True)
-            ctx = harness.make_context(fs)
-            for split in fmt.get_splits(fs, fs.cluster):
-                for i, (_, record) in enumerate(fmt.open_reader(fs, split, ctx)):
-                    if i % 20 == 0:
-                        record.get(column)
+            selective = harness.scan(
+                fs, ColumnInputFormat("/enc", columns=["ts", column], lazy=True),
+                visit=_touch_every_20th(column),
+            )
             label = spec.format + (
                 f"-{spec.codec}" if spec.format == "cblock" else ""
             )
@@ -127,26 +132,31 @@ def run(records: int = 8000) -> EncodingsResult:
                 layout=label,
                 file_bytes=_column_bytes(fs, "/enc", column),
                 full_scan=full.task_time,
-                selective_scan=ctx.metrics.task_time,
+                selective_scan=selective.task_time,
             ))
     return result
 
 
+def metrics(result: EncodingsResult) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for row in result.rows:
+        key = f"{slug(row.column)}.{slug(row.layout)}"
+        out[f"bytes.{key}"] = row.file_bytes
+        out[f"time.full.{key}"] = row.full_scan
+        out[f"time.selective.{key}"] = row.selective_scan
+    return out
+
+
 def format_table(result: EncodingsResult) -> str:
-    headers = ["File bytes", "Full scan (ms)", "5% lazy scan (ms)"]
-    rows = [
-        harness.Row(
-            f"{r.column} / {r.layout}",
-            {
-                "File bytes": r.file_bytes,
-                "Full scan (ms)": round(r.full_scan * 1e3, 3),
-                "5% lazy scan (ms)": round(r.selective_scan * 1e3, 3),
-            },
-        )
-        for r in result.rows
-    ]
     return harness.format_table(
         f"Ablation - per-column encodings ({result.records} records)",
-        headers,
-        rows,
+        ["File bytes", "Full scan (ms)", "5% lazy scan (ms)"],
+        [
+            (f"{r.column} / {r.layout}", [
+                r.file_bytes,
+                round(r.full_scan * 1e3, 3),
+                round(r.selective_scan * 1e3, 3),
+            ])
+            for r in result.rows
+        ],
     )

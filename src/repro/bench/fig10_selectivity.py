@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.bench import harness
-from repro.core import ColumnInputFormat, ColumnSpec, write_dataset
+from repro.bench.regress import flatten, fraction_slug
+from repro.core import ColumnInputFormat
 from repro.serde.record import Record
 from repro.workloads.micro import micro_records, micro_schema
 
@@ -131,7 +132,7 @@ def aggregate_metrics(
 class Fig10Result:
     records: int
     #: times[layout][selectivity] -> simulated seconds
-    times: Dict[str, Dict[float, float]] = field(default_factory=dict)
+    times: harness.Grid = field(default_factory=harness.Grid)
     #: sums agree between layouts (correctness cross-check)
     sums: Dict[float, int] = field(default_factory=dict)
 
@@ -142,41 +143,37 @@ def run(records: int = 10000) -> Fig10Result:
         fs = harness.single_node_fs()
         data = _dataset(records, selectivity)
         schema = micro_schema()
-        write_dataset(
-            fs, "/f10/cif", schema, data,
-            split_bytes=harness.MICRO_SPLIT_BYTES,
-        )
-        write_dataset(
-            fs, "/f10/sl", schema, data,
-            default_spec=ColumnSpec("skiplist"),
-            split_bytes=harness.MICRO_SPLIT_BYTES,
-        )
+        harness.write_micro(fs, "/f10/cif", schema, data)
+        harness.write_micro(fs, "/f10/sl", schema, data, "cif-sl")
         t_cif, sum_cif, _ = _aggregate(fs, "/f10/cif", lazy=False)
         t_sl, sum_sl, _ = _aggregate(fs, "/f10/sl", lazy=True)
         if sum_cif != sum_sl:
             raise AssertionError(
                 f"CIF and CIF-SL disagree at selectivity {selectivity}"
             )
-        result.times.setdefault("CIF", {})[selectivity] = t_cif
-        result.times.setdefault("CIF-SL", {})[selectivity] = t_sl
+        result.times.note("CIF", selectivity, t_cif)
+        result.times.note("CIF-SL", selectivity, t_sl)
         result.sums[selectivity] = sum_cif
     return result
 
 
+def metrics(result: Fig10Result) -> Dict[str, float]:
+    out = flatten(result.times, "time.{}.{}", fraction_slug)
+    for selectivity, answer in result.sums.items():
+        out[f"count.answer.{fraction_slug(selectivity)}"] = answer
+    out["ratio.cif_over_sl_low_selectivity"] = (
+        result.times["CIF"][0.05] / result.times["CIF-SL"][0.05]
+    )
+    return out
+
+
 def format_table(result: Fig10Result) -> str:
     headers = [f"{s:.0%}" for s in SELECTIVITIES]
-    rows = [
-        harness.Row(
-            layout,
-            {h: round(times[s], 4) for h, s in zip(headers, SELECTIVITIES)},
-        )
-        for layout, times in result.times.items()
-    ]
     return harness.format_table(
         f"Figure 10 - aggregation time vs selectivity "
         f"(simulated seconds, {result.records} records)",
         headers,
-        rows,
+        result.times.rows(SELECTIVITIES, digits=4),
     )
 
 

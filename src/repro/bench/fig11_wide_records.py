@@ -19,12 +19,13 @@ Paper shape targets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.bench import harness
-from repro.core import ColumnInputFormat, write_dataset
-from repro.formats.rcfile import RCFileInputFormat, write_rcfile
-from repro.formats.sequence_file import SequenceFileInputFormat, write_sequence_file
+from repro.bench.regress import flatten
+from repro.core import ColumnInputFormat
+from repro.formats.rcfile import RCFileInputFormat
+from repro.formats.sequence_file import SequenceFileInputFormat
 from repro.sim.metrics import Metrics
 from repro.workloads.wide import column_names, wide_records, wide_schema
 
@@ -40,7 +41,7 @@ def _bandwidth(metrics: Metrics) -> float:
 class Fig11Result:
     total_bytes: int
     #: bandwidth[series][width] -> MB/s
-    bandwidth: Dict[str, Dict[int, float]] = field(default_factory=dict)
+    bandwidth: harness.Grid = field(default_factory=harness.Grid)
 
 
 def run(total_bytes: int = 6 * 1024 * 1024) -> Fig11Result:
@@ -51,13 +52,10 @@ def run(total_bytes: int = 6 * 1024 * 1024) -> Fig11Result:
         fs = harness.single_node_fs()
         schema = wide_schema(width)
         data = list(wide_records(width, n))
-        write_sequence_file(fs, "/f11/seq", schema, data)
-        write_dataset(
-            fs, "/f11/cif", schema, data,
-            split_bytes=harness.MICRO_SPLIT_BYTES,
-        )
-        write_rcfile(
-            fs, "/f11/rc", schema, data,
+        harness.write_micro(fs, "/f11/seq", schema, data, "seq")
+        harness.write_micro(fs, "/f11/cif", schema, data)
+        harness.write_micro(
+            fs, "/f11/rc", schema, data, "rcfile",
             row_group_bytes=harness.MICRO_ROW_GROUP * 4,  # the 16 MB setting
         )
         names = column_names(width)
@@ -66,38 +64,36 @@ def run(total_bytes: int = 6 * 1024 * 1024) -> Fig11Result:
             "_10%": names[: max(1, width // 10)],
             "_all": None,
         }
-        seq_metrics = harness.scan(fs, SequenceFileInputFormat("/f11/seq"))
-        result.bandwidth.setdefault("SEQ", {})[width] = _bandwidth(seq_metrics)
+        scans = {"SEQ": SequenceFileInputFormat("/f11/seq")}
         for suffix, columns in projections.items():
-            cif = harness.scan(
-                fs, ColumnInputFormat("/f11/cif", columns=columns, lazy=False)
+            scans[f"CIF{suffix}"] = ColumnInputFormat(
+                "/f11/cif", columns=columns, lazy=False
             )
-            rc = harness.scan(
-                fs, RCFileInputFormat("/f11/rc", columns=columns)
+            scans[f"RCFile{suffix}"] = RCFileInputFormat(
+                "/f11/rc", columns=columns
             )
-            result.bandwidth.setdefault(f"CIF{suffix}", {})[width] = (
-                _bandwidth(cif)
-            )
-            result.bandwidth.setdefault(f"RCFile{suffix}", {})[width] = (
-                _bandwidth(rc)
+        for series, input_format in scans.items():
+            result.bandwidth.note(
+                series, width, _bandwidth(harness.scan(fs, input_format))
             )
     return result
 
 
+def metrics(result: Fig11Result) -> Dict[str, float]:
+    return {
+        **flatten(result.bandwidth, "bandwidth.{}.w{}", str),
+        "ratio.cif1_over_seq_w80": (
+            result.bandwidth["CIF_1"][80] / result.bandwidth["SEQ"][80]
+        ),
+    }
+
+
 def format_table(result: Fig11Result) -> str:
     headers = [f"{w} cols" for w in WIDTHS]
-    rows: List[harness.Row] = []
-    for series, by_width in result.bandwidth.items():
-        rows.append(
-            harness.Row(
-                series,
-                {h: round(by_width[w], 2) for h, w in zip(headers, WIDTHS)},
-            )
-        )
     return harness.format_table(
         "Figure 11 - read bandwidth (MB/s) vs number of columns",
         headers,
-        rows,
+        result.bandwidth.rows(WIDTHS, digits=2),
     )
 
 

@@ -16,14 +16,14 @@ Paper shape targets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.bench import harness
-from repro.core import ColumnInputFormat, write_dataset
-from repro.formats.rcfile import RCFileInputFormat, write_rcfile
-from repro.formats.sequence_file import SequenceFileInputFormat, write_sequence_file
-from repro.formats.text import TextInputFormat, write_text
-from repro.sim.metrics import Metrics
+from repro.bench.regress import flatten
+from repro.core import ColumnInputFormat
+from repro.formats.rcfile import RCFileInputFormat
+from repro.formats.sequence_file import SequenceFileInputFormat
+from repro.formats.text import TextInputFormat
 from repro.workloads.micro import micro_records, micro_schema
 
 PROJECTIONS = {
@@ -39,98 +39,89 @@ PROJECTIONS = {
 class Fig7Result:
     records: int
     #: seconds per (format, projection); TXT/SEQ have only "AllColumns"
-    times: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    bytes_read: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    times: harness.Grid = field(default_factory=harness.Grid)
+    bytes_read: harness.Grid = field(default_factory=harness.Grid)
 
     def time(self, fmt: str, projection: str = "AllColumns") -> float:
         return self.times[fmt][projection]
 
-
-def _prepare(fs, records):
-    schema = micro_schema()
-    write_text(fs, "/fig7/txt", schema, records)
-    write_sequence_file(fs, "/fig7/seq", schema, records)
-    write_dataset(
-        fs, "/fig7/cif", schema, records, split_bytes=harness.MICRO_SPLIT_BYTES
-    )
-    write_rcfile(
-        fs, "/fig7/rc", schema, records,
-        row_group_bytes=harness.MICRO_ROW_GROUP,
-    )
-    write_rcfile(
-        fs, "/fig7/rcz", schema, records,
-        row_group_bytes=harness.MICRO_ROW_GROUP, codec="zlib",
-    )
+    def by_projection(self) -> harness.Grid:
+        """``times`` with TXT's and SEQ's one scan (they read everything
+        regardless of the projection) standing under every projection."""
+        return harness.Grid(
+            (fmt, {p: times.get(p, times["AllColumns"]) for p in PROJECTIONS})
+            for fmt, times in self.times.items()
+        )
 
 
 def run(records: int = 20000) -> Fig7Result:
     fs = harness.single_node_fs()
     data = list(micro_records(records))
-    _prepare(fs, data)
+    schema = micro_schema()
+    harness.write_micro(fs, "/fig7/txt", schema, data, "txt")
+    harness.write_micro(fs, "/fig7/seq", schema, data, "seq")
+    harness.write_micro(fs, "/fig7/cif", schema, data)
+    harness.write_micro(fs, "/fig7/rc", schema, data, "rcfile")
+    harness.write_micro(fs, "/fig7/rcz", schema, data, "rcfile", codec="zlib")
     result = Fig7Result(records=records)
 
-    def note(fmt: str, projection: str, metrics: Metrics) -> None:
-        result.times.setdefault(fmt, {})[projection] = metrics.task_time
-        result.bytes_read.setdefault(fmt, {})[projection] = (
-            metrics.total_bytes_read
-        )
+    def note(fmt: str, projection: str, input_format) -> None:
+        metrics = harness.scan(fs, input_format)
+        result.times.note(fmt, projection, metrics.task_time)
+        result.bytes_read.note(fmt, projection, metrics.total_bytes_read)
 
-    # TXT and SEQ scan everything regardless of the projection.
-    note("TXT", "AllColumns", harness.scan(fs, TextInputFormat("/fig7/txt")))
-    note(
-        "SEQ",
-        "AllColumns",
-        harness.scan(fs, SequenceFileInputFormat("/fig7/seq")),
-    )
+    note("TXT", "AllColumns", TextInputFormat("/fig7/txt"))
+    note("SEQ", "AllColumns", SequenceFileInputFormat("/fig7/seq"))
     for name, columns in PROJECTIONS.items():
         note(
-            "CIF",
-            name,
-            harness.scan(
-                fs, ColumnInputFormat("/fig7/cif", columns=columns, lazy=False)
-            ),
+            "CIF", name,
+            ColumnInputFormat("/fig7/cif", columns=columns, lazy=False),
         )
+        note("RCFile", name, RCFileInputFormat("/fig7/rc", columns=columns))
         note(
-            "RCFile",
-            name,
-            harness.scan(fs, RCFileInputFormat("/fig7/rc", columns=columns)),
-        )
-        note(
-            "RCFile-comp",
-            name,
-            harness.scan(fs, RCFileInputFormat("/fig7/rcz", columns=columns)),
+            "RCFile-comp", name,
+            RCFileInputFormat("/fig7/rcz", columns=columns),
         )
     return result
 
 
+def headline_ratios(result: Fig7Result) -> Dict[str, float]:
+    """The three Figure 7 ratios the paper quotes (higher = its claim)."""
+    return {
+        "ratio.txt_over_seq": result.time("TXT") / result.time("SEQ"),
+        "ratio.seq_over_cif_1int": (
+            result.time("SEQ") / result.time("CIF", "1 Integer")
+        ),
+        "ratio.rcfile_over_cif_1int_bytes": (
+            result.bytes_read["RCFile"]["1 Integer"]
+            / result.bytes_read["CIF"]["1 Integer"]
+        ),
+    }
+
+
+def metrics(result: Fig7Result) -> Dict[str, float]:
+    return {
+        **flatten(result.times, "time.{}.{}"),
+        **flatten(result.bytes_read, "bytes.{}.{}"),
+        **headline_ratios(result),
+    }
+
+
 def format_table(result: Fig7Result) -> str:
     headers = list(PROJECTIONS)
-    rows: List[harness.Row] = []
-    for fmt, times in result.times.items():
-        rows.append(
-            harness.Row(
-                fmt,
-                {h: round(times.get(h, times.get("AllColumns")), 4) for h in headers},
-            )
-        )
     return harness.format_table(
         f"Figure 7 - scan times (simulated seconds, {result.records} records)",
         headers,
-        rows,
+        result.by_projection().rows(headers, digits=4),
     )
 
 
 def format_chart(result: Fig7Result) -> str:
     from repro.bench.ascii_plot import grouped_bar_chart
 
-    groups = {}
-    for projection in PROJECTIONS:
-        groups[projection] = {
-            fmt: times.get(projection, times["AllColumns"])
-            for fmt, times in result.times.items()
-        }
+    filled = result.by_projection()
     return grouped_bar_chart(
-        groups,
+        {p: {fmt: filled[fmt][p] for fmt in filled} for p in PROJECTIONS},
         title="Figure 7 - scan time by projection (shorter is better)",
         unit=" s",
     )

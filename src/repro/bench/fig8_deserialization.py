@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.bench import harness
+from repro.bench.regress import flatten, fraction_slug, slug
 from repro.serde.binary import BinaryDecoder, BinaryEncoder
 from repro.serde.schema import Schema
 from repro.sim.calibration import MANAGED_PROFILE, NATIVE_PROFILE
@@ -76,9 +77,7 @@ def _build_record(rng: random.Random, typed: str, fraction: float):
 @dataclass
 class Fig8Result:
     #: bandwidth[profile][type][fraction] -> MB/s
-    bandwidth: Dict[str, Dict[str, Dict[float, float]]] = field(
-        default_factory=dict
-    )
+    bandwidth: Dict[str, harness.Grid] = field(default_factory=dict)
 
     def series(self, profile: str, typed: str) -> Dict[float, float]:
         return self.bandwidth[profile][typed]
@@ -88,7 +87,7 @@ def run(records: int = 200, seed: int = 8) -> Fig8Result:
     result = Fig8Result()
     for profile_name, profile in PROFILES.items():
         cost = CpuCostModel(profile)
-        by_type: Dict[str, Dict[float, float]] = {}
+        by_type = harness.Grid()
         for typed in TYPES:
             series: Dict[float, float] = {}
             for fraction in FRACTIONS:
@@ -111,20 +110,26 @@ def run(records: int = 200, seed: int = 8) -> Fig8Result:
     return result
 
 
+def metrics(result: Fig8Result) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for profile, by_type in result.bandwidth.items():
+        out.update(flatten(
+            by_type, f"bandwidth.{slug(profile)}.{{}}.{{}}", fraction_slug
+        ))
+    out["ratio.native_over_managed_integers"] = (
+        result.bandwidth["native"]["integers"][1.0]
+        / result.bandwidth["managed"]["integers"][1.0]
+    )
+    return out
+
+
 def format_table(result: Fig8Result) -> str:
     headers = [f"f={f:.0%}" for f in FRACTIONS]
     rows = []
     for profile_name, by_type in result.bandwidth.items():
-        for typed, series in by_type.items():
-            rows.append(
-                harness.Row(
-                    f"{profile_name} {typed}",
-                    {
-                        h: round(series[f], 1)
-                        for h, f in zip(headers, FRACTIONS)
-                    },
-                )
-            )
+        rows += by_type.rows(
+            FRACTIONS, digits=1, label=f"{profile_name} {{}}"
+        )
     return harness.format_table(
         "Figure 8 - read bandwidth (MB/s) vs fraction of typed data",
         headers,

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.bench import harness
-from repro.core import ColumnInputFormat, write_dataset
-from repro.formats.rcfile import RCFileInputFormat, write_rcfile
+from repro.bench.fig7_microbenchmark import PROJECTIONS
+from repro.bench.regress import flatten
+from repro.core import ColumnInputFormat
+from repro.formats.rcfile import RCFileInputFormat
 from repro.workloads.micro import micro_records, micro_schema
 
 #: The paper's 1/4/16 MB row groups, scaled with the readahead window.
@@ -29,70 +31,64 @@ ROW_GROUPS = {
     "16M RCFile": harness.MICRO_ROW_GROUP * 4,
 }
 
-PROJECTIONS = {
-    "AllColumns": None,
-    "1 Integer": ["int0"],
-    "1 String": ["str0"],
-    "1 Map": ["attrs"],
-    "1 String+1 Map": ["str0", "attrs"],
-}
-
 
 @dataclass
 class Fig9Result:
     records: int
-    times: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    bytes_read: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    times: harness.Grid = field(default_factory=harness.Grid)
+    bytes_read: harness.Grid = field(default_factory=harness.Grid)
 
 
 def run(records: int = 20000) -> Fig9Result:
     fs = harness.single_node_fs()
     schema = micro_schema()
     data = list(micro_records(records))
-    write_dataset(
-        fs, "/fig9/cif", schema, data, split_bytes=harness.MICRO_SPLIT_BYTES
-    )
+    harness.write_micro(fs, "/fig9/cif", schema, data)
     for label, row_group in ROW_GROUPS.items():
-        write_rcfile(
-            fs, f"/fig9/{label}", schema, data, row_group_bytes=row_group
+        harness.write_micro(
+            fs, f"/fig9/{label}", schema, data, "rcfile",
+            row_group_bytes=row_group,
         )
 
     result = Fig9Result(records=records)
+
+    def note(series: str, projection: str, input_format) -> None:
+        metrics = harness.scan(fs, input_format)
+        result.times.note(series, projection, metrics.task_time)
+        result.bytes_read.note(series, projection, metrics.total_bytes_read)
+
     for proj_name, columns in PROJECTIONS.items():
-        metrics = harness.scan(
-            fs, ColumnInputFormat("/fig9/cif", columns=columns, lazy=False)
-        )
-        result.times.setdefault("CIF", {})[proj_name] = metrics.task_time
-        result.bytes_read.setdefault("CIF", {})[proj_name] = (
-            metrics.total_bytes_read
+        note(
+            "CIF", proj_name,
+            ColumnInputFormat("/fig9/cif", columns=columns, lazy=False),
         )
         for label in ROW_GROUPS:
-            metrics = harness.scan(
-                fs, RCFileInputFormat(f"/fig9/{label}", columns=columns)
-            )
-            result.times.setdefault(label, {})[proj_name] = metrics.task_time
-            result.bytes_read.setdefault(label, {})[proj_name] = (
-                metrics.total_bytes_read
+            note(
+                label, proj_name,
+                RCFileInputFormat(f"/fig9/{label}", columns=columns),
             )
     return result
 
 
+def metrics(result: Fig9Result) -> Dict[str, float]:
+    return {
+        **flatten(result.times, "time.{}.{}"),
+        **flatten(result.bytes_read, "bytes.{}.{}"),
+        "ratio.rc4m_over_cif_1int": (
+            result.times["4M RCFile"]["1 Integer"]
+            / result.times["CIF"]["1 Integer"]
+        ),
+    }
+
+
 def format_table(result: Fig9Result) -> str:
     headers = list(PROJECTIONS)
-    rows = [
-        harness.Row(fmt, {h: round(times[h], 4) for h in headers})
-        for fmt, times in result.times.items()
-    ]
     table = harness.format_table(
         f"Figure 9 - RCFile row-group tuning vs CIF "
         f"(simulated seconds, {result.records} records)",
         headers,
-        rows,
+        result.times.rows(headers, digits=4),
     )
-    byte_rows = [
-        harness.Row(fmt, {h: reads[h] for h in headers})
-        for fmt, reads in result.bytes_read.items()
-    ]
     return table + "\n\n" + harness.format_table(
-        "Bytes read per scan", headers, byte_rows
+        "Bytes read per scan", headers, result.bytes_read.rows(headers)
     )

@@ -1,4 +1,5 @@
-"""Shared experiment plumbing: scaled clusters, scans, table rendering.
+"""Shared experiment plumbing: scaled clusters, micro datasets, scans,
+result grids and table rendering.
 
 The paper's experiments ran at terabyte scale; ours run megabytes.  To
 keep the *shape* of the results scale-invariant, experiments shrink the
@@ -9,8 +10,10 @@ than the readahead window" relationship in the paper still holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce.types import InputFormat, TaskContext
@@ -19,6 +22,10 @@ from repro.sim import calibration
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
 from repro.sim.models import DiskModel, NetworkModel
+
+if TYPE_CHECKING:  # repro.cluster builds on this module
+    from repro.cluster.report import ClusterReport
+    from repro.cluster.traffic import TrafficProfile
 
 #: The experiments shrink the paper's datasets ~100x-1000x; the storage
 #: granularities shrink by GRANULARITY_SCALE so every "smaller/larger
@@ -89,6 +96,37 @@ def cluster_fs(
     )
 
 
+def write_micro(
+    fs: FileSystem, path: str, schema, records, layout: str = "cif", **options
+):
+    """Write ``records`` at ``path`` in one storage layout at the scaled
+    ``MICRO_*`` granularity.
+
+    ``layout`` is ``cif`` (split-directories of ``MICRO_SPLIT_BYTES``),
+    ``cif-sl`` (the same with skip-list column files), ``rcfile`` (row
+    groups of ``MICRO_ROW_GROUP``), ``seq`` or ``txt``.  ``options`` go
+    to the layout's writer and override the scaled defaults.  Writers
+    are imported on use, so a scenario loads only the formats it reads.
+    """
+    if layout in ("cif", "cif-sl"):
+        from repro.core import ColumnSpec, write_dataset as write
+
+        options.setdefault("split_bytes", MICRO_SPLIT_BYTES)
+        if layout == "cif-sl":
+            options.setdefault("default_spec", ColumnSpec("skiplist"))
+    elif layout == "rcfile":
+        from repro.formats.rcfile import write_rcfile as write
+
+        options.setdefault("row_group_bytes", MICRO_ROW_GROUP)
+    elif layout == "seq":
+        from repro.formats.sequence_file import write_sequence_file as write
+    elif layout == "txt":
+        from repro.formats.text import write_text as write
+    else:
+        raise ValueError(f"unknown layout {layout!r}")
+    return write(fs, path, schema, records, **options)
+
+
 def make_context(
     fs: FileSystem, node: Optional[int] = 0, cost: Optional[CpuCostModel] = None
 ) -> TaskContext:
@@ -102,13 +140,14 @@ def make_context(
 def scan(
     fs: FileSystem,
     input_format: InputFormat,
-    touch_columns: Optional[Sequence[str]] = None,
+    visit: Optional[Callable[[int, object], None]] = None,
     node: Optional[int] = 0,
 ) -> Metrics:
     """Scan every split of ``input_format`` on one node; return metrics.
 
-    ``touch_columns`` calls ``record.get`` on those columns (what a map
-    function would do); None touches nothing beyond materialization.
+    ``visit(i, record)`` is what a map function would do with the
+    ``i``-th record of its split (touch columns, count, collect); None
+    touches nothing beyond materialization.
 
     Under an active flight recorder the scan is traced (one span per
     scan, one per split) and its metrics snapshot is recorded, so every
@@ -120,12 +159,8 @@ def scan(
     dataset = getattr(
         input_format, "dataset", getattr(input_format, "path", "")
     )
-    label = f"scan:{fmt}:{dataset}" + (
-        f":{'+'.join(touch_columns)}" if touch_columns else ""
-    )
     with obs.tracer.span(
         "scan", kind="scan", format=fmt, dataset=dataset,
-        columns=list(touch_columns) if touch_columns else None,
         metrics=ctx.metrics,
     ):
         for split in input_format.get_splits(fs, fs.cluster):
@@ -135,48 +170,106 @@ def scan(
                     "split_scan", kind="split", split=split.label,
                     metrics=ctx.metrics,
                 ):
-                    for _, record in reader:
-                        if touch_columns:
-                            for column in touch_columns:
-                                record.get(column)
+                    for i, (_, record) in enumerate(reader):
+                        if visit is not None:
+                            visit(i, record)
             finally:
                 reader.close()
-    obs.record_metrics(label, ctx.metrics)
+    obs.record_metrics(f"scan:{fmt}:{dataset}", ctx.metrics)
     return ctx.metrics
 
 
-@dataclass
-class Row:
-    """One printable result row: a label plus named values."""
-
-    label: str
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-
-def format_table(title: str, headers: List[str], rows: List[Row]) -> str:
-    """Render rows as a fixed-width table like the paper's."""
+def format_table(title: str, headers: List[str], rows) -> str:
+    """Render ``(label, cells)`` rows, each row's cells in header order,
+    as a fixed-width table like the paper's."""
     widths = [max(len(h), 14) for h in headers]
-    label_width = max([len(r.label) for r in rows] + [12])
+    label_width = max([len(label) for label, _ in rows] + [12])
     lines = [title, "=" * len(title)]
     lines.append(
         " ".join(["Layout".ljust(label_width)] + [
             h.rjust(w) for h, w in zip(headers, widths)
         ])
     )
-    for row in rows:
-        cells = []
-        for header, width in zip(headers, widths):
-            value = row.values.get(header, "")
-            if isinstance(value, float):
-                value = f"{value:,.2f}"
-            cells.append(str(value).rjust(width))
-        lines.append(" ".join([row.label.ljust(label_width)] + cells))
+    for label, cells in rows:
+        cells = [
+            (f"{v:,.2f}" if isinstance(v, float) else str(v)).rjust(width)
+            for v, width in zip(cells, widths)
+        ]
+        lines.append(" ".join([label.ljust(label_width)] + cells))
     return "\n".join(lines)
 
 
-def ratio(base: float, other: float) -> float:
-    """Speedup of ``other`` relative to ``base`` (base / other)."""
-    return base / other if other else float("inf")
+class Grid(Dict[object, Dict[object, float]]):
+    """``grid[series][x] -> value``: one quantity measured over a scan
+    grid (format x projection, layout x selectivity, ...).
+
+    Scenarios fill it with :meth:`note`, render it with :meth:`rows`
+    and flatten it into canonical metric keys with
+    :func:`repro.bench.regress.flatten`.
+    """
+
+    def note(self, series, x, value) -> None:
+        self.setdefault(series, {})[x] = value
+
+    def transposed(self) -> Grid:
+        """``grid[x][series]``: the same cells with the axes swapped."""
+        out = Grid()
+        for series, by_x in self.items():
+            for x, value in by_x.items():
+                out.note(x, series, value)
+        return out
+
+    def rows(
+        self, xs: Sequence, digits: Optional[int] = None, label: str = "{}"
+    ) -> List[Tuple[str, list]]:
+        """One :func:`format_table` row per series, labelled
+        ``label.format(series)``: its values at ``xs``, rounded to
+        ``digits`` when given."""
+        return [
+            (label.format(series), [
+                by_x[x] if digits is None else round(by_x[x], digits)
+                for x in xs
+            ])
+            for series, by_x in self.items()
+        ]
+
+
+@dataclass
+class TrafficResult:
+    """One seeded traffic trace run under several variants (policies,
+    fault plans, observers): ``reports[variant]``."""
+
+    profile: TrafficProfile
+    reports: Dict[str, ClusterReport] = field(default_factory=dict)
+
+    @property
+    def interactive_tenants(self) -> List[str]:
+        preempting = {
+            q.name for q in self.profile.queues if q.preempts
+        }
+        return sorted(
+            t.name for t in self.profile.tenants if t.queue in preempting
+        )
+
+    def interactive_p95(self, variant: str) -> float:
+        """Pooled p95 latency of every interactive tenant's jobs."""
+        from repro.cluster.report import percentile
+
+        tenants = self.interactive_tenants
+        pooled = [
+            o.latency for o in self.reports[variant].completed
+            if o.tenant in tenants
+        ]
+        return percentile(pooled, 95)
+
+
+def sample_traffic(duration: float, seed: int, profile=None):
+    """The shipped 3-tenant traffic profile at ``duration`` and ``seed``
+    (or the caller's own ``profile``, untouched)."""
+    if profile is None:
+        from repro.cluster.traffic import sample_profile
+
+        profile = sample_profile()
+        profile.duration = duration
+        profile.seed = seed
+    return profile

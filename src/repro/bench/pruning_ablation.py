@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.bench import harness
+from repro.bench.regress import flatten, fraction_slug
 from repro.core import ColumnInputFormat, write_dataset
 from repro.core.stats import RangePredicate
 from repro.serde.record import Record
@@ -56,8 +57,8 @@ def reading_records(n: int, seed: int = 21) -> List[Record]:
 class PruningResult:
     records: int
     #: bytes[layout][fraction] and scanned records
-    bytes_read: Dict[str, Dict[float, int]] = field(default_factory=dict)
-    records_scanned: Dict[str, Dict[float, int]] = field(default_factory=dict)
+    bytes_read: harness.Grid = field(default_factory=harness.Grid)
+    records_scanned: harness.Grid = field(default_factory=harness.Grid)
     answers: Dict[float, int] = field(default_factory=dict)
 
 
@@ -66,13 +67,11 @@ def _query(fs, dataset: str, min_day: int):
         dataset, columns=["day"], lazy=False,
         predicates=[RangePredicate("day", ">=", min_day)],
     )
-    ctx = harness.make_context(fs)
-    matches = 0
-    for split in fmt.get_splits(fs, fs.cluster):
-        for _, record in fmt.open_reader(fs, split, ctx):
-            if record.get("day") >= min_day:
-                matches += 1
-    return matches, ctx.metrics
+    days: List[int] = []
+    metrics = harness.scan(
+        fs, fmt, visit=lambda _, record: days.append(record.get("day"))
+    )
+    return sum(day >= min_day for day in days), metrics
 
 
 def run(records: int = 12000) -> PruningResult:
@@ -88,40 +87,39 @@ def run(records: int = 12000) -> PruningResult:
     for fraction in SELECTED_FRACTIONS:
         min_day = int(DAYS * (1 - fraction))
         expected = None
-        for layout, dataset in (("shuffled", "/pr/shuffled"),
-                                ("sorted", "/pr/sorted")):
-            matches, metrics = _query(fs, dataset, min_day)
+        for layout in ("shuffled", "sorted"):
+            matches, metrics = _query(fs, f"/pr/{layout}", min_day)
             if expected is None:
                 expected = matches
             elif matches != expected:
                 raise AssertionError("pruning changed the answer")
-            result.bytes_read.setdefault(layout, {})[fraction] = (
-                metrics.total_bytes_read
-            )
-            result.records_scanned.setdefault(layout, {})[fraction] = (
-                metrics.records
-            )
+            result.bytes_read.note(layout, fraction, metrics.total_bytes_read)
+            result.records_scanned.note(layout, fraction, metrics.records)
         result.answers[fraction] = expected
     return result
 
 
+def metrics(result: PruningResult) -> Dict[str, float]:
+    out = {
+        **flatten(result.bytes_read, "bytes.{}.{}", fraction_slug),
+        **flatten(result.records_scanned, "count.scanned.{}.{}", fraction_slug),
+    }
+    for fraction, answer in result.answers.items():
+        out[f"count.answer.{fraction_slug(fraction)}"] = answer
+    return out
+
+
 def format_table(result: PruningResult) -> str:
     headers = [f"top {f:.0%}" for f in SELECTED_FRACTIONS]
-    rows = []
-    for layout in ("shuffled", "sorted"):
-        rows.append(harness.Row(
-            f"{layout}: records scanned",
-            {h: result.records_scanned[layout][f]
-             for h, f in zip(headers, SELECTED_FRACTIONS)},
-        ))
-        rows.append(harness.Row(
-            f"{layout}: bytes read",
-            {h: result.bytes_read[layout][f]
-             for h, f in zip(headers, SELECTED_FRACTIONS)},
-        ))
+    scanned = result.records_scanned.rows(
+        SELECTED_FRACTIONS, label="{}: records scanned"
+    )
+    read = result.bytes_read.rows(
+        SELECTED_FRACTIONS, label="{}: bytes read"
+    )
     return harness.format_table(
         f"Ablation - zone-map pruning vs selected fraction "
         f"({result.records} records, {DAYS} days)",
         headers,
-        rows,
+        [row for pair in zip(scanned, read) for row in pair],
     )

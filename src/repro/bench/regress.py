@@ -1,17 +1,19 @@
 """Benchmark regression pipeline: canonical ``BENCH_*.json`` + checks.
 
-Every benchmark scenario (one per ``benchmarks/bench_*.py`` module)
-gets an entry in :data:`SCENARIOS` pairing a runner at **smoke size**
-with an extractor that flattens its result dataclass into a canonical
-metric dict.  ``repro bench run`` serializes those as
+Every benchmark scenario is one ``repro.bench`` module (``run()`` at a
+given size, ``metrics(result)`` flattening its result into a canonical
+metric dict) plus one row of :data:`SCENARIOS` naming its **smoke
+size**.  ``repro bench run`` serializes the metrics as
 ``BENCH_<name>.json``; ``repro bench check`` re-runs (or loads) fresh
 results and compares them against committed baselines with noise
 tolerances, failing on any regression.
 
-Because every cost in the reproduction is *simulated* (seeks, transfer,
-CPU are arithmetic over the cost model, not wall time), the numbers are
-deterministic across machines and Python versions — which is what makes
-committing baselines and comparing in CI sound.
+Every cost in the reproduction is *simulated* (seeks, transfer, CPU are
+arithmetic over the cost model, not wall time), so the numbers are
+deterministic across machines, runs and Python versions: two runs write
+byte-identical files, which is what makes committing baselines and
+comparing in CI sound.  Nothing here reads a wall clock; how fast the
+Python itself runs is ``wallbench``'s question.
 
 Metric-key conventions (direction is encoded in the key prefix):
 
@@ -23,11 +25,6 @@ Metric-key conventions (direction is encoded in the key prefix):
 - ``count.*`` — logical results (records scanned, query answers);
   compared **exactly**, any change is a regression (it means the
   reproduction's *answers* changed, not just its speed).
-- ``wall.*`` — real wall-clock milliseconds/ratios (the one exception
-  to "everything is simulated": the vectorized-engine benchmark times
-  actual Python execution).  Machine-dependent, so these are
-  **recorded but never gated**; the deterministic gate for wall-time
-  scenarios is a ``count.*_floor_met`` flag computed at run time.
 
 File schema (``BENCH_<name>.json``)::
 
@@ -45,7 +42,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 SCHEMA_VERSION = 1
 
@@ -54,32 +51,40 @@ DEFAULT_REL_TOL = 0.02
 
 _LOWER_BETTER = ("time.", "bytes.", "seeks.")
 _HIGHER_BETTER = ("ratio.", "bandwidth.", "fraction.")
-_EXACT = ("count.",)
-_INFO = ("wall.",)
 
 
 def direction_of(key: str) -> str:
-    """``lower`` | ``higher`` | ``exact`` | ``info`` from the prefix."""
+    """``lower`` | ``higher`` | ``exact`` from the prefix."""
     if key.startswith(_LOWER_BETTER):
         return "lower"
     if key.startswith(_HIGHER_BETTER):
         return "higher"
-    if key.startswith(_INFO):
-        return "info"
-    if key.startswith(_EXACT):
-        return "exact"
     return "exact"
 
 
-def _slug(value) -> str:
+def slug(value) -> str:
     """Canonical metric-key segment: lowercase, ``_``-separated."""
     text = str(value).strip().lower().replace("%", "pct")
     text = re.sub(r"[^a-z0-9]+", "_", text)
     return text.strip("_")
 
 
-def _fraction_slug(fraction: float) -> str:
+def fraction_slug(fraction: float) -> str:
     return f"{int(round(fraction * 100))}pct"
+
+
+def flatten(
+    grid: Dict[object, Dict[object, float]],
+    template: str,
+    x: Callable[[object], str] = slug,
+) -> Dict[str, float]:
+    """``grid[series][point]`` as flat metrics: one
+    ``template.format(slug(series), x(point))`` key per cell."""
+    return {
+        template.format(slug(series), x(point)): value
+        for series, by_point in grid.items()
+        for point, value in by_point.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +93,20 @@ def _fraction_slug(fraction: float) -> str:
 
 @dataclass
 class Scenario:
-    """One benchmark scenario: a smoke-size runner plus an extractor.
+    """One benchmark scenario: a ``repro.bench`` module at smoke size.
 
-    ``source`` is the ``repro.bench`` module whose ``run()`` the
-    scenario calls (imported on first use, so listing scenarios imports
-    none of them) or, for a scenario that is not one module's ``run()``,
-    the callable itself.  The twelve paper experiments also carry the
-    ``title`` that ``repro list`` prints and the ``run()`` keyword that
-    ``repro experiment --records/--size`` maps onto, which makes this
-    the one table the CLI reads.
+    ``source`` names the module whose ``run(**params)`` the scenario
+    calls and whose ``metrics(result)`` flattens the result (imported on
+    first use, so listing scenarios imports none of them).  The twelve
+    paper experiments also carry the ``title`` that ``repro list``
+    prints and the ``run()`` keyword that ``repro experiment
+    --records/--size`` maps onto, which makes this the one table the
+    CLI reads.
     """
 
     name: str
-    source: Union[str, Callable[..., object]]
+    source: str
     params: Dict[str, object]
-    extract: Callable[[object], Dict[str, float]]
     description: str = ""
     title: str = ""
     size_arg: Optional[str] = None
@@ -112,276 +116,7 @@ class Scenario:
         return importlib.import_module(f"repro.bench.{self.source}")
 
     def run(self):
-        runner = self.source if callable(self.source) else self.module.run
-        return runner(**self.params)
-
-
-def _extract_fig7(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for fmt, by_proj in sorted(result.times.items()):
-        for proj, seconds in sorted(by_proj.items()):
-            out[f"time.{_slug(fmt)}.{_slug(proj)}"] = seconds
-            out[f"bytes.{_slug(fmt)}.{_slug(proj)}"] = (
-                result.bytes_read[fmt][proj]
-            )
-    out["ratio.txt_over_seq"] = (
-        result.time("TXT") / result.time("SEQ")
-    )
-    out["ratio.seq_over_cif_1int"] = (
-        result.time("SEQ") / result.time("CIF", "1 Integer")
-    )
-    out["ratio.rcfile_over_cif_1int_bytes"] = (
-        result.bytes_read["RCFile"]["1 Integer"]
-        / result.bytes_read["CIF"]["1 Integer"]
-    )
-    return out
-
-
-def _extract_fig8(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for profile, by_type in sorted(result.bandwidth.items()):
-        for typed, series in sorted(by_type.items()):
-            for fraction, mbps in sorted(series.items()):
-                key = (
-                    f"bandwidth.{_slug(profile)}.{_slug(typed)}"
-                    f".{_fraction_slug(fraction)}"
-                )
-                out[key] = mbps
-    out["ratio.native_over_managed_integers"] = (
-        result.bandwidth["native"]["integers"][1.0]
-        / result.bandwidth["managed"]["integers"][1.0]
-    )
-    return out
-
-
-def _extract_fig9(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for fmt, by_proj in sorted(result.times.items()):
-        for proj, seconds in sorted(by_proj.items()):
-            out[f"time.{_slug(fmt)}.{_slug(proj)}"] = seconds
-            out[f"bytes.{_slug(fmt)}.{_slug(proj)}"] = (
-                result.bytes_read[fmt][proj]
-            )
-    out["ratio.rc4m_over_cif_1int"] = (
-        result.times["4M RCFile"]["1 Integer"]
-        / result.times["CIF"]["1 Integer"]
-    )
-    return out
-
-
-def _extract_fig10(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for layout, by_sel in sorted(result.times.items()):
-        for selectivity, seconds in sorted(by_sel.items()):
-            key = f"time.{_slug(layout)}.{_fraction_slug(selectivity)}"
-            out[key] = seconds
-    for selectivity, answer in sorted(result.sums.items()):
-        out[f"count.answer.{_fraction_slug(selectivity)}"] = answer
-    out["ratio.cif_over_sl_low_selectivity"] = (
-        result.times["CIF"][0.05] / result.times["CIF-SL"][0.05]
-    )
-    return out
-
-
-def _extract_fig11(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for series, by_width in sorted(result.bandwidth.items()):
-        for width, mbps in sorted(by_width.items()):
-            out[f"bandwidth.{_slug(series)}.w{width}"] = mbps
-    out["ratio.cif1_over_seq_w80"] = (
-        result.bandwidth["CIF_1"][80] / result.bandwidth["SEQ"][80]
-    )
-    return out
-
-
-def _extract_table1(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for row in result.rows:
-        layout = _slug(row.layout)
-        out[f"bytes.read_mb.{layout}"] = row.data_read_mb
-        out[f"time.map.{layout}"] = row.map_time
-        out[f"time.total.{layout}"] = row.total_time
-    out["ratio.seq_over_cif_map"] = (
-        result.row("SEQ-uncomp").map_time / result.row("CIF").map_time
-    )
-    return out
-
-
-def _extract_table2(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for layout, seconds in sorted(result.load_times.items()):
-        out[f"time.load.{_slug(layout)}"] = seconds
-        out[f"bytes.written.{_slug(layout)}"] = (
-            result.bytes_written[layout]
-        )
-    return out
-
-
-def _extract_colocation(result) -> Dict[str, float]:
-    return {
-        "time.map.cpp": result.map_time_cpp,
-        "time.map.default": result.map_time_default,
-        "fraction.local.cpp": result.local_fraction_cpp,
-        "fraction.local.default": result.local_fraction_default,
-        "ratio.colocation_speedup": result.speedup,
-    }
-
-
-def _extract_addcolumn(result) -> Dict[str, float]:
-    return {
-        "bytes.cif": result.cif_bytes,
-        "bytes.rcfile": result.rcfile_bytes,
-        "time.cif": result.cif_time,
-        "time.rcfile": result.rcfile_time,
-        "ratio.rcfile_over_cif_bytes": result.io_ratio,
-    }
-
-
-def _extract_buffers(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for buffer_label, by_fmt in sorted(result.single_int.items()):
-        for fmt, seconds in sorted(by_fmt.items()):
-            out[f"time.1int.{_slug(buffer_label)}.{_slug(fmt)}"] = seconds
-    for buffer_label, by_fmt in sorted(result.all_columns.items()):
-        for fmt, seconds in sorted(by_fmt.items()):
-            out[f"time.all.{_slug(buffer_label)}.{_slug(fmt)}"] = seconds
-    for buffer_label, nbytes in sorted(
-        result.rcfile_bytes_single_int.items()
-    ):
-        out[f"bytes.rcfile_1int.{_slug(buffer_label)}"] = nbytes
-    return out
-
-
-def _extract_encodings(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for row in result.rows:
-        key = f"{_slug(row.column)}.{_slug(row.layout)}"
-        out[f"bytes.{key}"] = row.file_bytes
-        out[f"time.full.{key}"] = row.full_scan
-        out[f"time.selective.{key}"] = row.selective_scan
-    return out
-
-
-def _extract_pruning(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for layout, by_fraction in sorted(result.bytes_read.items()):
-        for fraction, nbytes in sorted(by_fraction.items()):
-            out[f"bytes.{_slug(layout)}.{_fraction_slug(fraction)}"] = nbytes
-    for layout, by_fraction in sorted(result.records_scanned.items()):
-        for fraction, n in sorted(by_fraction.items()):
-            key = f"count.scanned.{_slug(layout)}.{_fraction_slug(fraction)}"
-            out[key] = n
-    for fraction, answer in sorted(result.answers.items()):
-        out[f"count.answer.{_fraction_slug(fraction)}"] = answer
-    return out
-
-
-def _run_scale_stability(small: int = 1000, large: int = 4000):
-    from repro.bench import fig7_microbenchmark as fig7
-
-    return {"small": fig7.run(records=small), "large": fig7.run(records=large)}
-
-
-def _extract_scale_stability(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for size, res in sorted(result.items()):
-        out[f"ratio.txt_over_seq.{size}"] = (
-            res.time("TXT") / res.time("SEQ")
-        )
-        out[f"ratio.seq_over_cif_1int.{size}"] = (
-            res.time("SEQ") / res.time("CIF", "1 Integer")
-        )
-        out[f"ratio.rcfile_over_cif_1int_bytes.{size}"] = (
-            res.bytes_read["RCFile"]["1 Integer"]
-            / res.bytes_read["CIF"]["1 Integer"]
-        )
-    return out
-
-
-def _extract_cluster_load(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for policy, report in sorted(result.reports.items()):
-        out[f"time.makespan.{policy}"] = report.makespan
-        out[f"fraction.slots_busy.{policy}"] = report.utilization
-        out[f"count.completed.{policy}"] = len(report.completed)
-        out[f"count.rejected.{policy}"] = len(report.rejected)
-        out[f"count.failed.{policy}"] = len(report.failed)
-        out[f"count.preemptions.{policy}"] = report.preemptions
-        for tenant, summary in report.tenant_summaries().items():
-            base = f"time.latency.{policy}.{_slug(tenant)}"
-            out[f"{base}.p50"] = summary.p50
-            out[f"{base}.p95"] = summary.p95
-            out[f"{base}.p99"] = summary.p99
-    out["ratio.fifo_over_fair_interactive_p95"] = (
-        result.interactive_p95_ratio
-    )
-    return out
-
-
-def _extract_cluster_recovery(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for variant, report in sorted(result.reports.items()):
-        out[f"time.makespan.{variant}"] = report.makespan
-        out[f"time.interactive_p95.{variant}"] = (
-            result.interactive_p95(variant)
-        )
-        out[f"count.completed.{variant}"] = len(report.completed)
-        out[f"count.rejected.{variant}"] = len(report.rejected)
-        out[f"count.failed.{variant}"] = len(report.failed)
-        out[f"count.speculative_attempts.{variant}"] = (
-            report.speculative_attempts
-        )
-    faulted = result.reports["faulted"]
-    out["count.map_output_losses"] = faulted.map_output_losses
-    # Oriented so higher = cheaper recovery (1.0 == a free node kill);
-    # a drop means the fault-tolerance machinery got more expensive.
-    out["ratio.recovery_efficiency"] = 1.0 / result.makespan_overhead
-    return out
-
-
-def _extract_cluster_slo(result) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for variant, report in sorted(result.reports.items()):
-        out[f"time.makespan.{variant}"] = report.makespan
-        out[f"count.completed.{variant}"] = len(report.completed)
-    # The monitor is a pure observer: bare/monitored makespan must be
-    # exactly 1.0, and the folded store must reconcile exactly against
-    # the monitored report (mismatches gate at 0).
-    out["ratio.monitoring_efficiency"] = result.monitoring_efficiency
-    out["count.reconcile_mismatches"] = len(result.mismatches)
-    out["count.series"] = (
-        len(result.store) if result.store is not None else 0
-    )
-    out["count.alert_transitions"] = result.alert_transitions
-    out["count.alerts_firing"] = result.firing_transitions
-    for status in result.statuses:
-        out[f"fraction.compliance.{status.slo.tenant}"] = status.compliance
-    return out
-
-
-def _extract_vector_scan(result) -> Dict[str, float]:
-    from repro.bench.vector_scan import SAME_LAYOUT_FLOOR, SPEEDUP_FLOOR
-
-    out: Dict[str, float] = {}
-    for leg, ms in sorted(result.wall_ms.items()):
-        out[f"wall.{leg}_ms"] = ms
-    out["wall.speedup"] = result.speedup
-    out["wall.speedup_eager"] = result.speedup_eager
-    out["wall.speedup_lazy"] = result.speedup_lazy
-    # The deterministic gates: floors met, answers, zero reconcile
-    # mismatches between the scalar and vectorized engines.
-    out["count.speedup_floor_met"] = int(result.speedup >= SPEEDUP_FLOOR)
-    out["count.same_layout_floor_met"] = int(
-        result.speedup_eager >= SAME_LAYOUT_FLOOR
-        and result.speedup_lazy >= SAME_LAYOUT_FLOOR
-    )
-    out["count.reconcile_mismatches"] = len(result.mismatches)
-    out["count.profile_reconcile_mismatches"] = len(result.profile_mismatches)
-    out["count.answer"] = result.answer
-    out["count.matches"] = result.matches
-    for leg, seconds in sorted(result.simulated.items()):
-        out[f"time.simulated.{leg}"] = seconds
-    return out
+        return self.module.run(**self.params)
 
 
 SCENARIOS: Dict[str, Scenario] = {}
@@ -392,93 +127,85 @@ def _register(name, *fields):
 
 
 _register(
-    "fig7", "fig7_microbenchmark", {"records": 600}, _extract_fig7,
+    "fig7", "fig7_microbenchmark", {"records": 600},
     "single-node scan times/bytes per format and projection",
     "Figure 7: scan microbenchmark (TXT/SEQ/CIF/RCFile)", "records",
 )
 _register(
-    "fig8", "fig8_deserialization", {"records": 40, "seed": 8}, _extract_fig8,
+    "fig8", "fig8_deserialization", {"records": 40, "seed": 8},
     "deserialization bandwidth by type mix and runtime profile",
     "Figure 8: deserialization cost vs typed fraction", "records",
 )
 _register(
-    "fig9", "fig9_rowgroups", {"records": 600}, _extract_fig9,
+    "fig9", "fig9_rowgroups", {"records": 600},
     "RCFile row-group size sweep vs CIF",
     "Figure 9: RCFile row-group size tuning", "records",
 )
 _register(
-    "fig10", "fig10_selectivity", {"records": 500}, _extract_fig10,
+    "fig10", "fig10_selectivity", {"records": 500},
     "lazy record construction / skip-list selectivity sweep",
     "Figure 10: CIF vs CIF-SL vs predicate selectivity", "records",
 )
 _register(
-    "fig11", "fig11_wide_records", {"total_bytes": 400_000}, _extract_fig11,
+    "fig11", "fig11_wide_records", {"total_bytes": 400_000},
     "scan bandwidth vs record width",
     "Figure 11: bandwidth vs number of columns", "total_bytes",
 )
 _register(
     "table1", "table1_crawl",
-    {"records": 120, "content_bytes": 2048, "num_nodes": 8}, _extract_table1,
+    {"records": 120, "content_bytes": 2048, "num_nodes": 8},
     "crawl workload: data read, map and total times per layout",
     "Table 1: the 11-layout crawl comparison", "records",
 )
 _register(
-    "table2", "table2_load_times", {"records": 500}, _extract_table2,
+    "table2", "table2_load_times", {"records": 500},
     "load times and bytes written per target layout",
     "Table 2: load times (SEQ -> CIF/CIF-SL/RCFile)", "records",
 )
 _register(
     "colocation", "colocation", {"records": 60, "content_bytes": 1024},
-    _extract_colocation,
     "column placement policy: locality fraction and map-time speedup",
     "Section 6.4: co-location (CPP on/off)", "records",
 )
 _register(
-    "addcolumn", "addcolumn_ablation", {"records": 400}, _extract_addcolumn,
+    "addcolumn", "addcolumn_ablation", {"records": 400},
     "adding a column after the fact: CIF vs RCFile rewrite cost",
     "Section 4.3: adding a column, CIF vs RCFile", "records",
 )
 _register(
-    "buffers", "buffer_ablation", {"records": 400}, _extract_buffers,
+    "buffers", "buffer_ablation", {"records": 400},
     "io-buffer size ablation per format",
     "Ablation: io.file.buffer.size sensitivity sweep", "records",
 )
 _register(
-    "encodings", "encodings_ablation", {"records": 400}, _extract_encodings,
+    "encodings", "encodings_ablation", {"records": 400},
     "column encoding sweep: file bytes, full and selective scans",
     "Ablation: per-column lightweight encodings (rle/delta/dcsl)", "records",
 )
 _register(
-    "pruning", "pruning_ablation", {"records": 500}, _extract_pruning,
+    "pruning", "pruning_ablation", {"records": 500},
     "range-predicate pruning on sorted vs shuffled data",
     "Ablation: zone-map split pruning, clustered vs shuffled", "records",
 )
 _register(
-    "scale_stability", _run_scale_stability, {"small": 1000, "large": 4000},
-    _extract_scale_stability,
+    "scale_stability", "scale_stability", {"small": 1000, "large": 4000},
     "fig7 headline ratios measured at two sizes 4x apart",
 )
 _register(
     "cluster_load", "cluster_load", {"duration": 1.0, "seed": 20110401},
-    _extract_cluster_load,
     "multi-tenant traffic: fair-share+preemption vs FIFO job latency",
 )
 _register(
     "cluster_recovery", "cluster_recovery",
     {"duration": 1.0, "seed": 20110401, "kill_time": 0.35, "kill_node": 1},
-    _extract_cluster_recovery,
     "mid-run node kill: map-output re-execution + speculation overhead",
 )
 _register(
-    "vector_scan", "vector_scan",
-    {"records": 3000, "selectivity": 0.05, "reps": 3},
-    _extract_vector_scan,
-    "vectorized vs scalar scan wall clock on the Fig-10 query",
+    "vector_scan", "vector_scan", {"records": 3000, "selectivity": 0.05},
+    "vectorized vs scalar scan charge identity on the Fig-10 query",
 )
 _register(
-    "cluster_slo", "cluster_slo",
-    {"duration": 1.0, "seed": 20110401},
-    _extract_cluster_slo,
+    "cluster_slo", "cluster_slo", {"duration": 1.0, "seed": 20110401},
     "continuous monitoring overhead: tsdb + SLO/alerting as pure observer",
 )
 
@@ -491,13 +218,13 @@ def result_filename(name: str) -> str:
     return f"BENCH_{name}.json"
 
 
-def canonical(name: str, result, params: Dict[str, object]) -> dict:
+def canonical(scenario: Scenario, result) -> dict:
     """The canonical JSON payload for one scenario result."""
-    metrics = SCENARIOS[name].extract(result)
+    metrics = scenario.module.metrics(result)
     return {
-        "benchmark": name,
+        "benchmark": scenario.name,
         "schema_version": SCHEMA_VERSION,
-        "params": dict(params),
+        "params": dict(scenario.params),
         "metrics": {
             key: (
                 round(value, 10) if isinstance(value, float) else value
@@ -530,7 +257,7 @@ def run_scenario(name: str, trace_dir: Optional[str] = None) -> dict:
         recorder.report().write_jsonl(
             os.path.join(trace_dir, f"BENCH_{name}.trace.jsonl")
         )
-    return canonical(name, result, scenario.params)
+    return canonical(scenario, result)
 
 
 def write_result(payload: dict, out_dir: str) -> str:
@@ -671,9 +398,6 @@ def compare(
         new = fresh_metrics.get(key)
         if base is None:
             severity = "new"
-        elif direction == "info":
-            # wall-clock numbers vary by machine; record, never gate
-            severity = "ok"
         elif new is None:
             severity = "regression"
         elif direction == "exact":

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.bench import harness
-from repro.core import ColumnSpec, write_dataset
-from repro.formats.rcfile import write_rcfile
-from repro.formats.sequence_file import SequenceFileInputFormat, write_sequence_file
+from repro.bench.regress import slug
+from repro.formats.sequence_file import SequenceFileInputFormat
 from repro.workloads.micro import micro_records, micro_schema
 
 LAYOUTS = ("CIF", "CIF-SL", "RCFile")
@@ -33,58 +32,45 @@ class Table2Result:
     bytes_written: Dict[str, int] = field(default_factory=dict)
 
 
-def _read_source(fs, ctx) -> list:
-    fmt = SequenceFileInputFormat("/t2/seq")
-    records = []
-    for split in fmt.get_splits(fs, fs.cluster):
-        records.extend(r for _, r in fmt.open_reader(fs, split, ctx))
-    return records
-
-
 def run(records: int = 20000) -> Table2Result:
     schema = micro_schema()
     result = Table2Result(records=records)
     for layout in LAYOUTS:
         fs = harness.single_node_fs()
-        write_sequence_file(fs, "/t2/seq", schema, micro_records(records))
-        ctx = harness.make_context(fs)
-        data = _read_source(fs, ctx)
-        metrics = ctx.metrics  # conversion job: read cost accrues here
+        harness.write_micro(fs, "/t2/seq", schema, micro_records(records), "seq")
+        data = []
+        # conversion job: the source read and the target write accrue
+        # to the same Metrics
+        metrics = harness.scan(
+            fs, SequenceFileInputFormat("/t2/seq"),
+            visit=lambda _, record: data.append(record),
+        )
         before = metrics.disk_bytes
-        if layout == "CIF":
-            write_dataset(
-                fs, "/t2/out", schema, data,
-                split_bytes=harness.MICRO_SPLIT_BYTES, metrics=metrics,
-            )
-        elif layout == "CIF-SL":
-            write_dataset(
-                fs, "/t2/out", schema, data,
-                default_spec=ColumnSpec("skiplist"),
-                split_bytes=harness.MICRO_SPLIT_BYTES, metrics=metrics,
-            )
-        else:
-            write_rcfile(
-                fs, "/t2/out", schema, data,
-                row_group_bytes=harness.MICRO_ROW_GROUP, metrics=metrics,
-            )
+        harness.write_micro(
+            fs, "/t2/out", schema, data, layout.lower(), metrics=metrics
+        )
         result.load_times[layout] = metrics.task_time
         result.bytes_written[layout] = metrics.disk_bytes - before
     return result
 
 
+def metrics(result: Table2Result) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for layout, seconds in result.load_times.items():
+        out[f"time.load.{slug(layout)}"] = seconds
+        out[f"bytes.written.{slug(layout)}"] = result.bytes_written[layout]
+    return out
+
+
 def format_table(result: Table2Result) -> str:
-    rows = [
-        harness.Row(
-            layout,
-            {
-                "Load time (s)": round(result.load_times[layout], 3),
-                "Bytes written": result.bytes_written[layout],
-            },
-        )
-        for layout in LAYOUTS
-    ]
     return harness.format_table(
         f"Table 2 - load times ({result.records} records)",
         ["Load time (s)", "Bytes written"],
-        rows,
+        [
+            (layout, [
+                round(result.load_times[layout], 3),
+                result.bytes_written[layout],
+            ])
+            for layout in LAYOUTS
+        ],
     )

@@ -301,9 +301,16 @@ def _check_shrink(args, out: common.Out) -> int:
 def _check_corpus(args, out: common.Out) -> int:
     from repro.check.fuzzer import (
         DEFAULT_CORPUS_DIR,
+        check_case,
         corpus_files,
-        replay_corpus,
     )
+
+    def load(path):
+        """``(case, None)``, or ``(None, why)`` for an unreadable file."""
+        try:
+            return common.load_case(path), None
+        except common.CliError as exc:
+            return None, f"UNREADABLE: {exc.__cause__}"
 
     directory = args.dir or DEFAULT_CORPUS_DIR
     paths = corpus_files(directory)
@@ -312,14 +319,16 @@ def _check_corpus(args, out: common.Out) -> int:
         return 0
     if not args.replay:
         for path in paths:
-            try:
-                case = common.load_case(path)
-                out(f"{path}  {case.describe()}  [{case.note}]")
-            except common.CliError as exc:
-                out(f"{path}  UNREADABLE: {exc.__cause__}")
+            case, unreadable = load(path)
+            out(f"{path}  {unreadable}" if case is None
+                else f"{path}  {case.describe()}  [{case.note}]")
         return 0
     failures = 0
-    for path, message in replay_corpus(directory, matrix=args.matrix):
+    for path in paths:
+        case, message = load(path)
+        if case is not None:
+            # entries are fixed findings: a message means one resurfaced
+            message = check_case(case, matrix=args.matrix)
         if message is None:
             out(f"[  ok] {path}")
         else:

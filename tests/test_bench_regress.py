@@ -1,6 +1,7 @@
 """The BENCH_*.json regression pipeline (`repro.bench.regress`)."""
 
 import json
+import os
 
 import pytest
 
@@ -19,10 +20,16 @@ class TestDirections:
         assert regress.direction_of("unknown.metric") == "exact"
 
     def test_slugs(self):
-        assert regress._slug("1 String+1 Map") == "1_string_1_map"
-        assert regress._slug("CIF_10%") == "cif_10pct"
-        assert regress._slug("4M RCFile") == "4m_rcfile"
-        assert regress._fraction_slug(0.05) == "5pct"
+        assert regress.slug("1 String+1 Map") == "1_string_1_map"
+        assert regress.slug("CIF_10%") == "cif_10pct"
+        assert regress.slug("4M RCFile") == "4m_rcfile"
+        assert regress.fraction_slug(0.05) == "5pct"
+
+    def test_flatten_takes_the_key_template(self):
+        grid = {"4M RCFile": {0.05: 1.5, 1.0: 2.5}}
+        assert regress.flatten(
+            grid, "time.{}.{}", regress.fraction_slug
+        ) == {"time.4m_rcfile.5pct": 1.5, "time.4m_rcfile.100pct": 2.5}
 
 
 def payload(metrics, name="demo", params=None):
@@ -88,13 +95,34 @@ class TestCompare:
 
 class TestPipeline:
     def test_every_wrapper_scenario_is_registered(self):
-        # one scenario per benchmarks/bench_*.py module
-        assert sorted(regress.SCENARIOS) == [
-            "addcolumn", "buffers", "cluster_load", "cluster_recovery",
-            "cluster_slo", "colocation", "encodings", "fig10", "fig11",
-            "fig7", "fig8", "fig9", "pruning", "scale_stability",
-            "table1", "table2", "vector_scan",
-        ]
+        # scenario <-> committed baseline <-> shape-check module, 1:1,
+        # read off the directories
+        scenarios = regress.SCENARIOS.values()
+        assert len(scenarios) == 17
+        assert sorted(os.listdir("benchmarks/baselines")) == sorted(
+            regress.result_filename(s.name) for s in scenarios
+        )
+        assert sorted(
+            name for name in os.listdir("benchmarks")
+            if name.startswith("bench_")
+        ) == sorted(f"bench_{s.source}.py" for s in scenarios)
+        for scenario in scenarios:
+            assert callable(scenario.module.run), scenario.name
+            assert callable(scenario.module.metrics), scenario.name
+
+    def test_every_committed_baseline_key_is_gated(self):
+        # No informational class of metric: a key either carries one of
+        # the direction prefixes or is compared exactly as a count.
+        gated = regress._LOWER_BETTER + regress._HIGHER_BETTER + ("count.",)
+        for filename in sorted(os.listdir("benchmarks/baselines")):
+            payload = regress.load_result(
+                os.path.join("benchmarks/baselines", filename)
+            )
+            for key in payload["metrics"]:
+                assert key.startswith(gated), (filename, key)
+                assert regress.direction_of(key) in (
+                    "lower", "higher", "exact"
+                )
 
     def test_run_write_check_roundtrip(self, tmp_path):
         # The cheapest scenario end-to-end: run -> BENCH_*.json ->
@@ -133,6 +161,14 @@ class TestPipeline:
         a = regress.run_scenario("pruning")
         b = regress.run_scenario("pruning")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_vector_scan_is_deterministic_too(self):
+        # the one scenario that used to carry wall-clock keys
+        a = regress.run_scenario("vector_scan")
+        assert a == regress.run_scenario("vector_scan")
+        assert a == regress.load_result(
+            "benchmarks/baselines/BENCH_vector_scan.json"
+        )
 
     def test_missing_baseline_is_an_error_not_a_crash(self, tmp_path):
         report = regress.check(str(tmp_path), names=["pruning"])

@@ -166,3 +166,21 @@ def test_valid_artifacts_load_clean(valid):
         )
         assert code == 0, (reader, lines)
         assert not any("warning" in line.lower() for line in lines), reader
+
+
+@pytest.mark.parametrize("case", [c for c in HOSTILE if c != "missing"])
+def test_corpus_replay_reports_an_unreadable_case(
+    valid, hostile, tmp_path, case
+):
+    """The directory reader's row: ``check corpus --replay`` fails the
+    broken file by name and still replays its neighbours."""
+    good, bad = tmp_path / "case-good.json", tmp_path / "case-bad.json"
+    good.write_bytes((valid / "case").read_bytes())
+    bad.write_bytes(hostile["case", case].read_bytes())
+    code, lines = run(["check", "corpus", "--replay", "--dir", str(tmp_path)])
+    assert code == 1, lines
+    assert any(
+        line.startswith(f"[FAIL] {bad}  UNREADABLE: ") for line in lines
+    ), lines
+    assert f"[  ok] {good}" in lines
+    assert lines[-1] == "corpus replay: 2 case(s), 1 failure(s)"

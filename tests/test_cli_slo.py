@@ -9,6 +9,7 @@ flag combinations.
 
 import gzip
 import json
+import shutil
 
 import pytest
 
@@ -21,19 +22,22 @@ def collect(argv):
     return code, "\n".join(lines)
 
 
-@pytest.fixture()
-def profile_path(tmp_path):
+@pytest.fixture(scope="module")
+def profile_path(tmp_path_factory):
     """Sample profile at full duration so the etl SLO breaches."""
     from repro.cluster import sample_profile
 
-    path = tmp_path / "profile.json"
+    path = tmp_path_factory.mktemp("profile") / "profile.json"
     path.write_text(json.dumps(sample_profile().to_dict()))
     return str(path)
 
 
-@pytest.fixture()
-def sidecar(profile_path, tmp_path):
-    path = tmp_path / "run.tsdb"
+@pytest.fixture(scope="module")
+def sidecar(profile_path, tmp_path_factory):
+    """One monitored run for the whole module: identical runs write
+    byte-identical sidecars (tests/test_tsdb.py), so its readers can
+    share it.  Read-only; a test that writes takes a copy."""
+    path = tmp_path_factory.mktemp("sidecar") / "run.tsdb"
     code, text = collect(
         ["cluster", "run", profile_path, "--tsdb", str(path)]
     )
@@ -69,9 +73,12 @@ class TestClusterRunMonitoring:
             a["transition"] == "firing" for a in slo["alerts"]
         )
 
-    def test_rerun_accumulates_into_the_sidecar(self, profile_path, sidecar):
+    def test_rerun_accumulates_into_the_sidecar(
+        self, profile_path, sidecar, tmp_path
+    ):
+        own = shutil.copy(sidecar, tmp_path / "run.tsdb")
         code, text = collect(
-            ["cluster", "run", profile_path, "--tsdb", sidecar,
+            ["cluster", "run", profile_path, "--tsdb", str(own),
              "--no-color"]
         )
         assert code == 0
