@@ -46,8 +46,11 @@ from typing import Callable, Dict, List, Optional
 
 SCHEMA_VERSION = 1
 
-#: default relative noise tolerance for directional (float) metrics
-DEFAULT_REL_TOL = 0.02
+#: default relative tolerance for directional (float) metrics: none.
+#: Every key is deterministic and :func:`canonical` rounds floats to 10
+#: places, so drift of any size is a change someone made; a band is only
+#: for comparing across cost models (``--rel-tol``).
+DEFAULT_REL_TOL = 0.0
 
 _LOWER_BETTER = ("time.", "bytes.", "seeks.")
 _HIGHER_BETTER = ("ratio.", "bandwidth.", "fraction.")
@@ -371,9 +374,9 @@ def compare(
     """Compare one fresh payload against its committed baseline.
 
     ``exact`` metrics must match bit-for-bit; directional metrics may
-    drift within ``rel_tol`` of the baseline, and moves *in the good
-    direction* beyond tolerance are reported as improvements (worth a
-    baseline refresh), never failures.
+    drift within ``rel_tol`` of the baseline (by default not at all),
+    and moves *in the good direction* beyond tolerance are reported as
+    improvements (worth a baseline refresh), never failures.
     """
     name = baseline.get("benchmark", "?")
     diff = ScenarioDiff(name=name)

@@ -6,12 +6,14 @@ reproduces from its printed seed alone —
 
     repro check run --seed <N> --matrix quick
 
-A failing case is shrunk before it is reported: the shrinker greedily
-removes rows, drops fields, and zeroes values while the failure
-persists, bounded by an evaluation budget so pathological cases cannot
-stall the loop.  Shrunk repros are persisted as JSON under
-``tests/corpus/`` — the corpus is the regression suite's memory, and
-``replay_corpus`` (wired into pytest) keeps every past finding fixed.
+A failing case is shrunk before it is reported: the shrinker first
+tries the default I/O buffer (so a repro carries an odd window size
+only when the failure needs one), then greedily removes rows, drops
+fields, and zeroes values while the failure persists, bounded by an
+evaluation budget so pathological cases cannot stall the loop.  Shrunk
+repros are persisted as JSON under ``tests/corpus/`` — the corpus is
+the regression suite's memory, and ``replay_corpus`` (wired into
+pytest) keeps every past finding fixed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.check.generators import (
+    DEFAULT_IO_BUFFER,
     Case,
     case_from_obj,
     case_to_obj,
@@ -101,6 +104,11 @@ def shrink(
     def smaller(rows: List[dict]) -> Case:
         return replace(best, rows=list(rows),
                        note=f"shrunk from seed {case.seed}")
+
+    # 0. the default window, so what survives below is a data finding
+    #    unless the failure really lives on a window edge
+    if best.io_buffer != DEFAULT_IO_BUFFER:
+        attempt(replace(smaller(best.rows), io_buffer=DEFAULT_IO_BUFFER))
 
     progress = True
     while progress and evals < max_evals:

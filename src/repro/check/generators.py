@@ -1,9 +1,10 @@
 """Deterministic, boundary-biased case generation for the oracle/fuzzer.
 
 One seed maps to exactly one :class:`Case` — a schema, a batch of
-records, a query and a chaos seed — forever.  Reproducing any fuzzer
-finding is therefore ``repro check run --seed N``: no corpus file or
-saved state is required, the seed *is* the test case.
+records, a query, a chaos seed and an I/O buffer size — forever.
+Reproducing any fuzzer finding is therefore ``repro check run --seed
+N``: no corpus file or saved state is required, the seed *is* the test
+case.
 
 The generators are structure-aware and boundary-biased: value pools
 lead with the encodings most likely to break (empty strings, NUL bytes,
@@ -23,6 +24,8 @@ from repro.serde.schema import Schema
 
 __all__ = [
     "Case",
+    "DEFAULT_IO_BUFFER",
+    "IO_BUFFERS",
     "QuerySpec",
     "case_from_obj",
     "case_to_obj",
@@ -86,6 +89,12 @@ LEN_KINDS = ("string", "bytes")
 #: int-kinded fields usable by the sum aggregate
 SUM_KINDS = ("int", "long", "time")
 
+#: I/O buffer (= decode window) sizes a case's cluster may run at: two
+#: primes small enough that most datums straddle a window edge, the
+#: oracle's long-standing 2 KiB, and the micro-benchmarks' 12 KiB
+IO_BUFFERS = (61, 509, 2048, 12288)
+DEFAULT_IO_BUFFER = 2048
+
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -135,6 +144,8 @@ class Case:
     chaos_seed: int
     #: free-form provenance note ("generated", "shrunk from seed N"...)
     note: str = "generated"
+    #: the cluster's I/O buffer size, one of :data:`IO_BUFFERS`
+    io_buffer: int = DEFAULT_IO_BUFFER
 
     def describe(self) -> str:
         kinds = ", ".join(
@@ -142,6 +153,7 @@ class Case:
         )
         return (
             f"case(seed={self.seed}, rows={len(self.rows)}, "
+            f"io_buffer={self.io_buffer}, "
             f"query={self.query.kind}/{'+'.join(self.query.columns)}, "
             f"fields=[{kinds}])"
         )
@@ -324,8 +336,11 @@ def generate_case(
     rows = _gen_rows(rng, schema, num_rows or rng.randint(4, 28))
     query = _gen_query(rng, schema)
     chaos_seed = rng.randrange(1 << 30)
+    # a stream of its own, so adding this dimension moved no seed's
+    # schema, rows or query
+    io_buffer = random.Random(0x10B0F ^ seed).choice(IO_BUFFERS)
     return Case(seed=seed, schema=schema, rows=rows, query=query,
-                chaos_seed=chaos_seed)
+                chaos_seed=chaos_seed, io_buffer=io_buffer)
 
 
 # -- canonical forms and reference semantics --------------------------------
@@ -430,7 +445,7 @@ def _decode_value(schema: Schema, obj):
 
 
 def case_to_obj(case: Case) -> dict:
-    return {
+    obj = {
         "version": 1,
         "seed": case.seed,
         "chaos_seed": case.chaos_seed,
@@ -439,6 +454,11 @@ def case_to_obj(case: Case) -> dict:
         "query": case.query.to_obj(),
         "rows": [_encode_value(case.schema, row) for row in case.rows],
     }
+    # absent means the default, which keeps the bytes (and so the
+    # digest-carrying names) of corpus files saved before the field
+    if case.io_buffer != DEFAULT_IO_BUFFER:
+        obj["io_buffer"] = case.io_buffer
+    return obj
 
 
 def case_from_obj(obj: dict) -> Case:
@@ -450,4 +470,5 @@ def case_from_obj(obj: dict) -> Case:
         query=QuerySpec.from_obj(obj["query"]),
         chaos_seed=obj["chaos_seed"],
         note=obj.get("note", "loaded"),
+        io_buffer=obj.get("io_buffer", DEFAULT_IO_BUFFER),
     )

@@ -70,12 +70,12 @@ def _meta_add_column(case: Case):
     ] or [case.schema.fields[0].name]
     records = to_records(case.schema, case.rows)
 
-    base_fs = _fresh_fs("cif")
+    base_fs = _fresh_fs("cif", case.io_buffer)
     write_dataset(base_fs, path, case.schema, records,
                   split_bytes=SPLIT_BYTES)
     base_rows, base_bytes = _projected_scan(base_fs, path, columns)
 
-    evolved_fs = _fresh_fs("cif")
+    evolved_fs = _fresh_fs("cif", case.io_buffer)
     write_dataset(evolved_fs, path, case.schema, records,
                   split_bytes=SPLIT_BYTES)
     add_column(
@@ -132,7 +132,7 @@ def _meta_permutation(case: Case):
 
     outputs = []
     for rows in (agg.rows, permuted_rows):
-        fs = _fresh_fs("cif")
+        fs = _fresh_fs("cif", case.io_buffer)
         write_dataset(fs, path, agg.schema, to_records(agg.schema, rows),
                       split_bytes=SPLIT_BYTES)
         fmt = ColumnInputFormat(path, lazy=True)
@@ -155,7 +155,7 @@ def _meta_evolution(case: Case):
     records = to_records(case.schema, case.rows)
     truth = [normalize(r) for r in case.rows]
 
-    fs = _fresh_fs("cif")
+    fs = _fresh_fs("cif", case.io_buffer)
     splits = write_dataset(fs, path, case.schema, records,
                            split_bytes=SPLIT_BYTES)
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.check.generators import (
+    DEFAULT_IO_BUFFER,
     Case,
     expected_output,
     freeze,
@@ -66,7 +67,6 @@ __all__ = [
 NUM_NODES = 6
 REPLICATION = 3
 BLOCK_SIZE = 16 * 1024
-IO_BUFFER = 2 * 1024
 
 #: deliberately small layout granularities so skip lists, compressed
 #: blocks and row groups all get multiple units even on tiny cases
@@ -315,11 +315,11 @@ def matrix_configs(matrix: str) -> List[StorageConfig]:
 # -- plumbing ---------------------------------------------------------------
 
 
-def _fresh_fs(kind: str) -> FileSystem:
+def _fresh_fs(kind: str, io_buffer: int = DEFAULT_IO_BUFFER) -> FileSystem:
     fs = FileSystem(
         ClusterConfig(
             num_nodes=NUM_NODES, replication=REPLICATION,
-            block_size=BLOCK_SIZE, io_buffer_size=IO_BUFFER,
+            block_size=BLOCK_SIZE, io_buffer_size=io_buffer,
         )
     )
     if kind == "cif":
@@ -418,7 +418,7 @@ def _run_config(
     truth = [normalize(row) for row in case.rows]
     expected = expected_output(case)
 
-    fs = _fresh_fs(config.kind)
+    fs = _fresh_fs(config.kind, case.io_buffer)
     config.write(fs, path, case.schema, records)
 
     # scan: eager full scan == ground truth, in row order
@@ -506,7 +506,7 @@ def _run_config(
     if with_chaos and baseline is not None:
         try:
             plan = FaultPlan.random(case.chaos_seed, num_nodes=NUM_NODES)
-            chaos_fs = _fresh_fs(config.kind)
+            chaos_fs = _fresh_fs(config.kind, case.io_buffer)
             config.write(chaos_fs, path, case.schema, records)
             fmt = config.make_input(path, None, config.lazy_capable)
             result = run_job(
@@ -549,7 +549,7 @@ def _run_corruption_config(
     path = f"/check/{config.name}"
     records = to_records(case.schema, case.rows)
     truth = [normalize(row) for row in case.rows]
-    fs = _fresh_fs(config.kind)
+    fs = _fresh_fs(config.kind, case.io_buffer)
     config.write(fs, path, case.schema, records)
 
     target = path

@@ -63,7 +63,10 @@ def configure(subparsers) -> None:
     )
     bcheck.add_argument(
         "--rel-tol", type=float, default=None,
-        help="relative tolerance for directional metrics (default 0.02)",
+        help=(
+            "relative tolerance for directional metrics, for comparing "
+            "across cost models (default 0: the gate is exact)"
+        ),
     )
     common.add_color(
         bcheck,

@@ -249,70 +249,50 @@ def _build_dcsl_region(
 # ---------------------------------------------------------------------------
 
 
+#: primitive kind -> (batched read kernel, vector tag)
+_BATCH_KERNELS = {
+    "int": (vecdecode.read_zigzags, "num"),
+    "long": (vecdecode.read_zigzags, "num"),
+    "time": (vecdecode.read_zigzags, "num"),
+    "double": (vecdecode.read_doubles, "double"),
+    "boolean": (vecdecode.read_booleans, "obj"),
+    "string": (vecdecode.read_chunks, "str"),
+    "bytes": (vecdecode.read_chunks, "obj"),
+}
+
+
 def _batch_decode_values(reader, field_schema: Schema, k: int, ctx):
     """Decode ``k`` consecutive plainly-encoded values off ``reader``
     with batched cost charges.
 
-    Returns ``(tag, payload)`` for primitive kinds, ``None`` for
-    container kinds (callers fall back to per-value decoding).  The
-    charges are the exact sums of ``k`` scalar ``read_datum`` calls —
-    the cost model is linear, so integer side effects (cells, objects)
-    are identical and cpu_time differs only by float re-association.
+    Returns ``(tag, payload)`` for primitive kinds and maps of them,
+    ``None`` for other container kinds (callers fall back to per-value
+    decoding).  The charges are the exact sums of ``k`` scalar
+    ``read_datum`` calls — the cost model is linear, so integer side
+    effects (cells, objects) are identical and cpu_time differs only by
+    float re-association.
     """
     kind = field_schema.kind
     cost, metrics = ctx.cost, ctx.metrics
-    profile = cost.profile
+    if kind not in _BATCH_KERNELS:
+        if not vecdecode.map_batch_supported(field_schema):
+            return None
+        return "obj", vecdecode.read_maps(
+            reader, field_schema, k, cost, metrics
+        )
+    kernel, tag = _BATCH_KERNELS[kind]
     start = reader.offset
-    if kind in _INTEGER_KINDS:
-        values = vecdecode.read_zigzags(reader, k)
-        per = profile.int_decode if kind == "int" else profile.long_decode
-        metrics.cells += k
-        metrics.charge_cpu(
-            k * per + (reader.offset - start) * profile.raw_scan_per_byte
-        )
-        return ("num", values)
-    if kind == "double":
-        values = vecdecode.read_doubles(reader, k)
-        metrics.cells += k
-        metrics.charge_cpu(
-            k * profile.double_decode
-            + (reader.offset - start) * profile.raw_scan_per_byte
-        )
-        return ("double", values)
-    if kind == "boolean":
-        values = vecdecode.read_booleans(reader, k)
-        metrics.cells += k
-        metrics.charge_cpu(
-            k * profile.bool_decode
-            + (reader.offset - start) * profile.raw_scan_per_byte
-        )
-        return ("obj", values)
-    if kind == "string":
-        chunks = vecdecode.read_chunks(reader, k)
-        payload = sum(map(len, chunks))
-        metrics.cells += k
-        metrics.objects += k
-        metrics.charge_cpu(
-            k * profile.string_decode_base
-            + payload * profile.string_decode_per_byte
-            + (reader.offset - start) * profile.raw_scan_per_byte
-        )
-        return ("str", chunks)
-    if kind == "bytes":
-        values = vecdecode.read_chunks(reader, k)
+    values = kernel(reader, k)
+    payload = 0
+    if kernel is vecdecode.read_chunks:  # one object per var-length value
         payload = sum(map(len, values))
-        metrics.cells += k
         metrics.objects += k
-        metrics.charge_cpu(
-            k * profile.bytes_decode_base
-            + payload * profile.bytes_decode_per_byte
-            + (reader.offset - start) * profile.raw_scan_per_byte
-        )
-        return ("obj", values)
-    if vecdecode.map_batch_supported(field_schema):
-        values = vecdecode.read_maps(reader, field_schema, k, cost, metrics)
-        return ("obj", values)
-    return None
+    metrics.cells += k
+    metrics.charge_cpu(
+        cost.prim_cpu(kind, k, payload)
+        + (reader.offset - start) * cost.profile.raw_scan_per_byte
+    )
+    return tag, values
 
 
 class _VectorBuilder:
@@ -671,7 +651,7 @@ class DcslColumnReader(SkipListColumnReader):
     def _batch_skip_run(self, run: int) -> bool:
         return vecdecode.skip_dcsl_batch(
             self.reader, self.field_schema.values, run,
-            self.ctx.cost, self.ctx.metrics,
+            self.ctx.cost, self.ctx.metrics, self._skip_one_value,
         )
 
 
@@ -712,9 +692,11 @@ class CBlockColumnReader(ColumnReader):
         self.ctx.cost.charge_raw_scan(self.ctx.metrics, self.reader.offset - before)
         return block_count, raw_len, comp_len
 
-    def _open_block(self) -> None:
+    def _open_block(self, header: Optional[tuple] = None) -> None:
+        """Inflate the next block; ``header`` is :meth:`_block_header`'s
+        result when the caller has already consumed it."""
         ctx = self.ctx
-        block_count, raw_len, comp_len = self._block_header()
+        block_count, raw_len, comp_len = header or self._block_header()
         compressed = self.reader.read_bytes(comp_len)
         ctx.cost.charge_raw_scan(ctx.metrics, comp_len)
         ctx.cost.charge_block_inflate_setup(ctx.metrics)
@@ -734,7 +716,8 @@ class CBlockColumnReader(ColumnReader):
         self._check_bounds(n)
         while n > 0:
             if self._block_remaining == 0:
-                block_count, raw_len, comp_len = self._block_header()
+                header = self._block_header()
+                block_count, _, comp_len = header
                 if n >= block_count:
                     # Whole block unused: skip it compressed.
                     self.reader.skip(comp_len)
@@ -744,21 +727,7 @@ class CBlockColumnReader(ColumnReader):
                     self._obs_bytes_skipped.inc(comp_len)
                     continue
                 # Someone needs a value inside: inflate the whole block.
-                compressed = self.reader.read_bytes(comp_len)
-                self.ctx.cost.charge_raw_scan(self.ctx.metrics, comp_len)
-                self.ctx.cost.charge_block_inflate_setup(self.ctx.metrics)
-                self._obs_bytes_compressed.inc(comp_len)
-                self._obs_bytes_inflated.inc(raw_len)
-                raw = self._codec.decompress(
-                    compressed, self.ctx.cost, self.ctx.metrics,
-                    registry=self.ctx.obs.registry,
-                )
-                self._block_reader = ByteReader(raw)
-                self._block_reader._vec_owner = type(self).__name__
-                self._block_decoder = BinaryDecoder(
-                    self._block_reader, self.ctx.cost, self.ctx.metrics
-                )
-                self._block_remaining = block_count
+                self._open_block(header)
             step = min(n, self._block_remaining)
             if not (
                 self.batch_kernels
@@ -978,7 +947,7 @@ class DeltaColumnReader(ColumnReader):
         self._current = current
         metrics.cells += n
         metrics.charge_cpu(
-            n * cost.profile.int_decode
+            cost.prim_cpu("int", n)
             + (reader.offset - start) * cost.profile.raw_scan_per_byte
         )
         self.next_index += n
@@ -995,7 +964,7 @@ class DeltaColumnReader(ColumnReader):
             self._current += self.reader.read_zigzag()
         cost, metrics = self.ctx.cost, self.ctx.metrics
         cost.charge_raw_scan(metrics, self.reader.offset - before)
-        metrics.charge_cpu(cost.skip_discount(n * cost.profile.int_decode))
+        metrics.charge_cpu(cost.skip_discount(cost.prim_cpu("int", n)))
         self.next_index += n
 
 

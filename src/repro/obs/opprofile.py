@@ -17,10 +17,11 @@ already reconciles exactly — per-operator rows and cells agree
 Simulated time is accrued per operator from the deltas of
 ``metrics.io_time + metrics.cpu_time`` at each switch; wall time from a
 clock (the tracer's injectable clock, so fake-clock runs stay
-byte-identical).  Batch-kernel and scalar-fallback invocations inside
+byte-identical).  Batch-kernel invocations and window hand-offs inside
 :mod:`repro.serde.vecdecode` are routed here through a module sink
 (:meth:`OperatorProfiler.install`), giving the ``vecdecode.fallback.*``
-counters that make silent loss of the batched fast path visible.
+counters: one count per datum a kernel passed to the per-datum decoder
+because it did not lie wholly inside the buffered window.
 
 On :meth:`OperatorProfiler.finish` the profile is published through the
 ambient :class:`~repro.obs.recorder.Observability`:
@@ -34,7 +35,7 @@ ambient :class:`~repro.obs.recorder.Observability`:
   sidecar for cluster runs);
 - labeled registry counters (``op.rows.*``, ``op.cells.*``,
   ``op.invocations.*``, ``vecdecode.kernel.calls``,
-  ``vecdecode.fallback.<method>``) that the Prometheus exporter
+  ``vecdecode.fallback.<kernel>``) that the Prometheus exporter
   serves without further wiring.
 
 The report-side helpers (:func:`operator_profiles`,
@@ -136,7 +137,7 @@ class OperatorProfiler:
         }
         #: kernel name -> batched-kernel invocation count
         self.kernel_counts: Dict[str, int] = {}
-        #: (method, reader type) -> scalar-fallback delegation count
+        #: (kernel, reader type) -> window hand-off count
         self.fallback_counts: Dict[Tuple[str, str], int] = {}
         self._clock = clock
         self._current = "scan"
@@ -235,8 +236,8 @@ class OperatorProfiler:
         self.stats[self._current].kernel_calls += 1
         self.kernel_counts[name] = self.kernel_counts.get(name, 0) + 1
 
-    def fallback(self, reader, method: str) -> None:
-        """A kernel delegated one value back to the scalar decode path.
+    def fallback(self, reader, kernel: str) -> None:
+        """``kernel`` handed one datum to the per-datum decode path.
 
         ``reader`` is the byte reader the kernel was inlining over; the
         owning column reader stamps its class name on it
@@ -244,7 +245,7 @@ class OperatorProfiler:
         """
         self.stats[self._current].fallback_calls += 1
         owner = getattr(reader, "_vec_owner", None) or type(reader).__name__
-        key = (method, owner)
+        key = (kernel, owner)
         self.fallback_counts[key] = self.fallback_counts.get(key, 0) + 1
 
     # -- internals -----------------------------------------------------
@@ -316,9 +317,9 @@ class OperatorProfiler:
             registry.counter(
                 "vecdecode.kernel.calls", kernel=name, engine=self.engine
             ).inc(calls)
-        for (method, owner), calls in self.fallback_counts.items():
+        for (kernel, owner), calls in self.fallback_counts.items():
             registry.counter(
-                f"vecdecode.fallback.{method}", reader=owner,
+                f"vecdecode.fallback.{kernel}", reader=owner,
                 engine=self.engine,
             ).inc(calls)
         if sim_time is None:
@@ -366,7 +367,7 @@ class NullOperatorProfiler:
     def kernel(self, name) -> None:
         pass
 
-    def fallback(self, reader, method) -> None:
+    def fallback(self, reader, kernel) -> None:
         pass
 
 
@@ -478,7 +479,7 @@ def kernel_call_totals(report) -> Dict[str, int]:
 
 
 def fallback_totals(report) -> Dict[str, int]:
-    """``{"method/ReaderType": delegations}`` from report counters."""
+    """``{"kernel/ReaderType": hand-offs}`` from report counters."""
     out: Dict[str, int] = {}
     for entry in report.registry:
         if entry["kind"] != "counter":
@@ -486,9 +487,9 @@ def fallback_totals(report) -> Dict[str, int]:
         name = entry["name"]
         if not name.startswith("vecdecode.fallback."):
             continue
-        method = name[len("vecdecode.fallback."):]
+        kernel = name[len("vecdecode.fallback."):]
         reader = entry["labels"].get("reader", "?")
-        key = f"{method}/{reader}"
+        key = f"{kernel}/{reader}"
         out[key] = out.get(key, 0) + int(entry["value"])
     return out
 

@@ -2,44 +2,57 @@
 
 The scalar reference path decodes one value per method call through
 :class:`~repro.serde.binary.BinaryDecoder`; these kernels decode (or
-skip) runs of values in tight loops directly over the reader's
-buffered window, falling back to the reader's own per-value method
-whenever the window runs short.
+skip) runs of values in tight loops over the reader's buffered window.
 
-The fallback discipline is what keeps the kernels *charge-identical*
-to the scalar path: stream-level charges (disk bytes, seeks, probes)
+Every kernel is a *window loop* plus one *hand-off*.  A window loop is
+a pure function over ``(buf, pos)``: it consumes only datums that lie
+wholly inside the window and stops at the first byte of one that does
+not (running off the edge drops that datum's partial sums).  That one
+datum is handed to the per-datum method the reference itself uses
+(``reader.read_zigzag()``, ``BinaryDecoder.read_datum``/``skip_datum``,
+the DCSL reader's own per-value skip), and the loop resumes on
+whatever window the hand-off left behind; :func:`_windows` is the only
+place this happens.
+
+That is what keeps the kernels *charge-identical* to the scalar path
+by construction.  Stream-level charges (disk bytes, seeks, probes)
 happen inside ``StreamByteReader._require`` at refill granularity, and
-a refill only happens on a shortfall.  Because the kernels consume the
-identical byte sequence, shortfalls occur at the identical positions
-with the identical requested sizes — so the stream sees the identical
-read/seek pattern either way.  CPU charges are computed from the same
-linear cost formulas, summed over the run instead of applied per
-value; integer side effects (cells, objects) are exact sums, and
-``cpu_time`` differs only by float re-association (covered by the
-reconcile tolerance).
+a refill only happens on a shortfall.  A datum inside the window never
+refills on either path, and the one that straddles the edge is decoded
+by the scalar path itself — so the stream sees the identical read and
+seek pattern.  CPU charges come from the same linear cost formulas
+(:meth:`~repro.sim.cost.CpuCostModel.prim_cpu`), summed over a window's
+run instead of applied per value; integer side effects (cells,
+objects) are exact sums, and ``cpu_time`` differs only by float
+re-association (covered by the reconcile tolerance).
 
-Skipped byte ranges are hopped with ``reader.skip`` so the stream
-reader's lazy-gap resolution still elides the I/O entirely — the
-kernels never fetch bytes the scalar walk would not have fetched.
+Hand-offs therefore follow the window edges a scan crosses, not the
+values it reads: they can be made rarer (a larger I/O buffer), never
+zero.  See ``docs/vectorized.md`` § Window edges.
 """
 
 from __future__ import annotations
 
 import struct
 
+from repro.serde.binary import BinaryDecoder
 from repro.util.varint import VarintError, decode_varint
 
 _DOUBLE = struct.Struct("<d")
 
 _INTEGER_KINDS = ("int", "long", "time")
+_FIXED_WIDTH = {"double": 8, "boolean": 1}
 _PRIMITIVE_KINDS = frozenset(
     ("int", "long", "time", "double", "boolean", "string", "bytes")
 )
 
+#: What ends a window loop early: the datum under the cursor runs past
+#: the buffered bytes (or starts beyond them, after a skip).
+_OFF_WINDOW = (IndexError, VarintError, struct.error)
+
 #: Optional profiling sink (an ``obs.opprofile.OperatorProfiler``).
 #: ``None`` outside profiled scans, so the only hot-path overhead is
-#: one identity check per *batch* kernel call — the per-value fallback
-#: notes live inside the rare shortfall branches.
+#: one identity check per *batch* kernel call.
 _SINK = None
 
 
@@ -59,16 +72,26 @@ def _kernel(name: str) -> None:
         _SINK.kernel(name)
 
 
-def _fallback(reader, method: str) -> None:
-    """Note one genuine window-shortfall delegation to the scalar path.
+def _windows(reader, kernel: str, k: int, window, *args):
+    """Pass ``k`` datums: the one window hand-off.
 
-    By-design per-value delegations (e.g. double/boolean map values in
-    :func:`read_maps`, which have no inline form) are deliberately NOT
-    counted — the ``vecdecode.fallback.*`` counters exist to flag
-    *silent loss* of a batched fast path, not its designed edges.
+    Runs ``window(buf, pos, k, *args) -> (pos, done)`` over the
+    buffered bytes and yields once for each datum that does not lie
+    wholly inside them.  The kernel driving this generator passes that
+    datum to the per-datum reference method, which refills exactly as
+    the scalar path does because it is the scalar path.  Each yield is
+    one ``vecdecode.fallback.<kernel>`` count.
     """
-    if _SINK is not None:
-        _SINK.fallback(reader, method)
+    _kernel(kernel)
+    while True:
+        reader.pos, done = window(reader._buf, reader.pos, k, *args)
+        k -= done
+        if k <= 0:
+            return
+        if _SINK is not None:
+            _SINK.fallback(reader, kernel)
+        yield
+        k -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -76,135 +99,93 @@ def _fallback(reader, method: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _zigzags(buf, pos, k, out):
+    before = len(out)
+    append = out.append
+    try:
+        for _ in range(k):
+            folded = buf[pos]
+            p = pos + 1
+            if folded >= 0x80:
+                folded &= 0x7F
+                shift = 7
+                while True:
+                    b = buf[p]
+                    p += 1
+                    if b < 0x80:
+                        break
+                    folded |= (b & 0x7F) << shift
+                    shift += 7
+                folded |= b << shift
+            append(-((folded + 1) >> 1) if folded & 1 else folded >> 1)
+            pos = p
+    except IndexError:
+        pass
+    return pos, len(out) - before
+
+
 def read_zigzags(reader, k: int) -> list:
     """Decode ``k`` zig-zag varints; equivalent to k ``read_zigzag()``."""
-    _kernel("read_zigzags")
     out = []
-    append = out.append
-    buf, pos = reader._buf, reader.pos
-    limit = len(buf)
-    for _ in range(k):
-        # Fully inline LEB128 while the window holds the whole varint;
-        # running off the window edge (or a pending skip gap) defers to
-        # the reader's own method, which refills exactly as the scalar
-        # path would.
-        folded = 0
-        shift = 0
-        p = pos
-        while p < limit:
-            b = buf[p]
-            p += 1
-            if b < 0x80:
-                folded |= b << shift
-                pos = p
-                break
-            folded |= (b & 0x7F) << shift
-            shift += 7
-        else:
-            _fallback(reader, "varint")
-            reader.pos = pos
-            folded = reader.read_varint()
-            buf, pos = reader._buf, reader.pos
-            limit = len(buf)
-        append(-((folded + 1) >> 1) if folded & 1 else folded >> 1)
-    reader.pos = pos
+    for _ in _windows(reader, "read_zigzags", k, _zigzags, out):
+        out.append(reader.read_zigzag())
     return out
+
+
+def _chunks(buf, pos, k, out):
+    before = len(out)
+    append = out.append
+    limit = len(buf)
+    try:
+        for _ in range(k):
+            n = buf[pos]
+            if n < 0x80:
+                start = pos + 1
+            else:
+                n, start = decode_varint(buf, pos)
+            end = start + n
+            if end > limit:
+                break
+            append(bytes(buf[start:end]))
+            pos = end
+    except _OFF_WINDOW:
+        pass
+    return pos, len(out) - before
 
 
 def read_chunks(reader, k: int) -> list:
     """Decode ``k`` length-prefixed byte chunks (string/bytes wire form)."""
-    _kernel("read_chunks")
     out = []
-    append = out.append
-    buf, pos = reader._buf, reader.pos
-    limit = len(buf)
-    for _ in range(k):
-        if pos < limit and buf[pos] < 0x80:
-            n = buf[pos]
-            pos += 1
-        else:
-            try:
-                n, pos = decode_varint(buf, pos)
-            except VarintError:
-                _fallback(reader, "varint")
-                reader.pos = pos
-                n = reader.read_varint()
-                buf, pos = reader._buf, reader.pos
-                limit = len(buf)
-        end = pos + n
-        if end <= limit:
-            append(bytes(buf[pos:end]))
-            pos = end
-        else:
-            _fallback(reader, "bytes")
-            reader.pos = pos
-            append(reader.read_bytes(n))
-            buf, pos = reader._buf, reader.pos
-            limit = len(buf)
-    reader.pos = pos
+    for _ in _windows(reader, "read_chunks", k, _chunks, out):
+        out.append(reader.read_len_prefixed())
     return out
+
+
+def _doubles(buf, pos, k, out):
+    done = max(0, min(k, (len(buf) - pos) // 8))
+    if done:
+        out.extend(struct.unpack_from(f"<{done}d", buf, pos))
+    return pos + 8 * done, done
 
 
 def read_doubles(reader, k: int) -> list:
-    _kernel("read_doubles")
     out = []
-    append = out.append
-    unpack = _DOUBLE.unpack_from
-    buf, pos = reader._buf, reader.pos
-    limit = len(buf)
-    for _ in range(k):
-        if pos + 8 <= limit:
-            append(unpack(buf, pos)[0])
-            pos += 8
-        else:
-            _fallback(reader, "double")
-            reader.pos = pos
-            append(reader.read_double())
-            buf, pos = reader._buf, reader.pos
-            limit = len(buf)
-    reader.pos = pos
+    for _ in _windows(reader, "read_doubles", k, _doubles, out):
+        out.append(reader.read_double())
     return out
+
+
+def _booleans(buf, pos, k, out):
+    done = max(0, min(k, len(buf) - pos))
+    out.extend([b != 0 for b in buf[pos:pos + done]])
+    return pos + done, done
 
 
 def read_booleans(reader, k: int) -> list:
-    _kernel("read_booleans")
     out = []
-    append = out.append
-    buf, pos = reader._buf, reader.pos
-    limit = len(buf)
-    for _ in range(k):
-        if pos < limit:
-            append(buf[pos] != 0)
-            pos += 1
-        else:
-            _fallback(reader, "byte")
-            reader.pos = pos
-            append(reader.read_byte() != 0)
-            buf, pos = reader._buf, reader.pos
-            limit = len(buf)
-    reader.pos = pos
+    for _ in _windows(reader, "read_booleans", k, _booleans, out):
+        out.append(reader.read_byte() != 0)
     return out
-
-
-def _read_varint(reader):
-    """One varint off the window with per-value fallback (no alias reuse)."""
-    try:
-        value, reader.pos = decode_varint(reader._buf, reader.pos)
-        return value
-    except VarintError:
-        _fallback(reader, "varint")
-        return reader.read_varint()
-
-
-def _hop(reader, n: int) -> None:
-    """Advance past ``n`` bytes; beyond the window this defers to
-    ``reader.skip`` so stream readers keep their lazy-gap elision."""
-    end = reader.pos + n
-    if end <= len(reader._buf):
-        reader.pos = end
-    else:
-        _fallback(reader, "skip")
-        reader.skip(n)
 
 
 # ---------------------------------------------------------------------------
@@ -219,159 +200,108 @@ def map_batch_supported(field_schema) -> bool:
     )
 
 
-def read_maps(reader, field_schema, k: int, cost, metrics) -> list:
-    """Decode ``k`` map datums with batched charges.
-
-    Exact integer side effects and linear-sum cpu of ``k`` scalar
-    ``read_datum`` calls (map container + per-entry key string +
-    per-entry value + raw scan of the full span).
-    """
-    _kernel("read_maps")
-    value_kind = field_schema.values.kind
+def _maps(buf, pos, k, value_kind, cost, metrics, out, keys):
+    """Decode whole maps off the window and charge them as that many
+    ``read_datum`` calls: map container + per-entry key string +
+    per-entry value + raw scan of the span."""
     ints = value_kind in _INTEGER_KINDS
-    profile = cost.profile
-    start = reader.offset
-    out = []
-    append = out.append
-    entries_total = 0
-    key_payload = 0
-    value_payload = 0  # string/bytes values only
-    keys = {}  # bytes -> decoded str; map keys repeat heavily
-    buf, pos = reader._buf, reader.pos
     limit = len(buf)
-    for _ in range(k):
-        if pos < limit and buf[pos] < 0x80:
+    unpack = _DOUBLE.unpack_from
+    start = pos
+    before = len(out)
+    entries = key_payload = value_payload = 0  # string/bytes values only
+    whole = (0, 0, 0)  # the sums as of the last whole map
+    try:
+        for _ in range(k):
             count = buf[pos]
-            pos += 1
-        else:
-            try:
-                count, pos = decode_varint(buf, pos)
-            except VarintError:
-                _fallback(reader, "varint")
-                reader.pos = pos
-                count = reader.read_varint()
-                buf, pos = reader._buf, reader.pos
-                limit = len(buf)
-        entries_total += count
-        item = {}
-        for _ in range(count):
-            if pos < limit and buf[pos] < 0x80:
-                klen = buf[pos]
-                pos += 1
+            if count < 0x80:
+                p = pos + 1
             else:
-                try:
-                    klen, pos = decode_varint(buf, pos)
-                except VarintError:
-                    _fallback(reader, "varint")
-                    reader.pos = pos
-                    klen = reader.read_varint()
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-            end = pos + klen
-            if end <= limit:
-                raw_key = bytes(buf[pos:end])
-                pos = end
-            else:
-                _fallback(reader, "bytes")
-                reader.pos = pos
-                raw_key = reader.read_bytes(klen)
-                buf, pos = reader._buf, reader.pos
-                limit = len(buf)
-            key_payload += klen
-            if ints:
-                folded = 0
-                shift = 0
-                p = pos
-                while p < limit:
-                    b = buf[p]
+                count, p = decode_varint(buf, pos)
+            item = {}
+            for _ in range(count):
+                n = buf[p]
+                if n < 0x80:
                     p += 1
-                    if b < 0x80:
+                else:
+                    n, p = decode_varint(buf, p)
+                # a key slice that comes up short is caught at its
+                # value, which then starts beyond the window
+                raw_key = bytes(buf[p:p + n])
+                p += n
+                key_payload += n
+                if ints:  # inline LEB128, as in _zigzags
+                    folded = buf[p]
+                    p += 1
+                    if folded >= 0x80:
+                        folded &= 0x7F
+                        shift = 7
+                        while True:
+                            b = buf[p]
+                            p += 1
+                            if b < 0x80:
+                                break
+                            folded |= (b & 0x7F) << shift
+                            shift += 7
                         folded |= b << shift
-                        pos = p
-                        break
-                    folded |= (b & 0x7F) << shift
-                    shift += 7
-                else:
-                    _fallback(reader, "varint")
-                    reader.pos = pos
-                    folded = reader.read_varint()
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-                value = (
-                    -((folded + 1) >> 1) if folded & 1 else folded >> 1
-                )
-            elif value_kind == "double":
-                # Always delegated by design (no inline double form in
-                # the map walk) — deliberately not a counted fallback.
-                reader.pos = pos
-                value = reader.read_double()
-                buf, pos = reader._buf, reader.pos
-                limit = len(buf)
-            elif value_kind == "boolean":
-                reader.pos = pos
-                value = reader.read_byte() != 0
-                buf, pos = reader._buf, reader.pos
-                limit = len(buf)
-            else:  # string / bytes
-                try:
-                    vlen, pos = decode_varint(buf, pos)
-                except VarintError:
-                    _fallback(reader, "varint")
-                    reader.pos = pos
-                    vlen = reader.read_varint()
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-                end = pos + vlen
-                if end <= limit:
-                    raw = bytes(buf[pos:end])
-                    pos = end
-                else:
-                    _fallback(reader, "bytes")
-                    reader.pos = pos
-                    raw = reader.read_bytes(vlen)
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-                value_payload += vlen
-                value = raw.decode("utf-8") if value_kind == "string" else raw
-            key = keys.get(raw_key)
-            if key is None:
-                key = keys[raw_key] = raw_key.decode("utf-8")
-            item[key] = value
-        append(item)
-    reader.pos = pos
-    # Container overhead + keys, summed (charge_map / charge_string).
-    cpu = (
-        k * profile.map_decode_base
-        + entries_total * profile.map_entry
-        + entries_total * profile.string_decode_base
-        + key_payload * profile.string_decode_per_byte
+                    value = (
+                        -((folded + 1) >> 1) if folded & 1 else folded >> 1
+                    )
+                elif value_kind == "double":
+                    value = unpack(buf, p)[0]
+                    p += 8
+                elif value_kind == "boolean":
+                    value = buf[p] != 0
+                    p += 1
+                else:  # string / bytes
+                    n, p = decode_varint(buf, p)
+                    end = p + n
+                    if end > limit:  # the slice would come up short
+                        raise IndexError
+                    value = bytes(buf[p:end])
+                    p = end
+                    value_payload += n
+                    if value_kind == "string":
+                        value = value.decode("utf-8")
+                key = keys.get(raw_key)
+                if key is None:
+                    key = keys[raw_key] = raw_key.decode("utf-8")
+                item[key] = value
+            out.append(item)
+            pos = p
+            entries += count
+            whole = (entries, key_payload, value_payload)
+    except _OFF_WINDOW:
+        pass
+    done = len(out) - before
+    entries, key_payload, value_payload = whole
+    profile = cost.profile
+    metrics.cells += 2 * entries  # key strings + values
+    metrics.objects += done + 2 * entries  # maps + entries, key strings
+    if value_kind in ("string", "bytes"):
+        metrics.objects += entries
+    metrics.charge_cpu(
+        done * profile.map_decode_base
+        + entries * profile.map_entry
+        + cost.prim_cpu("string", entries, key_payload)
+        + cost.prim_cpu(value_kind, entries, value_payload)
+        + (pos - start) * profile.raw_scan_per_byte
     )
-    metrics.objects += k + 2 * entries_total  # maps+entries, key strings
-    metrics.cells += entries_total  # key strings
-    # Values, summed per kind.
-    metrics.cells += entries_total
-    if value_kind == "int":
-        cpu += entries_total * profile.int_decode
-    elif value_kind in ("long", "time"):
-        cpu += entries_total * profile.long_decode
-    elif value_kind == "double":
-        cpu += entries_total * profile.double_decode
-    elif value_kind == "boolean":
-        cpu += entries_total * profile.bool_decode
-    elif value_kind == "string":
-        cpu += (
-            entries_total * profile.string_decode_base
-            + value_payload * profile.string_decode_per_byte
+    return pos, done
+
+
+def read_maps(reader, field_schema, k: int, cost, metrics) -> list:
+    """Decode ``k`` map datums; exact integer side effects and
+    linear-sum cpu of ``k`` scalar ``read_datum`` calls."""
+    out = []
+    keys = {}  # bytes -> decoded str; map keys repeat heavily
+    for _ in _windows(
+        reader, "read_maps", k, _maps,
+        field_schema.values.kind, cost, metrics, out, keys,
+    ):
+        out.append(
+            BinaryDecoder(reader, cost, metrics).read_datum(field_schema)
         )
-        metrics.objects += entries_total
-    else:  # bytes
-        cpu += (
-            entries_total * profile.bytes_decode_base
-            + value_payload * profile.bytes_decode_per_byte
-        )
-        metrics.objects += entries_total
-    cpu += (reader.offset - start) * profile.raw_scan_per_byte
-    metrics.charge_cpu(cpu)
     return out
 
 
@@ -391,273 +321,208 @@ def skip_batch_supported(field_schema) -> bool:
     return False
 
 
-def _hop_varints(reader, k: int) -> None:
-    buf, pos = reader._buf, reader.pos
+def _hop_prims(buf, pos, k, kind):
+    """Hop up to ``k`` primitives lying wholly inside the window.
+
+    (Here and below, ``for done in range(k)`` leaves ``done`` at the
+    count of whole datums when the loop is left early; its ``else``
+    covers running to the end.)
+    """
     limit = len(buf)
-    for _ in range(k):
-        p = pos
-        while p < limit:
-            if buf[p] < 0x80:
+    width = _FIXED_WIDTH.get(kind)
+    if width:
+        done = max(0, min(k, (limit - pos) // width))
+        return pos + width * done, done
+    done = 0
+    try:
+        if kind in _INTEGER_KINDS:
+            for done in range(k):
+                p = pos
+                while buf[p] >= 0x80:
+                    p += 1
                 pos = p + 1
+            else:
+                done = k
+        else:  # string / bytes: length prefix, then the payload
+            for done in range(k):
+                n = buf[pos]
+                if n < 0x80:
+                    end = pos + 1 + n
+                else:
+                    n, end = decode_varint(buf, pos)
+                    end += n
+                if end > limit:
+                    break
+                pos = end
+            else:
+                done = k
+    except _OFF_WINDOW:
+        pass
+    return pos, done
+
+
+def _hop_arrays(buf, pos, k, item_kind):
+    """Hop whole arrays of primitives; ``(pos, done, elements,
+    item_span)`` with the span counting the elements' bytes only."""
+    elements = item_span = 0
+    done = 0
+    try:
+        for done in range(k):
+            count, p = decode_varint(buf, pos)
+            end, hopped = _hop_prims(buf, p, count, item_kind)
+            if hopped < count:
                 break
-            p += 1
-        else:
-            _fallback(reader, "varint")
-            reader.pos = pos
-            reader.read_varint()
-            buf, pos = reader._buf, reader.pos
-            limit = len(buf)
-    reader.pos = pos
-
-
-def _skip_prims(reader, kind: str, k: int, profile):
-    """Hop ``k`` primitive values; returns their decode-equivalent cpu
-    (excluding the raw-scan term the caller derives from the span)."""
-    if kind in _INTEGER_KINDS:
-        _hop_varints(reader, k)
-        per = profile.int_decode if kind == "int" else profile.long_decode
-        return k * per
-    if kind == "double":
-        _hop(reader, 8 * k)
-        return k * profile.double_decode
-    if kind == "boolean":
-        _hop(reader, k)
-        return k * profile.bool_decode
-    # string / bytes: per-value length hop; the skip-equivalent string
-    # charge counts prefix+payload bytes (matching BinaryDecoder._skip,
-    # which charges the full skip_len_prefixed span).
-    if kind == "string":
-        base, per = profile.string_decode_base, profile.string_decode_per_byte
-    else:
-        base, per = profile.bytes_decode_base, profile.bytes_decode_per_byte
-    cpu = k * base
-    buf, pos = reader._buf, reader.pos
-    limit = len(buf)
-    for _ in range(k):
-        if pos < limit and buf[pos] < 0x80:
-            n = buf[pos]
-            pos += 1
-        else:
-            try:
-                n, pos = decode_varint(buf, pos)
-            except VarintError:
-                _fallback(reader, "varint")
-                reader.pos = pos
-                n = reader.read_varint()
-                buf, pos = reader._buf, reader.pos
-                limit = len(buf)
-        end = pos + n
-        if end <= limit:
             pos = end
+            elements += count
+            item_span += end - p
         else:
-            _fallback(reader, "skip")
-            reader.pos = pos
-            reader.skip(n)
-            buf, pos = reader._buf, reader.pos
-            limit = len(buf)
-        cpu += (n + _varint_width(n)) * per  # prefix+payload span
-    reader.pos = pos
-    return cpu
+            done = k
+    except _OFF_WINDOW:
+        pass
+    return pos, done, elements, item_span
 
 
-def _varint_width(value: int) -> int:
-    width = 1
-    value >>= 7
-    while value:
-        width += 1
-        value >>= 7
-    return width
-
-
-def _walk_maps(reader, value_kind: str, k: int, coded_keys: bool):
-    """Hop ``k`` map datums in one local loop without materializing.
+def _hop_maps(buf, pos, k, value_kind, coded_keys):
+    """Hop whole maps without materializing.
 
     Keys are length-prefixed strings (``coded_keys=False``) or varint
-    dictionary ids (DCSL).  Returns ``(entries_total, key_span,
+    dictionary ids (DCSL).  Returns ``(pos, done, entries, key_span,
     value_span)`` where the spans count prefix+payload bytes — the
     quantities the skip cost formulas need.
     """
     ints = value_kind in _INTEGER_KINDS
-    fixed = 8 if value_kind == "double" else 1 if value_kind == "boolean" else 0
-    entries_total = 0
-    key_span = 0
-    value_span = 0
-    buf, pos = reader._buf, reader.pos
+    fixed = _FIXED_WIDTH.get(value_kind)
     limit = len(buf)
-    for _ in range(k):
-        if pos < limit and buf[pos] < 0x80:
+    entries = key_span = value_span = 0
+    whole = (0, 0, 0)  # the sums as of the last whole map
+    done = 0
+    try:
+        for done in range(k):
             count = buf[pos]
-            pos += 1
-        else:
-            try:
-                count, pos = decode_varint(buf, pos)
-            except VarintError:
-                _fallback(reader, "varint")
-                reader.pos = pos
-                count = reader.read_varint()
-                buf, pos = reader._buf, reader.pos
-                limit = len(buf)
-        entries_total += count
-        for _ in range(count):
-            # key: dictionary id varint, or len-prefixed string
-            if pos < limit and buf[pos] < 0x80:
-                klen = buf[pos]
-                pos += 1
+            if count < 0x80:
+                p = pos + 1
             else:
-                try:
-                    klen, pos = decode_varint(buf, pos)
-                except VarintError:
-                    _fallback(reader, "varint")
-                    reader.pos = pos
-                    klen = reader.read_varint()
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-            if not coded_keys:
-                key_span += klen + _varint_width(klen)
-                end = pos + klen
-                if end <= limit:
-                    pos = end
-                else:
-                    _fallback(reader, "skip")
-                    reader.pos = pos
-                    reader.skip(klen)
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-            # value
-            if ints:
-                p = pos
-                while p < limit:
-                    if buf[p] < 0x80:
-                        value_span += p + 1 - pos
-                        pos = p + 1
-                        break
+                count, p = decode_varint(buf, pos)
+            for _ in range(count):
+                key_start = p
+                n = buf[p]
+                if n < 0x80:
                     p += 1
                 else:
-                    _fallback(reader, "varint")
-                    reader.pos = pos
-                    before = reader.offset
-                    reader.read_varint()
-                    value_span += reader.offset - before
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-            elif fixed:
-                value_span += fixed
-                end = pos + fixed
-                if end <= limit:
-                    pos = end
+                    n, p = decode_varint(buf, p)
+                if not coded_keys:
+                    p += n
+                value_start = p
+                if ints:
+                    while buf[p] >= 0x80:
+                        p += 1
+                    p += 1
+                elif fixed:
+                    p += fixed
                 else:
-                    _fallback(reader, "skip")
-                    reader.pos = pos
-                    reader.skip(fixed)
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-            else:  # string / bytes value
-                try:
-                    vlen, pos = decode_varint(buf, pos)
-                except VarintError:
-                    _fallback(reader, "varint")
-                    reader.pos = pos
-                    vlen = reader.read_varint()
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-                value_span += vlen + _varint_width(vlen)
-                end = pos + vlen
-                if end <= limit:
-                    pos = end
-                else:
-                    _fallback(reader, "skip")
-                    reader.pos = pos
-                    reader.skip(vlen)
-                    buf, pos = reader._buf, reader.pos
-                    limit = len(buf)
-    reader.pos = pos
-    return entries_total, key_span, value_span
+                    n, p = decode_varint(buf, p)
+                    p += n
+                key_span += value_start - key_start
+                value_span += p - value_start
+            if p > limit:
+                break
+            pos = p
+            entries += count
+            whole = (entries, key_span, value_span)
+        else:
+            done = k
+    except _OFF_WINDOW:
+        pass
+    return (pos, done) + whole
 
 
-def _value_skip_cpu(value_kind, entries: int, value_span: int, profile):
-    """Decode-equivalent cpu of skipping ``entries`` primitive values
-    spanning ``value_span`` bytes (prefix+payload for var-length kinds)."""
-    if value_kind == "int":
-        return entries * profile.int_decode
-    if value_kind in ("long", "time"):
-        return entries * profile.long_decode
-    if value_kind == "double":
-        return entries * profile.double_decode
-    if value_kind == "boolean":
-        return entries * profile.bool_decode
-    if value_kind == "string":
-        return (
-            entries * profile.string_decode_base
-            + value_span * profile.string_decode_per_byte
+def _skips(buf, pos, k, field_schema, cost, metrics):
+    """Hop whole datums and charge them as that many ``skip_datum``
+    calls: decode-equivalent cpu at ``skip_fraction``, no cells/objects."""
+    kind = field_schema.kind
+    profile = cost.profile
+    if kind == "map":
+        value_kind = field_schema.values.kind
+        end, done, entries, key_span, value_span = _hop_maps(
+            buf, pos, k, value_kind, False
         )
-    return (
-        entries * profile.bytes_decode_base
-        + value_span * profile.bytes_decode_per_byte
-    )
+        cpu = (
+            done * profile.map_decode_base
+            + entries * profile.map_entry
+            + cost.prim_cpu("string", entries, key_span)
+            + cost.prim_cpu(value_kind, entries, value_span)
+        )
+    elif kind == "array":
+        item_kind = field_schema.items.kind
+        end, done, elements, item_span = _hop_arrays(buf, pos, k, item_kind)
+        cpu = (
+            done * profile.array_decode_base
+            + elements * profile.array_element
+            + cost.prim_cpu(item_kind, elements, item_span)
+        )
+    else:
+        # A var-length value's skip charge counts prefix+payload bytes
+        # (BinaryDecoder._skip charges the full skip_len_prefixed span),
+        # which over a run of them is the run's own span.
+        end, done = _hop_prims(buf, pos, k, kind)
+        cpu = cost.prim_cpu(kind, done, end - pos)
+    cpu += (end - pos) * profile.raw_scan_per_byte
+    metrics.charge_cpu(cost.skip_discount(cpu))
+    return end, done
 
 
 def skip_batch(reader, field_schema, k: int, cost, metrics) -> bool:
     """Skip ``k`` datums, charging the exact sum of ``k`` scalar
-    ``skip_datum`` calls (decode-equivalent cpu at ``skip_fraction``,
-    no cells/objects).  Returns False when the kind needs the generic
-    per-value walk."""
+    ``skip_datum`` calls.  Returns False when the kind needs the
+    generic per-value walk."""
     if not skip_batch_supported(field_schema):
         return False
-    _kernel("skip_batch")
-    kind = field_schema.kind
-    profile = cost.profile
-    start = reader.offset
-    if kind in _PRIMITIVE_KINDS:
-        cpu = _skip_prims(reader, kind, k, profile)
-    elif kind == "map":
-        value_kind = field_schema.values.kind
-        entries_total, key_span, value_span = _walk_maps(
-            reader, value_kind, k, coded_keys=False
-        )
+    width = _FIXED_WIDTH.get(field_schema.kind)
+    if width:
+        # No byte of a fixed-width run is needed to pass it, so this is
+        # position arithmetic wherever the window ends (reader.skip
+        # keeps the stream reader's lazy-gap elision and its EOF check).
+        _kernel("skip_batch")
+        reader.skip(k * width)
         cpu = (
-            k * profile.map_decode_base
-            + entries_total * profile.map_entry
-            + entries_total * profile.string_decode_base
-            + key_span * profile.string_decode_per_byte
-            + _value_skip_cpu(value_kind, entries_total, value_span, profile)
+            cost.prim_cpu(field_schema.kind, k)
+            + k * width * cost.profile.raw_scan_per_byte
         )
-    else:  # array of primitives
-        item_kind = field_schema.items.kind
-        cpu = 0.0
-        elements_total = 0
-        for _ in range(k):
-            count = _read_varint(reader)
-            elements_total += count
-            cpu += _skip_prims(reader, item_kind, count, profile)
-        cpu += (
-            k * profile.array_decode_base
-            + elements_total * profile.array_element
-        )
-    cpu += (reader.offset - start) * profile.raw_scan_per_byte
-    metrics.charge_cpu(cost.skip_discount(cpu))
+        metrics.charge_cpu(cost.skip_discount(cpu))
+        return True
+    for _ in _windows(
+        reader, "skip_batch", k, _skips, field_schema, cost, metrics
+    ):
+        BinaryDecoder(reader, cost, metrics).skip_datum(field_schema)
     return True
 
 
-def skip_dcsl_batch(reader, values_schema, k: int, cost, metrics) -> bool:
-    """Skip ``k`` dictionary-coded map datums (DCSL value stream).
+def _dcsl_skips(buf, pos, k, value_kind, cost, metrics):
+    """Matches the scalar DCSL walk: each entry's value is skip-charged
+    like a standalone ``skip_datum`` (discounted decode cpu + its own
+    raw scan), and each datum's full span is raw-scanned undiscounted."""
+    end, done, entries, _, value_span = _hop_maps(
+        buf, pos, k, value_kind, True
+    )
+    value_cpu = (
+        cost.prim_cpu(value_kind, entries, value_span)
+        + value_span * cost.profile.raw_scan_per_byte
+    )
+    metrics.charge_cpu(cost.skip_discount(value_cpu))
+    cost.charge_raw_scan(metrics, end - pos)
+    return end, done
 
-    Matches the scalar walk: each entry's value is skip-charged like a
-    standalone ``skip_datum`` (discounted decode cpu + its own raw
-    scan), and each datum's full span is raw-scanned undiscounted.
-    """
+
+def skip_dcsl_batch(
+    reader, values_schema, k: int, cost, metrics, skip_one
+) -> bool:
+    """Skip ``k`` dictionary-coded map datums (DCSL value stream);
+    ``skip_one`` is the column reader's own per-datum skip."""
     value_kind = values_schema.kind
     if value_kind not in _PRIMITIVE_KINDS:
         return False
-    _kernel("skip_dcsl_batch")
-    profile = cost.profile
-    start = reader.offset
-    entries_total, _, value_span = _walk_maps(
-        reader, value_kind, k, coded_keys=True
-    )
-    value_cpu = (
-        _value_skip_cpu(value_kind, entries_total, value_span, profile)
-        + value_span * profile.raw_scan_per_byte
-    )
-    metrics.charge_cpu(cost.skip_discount(value_cpu))
-    cost.charge_raw_scan(metrics, reader.offset - start)
+    for _ in _windows(
+        reader, "skip_dcsl_batch", k, _dcsl_skips, value_kind, cost, metrics
+    ):
+        skip_one()
     return True

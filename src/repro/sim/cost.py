@@ -11,6 +11,17 @@ from __future__ import annotations
 from repro.sim.calibration import MANAGED_PROFILE, CostProfile
 from repro.sim.metrics import Metrics
 
+#: primitive kind -> CostProfile fields (per value, per var-length byte)
+_PRIM_RATES = {
+    "int": ("int_decode", None),
+    "long": ("long_decode", None),
+    "time": ("long_decode", None),
+    "double": ("double_decode", None),
+    "boolean": ("bool_decode", None),
+    "string": ("string_decode_base", "string_decode_per_byte"),
+    "bytes": ("bytes_decode_base", "bytes_decode_per_byte"),
+}
+
 
 class CpuCostModel:
     """Charges per-operation CPU seconds from a :class:`CostProfile`.
@@ -59,6 +70,16 @@ class CpuCostModel:
         )
         metrics.cells += 1
         metrics.objects += 1
+
+    def prim_cpu(self, kind: str, count: int, payload: int = 0) -> float:
+        """Decode cpu of ``count`` primitives of ``kind`` holding
+        ``payload`` var-length bytes: the ``charge_*`` above, summed over
+        a run (the batched kernels charge runs; the model is linear)."""
+        per_value, per_byte = _PRIM_RATES[kind]
+        cpu = count * getattr(self.profile, per_value)
+        if per_byte is not None:
+            cpu += payload * getattr(self.profile, per_byte)
+        return cpu
 
     # -- containers ---------------------------------------------------
 

@@ -55,6 +55,14 @@ class TestCompare:
         assert diff.regressions[0].key == "time.scan"
         assert regress.compare(base, fresh, rel_tol=0.10).ok
 
+    def test_default_gate_is_exact(self):
+        base = payload({"time.scan": 1.0})
+        fresh = payload({"time.scan": 1.0 + 1e-6})
+        diff = regress.compare(base, fresh)
+        assert not diff.ok
+        assert diff.regressions[0].key == "time.scan"
+        assert regress.compare(base, fresh, rel_tol=0.02).ok
+
     def test_time_shrink_is_an_improvement_not_a_failure(self):
         base = payload({"time.scan": 1.0})
         diff = regress.compare(base, payload({"time.scan": 0.5}))

@@ -2,6 +2,7 @@
 replay that keeps every past finding fixed."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.check.fuzzer import (
     save_case,
     shrink,
 )
-from repro.check.generators import generate_case
+from repro.check.generators import DEFAULT_IO_BUFFER, generate_case
 
 
 class TestFuzzLoop:
@@ -53,6 +54,15 @@ class TestFuzzLoop:
         back = load_case(path)
         assert back.rows == shrunk.rows
         assert json.load(open(path))["error"] == "boom"
+
+    def test_shrink_tries_the_default_io_buffer_first(self):
+        case = replace(generate_case(3), io_buffer=61)
+        shrunk, _ = shrink(case, lambda c: "boom", max_evals=40)
+        assert shrunk.io_buffer == DEFAULT_IO_BUFFER
+        # ... and keeps the odd window when the failure lives on it
+        on_edge = lambda c: "edge" if c.io_buffer == 61 else None  # noqa: E731
+        shrunk, _ = shrink(case, on_edge, max_evals=40)
+        assert shrunk.io_buffer == 61
 
     def test_shrink_requires_a_failing_case(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ bias, query rewriting, and the JSON corpus round-trip."""
 from dataclasses import replace
 
 from repro.check.generators import (
+    DEFAULT_IO_BUFFER,
+    IO_BUFFERS,
     Case,
     QuerySpec,
     case_from_obj,
@@ -33,6 +35,11 @@ class TestDeterminism:
             (c.schema.to_json(), tuple(map(repr, c.rows))) for c in cases
         }
         assert len(distinct) > 15  # near-total case diversity
+
+    def test_io_buffer_is_seeded_and_every_size_is_drawn(self):
+        drawn = [generate_case(seed).io_buffer for seed in range(40)]
+        assert drawn == [generate_case(seed).io_buffer for seed in range(40)]
+        assert set(drawn) == set(IO_BUFFERS)
 
     def test_row_count_override(self):
         assert len(generate_case(3, num_rows=2).rows) == 2
@@ -117,6 +124,26 @@ class TestCorpusRoundTrip:
         back = case_from_obj(case_to_obj(case))
         assert back.rows == case.rows
         assert back.note == "hand-built"
+
+    def test_io_buffer_travels_only_when_it_is_not_the_default(self):
+        case = generate_case(4)
+        odd = replace(case, io_buffer=61)
+        assert case_to_obj(odd)["io_buffer"] == 61
+        assert case_from_obj(case_to_obj(odd)).io_buffer == 61
+        plain = case_to_obj(replace(case, io_buffer=DEFAULT_IO_BUFFER))
+        assert "io_buffer" not in plain
+        assert case_from_obj(plain).io_buffer == DEFAULT_IO_BUFFER
+
+    def test_committed_corpus_keeps_its_names(self, tmp_path):
+        # the name carries a digest of the payload: a case saved before
+        # the io_buffer field must re-save byte for byte
+        import os
+
+        from repro.check.fuzzer import corpus_files, load_case, save_case
+
+        for path in corpus_files():
+            resaved = save_case(load_case(path), str(tmp_path))
+            assert os.path.basename(resaved) == os.path.basename(path)
 
     def test_shrunk_note_survives(self):
         case = replace(generate_case(4), note="shrunk from seed 4")

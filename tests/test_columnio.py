@@ -261,6 +261,27 @@ class TestCompressedBlocks:
         # The whole block was decompressed to reach value 50.
         assert ctx.metrics.cpu_time > 0
 
+    @pytest.mark.parametrize("batch_kernels", [False, True])
+    @pytest.mark.parametrize("touch", [
+        lambda r: r.read_value(),
+        lambda r: r.read_vector(4),
+        lambda r: r.skip(3),  # once inflated through a copy with no check
+    ], ids=["read_value", "read_vector", "skip"])
+    def test_lying_raw_len_rejected_however_the_block_is_opened(
+        self, touch, batch_kernels
+    ):
+        values = [f"v{i}" for i in range(10)]
+        payload = bytearray(encode_column_file(
+            Schema.string(), values, ColumnSpec("cblock", codec="lzo")
+        ))
+        raw_len_at = payload.index(b"lzo") + len(b"lzo") + 1  # past the count
+        assert payload[raw_len_at] == 30  # ten 3-byte values
+        payload[raw_len_at] += 1
+        reader, _ = make_reader(bytes(payload), Schema.string())
+        reader.batch_kernels = batch_kernels
+        with pytest.raises(ValueError, match="corrupt compressed block"):
+            touch(reader)
+
 
 class TestDcsl:
     def map_values(self, n, keys=("content-type", "server", "encoding")):

@@ -18,7 +18,9 @@ the +-2**63 boundary and IEEE-754 NaN, which `repro.query.expr` defines
 in one place for both engines.
 """
 
+import dataclasses
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +41,16 @@ from repro.core.vector import (
     kernel_contains,
     union_selections,
 )
+from repro.core.columnio import DcslColumnReader
+from repro.hdfs import ClusterConfig, FileSystem
+from repro.hdfs.streams import StreamByteReader
+from repro.mapreduce.types import TaskContext
 from repro.query.expr import compare_values
 from repro.serde import vecdecode
+from repro.serde.binary import BinaryDecoder, BinaryEncoder
+from repro.serde.schema import Schema
+from repro.sim.cost import CpuCostModel
+from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
 
 SYMBOLS = ("<", "<=", ">", ">=", "==", "!=")
@@ -337,18 +347,226 @@ def test_read_booleans_equals_scalar_reads(values):
 @given(st.lists(ints64, min_size=1, max_size=30))
 def test_hop_varints_lands_exactly_past_k_varints(values):
     batch, scalar = _two_readers(
-        lambda w: [w.write_zigzag(v) for v in values]
+        # the trailing byte is what a kernel that over-hops would eat
+        lambda w: [w.write_zigzag(v) for v in values] + [w.write_byte(0xFF)]
     )
-    vecdecode._hop_varints(batch, len(values))
+    assert vecdecode.skip_batch(
+        batch, Schema.long_(), len(values), CpuCostModel(), Metrics()
+    )
     for _ in values:
         scalar.read_zigzag()
     assert batch.offset == scalar.offset
 
 
 def test_varint_width_matches_encoder():
-    from repro.util.varint import encode_varint
+    # A skipped string charges its prefix + payload bytes, so a run that
+    # crosses every prefix width must charge what k skip_datum calls do.
+    blobs = ["x" * n for n in (0, 1, 127, 128, 16383, 16384, 70000)]
+    batch, scalar = _two_readers(
+        lambda w: [w.write_string(blob) for blob in blobs]
+    )
+    schema, cost = Schema.string(), CpuCostModel()
+    got, want = Metrics(), Metrics()
+    assert vecdecode.skip_batch(batch, schema, len(blobs), cost, got)
+    decoder = BinaryDecoder(scalar, cost, want)
+    for _ in blobs:
+        decoder.skip_datum(schema)
+    assert batch.offset == scalar.offset == len(scalar)
+    assert got.cpu_time == pytest.approx(want.cpu_time, rel=1e-9)
 
-    for value in (0, 1, 127, 128, 16383, 16384, 2**35, 2**63):
-        out = bytearray()
-        encode_varint(value, out)
-        assert vecdecode._varint_width(value) == len(out)
+
+# -- window edges: every kernel x every truncation point --------------------
+#
+# A kernel takes whole datums off the buffered window and hands the one
+# that does not fit to the per-datum decoder.  So wherever the window
+# ends — every offset of a fixed encoded run in turn — the kernel and
+# the per-datum walk must agree on the values, the final offset, the
+# Metrics, and the stream reads they cause.
+
+_EDGE_INTS = [
+    0, -1, 63, 64, -65, 300, 2**31, -(2**63), 2**63 - 1, 7, 8191, -8192,
+]
+_EDGE_TEXTS = [
+    "", "a", "héllo ✓", "x" * 130, "\x00", "urn:cnn.com/2011", "", "yz",
+]
+_EDGE_VALUES = {
+    "int": _EDGE_INTS[:7],
+    "long": _EDGE_INTS,
+    "double": [0.0, -1.5, 1e300, 3.141592653589793, float("inf")],
+    "boolean": [True, False, False, True, True],
+    "string": _EDGE_TEXTS,
+    "bytes": [t.encode("utf-8") for t in _EDGE_TEXTS],
+}
+_EDGE_KEYS = ["", "k", "anchor", "é" * 70, "k2"]
+
+
+def _edge_datums(schema):
+    """A fixed run of datums for ``schema`` (primitive, or a map/array
+    of primitives) that mixes empty, one-byte and multi-byte encodings."""
+    if schema.kind == "map":
+        values = _EDGE_VALUES[schema.values.kind]
+        return [{}] + [
+            {key: values[(i + j) % len(values)]
+             for j, key in enumerate(_EDGE_KEYS[:i])}
+            for i in (1, 3, 5, 0, 2)
+        ]
+    if schema.kind == "array":
+        values = _EDGE_VALUES[schema.items.kind]
+        return [[], values[:1], values, [], values[1:4]]
+    return _EDGE_VALUES[schema.kind]
+
+
+def _datum_run(schema):
+    datums = _edge_datums(schema)
+    encoder = BinaryEncoder()
+    for datum in datums:
+        encoder.write_datum(schema, datum)
+    return encoder.getvalue(), len(datums)
+
+
+def _prim_reads(kind, kernel, one):
+    payload, k = _datum_run(Schema(kind))
+    return (
+        payload,
+        lambda reader, ctx: kernel(reader, k),
+        lambda reader, ctx: [one(reader) for _ in range(k)],
+    )
+
+
+def _map_reads(kind):
+    schema = Schema.map(values=Schema(kind))
+    payload, k = _datum_run(schema)
+
+    def scalar(reader, ctx):
+        decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
+        return [decoder.read_datum(schema) for _ in range(k)]
+
+    return (
+        payload,
+        lambda reader, ctx: vecdecode.read_maps(
+            reader, schema, k, ctx.cost, ctx.metrics
+        ),
+        scalar,
+    )
+
+
+def _taken(supported):
+    assert supported, "the kernel declined a kind it should batch"
+
+
+def _skips(schema):
+    payload, k = _datum_run(schema)
+    payload += b"\x7f"  # what an over-hop would eat
+
+    def scalar(reader, ctx):
+        decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
+        for _ in range(k):
+            decoder.skip_datum(schema)
+
+    return (
+        payload,
+        lambda reader, ctx: _taken(vecdecode.skip_batch(
+            reader, schema, k, ctx.cost, ctx.metrics
+        )),
+        scalar,
+    )
+
+
+def _dcsl_skips(kind):
+    schema = Schema.map(values=Schema(kind))
+    datums = _edge_datums(schema)
+    writer = ByteWriter()
+    for datum in datums:  # the DCSL value stream: ids for keys
+        writer.write_varint(len(datum))
+        for key_id, value in enumerate(datum.values()):
+            writer.write_varint(key_id * 50)
+            BinaryEncoder(writer).write_datum(schema.values, value)
+    writer.write_byte(0x7F)
+
+    def column(reader, ctx):
+        return DcslColumnReader(reader, schema, len(datums), ctx, (100, 10))
+
+    def scalar(reader, ctx):
+        col = column(reader, ctx)
+        for _ in datums:
+            col._skip_one_value()
+
+    return (
+        writer.getvalue(),
+        lambda reader, ctx: _taken(
+            column(reader, ctx)._batch_skip_run(len(datums))
+        ),
+        scalar,
+    )
+
+
+_PRIMS = ("int", "long", "double", "boolean", "string", "bytes")
+_SKIP_SCHEMAS = (
+    [Schema(kind) for kind in _PRIMS]
+    + [Schema.map(values=Schema(kind)) for kind in _PRIMS]
+    + [Schema.array(items=Schema(kind)) for kind in _PRIMS]
+)
+_EDGE_CASES = {
+    "read_zigzags": partial(
+        _prim_reads, "long", vecdecode.read_zigzags, lambda r: r.read_zigzag()
+    ),
+    "read_chunks": partial(
+        _prim_reads, "bytes", vecdecode.read_chunks,
+        lambda r: r.read_len_prefixed(),
+    ),
+    "read_doubles": partial(
+        _prim_reads, "double", vecdecode.read_doubles,
+        lambda r: r.read_double(),
+    ),
+    "read_booleans": partial(
+        _prim_reads, "boolean", vecdecode.read_booleans,
+        lambda r: r.read_byte() != 0,
+    ),
+    **{f"read_maps[{kind}]": partial(_map_reads, kind) for kind in _PRIMS},
+    **{f"skip_batch[{schema.to_json()}]": partial(_skips, schema)
+       for schema in _SKIP_SCHEMAS},
+    **{f"skip_dcsl_batch[{kind}]": partial(_dcsl_skips, kind)
+       for kind in _PRIMS},
+}
+
+
+def _run_at_window(fs, path, window, walk):
+    """``walk`` a reader over ``path`` whose windows are ``window``
+    bytes; what it returned plus everything it left behind."""
+    ctx = TaskContext(node=0, cost=CpuCostModel(), io_buffer_size=window)
+    stream = fs.open(path, node=0, metrics=ctx.metrics, buffer_size=window)
+    reads, read = [], stream.read
+
+    def logged_read(n=-1):
+        reads.append((stream.tell(), n))
+        return read(n)
+
+    stream.read = logged_read
+    reader = StreamByteReader(stream)
+    values = walk(reader, ctx)
+    metrics = dataclasses.asdict(ctx.metrics)
+    floats = {
+        name: metrics.pop(name) for name, value in list(metrics.items())
+        if isinstance(value, float)
+    }
+    return values, reader.offset, metrics, reads, floats
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_CASES))
+def test_kernel_equals_per_datum_path_at_every_window_edge(name):
+    payload, batch, scalar = _EDGE_CASES[name]()
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/run", payload)
+    for window in range(1, len(payload) + 1):
+        *got, got_floats = _run_at_window(fs, "/run", window, batch)
+        *want, want_floats = _run_at_window(fs, "/run", window, scalar)
+        assert got == want, f"window={window}"
+        assert got_floats == pytest.approx(want_floats, rel=1e-9), (
+            f"window={window}"
+        )
+    # ... and a run cut short ends where the per-datum walk ends it
+    fs.write_file("/cut", payload[:-2])
+    for window in (7, len(payload)):
+        for walk in (batch, scalar):
+            with pytest.raises(EOFError):
+                _run_at_window(fs, "/cut", window, walk)
