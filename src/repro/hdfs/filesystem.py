@@ -197,7 +197,8 @@ class FileSystem:
         metrics: Optional[Metrics] = None,
     ) -> HdfsOutputStream:
         """Open an append-only output stream for a new file."""
-        self.namenode.create_file(path, overwrite=overwrite)
+        for block in self.namenode.create_file(path, overwrite=overwrite):
+            self.blockstore.remove(block.block_id)
         return HdfsOutputStream(self, normalize(path), metrics=metrics)
 
     def open(
@@ -312,7 +313,7 @@ class FileSystem:
         else:
             order = sorted(candidates)
         for node in order:
-            if not self.blockstore.replica_ok(bid, node):
+            if self.blockstore.replica_marked(bid, node):
                 self.report_corrupt_replica(block, node)
                 continue
             local = reader_node is None or node == reader_node
@@ -338,6 +339,7 @@ class FileSystem:
         """
         if not self.namenode.invalidate_replica(block, node):
             return
+        self.blockstore.clear_replica(block.block_id, node)
         obs = current_obs()
         obs.registry.counter(
             "replica.corrupt_detected", node=node
@@ -345,9 +347,9 @@ class FileSystem:
         obs.emit(
             "replica.corrupt_detected", block=block.block_id, node=node
         )
-        has_good_copy = any(
+        has_good_copy = self.blockstore.verify(block.block_id) and any(
             n not in self._dead_nodes
-            and self.blockstore.replica_ok(block.block_id, n)
+            and not self.blockstore.replica_marked(block.block_id, n)
             for n in block.locations
         )
         if self.auto_repair and has_good_copy:
@@ -599,6 +601,9 @@ class FileSystem:
         """Full integrity scan, like ``hdfs fsck``: corruption (block
         and replica level), replication, and CIF co-location state.
 
+        This is the byte-level block scanner: every block is
+        re-checksummed from its payload (``BlockStore.rescan``), not
+        answered from the read path's verified-once memo.
         ``path`` limits the check to one file or directory subtree.
         """
         report = FsckReport(
@@ -622,14 +627,16 @@ class FileSystem:
                 split_dirs.add(split_dir)
             payload_corrupt = False
             for block in blocks:
-                if not self.blockstore.verify(block.block_id):
+                if self.blockstore.rescan(block.block_id):
+                    report.corrupt_replicas += [
+                        (file_path, block.block_id, node)
+                        for node in block.locations
+                        if self.blockstore.replica_marked(
+                            block.block_id, node
+                        )
+                    ]
+                else:
                     payload_corrupt = True
-                for node in block.locations:
-                    if not self.blockstore.replica_ok(block.block_id, node):
-                        if self.blockstore.verify(block.block_id):
-                            report.corrupt_replicas.append(
-                                (file_path, block.block_id, node)
-                            )
                 live = [
                     n for n in block.locations if n not in self._dead_nodes
                 ]

@@ -73,14 +73,20 @@ class NameNode:
     def is_file(self, path: str) -> bool:
         return normalize(path) in self._files
 
-    def create_file(self, path: str, overwrite: bool = False) -> None:
+    def create_file(
+        self, path: str, overwrite: bool = False
+    ) -> List[BlockInfo]:
+        """Register an empty file; returns the blocks an overwritten
+        file held, which the caller frees (as with :meth:`delete`)."""
         path = normalize(path)
         if path in self._dirs:
             raise HdfsError(f"{path} exists and is a directory")
         if path in self._files and not overwrite:
             raise HdfsError(f"{path} already exists")
         self.mkdirs(posixpath.dirname(path))
+        displaced = self._files.get(path, [])
         self._files[path] = []
+        return displaced
 
     def delete(self, path: str, recursive: bool = False) -> List[BlockInfo]:
         """Remove a file or directory tree; returns the freed blocks."""

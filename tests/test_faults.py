@@ -157,8 +157,9 @@ class TestReplicaFailover:
             "replica.corrupt_detected", node=reader_node
         ) >= 1
         # auto-repair replaced the evicted copy: replication is back to 3
-        # and no replica is still marked corrupt
+        # and no replica is still marked corrupt, the evicted one included
         assert len(fs.namenode.blocks_of("/plain")[0].locations) == 3
+        assert fs.blockstore.corrupt_replicas() == []
         assert fs.fsck_report().healthy
 
     def test_payload_corruption_is_unrecoverable(self, fs):
@@ -186,6 +187,9 @@ class TestReplicaFailover:
         report = fs.fsck_report()
         assert report.healthy
         assert report.corrupt_replicas == []
+        # the evicted replica's mark went with it: nothing to re-walk
+        assert fs.blockstore.corrupt_replicas() == []
+        assert fs.scrub() == 0
 
     def test_decommission_has_no_underreplication_window(self):
         fs = cpp_fs()
@@ -540,6 +544,45 @@ class TestJobLevelFaults:
         assert sorted(result.output) == sorted(baseline.output)
         assert result.counters.as_dict() == baseline.counters.as_dict()
         assert result.total_time > baseline.total_time
+
+    def test_replica_corrupted_mid_job_after_its_block_was_read(self):
+        # The block is verified by the first run and by task 0; the
+        # mark that lands at task 1 must still be seen.
+        fs = cpp_fs()
+        fmt = self._dataset(fs)
+        baseline = run_job(fs, self._job(fmt))
+        reader = next(
+            t.node for t in baseline.tasks if t.split.label == "seq[1]"
+        )
+        plan = FaultPlan([FaultEvent(
+            "corrupt_replica", path="/jobs/seq", block_index=1,
+            node=reader, at_task=1,
+        )])
+        recorder = FlightRecorder()
+        with recorder.activate():
+            result = run_job(fs, self._job(fmt), faults=plan)
+        assert sorted(result.output) == sorted(baseline.output)
+        assert result.counters.as_dict() == baseline.counters.as_dict()
+        registry = recorder.registry
+        assert registry.value_of("replica.corrupt_detected", node=reader) == 1
+        assert registry.value_of("replica.failover") >= 1
+        assert fs.fsck_report().healthy
+
+    def test_block_corrupted_mid_job_after_it_was_read_fails_the_job(self):
+        fs = cpp_fs()
+        fmt = self._dataset(fs)
+        run_job(fs, self._job(fmt))  # every block read and verified
+        plan = FaultPlan([FaultEvent(
+            "corrupt_block", path="/jobs/seq", block_index=1, at_task=1,
+        )])
+        with pytest.raises(JobFailedError) as info:
+            run_job(fs, self._job(fmt), faults=plan)
+        assert info.value.attempts
+        assert all(
+            "every replica fails its checksum" in a["error"]
+            for a in info.value.attempts
+        )
+        assert fs.fsck() == ["/jobs/seq"]
 
     def test_fault_during_the_reduce_phase_still_fires(self):
         # Faults fire through job completion, not just the map phase.

@@ -1,12 +1,20 @@
 """Tests for the HDFS simulator: namespace, blocks, placement, failure."""
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdfs import ClusterConfig, ColumnPlacementPolicy, FileSystem
+from repro.hdfs import (
+    ClusterConfig,
+    ColumnPlacementPolicy,
+    CorruptBlockError,
+    FileSystem,
+)
+from repro.hdfs import blockstore as blockstore_module
+from repro.hdfs.blockstore import BlockStore
 from repro.hdfs.namenode import HdfsError
 from repro.hdfs.placement import DefaultPlacementPolicy, split_directory_of
 from repro.sim.metrics import Metrics
@@ -45,6 +53,22 @@ class TestNamespace:
         with fs.create("/f", overwrite=True) as out:
             out.write(b"2")
         assert fs.read_file("/f") == b"2"
+
+    def test_overwrite_frees_displaced_blocks(self):
+        # Regression: overwrite reset the block list at the namenode and
+        # left the old payload, checksum and replica mark in the store.
+        fs = small_fs()
+        fs.write_file("/a", b"x" * 100)
+        old = fs.namenode.blocks_of("/a")[0]
+        fs.blockstore.mark_replica_corrupt(old.block_id, old.locations[0])
+        with fs.create("/a", overwrite=True) as out:
+            out.write(b"y" * 10)
+        assert old.block_id not in fs.blockstore
+        assert len(fs.blockstore) == 1
+        assert fs.blockstore.total_bytes == 10
+        assert fs.blockstore.corrupt_replicas() == []
+        assert fs.read_file("/a") == b"y" * 10
+        assert fs.fsck_report().healthy
 
     def test_delete_file_frees_blocks(self):
         fs = small_fs()
@@ -322,3 +346,151 @@ class TestChecksums:
         block_id = fs.namenode.blocks_of("/f")[0].block_id
         fs.delete("/f")
         assert block_id not in fs.blockstore
+
+
+def _stored_ok(fs, model, block_id):
+    """The definition ``verify`` must equal: CRC of the bytes held now
+    against the CRC of the bytes that were written."""
+    return zlib.crc32(fs.blockstore.get(block_id)) == model[block_id]
+
+
+class TestVerifiedOnce:
+    """The verified-until-mutated memo: a block is checksummed when it
+    is first read and again only after something changed it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([
+                    "put", "overwrite", "remove", "verify", "rescan",
+                    "corrupt", "mark", "clear", "fsck",
+                ]),
+                st.integers(0, 1 << 16),
+                st.binary(max_size=150),
+            ),
+            max_size=30,
+        ),
+        sweep=st.booleans(),
+    )
+    def test_verify_equals_a_fresh_crc_after_any_sequence(self, steps, sweep):
+        # ``sweep`` checks every live block after every step; without it
+        # blocks stay unread between steps, so both memo states (never
+        # verified, verified) meet every mutation.
+        fs = small_fs(num_nodes=4, block_size=64)
+        store = fs.blockstore
+        model = {}  # block id -> crc32 of the bytes as written
+
+        def write(path, data):
+            with fs.create(path, overwrite=True) as out:
+                out.write(data)
+            for i, block in enumerate(fs.namenode.blocks_of(path)):
+                model[block.block_id] = zlib.crc32(data[i * 64:(i + 1) * 64])
+
+        def check_all():
+            files = fs.namenode.files_with_blocks()
+            for blocks in files.values():
+                for block in blocks:
+                    bid = block.block_id
+                    assert store.verify(bid) == _stored_ok(fs, model, bid)
+            report = fs.fsck_report()
+            assert report.corrupt_files == sorted(
+                path for path, blocks in files.items()
+                if not all(store.verify(b.block_id) for b in blocks)
+            )
+            # every mark belongs to a live block: remove() takes them along
+            locations = {
+                b.block_id: b.locations for b in fs.namenode.all_blocks()
+            }
+            assert sorted(
+                (bid, node) for _, bid, node in report.corrupt_replicas
+            ) == [
+                (bid, node) for bid, node in store.corrupt_replicas()
+                if node in locations[bid] and store.verify(bid)
+            ]
+
+        for count, (op, pick, data) in enumerate(steps):
+            paths = sorted(fs.namenode.files_with_blocks())
+            live = fs.namenode.all_blocks()
+            if op == "put":
+                write(f"/f{count}", data)
+            elif op == "overwrite" and paths:
+                write(paths[pick % len(paths)], data)
+            elif op == "remove" and paths:
+                fs.delete(paths[pick % len(paths)])
+            elif op == "fsck":
+                check_all()
+            elif live:
+                block = live[pick % len(live)]
+                bid, node = block.block_id, pick % 4
+                if op == "verify":
+                    assert store.verify(bid) == _stored_ok(fs, model, bid)
+                elif op == "rescan":
+                    assert store.rescan(bid) == _stored_ok(fs, model, bid)
+                elif op == "corrupt":
+                    store.corrupt(bid, offset=pick)
+                elif op == "mark":
+                    store.mark_replica_corrupt(bid, node)
+                elif op == "clear":
+                    store.clear_replica(bid, node)
+            assert len(store) == len(fs.namenode.all_blocks())
+            if sweep:
+                check_all()
+        check_all()
+
+    def test_unknown_block_still_raises(self):
+        store = BlockStore()
+        with pytest.raises(KeyError):
+            store.verify(3)
+        store.put(3, b"abc")
+        assert store.verify(3)
+        store.remove(3)
+        with pytest.raises(KeyError):
+            store.verify(3)
+        store.put(3, b"abd")  # a re-used id is checksummed afresh
+        store.corrupt(3)
+        assert not store.verify(3)
+
+    def test_one_crc_per_block_until_something_changes(self, monkeypatch):
+        # The machine-independent form of the wall-clock claim: a count.
+        from types import SimpleNamespace
+
+        from repro.formats.sequence_file import (
+            SequenceFileInputFormat,
+            write_sequence_file,
+        )
+        from repro.mapreduce import Job, run_job
+        from tests.conftest import micro_records, micro_schema
+
+        fs = small_fs(num_nodes=6, block_size=28 * 1024, io_buffer_size=1024)
+        schema = micro_schema()
+        write_sequence_file(
+            fs, "/j/seq", schema, micro_records(schema, 150), sync_interval=50
+        )
+        blocks = fs.namenode.blocks_of("/j/seq")
+        assert len(blocks) == 2  # a 5/4-block file, as in wallbench seq_scan
+
+        calls = []
+
+        def counting_crc32(data):
+            calls.append(len(data))
+            return zlib.crc32(data)
+
+        monkeypatch.setattr(
+            blockstore_module, "zlib", SimpleNamespace(crc32=counting_crc32)
+        )
+        for _ in range(2):
+            stream = fs.open("/j/seq", node=blocks[0].locations[0])
+            while stream.read(1024):
+                pass
+
+        def mapper(key, value, emit, ctx):
+            emit(value.get("int0") % 5, 1)
+
+        run_job(fs, Job("count", mapper, SequenceFileInputFormat("/j/seq")))
+        assert sorted(calls) == sorted(b.length for b in blocks)
+
+        fs.blockstore.corrupt(blocks[1].block_id)
+        with pytest.raises(CorruptBlockError):
+            fs.read_file("/j/seq")
+        assert len(calls) == len(blocks) + 1

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdfs import ClusterConfig, FileSystem
+from repro.hdfs import ClusterConfig, CorruptBlockError, FileSystem
 from repro.hdfs.streams import StreamByteReader
+from repro.obs import FlightRecorder
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteWriter
 
@@ -94,6 +95,41 @@ class TestInputStream:
             offset = min(offset, len(payload))
             stream.seek(offset)
             assert stream.read(n) == payload[offset:offset + n]
+
+
+class TestMidStreamIntegrity:
+    """A block is checksummed on its first refill only, so damage that
+    lands between two refills of one open stream must still be caught."""
+
+    PAYLOAD = bytes(range(256)) * 12  # one 3 KiB block, six 512 B buffers
+
+    def open_after_one_buffer(self):
+        fs = small_fs(block_size=4096)
+        fs.write_file("/f", self.PAYLOAD)
+        block = fs.namenode.blocks_of("/f")[0]
+        node = block.locations[0]
+        stream = fs.open("/f", node=node)
+        assert stream.read(512) == self.PAYLOAD[:512]  # verifies the block
+        return fs, block, node, stream
+
+    def test_payload_corrupted_between_refills_raises(self):
+        fs, block, _, stream = self.open_after_one_buffer()
+        fs.blockstore.corrupt(block.block_id, offset=2000)
+        with pytest.raises(CorruptBlockError):
+            stream.read(512)
+
+    def test_replica_marked_between_refills_fails_over(self):
+        recorder = FlightRecorder()
+        with recorder.activate():
+            fs, block, node, stream = self.open_after_one_buffer()
+            fs.blockstore.mark_replica_corrupt(block.block_id, node)
+            rest = stream.read()
+        assert rest == self.PAYLOAD[512:]  # served by a clean replica
+        registry = recorder.registry
+        assert registry.value_of("replica.corrupt_detected", node=node) == 1
+        assert registry.value_of("replica.failover") >= 1
+        assert fs.blockstore.corrupt_replicas() == []
+        assert fs.fsck_report().healthy
 
 
 class TestStreamByteReader:
