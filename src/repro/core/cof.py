@@ -19,8 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.columnio import ColumnSpec, encode_column_file
 from repro.core.stats import STATS_FILE, compute_stats, encode_stats
-from repro.serde.binary import BinaryEncoder
-from repro.serde.record import Record
+from repro.serde.binary import encode_datum
+from repro.serde.record import field_values
 from repro.serde.schema import Schema, SchemaError
 from repro.sim.metrics import Metrics
 
@@ -126,16 +126,10 @@ class ColumnOutputFormat:
         wrote_any = False
         for record in records:
             wrote_any = True
-            values = (
-                record.values_in_order()
-                if isinstance(record, Record)
-                else [record[f.name] for f in fields]
-            )
+            values = field_values(self.schema, record)
             for buffer, field, value in zip(buffers, fields, values):
                 buffer.append(value)
-                enc = BinaryEncoder()
-                enc.write_datum(field.schema, value)
-                buffered_bytes += len(enc.getvalue())
+                buffered_bytes += len(encode_datum(field.schema, value))
             if buffered_bytes >= self.split_bytes:
                 flush()
         if buffers[0] or not wrote_any:

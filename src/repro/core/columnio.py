@@ -55,7 +55,7 @@ from repro.compress.dictionary import KeyDictionary
 from repro.mapreduce.types import TaskContext
 from repro.obs import NULL_PROFILER
 from repro.serde import vecdecode
-from repro.serde.binary import BinaryDecoder, BinaryEncoder
+from repro.serde.binary import BinaryDecoder, BinaryEncoder, encode_datum
 from repro.serde.schema import Schema, SchemaError
 from repro.util.buffers import ByteReader, ByteWriter
 
@@ -124,11 +124,7 @@ def encode_column_file(
     append-only, so skip-block lengths must be known before any value
     byte is written (the double-buffering cost Appendix B.3 measures).
     """
-    encoded = []
-    for value in values:
-        enc = BinaryEncoder()
-        enc.write_datum(field_schema, value)
-        encoded.append(enc.getvalue())
+    encoded = [encode_datum(field_schema, value) for value in values]
 
     out = ByteWriter()
     out.write_bytes(MAGIC)
@@ -164,13 +160,14 @@ def encode_column_file(
 
 
 def _write_rle(out: ByteWriter, field_schema: Schema, values: List) -> None:
+    encoder = BinaryEncoder(out)
     i = 0
     while i < len(values):
         j = i
         while j < len(values) and values[j] == values[i]:
             j += 1
         out.write_varint(j - i)
-        BinaryEncoder(out).write_datum(field_schema, values[i])
+        encoder.write_datum(field_schema, values[i])
         i = j
 
 
@@ -235,11 +232,11 @@ def _build_dcsl_region(
         dictionary.write(dict_writer)
         dictionaries.append(dict_writer.getvalue())
         for mapping in chunk:
-            enc = ByteWriter()
-            enc.write_varint(len(mapping))
+            enc = BinaryEncoder()
+            enc.writer.write_varint(len(mapping))
             for key, value in mapping.items():
-                enc.write_varint(dictionary.id_of(key))
-                BinaryEncoder(enc).write_datum(field_schema.values, value)
+                enc.writer.write_varint(dictionary.id_of(key))
+                enc.write_datum(field_schema.values, value)
             encoded.append(enc.getvalue())
     return _build_skip_region(encoded, sizes, 0, dictionaries)
 
@@ -632,7 +629,7 @@ class DcslColumnReader(SkipListColumnReader):
             key_id = reader.read_varint()
             ctx.cost.charge_dictionary_lookup(ctx.metrics)
             key = self.dictionary.key_of(key_id)
-            out[key] = self._decoder._read(self.field_schema.values)
+            out[key] = self._decoder.read_inner(self.field_schema.values)
         ctx.cost.charge_raw_scan(ctx.metrics, reader.offset - start)
         ctx.metrics.cells += entries
         return out

@@ -38,9 +38,10 @@ from repro.formats.common import (
     make_sync_marker,
     scan_to_sync,
 )
+from repro.hdfs.streams import StreamByteReader
 from repro.mapreduce.types import InputFormat, RecordReader, TaskContext
 from repro.serde.binary import BinaryDecoder, BinaryEncoder
-from repro.serde.record import Record
+from repro.serde.record import Record, field_values
 from repro.serde.schema import Schema
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
@@ -67,18 +68,18 @@ def write_rcfile(
     out.write_bytes(sync)
 
     columns = [f.schema for f in schema.fields]
-    chunks: List[ByteWriter] = [ByteWriter() for _ in columns]
+    encoders = [BinaryEncoder() for _ in columns]  # one chunk per column
     value_lengths: List[List[int]] = [[] for _ in columns]
     rows = 0
     first_group = True
 
     def flush() -> None:
-        nonlocal chunks, value_lengths, rows, first_group
+        nonlocal encoders, value_lengths, rows, first_group
         if rows == 0:
             return
         payloads = []
-        for chunk in chunks:
-            data = chunk.getvalue()
+        for enc in encoders:
+            data = enc.getvalue()
             if codec:
                 data = get_codec(codec).compress(data)
             payloads.append(data)
@@ -100,24 +101,20 @@ def write_rcfile(
         out.write_len_prefixed(meta.getvalue())
         for payload in payloads:
             out.write_bytes(payload)
-        chunks = [ByteWriter() for _ in columns]
+        encoders = [BinaryEncoder() for _ in columns]
         value_lengths = [[] for _ in columns]
         rows = 0
 
     for record in records:
-        values = (
-            record.values_in_order()
-            if isinstance(record, Record)
-            else [record[f.name] for f in schema.fields]
-        )
-        for i, (chunk, column_schema, value) in enumerate(
-            zip(chunks, columns, values)
+        values = field_values(schema, record)
+        for i, (enc, column_schema, value) in enumerate(
+            zip(encoders, columns, values)
         ):
-            before = len(chunk)
-            BinaryEncoder(chunk).write_datum(column_schema, value)
-            value_lengths[i].append(len(chunk) - before)
+            before = len(enc.writer)
+            enc.write_datum(column_schema, value)
+            value_lengths[i].append(len(enc.writer) - before)
         rows += 1
-        if sum(len(c) for c in chunks) >= row_group_bytes:
+        if sum(len(enc.writer) for enc in encoders) >= row_group_bytes:
             flush()
     flush()
 
@@ -133,13 +130,13 @@ class _Header:
         self.schema = Schema.parse(reader.read_string())
         self.codec = reader.read_string() or None
         self.sync = reader.read_bytes(SYNC_SIZE)
-        self.header_end = reader.pos
+        self.header_end = reader.offset
 
 
 def read_header(fs, path: str) -> _Header:
-    length = fs.file_length(path)
-    data = fs.open(path).read(min(4096, length))
-    return _Header(ByteReader(data))
+    # Out of band (no metrics, nothing charged); the reader refills, so
+    # a schema of any size parses.
+    return _Header(StreamByteReader(fs.open(path)))
 
 
 class RCFileRecordReader(RecordReader):

@@ -35,7 +35,7 @@ from repro.formats.common import (
 )
 from repro.hdfs.streams import StreamByteReader
 from repro.mapreduce.types import InputFormat, RecordReader, TaskContext
-from repro.serde.binary import BinaryDecoder, BinaryEncoder
+from repro.serde.binary import BinaryDecoder, encode_datum
 from repro.serde.schema import Schema
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
@@ -90,9 +90,7 @@ def write_sequence_file(
         batch: List[bytes] = []
         batch_bytes = 0
         for record in records:
-            enc = BinaryEncoder()
-            enc.write_datum(schema, record)
-            batch.append(enc.getvalue())
+            batch.append(encode_datum(schema, record))
             batch_bytes += len(batch[-1])
             if len(batch) >= block_records or batch_bytes >= block_bytes:
                 out.write_bytes(sync)
@@ -104,9 +102,7 @@ def write_sequence_file(
             _flush_block(out, batch, codec_impl)
     else:
         for record in records:
-            enc = BinaryEncoder()
-            enc.write_datum(schema, record)
-            value = enc.getvalue()
+            value = encode_datum(schema, record)
             if compression == "record":
                 value = codec_impl.compress(value)
             out.write_byte(_TAG_RECORD)
@@ -138,11 +134,13 @@ class _Header:
         self.compression = reader.read_string()
         self.codec = reader.read_string()
         self.sync = reader.read_bytes(SYNC_SIZE)
+        self.header_end = reader.offset
 
 
 def read_header(fs, path: str) -> _Header:
-    data = fs.open(path).read(4096 if fs.file_length(path) >= 4096 else -1)
-    return _Header(ByteReader(data))
+    # Out of band (no metrics, nothing charged); the reader refills, so
+    # a schema of any size parses.
+    return _Header(StreamByteReader(fs.open(path)))
 
 
 class SequenceFileRecordReader(RecordReader):
@@ -163,7 +161,7 @@ class SequenceFileRecordReader(RecordReader):
             probe=ctx.obs.stream_probe(file=split.path, format="seq"),
         )
         if split.start == 0:
-            start = self._header_end(fs, split.path)
+            start = header.header_end
         else:
             start = scan_to_sync(
                 self._stream, header.sync, split.start, split.end
@@ -174,11 +172,6 @@ class SequenceFileRecordReader(RecordReader):
             self._reader = StreamByteReader(self._stream)
         self._block: List = []
         self._block_index = 0
-
-    def _header_end(self, fs, path: str) -> int:
-        probe = ByteReader(fs.open(path).read(4096))
-        _Header(probe)
-        return probe.pos
 
     def read_next(self):
         if self._block_index < len(self._block):

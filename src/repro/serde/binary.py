@@ -10,22 +10,381 @@ The wire format follows Avro's binary encoding closely:
 - ``map``: varint count + (string key, value) pairs,
 - ``record``: field values in schema order, no per-field framing.
 
+A schema is *compiled* the first time it is encoded or decoded: every
+node gets a :class:`_Plan`, five functions with the node's kind and its
+children's plans already bound, kept on the schema (``Schema._codec``)
+so it lives exactly as long as the schema does.  :class:`BinaryDecoder`
+and :class:`BinaryEncoder` are one call into the plan per datum.
+
 :class:`BinaryDecoder` has two read paths: :meth:`read_datum`, which
 materializes a value and charges full deserialization cost, and
 :meth:`skip_datum`, which walks the structure without materializing and
 charges only the (cheaper) skip cost — the distinction lazy record
 construction exploits (Section 5).
+
+Charges are float additions into ``metrics.cpu_time``, so a plan adds
+the same terms the cost model's ``charge_*`` methods would, node by
+node in walk order (``docs/cost-model.md`` § Where charges are applied).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import struct
+from typing import Callable, NamedTuple, Optional
 
-from repro.serde.record import Record
+from repro.serde.record import Record, field_values
 from repro.serde.schema import Schema, SchemaError
-from repro.sim.cost import CpuCostModel
+from repro.sim.cost import CpuCostModel, decode_rates
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
+from repro.util.varint import encode_varint, encode_zigzag
+
+_DOUBLE = struct.Struct("<d")
+
+
+class _Plan(NamedTuple):
+    """One schema node, compiled.  ``r`` is a ByteReader, ``p`` a
+    CostProfile, ``m`` the Metrics charged, ``out`` a bytearray."""
+
+    read: Callable  #: (r) -> value
+    read_charged: Callable  #: (r, p, m) -> value, decode cost added to m
+    skip: Callable  #: (r) -> None
+    #: (r, p, cpu) -> cpu plus the datum's decode-equivalent cost
+    skip_charged: Callable
+    write: Callable  #: (value, out) -> None
+
+
+def _plan(schema: Schema) -> _Plan:
+    plan = schema._codec
+    if plan is None:
+        compile_container = _CONTAINER_PLANS.get(schema.kind)
+        plan = schema._codec = (
+            compile_container(schema) if compile_container
+            else _PRIMITIVE_PLANS[schema.kind]
+        )
+    return plan
+
+
+# -- window steps -------------------------------------------------------
+#
+# Each takes the common case straight off the reader's buffered window
+# (``r._buf`` / ``r.pos``) and hands everything else (a multi-byte
+# prefix, a datum crossing the window's edge, EOF) to the reader's own
+# method, so a stream-backed reader refills, seeks and raises as ever.
+
+
+def _varint(r) -> int:
+    try:
+        byte = r._buf[r.pos]
+    except IndexError:
+        return r.read_varint()
+    if byte >= 0x80:
+        return r.read_varint()
+    r.pos += 1
+    return byte
+
+
+def _zigzag(r) -> int:
+    folded = _varint(r)
+    return (folded >> 1) ^ -(folded & 1)
+
+
+def _chunk(r):
+    """A length-prefixed payload (``bytes`` or ``bytearray``)."""
+    buf = r._buf
+    pos = r.pos
+    try:
+        n = buf[pos]
+    except IndexError:
+        return r.read_len_prefixed()
+    end = pos + 1 + n
+    if n >= 0x80 or end > len(buf):
+        return r.read_len_prefixed()
+    r.pos = end
+    return buf[pos + 1:end]
+
+
+def _hop_chunk(r) -> int:
+    """Pass a length-prefixed payload; the bytes passed, prefix included."""
+    buf = r._buf
+    pos = r.pos
+    try:
+        n = buf[pos]
+    except IndexError:
+        return r.skip_len_prefixed()
+    end = pos + 1 + n
+    if n >= 0x80 or end > len(buf):
+        return r.skip_len_prefixed()
+    r.pos = end
+    return 1 + n
+
+
+# -- primitives: one shared plan per kind -------------------------------
+#
+# What a datum costs comes from ``decode_rates`` as getters over the
+# profile, bound here once; the profile itself (``p``) is the decoder's.
+
+
+def _fixed(kind: str, read, skip, write) -> _Plan:
+    """A primitive charged one flat rate per value."""
+    rate, _ = decode_rates(kind)
+
+    def read_charged(r, p, m):
+        m.cpu_time += rate(p)
+        m.cells += 1
+        return read(r)
+
+    def skip_charged(r, p, cpu):
+        skip(r)
+        return cpu + rate(p)
+
+    return _Plan(read, read_charged, skip, skip_charged, write)
+
+
+def _write_chunk(value, out) -> None:
+    encode_varint(len(value), out)
+    out += value
+
+
+def _chunk_plan(kind: str, decode, encode) -> _Plan:
+    """``string`` or ``bytes``: a length prefix, then the payload."""
+    base, per_byte = decode_rates(kind)
+
+    def read(r):
+        return decode(_chunk(r))
+
+    def read_charged(r, p, m):
+        raw = _chunk(r)
+        m.cpu_time += base(p) + len(raw) * per_byte(p)
+        m.cells += 1
+        m.objects += 1
+        return decode(raw)
+
+    def skip_charged(r, p, cpu):
+        # a skipped value is charged for its whole span, prefix included
+        return cpu + (base(p) + _hop_chunk(r) * per_byte(p))
+
+    def write(value, out):
+        _write_chunk(encode(value), out)
+
+    return _Plan(read, read_charged, _hop_chunk, skip_charged, write)
+
+
+_PRIMITIVE_PLANS = {
+    "int": _fixed("int", _zigzag, _varint, encode_zigzag),
+    "long": _fixed("long", _zigzag, _varint, encode_zigzag),
+    "time": _fixed("time", _zigzag, _varint, encode_zigzag),
+    "double": _fixed(
+        "double",
+        lambda r: r.read_double(),
+        lambda r: r.skip(8),
+        lambda value, out: out.extend(_DOUBLE.pack(value)),
+    ),
+    "boolean": _fixed(
+        "boolean",
+        lambda r: r.read_byte() != 0,
+        lambda r: r.skip(1),
+        lambda value, out: out.append(1 if value else 0),
+    ),
+    "string": _chunk_plan(
+        "string",
+        lambda raw: str(raw, "utf-8"),
+        lambda text: text.encode("utf-8"),
+    ),
+    "bytes": _chunk_plan("bytes", bytes, lambda data: data),
+}
+
+
+# -- containers: closures over the children's plans ---------------------
+
+
+def _array_plan(schema: Schema) -> _Plan:
+    item_read, item_read_charged, item_skip, item_skip_charged, \
+        item_write = _plan(schema.items)
+    base, per_element = decode_rates("array")
+
+    def read(r):
+        return [item_read(r) for _ in range(_varint(r))]
+
+    def read_charged(r, p, m):
+        count = _varint(r)
+        m.cpu_time += base(p) + count * per_element(p)
+        m.objects += 1
+        return [item_read_charged(r, p, m) for _ in range(count)]
+
+    def skip(r):
+        for _ in range(_varint(r)):
+            item_skip(r)
+
+    def skip_charged(r, p, cpu):
+        count = _varint(r)
+        cpu += base(p) + count * per_element(p)
+        for _ in range(count):
+            cpu = item_skip_charged(r, p, cpu)
+        return cpu
+
+    def write(value, out):
+        encode_varint(len(value), out)
+        for element in value:
+            item_write(element, out)
+
+    return _Plan(read, read_charged, skip, skip_charged, write)
+
+
+_MAP_BASE, _MAP_ENTRY = decode_rates("map")
+_KEY_BASE, _KEY_BYTE = decode_rates("string")
+_string_read_charged = _PRIMITIVE_PLANS["string"].read_charged
+
+
+def _key_charged(r, p, m):
+    """A map key's bytes, charged.  The caller decodes them once the
+    entry's value is read, the order the codec has always taken."""
+    raw = _chunk(r)
+    m.cpu_time += _KEY_BASE(p) + len(raw) * _KEY_BYTE(p)
+    m.cells += 1
+    m.objects += 1
+    return raw
+
+
+def _read_string_map_charged(r, p, m):
+    """``read_charged`` of a ``map<string>``.
+
+    An entry is two length-prefixed strings, so whole entries come off
+    the window in one loop, their cpu summed locally in the order the
+    per-entry steps would add it.  The sum is written back before the
+    one entry that does not fit (or does not decode) is read the
+    per-datum way, which may refill or raise, and the loop resumes on
+    the window that leaves.
+    """
+    count = _varint(r)
+    m.cpu_time += _MAP_BASE(p) + count * _MAP_ENTRY(p)
+    m.objects += 1 + count
+    base, per_byte = _KEY_BASE(p), _KEY_BYTE(p)
+    out = {}
+    while True:
+        buf = r._buf
+        pos = r.pos
+        limit = len(buf)
+        cpu = m.cpu_time
+        taken = 0
+        try:
+            while taken < count:
+                n = buf[pos]
+                value_pos = pos + 1 + n
+                k = buf[value_pos]
+                end = value_pos + 1 + k
+                if n >= 0x80 or k >= 0x80 or end > limit:
+                    break
+                key = str(buf[pos + 1:value_pos], "utf-8")
+                out[key] = str(buf[value_pos + 1:end], "utf-8")
+                cpu += base + n * per_byte
+                cpu += base + k * per_byte
+                pos = end
+                taken += 1
+        except (IndexError, UnicodeDecodeError):
+            pass
+        r.pos = pos
+        m.cpu_time = cpu
+        m.cells += 2 * taken
+        m.objects += 2 * taken
+        count -= taken
+        if not count:
+            return out
+        raw = _key_charged(r, p, m)
+        out[str(raw, "utf-8")] = _string_read_charged(r, p, m)
+        count -= 1
+
+
+def _map_plan(schema: Schema) -> _Plan:
+    value_read, value_read_charged, value_skip, value_skip_charged, \
+        value_write = _plan(schema.values)
+
+    def read(r):
+        out = {}
+        for _ in range(_varint(r)):
+            key = str(_chunk(r), "utf-8")
+            out[key] = value_read(r)
+        return out
+
+    if schema.values.kind == "string":
+        read_charged = _read_string_map_charged
+    else:
+        def read_charged(r, p, m):
+            count = _varint(r)
+            m.cpu_time += _MAP_BASE(p) + count * _MAP_ENTRY(p)
+            m.objects += 1 + count
+            out = {}
+            for _ in range(count):
+                raw = _key_charged(r, p, m)
+                out[str(raw, "utf-8")] = value_read_charged(r, p, m)
+            return out
+
+    def skip(r):
+        for _ in range(_varint(r)):
+            _hop_chunk(r)
+            value_skip(r)
+
+    def skip_charged(r, p, cpu):
+        count = _varint(r)
+        cpu += _MAP_BASE(p) + count * _MAP_ENTRY(p)
+        for _ in range(count):
+            cpu += _KEY_BASE(p) + _hop_chunk(r) * _KEY_BYTE(p)
+            cpu = value_skip_charged(r, p, cpu)
+        return cpu
+
+    def write(value, out):
+        encode_varint(len(value), out)
+        for key, val in value.items():
+            _write_chunk(key.encode("utf-8"), out)
+            value_write(val, out)
+
+    return _Plan(read, read_charged, skip, skip_charged, write)
+
+
+def _record_plan(schema: Schema) -> _Plan:
+    plans = [_plan(f.schema) for f in schema.fields]
+    reads, reads_charged, skips, skips_charged, writes = (
+        zip(*plans) if plans else [()] * 5
+    )
+    base, _ = decode_rates("record")
+
+    def read(r):
+        return Record.of(schema, [field(r) for field in reads])
+
+    def read_charged(r, p, m):
+        m.cpu_time += base(p)
+        m.objects += 1
+        return Record.of(schema, [field(r, p, m) for field in reads_charged])
+
+    def skip(r):
+        for field in skips:
+            field(r)
+
+    def skip_charged(r, p, cpu):
+        cpu += base(p)
+        for field in skips_charged:
+            cpu = field(r, p, cpu)
+        return cpu
+
+    def write(value, out):
+        values = field_values(schema, value)
+        if len(values) != len(writes):
+            raise SchemaError(
+                f"record value has {len(values)} fields, "
+                f"schema has {len(writes)}"
+            )
+        for field, fval in zip(writes, values):
+            field(fval, out)
+
+    return _Plan(read, read_charged, skip, skip_charged, write)
+
+
+_CONTAINER_PLANS = {
+    "array": _array_plan, "map": _map_plan, "record": _record_plan,
+}
+
+
+# -- the public codec ---------------------------------------------------
 
 
 class BinaryEncoder:
@@ -35,42 +394,7 @@ class BinaryEncoder:
         self.writer = writer if writer is not None else ByteWriter()
 
     def write_datum(self, schema: Schema, value) -> None:
-        kind = schema.kind
-        out = self.writer
-        if kind == "int" or kind == "long" or kind == "time":
-            out.write_zigzag(value)
-        elif kind == "double":
-            out.write_double(value)
-        elif kind == "boolean":
-            out.write_byte(1 if value else 0)
-        elif kind == "string":
-            out.write_string(value)
-        elif kind == "bytes":
-            out.write_len_prefixed(value)
-        elif kind == "array":
-            out.write_varint(len(value))
-            for item in value:
-                self.write_datum(schema.items, item)
-        elif kind == "map":
-            out.write_varint(len(value))
-            for key, val in value.items():
-                out.write_string(key)
-                self.write_datum(schema.values, val)
-        elif kind == "record":
-            values = (
-                value.values_in_order()
-                if isinstance(value, Record)
-                else [value[f.name] for f in schema.fields]
-            )
-            if len(values) != len(schema.fields):
-                raise SchemaError(
-                    f"record value has {len(values)} fields, "
-                    f"schema has {len(schema.fields)}"
-                )
-            for field, fval in zip(schema.fields, values):
-                self.write_datum(field.schema, fval)
-        else:  # pragma: no cover - Schema constructor rejects unknown kinds
-            raise SchemaError(f"cannot encode kind {kind!r}")
+        _plan(schema).write(value, self.writer._buf)
 
     def getvalue(self) -> bytes:
         return self.writer.getvalue()
@@ -78,9 +402,9 @@ class BinaryEncoder:
 
 def encode_datum(schema: Schema, value) -> bytes:
     """Convenience one-shot encode."""
-    enc = BinaryEncoder()
-    enc.write_datum(schema, value)
-    return enc.getvalue()
+    out = bytearray()
+    _plan(schema).write(value, out)
+    return bytes(out)
 
 
 class BinaryDecoder:
@@ -97,77 +421,34 @@ class BinaryDecoder:
         cost: Optional[CpuCostModel] = None,
         metrics: Optional[Metrics] = None,
     ) -> None:
+        if metrics is not None and cost is None:
+            raise ValueError("metrics need a cost model to charge them")
         self.reader = reader
         self.cost = cost
         self.metrics = metrics
 
-    # -- decode ---------------------------------------------------------
-
     def read_datum(self, schema: Schema):
         """Decode one datum, charging full deserialization cost."""
-        start = self.reader.offset
-        value = self._read(schema)
-        if self.metrics is not None:
-            self.cost.charge_raw_scan(self.metrics, self.reader.offset - start)
+        plan = _plan(schema)
+        m = self.metrics
+        if m is None:
+            return plan.read(self.reader)
+        r = self.reader
+        cost = self.cost
+        start = r.offset
+        value = plan.read_charged(r, cost.profile, m)
+        m.cpu_time += cost.raw_scan_cpu(r.offset - start)
         return value
 
-    def _read(self, schema: Schema):
-        kind = schema.kind
-        r = self.reader
-        m = self.metrics
-        c = self.cost
-        if kind == "int":
-            if m is not None:
-                c.charge_int(m)
-            return r.read_zigzag()
-        if kind == "long" or kind == "time":
-            if m is not None:
-                c.charge_long(m)
-            return r.read_zigzag()
-        if kind == "double":
-            if m is not None:
-                c.charge_double(m)
-            return r.read_double()
-        if kind == "boolean":
-            if m is not None:
-                c.charge_bool(m)
-            return r.read_byte() != 0
-        if kind == "string":
-            raw = r.read_len_prefixed()
-            if m is not None:
-                c.charge_string(m, len(raw))
-            return raw.decode("utf-8")
-        if kind == "bytes":
-            raw = r.read_len_prefixed()
-            if m is not None:
-                c.charge_bytes(m, len(raw))
-            return raw
-        if kind == "array":
-            count = r.read_varint()
-            if m is not None:
-                c.charge_array(m, count)
-            return [self._read(schema.items) for _ in range(count)]
-        if kind == "map":
-            count = r.read_varint()
-            if m is not None:
-                c.charge_map(m, count)
-            out = {}
-            for _ in range(count):
-                raw_key = r.read_len_prefixed()
-                if m is not None:
-                    c.charge_string(m, len(raw_key))
-                out[raw_key.decode("utf-8")] = self._read(schema.values)
-            return out
-        if kind == "record":
-            if m is not None:
-                c.charge_record(m)
-            rec = Record(schema)
-            for field in schema.fields:
-                rec.put(field.name, self._read(field.schema))
-            return rec
-        raise SchemaError(f"cannot decode kind {kind!r}")  # pragma: no cover
-
-    # -- skip -----------------------------------------------------------
+    def read_inner(self, schema: Schema):
+        """Decode one datum nested in a container the caller frames (and
+        raw-scans) itself: :meth:`read_datum` without the raw-scan term."""
+        plan = _plan(schema)
+        if self.metrics is None:
+            return plan.read(self.reader)
+        return plan.read_charged(
+            self.reader, self.cost.profile, self.metrics
+        )
 
     def skip_datum(self, schema: Schema) -> int:
         """Skip one datum without materializing it; returns bytes skipped.
@@ -179,73 +460,21 @@ class BinaryDecoder:
         *not* in skip-list format yields "no deserialization or I/O
         savings" beyond avoided object churn.
         """
-        start = self.reader.offset
-        if self.metrics is not None and self.cost is not None:
-            scratch = Metrics()
-            self._skip(schema, scratch)
-            self.cost.charge_raw_scan(scratch, self.reader.offset - start)
-            self.metrics.charge_cpu(self.cost.skip_discount(scratch.cpu_time))
-        else:
-            self._skip(schema, None)
-        return self.reader.offset - start
-
-    def _skip(self, schema: Schema, scratch: Optional[Metrics]) -> None:
-        """Walk one datum's byte structure without building objects.
-
-        Charges the *decode-equivalent* cost into ``scratch``; the caller
-        discounts it by ``skip_fraction``.
-        """
-        kind = schema.kind
+        plan = _plan(schema)
         r = self.reader
-        c = self.cost
-        if kind == "int":
-            r.read_zigzag()
-            if scratch is not None:
-                c.charge_int(scratch)
-        elif kind == "long" or kind == "time":
-            r.read_zigzag()
-            if scratch is not None:
-                c.charge_long(scratch)
-        elif kind == "double":
-            r.skip(8)
-            if scratch is not None:
-                c.charge_double(scratch)
-        elif kind == "boolean":
-            r.skip(1)
-            if scratch is not None:
-                c.charge_bool(scratch)
-        elif kind == "string":
-            n = r.skip_len_prefixed()
-            if scratch is not None:
-                c.charge_string(scratch, n)
-        elif kind == "bytes":
-            n = r.skip_len_prefixed()
-            if scratch is not None:
-                c.charge_bytes(scratch, n)
-        elif kind == "array":
-            count = r.read_varint()
-            if scratch is not None:
-                c.charge_array(scratch, count)
-            for _ in range(count):
-                self._skip(schema.items, scratch)
-        elif kind == "map":
-            count = r.read_varint()
-            if scratch is not None:
-                c.charge_map(scratch, count)
-            for _ in range(count):
-                n = r.skip_len_prefixed()
-                if scratch is not None:
-                    c.charge_string(scratch, n)
-                self._skip(schema.values, scratch)
-        elif kind == "record":
-            if scratch is not None:
-                c.charge_record(scratch)
-            for field in schema.fields:
-                self._skip(field.schema, scratch)
-        else:  # pragma: no cover
-            raise SchemaError(f"cannot skip kind {kind!r}")
+        m = self.metrics
+        start = r.offset
+        if m is None:
+            plan.skip(r)
+            return r.offset - start
+        cost = self.cost
+        cpu = plan.skip_charged(r, cost.profile, 0.0)
+        span = r.offset - start
+        # decode-equivalent cost plus the raw scan, discounted once
+        m.cpu_time += cost.skip_discount(cpu + cost.raw_scan_cpu(span))
+        return span
 
 
 def decode_datum(schema: Schema, data: bytes):
     """Convenience one-shot decode (no cost accounting)."""
-    return BinaryDecoder(ByteReader(data)).read_datum(schema)
+    return _plan(schema).read(ByteReader(data))

@@ -32,6 +32,15 @@ class Record:
             for name, value in values.items():
                 self.put(name, value)
 
+    @classmethod
+    def of(cls, schema: Schema, values: list) -> "Record":
+        """A record over ``values``, one per field in schema order; the
+        list is kept, not copied or checked (the decoder's constructor)."""
+        record = cls.__new__(cls)
+        record.schema = schema
+        record._values = values
+        return record
+
     def get(self, name: str):
         """Return the value of field ``name`` (None if never set)."""
         return self._values[self.schema.field(name).index]
@@ -53,3 +62,16 @@ class Record:
 
     def __repr__(self) -> str:
         return f"Record({self.to_dict()!r})"
+
+
+def field_values(schema: Schema, value) -> list:
+    """The fields of ``value`` (a :class:`Record`, or a mapping keyed by
+    field name) in ``schema``'s order: what every writer serializes."""
+    if isinstance(value, Record):
+        return value.values_in_order()
+    try:
+        return [value[f.name] for f in schema.fields]
+    except KeyError as exc:
+        raise SchemaError(
+            f"record {schema.name!r} value is missing field {exc.args[0]!r}"
+        ) from None

@@ -73,7 +73,11 @@ class Schema:
     :meth:`map`, :meth:`record`, ...) or :meth:`parse` to construct one.
     """
 
-    __slots__ = ("kind", "items", "values", "fields", "name", "_field_index")
+    # _codec: this node's compiled codec plan (repro.serde.binary builds
+    # it on first use).  Kept on the schema so it dies with the schema.
+    __slots__ = (
+        "kind", "items", "values", "fields", "name", "_field_index", "_codec",
+    )
 
     def __init__(
         self,
@@ -93,6 +97,7 @@ class Schema:
         self._field_index = (
             {f.name: f for f in fields} if fields is not None else None
         )
+        self._codec = None
 
     # -- constructors ---------------------------------------------------
 

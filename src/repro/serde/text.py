@@ -17,7 +17,7 @@ from __future__ import annotations
 import base64
 from typing import Optional
 
-from repro.serde.record import Record
+from repro.serde.record import Record, field_values
 from repro.serde.schema import Schema, SchemaError
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -111,11 +111,7 @@ def _decode_value(schema: Schema, text: str):
 
 def encode_record(schema: Schema, record) -> str:
     """Render one record as a text line (without trailing newline)."""
-    values = (
-        record.values_in_order()
-        if isinstance(record, Record)
-        else [record[f.name] for f in schema.fields]
-    )
+    values = field_values(schema, record)
     return FIELD_SEP.join(
         _encode_value(f.schema, v) for f, v in zip(schema.fields, values)
     )

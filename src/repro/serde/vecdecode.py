@@ -462,7 +462,7 @@ def _skips(buf, pos, k, field_schema, cost, metrics):
         )
     else:
         # A var-length value's skip charge counts prefix+payload bytes
-        # (BinaryDecoder._skip charges the full skip_len_prefixed span),
+        # (skip_datum charges the full span, length prefix included),
         # which over a run of them is the run's own span.
         end, done = _hop_prims(buf, pos, k, kind)
         cpu = cost.prim_cpu(kind, done, end - pos)

@@ -8,11 +8,14 @@ C++) CPU time for each operation into the task's
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.sim.calibration import MANAGED_PROFILE, CostProfile
 from repro.sim.metrics import Metrics
 
-#: primitive kind -> CostProfile fields (per value, per var-length byte)
-_PRIM_RATES = {
+#: kind -> CostProfile fields (per datum, per unit).  A primitive's unit
+#: is a var-length byte, a container's an element or entry.
+_DECODE_RATES = {
     "int": ("int_decode", None),
     "long": ("long_decode", None),
     "time": ("long_decode", None),
@@ -20,7 +23,23 @@ _PRIM_RATES = {
     "boolean": ("bool_decode", None),
     "string": ("string_decode_base", "string_decode_per_byte"),
     "bytes": ("bytes_decode_base", "bytes_decode_per_byte"),
+    "array": ("array_decode_base", "array_element"),
+    "map": ("map_decode_base", "map_entry"),
+    "record": ("record_decode_base", None),
 }
+
+
+def decode_rates(kind: str):
+    """``(per_datum, per_unit)`` getters over a :class:`CostProfile`.
+
+    Decoding one ``kind`` datum of ``n`` units costs ``per_datum(p) +
+    n * per_unit(p)``, the term the ``charge_*`` method of that kind
+    adds; ``per_unit`` is ``None`` for a kind without units.  For code
+    that binds its charges once per schema (the codec plans of
+    ``repro.serde.binary``) and still must not name profile fields.
+    """
+    per_datum, per_unit = _DECODE_RATES[kind]
+    return attrgetter(per_datum), per_unit and attrgetter(per_unit)
 
 
 class CpuCostModel:
@@ -35,8 +54,11 @@ class CpuCostModel:
 
     # -- primitives ---------------------------------------------------
 
-    def charge_raw_scan(self, metrics: Metrics, nbytes: int) -> None:
+    def raw_scan_cpu(self, nbytes: int) -> float:
         """Bytes streamed through a decoder without type interpretation."""
+        return nbytes * self.profile.raw_scan_per_byte
+
+    def charge_raw_scan(self, metrics: Metrics, nbytes: int) -> None:
         metrics.charge_cpu(nbytes * self.profile.raw_scan_per_byte)
 
     def charge_int(self, metrics: Metrics) -> None:
@@ -75,7 +97,7 @@ class CpuCostModel:
         """Decode cpu of ``count`` primitives of ``kind`` holding
         ``payload`` var-length bytes: the ``charge_*`` above, summed over
         a run (the batched kernels charge runs; the model is linear)."""
-        per_value, per_byte = _PRIM_RATES[kind]
+        per_value, per_byte = _DECODE_RATES[kind]
         cpu = count * getattr(self.profile, per_value)
         if per_byte is not None:
             cpu += payload * getattr(self.profile, per_byte)

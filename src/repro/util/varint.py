@@ -37,6 +37,9 @@ def encode_varint(value: int, out: bytearray) -> int:
     Returns the number of bytes written.  ``value`` must be >= 0 and
     fit in ``MAX_VARINT_BYTES`` bytes (i.e. < 2**70).
     """
+    if 0 <= value < 0x80:  # lengths and counts: nearly always one byte
+        out.append(value)
+        return 1
     if value < 0:
         raise VarintError(f"varint cannot encode negative value {value}")
     if value >= _VARINT_LIMIT:

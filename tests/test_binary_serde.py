@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.serde.binary import BinaryDecoder, BinaryEncoder, decode_datum, encode_datum
 from repro.serde.record import Record
-from repro.serde.schema import Schema
+from repro.serde.schema import Schema, SchemaError
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader
@@ -124,6 +124,23 @@ class TestSkip:
         BinaryDecoder(ByteReader(data), cost, metrics).read_datum(schema)
         # 6 strings + 6 ints + 10 map keys + 10 map values
         assert metrics.cells == 6 + 6 + 10 + 10
+
+
+class TestTypedErrors:
+    def test_missing_record_field_is_a_schema_error(self):
+        schema = Schema.record(
+            "pair", [("a", Schema.int_()), ("b", Schema.int_())]
+        )
+        with pytest.raises(SchemaError, match=r"'pair'.*'b'"):
+            encode_datum(schema, {"a": 1})
+
+    def test_metrics_without_a_cost_model_are_rejected(self):
+        with pytest.raises(ValueError, match="cost model"):
+            BinaryDecoder(ByteReader(b"\x02"), cost=None, metrics=Metrics())
+        # a cost model alone is fine: nothing to charge, nothing charged
+        decoder = BinaryDecoder(ByteReader(b"\x02\x02"), cost=CpuCostModel())
+        assert decoder.read_datum(Schema.int_()) == 1
+        assert decoder.skip_datum(Schema.int_()) == 1
 
 
 values_strategy = st.recursive(

@@ -4,8 +4,42 @@ import pytest
 
 from repro.core.cif import column_record_count
 from repro.formats import rcfile, sequence_file
+from repro.mapreduce import Job, run_job
 from repro.serde.schema import Schema, SchemaError
 from tests.conftest import make_ctx, micro_records, micro_schema
+
+
+WIDE_SCHEMA = Schema.record(
+    "wide", [(f"column_number_{i:04d}", Schema.int_()) for i in range(200)]
+)
+WIDE_ROWS = [
+    {f.name: row * f.index for f in WIDE_SCHEMA.fields} for row in range(7)
+]
+
+
+class TestHeaderLargerThanAnyProbe:
+    """A file header holds the schema JSON, which has no size limit."""
+
+    def scan(self, fs, fmt):
+        def mapper(key, record, emit, ctx):
+            emit(None, record.to_dict())
+
+        return [row for _, row in run_job(fs, Job("scan", mapper, fmt)).output]
+
+    def test_the_schema_outgrows_4_kib(self):
+        assert len(WIDE_SCHEMA.to_json()) > 2 * 4096
+
+    @pytest.mark.parametrize("compression", sequence_file.COMPRESSION_MODES)
+    def test_wide_sequence_file_round_trips(self, fs, compression):
+        sequence_file.write_sequence_file(
+            fs, "/w/seq", WIDE_SCHEMA, WIDE_ROWS, compression=compression
+        )
+        fmt = sequence_file.SequenceFileInputFormat("/w/seq")
+        assert self.scan(fs, fmt) == WIDE_ROWS
+
+    def test_wide_rcfile_round_trips(self, fs):
+        rcfile.write_rcfile(fs, "/w/rc", WIDE_SCHEMA, WIDE_ROWS)
+        assert self.scan(fs, rcfile.RCFileInputFormat("/w/rc")) == WIDE_ROWS
 
 
 class TestSequenceFileRobustness:

@@ -7,7 +7,7 @@ from repro.formats.rcfile import (
     add_column_rewrite,
     write_rcfile,
 )
-from repro.serde.schema import Schema
+from repro.serde.schema import Schema, SchemaError
 from tests.conftest import make_ctx, micro_records, micro_schema
 
 
@@ -28,6 +28,10 @@ class TestRCFile:
         assert [r.to_dict() for r in read_all(fs, "/d/rc")] == [
             r.to_dict() for r in records
         ]
+
+    def test_missing_field_is_a_schema_error(self, fs):
+        with pytest.raises(SchemaError, match="missing field 'str1'"):
+            write_rcfile(fs, "/d/rc", micro_schema(), [{"str0": "x"}])
 
     def test_roundtrip_many_groups(self, fs):
         schema = micro_schema()
