@@ -22,6 +22,7 @@ from repro.sim import calibration
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
 from repro.sim.models import DiskModel, NetworkModel
+from repro.util.stats import percentile
 
 if TYPE_CHECKING:  # repro.cluster builds on this module
     from repro.cluster.report import ClusterReport
@@ -253,8 +254,6 @@ class TrafficResult:
 
     def interactive_p95(self, variant: str) -> float:
         """Pooled p95 latency of every interactive tenant's jobs."""
-        from repro.cluster.report import percentile
-
         tenants = self.interactive_tenants
         pooled = [
             o.latency for o in self.reports[variant].completed

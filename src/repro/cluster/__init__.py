@@ -1,26 +1,24 @@
-"""The scheduler, and multi-tenant job management on top of it.
+"""Multi-tenant job management on top of the scheduler.
 
-:func:`repro.mapreduce.runner.run_job` gives one job every slot; it
-does so by handing its map phase to this package's event loop
-(:func:`repro.cluster.manager.run_alone`), the one scheduler in the
-repo.  The production-shaped layer above the loop:
+The scheduler itself, one event loop over one slot pool, lives beneath
+this package in :mod:`repro.mapreduce.eventloop`, where
+:func:`repro.mapreduce.runner.run_job` gives one job every slot.  This
+package is the production-shaped layer above the loop (nothing below
+imports it; ``tests/test_layering.py``):
 
-- :mod:`repro.cluster.config` — queues with guaranteed capacities,
+- :mod:`repro.cluster.config`: queues with guaranteed capacities,
   tenants with fair-share weights, admission bounds and slot quotas,
-- :mod:`repro.cluster.manager` — the event-driven resource manager:
-  locality-aware placement, task attempts with re-placement, backoff
-  and blacklisting, speculative execution and map-output loss
-  re-execution for any work on the slot pool; and, arbitrating the
-  pool between concurrent jobs, admission control (including
-  deadline-aware shedding), hierarchical fair share, preemption and a
-  FIFO baseline,
-- :mod:`repro.cluster.speculate` — progress-based straggler-cloning
-  policy knobs,
-- :mod:`repro.cluster.wal` — the write-ahead journal and crash-resume
+- :mod:`repro.cluster.manager`: the loop with a request envelope
+  around it: admission control (including deadline-aware shedding),
+  every request's outcome, the run's report,
+- :mod:`repro.cluster.fairshare`: the scheduling policies the manager
+  installs on the loop's four hooks: hierarchical fair share with
+  preemption and quotas, and a FIFO baseline,
+- :mod:`repro.cluster.wal`: the write-ahead journal and crash-resume
   replay (:func:`~repro.cluster.wal.resume_from_wal`),
-- :mod:`repro.cluster.traffic` — seeded open-loop Poisson traffic of
+- :mod:`repro.cluster.traffic`: seeded open-loop Poisson traffic of
   mixed crawl/analytics/point-query jobs,
-- :mod:`repro.cluster.report` — per-tenant p50/p95/p99 job latency and
+- :mod:`repro.cluster.report`: per-tenant p50/p95/p99 job latency and
   slot-utilization reporting.
 """
 
@@ -37,7 +35,6 @@ from repro.cluster.report import (
     TenantSummary,
     percentile,
 )
-from repro.cluster.speculate import SpeculationConfig
 from repro.cluster.traffic import (
     TrafficProfile,
     TrafficTenant,
@@ -53,6 +50,7 @@ from repro.cluster.wal import (
     WalDivergence,
     resume_from_wal,
 )
+from repro.mapreduce.speculation import SpeculationConfig
 
 __all__ = [
     "ClusterManager",

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.mapreduce.backoff import BackoffConfig
+from repro.mapreduce.speculation import SpeculationConfig
 from repro.obs.alerts import AlertRule
 from repro.obs.slo import SloConfig
-
-from repro.cluster.speculate import SpeculationConfig
 
 
 @dataclass(frozen=True)

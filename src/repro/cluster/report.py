@@ -13,18 +13,9 @@ runs with the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-
-def percentile(sample: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile (p in [0, 100]) of an unsorted sample."""
-    if not sample:
-        return 0.0
-    ordered = sorted(sample)
-    if p <= 0:
-        return ordered[0]
-    rank = max(1, -(-len(ordered) * p // 100))  # ceil without floats
-    return ordered[min(len(ordered), int(rank)) - 1]
+from repro.util.stats import percentile
 
 
 @dataclass

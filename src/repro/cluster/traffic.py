@@ -50,9 +50,9 @@ from repro.workloads.micro import micro_records, micro_schema
 from repro.cluster.config import ClusterPolicy, QueueConfig, TenantConfig
 from repro.cluster.manager import ClusterManager, JobRequest
 from repro.cluster.report import ClusterReport
-from repro.cluster.speculate import SpeculationConfig
 from repro.cluster.wal import WAL_VERSION, ClusterWAL
 from repro.mapreduce.backoff import BackoffConfig
+from repro.mapreduce.speculation import SpeculationConfig
 
 CRAWL_SEQ = "/cluster/crawl-seq"
 MICRO_CIF = "/cluster/micro-cif"

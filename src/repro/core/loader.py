@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.core.cof import ColumnOutputFormat
 from repro.core.columnio import ColumnSpec
+from repro.mapreduce.eventloop import run_alone
 from repro.mapreduce.scheduler import MapWork, ScheduledTask, makespan
 from repro.mapreduce.types import InputFormat, InputSplit, TaskContext
 from repro.obs import NULL_OBS
@@ -84,9 +85,6 @@ def parallel_load(
         counters["records"] += len(records)
         counters["dirs"] += written
         return ctx.metrics, None
-
-    # Deferred import: repro.cluster builds on this package.
-    from repro.cluster.manager import run_alone
 
     tasks = run_alone(
         fs, MapWork("parallel_load", splits, attempt), NULL_OBS

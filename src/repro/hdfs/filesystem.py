@@ -337,9 +337,8 @@ class FileSystem:
         a surviving good copy (through the placement policy, so CPP
         datasets stay co-located).
         """
-        if not self.namenode.invalidate_replica(block, node):
+        if not self._evict_replica(block, node):
             return
-        self.blockstore.clear_replica(block.block_id, node)
         obs = current_obs()
         obs.registry.counter(
             "replica.corrupt_detected", node=node
@@ -436,7 +435,19 @@ class FileSystem:
                 node, self.cluster, self._rng,
                 avoid=self._dead_nodes | self._decommissioned,
             )
-        return self.namenode.invalidate_node(node)
+        return sum(
+            self._evict_replica(block, node)
+            for _path, block in self.namenode.blocks_on(node)
+        )
+
+    def _evict_replica(self, block: BlockInfo, node: int) -> bool:
+        """Drop ``node``'s copy of ``block`` at the namenode, and the
+        copy's corruption mark with it: a mark only ever names a replica
+        the namenode lists.  True when the node held a replica."""
+        if not self.namenode.invalidate_replica(block, node):
+            return False
+        self.blockstore.clear_replica(block.block_id, node)
+        return True
 
     def decommission_node(self, node: int) -> int:
         """Gracefully retire a datanode: replicas are copied off first.
@@ -458,9 +469,8 @@ class FileSystem:
             replacement = self._choose_live_replacement(path, block)
             if replacement is not None:
                 block.locations.append(replacement)
-                self.blockstore.clear_replica(block.block_id, replacement)
                 moved += 1
-            self.namenode.invalidate_replica(block, node)
+            self._evict_replica(block, node)
         return moved
 
     def fail_node(self, node: int) -> int:
@@ -506,9 +516,6 @@ class FileSystem:
                     if replacement is None:
                         break
                     block.locations.append(replacement)
-                    self.blockstore.clear_replica(
-                        block.block_id, replacement
-                    )
                     created += 1
                     grew = True
                 if grew:
@@ -557,7 +564,6 @@ class FileSystem:
             if replacement is None:
                 break
             block.locations.append(replacement)
-            self.blockstore.clear_replica(block.block_id, replacement)
             created += 1
         return created
 

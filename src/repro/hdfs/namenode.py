@@ -177,18 +177,6 @@ class NameNode:
             return True
         return False
 
-    def invalidate_node(self, node: int) -> int:
-        """Dead-node scan: drop ``node`` from every block's replica set.
-
-        Returns the number of replicas invalidated.
-        """
-        dropped = 0
-        for blocks in self._files.values():
-            for block in blocks:
-                if self.invalidate_replica(block, node):
-                    dropped += 1
-        return dropped
-
     def blocks_on(self, node: int) -> List[Tuple[str, BlockInfo]]:
         """Every ``(path, block)`` with a replica on ``node``."""
         return [

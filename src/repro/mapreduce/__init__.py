@@ -4,8 +4,11 @@ Implements the Hadoop abstractions the paper's techniques plug into
 (Section 2): ``InputFormat`` (split generation + record reading),
 ``OutputFormat``, hand-coded map and reduce functions over a generic
 record abstraction.  The locality-aware slot scheduler they run on is
-:class:`repro.cluster.manager.ClusterManager`; a single job is its
-only tenant.
+here too, beneath every caller: :class:`repro.mapreduce.eventloop.
+SlotScheduler`, which ``run_job`` gives one job to
+(:func:`~repro.mapreduce.eventloop.run_alone`) and on which
+:mod:`repro.cluster` builds its multi-tenant layer through the four
+hooks of :class:`~repro.mapreduce.scheduler.SchedulingPolicy`.
 
 The engine *executes* jobs for real — mappers and reducers are Python
 functions that see actual decoded records — while *time* is simulated:

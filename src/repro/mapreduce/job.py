@@ -49,7 +49,7 @@ class Job:
         self.num_reducers = num_reducers
         self.cost = cost if cost is not None else CpuCostModel()
         #: clone map stragglers (the scheduler's progress-based
-        #: speculation; see repro.cluster.speculate) under run_job
+        #: speculation; see repro.mapreduce.speculation) under run_job
         self.speculative = speculative
         #: optional repro.core.vector.BatchOp — when set and the input
         #: format's reader supports read_batch(), the runner drains the

@@ -2,10 +2,10 @@
 
 ``run_job`` is the equivalent of Figure 1's ``JobRunner.submit(job)``.
 Map tasks run for real (decoding records through the configured
-InputFormat and invoking the user's map function) as the scheduler —
-the :class:`~repro.cluster.manager.ClusterManager` event loop, with
-this job as its only tenant — places them on the cluster's slots; the
-shuffle, sort and reduce phases are then executed and timed.  The
+InputFormat and invoking the user's map function) as the scheduler
+(:func:`~repro.mapreduce.eventloop.run_alone`: the event loop with this
+job alone on it) places them on the cluster's slots; the shuffle, sort
+and reduce phases are then executed and timed.  The
 result carries the two numbers Table 1 reports per format — *map time*
 (total map-task seconds divided by the cluster's map slots) and *total
 time* (full-job makespan) — plus the bytes-read counters.
@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.faults import FaultInjector, FaultPlan, current_fault_plan
 from repro.hdfs.errors import FaultError
 from repro.hdfs.filesystem import FileSystem
 from repro.mapreduce.counters import Counters
+from repro.mapreduce.eventloop import run_alone
 from repro.mapreduce.job import Job
 from repro.mapreduce.output import CollectOutputFormat
 from repro.mapreduce.scheduler import (
@@ -118,16 +118,6 @@ class JobRunner:
         #: plan installed by ``FaultPlan.activate()`` (CLI ``--faults``)
         self.faults = faults
 
-    def _injector(self) -> Optional[FaultInjector]:
-        faults = self.faults
-        if faults is None:
-            faults = current_fault_plan()
-        if faults is None:
-            return None
-        if isinstance(faults, FaultPlan):
-            return FaultInjector(self.fs, faults, self.obs)
-        return faults
-
     def run(self, job: Job) -> JobResult:
         obs = self.obs
         with obs.tracer.span("job", kind="job", job=job.name) as job_span:
@@ -148,10 +138,6 @@ class JobRunner:
         return result
 
     def _run_traced(self, job: Job, obs: Observability) -> JobResult:
-        # The one scheduler lives a layer up (repro.cluster builds on
-        # this module), hence the deferred import.
-        from repro.cluster.manager import run_alone
-
         splits = job.input_format.get_splits(self.fs, self.fs.cluster)
         work = self.map_work(job, splits)
         # One entry per executed attempt, aligned with the execution's

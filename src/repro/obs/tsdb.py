@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.util import jsonl
+from repro.util.stats import percentile
 
 #: bump when the sidecar schema changes incompatibly
 TSDB_VERSION = 1
@@ -593,8 +594,6 @@ def reconcile_tsdb(store: TimeSeriesStore, report) -> List[str]:
     bit-for-bit.  Returns a list of mismatch descriptions (empty =
     reconciled).
     """
-    from repro.cluster.report import percentile
-
     problems: List[str] = []
 
     def check(what: str, got, want) -> None:
@@ -662,8 +661,6 @@ def tsdb_prometheus_text(
     p50/p95/p99 quantile samples over the pooled range).
     """
     from repro.obs.export import _format_value, _prom_labels, _prom_name
-
-    from repro.cluster.report import percentile
 
     grouped: Dict[Tuple[str, str], List[Series]] = {}
     for series in store:

@@ -4,7 +4,7 @@ import random
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hdfs import (
@@ -365,6 +365,7 @@ class TestVerifiedOnce:
                 st.sampled_from([
                     "put", "overwrite", "remove", "verify", "rescan",
                     "corrupt", "mark", "clear", "fsck",
+                    "crash", "decommission", "repair", "scrub",
                 ]),
                 st.integers(0, 1 << 16),
                 st.binary(max_size=150),
@@ -373,11 +374,20 @@ class TestVerifiedOnce:
         ),
         sweep=st.booleans(),
     )
+    @example(
+        steps=[("put", 0, b"abc"), ("mark", 0, b""), ("crash", 0, b"")],
+        sweep=False,
+    )
+    @example(
+        steps=[("put", 0, b"abc"), ("mark", 1, b""), ("decommission", 0, b""),
+               ("repair", 0, b"")],
+        sweep=True,
+    )
     def test_verify_equals_a_fresh_crc_after_any_sequence(self, steps, sweep):
         # ``sweep`` checks every live block after every step; without it
         # blocks stay unread between steps, so both memo states (never
         # verified, verified) meet every mutation.
-        fs = small_fs(num_nodes=4, block_size=64)
+        fs = small_fs(num_nodes=6, block_size=64)
         store = fs.blockstore
         model = {}  # block id -> crc32 of the bytes as written
 
@@ -398,15 +408,18 @@ class TestVerifiedOnce:
                 path for path, blocks in files.items()
                 if not all(store.verify(b.block_id) for b in blocks)
             )
-            # every mark belongs to a live block: remove() takes them along
+            # every mark names a replica the namenode lists: remove()
+            # takes a block's marks along, an eviction its replica's
             locations = {
                 b.block_id: b.locations for b in fs.namenode.all_blocks()
             }
+            for bid, node in store.corrupt_replicas():
+                assert node in locations[bid]
             assert sorted(
                 (bid, node) for _, bid, node in report.corrupt_replicas
             ) == [
                 (bid, node) for bid, node in store.corrupt_replicas()
-                if node in locations[bid] and store.verify(bid)
+                if store.verify(bid)
             ]
 
         for count, (op, pick, data) in enumerate(steps):
@@ -420,17 +433,32 @@ class TestVerifiedOnce:
                 fs.delete(paths[pick % len(paths)])
             elif op == "fsck":
                 check_all()
+            elif op in ("crash", "decommission") and len(fs.live_nodes()) > 3:
+                # a node holding a marked replica, while there is one
+                marks = store.corrupt_replicas()
+                victim = marks[pick % len(marks)][1] if marks else pick % 6
+                if op == "crash":
+                    fs.crash_node(victim)
+                else:
+                    fs.decommission_node(victim)
+            elif op == "repair":
+                fs.repair()
+            elif op == "scrub":
+                marked = len(store.corrupt_replicas())
+                assert fs.scrub() == marked
+                assert store.corrupt_replicas() == []
             elif live:
                 block = live[pick % len(live)]
-                bid, node = block.block_id, pick % 4
+                bid, node = block.block_id, pick % 6
                 if op == "verify":
                     assert store.verify(bid) == _stored_ok(fs, model, bid)
                 elif op == "rescan":
                     assert store.rescan(bid) == _stored_ok(fs, model, bid)
                 elif op == "corrupt":
                     store.corrupt(bid, offset=pick)
-                elif op == "mark":
-                    store.mark_replica_corrupt(bid, node)
+                elif op == "mark" and block.locations:
+                    holders = block.locations  # as the fault injector does
+                    store.mark_replica_corrupt(bid, holders[pick % len(holders)])
                 elif op == "clear":
                     store.clear_replica(bid, node)
             assert len(store) == len(fs.namenode.all_blocks())

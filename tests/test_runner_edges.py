@@ -1,5 +1,7 @@
 """Edge-case tests for the MapReduce runner and the scheduler it runs on."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster import (
@@ -12,6 +14,7 @@ from repro.cluster import (
 )
 
 from repro.core import ColumnInputFormat, write_dataset
+from repro.faults import FaultPlan
 from repro.formats.sequence_file import SequenceFileInputFormat, write_sequence_file
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
@@ -19,6 +22,7 @@ from repro.mapreduce.output import TextOutputFormat, render
 from repro.mapreduce.runner import estimate_pair_size
 from repro.mapreduce.scheduler import MapWork
 from repro.mapreduce.types import InputSplit
+from repro.obs import NULL_TRACER, EventBus, MetricRegistry, Observability
 from repro.serde.schema import Schema
 from repro.sim.metrics import Metrics
 from tests.conftest import micro_records, micro_schema, schedule
@@ -196,8 +200,18 @@ class TestShuffleSizing:
         assert big > small + 900
 
 
-def assert_schedule_invariants(manager):
-    """What any run of the one event loop must satisfy."""
+def recording_obs():
+    """An Observability whose bus keeps every event, for replay."""
+    events = []
+    bus = EventBus()
+    bus.subscribe(events.append)
+    obs = Observability(NULL_TRACER, MetricRegistry(), enabled=True, bus=bus)
+    return obs, events
+
+
+def assert_schedule_invariants(manager, events):
+    """What any run of the one event loop must satisfy; ``events`` is
+    the run's bus stream (:func:`recording_obs`)."""
     executions = manager.executions
     by_slot = {}
     for execution in executions:
@@ -222,6 +236,62 @@ def assert_schedule_invariants(manager):
     assert manager.busy_slot_seconds == pytest.approx(sum(
         t.duration for e in executions for t in e.tasks
     ))
+    # Replayed from the event stream.  Every request ends exactly once,
+    # as completed / failed / shed / rejected, and the report agrees.
+    submitted = [
+        e.attrs["job"] for e in events if e.kind == "job.submitted"
+    ]
+    ends = [
+        (e.attrs["job"], e.attrs.get("outcome") or {
+            "admission.reject": "rejected", "admission.shed": "shed",
+        }[e.kind])
+        for e in events
+        if e.kind in ("admission.reject", "admission.shed", "job.finish")
+    ]
+    assert len(set(submitted)) == len(submitted)
+    assert sorted(job for job, _ in ends) == sorted(submitted)
+    assert {status for _, status in ends} <= {
+        "completed", "failed", "shed", "rejected"
+    }
+    assert sorted(ends) == sorted(
+        (o.job_name, o.status) for o in manager.outcomes
+    )
+    # No tenant ever holds more live map attempts than its slot quota
+    # (which only the fair policy promises), and every attempt that
+    # took a slot gave it back.
+    quota = {
+        t.name: t.max_running_slots for t in manager.policy.tenants
+        if t.max_running_slots > 0 and manager.policy.policy == "fair"
+    }
+    live = Counter()
+    for e in events:
+        if e.attrs.get("kind") != "map":
+            continue
+        tenant = e.attrs["tenant"]
+        if e.kind == "task.start":
+            live[tenant] += 1
+            assert live[tenant] <= quota.get(tenant, manager.total_slots)
+        elif e.kind == "task.finish":
+            live[tenant] -= 1
+    assert not +live
+
+
+def run_sample_profile(policy, faults=None, install=None):
+    """Half a second of the three-tenant sample, analytics capped at two
+    slots so the quota invariant has something to bite on; ``install``
+    may swap the manager's scheduling hooks before the run."""
+    profile = sample_profile()
+    profile.duration = 0.5
+    profile.tenants[1].max_running_slots = 2
+    obs, events = recording_obs()
+    manager = ClusterManager(
+        build_filesystem(profile), profile.cluster_policy(policy), obs,
+        faults=faults, max_attempts=4,
+    )
+    if install is not None:
+        install(manager)
+    report = manager.run(generate_requests(profile))
+    return manager, events, report
 
 
 class TestSchedulerProperties:
@@ -257,12 +327,13 @@ class TestSchedulerProperties:
             fs = FileSystem(ClusterConfig(
                 num_nodes=num_nodes, map_slots_per_node=slots
             ))
+            obs, events = recording_obs()
             manager = ClusterManager(fs, ClusterPolicy(
                 tenants=[TenantConfig("t", "default")], policy="fifo"
-            ))
+            ), obs)
             manager.submit(MapWork("one", splits, attempt), "t")
             manager.drive()
-            assert_schedule_invariants(manager)
+            assert_schedule_invariants(manager, events)
             (execution,) = manager.executions
             # fault-free: every split runs exactly once
             assert sorted(t.split.label for t in execution.tasks) == sorted(
@@ -273,11 +344,14 @@ class TestSchedulerProperties:
 
     @pytest.mark.parametrize("policy", ["fair", "fifo"])
     def test_sample_profile(self, policy):
-        profile = sample_profile()
-        profile.duration = 0.5
-        manager = ClusterManager(
-            build_filesystem(profile), profile.cluster_policy(policy)
-        )
-        report = manager.run(generate_requests(profile))
+        manager, events, report = run_sample_profile(policy)
         assert report.completed
-        assert_schedule_invariants(manager)
+        assert_schedule_invariants(manager, events)
+
+    def test_sample_profile_on_a_chaos_seed(self):
+        manager, events, report = run_sample_profile(
+            "fair", faults=FaultPlan.random(11, sample_profile().nodes),
+        )
+        assert any(e.kind == "fault.injected" for e in events)
+        assert report.completed
+        assert_schedule_invariants(manager, events)

@@ -9,6 +9,7 @@ quantiles must reconcile with **zero tolerance** against the
 ``ClusterReport`` percentiles, heatmap-style.
 """
 
+import copy
 import gzip
 import json
 
@@ -301,7 +302,7 @@ def test_series_round_trip_preserves_coarse_level():
 # -- real traffic: reconciliation + determinism ------------------------------
 
 
-def _monitored_run(faults=None, tsdb_path=None):
+def _monitored_run(faults=None):
     profile = sample_profile()
     policy = profile.cluster_policy()
     bus = EventBus()
@@ -313,8 +314,6 @@ def _monitored_run(faults=None, tsdb_path=None):
     )
     obs = Observability(NULL_TRACER, MetricRegistry(), enabled=True, bus=bus)
     report = run_traffic(profile, obs=obs, faults=faults)
-    if tsdb_path is not None:
-        monitor.save(tsdb_path, merge=False)
     return monitor, report, lifecycle
 
 
@@ -325,47 +324,66 @@ def _kill_plan():
     )
 
 
-def test_tsdb_reconciles_exactly_with_cluster_report():
-    monitor, report, _ = _monitored_run()
+@pytest.fixture(scope="module")
+def monitored():
+    """One monitored run of the sample profile for the whole module.
+    Read-only; the determinism tests below make their own second run
+    and compare it with this one, which is what makes sharing sound."""
+    return _monitored_run()
+
+
+@pytest.fixture(scope="module")
+def monitored_chaos():
+    """The same, with a node killed mid-load."""
+    return _monitored_run(faults=_kill_plan())
+
+
+def _sidecar_bytes(monitor, path):
+    monitor.save(str(path), merge=False)
+    return path.read_bytes()
+
+
+def test_tsdb_reconciles_exactly_with_cluster_report(monitored):
+    monitor, report, _ = monitored
     assert reconcile_tsdb(monitor.store, report) == []
 
 
-def test_tsdb_reconciles_under_chaos():
-    monitor, report, _ = _monitored_run(faults=_kill_plan())
+def test_tsdb_reconciles_under_chaos(monitored_chaos):
+    monitor, report, _ = monitored_chaos
     assert reconcile_tsdb(monitor.store, report) == []
     assert monitor.store.counter_total("cluster.nodes.lost") == 1.0
 
 
-def test_reconcile_reports_mismatch_when_tampered():
-    monitor, report, _ = _monitored_run()
-    series = monitor.store.get("cluster.jobs.completed", tenant="etl")
+def test_reconcile_reports_mismatch_when_tampered(monitored):
+    monitor, report, _ = monitored
+    store = copy.deepcopy(monitor.store)
+    series = store.get("cluster.jobs.completed", tenant="etl")
     bucket = next(iter(series.fine))
     series.fine[bucket] += 1.0
-    problems = reconcile_tsdb(monitor.store, report)
+    problems = reconcile_tsdb(store, report)
     assert problems
     assert any("etl completed" in p for p in problems)
 
 
-def test_identical_runs_produce_byte_identical_sidecars(tmp_path):
-    a = str(tmp_path / "a.tsdb")
-    b = str(tmp_path / "b.tsdb")
-    _monitored_run(tsdb_path=a)
-    _monitored_run(tsdb_path=b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+def test_identical_runs_produce_byte_identical_sidecars(monitored, tmp_path):
+    again, _, _ = _monitored_run()
+    assert _sidecar_bytes(monitored[0], tmp_path / "a.tsdb") == (
+        _sidecar_bytes(again, tmp_path / "b.tsdb")
+    )
 
 
-def test_identical_chaos_runs_are_deterministic(tmp_path):
-    a = str(tmp_path / "a.tsdb")
-    b = str(tmp_path / "b.tsdb")
-    _, _, events_a = _monitored_run(faults=_kill_plan(), tsdb_path=a)
-    _, _, events_b = _monitored_run(faults=_kill_plan(), tsdb_path=b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+def test_identical_chaos_runs_are_deterministic(monitored_chaos, tmp_path):
+    monitor_a, _, events_a = monitored_chaos
+    monitor_b, _, events_b = _monitored_run(faults=_kill_plan())
+    assert _sidecar_bytes(monitor_a, tmp_path / "a.tsdb") == (
+        _sidecar_bytes(monitor_b, tmp_path / "b.tsdb")
+    )
     assert events_a == events_b
     assert events_a  # the monitored run actually alerted
 
 
-def test_alert_event_sequences_identical_across_runs():
-    _, _, events_a = _monitored_run()
+def test_alert_event_sequences_identical_across_runs(monitored):
+    _, _, events_a = monitored
     _, _, events_b = _monitored_run()
     assert events_a == events_b
     transitions = [k for k, _, _ in events_a if k.startswith("alert.")]
@@ -373,12 +391,12 @@ def test_alert_event_sequences_identical_across_runs():
     assert "alert.resolved" in transitions
 
 
-def test_monitoring_is_a_pure_observer():
+def test_monitoring_is_a_pure_observer(monitored):
     """Bare vs monitored runs of the same profile: identical timeline."""
     bare = run_traffic(sample_profile(), policy="fair")
-    _, monitored, _ = _monitored_run()
-    assert monitored.makespan == bare.makespan
-    assert [o.to_dict() for o in monitored.outcomes] == [
+    _, report, _ = monitored
+    assert report.makespan == bare.makespan
+    assert [o.to_dict() for o in report.outcomes] == [
         o.to_dict() for o in bare.outcomes
     ]
 
@@ -386,10 +404,10 @@ def test_monitoring_is_a_pure_observer():
 # -- Prometheus export -------------------------------------------------------
 
 
-def test_tsdb_prometheus_text_round_trips():
+def test_tsdb_prometheus_text_round_trips(monitored):
     from repro.obs.export import parse_prometheus_text
 
-    monitor, _, _ = _monitored_run()
+    monitor, _, _ = monitored
     payload = tsdb_prometheus_text(monitor.store)
     parsed = parse_prometheus_text(payload)
     assert parsed
