@@ -268,12 +268,9 @@ def _render_run(args, out: common.Out, report, monitor, wal) -> int:
                 "the monitoring store does not reconcile with the report"
             )
         if args.tsdb:
-            try:
-                saved = monitor.save(args.tsdb)
-            except OSError as exc:
-                raise common.CliError(
-                    f"cannot write tsdb sidecar {args.tsdb}: {exc}"
-                ) from exc
+            saved = common.attempt(
+                "update tsdb sidecar", args.tsdb, monitor.save
+            )
     if args.json:
         payload = report.to_dict()
         if monitor is not None:
@@ -296,6 +293,8 @@ def _render_run(args, out: common.Out, report, monitor, wal) -> int:
         if args.events_out:
             out(f"wrote event stream to {args.events_out}")
         if args.tsdb:
+            for warning in saved.warnings:
+                out(f"WARNING: {warning}")
             out(
                 f"folded {len(saved)} series "
                 f"({saved.runs} run(s) accumulated) into {args.tsdb}"

@@ -204,7 +204,7 @@ def _explain_scan(fs, input_format, touch_columns, profile=False) -> None:
     """Scan every split on a node that hosts it, as map tasks would.
 
     ``harness.scan`` reads the whole dataset from one node, which makes
-    every co-located split look remote; the advisor's balancer rule
+    every co-located split look remote; the advisor's co-location rule
     needs locality-faithful accounting, so each split gets its own
     context pinned to one of the split's location nodes.  With
     ``profile`` each split scan runs under an operator profiler, so

@@ -103,8 +103,8 @@ class ClusterManager(SlotScheduler):
     def run(self, requests: List[JobRequest]) -> ClusterReport:
         """Run every request to completion; returns the latency report."""
         queue = sorted(requests, key=lambda r: (r.arrival, r.request_id))
-        self.obs.emit(
-            "cluster.start", sim_time=0.0,
+        self.tell(
+            "cluster.start", 0.0,
             policy=self.policy.policy,
             nodes=self.fs.cluster.num_nodes,
             slots=self.total_slots,
@@ -125,8 +125,8 @@ class ClusterManager(SlotScheduler):
             map_output_losses=self.map_output_losses,
             speculative_attempts=self.speculative_attempts,
         )
-        self.obs.emit(
-            "cluster.finish", sim_time=self.horizon,
+        self.tell(
+            "cluster.finish", self.horizon,
             policy=self.policy.policy,
             completed=len(report.completed),
             rejected=len(report.rejected),
@@ -137,14 +137,6 @@ class ClusterManager(SlotScheduler):
             preemptions=self.preemptions,
             map_output_losses=self.map_output_losses,
             speculative_attempts=self.speculative_attempts,
-        )
-        self._journal(
-            "cluster_finish", t=self.horizon, makespan=self.horizon,
-            completed=len(report.completed),
-            rejected=len(report.rejected),
-            failed=len(report.failed), shed=len(report.shed),
-            preemptions=self.preemptions,
-            map_output_losses=self.map_output_losses,
         )
         return report
 
@@ -167,8 +159,8 @@ class ClusterManager(SlotScheduler):
     def _admit(self, request: JobRequest) -> None:
         tenant = self.policy.tenant(request.tenant)
         queue = tenant.queue
-        self.obs.emit(
-            "job.submitted", sim_time=request.arrival,
+        self.tell(
+            "job.submitted", request.arrival,
             job=request.job.name, tenant=request.tenant, queue=queue,
             kind=request.kind,
         )
@@ -179,14 +171,10 @@ class ClusterManager(SlotScheduler):
             and e.failed is None
         )
         if waiting >= tenant.max_queued:
-            self.obs.emit(
-                "admission.reject", sim_time=request.arrival,
+            self.tell(
+                "admission.reject", request.arrival,
                 job=request.job.name, tenant=request.tenant, queue=queue,
                 queued=waiting, limit=tenant.max_queued,
-            )
-            self._journal(
-                "reject", t=request.arrival, job=request.job.name,
-                tenant=request.tenant, queued=waiting,
             )
             self._outcome(
                 request, "rejected",
@@ -199,15 +187,10 @@ class ClusterManager(SlotScheduler):
         if request.deadline is not None:
             predicted = self._predict_latency(request, splits)
             if predicted > request.deadline:
-                self.obs.emit(
-                    "admission.shed", sim_time=request.arrival,
+                self.tell(
+                    "admission.shed", request.arrival,
                     job=request.job.name, tenant=request.tenant,
                     queue=queue, predicted=predicted,
-                    deadline=request.deadline,
-                )
-                self._journal(
-                    "shed", t=request.arrival, job=request.job.name,
-                    tenant=request.tenant, predicted=predicted,
                     deadline=request.deadline,
                 )
                 self._outcome(
@@ -218,14 +201,10 @@ class ClusterManager(SlotScheduler):
                     ),
                 )
                 return
-        self.obs.emit(
-            "admission.accept", sim_time=request.arrival,
+        self.tell(
+            "admission.accept", request.arrival,
             job=request.job.name, tenant=request.tenant, queue=queue,
             queued=waiting + 1, splits=len(splits),
-        )
-        self._journal(
-            "admit", t=request.arrival, job=request.job.name,
-            tenant=request.tenant, queue=queue, splits=len(splits),
         )
         work = self.runner.map_work(request.job, splits)
         execution = self.submit(
@@ -293,8 +272,8 @@ class ClusterManager(SlotScheduler):
         if error is not None:
             self._job_failed(request, execution, error, now)
             return
-        self.obs.emit(
-            "job.dispatch", sim_time=now,
+        self.tell(
+            "job.dispatch", now,
             job=execution.name, tenant=execution.tenant,
             queue=execution.queue, splits=len(execution.splits),
             wait=now - execution.arrival,
@@ -307,13 +286,10 @@ class ClusterManager(SlotScheduler):
         error: str,
         now: float,
     ) -> None:
-        self.obs.emit(
-            "job.finish", sim_time=now,
+        self.tell(
+            "job.finish", now,
             job=execution.name, tenant=execution.tenant,
             queue=execution.queue, outcome="failed", error=error,
-        )
-        self._journal(
-            "job_failed", t=now, job=execution.name, error=error,
         )
         self._outcome(
             request, "failed",
@@ -362,14 +338,11 @@ class ClusterManager(SlotScheduler):
         if outcome.deadline is not None:
             finish_attrs["deadline"] = outcome.deadline
             finish_attrs["deadline_miss"] = outcome.deadline_missed
-        self.obs.emit(
-            "job.finish", sim_time=finish,
+        self.tell(
+            "job.finish", finish,
             job=job.name, tenant=execution.tenant, queue=execution.queue,
             outcome="completed", latency=outcome.latency,
             wait=outcome.wait, preemptions=execution.preemptions,
             attempts=len(execution.tasks), **finish_attrs,
-        )
-        self._journal(
-            "job_complete", t=finish, job=job.name, finish=finish,
         )
         return finish

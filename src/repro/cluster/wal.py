@@ -5,11 +5,13 @@ run is a pure function of (traffic profile, policy, fault plan).  That
 turns crash recovery into *deterministic replay with an integrity
 check* instead of mutable-state snapshotting:
 
-- **Recording** — the manager appends one JSON record per scheduling
-  decision (admission, launch, attempt resolution — preemption
+- **Recording** — the scheduler offers the journal every fact it puts
+  on the event bus, in the bus's vocabulary, and :data:`RECORDS` here
+  says which of them are scheduling decisions and what a record keeps
+  of each (admission, launch, attempt resolution — preemption
   included — re-queue, shuffle start/abort, map-output loss, node
-  blacklisting, job completion) to a JSONL
-  WAL.  Record 0 is a ``meta`` header embedding the full profile,
+  blacklisting, job completion): one JSON record per decision in a
+  JSONL WAL.  Record 0 is a ``meta`` header embedding the full profile,
   policy name and fault plan — everything needed to re-derive the run.
   Lines go through :mod:`repro.util.jsonl` like the flight-recorder
   artifacts: flushed one at a time, gzip-framed under a ``.gz`` name,
@@ -36,13 +38,57 @@ boundary of the sample profile.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.util import jsonl
 
 #: bump when the record schema changes incompatibly (2: every attempt
 #: resolution, eviction included, is one ``complete`` record)
 WAL_VERSION = 2
+
+#: scheduling fact -> (record type, the attrs the record keeps beside
+#: the fact's sim time ``t``).  A fact is a bus event kind
+#: (``job.finish`` splits by its outcome) or ``task.requeue``, which the
+#: kernel states to the journal alone.  Facts without a row (and the
+#: reduce-side ``task.finish``, which the runner emits and the
+#: scheduler never states) are not decisions and leave no record.
+RECORDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "admission.accept": ("admit", ("job", "tenant", "queue", "splits")),
+    "admission.reject": ("reject", ("job", "tenant", "queued")),
+    "admission.shed": ("shed", ("job", "tenant", "predicted", "deadline")),
+    "task.start": (
+        "launch", ("job", "split", "node", "slot", "attempt", "speculative"),
+    ),
+    "task.finish": ("complete", ("job", "split", "node", "slot", "outcome")),
+    "task.requeue": ("requeue", ("job", "split", "ready", "attempt")),
+    "shuffle.start": ("shuffle_start", ("job", "end")),
+    "shuffle.abort": ("shuffle_abort", ("job", "node")),
+    "mapoutput.lost": ("output_lost", ("job", "split", "node")),
+    "node.lost": ("node_lost", ("node",)),
+    "node.blacklisted": ("node_blacklisted", ("node",)),
+    "job.finish/completed": ("job_complete", ("job",)),
+    "job.finish/failed": ("job_failed", ("job", "error")),
+    "cluster.finish": ("cluster_finish", (
+        "makespan", "completed", "rejected", "failed", "shed",
+        "preemptions", "map_output_losses",
+    )),
+}
+
+
+def record_for(
+    kind: str, sim_time: float, attrs: dict
+) -> Optional[Tuple[str, dict]]:
+    """The ``(record type, fields)`` a fact is journaled as, if at all."""
+    if kind == "job.finish":
+        kind = f"job.finish/{attrs['outcome']}"
+    shape = RECORDS.get(kind)
+    if shape is None:
+        return None
+    record_type, kept = shape
+    fields = {"t": sim_time, **{name: attrs[name] for name in kept}}
+    if record_type == "job_complete":
+        fields["finish"] = sim_time  # the v2 schema says it twice
+    return record_type, fields
 
 
 class SimulatedCrash(RuntimeError):
@@ -105,6 +151,12 @@ class ClusterWAL:
             self._writer.write(record)
         self._seq += 1
         return record
+
+    def note(self, kind: str, sim_time: float, attrs: dict) -> None:
+        """Journal the record a scheduling fact stands for, if any."""
+        record = record_for(kind, sim_time, attrs)
+        if record is not None:
+            self.append(record[0], **record[1])
 
     def close(self) -> None:
         if self._writer is not None:

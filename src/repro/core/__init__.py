@@ -31,7 +31,6 @@ from repro.core.cof import (
 from repro.core.columnio import ColumnSpec
 from repro.core.lazy import LazyRecord
 from repro.core.loader import ParallelLoadReport, parallel_load
-from repro.core.partitions import PartitionedDataset
 from repro.core.vector import VectorFrame, reconcile_metrics
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "ColumnSpec",
     "LazyRecord",
     "ParallelLoadReport",
-    "PartitionedDataset",
     "VectorFrame",
     "VectorizedCIFRecordReader",
     "add_column",

@@ -92,11 +92,14 @@ class ColumnOutputFormat:
         """
         fields = self.schema.fields
         buffers: List[List] = [[] for _ in fields]
+        #: each buffered value's plain encoding: sizes the split now,
+        #: and is what the column files are framed from at flush
+        encoded: List[List[bytes]] = [[] for _ in fields]
         buffered_bytes = 0
         split_index = first_split_index
 
         def flush() -> None:
-            nonlocal buffers, buffered_bytes, split_index
+            nonlocal buffers, encoded, buffered_bytes, split_index
             if not buffers[0] and split_index > first_split_index:
                 return
             split_dir = f"{dataset.rstrip('/')}/s{split_index}"
@@ -114,12 +117,13 @@ class ColumnOutputFormat:
                 f"{split_dir}/{STATS_FILE}", encode_stats(stats),
                 metrics=metrics,
             )
-            for field, values in zip(fields, buffers):
+            for field, values, blobs in zip(fields, buffers, encoded):
                 payload = encode_column_file(
-                    field.schema, values, self.spec_for(field.name)
+                    field.schema, values, self.spec_for(field.name), blobs
                 )
                 fs.write_file(f"{split_dir}/{field.name}", payload, metrics=metrics)
             buffers = [[] for _ in fields]
+            encoded = [[] for _ in fields]
             buffered_bytes = 0
             split_index += 1
 
@@ -127,9 +131,13 @@ class ColumnOutputFormat:
         for record in records:
             wrote_any = True
             values = field_values(self.schema, record)
-            for buffer, field, value in zip(buffers, fields, values):
+            for buffer, blobs, field, value in zip(
+                buffers, encoded, fields, values
+            ):
                 buffer.append(value)
-                buffered_bytes += len(encode_datum(field.schema, value))
+                blob = encode_datum(field.schema, value)
+                blobs.append(blob)
+                buffered_bytes += len(blob)
             if buffered_bytes >= self.split_bytes:
                 flush()
         if buffers[0] or not wrote_any:

@@ -116,15 +116,21 @@ class ColumnSpec:
 
 
 def encode_column_file(
-    field_schema: Schema, values: Sequence, spec: ColumnSpec
+    field_schema: Schema,
+    values: Sequence,
+    spec: ColumnSpec,
+    encoded: Optional[List[bytes]] = None,
 ) -> bytes:
     """Serialize one column's values into a complete column-file payload.
 
     The whole column is assembled in memory: HDFS output streams are
     append-only, so skip-block lengths must be known before any value
     byte is written (the double-buffering cost Appendix B.3 measures).
+    ``encoded`` is ``values`` already through ``encode_datum``, from a
+    caller that had to size them (``ColumnOutputFormat.write``).
     """
-    encoded = [encode_datum(field_schema, value) for value in values]
+    if encoded is None:
+        encoded = [encode_datum(field_schema, value) for value in values]
 
     out = ByteWriter()
     out.write_bytes(MAGIC)

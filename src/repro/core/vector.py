@@ -4,7 +4,7 @@ Materializing and evaluating one record per Python iteration leaves
 real wall-clock dominated by interpreter overhead rather than the
 simulated I/O the cost model charges.  Here a column block is decoded
 into a typed vector **once** (ints/floats as flat ``array`` buffers,
-strings as offsets + one byte buffer, a validity bitmap for nulls),
+strings as offsets + one byte buffer),
 predicates from :mod:`repro.query.expr` are compiled into kernels that
 evaluate whole vectors producing **selection indexes**, and only
 surviving rows are late-materialized for map functions.
@@ -42,13 +42,11 @@ __all__ = [
     "EXECUTION_MODES",
     "DEFAULT_BATCH_ROWS",
     "resolve_execution",
-    "Bitmap",
     "Vector",
     "ObjectVector",
     "NumericVector",
     "StringVector",
     "RunsVector",
-    "DictionaryVector",
     "full_selection",
     "intersect_selections",
     "union_selections",
@@ -98,54 +96,6 @@ def _compare_funcs() -> Dict[str, Callable]:
 
 
 # ---------------------------------------------------------------------------
-# Validity bitmap
-# ---------------------------------------------------------------------------
-
-
-class Bitmap:
-    """A bitset over row indexes; bit *i* set means row *i* is valid."""
-
-    __slots__ = ("length", "_bits")
-
-    def __init__(self, length: int, fill: bool = True) -> None:
-        self.length = length
-        nbytes = (length + 7) >> 3
-        self._bits = bytearray(b"\xff" * nbytes if fill else nbytes)
-        if fill and length & 7:
-            # mask tail bits past `length` so count_set stays exact
-            self._bits[-1] &= (1 << (length & 7)) - 1
-
-    @classmethod
-    def from_bools(cls, flags: Sequence[bool]) -> "Bitmap":
-        bitmap = cls(len(flags), fill=False)
-        for i, flag in enumerate(flags):
-            if flag:
-                bitmap._bits[i >> 3] |= 1 << (i & 7)
-        return bitmap
-
-    def get(self, i: int) -> bool:
-        return bool(self._bits[i >> 3] & (1 << (i & 7)))
-
-    def set(self, i: int, flag: bool = True) -> None:
-        if flag:
-            self._bits[i >> 3] |= 1 << (i & 7)
-        else:
-            self._bits[i >> 3] &= ~(1 << (i & 7))
-
-    def count_set(self) -> int:
-        return sum(bin(b).count("1") for b in self._bits)
-
-    def to_bools(self) -> List[bool]:
-        return [self.get(i) for i in range(self.length)]
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __repr__(self) -> str:
-        return f"Bitmap(length={self.length}, set={self.count_set()})"
-
-
-# ---------------------------------------------------------------------------
 # Typed vectors
 # ---------------------------------------------------------------------------
 
@@ -153,20 +103,14 @@ class Bitmap:
 class Vector:
     """One decoded column block: positional access to ``length`` values.
 
-    ``validity`` is ``None`` when every row is valid (the common case —
-    the storage layer never writes NULLs; nulls enter through computed
-    kernels like map-key access) or a :class:`Bitmap`.  ``value(i)``
-    returns ``None`` for invalid rows.
+    The storage layer never writes NULLs; a ``None`` enters only as a
+    value computed above the vectors (map-key access).
     """
 
     kind = "object"
 
-    def __init__(self, length: int, validity: Optional[Bitmap] = None) -> None:
+    def __init__(self, length: int) -> None:
         self.length = length
-        self.validity = validity
-
-    def is_valid(self, i: int) -> bool:
-        return self.validity is None or self.validity.get(i)
 
     def value(self, i: int):
         raise NotImplementedError
@@ -186,33 +130,28 @@ class ObjectVector(Vector):
 
     kind = "object"
 
-    def __init__(self, values: List, validity: Optional[Bitmap] = None) -> None:
-        super().__init__(len(values), validity)
+    def __init__(self, values: List) -> None:
+        super().__init__(len(values))
         self.values = values
 
     def value(self, i: int):
-        if self.validity is not None and not self.validity.get(i):
-            return None
         return self.values[i]
 
     def to_list(self) -> List:
-        if self.validity is None:
-            return list(self.values)
-        return [self.value(i) for i in range(self.length)]
+        return list(self.values)
 
 
 class NumericVector(Vector):
     """Flat int64/float64 buffer (``array('q')`` / ``array('d')``).
 
-    Numeric storage columns have no NULLs, so there is no validity
-    bitmap here; values that overflow int64 fall back to
-    :class:`ObjectVector` at build time (see ``build``).
+    Values that overflow int64 fall back to :class:`ObjectVector` at
+    build time (see ``build``).
     """
 
     kind = "numeric"
 
     def __init__(self, data: array) -> None:
-        super().__init__(len(data), None)
+        super().__init__(len(data))
         self.data = data
 
     @classmethod
@@ -243,7 +182,7 @@ class StringVector(Vector):
     kind = "string"
 
     def __init__(self, buffer: bytes, offsets: List[int]) -> None:
-        super().__init__(len(offsets) - 1, None)
+        super().__init__(len(offsets) - 1)
         self.buffer = buffer
         self.offsets = offsets
         self._decoded: List[Optional[str]] = [None] * self.length
@@ -283,7 +222,7 @@ class RunsVector(Vector):
     kind = "runs"
 
     def __init__(self, values: List, starts: List[int], length: int) -> None:
-        super().__init__(length, None)
+        super().__init__(length)
         self.run_values = values
         self.starts = starts  # ascending; starts[0] == 0
 
@@ -292,32 +231,6 @@ class RunsVector(Vector):
 
     def value(self, i: int):
         return self.run_values[self.run_of(i)]
-
-
-class DictionaryVector(Vector):
-    """Dictionary-encoded values: ``codes[i]`` indexes ``dictionary``.
-
-    A filter evaluates its predicate once per distinct dictionary entry
-    and then maps the verdicts over the codes — filter without decode.
-    Invalid rows (validity bit clear) read as ``None``.
-    """
-
-    kind = "dictionary"
-
-    def __init__(
-        self,
-        codes: List[int],
-        dictionary: List,
-        validity: Optional[Bitmap] = None,
-    ) -> None:
-        super().__init__(len(codes), validity)
-        self.codes = codes
-        self.dictionary = dictionary
-
-    def value(self, i: int):
-        if self.validity is not None and not self.validity.get(i):
-            return None
-        return self.dictionary[self.codes[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +294,7 @@ def kernel_compare(data, symbol: str, literal, sel: Sequence[int]) -> List[int]:
 
     Dispatches on the vector representation: numeric buffers compare
     raw; strings compare as UTF-8 byte slices (byte order == code-point
-    order, so no decode); runs and dictionaries evaluate the predicate
-    once per run / distinct entry.
+    order, so no decode); runs evaluate the predicate once per run.
     """
     fn = _compare_funcs()[symbol]
     if isinstance(data, dict):
@@ -403,17 +315,6 @@ def kernel_compare(data, symbol: str, literal, sel: Sequence[int]) -> List[int]:
             if verdicts[run]:
                 out.append(i)
         return out
-    if isinstance(data, DictionaryVector):
-        verdicts = [fn(v, literal) for v in data.dictionary]
-        none_verdict = fn(None, literal)
-        codes = data.codes
-        validity = data.validity
-        if validity is None:
-            return [i for i in sel if verdicts[codes[i]]]
-        return [
-            i for i in sel
-            if (verdicts[codes[i]] if validity.get(i) else none_verdict)
-        ]
     if isinstance(data, StringVector) and isinstance(literal, str):
         # Compare byte slices against the encoded literal: UTF-8
         # preserves code-point order, so every operator agrees with

@@ -14,7 +14,8 @@ away from the node that failed the attempt after a seeded backoff),
 node loss (:mod:`repro.mapreduce.nodeloss`), the shuffle window that
 bounds how long committed map outputs stay exposed, speculative races
 (:mod:`repro.mapreduce.speculation` detects and launches; the race is
-settled here) and the journal hook.  Tenant and queue are opaque labels
+settled here) and ``tell``, through which every fact reaches the bus
+and the journal.  Tenant and queue are opaque labels
 on an execution.  Every *decision* goes through the four hooks of
 :class:`~repro.mapreduce.scheduler.SchedulingPolicy`: who gets the next
 free slot, what to evict first, whether an execution may take one more
@@ -53,7 +54,8 @@ class SlotScheduler(NodeLoss):
 
     ``policy`` (kept as ``hooks``) defaults to arrival order;
     ``max_attempts`` overrides every unit of work's own; ``journal`` is
-    anything with the ``append(kind, **fields)`` of a write-ahead log.
+    anything with a ``note(kind, sim_time, attrs)``: it is offered every
+    fact the scheduler states and keeps the ones it has a record for.
     """
 
     def __init__(
@@ -97,9 +99,15 @@ class SlotScheduler(NodeLoss):
         self.horizon = 0.0
         self.now = 0.0
 
-    def _journal(self, kind: str, /, **fields) -> None:
+    def tell(self, kind: str, sim_time: float, /, **attrs) -> None:
+        """State one scheduling fact, once: an event on the bus, and
+        the same fact offered to the journal."""
+        self.obs.emit(kind, sim_time=sim_time, **attrs)
+        self._note(kind, sim_time, attrs)
+
+    def _note(self, kind: str, sim_time: float, attrs: dict) -> None:
         if self.journal is not None:
-            self.journal.append(kind, **fields)
+            self.journal.note(kind, sim_time, attrs)
 
     # -- entry points ---------------------------------------------------
 
@@ -227,17 +235,13 @@ class SlotScheduler(NodeLoss):
         self.obs.registry.counter(
             "task.attempts", outcome=counted or outcome
         ).inc()
-        self.obs.emit(
-            "task.finish", sim_time=at, kind="map",
+        self.tell(
+            "task.finish", at, kind="map",
             split=task.split.label, node=running.node, slot=running.slot,
             attempt=task.attempt, outcome=outcome,
             duration=task.duration, job=execution.name,
             tenant=execution.tenant, speculative=running.speculative,
             **attrs,
-        )
-        self._journal(
-            "complete", t=at, job=execution.name, split=task.split.label,
-            node=running.node, slot=running.slot, outcome=outcome,
         )
 
     def live_partner(self, running: _Running) -> Optional[_Running]:
@@ -306,18 +310,21 @@ class SlotScheduler(NodeLoss):
                 f"{execution.name}:{split_label}", max(0, attempts - 1)
             )
             if delay > 0:
-                self.obs.emit(
-                    "retry.backoff", sim_time=now,
+                self.tell(
+                    "retry.backoff", now,
                     job=execution.name, split=split_label,
                     attempt=attempts, delay=delay, ready=now + delay,
                 )
         execution.pending.append(_Pending(
             index, attempts, now + delay, pending.banned | banned,
         ))
-        self._journal(
-            "requeue", t=now, job=execution.name, split=split_label,
+        # Offered to the journal only: every re-queue is a decision a
+        # replay must reproduce, but the bus hears of one (above) only
+        # when it backs off.
+        self._note("task.requeue", now, dict(
+            job=execution.name, split=split_label,
             ready=now + delay, attempt=attempts,
-        )
+        ))
 
     def _fail(self, execution: _Execution, error: str, now: float) -> None:
         execution.failed = error
@@ -343,8 +350,8 @@ class SlotScheduler(NodeLoss):
         self.obs.registry.counter(
             "cluster.preemptions", queue=execution.queue
         ).inc()
-        self.obs.emit(
-            "task.preempted", sim_time=now,
+        self.tell(
+            "task.preempted", now,
             split=running.task.split.label,
             node=running.node, slot=running.slot,
             job=execution.name, tenant=execution.tenant,
@@ -421,8 +428,8 @@ class SlotScheduler(NodeLoss):
         self.obs.registry.counter(
             "scheduler.speculation", outcome=outcome
         ).inc()
-        self.obs.emit(
-            "scheduler.speculation", sim_time=end,
+        self.tell(
+            "scheduler.speculation", end,
             split=task.split.label, job=execution.name,
             tenant=execution.tenant, outcome=outcome,
             winner_node=winner.node, loser_node=loser.node,
@@ -447,14 +454,10 @@ class SlotScheduler(NodeLoss):
             self._shuffles,
             (execution.shuffle_end, execution.eid, execution.shuffle_gen),
         )
-        self.obs.emit(
-            "shuffle.start", sim_time=map_end,
+        self.tell(
+            "shuffle.start", map_end,
             job=execution.name, tenant=execution.tenant,
             window=window, end=execution.shuffle_end,
-        )
-        self._journal(
-            "shuffle_start", t=map_end, job=execution.name,
-            end=execution.shuffle_end,
         )
 
     def _shuffling(self, eid: int, gen: int) -> Optional[_Execution]:
@@ -482,8 +485,8 @@ class SlotScheduler(NodeLoss):
             execution = self._shuffling(eid, gen)
             if execution is None:
                 continue
-            self.obs.emit(
-                "shuffle.finish", sim_time=end,
+            self.tell(
+                "shuffle.finish", end,
                 job=execution.name, tenant=execution.tenant,
             )
             self._commit(execution, execution.map_end)
@@ -594,17 +597,12 @@ class SlotScheduler(NodeLoss):
         self.obs.registry.counter(
             "scheduler.assignments", placement=placement
         ).inc()
-        self.obs.emit(
-            "task.start", sim_time=now, kind="map",
+        self.tell(
+            "task.start", now, kind="map",
             split=split.label, node=node, slot=slot,
             attempt=pending.attempt, placement=placement,
             speculative=speculative, job=execution.name,
             tenant=execution.tenant, queue=execution.queue,
-        )
-        self._journal(
-            "launch", t=now, job=execution.name, split=split.label,
-            node=node, slot=slot, attempt=pending.attempt,
-            speculative=speculative,
         )
         faulted = False
         payload = None

@@ -30,7 +30,7 @@ class NodeLoss:
     """Fault firing, node death, map-output invalidation, blacklisting,
     over the scheduler's ``free``, ``running`` and ``executions`` and
     through its attempt lifecycle (``_truncate`` / ``_resolve`` /
-    ``_cover`` / ``_requeue``).
+    ``_cover`` / ``_requeue``) and its ``tell``.
 
     ``faults`` is a :class:`~repro.faults.FaultPlan` or a pre-built
     injector; None falls back to the ambient plan installed by
@@ -81,9 +81,7 @@ class NodeLoss:
             else:
                 attrs["at_task"] = event.at_task
                 attrs["reason"] = "beyond the last task boundary"
-            self.obs.emit(
-                "fault.ignored", sim_time=self.horizon, **attrs
-            )
+            self.tell("fault.ignored", self.horizon, **attrs)
 
     def _retire_node(self, node: int) -> None:
         self.dead_nodes.add(node)
@@ -91,8 +89,7 @@ class NodeLoss:
 
     def _node_lost(self, node: int, died_at: float) -> None:
         self._retire_node(node)
-        self.obs.emit("node.lost", sim_time=died_at, node=node)
-        self._journal("node_lost", t=died_at, node=node)
+        self.tell("node.lost", died_at, node=node)
         for running in list(self.running.values()):
             if not running.alive or running.node != node:
                 continue
@@ -123,14 +120,10 @@ class NodeLoss:
             if execution.state == "shuffling":
                 execution.state = "mapping"
                 execution.shuffle_gen += 1
-                self.obs.emit(
-                    "shuffle.abort", sim_time=died_at,
+                self.tell(
+                    "shuffle.abort", died_at,
                     job=execution.name, tenant=execution.tenant,
                     node=node, lost_splits=len(lost),
-                )
-                self._journal(
-                    "shuffle_abort", t=died_at, job=execution.name,
-                    node=node,
                 )
             for index in lost:
                 del execution.payloads[index]
@@ -145,14 +138,10 @@ class NodeLoss:
                 self.obs.registry.counter(
                     "cluster.mapoutput.lost"
                 ).inc()
-                self.obs.emit(
-                    "mapoutput.lost", sim_time=died_at,
+                self.tell(
+                    "mapoutput.lost", died_at,
                     split=split_label, node=node,
                     job=execution.name, tenant=execution.tenant,
-                )
-                self._journal(
-                    "output_lost", t=died_at, job=execution.name,
-                    split=split_label, node=node,
                 )
                 self._requeue(
                     execution,
@@ -171,8 +160,5 @@ class NodeLoss:
         if failures < BLACKLIST_AFTER or node in self.dead_nodes:
             return
         self.obs.registry.counter("scheduler.blacklisted", node=node).inc()
-        self.obs.emit(
-            "node.blacklisted", sim_time=now, node=node, failures=failures
-        )
-        self._journal("node_blacklisted", t=now, node=node)
+        self.tell("node.blacklisted", now, node=node, failures=failures)
         self._retire_node(node)

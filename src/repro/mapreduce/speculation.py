@@ -177,8 +177,8 @@ class Speculator:
         scheduler.obs.registry.counter(
             "scheduler.speculation", outcome="launched"
         ).inc()
-        scheduler.obs.emit(
-            "task.speculative", sim_time=now,
+        scheduler.tell(
+            "task.speculative", now,
             split=original.task.split.label,
             node=node, slot=slot, victim_node=original.node,
             elapsed=now - original.task.start,

@@ -3,7 +3,7 @@
 The observability subsystem gives every run three instruments:
 
 - a **metric registry** (:mod:`repro.obs.registry`): labeled counters,
-  gauges and fixed-boundary histograms with snapshot/merge semantics;
+  gauges and fixed-boundary histograms with a deterministic snapshot;
 - a **tracer** (:mod:`repro.obs.trace`): nested job → phase → task →
   op spans on both the wall clock and the simulated clock;
 - a **flight recorder** (:mod:`repro.obs.recorder`): collects spans,
@@ -57,7 +57,6 @@ from repro.obs.export import (
     parse_prometheus_text,
     prometheus_text,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.obs.heatmap import CellStats, DatasetHeatmap, load_sidecar, reconcile
 from repro.obs.tsdb import (
@@ -155,7 +154,6 @@ __all__ = [
     "parse_prometheus_text",
     "prometheus_text",
     "validate_chrome_trace",
-    "write_chrome_trace",
     "CellStats",
     "DatasetHeatmap",
     "load_sidecar",

@@ -14,7 +14,9 @@ recommendation can always be traced back to measured behaviour:
   hop a whole compressed block (decompression amplification), or a
   zlib column paying heavy inflation on mostly-skipped data.
 - **re-run-balancer** — split directories are no longer co-located
-  (CPP health), or reads crossed the network for a CPP dataset.
+  (CPP health), or reads crossed the network for a CPP dataset; the
+  placement repair it asks for is ``repro fsck --repair``
+  (``FileSystem.scrub`` + ``repair``).
 
 Layout detection prefers ground truth — the format byte in each column
 file's header via :func:`column_layouts` — and falls back to inferring

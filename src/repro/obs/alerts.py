@@ -178,7 +178,7 @@ class AlertEngine:
     Attach it downstream of a :class:`TimeSeriesStore` that is folding
     the same event stream; call :meth:`observe_watermark` with each
     event's sim time (the :class:`ClusterMonitor` does this) and the
-    engine evaluates at every crossed ``eval_every`` boundary.
+    engine evaluates at every crossed store-step boundary.
     """
 
     def __init__(
@@ -187,13 +187,11 @@ class AlertEngine:
         rules: Sequence[AlertRule],
         slos: Sequence[SloConfig] = (),
         bus: Optional[EventBus] = None,
-        eval_every: Optional[float] = None,
     ) -> None:
         self.store = store
         self.rules = list(rules)
         self.slos = {slo.name: slo for slo in slos}
         self.bus = bus
-        self.eval_every = eval_every if eval_every else store.step
         self.states = {rule.name: AlertState(rule) for rule in self.rules}
         self._last_eval_bucket = -1
         #: healthy-bit per SLO, to emit slo.status only on transitions
@@ -207,15 +205,16 @@ class AlertEngine:
     # -- clock plumbing ------------------------------------------------
 
     def observe_watermark(self, now: float) -> None:
-        """Evaluate every ``eval_every`` boundary crossed up to ``now``."""
-        bucket = int((now + 1e-12) // self.eval_every)
+        """Evaluate every store-step boundary crossed up to ``now``."""
+        step = self.store.step
+        bucket = self.store.bucket_of(now)
         if bucket <= self._last_eval_bucket:
             return
         start = self._last_eval_bucket + 1
         if self._last_eval_bucket < 0:
             start = bucket  # jump straight to the first live boundary
         for crossed in range(start, bucket + 1):
-            self.evaluate(crossed * self.eval_every)
+            self.evaluate(crossed * step)
         self._last_eval_bucket = bucket
 
     # -- evaluation ----------------------------------------------------
@@ -408,9 +407,6 @@ class ClusterMonitor:
         slos: Sequence[SloConfig] = (),
         rules: Optional[Sequence[AlertRule]] = None,
         step: float = 0.05,
-        retention: int = 0,
-        downsample: int = 8,
-        coarse_retention: int = 0,
     ) -> None:
         self.slos = list(slos)
         if rules is None:
@@ -420,8 +416,7 @@ class ClusterMonitor:
             ]
         self.rules = list(rules)
         self.store = TimeSeriesStore(
-            step=step, retention=retention, downsample=downsample,
-            coarse_retention=coarse_retention,
+            step=step,
             meta={
                 "slos": [slo.to_dict() for slo in self.slos],
                 "rules": [rule.to_dict() for rule in self.rules],
@@ -433,7 +428,7 @@ class ClusterMonitor:
         self.finished = False
 
     @classmethod
-    def for_policy(cls, policy, step: float = 0.05, **kwargs) -> "ClusterMonitor":
+    def for_policy(cls, policy, step: float = 0.05) -> "ClusterMonitor":
         """Monitor for a :class:`ClusterPolicy`-shaped object.
 
         Expands each declared SLO into its default burn-rate pair and
@@ -444,7 +439,7 @@ class ClusterMonitor:
             rule for slo in slos for rule in burn_rate_rules(slo, step=step)
         ]
         rules.extend(getattr(policy, "alerts", ()) or ())
-        return cls(slos=slos, rules=rules, step=step, **kwargs)
+        return cls(slos=slos, rules=rules, step=step)
 
     def attach(self, bus: EventBus) -> "ClusterMonitor":
         self.engine.bus = bus
@@ -479,7 +474,7 @@ class ClusterMonitor:
     def statuses(self, at: Optional[float] = None):
         return evaluate_slos(self.store, self.slos, at=at)
 
-    def save(self, path: str, merge: bool = True) -> TimeSeriesStore:
+    def save(self, path: str) -> TimeSeriesStore:
         if not self.finished:
             self.finish(self.store.watermark)
-        return self.store.save(path, merge=merge)
+        return self.store.save(path)

@@ -35,6 +35,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: float slack when chaining simulated task intervals
 _EPS = 1e-9
 
+#: sibling groups smaller than this give a straggler no baseline
+_MIN_STRAGGLER_GROUP = 4
+
+#: absolute delta below which two runs' series are the same number
+_ABS_TOL = 1e-9
+
 #: sim.Metrics fields whose growth between runs is a cost regression
 _COST_METRICS = (
     "disk_bytes", "net_bytes", "requested_bytes", "seeks",
@@ -492,14 +498,12 @@ def _dominant_cost(task: SpanNode, group: List[SpanNode]) -> Tuple[str, str]:
     return "io", f"+{io_excess:.6f} s of I/O time over median"
 
 
-def detect_stragglers(
-    report, threshold: float = 1.5, min_group: int = 4
-) -> List[Straggler]:
+def detect_stragglers(report, threshold: float = 1.5) -> List[Straggler]:
     """Task attempts slower than ``threshold`` times the sibling median.
 
     Siblings are task spans of the same name (``map_task`` vs.
-    ``reduce_task``); groups smaller than ``min_group`` have no
-    meaningful baseline and are skipped, as are attempts killed in a
+    ``reduce_task``); groups smaller than four have no meaningful
+    baseline and are skipped, as are attempts killed in a
     speculative race (their duration was truncated, not earned).
     """
     groups: Dict[str, List[SpanNode]] = {}
@@ -511,7 +515,7 @@ def detect_stragglers(
     out: List[Straggler] = []
     for name in sorted(groups):
         group = groups[name]
-        if len(group) < min_group:
+        if len(group) < _MIN_STRAGGLER_GROUP:
             continue
         median = _median([t.sim_duration for t in group])
         if median <= 0:
@@ -725,7 +729,6 @@ class RunDiff:
 
     entries: List[DiffEntry] = field(default_factory=list)
     rel_tol: float = 0.01
-    abs_tol: float = 1e-9
 
     @property
     def regressions(self) -> List[DiffEntry]:
@@ -745,7 +748,7 @@ class RunDiff:
 
     def render(self) -> str:
         lines = [
-            f"Run diff (rel_tol={self.rel_tol:g}, abs_tol={self.abs_tol:g}): "
+            f"Run diff (rel_tol={self.rel_tol:g}, abs_tol={_ABS_TOL:g}): "
             f"{len(self.regressions)} regression(s), "
             f"{len(self.improvements)} improvement(s), "
             f"{len(self.drifts)} drift(s)"
@@ -784,14 +787,12 @@ def _is_cost_counter(name: str) -> bool:
     return any(marker in name for marker in _COST_COUNTER_MARKERS)
 
 
-def diff_runs(
-    a, b, rel_tol: float = 0.01, abs_tol: float = 1e-9
-) -> RunDiff:
+def diff_runs(a, b, rel_tol: float = 0.01) -> RunDiff:
     """Compare two ``RunReport``\\ s metric-by-metric and span-by-span.
 
     Only simulated/physical series are compared — wall-clock numbers
     vary run to run by nature.  A delta within ``rel_tol`` (relative)
-    or ``abs_tol`` (absolute) is noise.  Beyond tolerance:
+    or 1e-9 (absolute) is noise.  Beyond tolerance:
 
     - cost series (bytes, seeks, io/cpu/simulated time, cost counters)
       growing from ``a`` to ``b`` is a **regression**, shrinking an
@@ -799,11 +800,11 @@ def diff_runs(
     - everything else (record counts, logical counters, span counts)
       is **drift** — worth eyeballing, not a perf verdict.
     """
-    diff = RunDiff(rel_tol=rel_tol, abs_tol=abs_tol)
+    diff = RunDiff(rel_tol=rel_tol)
 
     def exceeds(x: float, y: float) -> bool:
         delta = abs(y - x)
-        return delta > abs_tol and delta > rel_tol * abs(x)
+        return delta > _ABS_TOL and delta > rel_tol * abs(x)
 
     def add(kind: str, key: str, x: float, y: float, is_cost: bool) -> None:
         if not exceeds(x, y):

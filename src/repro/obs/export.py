@@ -25,7 +25,6 @@ round-trip tests.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Dict, List, Optional, Tuple
 
@@ -200,13 +199,6 @@ def chrome_trace(report) -> dict:
         "displayTimeUnit": "ms",
         "otherData": dict(report.meta) if report.meta else {},
     }
-
-
-def write_chrome_trace(report, path: str) -> None:
-    """Write :func:`chrome_trace` output as a Perfetto-loadable file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chrome_trace(report), handle, sort_keys=True)
-        handle.write("\n")
 
 
 # -- Prometheus text exposition ---------------------------------------

@@ -190,19 +190,18 @@ class DatasetHeatmap:
     def sidecar_path(self) -> str:
         return f"{self.dataset}/{SIDECAR_FILE}"
 
-    def save(self, fs, merge: bool = True) -> "DatasetHeatmap":
-        """Write (optionally merge-accumulating) the sidecar stats file.
+    def save(self, fs) -> "DatasetHeatmap":
+        """Write the merge-accumulating sidecar stats file.
 
-        With ``merge`` the existing sidecar's cells are folded in first,
-        so repeated jobs against a dataset build up a long-run picture
-        of its access pattern.  Returns the heatmap actually written.
+        The existing sidecar's cells are folded in first, so repeated
+        jobs against a dataset build up a long-run picture of its
+        access pattern.  Returns the heatmap actually written.
         """
         out = self
-        if merge:
-            previous = load_sidecar(fs, self.dataset)
-            if previous is not None:
-                previous.merge(self)
-                out = previous
+        previous = load_sidecar(fs, self.dataset)
+        if previous is not None:
+            previous.merge(self)
+            out = previous
         payload = json.dumps(out.to_dict(), sort_keys=True).encode("utf-8")
         path = out.sidecar_path()
         if fs.exists(path):

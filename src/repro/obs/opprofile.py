@@ -494,7 +494,7 @@ def fallback_totals(report) -> Dict[str, int]:
     return out
 
 
-def render_operators(report, pal=None, width: int = 0) -> str:
+def render_operators(report, pal=None) -> str:
     """ASCII operator tree for ``repro perf operators``.
 
     One chain per engine found in the trace, pipeline order, with

@@ -97,12 +97,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 #: default histogram boundaries: byte-ish powers of four up to 16 MB
 DEFAULT_BOUNDARIES = tuple(4 ** k for k in range(2, 13))
@@ -117,7 +111,7 @@ class Histogram:
     """Fixed-boundary histogram; bucket ``i`` counts values <= bound ``i``.
 
     Boundaries are fixed at registration so snapshots from different
-    tasks/runs merge bucket-by-bucket without re-binning.  The observed
+    runs compare bucket-by-bucket without re-binning.  The observed
     min/max are tracked alongside the buckets so quantile estimates can
     interpolate against the true value range instead of the outermost
     bucket edges.
@@ -144,10 +138,6 @@ class Histogram:
             self.vmin = value
         if self.vmax is None or value > self.vmax:
             self.vmax = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (0..1) from the bucket counts.
@@ -177,12 +167,6 @@ class NullGauge(Gauge):
     __slots__ = ()
 
     def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
 
@@ -279,7 +263,7 @@ class MetricRegistry:
             return default
         return sum(metric.value for _, metric in found)
 
-    # -- snapshot / merge ----------------------------------------------
+    # -- snapshot ------------------------------------------------------
 
     def snapshot(self) -> List[dict]:
         """A deterministic, JSON-ready dump of every metric."""
@@ -302,40 +286,6 @@ class MetricRegistry:
                 entry["value"] = metric.value
             out.append(entry)
         return out
-
-    def merge(self, other: "MetricRegistry") -> None:
-        """Fold another registry in: counters/histograms add, gauges
-
-        take the incoming value (last writer wins, as when a task's
-        registry folds into the job's).
-        """
-        for name, labels, metric in other:
-            if type(metric) is Counter:
-                self._get_or_create(name, labels, Counter).inc(metric.value)
-            elif type(metric) is Gauge:
-                self._get_or_create(name, labels, Gauge).set(metric.value)
-            elif type(metric) is Histogram:
-                mine = self._metrics.get((name, labels))
-                if mine is None:
-                    mine = self._metrics[(name, labels)] = Histogram(
-                        metric.boundaries
-                    )
-                if mine.boundaries != metric.boundaries:
-                    raise ValueError(
-                        f"cannot merge histogram {name}: boundary mismatch"
-                    )
-                for i, count in enumerate(metric.counts):
-                    mine.counts[i] += count
-                mine.total += metric.total
-                mine.count += metric.count
-                if metric.vmin is not None and (
-                    mine.vmin is None or metric.vmin < mine.vmin
-                ):
-                    mine.vmin = metric.vmin
-                if metric.vmax is not None and (
-                    mine.vmax is None or metric.vmax > mine.vmax
-                ):
-                    mine.vmax = metric.vmax
 
 
 _NULL_COUNTER = NullCounter()
@@ -365,9 +315,6 @@ class NullRegistry(MetricRegistry):
 
     def snapshot(self) -> List[dict]:
         return []
-
-    def merge(self, other: "MetricRegistry") -> None:
-        pass
 
 
 NULL_REGISTRY = NullRegistry()

@@ -60,10 +60,6 @@ class Span:
         self._io0 = 0.0
         self._cpu0 = 0.0
 
-    @property
-    def wall_duration(self) -> float:
-        return self.wall_end - self.wall_start
-
     def set(self, key: str, value) -> None:
         """Attach an attribute discovered while the span is open."""
         self.attrs[key] = value

@@ -23,17 +23,15 @@ Design rules, inherited from the rest of the simulator:
   latency quantiles against :class:`~repro.cluster.report.ClusterReport`
   with **zero tolerance**, in the style of
   :func:`repro.obs.heatmap.reconcile`.
-- **Step-down downsampling + retention.**  With ``retention=N`` fine
-  buckets older than N steps are folded into coarse buckets of width
-  ``downsample * step`` (counters sum, gauges keep the newest value,
-  histograms merge their samples); ``coarse_retention`` bounds the
-  coarse level the same way.  The defaults (0 = unbounded) keep
-  everything, which a reconciling cluster run wants.
+- **One level, everything kept.**  A reconciling cluster run wants
+  every bucket at full resolution, so none is ever dropped or widened.
 - **Merge-accumulating sidecar.**  ``save(path)`` folds any existing
   sidecar in first (like :meth:`DatasetHeatmap.save`), so successive
-  runs accumulate; the file is gzip-framed JSONL written with
-  ``mtime=0`` (byte-stable) and the loader salvages a torn final line
-  or a torn gzip stream like every :mod:`repro.util.jsonl` artifact.
+  runs accumulate; a sidecar that exists but cannot be read is an
+  error, never overwritten.  The file is gzip-framed JSONL written
+  with ``mtime=0`` (byte-stable) and the loader salvages a torn final
+  line or a torn gzip stream like every :mod:`repro.util.jsonl`
+  artifact.
 """
 
 from __future__ import annotations
@@ -48,15 +46,20 @@ TSDB_VERSION = 1
 
 SERIES_KINDS = ("counter", "gauge", "hist")
 
+#: every key of a series record; a record with any other is refused
+_SERIES_FIELDS = frozenset(
+    ("type", "name", "kind", "labels", "fine", "last_t")
+)
+
 
 def _label_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
 class Series:
-    """One named, labeled series: fine and coarse fixed-width buckets."""
+    """One named, labeled series of fixed-width buckets."""
 
-    __slots__ = ("name", "kind", "labels", "fine", "coarse", "last_t")
+    __slots__ = ("name", "kind", "labels", "fine", "last_t")
 
     def __init__(self, name: str, kind: str, labels: Dict[str, object]):
         if kind not in SERIES_KINDS:
@@ -64,10 +67,8 @@ class Series:
         self.name = name
         self.kind = kind
         self.labels = {str(k): str(v) for k, v in labels.items()}
-        #: fine bucket -> sum (counter) | last value (gauge) | samples
+        #: bucket -> sum (counter) | last value (gauge) | samples
         self.fine: Dict[int, object] = {}
-        #: coarse bucket -> same shape, folded by retention
-        self.coarse: Dict[int, object] = {}
         #: simulated time of the newest sample ever folded
         self.last_t: Optional[float] = None
 
@@ -81,47 +82,36 @@ class Series:
         else:
             self.fine.setdefault(bucket, []).append(float(value))
 
-    def fold_coarse(self, bucket: int, value) -> None:
-        """Fold one aged-out fine bucket into its coarse bucket."""
-        if self.kind == "counter":
-            self.coarse[bucket] = self.coarse.get(bucket, 0.0) + value
-        elif self.kind == "gauge":
-            self.coarse[bucket] = value  # callers fold oldest-first
-        else:
-            self.coarse.setdefault(bucket, []).extend(value)
-            self.coarse[bucket].sort()
-
     def to_dict(self) -> dict:
-        def dump(buckets: Dict[int, object]) -> list:
-            return [
-                [b, sorted(v) if isinstance(v, list) else v]
-                for b, v in sorted(buckets.items())
-            ]
-
         out = {
             "type": "series",
             "name": self.name,
             "kind": self.kind,
             "labels": self.labels,
-            "fine": dump(self.fine),
+            "fine": [
+                [b, sorted(v) if isinstance(v, list) else v]
+                for b, v in sorted(self.fine.items())
+            ],
         }
-        if self.coarse:
-            out["coarse"] = dump(self.coarse)
         if self.last_t is not None:
             out["last_t"] = self.last_t
         return out
 
     @classmethod
     def from_dict(cls, record: dict) -> "Series":
+        unknown = sorted(set(record) - _SERIES_FIELDS)
+        if unknown:
+            # e.g. a second bucket level this build cannot fold: merging
+            # the record without it would silently lose its samples
+            raise ValueError(
+                f"series {record.get('name')!r} has fields this build "
+                f"does not read: {unknown}"
+            )
         series = cls(
             record["name"], record["kind"], dict(record.get("labels") or {})
         )
         for bucket, value in record.get("fine", []):
             series.fine[int(bucket)] = (
-                list(value) if isinstance(value, list) else float(value)
-            )
-        for bucket, value in record.get("coarse", []):
-            series.coarse[int(bucket)] = (
                 list(value) if isinstance(value, list) else float(value)
             )
         series.last_t = record.get("last_t")
@@ -134,21 +124,11 @@ class TimeSeriesStore:
     def __init__(
         self,
         step: float = 0.05,
-        retention: int = 0,
-        downsample: int = 8,
-        coarse_retention: int = 0,
         meta: Optional[dict] = None,
     ) -> None:
         if step <= 0:
             raise ValueError("step must be > 0")
-        if retention < 0 or coarse_retention < 0:
-            raise ValueError("retention must be >= 0 (0 = unbounded)")
-        if downsample < 1:
-            raise ValueError("downsample must be >= 1")
         self.step = float(step)
-        self.retention = int(retention)
-        self.downsample = int(downsample)
-        self.coarse_retention = int(coarse_retention)
         #: free-form header fields persisted in the sidecar meta line
         #: (the cluster monitor stores SLO declarations + rules here)
         self.meta: dict = dict(meta or {})
@@ -172,9 +152,8 @@ class TimeSeriesStore:
         # the bucket they open instead of one float ulp below it.
         return int((t + 1e-12) // self.step)
 
-    def bucket_start(self, bucket: int, coarse: bool = False) -> float:
-        width = self.step * (self.downsample if coarse else 1)
-        return bucket * width
+    def bucket_start(self, bucket: int) -> float:
+        return bucket * self.step
 
     def series(self, name: str, kind: str, /, **labels) -> Series:
         key = (name, _label_key(labels))
@@ -200,7 +179,6 @@ class TimeSeriesStore:
     def _advance(self, t: float) -> None:
         if t > self.watermark:
             self.watermark = t
-            self._enforce_retention()
 
     def record_counter(
         self, name: str, t: float, value: float = 1.0, /, **labels
@@ -225,25 +203,6 @@ class TimeSeriesStore:
             self.bucket_of(t), value, t
         )
         self._advance(t)
-
-    def _enforce_retention(self) -> None:
-        if not self.retention:
-            return
-        cutoff = self.bucket_of(self.watermark) - self.retention
-        for series in self._series.values():
-            stale = sorted(b for b in series.fine if b < cutoff)
-            for bucket in stale:
-                series.fold_coarse(
-                    bucket // self.downsample, series.fine.pop(bucket)
-                )
-            if self.coarse_retention:
-                coarse_cutoff = (
-                    cutoff // self.downsample - self.coarse_retention
-                )
-                for bucket in [
-                    b for b in series.coarse if b < coarse_cutoff
-                ]:
-                    del series.coarse[bucket]
 
     # -- the cluster event vocabulary ----------------------------------
 
@@ -333,44 +292,17 @@ class TimeSeriesStore:
         self._running_jobs[tenant] = count
         self.record_gauge("cluster.jobs.running", t, count, tenant=tenant)
 
-    def ingest_registry(self, source, t: float) -> int:
-        """Fold a metric-registry snapshot as gauges at sim time ``t``.
-
-        ``source`` is a :class:`~repro.obs.registry.MetricRegistry` or
-        an already-snapshotted entry list; counter and gauge entries
-        become ``registry.<name>`` gauge points (cumulative values on
-        the run timeline).  Returns the number of entries folded.
-        """
-        entries = source.snapshot() if hasattr(source, "snapshot") else source
-        folded = 0
-        for entry in entries:
-            if entry.get("kind") not in ("counter", "gauge"):
-                continue
-            self.record_gauge(
-                f"registry.{entry['name']}", t, float(entry["value"]),
-                **entry.get("labels", {}),
-            )
-            folded += 1
-        return folded
-
     # -- queries -------------------------------------------------------
 
-    def _bucket_range(
-        self, since: Optional[float], until: Optional[float], coarse: bool
-    ) -> Tuple[Optional[int], Optional[int]]:
-        width = self.downsample if coarse else 1
-        lo = None if since is None else self.bucket_of(since) // width
-        hi = None if until is None else self.bucket_of(until) // width
-        return lo, hi
-
-    def _selected(self, buckets, since, until, coarse):
-        lo, hi = self._bucket_range(since, until, coarse)
-        for bucket in sorted(buckets):
+    def _selected(self, series: Series, since, until):
+        lo = None if since is None else self.bucket_of(since)
+        hi = None if until is None else self.bucket_of(until)
+        for bucket in sorted(series.fine):
             if lo is not None and bucket < lo:
                 continue
             if hi is not None and bucket > hi:
                 continue
-            yield bucket, buckets[bucket]
+            yield bucket, series.fine[bucket]
 
     def counter_total(
         self,
@@ -382,13 +314,7 @@ class TimeSeriesStore:
         series = self.get(name, **labels)
         if series is None:
             return 0.0
-        total = sum(
-            v for _, v in self._selected(series.fine, since, until, False)
-        )
-        total += sum(
-            v for _, v in self._selected(series.coarse, since, until, True)
-        )
-        return total
+        return sum(v for _, v in self._selected(series, since, until))
 
     def gauge_last(
         self,
@@ -400,13 +326,8 @@ class TimeSeriesStore:
         series = self.get(name, **labels)
         if series is None:
             return None
-        fine = list(self._selected(series.fine, since, until, False))
-        if fine:
-            return fine[-1][1]
-        coarse = list(self._selected(series.coarse, since, until, True))
-        if coarse:
-            return coarse[-1][1]
-        return None
+        values = [v for _, v in self._selected(series, since, until)]
+        return values[-1] if values else None
 
     def samples(
         self,
@@ -419,9 +340,7 @@ class TimeSeriesStore:
         if series is None:
             return []
         out: List[float] = []
-        for _, values in self._selected(series.coarse, since, until, True):
-            out.extend(values)
-        for _, values in self._selected(series.fine, since, until, False):
+        for _, values in self._selected(series, since, until):
             out.extend(values)
         return sorted(out)
 
@@ -432,7 +351,7 @@ class TimeSeriesStore:
         until: Optional[float] = None,
         **labels,
     ) -> List[Tuple[float, float]]:
-        """Per-bucket ``(start_time, value)`` pairs, coarse then fine.
+        """Per-bucket ``(start_time, value)`` pairs, oldest first.
 
         Counters yield per-interval sums, gauges the interval's last
         value, histograms the interval's sample count.
@@ -440,18 +359,13 @@ class TimeSeriesStore:
         series = self.get(name, **labels)
         if series is None:
             return []
-        out: List[Tuple[float, float]] = []
-        for bucket, value in self._selected(series.coarse, since, until, True):
-            out.append((
-                self.bucket_start(bucket, coarse=True),
-                float(len(value)) if isinstance(value, list) else value,
-            ))
-        for bucket, value in self._selected(series.fine, since, until, False):
-            out.append((
+        return [
+            (
                 self.bucket_start(bucket),
                 float(len(value)) if isinstance(value, list) else value,
-            ))
-        return out
+            )
+            for bucket, value in self._selected(series, since, until)
+        ]
 
     # -- merging -------------------------------------------------------
 
@@ -463,17 +377,15 @@ class TimeSeriesStore:
             )
         for series in other:
             mine = self.series(series.name, series.kind, **series.labels)
-            for buckets, theirs in (
-                (mine.fine, series.fine), (mine.coarse, series.coarse)
-            ):
-                for bucket, value in sorted(theirs.items()):
-                    if series.kind == "counter":
-                        buckets[bucket] = buckets.get(bucket, 0.0) + value
-                    elif series.kind == "gauge":
-                        buckets[bucket] = value
-                    else:
-                        merged = list(buckets.get(bucket, [])) + list(value)
-                        buckets[bucket] = sorted(merged)
+            buckets = mine.fine
+            for bucket, value in sorted(series.fine.items()):
+                if series.kind == "counter":
+                    buckets[bucket] = buckets.get(bucket, 0.0) + value
+                elif series.kind == "gauge":
+                    buckets[bucket] = value
+                else:
+                    merged = list(buckets.get(bucket, [])) + list(value)
+                    buckets[bucket] = sorted(merged)
             if series.last_t is not None and (
                 mine.last_t is None or series.last_t > mine.last_t
             ):
@@ -495,9 +407,6 @@ class TimeSeriesStore:
             "format": "tsdb",
             "v": TSDB_VERSION,
             "step": self.step,
-            "retention": self.retention,
-            "downsample": self.downsample,
-            "coarse_retention": self.coarse_retention,
             "runs": self.runs,
             "watermark": self.watermark,
             **self.meta,
@@ -512,22 +421,23 @@ class TimeSeriesStore:
             lines.append({"type": "slo", **entry})
         return lines
 
-    def save(self, path: str, merge: bool = True) -> "TimeSeriesStore":
+    def save(self, path: str) -> "TimeSeriesStore":
         """Persist the sidecar, folding any existing file in first.
 
         Returns the store that was written (``self`` on a fresh path,
-        the merged accumulation otherwise).  The gzip frame is written
-        with ``mtime=0`` so identical runs produce identical bytes.
+        the merged accumulation otherwise).  Only a missing file means
+        "no previous runs": one that exists and does not load raises
+        the loader's ``ValueError`` and is left as it was.  The gzip
+        frame is written with ``mtime=0`` so identical runs produce
+        identical bytes.
         """
         target = self
-        if merge:
-            try:
-                previous, _ = TimeSeriesStore.load(path)
-            except (OSError, ValueError):
-                previous = None
-            if previous is not None:
-                previous.merge(self)
-                target = previous
+        try:
+            target, _ = TimeSeriesStore.load(path)
+        except FileNotFoundError:
+            pass
+        else:
+            target.merge(self)
         jsonl.write_frame(path, target.to_lines())
         return target
 
@@ -551,14 +461,10 @@ class TimeSeriesStore:
             )
         store = cls(
             step=float(header.get("step", 0.05)),
-            retention=int(header.get("retention", 0)),
-            downsample=int(header.get("downsample", 8)),
-            coarse_retention=int(header.get("coarse_retention", 0)),
             meta={
                 k: v for k, v in header.items()
                 if k not in (
-                    "type", "format", "v", "step", "retention",
-                    "downsample", "coarse_retention", "runs", "watermark",
+                    "type", "format", "v", "step", "runs", "watermark",
                 )
             },
         )

@@ -19,8 +19,7 @@ from typing import Callable, FrozenSet, Optional
 # route through :func:`compare_values`:
 #
 # - Ordering (``<``, ``<=``, ``>``, ``>=``): a NULL operand never
-#   satisfies the predicate — the result is False, matching what a
-#   validity bitmap implies for a vector.
+#   satisfies the predicate — the result is False.
 # - Equality keeps Python semantics: ``None == None`` is True and
 #   ``None != x`` is True for non-None ``x``.
 # - NaN follows IEEE-754: every ordering comparison and ``==`` against

@@ -1,18 +1,12 @@
 """Operational tooling on top of the library.
 
-- :mod:`repro.tools.convert` — the 'parallel loader' of Section 4.2,
-  generalized: convert a dataset between any two storage formats with
-  full cost accounting (what Table 2 measures for SEQ -> CIF/RCFile).
 - :mod:`repro.tools.sort` — sample-partition-sort a dataset on one
   column so split-directory zone maps become selective.
 """
 
-from repro.tools.convert import ConversionReport, convert_dataset
 from repro.tools.sort import SortReport, sort_dataset
 
 __all__ = [
-    "ConversionReport",
     "SortReport",
-    "convert_dataset",
     "sort_dataset",
 ]

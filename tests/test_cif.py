@@ -58,6 +58,40 @@ class TestCofLayout:
             }
             assert len(counts) == 1
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.format + "-" + s.codec)
+    def test_each_value_is_encoded_once(self, fs, spec, monkeypatch):
+        """The encoding that sizes a split is the one its column files
+        are framed from; the files are what values alone encode to."""
+        from repro.core import cof, columnio
+        from repro.serde.binary import encode_datum
+
+        calls = []
+
+        def counting(schema, value):
+            calls.append(1)
+            return encode_datum(schema, value)
+
+        monkeypatch.setattr(cof, "encode_datum", counting)
+        monkeypatch.setattr(columnio, "encode_datum", counting)
+        schema = micro_schema()
+        records = micro_records(schema, 300)
+        n = load(fs, records, schema, default_spec=spec, split_bytes=16 * 1024)
+        assert n > 1
+        assert len(calls) == len(records) * len(schema.fields)
+        monkeypatch.undo()
+        offset = 0
+        for split_dir in split_dirs_of(fs, "/data/d1"):
+            count = column_record_count(fs, f"{split_dir}/{schema.fields[0].name}")
+            chunk = records[offset:offset + count]
+            offset += count
+            for field in schema.fields:
+                assert fs.read_file(f"{split_dir}/{field.name}") == (
+                    columnio.encode_column_file(
+                        field.schema, [r.get(field.name) for r in chunk], spec
+                    )
+                )
+        assert offset == len(records)
+
     def test_empty_dataset_single_split(self, fs):
         schema = micro_schema()
         assert load(fs, [], schema) == 1

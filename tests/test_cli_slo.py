@@ -84,6 +84,23 @@ class TestClusterRunMonitoring:
         assert code == 0
         assert "2 run(s) accumulated" in text
 
+    def test_sidecar_that_does_not_load_is_an_error_not_a_fresh_start(
+        self, profile_path, tmp_path
+    ):
+        path = tmp_path / "run.tsdb"
+        path.write_bytes(gzip.compress(
+            b'{"format": "tsdb", "type": "meta", "v": 99}\n', mtime=0
+        ))
+        before = path.read_bytes()
+        code, text = collect(
+            ["cluster", "run", profile_path, "--tsdb", str(path)]
+        )
+        assert code == 1
+        last = text.splitlines()[-1]
+        assert last.startswith(f"error: cannot update tsdb sidecar {path}: ")
+        assert "version 99" in last
+        assert path.read_bytes() == before
+
     def test_events_out_writes_replayable_stream(
         self, profile_path, tmp_path
     ):
@@ -103,6 +120,35 @@ class TestClusterRunMonitoring:
         # events are on the stream too
         assert any(k.startswith("alert.") for k in kinds)
         assert "slo.status" in kinds
+
+    def test_compare_agrees_with_two_separate_runs(self, profile_path):
+        """``--compare``: both policies on the same trace, then one
+        fair/fifo p95 row per tenant, each what two ``--policy`` runs
+        of their own report."""
+        code, text = collect(["cluster", "run", profile_path, "--compare"])
+        assert code == 0
+        separate = {}
+        for policy in ("fifo", "fair"):
+            run_code, run_text = collect(
+                ["cluster", "run", profile_path, "--policy", policy,
+                 "--json"]
+            )
+            assert run_code == 0
+            separate[policy] = json.loads(run_text)
+            # a single run of a profile with SLOs is monitored too
+            del separate[policy]["slo"]
+        assert json.loads(collect(
+            ["cluster", "run", profile_path, "--compare", "--json"]
+        )[1]) == separate
+        head, table = text.split("fair p95 / fifo p95 (same trace):\n")
+        assert "policy=fifo" in head and "policy=fair" in head
+        rows = dict(line.split() for line in table.splitlines())
+        tenants = separate["fair"]["tenants"]
+        assert sorted(rows) == sorted(tenants)
+        for tenant, ratio in rows.items():
+            fair_p95 = tenants[tenant]["p95"]
+            fifo_p95 = separate["fifo"]["tenants"][tenant]["p95"]
+            assert ratio == f"{fair_p95 / fifo_p95:.3f}"
 
     def test_compare_is_incompatible_with_recording(
         self, profile_path, tmp_path

@@ -9,9 +9,16 @@ event tests do it: recorders get a fake monotonic clock.
 
 import json
 
-from repro.cluster import TrafficProfile, run_traffic, sample_profile
+import pytest
+
+from repro.cluster import (
+    ClusterWAL, TrafficProfile, run_traffic, sample_profile,
+)
+from repro.cluster.wal import record_for
 from repro.faults import FaultEvent, FaultPlan
-from repro.obs import FlightRecorder
+from repro.obs import (
+    EventBus, FlightRecorder, MetricRegistry, NULL_TRACER, Observability,
+)
 
 
 class FakeClock:
@@ -95,3 +102,57 @@ class TestDeterminism:
             ]
 
         assert submissions(fair_events) == submissions(fifo_events)
+
+
+class TestJournalIsAProjectionOfTheEvents:
+    """``cluster/wal.py`` owns the record shapes: what the journal holds
+    is its table applied to the facts the scheduler put on the bus."""
+
+    @pytest.mark.parametrize("policy,faults", [
+        ("fair", None),
+        ("fifo", None),
+        ("fair", FaultPlan.random(11, sample_profile().nodes)),
+    ], ids=["fair", "fifo", "chaos-11"])
+    def test_every_record_is_the_tables_view_of_an_event(
+        self, policy, faults
+    ):
+        bus, events = EventBus(), []
+        bus.subscribe(events.append)
+        obs = Observability(
+            NULL_TRACER, MetricRegistry(), enabled=True, bus=bus
+        )
+        wal = ClusterWAL()
+        run_traffic(profile(), policy=policy, obs=obs, faults=faults, wal=wal)
+
+        def fields(record):
+            return record["type"], {
+                k: v for k, v in record.items() if k not in ("seq", "type")
+            }
+
+        assert wal.records[0]["type"] == "meta"
+        journal = [fields(r) for r in wal.records[1:]]
+        # reduce tasks are the runner's, not scheduling decisions: the
+        # scheduler never states them, so the journal never sees them
+        projected = [
+            record_for(e.kind, e.sim_time, e.attrs) for e in events
+            if e.attrs.get("kind") != "reduce"
+        ]
+        assert [r for r in journal if r[0] != "requeue"] == [
+            r for r in projected if r is not None
+        ]
+        assert {r[0] for r in journal} >= {
+            "admit", "launch", "complete", "job_complete", "cluster_finish",
+        }
+        # a re-queue is journaled every time, announced only when it
+        # backs off: each announcement has its record
+        requeues = [r[1] for r in journal if r[0] == "requeue"]
+        backoffs = [e for e in events if e.kind == "retry.backoff"]
+        for event in backoffs:
+            assert {
+                "t": event.sim_time, "job": event.attrs["job"],
+                "split": event.attrs["split"],
+                "ready": event.attrs["ready"],
+                "attempt": event.attrs["attempt"],
+            } in requeues
+        if faults is not None:
+            assert backoffs and len(requeues) >= len(backoffs)

@@ -362,6 +362,37 @@ class TestExplainCli:
         assert code == 0, text
         assert "reconciliation OK" in text
 
+    def test_analyze_cites_each_operators_measured_cost(self, tmp_path):
+        """``--analyze``: the operator tree is printed and every piece
+        of advice carries the profiled cost of the operator it blames."""
+        from repro.obs import RunReport, operator_profiles
+
+        trace = tmp_path / "analyze.jsonl"
+        lines = []
+        code = main(
+            ["explain", "/data/ciprof", "--records", "120", "--layout",
+             "plain", "--touch", "url", "--no-color", "--analyze",
+             "--require-recommendations", "--trace-out", str(trace)],
+            out=lines.append,
+        )
+        text = "\n".join(lines)
+        assert code == 0, text
+        assert "operator profile — engine=scalar" in text
+        measured = operator_profiles(RunReport.load(str(trace)))["scalar"]
+        assert measured["scan"]["sim_time"] > 0
+        advice = [l for l in text.splitlines() if "evidence:" in l]
+        assert advice
+        for line in advice:
+            # every rule here (projection waste, locality) blames the scan
+            assert (
+                f"op.scan.sim_time={round(measured['scan']['sim_time'], 9):,}"
+                in line
+            )
+            assert (
+                f"op.scan.cells_decoded={measured['scan']['cells_decoded']:,}"
+                in line
+            )
+
     def test_job_trace_for_wrong_dataset_errors(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         code = main(

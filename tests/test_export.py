@@ -23,7 +23,6 @@ from repro.obs import (
     parse_prometheus_text,
     prometheus_text,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.util.term import PLAIN, Palette, color_enabled, palette
 from tests.conftest import micro_records, micro_schema
@@ -108,12 +107,6 @@ class TestChromeTrace:
             {"ph": "i", "name": "b", "pid": 1, "tid": 1, "ts": 4},
         ]}
         assert any("monotonic" in p for p in validate_chrome_trace(bad))
-
-    def test_write_chrome_trace(self, recorded, tmp_path):
-        target = tmp_path / "trace.json"
-        write_chrome_trace(recorded, str(target))
-        trace = json.loads(target.read_text())
-        assert validate_chrome_trace(trace) == []
 
 
 class TestPrometheusText:

@@ -1,80 +1,8 @@
-"""Tests for the conversion tool and the CLI."""
+"""Tests for the CLI's experiment and report verbs."""
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main
-from repro.core import ColumnInputFormat, ColumnSpec
-from repro.formats.rcfile import RCFileInputFormat
-from repro.formats.sequence_file import SequenceFileInputFormat, write_sequence_file
-from repro.formats.text import TextInputFormat
-from repro.tools import convert_dataset
-from tests.conftest import make_ctx, micro_records, micro_schema
-
-
-def load_seq(fs, n=120):
-    schema = micro_schema()
-    records = micro_records(schema, n)
-    write_sequence_file(fs, "/src/seq", schema, records)
-    return schema, records
-
-
-def read_via(fs, fmt):
-    out = []
-    for split in fmt.get_splits(fs, fs.cluster):
-        out.extend(r.to_dict() for _, r in fmt.open_reader(fs, split, make_ctx()))
-    return out
-
-
-class TestConvert:
-    def test_seq_to_cif(self, fs):
-        schema, records = load_seq(fs)
-        report = convert_dataset(
-            fs, SequenceFileInputFormat("/src/seq"), schema,
-            "cif", "/out/cif", split_bytes=32 * 1024,
-        )
-        assert report.records == len(records)
-        assert report.bytes_read > 0 and report.bytes_written > 0
-        assert report.load_time > 0
-        out = read_via(fs, ColumnInputFormat("/out/cif"))
-        assert out == [r.to_dict() for r in records]
-
-    def test_seq_to_cif_with_specs(self, fs):
-        schema, records = load_seq(fs)
-        convert_dataset(
-            fs, SequenceFileInputFormat("/src/seq"), schema,
-            "cif", "/out/cif",
-            specs={"attrs": ColumnSpec("dcsl", skip_sizes=(50, 10))},
-        )
-        out = read_via(fs, ColumnInputFormat("/out/cif", columns=["attrs"]))
-        assert [o["attrs"] for o in out] == [r.get("attrs") for r in records]
-
-    def test_seq_to_rcfile(self, fs):
-        schema, records = load_seq(fs)
-        report = convert_dataset(
-            fs, SequenceFileInputFormat("/src/seq"), schema,
-            "rcfile", "/out/rc", row_group_bytes=16 * 1024,
-        )
-        assert report.records == len(records)
-        out = read_via(fs, RCFileInputFormat("/out/rc"))
-        assert out == [r.to_dict() for r in records]
-
-    def test_cif_to_text_roundtrip(self, fs):
-        schema, records = load_seq(fs)
-        convert_dataset(
-            fs, SequenceFileInputFormat("/src/seq"), schema, "cif", "/out/cif"
-        )
-        convert_dataset(
-            fs, ColumnInputFormat("/out/cif"), schema, "text", "/out/txt"
-        )
-        out = read_via(fs, TextInputFormat("/out/txt"))
-        assert out == [r.to_dict() for r in records]
-
-    def test_unknown_target(self, fs):
-        schema, _ = load_seq(fs)
-        with pytest.raises(ValueError):
-            convert_dataset(
-                fs, SequenceFileInputFormat("/src/seq"), schema, "orc", "/o"
-            )
 
 
 class TestCli:

@@ -1,4 +1,4 @@
-"""The embedded time-series store: folding, retention, sidecar, exact
+"""The embedded time-series store: folding, sidecar, exact
 reconciliation against the cluster report, and byte-level determinism.
 
 The determinism tests are the acceptance criteria for the continuous-
@@ -19,7 +19,6 @@ from repro.cluster.traffic import run_traffic, sample_profile
 from repro.faults import FaultEvent, FaultPlan
 from repro.obs import EventBus, MetricRegistry, NULL_TRACER, Observability
 from repro.obs.alerts import ClusterMonitor
-from repro.obs.registry import MetricRegistry as Registry
 from repro.obs.tsdb import (
     Series,
     TimeSeriesStore,
@@ -27,6 +26,7 @@ from repro.obs.tsdb import (
     reconcile_tsdb,
     tsdb_prometheus_text,
 )
+from repro.util import jsonl
 
 
 def _bus_store(step=0.05, **kwargs):
@@ -143,48 +143,6 @@ def test_running_jobs_gauge_tracks_accept_and_finish():
     assert store.gauge_last("cluster.jobs.running", tenant="a") == 1.0
 
 
-def test_ingest_registry_snapshot():
-    registry = Registry()
-    registry.counter("rows", unit="rows").inc(42)
-    store = TimeSeriesStore()
-    folded = store.ingest_registry(registry, t=0.5)
-    assert folded >= 1
-    assert store.gauge_last("registry.rows", unit="rows") == 42.0
-
-
-# -- retention + step-down downsampling -------------------------------------
-
-
-def test_retention_folds_fine_into_coarse():
-    store = TimeSeriesStore(step=0.1, retention=4, downsample=4)
-    for i in range(12):
-        store.record_counter("c", i * 0.1, 1.0)
-    series = store.get("c")
-    fine_buckets = set(series.fine)
-    assert min(fine_buckets) >= store.bucket_of(store.watermark) - 4
-    # nothing lost: the aged-out buckets live on in the coarse level
-    assert store.counter_total("c") == 12.0
-    assert series.coarse  # something actually folded
-
-
-def test_retention_preserves_hist_samples_and_gauge_latest():
-    store = TimeSeriesStore(step=0.1, retention=2, downsample=2)
-    for i in range(8):
-        store.record_hist("h", i * 0.1, float(i))
-        store.record_gauge("g", i * 0.1, float(i))
-    assert store.samples("h") == [float(i) for i in range(8)]
-    assert store.gauge_last("g") == 7.0
-
-
-def test_coarse_retention_drops_ancient_buckets():
-    store = TimeSeriesStore(
-        step=0.1, retention=1, downsample=1, coarse_retention=2
-    )
-    for i in range(10):
-        store.record_counter("c", i * 0.1, 1.0)
-    assert store.counter_total("c") < 10.0  # old coarse buckets deleted
-
-
 # -- sidecar round-trip, merge, torn-tail tolerance --------------------------
 
 
@@ -228,6 +186,50 @@ def test_save_merges_existing_sidecar(tmp_path):
     assert {a["run"] for a in merged.alerts} == {0, 1}
     loaded, _ = TimeSeriesStore.load(path)
     assert loaded.runs == 2
+
+
+def test_save_refuses_to_replace_a_sidecar_it_cannot_read(tmp_path):
+    path = tmp_path / "acc.tsdb"
+    _small_store().save(str(path))
+    assert _small_store().save(str(path)).runs == 2
+    lines = TimeSeriesStore.load(str(path))[0].to_lines()
+    lines[0]["v"] = 99
+    jsonl.write_frame(str(path), lines)
+    damaged = path.read_bytes()
+    with pytest.raises(ValueError, match="version 99"):
+        _small_store().save(str(path))
+    assert path.read_bytes() == damaged
+    # so is a file that was never a sidecar, and one holding a level
+    # of buckets this build cannot fold
+    path.write_text("just some notes\n")
+    with pytest.raises(ValueError, match="line 1"):
+        _small_store().save(str(path))
+    assert path.read_text() == "just some notes\n"
+    lines[0]["v"] = TSDB_VERSION
+    lines[1]["coarse"] = [[0, 1.0]]
+    jsonl.write_frame(str(path), lines)
+    two_level = path.read_bytes()
+    with pytest.raises(ValueError, match="coarse"):
+        _small_store().save(str(path))
+    assert path.read_bytes() == two_level
+
+
+def test_save_starts_fresh_only_on_a_missing_file(tmp_path):
+    path = str(tmp_path / "new.tsdb")
+    store = _small_store()
+    assert store.save(path) is store
+    assert store.runs == 1 and store.warnings == []
+    assert TimeSeriesStore.load(path)[0].counter_total("c", tenant="a") == 2.0
+
+
+def test_save_keeps_the_salvage_warnings_of_what_it_folded_in(tmp_path):
+    path = tmp_path / "torn.tsdb"
+    _small_store().save(str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8])  # a real crash never writes the trailer
+    merged = _small_store().save(str(path))
+    assert merged.runs == 2
+    assert any("torn gzip stream" in w for w in merged.warnings)
 
 
 def test_merge_rejects_step_mismatch():
@@ -289,14 +291,17 @@ def test_load_rejects_wrong_format_and_version(tmp_path):
         TimeSeriesStore.load(path)
 
 
-def test_series_round_trip_preserves_coarse_level():
+def test_series_round_trip_refuses_fields_it_cannot_fold():
     series = Series("s", "hist", {"tenant": "a"})
     series.observe(3, 0.5, 0.3)
-    series.fold_coarse(0, [0.1, 0.2])
-    rebuilt = Series.from_dict(series.to_dict())
+    record = series.to_dict()
+    rebuilt = Series.from_dict(record)
     assert rebuilt.fine == {3: [0.5]}
-    assert rebuilt.coarse == {0: [0.1, 0.2]}
     assert rebuilt.last_t == 0.3
+    # a second bucket level (written by builds before this one) would
+    # be lost by a merge that does not know it: refuse the record
+    with pytest.raises(ValueError, match="coarse"):
+        Series.from_dict({**record, "coarse": [[0, [0.1, 0.2]]]})
 
 
 # -- real traffic: reconciliation + determinism ------------------------------
@@ -339,7 +344,7 @@ def monitored_chaos():
 
 
 def _sidecar_bytes(monitor, path):
-    monitor.save(str(path), merge=False)
+    monitor.save(str(path))
     return path.read_bytes()
 
 

@@ -5,10 +5,10 @@ Three layers get the Hypothesis treatment:
 - **selection algebra** — intersect/union/complement over ascending
   row-index selections must behave like set operations that preserve
   ascending order;
-- **filter-without-decode** — the dictionary/RLE/string-buffer compare
-  and contains kernels must select exactly the rows a decode-then-
-  filter reference loop selects, for arbitrary data (including NULLs
-  via validity bitmaps, empty/single-row/all-null boundaries);
+- **filter-without-decode** — the RLE/string-buffer compare and
+  contains kernels must select exactly the rows a decode-then-filter
+  reference loop selects, for arbitrary data (including the
+  empty/single-row/all-null boundaries);
 - **batched byte decoding** — `repro.serde.vecdecode` reading k values
   from a raw buffer must yield exactly what k scalar reads yield, at
   the same final position.
@@ -27,8 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.vector import (
-    Bitmap,
-    DictionaryVector,
     NumericVector,
     ObjectVector,
     RunsVector,
@@ -118,27 +116,6 @@ def reference_filter(vector, symbol, literal, sel):
 
 
 @given(
-    st.lists(texts, min_size=1, max_size=6, unique=True),
-    st.data(),
-)
-@settings(max_examples=60)
-def test_dictionary_compare_kernel_never_decodes_wrong(dictionary, data):
-    n = data.draw(st.integers(min_value=0, max_value=30))
-    codes = data.draw(st.lists(
-        st.integers(min_value=0, max_value=len(dictionary) - 1),
-        min_size=n, max_size=n,
-    ))
-    valid = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    symbol = data.draw(st.sampled_from(SYMBOLS))
-    literal = data.draw(texts)
-    vector = DictionaryVector(codes, dictionary, Bitmap.from_bools(valid))
-    sel = [i for i in range(n) if data.draw(st.booleans())]
-    assert kernel_compare(vector, symbol, literal, sel) == reference_filter(
-        vector, symbol, literal, sel
-    )
-
-
-@given(
     st.lists(st.tuples(texts, st.integers(min_value=1, max_value=5)),
              min_size=1, max_size=8),
     st.data(),
@@ -205,13 +182,11 @@ def test_numeric_buffer_compare_matches_reference(values, data):
 
 
 def test_boundary_vectors_empty_all_null_single_row():
-    empty = ObjectVector([], None)
+    empty = ObjectVector([])
     assert gather(empty, []) == []
     assert kernel_compare(empty, "==", "x", []) == []
 
-    all_null = DictionaryVector(
-        [0, 0, 0], ["only"], Bitmap.from_bools([False, False, False])
-    )
+    all_null = ObjectVector([None, None, None])
     assert [all_null.value(i) for i in range(3)] == [None, None, None]
     for symbol in ("<", "<=", ">", ">="):
         assert kernel_compare(all_null, symbol, "only", [0, 1, 2]) == []
