@@ -358,6 +358,9 @@ class ColumnReader:
         #: path keeps the per-datum reference walk.  Charges are
         #: identical either way (the differential layer proves it).
         self.batch_kernels = False
+        #: whether the batched map kernel can decode this column's
+        #: values (``_read_datum_fast`` asks per value)
+        self._map_kernel = vecdecode.map_batch_supported(field_schema)
         self._decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
         # Operator attribution: every row this reader decodes or skips
         # is credited to whatever operator is current on the profiler.
@@ -399,9 +402,7 @@ class ColumnReader:
         """One datum via the batched map kernel when enabled (sparse
         gathers hit this per survivor); charge-identical to
         ``read_datum`` either way."""
-        if self.batch_kernels and vecdecode.map_batch_supported(
-            self.field_schema
-        ):
+        if self.batch_kernels and self._map_kernel:
             return vecdecode.read_maps(
                 reader if reader is not None else self.reader,
                 self.field_schema, 1, self.ctx.cost, self.ctx.metrics,

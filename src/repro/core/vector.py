@@ -54,6 +54,7 @@ __all__ = [
     "gather",
     "compile_predicate",
     "PredicateProgram",
+    "FrameProgram",
     "fold_aggregate",
     "BatchOp",
     "run_batch_map",
@@ -282,13 +283,6 @@ def gather(data, sel: Sequence[int]) -> List:
 
 _SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-}
-
-
 def kernel_compare(data, symbol: str, literal, sel: Sequence[int]) -> List[int]:
     """Rows of ``sel`` where ``value <symbol> literal`` holds.
 
@@ -403,10 +397,10 @@ def kernel_contains(data, needle, sel: Sequence[int], ctx) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Predicate compiler
+# Predicate and value compiler
 # ---------------------------------------------------------------------------
 #
-# Exprs self-describe their structure (`op_symbol`, `operands`,
+# Exprs self-describe their structure (`op_symbol`, `operands`, `op_fn`,
 # `contains_needle`, ...; see repro.query.expr).  The compiler pattern-
 # matches that metadata into vector kernels; any shape it does not
 # recognize falls back to evaluating the original Expr row-at-a-time
@@ -444,41 +438,33 @@ def _has_literal(expr) -> bool:
 
 
 def _compile_value(expr) -> Optional[Callable]:
-    """Compile to ``fn(frame, sel, ctx) -> list`` aligned with ``sel``."""
+    """Compile to ``fn(source, sel, ctx) -> list`` aligned with ``sel``.
+
+    A column leaf is ``source.values(name, sel)`` (a :class:`VectorFrame`
+    under a filter, the gathered cells under a :class:`FrameProgram`);
+    every other node maps its ``op_fn`` over its operands' lists.  None
+    for what has no value function: ``contains``, whose charge belongs
+    to a filter, and an Expr built without metadata.
+    """
     name = _is_column(expr)
     if name is not None:
-        return lambda frame, sel, ctx: gather(frame.column(name, sel), sel)
+        return lambda source, sel, ctx: source.values(name, sel)
     if _has_literal(expr):
         literal = expr.literal_value
-        return lambda frame, sel, ctx: [literal] * len(sel)
-    symbol = getattr(expr, "op_symbol", None)
-    if symbol == "getitem":
-        base_fn = _compile_value(expr.operands[0])
-        if base_fn is None:
-            return None
-        key = expr.getitem_key
-
-        def getitem_values(frame, sel, ctx):
-            out = []
-            for v in base_fn(frame, sel, ctx):
-                if isinstance(v, dict):
-                    out.append(v.get(key))
-                else:
-                    out.append(v[key])
-            return out
-
-        return getitem_values
-    if symbol in _ARITH:
-        left_fn = _compile_value(expr.operands[0])
-        right_fn = _compile_value(expr.operands[1])
-        if left_fn is None or right_fn is None:
-            return None
-        op = _ARITH[symbol]
-        return lambda frame, sel, ctx: [
-            op(a, b)
-            for a, b in zip(left_fn(frame, sel, ctx), right_fn(frame, sel, ctx))
-        ]
-    return None
+        return lambda source, sel, ctx: [literal] * len(sel)
+    op = getattr(expr, "op_fn", None)
+    if op is None:
+        return None
+    fns = [_compile_value(operand) for operand in expr.operands]
+    if None in fns:
+        return None
+    if len(fns) == 1:
+        (arg,) = fns
+        return lambda source, sel, ctx: list(map(op, arg(source, sel, ctx)))
+    left, right = fns
+    return lambda source, sel, ctx: list(
+        map(op, left(source, sel, ctx), right(source, sel, ctx))
+    )
 
 
 def _compile_pred(expr) -> Optional[Callable]:
@@ -577,6 +563,60 @@ def compile_predicate(expr) -> PredicateProgram:
         return [i for i in sel if bool(evaluate(row(i), ctx))]
 
     return PredicateProgram(expr, fallback, compiled=False)
+
+
+def _first_touch(exprs) -> List[str]:
+    """Columns in the order evaluating ``exprs`` left to right, row by
+    row, first reads them.  Every node with a value function evaluates
+    all its operands, left first, so the order is static."""
+    order: Dict[str, None] = {}
+
+    def walk(expr) -> None:
+        name = _is_column(expr)
+        if name is not None:
+            order.setdefault(name)
+        for operand in getattr(expr, "operands", ()):
+            walk(operand)
+
+    for expr in exprs:
+        walk(expr)
+    return list(order)
+
+
+class _Cells:
+    """Gathered cells, answering the column leaves of compiled values."""
+
+    __slots__ = ("_cells",)
+
+    def __init__(self, cells: Dict[str, List]) -> None:
+        self._cells = cells
+
+    def values(self, name: str, sel: Sequence[int]) -> List:
+        return self._cells[name]
+
+
+class FrameProgram:
+    """``Q``'s select / group-by / aggregate expressions, compiled once.
+
+    :meth:`run` gathers the survivors' cells in first-touch order (the
+    per-row path's reads and charges, in its order), then evaluates
+    each expression column-at-a-time into a list aligned with ``sel``.
+    ``refused`` is the first expression that does not compile; then
+    the whole op runs row by row, since mixing would reorder reads.
+    """
+
+    __slots__ = ("refused", "_columns", "_fns")
+
+    def __init__(self, exprs: Sequence) -> None:
+        self._fns = [_compile_value(expr) for expr in exprs]
+        self.refused = next(
+            (e for e, fn in zip(exprs, self._fns) if fn is None), None
+        )
+        self._columns = _first_touch(exprs)
+
+    def run(self, frame, sel: Sequence[int], ctx) -> List[List]:
+        cells = _Cells(frame.gather(self._columns, sel))
+        return [fn(cells, sel, ctx) for fn in self._fns]
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +750,52 @@ class VectorFrame:
                     self.ledger.on_materialized(name, len(missing))
         return data
 
+    def values(self, name: str, sel: Sequence[int]) -> List:
+        """The column's values at ``sel`` (what a filter's compiled
+        value expressions read)."""
+        return gather(self.column(name, sel), sel)
+
+    def gather(self, names: Sequence[str], sel: Sequence[int]) -> Dict[str, List]:
+        """The cells of ``names`` at ``sel``, one list per column.
+
+        Exactly the reads :meth:`get_value` per row, then per name,
+        would make: cached cells are free, the rest are read row-major.
+        Column-major reads would re-associate the float sums every
+        reader charges into.  The ledger hears one
+        ``on_materialized`` per column.
+        """
+        out: Dict[str, List] = {}
+        reads = []
+        for name in names:
+            data = self._columns.get(name)
+            if data is not None and not isinstance(data, dict):
+                out[name] = gather(data, sel)  # a whole-frame vector
+                continue
+            reader = self._require_reader(name)
+            if data is None:
+                data = self._columns[name] = {}
+                self._touched[name] = set()
+            reads.append((name, data, len(data), reader))
+        if not reads:
+            return out
+        start = self.start
+        steps = [
+            (data, reader, reader.read_value) for _, data, _, reader in reads
+        ]
+        for i in sel:
+            pos = start + i
+            for data, reader, read_value in steps:
+                if i not in data:
+                    if reader.next_index != pos:
+                        reader.sync_to(pos)
+                    data[i] = read_value()
+        for name, data, cached, _ in reads:
+            out[name] = [data[i] for i in sel]
+            self._touched[name].update(sel)
+            if self.ledger is not None and len(data) > cached:
+                self.ledger.on_materialized(name, len(data) - cached)
+        return out
+
     def get_value(self, name: str, i: int):
         """One cell, decoding at most once (LazyRecord.get semantics)."""
         data = self._columns.get(name)
@@ -841,13 +927,20 @@ class CellLedger:
 
 class BatchOp:
     """A vectorizable mapper: ``filters`` run as selection kernels over
-    each frame, then ``row_fn(row, emit, ctx)`` runs per survivor."""
+    each frame, then ``frame_fn(program.run(frame, sel, ctx), emit)``
+    once over the survivors; when ``program.refused``, ``row_fn(row,
+    emit, ctx)`` runs per survivor instead."""
 
-    __slots__ = ("filters", "row_fn")
+    __slots__ = ("filters", "row_fn", "program", "frame_fn")
 
-    def __init__(self, filters: Sequence, row_fn: Callable) -> None:
+    def __init__(
+        self, filters: Sequence, row_fn: Callable,
+        program: FrameProgram, frame_fn: Callable,
+    ) -> None:
         self.filters = list(filters)
         self.row_fn = row_fn
+        self.program = program
+        self.frame_fn = frame_fn
 
 
 def run_batch_map(job, reader, emit, ctx) -> None:
@@ -857,13 +950,19 @@ def run_batch_map(job, reader, emit, ctx) -> None:
     frames open; ``map_invoke`` is charged once per row (batched
     multiply); filters are applied in `.where()` order over shrinking
     selections, matching the scalar ``all()`` short-circuit between
-    filters (never within one Expr).
+    filters (never within one Expr).  A task that evaluates row by row
+    counts one ``vecexpr.fallback{expr=}``.
     """
     op = job.batch_op
-    programs = [compile_predicate(f) for f in op.filters]
+    predicates = [compile_predicate(f) for f in op.filters]
     map_invoke = job.cost.profile.map_invoke
     metrics = ctx.metrics
-    row_fn = op.row_fn
+    row_fn, frame_fn, program = op.row_fn, op.frame_fn, op.program
+    per_row = program.refused is not None
+    if per_row:
+        ctx.obs.registry.counter(
+            "vecexpr.fallback", expr=program.refused.description
+        ).inc()
     profiler = ctx.profiler
     while True:
         frame = reader.read_batch()
@@ -871,18 +970,21 @@ def run_batch_map(job, reader, emit, ctx) -> None:
             return
         metrics.charge_cpu(frame.length * map_invoke)
         sel = frame.selection
-        if programs:
+        if predicates:
             profiler.switch("filter")
-            for program in programs:
+            for predicate in predicates:
                 if not sel:
                     break
-                sel = program.run(frame, sel, ctx)
+                sel = predicate.run(frame, sel, ctx)
             profiler.add_rows("filter", frame.length, len(sel))
         profiler.switch("materialize")
         profiler.add_rows("materialize", len(sel), len(sel))
-        row = frame.row
-        for i in sel:
-            row_fn(row(i), emit, ctx)
+        if per_row:
+            row = frame.row
+            for i in sel:
+                row_fn(row(i), emit, ctx)
+        elif sel:
+            frame_fn(program.run(frame, sel, ctx), emit)
         # Attribute the next read_batch to the scan stage.
         profiler.switch("scan")
 

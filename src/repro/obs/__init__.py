@@ -91,6 +91,7 @@ from repro.obs.opprofile import (
     OperatorStats,
     OPS,
     diff_operators,
+    expr_fallback_totals,
     fallback_totals,
     kernel_call_totals,
     operator_profiles,
@@ -186,6 +187,7 @@ __all__ = [
     "OperatorStats",
     "OPS",
     "diff_operators",
+    "expr_fallback_totals",
     "fallback_totals",
     "kernel_call_totals",
     "operator_profiles",

@@ -494,6 +494,18 @@ def fallback_totals(report) -> Dict[str, int]:
     return out
 
 
+def expr_fallback_totals(report) -> Dict[str, int]:
+    """``{expression: map tasks}`` from ``vecexpr.fallback`` counters:
+    the ``Q`` ops whose select / group / aggregate expressions did not
+    compile and were evaluated row by row."""
+    out: Dict[str, int] = {}
+    for entry in report.registry:
+        if entry["kind"] == "counter" and entry["name"] == "vecexpr.fallback":
+            expr = entry["labels"].get("expr", "?")
+            out[expr] = out.get(expr, 0) + int(entry["value"])
+    return out
+
+
 def render_operators(report, pal=None) -> str:
     """ASCII operator tree for ``repro perf operators``.
 
@@ -551,6 +563,14 @@ def render_operators(report, pal=None) -> str:
                 "  fallbacks: " + ", ".join(
                     f"{key}={calls:,}"
                     for key, calls in sorted(fallbacks.items())
+                )
+            )
+        row_by_row = expr_fallback_totals(report)
+        if engine == "vectorized" and row_by_row:
+            lines.append(
+                "  evaluated row by row (map tasks): " + ", ".join(
+                    f"{expr}={tasks:,}"
+                    for expr, tasks in sorted(row_by_row.items())
                 )
             )
         sections.append("\n".join(lines))

@@ -8,6 +8,7 @@ columns.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, FrozenSet, Optional
 
 
@@ -127,13 +128,8 @@ class Expr:
             )
             if combined:
                 result.range_constraints = combined
-        # Structural metadata for the vectorized kernel compiler
-        # (repro.core.vector): which operator built this node and from
-        # which operands.  Purely descriptive — evaluation still goes
-        # through the closure above.
-        result.op_symbol = symbol
-        result.operands = (self, other)
-        return result
+        # Purely descriptive: evaluation still goes through the closure.
+        return _describe(result, symbol, op, self, other)
 
     def __eq__(self, other):  # type: ignore[override]
         return self._binary(other, cmp_eq, "==")
@@ -169,14 +165,15 @@ class Expr:
         return self._binary(other, lambda a, b: bool(a) or bool(b), "or")
 
     def __invert__(self):
+        return self._unary(operator.not_, "not", f"(not {self.description})")
+
+    def _unary(self, fn: Callable, symbol: str, description: str) -> "Expr":
         result = Expr(
-            lambda record, ctx: not self.evaluate(record, ctx),
+            lambda record, ctx: fn(self.evaluate(record, ctx)),
             self.columns,
-            f"(not {self.description})",
+            description,
         )
-        result.op_symbol = "not"
-        result.operands = (self,)
-        return result
+        return _describe(result, symbol, fn, self)
 
     def __hash__(self):
         return hash(self.description)
@@ -196,50 +193,45 @@ class Expr:
             evaluate, self.columns,
             f"{self.description} contains {needle!r}",
         )
-        result.op_symbol = "contains"
-        result.operands = (self,)
+        # No value function: the charge it makes belongs to a filter.
         result.contains_needle = needle
-        return result
+        return _describe(result, "contains", None, self)
 
     def __getitem__(self, key) -> "Expr":
         """Map-key (or array-index) access: ``col('metadata')['server']``."""
 
-        def evaluate(record, ctx):
-            value = self.evaluate(record, ctx)
+        def item(value):
             if isinstance(value, dict):
                 return value.get(key)
             return value[key]
 
-        result = Expr(evaluate, self.columns, f"{self.description}[{key!r}]")
-        result.op_symbol = "getitem"
-        result.operands = (self,)
-        result.getitem_key = key
-        return result
+        return self._unary(item, "getitem", f"{self.description}[{key!r}]")
 
     def length(self) -> "Expr":
-        return Expr(
-            lambda record, ctx: len(self.evaluate(record, ctx)),
-            self.columns,
-            f"len({self.description})",
-        )
+        return self._unary(len, "length", f"len({self.description})")
 
     def is_null(self) -> "Expr":
-        result = Expr(
-            lambda record, ctx: self.evaluate(record, ctx) is None,
-            self.columns,
+        return self._unary(
+            lambda value: value is None, "is_null",
             f"{self.description} is null",
         )
-        result.op_symbol = "is_null"
-        result.operands = (self,)
-        return result
 
     def apply(self, fn: Callable, name: Optional[str] = None) -> "Expr":
         """Escape hatch: apply an arbitrary Python function."""
-        return Expr(
-            lambda record, ctx: fn(self.evaluate(record, ctx)),
-            self.columns,
+        return self._unary(
+            fn, "apply",
             f"{name or getattr(fn, '__name__', 'fn')}({self.description})",
         )
+
+
+def _describe(expr: Expr, symbol: str, fn: Optional[Callable], *operands):
+    """Attach the structure :mod:`repro.core.vector` compiles from:
+    the operator, its operand Exprs and ``op_fn``, the function of the
+    operands' values the node computes (None for ``contains``)."""
+    expr.op_symbol = symbol
+    expr.operands = operands
+    expr.op_fn = fn
+    return expr
 
 
 def col(name: str) -> Expr:

@@ -16,11 +16,12 @@ enable happen here, automatically:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cif import ColumnInputFormat
 from repro.core.stats import extract_range_predicates
-from repro.core.vector import BatchOp
+from repro.core.vector import BatchOp, FrameProgram
 from repro.mapreduce.job import Job
 from repro.mapreduce.runner import JobResult, run_job
 from repro.query.aggregates import Aggregate
@@ -94,8 +95,8 @@ class Q:
 
     def select(self, *columns: str, **named: Expr) -> "Q":
         """Project columns and/or named expressions (no aggregation)."""
-        if self._aggregates:
-            raise QueryError("select() cannot follow aggregate()")
+        if self._aggregates or self._group_by:
+            raise QueryError("select() cannot follow group_by() or aggregate()")
         out = self._copy()
         for name in columns:
             out._selects[name] = col(name)
@@ -103,6 +104,8 @@ class Q:
         return out
 
     def group_by(self, *columns: str, **named: Expr) -> "Q":
+        if self._selects:
+            raise QueryError("group_by() cannot follow select()")
         out = self._copy()
         for name in columns:
             out._group_by[name] = col(name)
@@ -211,13 +214,18 @@ class Q:
         """
         if self._aggregates:
             return self._run_aggregation(fs, execution)
+        if self._group_by:
+            raise QueryError("group_by() needs aggregate()")
         return self._run_projection(fs, execution)
 
-    def _job(self, row_fn, execution: str, **job_args) -> Job:
-        """The query as a job: ``row_fn(row, emit, ctx)`` runs per
-        surviving row.  Filters run as selection kernels over whole
-        frames (``batch_op``); ``mapper`` is what the runner falls back
-        to when the reader has no ``read_batch`` (the scalar
+    def _job(
+        self, exprs: List[Expr], row_fn, frame_fn, execution: str, **job_args
+    ) -> Job:
+        """The query as a job over the values of ``exprs``: per frame,
+        ``frame_fn(values, emit)`` gets one list per expression, aligned
+        with the survivors (``row_fn(row, emit, ctx)`` per survivor if
+        one does not compile).  ``mapper`` is what the runner falls
+        back to when the reader has no ``read_batch`` (the scalar
         reference), with operator boundaries mirroring
         ``run_batch_map``'s so both readers profile identically."""
         filters = self._filters
@@ -242,7 +250,7 @@ class Q:
             execution=execution,
         )
         job = Job(f"query({self.dataset})", mapper, input_format, **job_args)
-        job.batch_op = BatchOp(filters, row_fn)
+        job.batch_op = BatchOp(filters, row_fn, FrameProgram(exprs), frame_fn)
         return job
 
     def _run_projection(self, fs, execution: str) -> QueryResult:
@@ -255,7 +263,14 @@ class Q:
                 expr.evaluate(row, ctx) for expr in selects.values()
             ))
 
-        job_result = run_job(fs, self._job(project_row, execution))
+        def project_frame(values, emit):
+            for row in zip(*values):
+                emit(None, row)
+
+        job = self._job(
+            list(selects.values()), project_row, project_frame, execution
+        )
+        job_result = run_job(fs, job)
         rows = [
             dict(zip(selects.keys(), values)) for _, values in job_result.output
         ]
@@ -280,6 +295,20 @@ class Q:
             )
             emit(group_key, partial)
 
+        def partial_frame(values, emit):
+            keys = (
+                zip(*values[:len(group_exprs)]) if group_exprs
+                else repeat(_UNGROUPED)
+            )
+            partials = zip(*(
+                [a.step(a.init(), v) for v in column]
+                for a, column in zip(
+                    aggregates.values(), values[len(group_exprs):]
+                )
+            ))
+            for key, partial in zip(keys, partials):
+                emit(key, partial)
+
         def merge(key, values, emit, ctx):
             merged: Optional[tuple] = None
             for partial in values:
@@ -298,7 +327,9 @@ class Q:
             ), ctx)
 
         job = self._job(
-            partial_row, execution,
+            list(group_exprs.values())
+            + [a.expr for a in aggregates.values()],
+            partial_row, partial_frame, execution,
             reducer=reducer,
             combiner=merge if self._combinable() else None,
             num_reducers=self._num_reducers,

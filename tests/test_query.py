@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core import write_dataset
-from repro.query import Q, avg, col, count, count_distinct, lit, max_, min_, sum_
+from repro.obs import FlightRecorder, expr_fallback_totals, render_operators
+from repro.query import (
+    Expr, Q, avg, col, count, count_distinct, lit, max_, min_, sum_,
+)
 from repro.query.query import QueryError
 from repro.workloads.crawl import crawl_records, crawl_schema
 from tests.conftest import micro_records, micro_schema
@@ -186,6 +189,20 @@ class TestAggregationQueries:
         with pytest.raises(QueryError):
             Q("/d").aggregate()
 
+    def test_select_after_group_by_rejected(self):
+        with pytest.raises(QueryError):
+            Q("/d").group_by(b=col("x")).select("y")
+
+    def test_group_by_after_select_rejected(self):
+        with pytest.raises(QueryError):
+            Q("/d").select("y").group_by(b=col("x"))
+
+    def test_group_by_without_aggregate_rejected(self, micro_fs):
+        # Used to return every row, ungrouped, without a word.
+        fs, _ = micro_fs
+        with pytest.raises(QueryError):
+            Q("/q/micro").group_by(b=col("int0").apply(lambda v: v % 2)).run(fs)
+
 
 class TestPlanning:
     def test_projection_pushdown_columns(self):
@@ -325,5 +342,148 @@ class TestQueryProperties:
                 expected[g] = (n + 1, total + r.get(agg_col))
             got = {row["g"]: (row["n"], row["total"]) for row in result}
             assert got == expected
+
+        check()
+
+
+def _opaque(expr):
+    """The same Expr with no structure: it evaluates identically but
+    gives the compiler nothing to compile."""
+    return Expr(expr.evaluate, expr.columns, f"opaque {expr.description}")
+
+
+def _lazy_counters(registry):
+    return {
+        (name, labels): metric.value
+        for name, labels, metric in registry
+        if name.startswith("lazy.")
+    }
+
+
+def _recorded(q, fs):
+    recorder = FlightRecorder(clock=lambda: 0.0)
+    with recorder.activate():
+        result = q.run(fs)
+    return result, recorder
+
+
+class TestFramePrograms:
+    """Select / group / aggregate expressions run column-at-a-time over
+    each frame's survivors; the per-row path is what they fall back to,
+    and both must make the same charges in the same order."""
+
+    SHAPES = {
+        "selective": lambda q: q.where(col("str0").contains("-1"))
+        .aggregate(total=sum_(col("attrs")["k07-0"])),
+        "narrow": lambda q: q.where(col("int0") > 5000)
+        .aggregate(top=max_(col("int1"))),
+        "wide": lambda q: q.group_by(b=col("int0").apply(lambda v: v % 8))
+        .aggregate(
+            n=count(), a=sum_(col("int1")), l=sum_(col("str2").length())
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_cif_scan_shapes_take_no_fallback(self, micro_fs, shape):
+        fs, _ = micro_fs
+        _, recorder = _recorded(self.SHAPES[shape](Q("/q/micro")), fs)
+        report = recorder.report()
+        assert expr_fallback_totals(report) == {}
+        assert not recorder.registry.find("vecexpr.fallback")
+
+    def test_expr_without_metadata_falls_back_once(self, fs):
+        schema = micro_schema()
+        records = micro_records(schema, 40)
+        write_dataset(fs, "/q/one", schema, records, split_bytes=1 << 20)
+        raw = _opaque(col("int0") + 1)
+        result, recorder = _recorded(Q("/q/one").select("str0", x=raw), fs)
+        assert sorted(r["x"] for r in result) == sorted(
+            r.get("int0") + 1 for r in records
+        )
+        report = recorder.report()
+        assert expr_fallback_totals(report) == {raw.description: 1}
+        assert raw.description in render_operators(report)
+
+    def test_contains_outside_where_falls_back(self, micro_fs):
+        fs, records = micro_fs
+        q = Q("/q/micro").select(hit=col("str0").contains("-1"))
+        result, recorder = _recorded(q, fs)
+        assert sorted(r["hit"] for r in result) == sorted(
+            "-1" in r.get("str0") for r in records
+        )
+        assert list(expr_fallback_totals(recorder.report())) == [
+            "str0 contains '-1'"
+        ]
+
+    def test_charges_equal_the_per_row_path_bit_for_bit(
+        self, micro_fs, monkeypatch
+    ):
+        """Any compiled op against the same op forced row by row: rows,
+        every column read in the same order, every simulated float
+        (exact ``==``), and the lazy counters."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.core.columnio import ColumnReader
+
+        reads = []
+        init = ColumnReader.__init__
+
+        def logging_init(reader, *args, **kwargs):
+            init(reader, *args, **kwargs)
+            read_value, label = reader.read_value, sorted(reader.labels.items())
+
+            def logged():
+                reads.append((label, reader.next_index))
+                return read_value()
+
+            reader.read_value = logged
+
+        monkeypatch.setattr(ColumnReader, "__init__", logging_init)
+        fs, _ = micro_fs
+        values = st.sampled_from([
+            col("int1"), col("str3"), col("attrs")["k07-0"],
+            col("int2") * 2 - col("int4"), col("str1").length(),
+            col("int3").apply(lambda v: v // 1000, "thousands"),
+            (col("int5") > 5000) | col("int5").is_null(), ~(col("int1") < 10),
+        ])
+        filters = st.lists(st.sampled_from([
+            col("int0") > 3000, col("int2") < 7000,
+            col("str0").contains("-2"), col("str4").length() > 30,
+        ]), max_size=2)
+
+        @settings(max_examples=15, deadline=None)
+        @given(
+            filters=filters,
+            exprs=st.lists(values, min_size=1, max_size=4),
+            grouped=st.booleans(),
+        )
+        def check(filters, exprs, grouped):
+            def build(wrap):
+                q = Q("/q/micro")
+                for f in filters:
+                    q = q.where(f)
+                named = {f"e{i}": wrap(e) for i, e in enumerate(exprs)}
+                if not grouped:
+                    return q.select(**named)
+                key, *rest = named.values()
+                return q.group_by(g=key).aggregate(
+                    n=count(), **{f"m{i}": max_(e) for i, e in enumerate(rest)}
+                )
+
+            reads.clear()
+            compiled, rec_c = _recorded(build(lambda e: e), fs)
+            compiled_reads = list(reads)
+            reads.clear()
+            per_row, rec_r = _recorded(build(_opaque), fs)
+            assert compiled_reads == reads
+            assert expr_fallback_totals(rec_c.report()) == {}
+            assert expr_fallback_totals(rec_r.report())
+            assert compiled.rows == per_row.rows
+            assert compiled.job.map_metrics == per_row.job.map_metrics
+            assert compiled.job.reduce_metrics == per_row.job.reduce_metrics
+            assert _lazy_counters(rec_c.registry) == _lazy_counters(
+                rec_r.registry
+            )
 
         check()

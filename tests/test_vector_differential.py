@@ -30,10 +30,12 @@ from repro.check.oracle import (
     scan_records,
 )
 from repro.core import ColumnInputFormat, ColumnSpec, write_dataset
-from repro.core.vector import reconcile_metrics
+from repro.core.vector import compile_predicate, reconcile_metrics
 from repro.faults import FaultPlan
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import run_job
+from repro.obs import FlightRecorder
+from repro.query import Q, col
 from repro.workloads.crawl import crawl_records, crawl_schema
 from repro.workloads.jobs import distinct_content_types_job
 
@@ -196,3 +198,59 @@ def test_full_oracle_matrix_passes_with_vectorized_legs(seed):
 
     report = run_matrix(generate_case(seed), matrix="quick")
     assert report.ok, report.render()
+
+
+@pytest.fixture(scope="module")
+def micro_fs():
+    from repro.workloads.micro import micro_records, micro_schema
+
+    fs = FileSystem(ClusterConfig(
+        num_nodes=4, block_size=64 * 1024, io_buffer_size=2048,
+    ))
+    records = list(micro_records(600, seed=9))
+    for name, spec in (
+        ("plain", ColumnSpec("plain")),
+        ("skiplist", ColumnSpec("skiplist", skip_sizes=SKIP_SIZES)),
+        ("cblock", ColumnSpec("cblock", codec="zlib", block_bytes=CBLOCK_BYTES)),
+    ):
+        write_dataset(
+            fs, f"/micro/{name}", micro_schema(), records,
+            default_spec=spec, split_bytes=48 * 1024,
+        )
+    return fs
+
+
+@pytest.mark.parametrize("layout", ("plain", "skiplist", "cblock"))
+@pytest.mark.parametrize("where", (
+    col("str1").length() > 30,
+    col("int2").apply(lambda v: v % 3, "mod3") == 1,
+    (col("str0").length() < 28) & (col("int0").apply(abs, "abs") > 2000),
+), ids=("length", "apply", "both"))
+def test_filters_over_length_and_apply_compile_and_reconcile(
+    micro_fs, layout, where
+):
+    """A filter over ``length()`` / ``apply()`` is a compiled kernel
+    now; it must still agree with the per-datum reference on records,
+    lazy cell counters and simulated metrics (floats to the
+    reconcile tolerance: the compiled filter decodes whole frames)."""
+    assert compile_predicate(where).compiled
+    q = (
+        Q(f"/micro/{layout}").where(where)
+        .select("int3", "str5", m=col("attrs").length())
+    )
+    runs = {}
+    for execution in ("scalar", "vectorized"):
+        recorder = FlightRecorder(clock=lambda: 0.0)
+        with recorder.activate():
+            result = q.run(micro_fs, execution=execution)
+        lazy = {
+            (name, labels): metric.value
+            for name, labels, metric in recorder.registry
+            if name.startswith("lazy.")
+        }
+        runs[execution] = (result, lazy)
+    (scalar, scalar_lazy), (vec, vec_lazy) = runs["scalar"], runs["vectorized"]
+    assert 0 < len(vec.rows) < 600
+    assert vec.rows == scalar.rows
+    assert vec_lazy == scalar_lazy
+    assert reconcile_metrics(scalar.job.map_metrics, vec.job.map_metrics) == []
