@@ -35,10 +35,11 @@ from repro.mapreduce.scheduler import (
 from repro.mapreduce.types import InputSplit, TaskContext
 from repro.obs import NULL_PROFILER, Observability, OperatorProfiler, current_obs
 from repro.obs.registry import TASK_DURATION_BOUNDARIES
+from repro.sim.calibration import TICKS_PER_NS
 from repro.sim.metrics import Metrics
 
-#: CPU charge per key comparison in the reduce-side sort.
-_SORT_SECONDS_PER_COMPARE = 30e-9
+#: CPU charge per key comparison in the reduce-side sort, in ticks.
+_SORT_TICKS_PER_COMPARE = 30 * TICKS_PER_NS
 
 #: Wall-time source for operator profiles when no tracer clock is
 #: injected (fake clocks keep recorded traces byte-identical in tests).
@@ -534,7 +535,7 @@ class JobRunner:
         pairs.sort(key=lambda kv: _sort_key(kv[0]))
         if pairs:
             comparisons = len(pairs) * max(1, int(math.log2(len(pairs)) + 1))
-            ctx.metrics.charge_cpu(comparisons * _SORT_SECONDS_PER_COMPARE)
+            ctx.metrics.charge_cpu(comparisons * _SORT_TICKS_PER_COMPARE)
         writer = output_format.open_writer(self.fs, partition_index, ctx)
         i = 0
         while i < len(pairs):

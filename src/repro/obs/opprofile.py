@@ -14,8 +14,9 @@ operator is current.  Because both engines hit the identical
 already reconciles exactly — per-operator rows and cells agree
 *exactly* across engines, which the differential suite asserts.
 
-Simulated time is accrued per operator from the deltas of
-``metrics.io_time + metrics.cpu_time`` at each switch; wall time from a
+Simulated time is accrued per operator in ticks, from the deltas of
+``metrics.task_ticks`` at each switch, so the operators' simulated
+times add up to the task's exactly; wall time from a
 clock (the tracer's injectable clock, so fake-clock runs stay
 byte-identical).  Batch-kernel invocations and window hand-offs inside
 :mod:`repro.serde.vecdecode` are routed here through a module sink
@@ -50,6 +51,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.sim.calibration import TICKS_PER_SECOND
+
 #: The operator chain, in pipeline order.  Every profile reports all
 #: five, zero-valued where an engine/mode has no work for a stage
 #: (e.g. ``decode`` is empty under lazy materialization).
@@ -62,8 +65,8 @@ _RECONCILE_FIELDS = ("rows_in", "rows_out", "cells_decoded")
 class _ZeroMetrics:
     """Stand-in metrics for a profiler built before its task context."""
 
-    io_time = 0.0
-    cpu_time = 0.0
+    task_ticks = 0
+    task_time = 0.0
     records = 0
 
 
@@ -76,7 +79,7 @@ class OperatorStats:
     __slots__ = (
         "op", "rows_in", "rows_out", "cells_decoded", "cells_skipped",
         "batches", "batch_rows", "kernel_calls", "fallback_calls",
-        "sim_time", "wall_time",
+        "sim_ticks", "wall_time",
     )
 
     def __init__(self, op: str) -> None:
@@ -89,8 +92,12 @@ class OperatorStats:
         self.batch_rows = 0
         self.kernel_calls = 0
         self.fallback_calls = 0
-        self.sim_time = 0.0
+        self.sim_ticks = 0
         self.wall_time = 0.0
+
+    @property
+    def sim_time(self) -> float:
+        return self.sim_ticks / TICKS_PER_SECOND
 
     @property
     def selectivity(self) -> float:
@@ -103,6 +110,7 @@ class OperatorStats:
 
     def as_dict(self) -> dict:
         out = {name: getattr(self, name) for name in self.__slots__}
+        out["sim_time"] = self.sim_time
         out["selectivity"] = self.selectivity
         out["mean_batch_rows"] = self.mean_batch_rows
         return out
@@ -115,8 +123,8 @@ class OperatorProfiler:
     """Accrues per-operator rows/cells/time for one scan or map task.
 
     ``engine`` is ``"scalar"`` or ``"vectorized"``; ``metrics`` is the
-    task's ``sim.Metrics`` (simulated time is read as
-    ``io_time + cpu_time`` deltas, scan rows as ``records`` deltas).
+    task's ``sim.Metrics`` (simulated time is read as ``task_ticks``
+    deltas, scan rows as ``records`` deltas).
     ``clock`` defaults to :func:`time.perf_counter`; pass the tracer's
     clock for deterministic traces.
     """
@@ -158,7 +166,7 @@ class OperatorProfiler:
         owns the metrics exists.
         """
         self._metrics = metrics
-        self._sim_mark = metrics.io_time + metrics.cpu_time
+        self._sim_mark = metrics.task_ticks
         self._records_mark = metrics.records
         return self
 
@@ -252,10 +260,10 @@ class OperatorProfiler:
 
     def _accrue(self) -> None:
         now_wall = self._clock()
-        now_sim = self._metrics.io_time + self._metrics.cpu_time
+        now_sim = self._metrics.task_ticks
         stats = self.stats[self._current]
         stats.wall_time += now_wall - self._wall_mark
-        stats.sim_time += now_sim - self._sim_mark
+        stats.sim_ticks += now_sim - self._sim_mark
         self._wall_mark = now_wall
         self._sim_mark = now_sim
 
@@ -323,7 +331,7 @@ class OperatorProfiler:
                 engine=self.engine,
             ).inc(calls)
         if sim_time is None:
-            sim_time = self._metrics.io_time + self._metrics.cpu_time
+            sim_time = self._metrics.task_time
         obs.emit(
             "operator.profile",
             sim_time=sim_time,

@@ -7,8 +7,8 @@ stream-op — via context managers.  Every span records *two* time axes:
   clock for byte-identical traces across runs — the determinism the
   flight-recorder tests rely on), and
 - **simulated time**: hand ``span(..., metrics=ctx.metrics)`` a
-  :class:`~repro.sim.metrics.Metrics` and the span records the
-  ``io_time``/``cpu_time`` deltas accrued inside it.
+  :class:`~repro.sim.metrics.Metrics` and the span records, in
+  seconds, the ``io_ticks``/``cpu_ticks`` deltas accrued inside it.
 
 Tasks replayed by the event-driven scheduler do not nest inside a
 ``with`` block in wall time; :meth:`Tracer.record_span` registers those
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import time
 from typing import Callable, List, Optional
+
+from repro.sim.calibration import TICKS_PER_SECOND
 
 
 class Span:
@@ -57,8 +59,8 @@ class Span:
         self.sim_io: Optional[float] = None
         self.sim_cpu: Optional[float] = None
         self._metrics = metrics
-        self._io0 = 0.0
-        self._cpu0 = 0.0
+        self._io0 = 0
+        self._cpu0 = 0
 
     def set(self, key: str, value) -> None:
         """Attach an attribute discovered while the span is open."""
@@ -69,8 +71,8 @@ class Span:
         self.wall_start = tracer._clock()
         tracer._stack.append(self.span_id)
         if self._metrics is not None:
-            self._io0 = self._metrics.io_time
-            self._cpu0 = self._metrics.cpu_time
+            self._io0 = self._metrics.io_ticks
+            self._cpu0 = self._metrics.cpu_ticks
         return self
 
     def __exit__(self, *exc) -> None:
@@ -78,9 +80,11 @@ class Span:
         self.wall_end = tracer._clock()
         tracer._stack.pop()
         if self._metrics is not None:
-            self.sim_io = self._metrics.io_time - self._io0
-            self.sim_cpu = self._metrics.cpu_time - self._cpu0
-            self.sim_duration = self.sim_io + self.sim_cpu
+            io = self._metrics.io_ticks - self._io0
+            cpu = self._metrics.cpu_ticks - self._cpu0
+            self.sim_io = io / TICKS_PER_SECOND
+            self.sim_cpu = cpu / TICKS_PER_SECOND
+            self.sim_duration = (io + cpu) / TICKS_PER_SECOND
             self._metrics = None
 
     def to_dict(self) -> dict:

@@ -22,9 +22,9 @@ materializes a value and charges full deserialization cost, and
 charges only the (cheaper) skip cost — the distinction lazy record
 construction exploits (Section 5).
 
-Charges are float additions into ``metrics.cpu_time``, so a plan adds
-the same terms the cost model's ``charge_*`` methods would, node by
-node in walk order (``docs/cost-model.md`` § Where charges are applied).
+Charges are whole ticks added into ``metrics.cpu_ticks``: a plan adds
+the same terms the cost model's ``charge_*`` methods would
+(``docs/cost-model.md`` § Where charges are applied).
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _fixed(kind: str, read, skip, write) -> _Plan:
     rate, _ = decode_rates(kind)
 
     def read_charged(r, p, m):
-        m.cpu_time += rate(p)
+        m.cpu_ticks += rate(p)
         m.cells += 1
         return read(r)
 
@@ -155,7 +155,7 @@ def _chunk_plan(kind: str, decode, encode) -> _Plan:
 
     def read_charged(r, p, m):
         raw = _chunk(r)
-        m.cpu_time += base(p) + len(raw) * per_byte(p)
+        m.cpu_ticks += base(p) + len(raw) * per_byte(p)
         m.cells += 1
         m.objects += 1
         return decode(raw)
@@ -208,7 +208,7 @@ def _array_plan(schema: Schema) -> _Plan:
 
     def read_charged(r, p, m):
         count = _varint(r)
-        m.cpu_time += base(p) + count * per_element(p)
+        m.cpu_ticks += base(p) + count * per_element(p)
         m.objects += 1
         return [item_read_charged(r, p, m) for _ in range(count)]
 
@@ -240,7 +240,7 @@ def _key_charged(r, p, m):
     """A map key's bytes, charged.  The caller decodes them once the
     entry's value is read, the order the codec has always taken."""
     raw = _chunk(r)
-    m.cpu_time += _KEY_BASE(p) + len(raw) * _KEY_BYTE(p)
+    m.cpu_ticks += _KEY_BASE(p) + len(raw) * _KEY_BYTE(p)
     m.cells += 1
     m.objects += 1
     return raw
@@ -257,7 +257,7 @@ def _read_string_map_charged(r, p, m):
     the window that leaves.
     """
     count = _varint(r)
-    m.cpu_time += _MAP_BASE(p) + count * _MAP_ENTRY(p)
+    m.cpu_ticks += _MAP_BASE(p) + count * _MAP_ENTRY(p)
     m.objects += 1 + count
     base, per_byte = _KEY_BASE(p), _KEY_BYTE(p)
     out = {}
@@ -265,7 +265,7 @@ def _read_string_map_charged(r, p, m):
         buf = r._buf
         pos = r.pos
         limit = len(buf)
-        cpu = m.cpu_time
+        cpu = m.cpu_ticks
         taken = 0
         try:
             while taken < count:
@@ -284,7 +284,7 @@ def _read_string_map_charged(r, p, m):
         except (IndexError, UnicodeDecodeError):
             pass
         r.pos = pos
-        m.cpu_time = cpu
+        m.cpu_ticks = cpu
         m.cells += 2 * taken
         m.objects += 2 * taken
         count -= taken
@@ -311,7 +311,7 @@ def _map_plan(schema: Schema) -> _Plan:
     else:
         def read_charged(r, p, m):
             count = _varint(r)
-            m.cpu_time += _MAP_BASE(p) + count * _MAP_ENTRY(p)
+            m.cpu_ticks += _MAP_BASE(p) + count * _MAP_ENTRY(p)
             m.objects += 1 + count
             out = {}
             for _ in range(count):
@@ -352,7 +352,7 @@ def _record_plan(schema: Schema) -> _Plan:
         return Record.of(schema, [field(r) for field in reads])
 
     def read_charged(r, p, m):
-        m.cpu_time += base(p)
+        m.cpu_ticks += base(p)
         m.objects += 1
         return Record.of(schema, [field(r, p, m) for field in reads_charged])
 
@@ -437,7 +437,7 @@ class BinaryDecoder:
         cost = self.cost
         start = r.offset
         value = plan.read_charged(r, cost.profile, m)
-        m.cpu_time += cost.raw_scan_cpu(r.offset - start)
+        m.cpu_ticks += cost.raw_scan_cpu(r.offset - start)
         return value
 
     def read_inner(self, schema: Schema):
@@ -468,10 +468,10 @@ class BinaryDecoder:
             plan.skip(r)
             return r.offset - start
         cost = self.cost
-        cpu = plan.skip_charged(r, cost.profile, 0.0)
+        cpu = plan.skip_charged(r, cost.profile, 0)
         span = r.offset - start
         # decode-equivalent cost plus the raw scan, discounted once
-        m.cpu_time += cost.skip_discount(cpu + cost.raw_scan_cpu(span))
+        m.cpu_ticks += cost.skip_discount(cpu + cost.raw_scan_cpu(span))
         return span
 
 

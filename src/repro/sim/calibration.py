@@ -67,13 +67,45 @@ Figure 7 while barely moving its all-columns scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from fractions import Fraction
 
-NS = 1e-9  # nanoseconds -> seconds
+# ---------------------------------------------------------------------------
+# The unit of simulated time
+# ---------------------------------------------------------------------------
+
+#: One tick is one picosecond.  Every charge is a whole number of ticks
+#: and :class:`~repro.sim.metrics.Metrics` sums them as Python ints, so
+#: the same charges give the same total in any order.  Seconds exist
+#: only at the edge (``ticks / TICKS_PER_SECOND``).
+TICKS_PER_SECOND = 10**12
+TICKS_PER_NS = 1000
+
+
+class TickError(ValueError):
+    """A cost constant that is not a whole number of ticks."""
+
+
+def ns(value) -> Fraction:
+    """``value`` nanoseconds, in ticks, exactly.  Write the value as a
+    string or an int: a binary float is not the decimal it was typed as,
+    and :class:`CostProfile` refuses anything that is not a whole tick."""
+    return Fraction(value) * TICKS_PER_NS
+
+
+def to_ticks(seconds: float) -> int:
+    """Seconds to the nearest tick: the one rounding an I/O charge makes."""
+    return round(seconds * TICKS_PER_SECOND)
 
 # ---------------------------------------------------------------------------
 # Cluster / I/O constants (defaults for ClusterConfig)
 # ---------------------------------------------------------------------------
+#
+# In ticks, a local byte costs 50 000 (1000 * (49 + k) when k files
+# interleave, see below), a remote byte 250 000 and a seek 8 * 10**9:
+# whole numbers.  The shuffle rate is the exception (33 333 1/3 ticks a
+# byte), so the disk and network models round a charge to the tick
+# once, where it is made (:func:`to_ticks`).
 
 #: Effective sustained HDFS scan bandwidth per map task (local replica).
 DISK_BYTES_PER_SEC = 20e6
@@ -131,112 +163,139 @@ def interleave_bandwidth_scale(num_streams: int) -> float:
 
 @dataclass(frozen=True)
 class CostProfile:
-    """Per-operation CPU charges, in seconds.
+    """Per-operation CPU charges, in ticks (write them with :func:`ns`).
 
     Two instances exist: :data:`MANAGED_PROFILE` models the Java stack the
     paper targets (deserialization creates objects); :data:`NATIVE_PROFILE`
     models the C++ comparison of Appendix B.1 (values are cast directly
     out of the read buffer).
+
+    Construction proves the profile exact, so both instances are proven
+    at import: every charge is a whole number of ticks, and so is every
+    charge times ``skip_fraction`` (an exact ratio), or :class:`TickError`.
+    Any charge is then a sum of whole multiples of these constants, its
+    skip discount ``charge * skip_fraction`` is whole too, and no charge
+    anywhere rounds.
     """
 
     # Raw buffer traffic (applies to every byte a decoder touches).
-    raw_scan_per_byte: float
+    raw_scan_per_byte: int
     # Primitive decodes (varint/fixed read + boxing where applicable).
-    int_decode: float
-    long_decode: float
-    double_decode: float
-    bool_decode: float
+    int_decode: int
+    long_decode: int
+    double_decode: int
+    bool_decode: int
     # Strings: object creation + per-byte charset decode.
-    string_decode_base: float
-    string_decode_per_byte: float
+    string_decode_base: int
+    string_decode_per_byte: int
     # Opaque byte arrays: one allocation + bulk copy.
-    bytes_decode_base: float
-    bytes_decode_per_byte: float
+    bytes_decode_base: int
+    bytes_decode_per_byte: int
     # Containers.
-    map_decode_base: float
-    map_entry: float
-    array_decode_base: float
-    array_element: float
-    record_decode_base: float
+    map_decode_base: int
+    map_entry: int
+    array_decode_base: int
+    array_element: int
+    record_decode_base: int
     # Skipping a serialized datum without materializing it still walks
     # its length structure; charged as a fraction of the decode cost.
-    skip_fraction: float
+    skip_fraction: Fraction
     # Text-format parsing (line splitting, number parsing, object churn).
-    text_parse_per_byte: float
+    text_parse_per_byte: int
     # Decompression, per *output* byte.
-    zlib_inflate_per_byte: float
-    lzo_inflate_per_byte: float
-    zlib_deflate_per_byte: float
-    lzo_deflate_per_byte: float
+    zlib_inflate_per_byte: int
+    lzo_inflate_per_byte: int
+    zlib_deflate_per_byte: int
+    lzo_deflate_per_byte: int
     # DCSL dictionary decode, per map entry.
-    dictionary_lookup: float
+    dictionary_lookup: int
     # Fixed cost to set up decompression of one compressed block.
-    block_inflate_setup: float
+    block_inflate_setup: int
     # RCFile-specific overheads (see module docstring).
-    rcfile_field_overhead: float
-    rcfile_rowgroup_parse: float
-    rcfile_length_entry: float
+    rcfile_field_overhead: int
+    rcfile_rowgroup_parse: int
+    rcfile_length_entry: int
     # User-code costs inside map().
-    predicate_per_byte: float
-    map_invoke: float
+    predicate_per_byte: int
+    map_invoke: int
+
+    def __post_init__(self) -> None:
+        skip = self.skip_fraction
+        if not isinstance(skip, Fraction):
+            raise TickError(
+                f"skip_fraction must be an exact Fraction, got {skip!r}"
+            )
+        for f in fields(self):
+            if f.name == "skip_fraction":
+                continue
+            ticks = _whole_ticks(f.name, getattr(self, f.name))
+            _whole_ticks(f"{f.name} * skip_fraction", ticks * skip)
+            object.__setattr__(self, f.name, ticks)
+
+
+def _whole_ticks(name: str, value) -> int:
+    exact = Fraction(value)
+    if exact.denominator != 1:
+        raise TickError(f"{name} is {exact} ticks, not a whole number")
+    return int(exact)
 
 
 MANAGED_PROFILE = CostProfile(
-    raw_scan_per_byte=0.6 * NS,
-    int_decode=16 * NS,
-    long_decode=20 * NS,
-    double_decode=20 * NS,
-    bool_decode=8 * NS,
-    string_decode_base=40 * NS,
-    string_decode_per_byte=1.0 * NS,
-    bytes_decode_base=20 * NS,
-    bytes_decode_per_byte=0.2 * NS,
-    map_decode_base=60 * NS,
-    map_entry=150 * NS,
-    array_decode_base=40 * NS,
-    array_element=20 * NS,
-    record_decode_base=50 * NS,
-    skip_fraction=0.4,
-    text_parse_per_byte=150 * NS,
-    zlib_inflate_per_byte=12.0 * NS,  # ~80 MB/s effective in-Hadoop
-    lzo_inflate_per_byte=5.0 * NS,    # ~200 MB/s effective in-Hadoop
-    zlib_deflate_per_byte=30 * NS,    # ~33 MB/s
-    lzo_deflate_per_byte=5 * NS,      # ~200 MB/s
-    dictionary_lookup=20 * NS,
-    block_inflate_setup=50_000 * NS,
-    rcfile_field_overhead=250 * NS,
-    rcfile_rowgroup_parse=2_000 * NS,
-    rcfile_length_entry=150 * NS,
-    predicate_per_byte=1.0 * NS,
-    map_invoke=100 * NS,
+    raw_scan_per_byte=ns("0.6"),
+    int_decode=ns(16),
+    long_decode=ns(20),
+    double_decode=ns(20),
+    bool_decode=ns(8),
+    string_decode_base=ns(40),
+    string_decode_per_byte=ns(1),
+    bytes_decode_base=ns(20),
+    bytes_decode_per_byte=ns("0.2"),
+    map_decode_base=ns(60),
+    map_entry=ns(150),
+    array_decode_base=ns(40),
+    array_element=ns(20),
+    record_decode_base=ns(50),
+    skip_fraction=Fraction("0.4"),
+    text_parse_per_byte=ns(150),
+    zlib_inflate_per_byte=ns(12),    # ~80 MB/s effective in-Hadoop
+    lzo_inflate_per_byte=ns(5),      # ~200 MB/s effective in-Hadoop
+    zlib_deflate_per_byte=ns(30),    # ~33 MB/s
+    lzo_deflate_per_byte=ns(5),      # ~200 MB/s
+    dictionary_lookup=ns(20),
+    block_inflate_setup=ns(50_000),
+    rcfile_field_overhead=ns(250),
+    rcfile_rowgroup_parse=ns(2_000),
+    rcfile_length_entry=ns(150),
+    predicate_per_byte=ns(1),
+    map_invoke=ns(100),
 )
 
 NATIVE_PROFILE = CostProfile(
-    raw_scan_per_byte=0.5 * NS,
-    int_decode=1 * NS,
-    long_decode=1 * NS,
-    double_decode=1 * NS,
-    bool_decode=0.5 * NS,
-    string_decode_base=15 * NS,
-    string_decode_per_byte=0.1 * NS,
-    bytes_decode_base=10 * NS,
-    bytes_decode_per_byte=0.1 * NS,
-    map_decode_base=30 * NS,
-    map_entry=60 * NS,
-    array_decode_base=20 * NS,
-    array_element=5 * NS,
-    record_decode_base=20 * NS,
-    skip_fraction=0.3,
-    text_parse_per_byte=40 * NS,
-    zlib_inflate_per_byte=4.0 * NS,
-    lzo_inflate_per_byte=1.0 * NS,
-    zlib_deflate_per_byte=20 * NS,
-    lzo_deflate_per_byte=3 * NS,
-    dictionary_lookup=5 * NS,
-    block_inflate_setup=10_000 * NS,
-    rcfile_field_overhead=40 * NS,
-    rcfile_rowgroup_parse=500 * NS,
-    rcfile_length_entry=30 * NS,
-    predicate_per_byte=0.5 * NS,
-    map_invoke=20 * NS,
+    raw_scan_per_byte=ns("0.5"),
+    int_decode=ns(1),
+    long_decode=ns(1),
+    double_decode=ns(1),
+    bool_decode=ns("0.5"),
+    string_decode_base=ns(15),
+    string_decode_per_byte=ns("0.1"),
+    bytes_decode_base=ns(10),
+    bytes_decode_per_byte=ns("0.1"),
+    map_decode_base=ns(30),
+    map_entry=ns(60),
+    array_decode_base=ns(20),
+    array_element=ns(5),
+    record_decode_base=ns(20),
+    skip_fraction=Fraction("0.3"),
+    text_parse_per_byte=ns(40),
+    zlib_inflate_per_byte=ns(4),
+    lzo_inflate_per_byte=ns(1),
+    zlib_deflate_per_byte=ns(20),
+    lzo_deflate_per_byte=ns(3),
+    dictionary_lookup=ns(5),
+    block_inflate_setup=ns(10_000),
+    rcfile_field_overhead=ns(40),
+    rcfile_rowgroup_parse=ns(500),
+    rcfile_length_entry=ns(30),
+    predicate_per_byte=ns("0.5"),
+    map_invoke=ns(20),
 )

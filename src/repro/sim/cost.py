@@ -1,9 +1,11 @@
-"""CPU cost model: converts decode/parse/decompress operations to seconds.
+"""CPU cost model: converts decode/parse/decompress operations to ticks.
 
 Decoders, parsers and codecs call into a :class:`CpuCostModel` as they do
 their (real) byte-level work; the model charges the simulated Java (or
 C++) CPU time for each operation into the task's
-:class:`~repro.sim.metrics.Metrics`.
+:class:`~repro.sim.metrics.Metrics`.  Every charge is a whole number of
+ticks (the profile proves it, see :class:`~repro.sim.calibration.CostProfile`),
+so a run of charges may be summed in any grouping before it is added.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def decode_rates(kind: str):
 
 
 class CpuCostModel:
-    """Charges per-operation CPU seconds from a :class:`CostProfile`.
+    """Charges per-operation CPU ticks from a :class:`CostProfile`.
 
     One instance is shared across the tasks of a job; it is stateless
     apart from the profile, so sharing is safe.
@@ -51,10 +53,13 @@ class CpuCostModel:
 
     def __init__(self, profile: CostProfile = MANAGED_PROFILE) -> None:
         self.profile = profile
+        self._skip = (
+            profile.skip_fraction.numerator, profile.skip_fraction.denominator
+        )
 
     # -- primitives ---------------------------------------------------
 
-    def raw_scan_cpu(self, nbytes: int) -> float:
+    def raw_scan_cpu(self, nbytes: int) -> int:
         """Bytes streamed through a decoder without type interpretation."""
         return nbytes * self.profile.raw_scan_per_byte
 
@@ -93,7 +98,7 @@ class CpuCostModel:
         metrics.cells += 1
         metrics.objects += 1
 
-    def prim_cpu(self, kind: str, count: int, payload: int = 0) -> float:
+    def prim_cpu(self, kind: str, count: int, payload: int = 0) -> int:
         """Decode cpu of ``count`` primitives of ``kind`` holding
         ``payload`` var-length bytes: the ``charge_*`` above, summed over
         a run (the batched kernels charge runs; the model is linear)."""
@@ -125,9 +130,12 @@ class CpuCostModel:
 
     # -- skipping / parsing / codecs -----------------------------------
 
-    def skip_discount(self, seconds: float) -> float:
-        """CPU cost of skipping work that would have cost ``seconds``."""
-        return seconds * self.profile.skip_fraction
+    def skip_discount(self, ticks: int) -> int:
+        """CPU cost of skipping work that would have cost ``ticks``: the
+        exact ``skip_fraction`` of it, whole because ``ticks`` is a sum
+        of profile charges."""
+        num, den = self._skip
+        return ticks * num // den
 
     def charge_text_parse(self, metrics: Metrics, nbytes: int) -> None:
         metrics.charge_cpu(nbytes * self.profile.text_parse_per_byte)

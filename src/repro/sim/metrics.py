@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from repro.sim.calibration import TICKS_PER_SECOND
+
 
 @dataclass
 class Metrics:
@@ -28,10 +30,13 @@ class Metrics:
         skipping).
     seeks:
         Disk seeks issued (file opens, skips beyond the readahead buffer).
-    io_time / cpu_time:
-        Simulated seconds.  Hadoop 0.21 map tasks read and deserialize
+    io_ticks / cpu_ticks:
+        Simulated time in ticks (:data:`~repro.sim.calibration.TICKS_PER_SECOND`
+        to the second), summed as ints, so any order of the same charges
+        gives the same total.  Hadoop 0.21 map tasks read and deserialize
         synchronously in the mapper thread, so a task's runtime is
-        modelled as ``io_time + cpu_time``.
+        modelled as ``io_ticks + cpu_ticks``; ``io_time`` / ``cpu_time``
+        / ``task_time`` read them as seconds.
     records / cells / objects:
         Records materialized, datums decoded, objects created — used by
         the deserialization experiments (Figure 8, Figure 10).
@@ -41,8 +46,8 @@ class Metrics:
     net_bytes: int = 0
     requested_bytes: int = 0
     seeks: int = 0
-    io_time: float = 0.0
-    cpu_time: float = 0.0
+    io_ticks: int = 0
+    cpu_ticks: int = 0
     records: int = 0
     cells: int = 0
     objects: int = 0
@@ -54,15 +59,27 @@ class Metrics:
         return self.disk_bytes + self.net_bytes
 
     @property
+    def io_time(self) -> float:
+        return self.io_ticks / TICKS_PER_SECOND
+
+    @property
+    def cpu_time(self) -> float:
+        return self.cpu_ticks / TICKS_PER_SECOND
+
+    @property
+    def task_ticks(self) -> int:
+        return self.io_ticks + self.cpu_ticks
+
+    @property
     def task_time(self) -> float:
         """Simulated task runtime (serial read/deserialize/map loop)."""
-        return self.io_time + self.cpu_time
+        return (self.io_ticks + self.cpu_ticks) / TICKS_PER_SECOND
 
-    def charge_cpu(self, seconds: float) -> None:
-        self.cpu_time += seconds
+    def charge_cpu(self, ticks: int) -> None:
+        self.cpu_ticks += ticks
 
-    def charge_io(self, seconds: float) -> None:
-        self.io_time += seconds
+    def charge_io(self, ticks: int) -> None:
+        self.io_ticks += ticks
 
     def add(self, other: "Metrics") -> None:
         """Fold another task's metrics into this aggregate."""

@@ -1,9 +1,14 @@
 """Disk and network timing models.
 
-These convert *accounted* bytes and seeks into simulated seconds.  The
+These convert *accounted* bytes and seeks into simulated ticks.  The
 byte accounting itself (readahead granularity, local vs remote) is done
 by the HDFS stream layer in :mod:`repro.hdfs.streams`; the models here
 are pure arithmetic so they are trivial to test and swap.
+
+Each charge is rounded to the tick once, where it is made
+(:func:`~repro.sim.calibration.to_ticks`).  At the calibrated rates a
+charge is a whole number of ticks already and the rounding only drops
+float noise; a shuffle, or a slowed node, is where it really rounds.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim import calibration
+from repro.sim.calibration import to_ticks
 from repro.sim.metrics import Metrics
 
 
@@ -41,15 +47,15 @@ class DiskModel:
         """
         metrics.disk_bytes += nbytes
         metrics.seeks += seeks
-        metrics.charge_io(
+        metrics.charge_io(to_ticks(
             nbytes / (self.bytes_per_sec * bandwidth_scale)
             + seeks * self.seek_seconds
-        )
+        ))
 
     def charge_write(self, metrics: Metrics, nbytes: int) -> None:
         """Charge a local disk write (loads, map output spills)."""
         metrics.disk_bytes += nbytes
-        metrics.charge_io(nbytes / self.bytes_per_sec)
+        metrics.charge_io(to_ticks(nbytes / self.bytes_per_sec))
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,11 @@ class NetworkModel:
     ) -> None:
         """Charge a block read served by a non-local datanode."""
         metrics.net_bytes += nbytes
-        metrics.charge_io(
+        metrics.charge_io(to_ticks(
             nbytes / self.bytes_per_sec + transfers * self.latency_seconds
-        )
+        ))
 
     def charge_shuffle(self, metrics: Metrics, nbytes: int) -> None:
         """Charge moving map output to a reducer."""
         metrics.net_bytes += nbytes
-        metrics.charge_io(nbytes / self.shuffle_bytes_per_sec)
+        metrics.charge_io(to_ticks(nbytes / self.shuffle_bytes_per_sec))

@@ -24,6 +24,7 @@ from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
 from repro.mapreduce.output import CollectOutputFormat
 from repro.mapreduce.types import InputFormat, InputSplit, ListRecordReader
+from repro.sim.calibration import to_ticks
 
 
 def small_fs(nodes: int = 2, slots: int = 2) -> FileSystem:
@@ -62,7 +63,7 @@ def make_job(
     """A job of ``n_splits`` map tasks, each exactly ``task_seconds``."""
 
     def mapper(key, value, emit, ctx):
-        ctx.metrics.charge_cpu(task_seconds)
+        ctx.metrics.charge_cpu(to_ticks(task_seconds))
         emit(key, value)
 
     return Job(

@@ -41,6 +41,7 @@ from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job
 from repro.mapreduce.types import InputFormat, InputSplit, ListRecordReader
 from repro.obs import FlightRecorder
+from repro.sim.calibration import to_ticks
 
 
 class FakeClock:
@@ -120,7 +121,7 @@ def shuffle_job(name: str, n_splits: int = 6) -> Job:
     shuffle a real window on the simulated network."""
 
     def mapper(key, value, emit, ctx):
-        ctx.metrics.charge_cpu(0.004)
+        ctx.metrics.charge_cpu(to_ticks(0.004))
         for i in range(24):
             emit(f"{key}:{i % 4}", value * 3 + str(i))
 
@@ -247,7 +248,7 @@ def straggler_job(name: str, slow_node: int = 0,
     speculation exists for.  Output is node-independent."""
 
     def mapper(key, value, emit, ctx):
-        ctx.metrics.charge_cpu(0.5 if ctx.node == slow_node else 0.005)
+        ctx.metrics.charge_cpu(to_ticks(0.5 if ctx.node == slow_node else 0.005))
         emit(key, value)
 
     return Job(name, mapper, _ListInput(name, n_splits))
@@ -337,7 +338,7 @@ class TestPreemptionOfSpeculativeDuplicates:
         # clone will be mid-flight when the interactive job arrives.
         def mapper_a(key, value, emit, ctx):
             ctx.metrics.charge_cpu(
-                0.3 if key.endswith("-0") else 0.005
+                to_ticks(0.3 if key.endswith("-0") else 0.005)
             )
             emit(key, value)
 
@@ -348,13 +349,13 @@ class TestPreemptionOfSpeculativeDuplicates:
         # Job B soaks the remaining slots so the interactive arrival
         # has to preempt rather than use a free slot.
         def mapper_b(key, value, emit, ctx):
-            ctx.metrics.charge_cpu(0.08)
+            ctx.metrics.charge_cpu(to_ticks(0.08))
             emit(key, value)
 
         job_b = Job("soak", mapper_b, _ListInput("soak", 8))
 
         def mapper_c(key, value, emit, ctx):
-            ctx.metrics.charge_cpu(0.001)
+            ctx.metrics.charge_cpu(to_ticks(0.001))
             emit(key, value)
 
         job_c = Job("point", mapper_c, _ListInput("point", 1))

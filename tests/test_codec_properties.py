@@ -96,34 +96,32 @@ def charge_walk(m: Metrics, schema: Schema, value, skipping=False) -> None:
             charge_walk(m, field.schema, item, skipping)
 
 
-#: metrics never start at zero in a task, and float addition is not
-#: associative: a plan that summed a datum's terms before adding them
-#: would still pass from 0.0
-_ALREADY = 0.1234567
+#: metrics never start at zero in a task
+_ALREADY = 123_456_789
 
 
 def assert_charges_match_the_oracle(schema, value):
     data = encode_datum(schema, value)
     for kind in READERS:
-        expected = Metrics(cpu_time=_ALREADY)
+        expected = Metrics(cpu_ticks=_ALREADY)
         charge_walk(expected, schema, value)
         COST.charge_raw_scan(expected, len(data))
-        got = Metrics(cpu_time=_ALREADY)
+        got = Metrics(cpu_ticks=_ALREADY)
         BinaryDecoder(open_reader(kind, data), COST, got).read_datum(schema)
-        assert (got.cpu_time, got.cells, got.objects) == (
-            expected.cpu_time, expected.cells, expected.objects
+        assert (got.cpu_ticks, got.cells, got.objects) == (
+            expected.cpu_ticks, expected.cells, expected.objects
         ), kind
 
         scratch = Metrics()
         charge_walk(scratch, schema, value, skipping=True)
         COST.charge_raw_scan(scratch, len(data))
-        expected = Metrics(cpu_time=_ALREADY)
-        expected.charge_cpu(COST.skip_discount(scratch.cpu_time))
-        got = Metrics(cpu_time=_ALREADY)
+        expected = Metrics(cpu_ticks=_ALREADY)
+        expected.charge_cpu(COST.skip_discount(scratch.cpu_ticks))
+        got = Metrics(cpu_ticks=_ALREADY)
         decoder = BinaryDecoder(open_reader(kind, data), COST, got)
         assert decoder.skip_datum(schema) == len(data)
-        assert (got.cpu_time, got.cells, got.objects) == (
-            expected.cpu_time, 0, 0
+        assert (got.cpu_ticks, got.cells, got.objects) == (
+            expected.cpu_ticks, 0, 0
         ), kind
 
 
@@ -239,7 +237,7 @@ def assert_every_prefix_raises_cleanly(schema, value):
             # front has been charged
             before = Metrics()
             plan_skip(open_reader(kind, whole, metrics=before), before, schema)
-            assert held["cpu_time"] == before.cpu_time, (kind, cut)
+            assert held["cpu_ticks"] == before.cpu_ticks, (kind, cut)
             assert (held["cells"], held["objects"]) == (0, 0)
 
 

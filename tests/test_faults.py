@@ -19,6 +19,7 @@ from repro.cluster import (
 from repro.cluster.manager import BLACKLIST_AFTER
 from repro.mapreduce.types import InputSplit
 from repro.obs import FlightRecorder
+from repro.sim.calibration import to_ticks
 from repro.sim.metrics import Metrics
 from tests.conftest import micro_records, micro_schema, schedule
 
@@ -216,7 +217,7 @@ class TestSchedulerRetry:
 
     def _metrics(self, seconds=1.0):
         m = Metrics()
-        m.charge_io(seconds)
+        m.charge_io(to_ticks(seconds))
         return m
 
     def test_transient_failure_is_retried_elsewhere(self):
@@ -399,7 +400,7 @@ class TestManagerFaultPaths:
                 return ListRecordReader(ctx, [(split.label, 1)])
 
         def mapper(key, value, emit, ctx):
-            ctx.metrics.charge_cpu(1.0)
+            ctx.metrics.charge_cpu(to_ticks(1.0))
             emit(key, value)
 
         fs = FileSystem(ClusterConfig(num_nodes=4, map_slots_per_node=1))
@@ -424,7 +425,7 @@ class TestSpeculationTermination:
         def execute(split, node):
             m = Metrics()
             slow = split.label == "s3" and node == 3
-            m.charge_io(100.0 if slow else 1.0)
+            m.charge_io(to_ticks(100.0 if slow else 1.0))
             return m
 
         tasks = schedule(splits, 40, 1, execute, speculative=True)
@@ -438,7 +439,7 @@ class TestSpeculationTermination:
 
         def execute(split, node):
             m = Metrics()
-            m.charge_io(5.0 if node != 0 else 1.0)
+            m.charge_io(to_ticks(5.0 if node != 0 else 1.0))
             return m
 
         tasks = schedule(splits, 3, 2, execute, speculative=True)

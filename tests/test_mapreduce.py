@@ -9,6 +9,7 @@ from repro.mapreduce import Job, run_job
 from repro.mapreduce.output import TextOutputFormat
 from repro.mapreduce.scheduler import simulate_wave_makespan
 from repro.serde.schema import Schema
+from repro.sim.calibration import to_ticks
 from tests.conftest import make_ctx, micro_records, micro_schema, schedule
 
 
@@ -151,7 +152,7 @@ class TestScheduling:
 
         def execute(split, node):
             m = Metrics()
-            m.charge_io(1.0)
+            m.charge_io(to_ticks(1.0))
             return m
 
         tasks = schedule(splits, 3, 1, execute)
@@ -165,7 +166,7 @@ class TestScheduling:
 
         def execute(split, node):
             m = Metrics()
-            m.charge_io(0.5)
+            m.charge_io(to_ticks(0.5))
             return m
 
         tasks = schedule(splits, 4, 2, execute)

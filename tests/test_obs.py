@@ -17,6 +17,7 @@ from repro.obs import (
     Tracer,
     current_obs,
 )
+from repro.sim.calibration import to_ticks
 from repro.sim.metrics import Metrics
 from tests.conftest import make_ctx, micro_records, micro_schema
 
@@ -194,10 +195,10 @@ class TestTracer:
     def test_sim_deltas_from_metrics(self):
         tracer = Tracer(clock=FakeClock())
         metrics = Metrics()
-        metrics.charge_cpu(1.0)
+        metrics.charge_cpu(to_ticks(1.0))
         with tracer.span("op", metrics=metrics):
-            metrics.charge_cpu(2.0)
-            metrics.charge_io(3.0)
+            metrics.charge_cpu(to_ticks(2.0))
+            metrics.charge_io(to_ticks(3.0))
         span = tracer.spans[0]
         assert span.sim_cpu == pytest.approx(2.0)
         assert span.sim_io == pytest.approx(3.0)
@@ -273,7 +274,7 @@ class TestFlightRecorder:
                 recorder.registry.counter("hdfs.bytes.disk", column="a").inc(7)
                 recorder.registry.histogram("h", (4, 16)).observe(5)
             m = Metrics()
-            m.charge_cpu(0.5)
+            m.charge_cpu(to_ticks(0.5))
             recorder.record_metrics("scan:x", m)
             counters = Counters()
             counters.increment("map.tasks", 3)

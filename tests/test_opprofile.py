@@ -32,6 +32,7 @@ from repro.obs import (
     reconcile_profiles,
     render_operators,
 )
+from repro.sim.calibration import to_ticks
 from repro.sim.metrics import Metrics
 from repro.workloads.micro import micro_records, micro_schema
 
@@ -392,11 +393,11 @@ class TestDiffAttribution:
                 "vectorized", metrics, clock=recorder.tracer._clock
             )
             profiler.switch("filter")
-            metrics.cpu_time += 0.010
+            metrics.charge_cpu(to_ticks(0.010))
             profiler.switch("aggregate")
             for _ in range(kernel_calls):
                 profiler.kernel("read_zigzags")
-            metrics.cpu_time += aggregate_cpu
+            metrics.charge_cpu(to_ticks(aggregate_cpu))
             profiler.switch("scan")
             profiler.finish(current_obs())
         return recorder.report()
@@ -435,8 +436,8 @@ class TestReconcileMessages:
 
     def test_float_mismatch_cites_the_tolerance_applied(self):
         a, b = Metrics(), Metrics()
-        a.io_time = 1.0
-        b.io_time = 1.1
+        a.io_ticks = 10 * 10**11
+        b.io_ticks = 11 * 10**11
         (message,) = reconcile_metrics(a, b)
         assert message.startswith("io_time:")
         assert "rel_tol=1e-09" in message

@@ -1,17 +1,14 @@
-"""Golden charges: what a ``Q`` job costs in simulated time, pinned bit for bit.
+"""Golden charges: what a ``Q`` job costs in simulated time, pinned exactly.
 
-Every simulated charge is a float added into one of two accumulators
-(``cpu_time``, ``io_time``), so two executions that make the same
-charges in a different order can differ in the last digit.  This file
-holds one fixed dataset written in the four ``cif_scan`` layouts and
-five fixed queries, and for each (layout, query) pair the
-``float.hex()`` of every simulated time, every integer ``Metrics``
-field, a digest of ``JobResult.output`` and the ``lazy.*`` /
-``column.rows.*`` counters.  The values in
-``query_charges_golden.json`` were recorded once, by the per-row
-``VectorRow`` evaluation that preceded the frame programs, and are
-never re-recorded: a failing row means a change moved a charge, or the
-order charges are made in.
+Every simulated charge is a whole number of ticks added into an int
+(``cpu_ticks``, ``io_ticks``), so the same charges give the same totals
+in any order.  This file holds one fixed dataset written in the four
+``cif_scan`` layouts and five fixed queries, and for each (layout,
+query) pair every ``Metrics`` field, the job's map and total time, a
+digest of ``JobResult.output`` and the ``lazy.*`` / ``column.rows.*``
+counters.  The values in ``query_charges_golden.json`` were recorded
+once, when simulated time became integer ticks, and are not
+re-recorded: a failing row means a change moved a charge.
 """
 
 import hashlib
@@ -100,18 +97,7 @@ def _filesystem():
 
 
 def _metrics(metrics):
-    out = {}
-    for name, value in sorted(vars(metrics).items()):
-        if isinstance(value, float):
-            out[name] = value.hex()
-        elif isinstance(value, dict):
-            out[name] = {
-                k: v.hex() if isinstance(v, float) else v
-                for k, v in sorted(value.items())
-            }
-        else:
-            out[name] = value
-    return out
+    return dict(sorted(vars(metrics).items()))
 
 
 def _counters(registry):
@@ -152,8 +138,8 @@ def observe(fs, layout, kind):
         out.append({
             "map": _metrics(job.map_metrics),
             "reduce": _metrics(job.reduce_metrics),
-            "map_time": job.map_time.hex(),
-            "total_time": job.total_time.hex(),
+            "map_time": job.map_time,
+            "total_time": job.total_time,
             "output": {
                 "pairs": len(job.output),
                 "sha256": hashlib.sha256(output).hexdigest(),

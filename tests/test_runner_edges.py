@@ -24,6 +24,7 @@ from repro.mapreduce.scheduler import MapWork
 from repro.mapreduce.types import InputSplit
 from repro.obs import NULL_TRACER, EventBus, MetricRegistry, Observability
 from repro.serde.schema import Schema
+from repro.sim.calibration import to_ticks
 from repro.sim.metrics import Metrics
 from tests.conftest import micro_records, micro_schema, schedule
 
@@ -125,7 +126,7 @@ class TestSchedulerWaves:
 
         def execute(split, node):
             m = Metrics()
-            m.charge_io(1.0)
+            m.charge_io(to_ticks(1.0))
             return m
 
         tasks = schedule(splits, 2, 2, execute)
@@ -139,7 +140,7 @@ class TestSchedulerWaves:
 
         def execute(split, node):
             m = Metrics()
-            m.charge_io(durations[split.label])
+            m.charge_io(to_ticks(durations[split.label]))
             return m
 
         tasks = schedule(splits, 4, 1, execute)
@@ -321,7 +322,7 @@ class TestSchedulerProperties:
 
             def attempt(split, node):
                 m = Metrics()
-                m.charge_io(1.0 if node in split.locations else 3.0)
+                m.charge_io(to_ticks(1.0 if node in split.locations else 3.0))
                 return m, None
 
             fs = FileSystem(ClusterConfig(

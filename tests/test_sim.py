@@ -1,8 +1,12 @@
 """Tests for the performance-model substrate: metrics, models, cost."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sim import calibration
+from repro.sim.calibration import TICKS_PER_SECOND, TickError, ns
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
 from repro.sim.models import DiskModel, NetworkModel
@@ -11,9 +15,10 @@ from repro.sim.models import DiskModel, NetworkModel
 class TestMetrics:
     def test_task_time_is_io_plus_cpu(self):
         m = Metrics()
-        m.charge_io(1.5)
-        m.charge_cpu(0.5)
-        assert m.task_time == pytest.approx(2.0)
+        m.charge_io(3 * TICKS_PER_SECOND // 2)
+        m.charge_cpu(TICKS_PER_SECOND // 2)
+        assert m.task_ticks == 2 * TICKS_PER_SECOND
+        assert m.task_time == 2.0
 
     def test_add_merges_all_fields(self):
         a, b = Metrics(), Metrics()
@@ -30,18 +35,18 @@ class TestMetrics:
 
     def test_copy_is_independent(self):
         a = Metrics()
-        a.charge_cpu(1.0)
+        a.charge_cpu(TICKS_PER_SECOND)
         b = a.copy()
-        b.charge_cpu(1.0)
+        b.charge_cpu(TICKS_PER_SECOND)
         assert a.cpu_time == 1.0 and b.cpu_time == 2.0
 
     def test_reset(self):
         m = Metrics()
-        m.charge_io(1.0)
+        m.charge_io(TICKS_PER_SECOND)
         m.seeks = 3
         m.extra["k"] = 1
         m.reset()
-        assert m.io_time == 0.0 and m.seeks == 0 and m.extra == {}
+        assert m.io_ticks == 0 and m.seeks == 0 and m.extra == {}
 
     def test_total_bytes(self):
         m = Metrics()
@@ -54,7 +59,7 @@ class TestDiskModel:
         disk = DiskModel(bytes_per_sec=1e6, seek_seconds=0.01)
         m = Metrics()
         disk.charge_read(m, 500_000, seeks=2)
-        assert m.io_time == pytest.approx(0.5 + 0.02)
+        assert m.io_ticks == 52 * TICKS_PER_SECOND // 100
         assert m.disk_bytes == 500_000
         assert m.seeks == 2
 
@@ -63,13 +68,13 @@ class TestDiskModel:
         m1, m2 = Metrics(), Metrics()
         disk.charge_read(m1, 1_000_000)
         disk.charge_read(m2, 1_000_000, bandwidth_scale=0.5)
-        assert m2.io_time == pytest.approx(2 * m1.io_time)
+        assert m2.io_ticks == 2 * m1.io_ticks
 
     def test_write_charge(self):
         disk = DiskModel(bytes_per_sec=2e6)
         m = Metrics()
         disk.charge_write(m, 1_000_000)
-        assert m.io_time == pytest.approx(0.5)
+        assert m.io_ticks == TICKS_PER_SECOND // 2
 
 
 class TestNetworkModel:
@@ -84,7 +89,7 @@ class TestNetworkModel:
         net = NetworkModel(shuffle_bytes_per_sec=1e6)
         m = Metrics()
         net.charge_shuffle(m, 500_000)
-        assert m.io_time == pytest.approx(0.5)
+        assert m.io_ticks == TICKS_PER_SECOND // 2
         assert m.net_bytes == 500_000
 
 
@@ -138,9 +143,8 @@ class TestCpuCostModel:
         assert self.m.cells == 3
 
     def test_skip_discount(self):
-        assert self.cost.skip_discount(1.0) == pytest.approx(
-            self.cost.profile.skip_fraction
-        )
+        # exact: 0.4 of a charge, never a float multiply
+        assert self.cost.skip_discount(ns(16)) == ns("6.4")
 
     def test_inflate_codec_dispatch(self):
         m_zlib, m_lzo = Metrics(), Metrics()
@@ -159,4 +163,60 @@ class TestCpuCostModel:
     def test_predicate_per_byte(self):
         self.cost.charge_predicate(self.m, 100)
         expected = 100 * self.cost.profile.predicate_per_byte
-        assert self.m.cpu_time == pytest.approx(expected)
+        assert self.m.cpu_ticks == expected
+
+
+class TestTicks:
+    """The rules that make simulated time exact: every charge is a whole
+    number of ticks, an I/O charge rounds once, and sums are ints."""
+
+    def test_profiles_hold_whole_ticks(self):
+        for profile in (calibration.MANAGED_PROFILE, calibration.NATIVE_PROFILE):
+            assert profile.int_decode == int(profile.int_decode)
+            assert type(profile.raw_scan_per_byte) is int
+
+    def test_sub_tick_constant_is_refused(self):
+        with pytest.raises(TickError, match="raw_scan_per_byte"):
+            replace(calibration.MANAGED_PROFILE, raw_scan_per_byte=ns("0.0005"))
+
+    def test_sub_tick_skip_discount_is_refused(self):
+        # 1 tick is whole, but 0.4 of it is not
+        with pytest.raises(TickError, match="map_invoke \\* skip_fraction"):
+            replace(calibration.MANAGED_PROFILE, map_invoke=ns("0.001"))
+
+    def test_inexact_skip_fraction_is_refused(self):
+        with pytest.raises(TickError, match="skip_fraction"):
+            replace(calibration.MANAGED_PROFILE, skip_fraction=0.4)
+
+    def test_shuffle_rounds_once_per_charge(self):
+        net = NetworkModel()  # 30 MB/s: 33 333 1/3 ticks a byte
+        once, per_byte = Metrics(), Metrics()
+        net.charge_shuffle(once, 7)
+        for _ in range(7):
+            net.charge_shuffle(per_byte, 1)
+        assert once.io_ticks == round(7 * TICKS_PER_SECOND / 30e6) == 233_333
+        assert per_byte.io_ticks == 7 * 33_333
+
+    def test_interleaved_read_is_whole_ticks(self):
+        disk = DiskModel()
+        for k in (2, 13, 80):
+            m = Metrics()
+            disk.charge_read(
+                m, 12_288, bandwidth_scale=calibration.interleave_bandwidth_scale(k)
+            )
+            assert m.io_ticks == 12_288 * 1000 * (49 + k)
+
+    CHARGES = [
+        ("io", 8 * 10**9), ("io", 233_333), ("cpu", 600), ("cpu", 16_000),
+        ("cpu", 240), ("io", 50_000 * 4096), ("cpu", 50_000_000), ("cpu", 1),
+        ("cpu", 600), ("io", 250_000 * 61),
+    ]
+
+    @given(st.permutations(CHARGES))
+    def test_task_time_ignores_charge_order(self, charges):
+        m = Metrics()
+        for kind, ticks in charges:
+            (m.charge_io if kind == "io" else m.charge_cpu)(ticks)
+        total = sum(ticks for _, ticks in self.CHARGES)
+        assert m.task_time == (m.io_ticks + m.cpu_ticks) / 10**12
+        assert m.task_time == total / 10**12

@@ -15,6 +15,7 @@ from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
 from repro.mapreduce.scheduler import makespan
 from repro.mapreduce.types import InputSplit
+from repro.sim.calibration import to_ticks
 from repro.sim.metrics import Metrics
 from tests.conftest import micro_records, micro_schema, schedule
 
@@ -25,7 +26,7 @@ def _straggler_execute(slow_seconds):
     def execute(split, node):
         m = Metrics()
         slow = split.label == "s3" and node == 3
-        m.charge_io(slow_seconds if slow else 1.0)
+        m.charge_io(to_ticks(slow_seconds if slow else 1.0))
         return m
 
     return execute
@@ -104,7 +105,7 @@ class TestSchedulerSpeculation:
         # many idle slots, still one clone per split at most.
         def execute(split, node):
             m = Metrics()
-            m.charge_io(1.0 if node == 0 else 20.0)
+            m.charge_io(to_ticks(1.0 if node == 0 else 20.0))
             return m
 
         splits = [InputSplit(10, [0], f"s{i}") for i in range(9)]
