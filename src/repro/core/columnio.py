@@ -271,9 +271,8 @@ def _batch_decode_values(reader, field_schema: Schema, k: int, ctx):
     Returns ``(tag, payload)`` for primitive kinds and maps of them,
     ``None`` for other container kinds (callers fall back to per-value
     decoding).  The charges are the exact sums of ``k`` scalar
-    ``read_datum`` calls — the cost model is linear, so integer side
-    effects (cells, objects) are identical and cpu_time differs only by
-    float re-association.
+    ``read_datum`` calls: the cost model is linear and charges whole
+    ticks, so cells, objects and ``cpu_ticks`` are identical.
     """
     kind = field_schema.kind
     cost, metrics = ctx.cost, ctx.metrics

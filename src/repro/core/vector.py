@@ -11,16 +11,14 @@ surviving rows are late-materialized for map functions.
 
 The per-datum reader (``execution="scalar"``) is kept as the reference
 this engine is checked against, under *zero-tolerance equivalence*:
-
-- outputs are record-exact identical,
-- every integer metric (``disk_bytes``, ``seeks``, ``records``,
-  ``cells``, ``objects``, ...) and every obs counter is exactly equal,
-- float metrics (``cpu_time``, ``io_time``) agree to 1e-9 relative
-  tolerance (batched charging re-associates float sums; the cost model
-  is linear, so the terms themselves are identical).
+outputs are record-exact identical, and every metric field (bytes,
+seeks, ``io_ticks`` / ``cpu_ticks``, records, cells, objects, ``extra``)
+and every obs counter is exactly equal.  Charges are whole ticks summed
+as ints, so a batched charge equals the per-datum charges it replaces.
 
 :func:`reconcile_metrics` checks that contract; the differential test
-suite and the ``vector_scan`` bench scenario gate on it.
+suite, the oracle's ``metrics:`` cells and the ``vector_scan`` bench
+scenario gate on it.
 
 Selections are frame-local row indexes in ascending order.  The
 pinned comparison semantics (NULL never satisfies an ordering
@@ -31,11 +29,12 @@ free of import cycles with the query layer.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_right
+from dataclasses import fields
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.obs.opprofile import exact_mismatches
 from repro.serde.record import Record
 
 __all__ = [
@@ -440,18 +439,17 @@ def _has_literal(expr) -> bool:
 def _compile_value(expr) -> Optional[Callable]:
     """Compile to ``fn(source, sel, ctx) -> list`` aligned with ``sel``.
 
-    A column leaf is ``source.values(name, sel)`` (a :class:`VectorFrame`
-    under a filter, the gathered cells under a :class:`FrameProgram`);
-    every other node maps its ``op_fn`` over its operands' lists.  None
+    A column leaf is ``frame.values(name, sel)``; every other node maps
+    its ``op_fn`` over its operands' lists.  None
     for what has no value function: ``contains``, whose charge belongs
     to a filter, and an Expr built without metadata.
     """
     name = _is_column(expr)
     if name is not None:
-        return lambda source, sel, ctx: source.values(name, sel)
+        return lambda frame, sel, ctx: frame.values(name, sel)
     if _has_literal(expr):
         literal = expr.literal_value
-        return lambda source, sel, ctx: [literal] * len(sel)
+        return lambda frame, sel, ctx: [literal] * len(sel)
     op = getattr(expr, "op_fn", None)
     if op is None:
         return None
@@ -460,10 +458,10 @@ def _compile_value(expr) -> Optional[Callable]:
         return None
     if len(fns) == 1:
         (arg,) = fns
-        return lambda source, sel, ctx: list(map(op, arg(source, sel, ctx)))
+        return lambda frame, sel, ctx: list(map(op, arg(frame, sel, ctx)))
     left, right = fns
-    return lambda source, sel, ctx: list(
-        map(op, left(source, sel, ctx), right(source, sel, ctx))
+    return lambda frame, sel, ctx: list(
+        map(op, left(frame, sel, ctx), right(frame, sel, ctx))
     )
 
 
@@ -565,58 +563,26 @@ def compile_predicate(expr) -> PredicateProgram:
     return PredicateProgram(expr, fallback, compiled=False)
 
 
-def _first_touch(exprs) -> List[str]:
-    """Columns in the order evaluating ``exprs`` left to right, row by
-    row, first reads them.  Every node with a value function evaluates
-    all its operands, left first, so the order is static."""
-    order: Dict[str, None] = {}
-
-    def walk(expr) -> None:
-        name = _is_column(expr)
-        if name is not None:
-            order.setdefault(name)
-        for operand in getattr(expr, "operands", ()):
-            walk(operand)
-
-    for expr in exprs:
-        walk(expr)
-    return list(order)
-
-
-class _Cells:
-    """Gathered cells, answering the column leaves of compiled values."""
-
-    __slots__ = ("_cells",)
-
-    def __init__(self, cells: Dict[str, List]) -> None:
-        self._cells = cells
-
-    def values(self, name: str, sel: Sequence[int]) -> List:
-        return self._cells[name]
-
-
 class FrameProgram:
     """``Q``'s select / group-by / aggregate expressions, compiled once.
 
-    :meth:`run` gathers the survivors' cells in first-touch order (the
-    per-row path's reads and charges, in its order), then evaluates
-    each expression column-at-a-time into a list aligned with ``sel``.
-    ``refused`` is the first expression that does not compile; then
-    the whole op runs row by row, since mixing would reorder reads.
+    :meth:`run` evaluates each expression column-at-a-time into a list
+    aligned with ``sel``, reading every column it names through
+    ``frame.values``.  ``refused`` is the first expression that does not
+    compile; then the whole op runs row by row, because the op's
+    ``frame_fn`` takes every expression's column or none of them.
     """
 
-    __slots__ = ("refused", "_columns", "_fns")
+    __slots__ = ("refused", "_fns")
 
     def __init__(self, exprs: Sequence) -> None:
         self._fns = [_compile_value(expr) for expr in exprs]
         self.refused = next(
             (e for e, fn in zip(exprs, self._fns) if fn is None), None
         )
-        self._columns = _first_touch(exprs)
 
     def run(self, frame, sel: Sequence[int], ctx) -> List[List]:
-        cells = _Cells(frame.gather(self._columns, sel))
-        return [fn(cells, sel, ctx) for fn in self._fns]
+        return [fn(frame, sel, ctx) for fn in self._fns]
 
 
 # ---------------------------------------------------------------------------
@@ -751,50 +717,9 @@ class VectorFrame:
         return data
 
     def values(self, name: str, sel: Sequence[int]) -> List:
-        """The column's values at ``sel`` (what a filter's compiled
-        value expressions read)."""
+        """The column's values at ``sel``, aligned with it: what compiled
+        value expressions read, in a filter or above it."""
         return gather(self.column(name, sel), sel)
-
-    def gather(self, names: Sequence[str], sel: Sequence[int]) -> Dict[str, List]:
-        """The cells of ``names`` at ``sel``, one list per column.
-
-        Exactly the reads :meth:`get_value` per row, then per name,
-        would make: cached cells are free, the rest are read row-major.
-        Column-major reads would re-associate the float sums every
-        reader charges into.  The ledger hears one
-        ``on_materialized`` per column.
-        """
-        out: Dict[str, List] = {}
-        reads = []
-        for name in names:
-            data = self._columns.get(name)
-            if data is not None and not isinstance(data, dict):
-                out[name] = gather(data, sel)  # a whole-frame vector
-                continue
-            reader = self._require_reader(name)
-            if data is None:
-                data = self._columns[name] = {}
-                self._touched[name] = set()
-            reads.append((name, data, len(data), reader))
-        if not reads:
-            return out
-        start = self.start
-        steps = [
-            (data, reader, reader.read_value) for _, data, _, reader in reads
-        ]
-        for i in sel:
-            pos = start + i
-            for data, reader, read_value in steps:
-                if i not in data:
-                    if reader.next_index != pos:
-                        reader.sync_to(pos)
-                    data[i] = read_value()
-        for name, data, cached, _ in reads:
-            out[name] = [data[i] for i in sel]
-            self._touched[name].update(sel)
-            if self.ledger is not None and len(data) > cached:
-                self.ledger.on_materialized(name, len(data) - cached)
-        return out
 
     def get_value(self, name: str, i: int):
         """One cell, decoding at most once (LazyRecord.get semantics)."""
@@ -993,47 +918,19 @@ def run_batch_map(job, reader, emit, ctx) -> None:
 # Zero-tolerance reconcile
 # ---------------------------------------------------------------------------
 
-_INT_METRIC_FIELDS = (
-    "disk_bytes", "net_bytes", "requested_bytes", "seeks",
-    "records", "cells", "objects",
-)
-_FLOAT_METRIC_FIELDS = ("io_time", "cpu_time")
 
-
-def reconcile_metrics(scalar, vectorized, rel_tol: float = 1e-9) -> List[str]:
-    """Compare two Metrics under the vectorized-equivalence contract.
-
-    Integer fields must match exactly (the simulated bytes, seeks,
-    records, cells and objects are charged identically, just batched);
-    float times must agree within ``rel_tol`` (batched charging
-    re-associates the same float terms).  Returns human-readable
-    mismatch descriptions — empty means reconciled.
+def reconcile_metrics(scalar, vectorized) -> List[str]:
+    """Compare two Metrics under the vectorized-equivalence contract:
+    every field, ``extra`` included, exactly (simulated time is whole
+    ticks, so batched charges sum to the per-datum ones).  Returns
+    human-readable mismatch descriptions — empty means reconciled.
     """
-    mismatches = []
-    exact = "exact match required"
-    close = f"rel_tol={rel_tol:g}, abs_tol=1e-12"
-    for name in _INT_METRIC_FIELDS:
-        a, b = getattr(scalar, name), getattr(vectorized, name)
-        if a != b:
-            mismatches.append(
-                f"{name}: scalar={a!r} vectorized={b!r} ({exact})"
-            )
-    for name in _FLOAT_METRIC_FIELDS:
-        a, b = getattr(scalar, name), getattr(vectorized, name)
-        if not math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-12):
-            mismatches.append(
-                f"{name}: scalar={a!r} vectorized={b!r} ({close})"
-            )
-    for key in sorted(set(scalar.extra) | set(vectorized.extra)):
-        a = scalar.extra.get(key, 0)
-        b = vectorized.extra.get(key, 0)
-        if isinstance(a, float) or isinstance(b, float):
-            if not math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-12):
-                mismatches.append(
-                    f"extra[{key}]: scalar={a!r} vectorized={b!r} ({close})"
-                )
-        elif a != b:
-            mismatches.append(
-                f"extra[{key}]: scalar={a!r} vectorized={b!r} ({exact})"
-            )
-    return mismatches
+    pairs = [
+        (f.name, getattr(scalar, f.name), getattr(vectorized, f.name))
+        for f in fields(scalar) if f.name != "extra"
+    ]
+    pairs += [
+        (f"extra[{key}]", scalar.extra.get(key, 0), vectorized.extra.get(key, 0))
+        for key in sorted(set(scalar.extra) | set(vectorized.extra))
+    ]
+    return exact_mismatches(pairs)

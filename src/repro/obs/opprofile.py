@@ -52,6 +52,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.calibration import TICKS_PER_SECOND
+from repro.sim.metrics import Metrics
 
 #: The operator chain, in pipeline order.  Every profile reports all
 #: five, zero-valued where an engine/mode has no work for a stage
@@ -60,17 +61,6 @@ OPS = ("scan", "decode", "filter", "materialize", "aggregate")
 
 #: Per-operator integer fields that must agree exactly across engines.
 _RECONCILE_FIELDS = ("rows_in", "rows_out", "cells_decoded")
-
-
-class _ZeroMetrics:
-    """Stand-in metrics for a profiler built before its task context."""
-
-    task_ticks = 0
-    task_time = 0.0
-    records = 0
-
-
-_ZERO_METRICS = _ZeroMetrics()
 
 
 class OperatorStats:
@@ -153,7 +143,8 @@ class OperatorProfiler:
         self._prev_sink = None
         self._installed = False
         self._finished = False
-        self.bind(metrics if metrics is not None else _ZERO_METRICS)
+        # a profiler built before its task context binds to it later
+        self.bind(metrics if metrics is not None else Metrics())
 
     # -- lifecycle -----------------------------------------------------
 
@@ -382,6 +373,15 @@ class NullOperatorProfiler:
 NULL_PROFILER = NullOperatorProfiler()
 
 
+def exact_mismatches(pairs) -> List[str]:
+    """One line per ``(name, scalar, vectorized)`` whose values differ:
+    the one comparison both engine reconciles make, with no tolerance."""
+    return [
+        f"{name}: scalar={a!r} vectorized={b!r} (exact match required)"
+        for name, a, b in pairs if a != b
+    ]
+
+
 def reconcile_profiles(scalar, vectorized) -> List[str]:
     """Cross-engine profile reconciliation; returns mismatch strings.
 
@@ -393,34 +393,24 @@ def reconcile_profiles(scalar, vectorized) -> List[str]:
     row-at-a-time and frame-at-a-time settling).  Times, batch counts
     and kernel invocations are engine-specific and excluded.
 
-    Accepts ``{op: OperatorStats}`` dicts or profiler instances.
+    Accepts ``{op: OperatorStats}`` dicts or profiler instances; an
+    operator missing from one side reads as ``None``.
     """
     scalar = getattr(scalar, "stats", scalar)
     vectorized = getattr(vectorized, "stats", vectorized)
-    mismatches: List[str] = []
-    for op in OPS:
-        a = scalar.get(op)
-        b = vectorized.get(op)
-        if a is None or b is None:
-            if a is not b:
-                mismatches.append(f"{op}: present in only one profile")
-            continue
-        for field in _RECONCILE_FIELDS:
-            va = getattr(a, field)
-            vb = getattr(b, field)
-            if va != vb:
-                mismatches.append(
-                    f"{op}.{field}: scalar={va!r} vectorized={vb!r} "
-                    f"(exact match required)"
-                )
-    skipped_a = sum(s.cells_skipped for s in scalar.values())
-    skipped_b = sum(s.cells_skipped for s in vectorized.values())
-    if skipped_a != skipped_b:
-        mismatches.append(
-            f"total cells_skipped: scalar={skipped_a!r} "
-            f"vectorized={skipped_b!r} (exact match required)"
+    pairs = [
+        (
+            f"{op}.{field}", getattr(scalar.get(op), field, None),
+            getattr(vectorized.get(op), field, None),
         )
-    return mismatches
+        for op in OPS for field in _RECONCILE_FIELDS
+    ]
+    pairs.append((
+        "total cells_skipped",
+        sum(s.cells_skipped for s in scalar.values()),
+        sum(s.cells_skipped for s in vectorized.values()),
+    ))
+    return exact_mismatches(pairs)
 
 
 # -- report-side: reading profiles back out of a RunReport -------------

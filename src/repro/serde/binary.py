@@ -250,49 +250,49 @@ def _read_string_map_charged(r, p, m):
     """``read_charged`` of a ``map<string>``.
 
     An entry is two length-prefixed strings, so whole entries come off
-    the window in one loop, their cpu summed locally in the order the
-    per-entry steps would add it.  The sum is written back before the
-    one entry that does not fit (or does not decode) is read the
-    per-datum way, which may refill or raise, and the loop resumes on
-    the window that leaves.
+    the window in one loop, their ticks summed in a local that is added
+    to ``m`` once, when the map is done or raises.  The one entry that
+    does not fit (or does not decode) is read the per-datum way, which
+    may refill or raise, and the loop resumes on the window that leaves.
     """
     count = _varint(r)
     m.cpu_ticks += _MAP_BASE(p) + count * _MAP_ENTRY(p)
     m.objects += 1 + count
-    base, per_byte = _KEY_BASE(p), _KEY_BYTE(p)
+    pair_base, per_byte = 2 * _KEY_BASE(p), _KEY_BYTE(p)
     out = {}
-    while True:
-        buf = r._buf
-        pos = r.pos
-        limit = len(buf)
-        cpu = m.cpu_ticks
-        taken = 0
-        try:
-            while taken < count:
-                n = buf[pos]
-                value_pos = pos + 1 + n
-                k = buf[value_pos]
-                end = value_pos + 1 + k
-                if n >= 0x80 or k >= 0x80 or end > limit:
-                    break
-                key = str(buf[pos + 1:value_pos], "utf-8")
-                out[key] = str(buf[value_pos + 1:end], "utf-8")
-                cpu += base + n * per_byte
-                cpu += base + k * per_byte
-                pos = end
-                taken += 1
-        except (IndexError, UnicodeDecodeError):
-            pass
-        r.pos = pos
-        m.cpu_ticks = cpu
-        m.cells += 2 * taken
-        m.objects += 2 * taken
-        count -= taken
-        if not count:
-            return out
-        raw = _key_charged(r, p, m)
-        out[str(raw, "utf-8")] = _string_read_charged(r, p, m)
-        count -= 1
+    cpu = 0
+    try:
+        while True:
+            buf = r._buf
+            pos = r.pos
+            limit = len(buf)
+            taken = 0
+            try:
+                while taken < count:
+                    n = buf[pos]
+                    value_pos = pos + 1 + n
+                    k = buf[value_pos]
+                    end = value_pos + 1 + k
+                    if n >= 0x80 or k >= 0x80 or end > limit:
+                        break
+                    key = str(buf[pos + 1:value_pos], "utf-8")
+                    out[key] = str(buf[value_pos + 1:end], "utf-8")
+                    cpu += pair_base + (n + k) * per_byte
+                    pos = end
+                    taken += 1
+            except (IndexError, UnicodeDecodeError):
+                pass
+            r.pos = pos
+            m.cells += 2 * taken
+            m.objects += 2 * taken
+            count -= taken
+            if not count:
+                return out
+            raw = _key_charged(r, p, m)
+            out[str(raw, "utf-8")] = _string_read_charged(r, p, m)
+            count -= 1
+    finally:
+        m.cpu_ticks += cpu
 
 
 def _map_plan(schema: Schema) -> _Plan:

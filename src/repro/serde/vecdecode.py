@@ -22,9 +22,9 @@ refills on either path, and the one that straddles the edge is decoded
 by the scalar path itself — so the stream sees the identical read and
 seek pattern.  CPU charges come from the same linear cost formulas
 (:meth:`~repro.sim.cost.CpuCostModel.prim_cpu`), summed over a window's
-run instead of applied per value; integer side effects (cells,
-objects) are exact sums, and ``cpu_time`` differs only by float
-re-association (covered by the reconcile tolerance).
+run instead of applied per value; every charge is whole ticks, so the
+run's sum is exactly the per-value charges' (cells, objects and
+``cpu_ticks`` alike).
 
 Hand-offs therefore follow the window edges a scan crosses, not the
 values it reads: they can be made rarer (a larger I/O buffer), never

@@ -35,6 +35,17 @@ from repro.obs import (
 from repro.sim.calibration import to_ticks
 from repro.sim.metrics import Metrics
 from repro.workloads.micro import micro_records, micro_schema
+from tests.test_query_charges_golden import (
+    LAYOUTS as GOLDEN_LAYOUTS,
+    _filesystem as golden_filesystem,
+    _queries as golden_queries,
+)
+
+
+@pytest.fixture(scope="module")
+def cif_scan_fs():
+    """The four ``cif_scan`` layouts of the golden-charges dataset."""
+    return golden_filesystem()
 
 
 class FakeClock:
@@ -362,6 +373,35 @@ class TestRunnerIntegration:
                     f"{op}.{field}"
                 )
 
+    @pytest.mark.parametrize("kind", ["filter_aggregate", "wide"])
+    @pytest.mark.parametrize("execution", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("layout", sorted(GOLDEN_LAYOUTS))
+    def test_operator_ticks_partition_the_task_exactly(
+        self, cif_scan_fs, layout, execution, kind, monkeypatch
+    ):
+        """Per-operator simulated time is a partition of the task's, in
+        ticks: the operators' sum is the task's to the tick."""
+        from repro.mapreduce import runner
+
+        profiled = []
+
+        class Recording(OperatorProfiler):
+            def __init__(self, engine, metrics=None, **kwargs):
+                super().__init__(engine, metrics, **kwargs)
+                profiled.append((self, metrics))
+
+        monkeypatch.setattr(runner, "OperatorProfiler", Recording)
+        query = golden_queries(f"/golden/{layout}")[kind]
+        with FlightRecorder(clock=FakeClock()).activate():
+            result = query.run(cif_scan_fs, execution=execution)
+        assert {p.engine for p, _ in profiled} == {execution}
+        for profiler, metrics in profiled:
+            ticks = [s.sim_ticks for s in profiler.stats.values()]
+            assert sum(ticks) == metrics.task_ticks > 0
+        assert sum(m.task_ticks for _, m in profiled) == (
+            result.job.map_metrics.task_ticks
+        )
+
     def test_faulted_run_restores_vecdecode_sink(self):
         from repro.serde import vecdecode
 
@@ -423,7 +463,7 @@ class TestDiffAttribution:
 
 
 class TestReconcileMessages:
-    """Satellite: reconcile_metrics names field, values, tolerance."""
+    """reconcile_metrics names the field and both values."""
 
     def test_int_mismatch_names_field_and_tolerance(self):
         a, b = Metrics(), Metrics()
@@ -434,11 +474,14 @@ class TestReconcileMessages:
         assert "scalar=10" in message and "vectorized=12" in message
         assert "exact match required" in message
 
-    def test_float_mismatch_cites_the_tolerance_applied(self):
+    def test_one_tick_apart_is_a_mismatch(self):
+        # simulated time is whole ticks: no tolerance to hide a bug in
         a, b = Metrics(), Metrics()
-        a.io_ticks = 10 * 10**11
-        b.io_ticks = 11 * 10**11
-        (message,) = reconcile_metrics(a, b)
-        assert message.startswith("io_time:")
-        assert "rel_tol=1e-09" in message
-        assert "abs_tol=1e-12" in message
+        a.io_ticks = 10**12
+        b.io_ticks = 10**12 + 1
+        b.extra["spill"] = 3
+        assert reconcile_metrics(a, b) == [
+            "io_ticks: scalar=1000000000000 vectorized=1000000000001 "
+            "(exact match required)",
+            "extra[spill]: scalar=0 vectorized=3 (exact match required)",
+        ]

@@ -347,7 +347,7 @@ def test_varint_width_matches_encoder():
     for _ in blobs:
         decoder.skip_datum(schema)
     assert batch.offset == scalar.offset == len(scalar)
-    assert got.cpu_time == pytest.approx(want.cpu_time, rel=1e-9)
+    assert got.cpu_ticks == want.cpu_ticks
 
 
 # -- window edges: every kernel x every truncation point --------------------
@@ -519,12 +519,7 @@ def _run_at_window(fs, path, window, walk):
     stream.read = logged_read
     reader = StreamByteReader(stream)
     values = walk(reader, ctx)
-    metrics = dataclasses.asdict(ctx.metrics)
-    floats = {
-        name: metrics.pop(name) for name, value in list(metrics.items())
-        if isinstance(value, float)
-    }
-    return values, reader.offset, metrics, reads, floats
+    return values, reader.offset, dataclasses.asdict(ctx.metrics), reads
 
 
 @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
@@ -533,12 +528,9 @@ def test_kernel_equals_per_datum_path_at_every_window_edge(name):
     fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
     fs.write_file("/run", payload)
     for window in range(1, len(payload) + 1):
-        *got, got_floats = _run_at_window(fs, "/run", window, batch)
-        *want, want_floats = _run_at_window(fs, "/run", window, scalar)
+        got = _run_at_window(fs, "/run", window, batch)
+        want = _run_at_window(fs, "/run", window, scalar)
         assert got == want, f"window={window}"
-        assert got_floats == pytest.approx(want_floats, rel=1e-9), (
-            f"window={window}"
-        )
     # ... and a run cut short ends where the per-datum walk ends it
     fs.write_file("/cut", payload[:-2])
     for window in (7, len(payload)):
