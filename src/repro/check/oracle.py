@@ -13,6 +13,9 @@ blocks, RLE/delta light encodings, DCSL) — then checked cell by cell:
                 (``map.records``, ``reduce.groups``) agree
 ``lazy-bytes``  (CIF) under projection, a lazy job requests no more
                 bytes than the same job run eagerly, with equal output
+``metrics``     (CIF batch reader) the job's map ``Metrics``, eager and
+                lazy, equal field for field the same job's through the
+                per-datum reference reader over the same bytes
 ``chaos``       (full matrix) the job under a survivable seeded
                 FaultPlan is byte-identical — output and counters —
                 to the fault-free run
@@ -26,7 +29,7 @@ ground truth.  A corruption that reads back clean is the failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.check.generators import (
@@ -38,6 +41,7 @@ from repro.check.generators import (
 )
 from repro.check.generators import to_records
 from repro.core import ColumnInputFormat, ColumnSpec, write_dataset
+from repro.core.vector import reconcile_metrics
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.formats.rcfile import RCFileInputFormat, write_rcfile
 from repro.formats.sequence_file import (
@@ -135,6 +139,8 @@ class StorageConfig:
     #: to target with corrupt_block; None means the dataset path itself
     corrupt_suffix: Optional[Callable] = None
     lazy_capable: bool = False
+    #: a batch-reader leg's per-datum twin, as a ``make_input``
+    reference: Optional[Callable] = None
     #: returns a skip reason, or None when the config applies
     skip_reason: Callable[[Case], Optional[str]] = lambda case: None
 
@@ -214,10 +220,9 @@ def _cif_config(
 
 def _cif_legs(layout: str, spec_fn, skip_reason=lambda case: None):
     """One CIF layout's ``(reference leg, batch-reader leg)``."""
-    return (
-        _cif_config(f"cif-{layout}", spec_fn, skip_reason, "scalar"),
-        _cif_config(f"cif-{layout}-vec", spec_fn, skip_reason, "vectorized"),
-    )
+    scalar = _cif_config(f"cif-{layout}", spec_fn, skip_reason, "scalar")
+    vec = _cif_config(f"cif-{layout}-vec", spec_fn, skip_reason, "vectorized")
+    return scalar, replace(vec, reference=scalar.make_input)
 
 
 def _light_specs(schema: Schema) -> Tuple[dict, Optional[ColumnSpec]]:
@@ -409,10 +414,19 @@ def _diff(expected, actual, limit: int = 3) -> str:
 # -- the matrix -------------------------------------------------------------
 
 
+def _cell(name: str, check: Callable[[], str]) -> CellResult:
+    """One cell: ``check()`` says what diverged ("" for nothing), and an
+    exception fails the cell with its type and message."""
+    try:
+        detail = check()
+    except Exception as exc:  # noqa: BLE001 - every cell must report
+        return CellResult(name, False, f"{type(exc).__name__}: {exc}")
+    return CellResult(name, not detail, detail)
+
+
 def _run_config(
     case: Case, config: StorageConfig, with_chaos: bool
 ) -> List[CellResult]:
-    cells: List[CellResult] = []
     path = f"/check/{config.name}"
     records = to_records(case.schema, case.rows)
     truth = [normalize(row) for row in case.rows]
@@ -421,123 +435,85 @@ def _run_config(
     fs = _fresh_fs(config.kind, case.io_buffer)
     config.write(fs, path, case.schema, records)
 
-    # scan: eager full scan == ground truth, in row order
-    try:
-        rows, _ = scan_records(fs, config.make_input(path, None, False))
-        cells.append(CellResult(
-            f"scan:{config.name}", rows == truth,
-            "" if rows == truth else _diff(truth, rows),
-        ))
-    except Exception as exc:  # noqa: BLE001 - every cell must report
-        cells.append(CellResult(
-            f"scan:{config.name}", False, f"{type(exc).__name__}: {exc}"
-        ))
-        return cells  # unreadable dataset: later cells would only cascade
+    def run(make_input, name, columns=None, lazy=config.lazy_capable):
+        return run_job(fs, make_job(case, make_input(path, columns, lazy), name))
 
-    # scan-lazy: lazy materialization is invisible
-    if config.lazy_capable:
-        try:
-            rows, _ = scan_records(fs, config.make_input(path, None, True))
-            cells.append(CellResult(
-                f"scan-lazy:{config.name}", rows == truth,
-                "" if rows == truth else _diff(truth, rows),
-            ))
-        except Exception as exc:  # noqa: BLE001
-            cells.append(CellResult(
-                f"scan-lazy:{config.name}", False,
-                f"{type(exc).__name__}: {exc}",
-            ))
+    # scan / scan-lazy: a full scan == ground truth, in row order
+    def scan(lazy):
+        rows, _ = scan_records(fs, config.make_input(path, None, lazy))
+        return "" if rows == truth else _diff(truth, rows)
 
     # job: query result matches the pure-Python reference
     baseline = None
-    try:
-        fmt = config.make_input(path, None, config.lazy_capable)
-        baseline = run_job(fs, make_job(case, fmt, f"job-{config.name}"))
+
+    def job():
+        nonlocal baseline
+        baseline = run(config.make_input, f"job-{config.name}")
         got = _sorted_output(baseline.output)
-        ok = got == expected
-        detail = "" if ok else _diff(expected, got)
-        if ok and baseline.counters.get("map.records") != len(case.rows):
-            ok = False
-            detail = (
-                f"map.records={baseline.counters.get('map.records')} "
-                f"!= {len(case.rows)} rows"
+        seen = baseline.counters.get("map.records")
+        if got != expected:
+            return _diff(expected, got)
+        return "" if seen == len(case.rows) else (
+            f"map.records={seen} != {len(case.rows)} rows"
+        )
+
+    # metrics: eager and lazy, the batch reader charges exactly what the
+    # reference reader does
+    def metrics():
+        return "; ".join(
+            f"{'lazy' if lazy else 'eager'} {line}"
+            for lazy in (False, True)
+            for line in reconcile_metrics(
+                run(config.reference, "job", lazy=lazy).map_metrics,
+                run(config.make_input, "job", lazy=lazy).map_metrics,
             )
-        cells.append(CellResult(f"job:{config.name}", ok, detail))
-    except Exception as exc:  # noqa: BLE001
-        cells.append(CellResult(
-            f"job:{config.name}", False, f"{type(exc).__name__}: {exc}"
-        ))
+        )
 
     # lazy-bytes: under projection, lazy requests <= eager bytes
-    if config.lazy_capable:
-        try:
-            columns = list(case.query.columns)
-            eager = run_job(fs, make_job(
-                case, config.make_input(path, columns, False), "eager"
-            ))
-            lazy = run_job(fs, make_job(
-                case, config.make_input(path, columns, True), "lazy"
-            ))
-            same = _sorted_output(eager.output) == _sorted_output(lazy.output)
-            within = (
-                lazy.map_metrics.requested_bytes
-                <= eager.map_metrics.requested_bytes
-            )
-            detail = ""
-            if not same:
-                detail = "lazy/eager outputs diverge: " + _diff(
-                    _sorted_output(eager.output), _sorted_output(lazy.output)
-                )
-            elif not within:
-                detail = (
-                    f"lazy requested {lazy.map_metrics.requested_bytes}B "
-                    f"> eager {eager.map_metrics.requested_bytes}B"
-                )
-            cells.append(CellResult(
-                f"lazy-bytes:{config.name}", same and within, detail
-            ))
-        except Exception as exc:  # noqa: BLE001
-            cells.append(CellResult(
-                f"lazy-bytes:{config.name}", False,
-                f"{type(exc).__name__}: {exc}",
-            ))
+    def lazy_bytes():
+        columns = list(case.query.columns)
+        eager = run(config.make_input, "eager", columns, lazy=False)
+        lazy = run(config.make_input, "lazy", columns, lazy=True)
+        want, got = _sorted_output(eager.output), _sorted_output(lazy.output)
+        if want != got:
+            return "lazy/eager outputs diverge: " + _diff(want, got)
+        asked, eagerly = (
+            lazy.map_metrics.requested_bytes, eager.map_metrics.requested_bytes
+        )
+        return "" if asked <= eagerly else (
+            f"lazy requested {asked}B > eager {eagerly}B"
+        )
 
     # chaos: a survivable fault plan is invisible in output and counters
-    if with_chaos and baseline is not None:
-        try:
-            plan = FaultPlan.random(case.chaos_seed, num_nodes=NUM_NODES)
-            chaos_fs = _fresh_fs(config.kind, case.io_buffer)
-            config.write(chaos_fs, path, case.schema, records)
-            fmt = config.make_input(path, None, config.lazy_capable)
-            result = run_job(
-                chaos_fs, make_job(case, fmt, f"chaos-{config.name}"),
-                faults=plan,
-            )
-            same_output = (
-                _sorted_output(result.output) == _sorted_output(baseline.output)
-            )
-            same_counters = (
-                result.counters.as_dict() == baseline.counters.as_dict()
-            )
-            detail = ""
-            if not same_output:
-                detail = "chaos output diverged: " + _diff(
-                    _sorted_output(baseline.output),
-                    _sorted_output(result.output),
-                )
-            elif not same_counters:
-                detail = (
-                    f"chaos counters diverged: {baseline.counters.as_dict()}"
-                    f" != {result.counters.as_dict()}"
-                )
-            cells.append(CellResult(
-                f"chaos:{config.name}", same_output and same_counters, detail
-            ))
-        except Exception as exc:  # noqa: BLE001
-            cells.append(CellResult(
-                f"chaos:{config.name}", False, f"{type(exc).__name__}: {exc}"
-            ))
+    def chaos():
+        plan = FaultPlan.random(case.chaos_seed, num_nodes=NUM_NODES)
+        chaos_fs = _fresh_fs(config.kind, case.io_buffer)
+        config.write(chaos_fs, path, case.schema, records)
+        fmt = config.make_input(path, None, config.lazy_capable)
+        result = run_job(
+            chaos_fs, make_job(case, fmt, f"chaos-{config.name}"),
+            faults=plan,
+        )
+        want, got = _sorted_output(baseline.output), _sorted_output(result.output)
+        if want != got:
+            return "chaos output diverged: " + _diff(want, got)
+        counters = baseline.counters.as_dict(), result.counters.as_dict()
+        return "" if counters[0] == counters[1] else (
+            f"chaos counters diverged: {counters[0]} != {counters[1]}"
+        )
 
+    cells = [_cell(f"scan:{config.name}", lambda: scan(False))]
+    if not cells[0].ok:
+        return cells  # a dataset that does not read back: the rest cascade
+    if config.lazy_capable:
+        cells.append(_cell(f"scan-lazy:{config.name}", lambda: scan(True)))
+    cells.append(_cell(f"job:{config.name}", job))
+    if config.reference is not None:
+        cells.append(_cell(f"metrics:{config.name}", metrics))
+    if config.lazy_capable:
+        cells.append(_cell(f"lazy-bytes:{config.name}", lazy_bytes))
+    if with_chaos and baseline is not None:
+        cells.append(_cell(f"chaos:{config.name}", chaos))
     return cells
 
 

@@ -10,6 +10,7 @@ which ``main`` turns into one ``error: ...`` line and exit status 1.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 from typing import Callable, Optional
@@ -25,6 +26,24 @@ class CliError(Exception):
 
 
 # -- option groups ---------------------------------------------------------
+
+
+def _at_least(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" for non-ints
+    return parse
+
+
+#: argparse types for counts: below the bound is a usage error (exit 2)
+positive = _at_least(1)
+non_negative = _at_least(0)
 
 
 def add_color(parser, quiet: Optional[str] = None) -> None:
@@ -74,11 +93,11 @@ def add_demo(parser, purpose: Optional[str] = None) -> None:
             help="load without the ColumnPlacementPolicy (no co-location)",
         )
     parser.add_argument(
-        "--records", type=int, default=300,
+        "--records", type=non_negative, default=300,
         help="crawl records to load (default 300)",
     )
     parser.add_argument(
-        "--nodes", type=int, default=8,
+        "--nodes", type=positive, default=8,
         help="datanodes in the simulated cluster (default 8)",
     )
 

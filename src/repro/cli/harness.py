@@ -95,7 +95,7 @@ def configure(subparsers) -> None:
     )
     _add_matrix(crun, "full", "matrix breadth (default full)")
     crun.add_argument(
-        "--rows", type=int, default=None,
+        "--rows", type=common.non_negative, default=None,
         help="override the generated record count",
     )
     crun.add_argument(
@@ -110,7 +110,7 @@ def configure(subparsers) -> None:
         help="run many generated cases; shrink + save any failure",
     )
     cfuzz.add_argument(
-        "--budget", type=int, default=200,
+        "--budget", type=common.non_negative, default=200,
         help="number of cases to run (default 200)",
     )
     cfuzz.add_argument(

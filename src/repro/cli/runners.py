@@ -49,7 +49,7 @@ def configure(subparsers) -> None:
         help="seconds of wall time between frames (default 1.0)",
     )
     top.add_argument(
-        "--frame-every", type=int, default=40, metavar="N",
+        "--frame-every", type=common.positive, default=40, metavar="N",
         help="with --replay, emit a frame every N events (default 40)",
     )
     common.add_faults(

@@ -51,7 +51,7 @@ def configure(subparsers) -> None:
         help="analyze one span subtree instead of the whole run",
     )
     cp.add_argument(
-        "--top", type=int, default=30,
+        "--top", type=common.non_negative, default=30,
         help="path steps to print (default 30)",
     )
     tl = perf_sub.add_parser(
@@ -60,7 +60,7 @@ def configure(subparsers) -> None:
     )
     tl.add_argument("trace", help="flight-recorder JSONL")
     tl.add_argument(
-        "--width", type=int, default=64, help="chart width in characters"
+        "--width", type=common.positive, default=64, help="chart width in characters"
     )
     common.add_color(tl)
     br = perf_sub.add_parser(

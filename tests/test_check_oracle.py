@@ -1,5 +1,6 @@
 """The differential oracle itself: matrix shape, green seeds, counter
-cells, gating, and planted-corruption detection."""
+cells, the exact metrics cells, gating, and planted-corruption
+detection."""
 
 import pytest
 
@@ -64,6 +65,32 @@ class TestCounterCells:
             break
         else:
             pytest.skip("no projecting case in the sweep window")
+
+
+class TestMetricsCells:
+    def test_every_batch_leg_reconciles_with_its_reference(self):
+        report = run_matrix(generate_case(7), matrix="full")
+        vec = {c.name for c in matrix_configs("full") if c.reference}
+        assert vec == {
+            c.name for c in matrix_configs("full") if c.name.endswith("-vec")
+        }
+        cells = {c.name for c in report.cells if c.name.startswith("metrics:")}
+        assert cells == {f"metrics:{name}" for name in vec}
+        assert report.ok, report.render()
+
+    def test_one_tick_of_divergence_fails_the_cell(self, monkeypatch):
+        from repro.sim.cost import CpuCostModel
+
+        prim_cpu = CpuCostModel.prim_cpu  # the batched kernels' charges
+        monkeypatch.setattr(
+            CpuCostModel, "prim_cpu",
+            lambda self, kind, count, payload=0:
+                prim_cpu(self, kind, count, payload) + (count > 1),
+        )
+        report = run_matrix(generate_case(7), matrix="quick")
+        (failure,) = report.failures
+        assert failure.name == "metrics:cif-skiplist-vec"
+        assert "eager cpu_ticks:" in failure.detail
 
 
 class TestPlantedCorruption:

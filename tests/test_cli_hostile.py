@@ -6,7 +6,9 @@ artifacts (flight recording, ``.tsdb`` sidecar, cluster WAL) salvage a
 torn final line or a truncated gzip stream: exit 0 and a warning line.
 Everything else, including a torn or truncated single-document JSON
 input (fault plan, traffic profile, check case), is one ``error:`` line
-and exit 1.  Nothing raises out of ``main``.
+and exit 1.  Nothing raises out of ``main``.  A count option given a
+number its verb cannot use is refused at parse time as a usage error
+(exit 2).
 """
 
 import gzip
@@ -184,3 +186,35 @@ def test_corpus_replay_reports_an_unreadable_case(
     ), lines
     assert f"[  ok] {good}" in lines
     assert lines[-1] == "corpus replay: 2 case(s), 1 failure(s)"
+
+
+#: numbers a verb cannot use: each is a usage error (exit 2) at parse
+#: time, never a traceback or a silent run on nothing
+UNUSABLE_NUMBERS = {
+    "top --nodes 0": ["top", "--nodes", "0"],
+    "fsck --nodes 0": ["fsck", "--nodes", "0"],
+    "explain --nodes 0": ["explain", "/data/demo", "--nodes", "0"],
+    "top --records -3": ["top", "--records", "-3"],
+    "experiment --size -5": ["experiment", "fig10", "--size", "-5"],
+    "experiment --size 0": ["experiment", "fig8", "--size", "0"],
+    "check run --rows -4": ["check", "run", "--rows", "-4"],
+    "check fuzz --budget -1": ["check", "fuzz", "--budget", "-1"],
+    "perf timeline --width 0": ["perf", "timeline", "T", "--width", "0"],
+    "perf critical-path --top -1": ["perf", "critical-path", "T", "--top", "-1"],
+    "top --frame-every 0": ["top", "--replay", "T", "--frame-every", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_NUMBERS))
+def test_unusable_number_is_a_usage_error(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(UNUSABLE_NUMBERS[name], out=lambda line: None)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_non_integer_count_keeps_argparse_wording(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["top", "--nodes", "many"], out=lambda line: None)
+    assert exc.value.code == 2
+    assert "invalid int value: 'many'" in capsys.readouterr().err
