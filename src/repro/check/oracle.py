@@ -436,7 +436,8 @@ def _run_config(
     config.write(fs, path, case.schema, records)
 
     def run(make_input, name, columns=None, lazy=config.lazy_capable):
-        return run_job(fs, make_job(case, make_input(path, columns, lazy), name))
+        fmt = make_input(path, columns, lazy)
+        return run_job(fs, make_job(case, fmt, name))
 
     # scan / scan-lazy: a full scan == ground truth, in row order
     def scan(lazy):
@@ -494,7 +495,8 @@ def _run_config(
             chaos_fs, make_job(case, fmt, f"chaos-{config.name}"),
             faults=plan,
         )
-        want, got = _sorted_output(baseline.output), _sorted_output(result.output)
+        want = _sorted_output(baseline.output)
+        got = _sorted_output(result.output)
         if want != got:
             return "chaos output diverged: " + _diff(want, got)
         counters = baseline.counters.as_dict(), result.counters.as_dict()

@@ -48,7 +48,8 @@ def configure(subparsers) -> None:
     # them afterwards keeps parser construction free of imports.
     name.choices = _Names()
     experiment.add_argument(
-        "--records", "--size", dest="size", type=common.positive, default=None,
+        "--records", "--size", dest="size", type=common.positive,
+        default=None,
         help="dataset size override (records, or bytes for fig11)",
     )
     common.add_trace_out(experiment, help=(

@@ -60,7 +60,8 @@ def configure(subparsers) -> None:
     )
     tl.add_argument("trace", help="flight-recorder JSONL")
     tl.add_argument(
-        "--width", type=common.positive, default=64, help="chart width in characters"
+        "--width", type=common.positive, default=64,
+        help="chart width in characters",
     )
     common.add_color(tl)
     br = perf_sub.add_parser(

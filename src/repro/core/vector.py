@@ -437,12 +437,12 @@ def _has_literal(expr) -> bool:
 
 
 def _compile_value(expr) -> Optional[Callable]:
-    """Compile to ``fn(source, sel, ctx) -> list`` aligned with ``sel``.
+    """Compile to ``fn(frame, sel, ctx) -> list`` aligned with ``sel``.
 
     A column leaf is ``frame.values(name, sel)``; every other node maps
-    its ``op_fn`` over its operands' lists.  None
-    for what has no value function: ``contains``, whose charge belongs
-    to a filter, and an Expr built without metadata.
+    its ``op_fn`` over its operands' lists.  None for what has no value
+    function: ``contains``, whose charge belongs to a filter, and an
+    Expr built without metadata.
     """
     name = _is_column(expr)
     if name is not None:
@@ -930,7 +930,8 @@ def reconcile_metrics(scalar, vectorized) -> List[str]:
         for f in fields(scalar) if f.name != "extra"
     ]
     pairs += [
-        (f"extra[{key}]", scalar.extra.get(key, 0), vectorized.extra.get(key, 0))
+        (f"extra[{key}]", scalar.extra.get(key, 0),
+         vectorized.extra.get(key, 0))
         for key in sorted(set(scalar.extra) | set(vectorized.extra))
     ]
     return exact_mismatches(pairs)

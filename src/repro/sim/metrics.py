@@ -31,9 +31,9 @@ class Metrics:
     seeks:
         Disk seeks issued (file opens, skips beyond the readahead buffer).
     io_ticks / cpu_ticks:
-        Simulated time in ticks (:data:`~repro.sim.calibration.TICKS_PER_SECOND`
-        to the second), summed as ints, so any order of the same charges
-        gives the same total.  Hadoop 0.21 map tasks read and deserialize
+        Simulated time in ticks (``TICKS_PER_SECOND`` to the second),
+        summed as ints, so any order of the same charges gives the same
+        total.  Hadoop 0.21 map tasks read and deserialize
         synchronously in the mapper thread, so a task's runtime is
         modelled as ``io_ticks + cpu_ticks``; ``io_time`` / ``cpu_time``
         / ``task_time`` read them as seconds.

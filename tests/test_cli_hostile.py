@@ -200,7 +200,9 @@ UNUSABLE_NUMBERS = {
     "check run --rows -4": ["check", "run", "--rows", "-4"],
     "check fuzz --budget -1": ["check", "fuzz", "--budget", "-1"],
     "perf timeline --width 0": ["perf", "timeline", "T", "--width", "0"],
-    "perf critical-path --top -1": ["perf", "critical-path", "T", "--top", "-1"],
+    "perf critical-path --top -1": [
+        "perf", "critical-path", "T", "--top", "-1",
+    ],
     "top --frame-every 0": ["top", "--replay", "T", "--frame-every", "0"],
 }
 

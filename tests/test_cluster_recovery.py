@@ -248,7 +248,8 @@ def straggler_job(name: str, slow_node: int = 0,
     speculation exists for.  Output is node-independent."""
 
     def mapper(key, value, emit, ctx):
-        ctx.metrics.charge_cpu(to_ticks(0.5 if ctx.node == slow_node else 0.005))
+        seconds = 0.5 if ctx.node == slow_node else 0.005
+        ctx.metrics.charge_cpu(to_ticks(seconds))
         emit(key, value)
 
     return Job(name, mapper, _ListInput(name, n_splits))

@@ -1,6 +1,7 @@
 """Tests for the performance-model substrate: metrics, models, cost."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -171,13 +172,18 @@ class TestTicks:
     number of ticks, an I/O charge rounds once, and sums are ints."""
 
     def test_profiles_hold_whole_ticks(self):
-        for profile in (calibration.MANAGED_PROFILE, calibration.NATIVE_PROFILE):
-            assert profile.int_decode == int(profile.int_decode)
-            assert type(profile.raw_scan_per_byte) is int
+        for profile in (
+            calibration.MANAGED_PROFILE, calibration.NATIVE_PROFILE,
+        ):
+            for f in fields(profile):
+                kind = Fraction if f.name == "skip_fraction" else int
+                assert type(getattr(profile, f.name)) is kind, f.name
 
     def test_sub_tick_constant_is_refused(self):
         with pytest.raises(TickError, match="raw_scan_per_byte"):
-            replace(calibration.MANAGED_PROFILE, raw_scan_per_byte=ns("0.0005"))
+            replace(
+                calibration.MANAGED_PROFILE, raw_scan_per_byte=ns("0.0005")
+            )
 
     def test_sub_tick_skip_discount_is_refused(self):
         # 1 tick is whole, but 0.4 of it is not
@@ -201,9 +207,8 @@ class TestTicks:
         disk = DiskModel()
         for k in (2, 13, 80):
             m = Metrics()
-            disk.charge_read(
-                m, 12_288, bandwidth_scale=calibration.interleave_bandwidth_scale(k)
-            )
+            scale = calibration.interleave_bandwidth_scale(k)
+            disk.charge_read(m, 12_288, bandwidth_scale=scale)
             assert m.io_ticks == 12_288 * 1000 * (49 + k)
 
     CHARGES = [
