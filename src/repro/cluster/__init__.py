@@ -22,12 +22,7 @@ imports it; ``tests/test_layering.py``):
   slot-utilization reporting.
 """
 
-from repro.cluster.config import (
-    ClusterPolicy,
-    QueueConfig,
-    TenantConfig,
-    fifo_variant,
-)
+from repro.cluster.config import ClusterPolicy, QueueConfig, TenantConfig
 from repro.cluster.manager import ClusterManager, JobRequest
 from repro.cluster.report import (
     ClusterReport,
@@ -68,7 +63,6 @@ __all__ = [
     "TrafficTenant",
     "WalDivergence",
     "build_filesystem",
-    "fifo_variant",
     "generate_requests",
     "make_job",
     "percentile",

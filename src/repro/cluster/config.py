@@ -13,7 +13,7 @@ admission queue (``max_queued``) and an optional hard slot quota
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.mapreduce.backoff import BackoffConfig
 from repro.mapreduce.speculation import SpeculationConfig
@@ -60,15 +60,6 @@ class TenantConfig:
     weight: float = 1.0
     max_queued: int = 8
     max_running_slots: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "queue": self.queue,
-            "weight": self.weight,
-            "max_queued": self.max_queued,
-            "max_running_slots": self.max_running_slots,
-        }
 
 
 @dataclass
@@ -158,71 +149,3 @@ class ClusterPolicy:
 
     def queue_of(self, tenant: str) -> QueueConfig:
         return self.queue(self.tenant(tenant).queue)
-
-    # -- (de)serialization ---------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = {
-            "policy": self.policy,
-            "queues": [q.to_dict() for q in self.queues],
-            "tenants": [t.to_dict() for t in self.tenants],
-            "speculation": self.speculation.to_dict(),
-            "backoff": self.backoff.to_dict(),
-        }
-        # Emitted only when declared, so journals written before the
-        # monitoring layer landed still verify on resume.
-        if self.slos:
-            out["slos"] = [s.to_dict() for s in self.slos]
-        if self.alerts:
-            out["alerts"] = [r.to_dict() for r in self.alerts]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ClusterPolicy":
-        queues = [
-            QueueConfig(
-                name=q["name"],
-                capacity=float(q["capacity"]),
-                preemptible=bool(q.get("preemptible", False)),
-                preempts=bool(q.get("preempts", False)),
-            )
-            for q in data.get("queues", [])
-        ]
-        tenants = [
-            TenantConfig(
-                name=t["name"],
-                queue=t["queue"],
-                weight=float(t.get("weight", 1.0)),
-                max_queued=int(t.get("max_queued", 8)),
-                max_running_slots=int(t.get("max_running_slots", 0)),
-            )
-            for t in data.get("tenants", [])
-        ]
-        return cls(
-            queues=queues,
-            tenants=tenants,
-            policy=data.get("policy", "fair"),
-            speculation=SpeculationConfig.from_dict(
-                data.get("speculation", {})
-            ),
-            backoff=BackoffConfig.from_dict(data.get("backoff", {})),
-            slos=[
-                SloConfig.from_dict(s) for s in data.get("slos", [])
-            ],
-            alerts=[
-                AlertRule.from_dict(r) for r in data.get("alerts", [])
-            ],
-        )
-
-
-def fifo_variant(policy: ClusterPolicy) -> ClusterPolicy:
-    """The same queues/tenants arbitrated strictly by arrival order."""
-    return ClusterPolicy(
-        queues=list(policy.queues),
-        tenants=list(policy.tenants),
-        policy="fifo",
-        speculation=policy.speculation,
-        backoff=policy.backoff,
-        slos=list(policy.slos),
-        alerts=list(policy.alerts),
-    )

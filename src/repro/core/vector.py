@@ -925,13 +925,13 @@ def reconcile_metrics(scalar, vectorized) -> List[str]:
     ticks, so batched charges sum to the per-datum ones).  Returns
     human-readable mismatch descriptions — empty means reconciled.
     """
-    pairs = [
+    triples = [
         (f.name, getattr(scalar, f.name), getattr(vectorized, f.name))
         for f in fields(scalar) if f.name != "extra"
     ]
-    pairs += [
+    triples += [
         (f"extra[{key}]", scalar.extra.get(key, 0),
          vectorized.extra.get(key, 0))
         for key in sorted(set(scalar.extra) | set(vectorized.extra))
     ]
-    return exact_mismatches(pairs)
+    return exact_mismatches("scalar", "vectorized", triples)

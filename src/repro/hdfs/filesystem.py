@@ -505,20 +505,13 @@ class FileSystem:
         """
         created = 0
         touched_dirs = set()
-        target = self._target_replication()
         for path, blocks in self.namenode.files_with_blocks().items():
             for block in blocks:
                 if not block.locations:
                     continue  # data lost; fsck reports the missing block
-                grew = False
-                while len(block.locations) < target:
-                    replacement = self._choose_live_replacement(path, block)
-                    if replacement is None:
-                        break
-                    block.locations.append(replacement)
-                    created += 1
-                    grew = True
-                if grew:
+                added = self._repair_block(path, block)
+                created += added
+                if added:
                     split_dir = split_directory_of(path)
                     if split_dir is not None:
                         touched_dirs.add(split_dir)
@@ -557,7 +550,8 @@ class FileSystem:
         return evicted
 
     def _repair_block(self, path: str, block: BlockInfo) -> int:
-        """Restore one block's replication (corrupt-replica fast path)."""
+        """Restore one block's replication; returns replicas created.
+        Shared by :meth:`repair` and the corrupt-replica fast path."""
         created = 0
         while len(block.locations) < self._target_replication():
             replacement = self._choose_live_replacement(path, block)

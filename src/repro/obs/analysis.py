@@ -762,27 +762,6 @@ class RunDiff:
         return "\n".join(lines)
 
 
-def _span_totals(report) -> Dict[str, Tuple[int, float]]:
-    """(count, summed sim time) per span name — wall times are noise."""
-    out: Dict[str, Tuple[int, float]] = {}
-    for span in report.spans:
-        count, total = out.get(span["name"], (0, 0.0))
-        out[span["name"]] = (
-            count + 1, total + (span.get("sim_duration") or 0.0)
-        )
-    return out
-
-
-def _counter_series(report) -> Dict[Tuple[str, str, str], float]:
-    out: Dict[Tuple[str, str, str], float] = {}
-    for entry in report.registry:
-        if entry["kind"] not in ("counter", "gauge"):
-            continue
-        labels = json.dumps(entry.get("labels", {}), sort_keys=True)
-        out[(entry["kind"], entry["name"], labels)] = entry["value"]
-    return out
-
-
 def _is_cost_counter(name: str) -> bool:
     return any(marker in name for marker in _COST_COUNTER_MARKERS)
 
@@ -822,7 +801,16 @@ def diff_runs(a, b, rel_tol: float = 0.01) -> RunDiff:
         add("metrics", fname, a.metrics_total(fname), b.metrics_total(fname),
             False)
 
-    series_a, series_b = _counter_series(a), _counter_series(b)
+    series_a, series_b = (
+        {
+            (entry["kind"], entry["name"],
+             json.dumps(entry.get("labels", {}), sort_keys=True)):
+            entry["value"]
+            for entry in report.registry
+            if entry["kind"] in ("counter", "gauge")
+        }
+        for report in (a, b)
+    )
     for key in sorted(set(series_a) | set(series_b)):
         kind, name, labels = key
         label = name if labels == "{}" else f"{name}{labels}"
@@ -832,7 +820,8 @@ def diff_runs(a, b, rel_tol: float = 0.01) -> RunDiff:
             kind == "counter" and _is_cost_counter(name),
         )
 
-    spans_a, spans_b = _span_totals(a), _span_totals(b)
+    # span counts and simulated time only: wall times are noise
+    spans_a, spans_b = a.span_totals(), b.span_totals()
     for name in sorted(set(spans_a) | set(spans_b)):
         count_a, time_a = spans_a.get(name, (0, 0.0))
         count_b, time_b = spans_b.get(name, (0, 0.0))

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.opprofile import exact_mismatches
+
 #: registry counter name -> CellStats field
 _COUNTER_FIELDS = {
     "column.rows.read": "rows_read",
@@ -272,36 +274,30 @@ def reconcile(
 ) -> List[str]:
     """Cross-check the heatmap against the run's independent probes.
 
-    Every comparison is EXACT — both sides count the same physical
-    events through different code paths (stream probes vs ``Metrics``
-    charging vs heatmap attribution), so any nonzero difference is an
-    accounting bug, not noise.  Returns mismatch descriptions (empty
-    when everything reconciles).
+    Every comparison is EXACT, through
+    :func:`~repro.obs.opprofile.exact_mismatches` — both sides count
+    the same physical events through different code paths (stream
+    probes vs ``Metrics`` charging vs heatmap attribution), so any
+    nonzero difference is an accounting bug, not noise.  Returns
+    mismatch descriptions (empty when everything reconciles).
 
     With ``scan_only`` the run is known to have read nothing but this
     dataset, so heatmap byte/seek totals must also equal the aggregate
     ``sim.Metrics`` snapshots.
     """
-    problems: List[str] = []
-
-    def check(what: str, got: float, want: float) -> None:
-        if got != want:
-            problems.append(
-                f"{what}: heatmap={got!r} probes={want!r}"
-                f" (delta {got - want!r})"
-            )
-
     # Per-column disk+net bytes vs the stream-probe aggregation the
     # report computes independently of the heatmap's grid logic.
     per_column = report.per_column_bytes()
-    for column in sorted(
-        {key[1] for key in heatmap.cells} | set(per_column)
-    ):
-        check(
+    triples = [
+        (
             f"column {column!r} bytes",
             heatmap.column_total(column).bytes_total,
             per_column.get(column, 0),
         )
+        for column in sorted(
+            {key[1] for key in heatmap.cells} | set(per_column)
+        )
+    ]
 
     # Totals vs raw probe counters (filtered to this dataset's files).
     prefix = heatmap.dataset + "/"
@@ -313,13 +309,10 @@ def reconcile(
         ("hdfs.fetches", "fetches"),
     ):
         want = sum(
-            entry["value"]
-            for entry in report.registry
-            if entry["kind"] == "counter"
-            and entry["name"] == name
-            and str(entry["labels"].get("file", "")).startswith(prefix)
+            value for path, value in report.counter_sums("file", name).items()
+            if path.startswith(prefix)
         )
-        check(f"total {name}", heatmap.total(field), want)
+        triples.append((f"total {name}", heatmap.total(field), want))
 
     # Row accounting vs the lazy-materialization counters: a lazy CIF
     # scan deserializes exactly one value per materialized cell.  Only
@@ -328,11 +321,11 @@ def reconcile(
     # may coexist).
     materialized = report.counter_total("lazy.cells.materialized")
     if check_lazy and materialized:
-        check(
+        triples.append((
             "rows read vs lazy cells materialized",
             heatmap.total("rows_read", data_only=True),
             materialized,
-        )
+        ))
 
     if scan_only:
         checks = [
@@ -347,10 +340,12 @@ def reconcile(
         # either way, so the two agree exactly only for all-local runs.
         if heatmap.total("bytes_net") == 0:
             checks.append(("seeks", "seeks"))
-        for metrics_field, field in checks:
-            check(
+        triples += [
+            (
                 f"total sim.Metrics {metrics_field}",
                 heatmap.total(field),
                 report.metrics_total(metrics_field),
             )
-    return problems
+            for metrics_field, field in checks
+        ]
+    return exact_mismatches("heatmap", "probes", triples)

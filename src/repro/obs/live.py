@@ -13,6 +13,12 @@ else (CI logs, pipes) frames append, separated by a rule.  With
 replays recorded runs: ``EventBus.replay(report.events)`` feeds it a
 saved artifact's events, with frames forced every ``frame_every``
 events instead of by wall time (``repro top --replay run.jsonl``).
+
+The per-tenant job tallies are not counted here: every event is folded
+into a :class:`~repro.obs.tsdb.TimeSeriesStore` the monitor owns, and
+the tenant table and job totals are ``counter_total`` queries on it —
+the same counters :func:`~repro.obs.tsdb.reconcile_tsdb` proves equal
+to the cluster report.
 """
 
 from __future__ import annotations
@@ -21,9 +27,22 @@ import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.events import Event, EventBus
+from repro.obs.tsdb import TimeSeriesStore
 from repro.util.term import PLAIN, Palette
 
 _CLEAR = "\x1b[H\x1b[2J"
+
+#: the tenant table: column header, width, and the per-tenant store
+#: counter the column shows
+_TENANT_COLUMNS = (
+    ("sub", 5, "cluster.jobs.submitted"),
+    ("done", 6, "cluster.jobs.completed"),
+    ("rej", 5, "cluster.jobs.rejected"),
+    ("shed", 5, "cluster.jobs.shed"),
+    ("miss", 5, "cluster.jobs.deadline_missed"),
+    ("fail", 5, "cluster.jobs.failed"),
+    ("preempt", 8, "cluster.tasks.preempted"),
+)
 
 
 def _bar(done: int, total: int, width: int = 24) -> str:
@@ -84,15 +103,11 @@ class LiveMonitor:
         self.cluster_mode = False
         self.cluster_policy: Optional[str] = None
         self.jobs_total = 0
-        self.jobs_done = 0
-        self.jobs_rejected = 0
-        self.jobs_failed = 0
-        self.jobs_shed = 0
-        self.deadline_misses = 0
-        self.preempted = 0
         self.utilization: Optional[float] = None
-        #: tenant -> {queue, submitted, done, rejected, shed, preempted}
-        self.tenants: Dict[str, Dict[str, object]] = {}
+        #: every event folded on the simulated clock: the tenant tallies
+        self.store = TimeSeriesStore()
+        #: tenant -> queue, from the first event naming both
+        self.queues: Dict[str, str] = {}
         #: alert name -> lifecycle state (pending | firing), from
         #: alert.* events emitted by the AlertEngine on the same bus
         self.alert_states: Dict[str, str] = {}
@@ -125,6 +140,10 @@ class LiveMonitor:
         kind = event.kind
         attrs = event.attrs
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        self.store.fold_event(event)
+        tenant = attrs.get("tenant")
+        if tenant is not None and "queue" in attrs:
+            self.queues.setdefault(tenant, attrs["queue"])
         if event.sim_time is not None:
             self.sim_now = max(self.sim_now, event.sim_time)
         if kind == "job.start":
@@ -137,38 +156,14 @@ class LiveMonitor:
             self.finished = True
             self.total_time = attrs.get("makespan")
             self.utilization = attrs.get("utilization")
-        elif kind == "job.submitted":
-            tenant = self._tenant(attrs)
-            if tenant is not None:
-                tenant["submitted"] += 1
-        elif kind == "admission.reject":
-            self.jobs_rejected += 1
-            tenant = self._tenant(attrs)
-            if tenant is not None:
-                tenant["rejected"] += 1
-        elif kind == "admission.shed":
-            self.jobs_shed += 1
-            tenant = self._tenant(attrs)
-            if tenant is not None:
-                tenant["shed"] += 1
         elif kind == "admission.accept":
             # The manager reports split counts at admission; map totals
             # accumulate across jobs instead of being per-phase.
             self.map_total += attrs.get("splits", 0)
-        elif kind == "job.finish":
-            tenant = self._tenant(attrs)
-            if tenant is None:
-                self.finished = True
-                self.total_time = attrs.get("total_time")
-            elif attrs.get("outcome") == "failed":
-                self.jobs_failed += 1
-                tenant["failed"] += 1
-            else:
-                self.jobs_done += 1
-                tenant["done"] += 1
-                if attrs.get("deadline_miss"):
-                    self.deadline_misses += 1
-                    tenant["miss"] += 1
+        elif kind == "job.finish" and tenant is None:
+            # a single job's end; a tenant's job is a tally in the store
+            self.finished = True
+            self.total_time = attrs.get("total_time")
         elif kind in ("alert.pending", "alert.firing", "alert.resolved"):
             name = attrs.get("alert", "?")
             if kind == "alert.resolved":
@@ -179,11 +174,6 @@ class LiveMonitor:
             name = attrs.get("slo")
             if name is not None:
                 self.slo_statuses[name] = dict(attrs)
-        elif kind == "task.preempted":
-            self.preempted += 1
-            tenant = self._tenant(attrs)
-            if tenant is not None:
-                tenant["preempted"] += 1
         elif kind == "phase.start":
             self.phase = attrs.get("phase", "?")
             if self.phase == "map":
@@ -206,9 +196,9 @@ class LiveMonitor:
                 self.reduce_done += 1
             elif attrs.get("outcome") == "ok":
                 self.map_done += 1
-            elif attrs.get("outcome") == "preempted":
-                pass  # counted via task.preempted
-            else:
+            elif attrs.get("outcome") not in ("preempted", "killed"):
+                # an eviction or a speculative race's loser is not a
+                # failure; an attempt lost with its node is
                 self.map_failed += 1
         elif kind == "task.speculative":
             self.speculative += 1
@@ -231,20 +221,29 @@ class LiveMonitor:
         elif kind == "replica.failover":
             self.failovers += 1
 
-    def _tenant(self, attrs) -> Optional[Dict[str, object]]:
-        name = attrs.get("tenant")
-        if name is None:
-            return None
-        return self.tenants.setdefault(name, {
-            "queue": attrs.get("queue", "?"),
-            "submitted": 0, "done": 0, "rejected": 0, "shed": 0,
-            "miss": 0, "failed": 0, "preempted": 0,
-        })
-
     # -- rendering ------------------------------------------------------
+
+    def tenant_rows(self) -> Dict[str, Dict[str, int]]:
+        """``tenant -> {store counter: total}`` for every tenant with a
+        tally, the counters of the tenant table's columns."""
+        rows = {
+            tenant: {
+                series: int(self.store.counter_total(series, tenant=tenant))
+                for _, _, series in _TENANT_COLUMNS
+            }
+            for tenant in sorted(self.queues)
+        }
+        return {
+            tenant: row for tenant, row in rows.items() if any(row.values())
+        }
 
     def render_frame(self) -> str:
         pal = self.pal
+        rows = self.tenant_rows()
+        total = {
+            header: sum(row[series] for row in rows.values())
+            for header, _, series in _TENANT_COLUMNS
+        }
         status = "FINISHED" if self.finished else f"phase: {self.phase}"
         if self.finished and self.total_time is not None:
             status += f" in {self.total_time:.3f}s (simulated)"
@@ -253,16 +252,16 @@ class LiveMonitor:
                 f"repro top — cluster policy={self.cluster_policy or '?'}"
             ) + (
                 f"  [{status}]"
-                f"  jobs {self.jobs_done}/{self.jobs_total}"
+                f"  jobs {total['done']}/{self.jobs_total}"
             )
-            if self.jobs_rejected:
-                head += f"  rejected={self.jobs_rejected}"
-            if self.jobs_shed:
-                head += f"  shed={self.jobs_shed}"
-            if self.deadline_misses:
-                head += pal.yellow(f"  misses={self.deadline_misses}")
-            if self.jobs_failed:
-                head += pal.red(f"  failed={self.jobs_failed}")
+            if total["rej"]:
+                head += f"  rejected={total['rej']}"
+            if total["shed"]:
+                head += f"  shed={total['shed']}"
+            if total["miss"]:
+                head += pal.yellow(f"  misses={total['miss']}")
+            if total["fail"]:
+                head += pal.red(f"  failed={total['fail']}")
             if self.utilization is not None:
                 head += f"  utilization={self.utilization:.1%}"
         else:
@@ -279,24 +278,22 @@ class LiveMonitor:
                 if self.map_failed else ""
             )
             + (
-                pal.yellow(f"  preempted={self.preempted}")
-                if self.preempted else ""
+                pal.yellow(f"  preempted={total['preempt']}")
+                if total["preempt"] else ""
             ),
             "  reduce " + _bar(self.reduce_done, self.reduce_total),
         ]
-        if self.tenants:
-            lines.append(
-                f"  {'tenant':<12}{'queue':<14}{'sub':>5}{'done':>6}"
-                f"{'rej':>5}{'shed':>5}{'miss':>5}{'fail':>5}{'preempt':>8}"
+        if rows:
+            headers = "".join(
+                f"{header:>{width}}" for header, width, _ in _TENANT_COLUMNS
             )
-            for name in sorted(self.tenants):
-                t = self.tenants[name]
-                lines.append(
-                    f"  {name:<12}{t['queue']:<14}{t['submitted']:>5}"
-                    f"{t['done']:>6}{t['rejected']:>5}"
-                    f"{t.get('shed', 0):>5}{t.get('miss', 0):>5}"
-                    f"{t['failed']:>5}{t['preempted']:>8}"
+            lines.append(f"  {'tenant':<12}{'queue':<14}{headers}")
+            for name, row in rows.items():
+                cells = "".join(
+                    f"{row[series]:>{width}}"
+                    for _, width, series in _TENANT_COLUMNS
                 )
+                lines.append(f"  {name:<12}{self.queues[name]:<14}{cells}")
         if self.slo_statuses:
             lines.append(
                 f"  {'slo':<22}{'tenant':<12}{'compliance':>11}"

@@ -373,12 +373,14 @@ class NullOperatorProfiler:
 NULL_PROFILER = NullOperatorProfiler()
 
 
-def exact_mismatches(pairs) -> List[str]:
-    """One line per ``(name, scalar, vectorized)`` whose values differ:
-    the one comparison both engine reconciles make, with no tolerance."""
+def exact_mismatches(left: str, right: str, triples) -> List[str]:
+    """One line per ``(name, left value, right value)`` triple whose
+    values differ, each side named by its label: the one comparison
+    every reconcile makes (the two engines', the tsdb's, the
+    heatmap's), with no tolerance."""
     return [
-        f"{name}: scalar={a!r} vectorized={b!r} (exact match required)"
-        for name, a, b in pairs if a != b
+        f"{name}: {left}={a!r} {right}={b!r} (exact match required)"
+        for name, a, b in triples if a != b
     ]
 
 
@@ -398,19 +400,19 @@ def reconcile_profiles(scalar, vectorized) -> List[str]:
     """
     scalar = getattr(scalar, "stats", scalar)
     vectorized = getattr(vectorized, "stats", vectorized)
-    pairs = [
+    triples = [
         (
             f"{op}.{field}", getattr(scalar.get(op), field, None),
             getattr(vectorized.get(op), field, None),
         )
         for op in OPS for field in _RECONCILE_FIELDS
     ]
-    pairs.append((
+    triples.append((
         "total cells_skipped",
         sum(s.cells_skipped for s in scalar.values()),
         sum(s.cells_skipped for s in vectorized.values()),
     ))
-    return exact_mismatches(pairs)
+    return exact_mismatches("scalar", "vectorized", triples)
 
 
 # -- report-side: reading profiles back out of a RunReport -------------
@@ -465,43 +467,28 @@ def operator_profiles(report) -> Dict[str, Dict[str, dict]]:
 
 def kernel_call_totals(report) -> Dict[str, int]:
     """``{kernel name: batched invocations}`` from report counters."""
-    out: Dict[str, int] = {}
-    for entry in report.registry:
-        if entry["kind"] != "counter":
-            continue
-        if entry["name"] != "vecdecode.kernel.calls":
-            continue
-        kernel = entry["labels"].get("kernel", "?")
-        out[kernel] = out.get(kernel, 0) + int(entry["value"])
-    return out
+    return report.counter_sums("kernel", "vecdecode.kernel.calls")
 
 
 def fallback_totals(report) -> Dict[str, int]:
     """``{"kernel/ReaderType": hand-offs}`` from report counters."""
-    out: Dict[str, int] = {}
-    for entry in report.registry:
-        if entry["kind"] != "counter":
-            continue
-        name = entry["name"]
-        if not name.startswith("vecdecode.fallback."):
-            continue
-        kernel = name[len("vecdecode.fallback."):]
-        reader = entry["labels"].get("reader", "?")
-        key = f"{kernel}/{reader}"
-        out[key] = out.get(key, 0) + int(entry["value"])
-    return out
+    prefix = "vecdecode.fallback."
+    names = sorted({
+        entry["name"] for entry in report.registry
+        if entry["name"].startswith(prefix)
+    })
+    return {
+        f"{name[len(prefix):]}/{reader}": calls
+        for name in names
+        for reader, calls in report.counter_sums("reader", name).items()
+    }
 
 
 def expr_fallback_totals(report) -> Dict[str, int]:
     """``{expression: map tasks}`` from ``vecexpr.fallback`` counters:
     the ``Q`` ops whose select / group / aggregate expressions did not
     compile and were evaluated row by row."""
-    out: Dict[str, int] = {}
-    for entry in report.registry:
-        if entry["kind"] == "counter" and entry["name"] == "vecexpr.fallback":
-            expr = entry["labels"].get("expr", "?")
-            out[expr] = out.get(expr, 0) + int(entry["value"])
-    return out
+    return report.counter_sums("expr", "vecexpr.fallback")
 
 
 def render_operators(report, pal=None) -> str:

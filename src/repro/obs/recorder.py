@@ -36,6 +36,7 @@ raising (the codec is :mod:`repro.util.jsonl`).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import NULL_BUS, EventBus
@@ -287,23 +288,36 @@ class RunReport:
             and want <= set(entry["labels"].items())
         )
 
+    def counter_sums(self, by: str, *names: str) -> Dict[str, float]:
+        """Registry counters called any of ``names``, summed per value
+        of their ``by`` label; a counter without that label is left out.
+        """
+        out: Dict[str, float] = {}
+        for entry in self.registry:
+            if entry["kind"] == "counter" and entry["name"] in names:
+                key = entry["labels"].get(by)
+                if key is not None:
+                    out[key] = out.get(key, 0) + entry["value"]
+        return out
+
+    def span_totals(self) -> Dict[str, Tuple[int, float]]:
+        """``name -> (span count, summed sim_duration)``; a span with
+        no simulated duration counts with zero time."""
+        out: Dict[str, Tuple[int, float]] = {}
+        for span in self.spans:
+            count, total = out.get(span["name"], (0, 0.0))
+            out[span["name"]] = (
+                count + 1, total + (span.get("sim_duration") or 0.0)
+            )
+        return out
+
     def metrics_total(self, field: str) -> float:
         """Sum of one Metrics field across every recorded snapshot."""
         return sum(snap.get(field, 0) for snap in self.metrics)
 
     def per_column_bytes(self) -> Dict[str, int]:
         """``column -> disk+net bytes`` from the stream-probe counters."""
-        out: Dict[str, int] = {}
-        for entry in self.registry:
-            if entry["kind"] != "counter":
-                continue
-            if entry["name"] not in ("hdfs.bytes.disk", "hdfs.bytes.net"):
-                continue
-            column = entry["labels"].get("column")
-            if column is None:
-                continue
-            out[column] = out.get(column, 0) + entry["value"]
-        return out
+        return self.counter_sums("column", "hdfs.bytes.disk", "hdfs.bytes.net")
 
     def task_duration_stats(self) -> Dict[str, dict]:
         """Per-task-kind duration stats from the snapshot quantiles.
@@ -333,26 +347,18 @@ class RunReport:
     def summary(self) -> dict:
         """A structured (JSON-ready) digest for tooling.
 
-        The machine-readable sibling of :meth:`render`; surfaced by
-        ``repro report --json``.
+        The machine-readable sibling of :meth:`render`, which reads its
+        per-column bytes, task durations, event counts and readahead
+        line from here; surfaced by ``repro report --json``.
         """
-        by_kind: Dict[str, int] = {}
-        sim_by_name: Dict[str, float] = {}
-        for span in self.spans:
-            kind = span.get("kind", "op")
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-            sim = span.get("sim_duration")
-            if sim:
-                name = span["name"]
-                sim_by_name[name] = sim_by_name.get(name, 0.0) + sim
         fetched = self.counter_total("hdfs.bytes.disk") + self.counter_total(
             "hdfs.bytes.net"
         )
         requested = self.counter_total("hdfs.bytes.requested")
-        events_by_kind: Dict[str, int] = {}
-        for event in self.events:
-            kind = event.get("kind", "?")
-            events_by_kind[kind] = events_by_kind.get(kind, 0) + 1
+        events_by_kind = Counter(
+            event.get("kind", "?") for event in self.events
+        )
+        spans_by_kind = Counter(span.get("kind", "op") for span in self.spans)
         return {
             "meta": dict(self.meta),
             "events": {
@@ -362,9 +368,11 @@ class RunReport:
             "warnings": list(self.warnings),
             "spans": {
                 "count": len(self.spans),
-                "by_kind": dict(sorted(by_kind.items())),
+                "by_kind": dict(sorted(spans_by_kind.items())),
                 "sim_time_by_name": {
-                    name: sim_by_name[name] for name in sorted(sim_by_name)
+                    name: sim
+                    for name, (_, sim) in sorted(self.span_totals().items())
+                    if sim
                 },
             },
             "metrics": {
@@ -503,6 +511,7 @@ class RunReport:
                 sections.append("(empty flight recording)")
             return "\n\n".join(sections)
 
+        summary = self.summary()
         timed = [
             span for span in self.spans
             if span.get("sim_duration") or span["wall_end"] > span["wall_start"]
@@ -525,7 +534,7 @@ class RunReport:
                 unit=" s",
             ))
 
-        columns = self.per_column_bytes()
+        columns = summary["per_column_bytes"]
         if columns:
             lines = ["Per-column bytes read (disk + net)"]
             col_width = max(len(c) for c in columns)
@@ -551,7 +560,7 @@ class RunReport:
                 )
             sections.append("\n".join(lines))
 
-        durations = self.task_duration_stats()
+        durations = summary["task_durations"]
         if durations:
             lines = ["Task durations (simulated seconds)"]
             for kind in sorted(durations):
@@ -574,24 +583,19 @@ class RunReport:
                     lines.append(f"    {name} = {value:,}")
             sections.append("\n".join(lines))
 
-        if self.events:
-            by_kind: Dict[str, int] = {}
-            for event in self.events:
-                kind = event.get("kind", "?")
-                by_kind[kind] = by_kind.get(kind, 0) + 1
-            lines = [f"Events ({len(self.events)} total)"]
-            for kind in sorted(by_kind):
-                lines.append(f"  {kind} = {by_kind[kind]:,}")
+        events = summary["events"]
+        if events["count"]:
+            lines = [f"Events ({events['count']} total)"]
+            for kind, count in events["by_kind"].items():
+                lines.append(f"  {kind} = {count:,}")
             sections.append("\n".join(lines))
 
-        waste = self.counter_total("hdfs.bytes.disk") + self.counter_total(
-            "hdfs.bytes.net"
-        ) - self.counter_total("hdfs.bytes.requested")
-        if self.counter_total("hdfs.fetches"):
+        readahead = summary["readahead"]
+        if readahead["fetches"]:
             sections.append(
-                f"Readahead waste: {int(waste):,} bytes over "
-                f"{int(self.counter_total('hdfs.fetches')):,} fetches, "
-                f"{int(self.counter_total('hdfs.seeks')):,} seeks"
+                f"Readahead waste: {readahead['waste_bytes']:,} bytes over "
+                f"{readahead['fetches']:,} fetches, "
+                f"{readahead['seeks']:,} seeks"
             )
 
         if not sections:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.opprofile import exact_mismatches
 from repro.util import jsonl
 from repro.util.stats import percentile
 
@@ -45,6 +46,16 @@ from repro.util.stats import percentile
 TSDB_VERSION = 1
 
 SERIES_KINDS = ("counter", "gauge", "hist")
+
+#: ``TenantSummary`` field -> the per-tenant counter :meth:`fold_event`
+#: keeps for it; :func:`reconcile_tsdb` proves each pair equal
+TENANT_TALLIES = (
+    ("completed", "cluster.jobs.completed"),
+    ("rejected", "cluster.jobs.rejected"),
+    ("shed", "cluster.jobs.shed"),
+    ("failed", "cluster.jobs.failed"),
+    ("deadline_misses", "cluster.jobs.deadline_missed"),
+)
 
 #: every key of a series record; a record with any other is refused
 _SERIES_FIELDS = frozenset(
@@ -494,62 +505,36 @@ class TimeSeriesStore:
 def reconcile_tsdb(store: TimeSeriesStore, report) -> List[str]:
     """Cross-check the folded series against a ClusterReport, exactly.
 
-    Zero tolerance, like :func:`repro.obs.heatmap.reconcile`: the tsdb
-    watched the same event stream the report was built from, so every
-    per-tenant count and every nearest-rank latency quantile must agree
-    bit-for-bit.  Returns a list of mismatch descriptions (empty =
-    reconciled).
+    Zero tolerance, through the same
+    :func:`~repro.obs.opprofile.exact_mismatches` as every reconcile:
+    the tsdb watched the same event stream the report was built from,
+    so every per-tenant count and every nearest-rank latency quantile
+    must agree bit-for-bit.  Returns a list of mismatch descriptions
+    (empty = reconciled).
     """
-    problems: List[str] = []
-
-    def check(what: str, got, want) -> None:
-        if got != want:
-            problems.append(f"{what}: tsdb has {got!r}, report has {want!r}")
-
+    triples = []
     for tenant, summary in report.tenant_summaries().items():
         base = f"tenant {tenant}"
-        check(
-            f"{base} completed",
-            int(store.counter_total("cluster.jobs.completed", tenant=tenant)),
-            summary.completed,
-        )
-        check(
-            f"{base} rejected",
-            int(store.counter_total("cluster.jobs.rejected", tenant=tenant)),
-            summary.rejected,
-        )
-        check(
-            f"{base} shed",
-            int(store.counter_total("cluster.jobs.shed", tenant=tenant)),
-            summary.shed,
-        )
-        check(
-            f"{base} failed",
-            int(store.counter_total("cluster.jobs.failed", tenant=tenant)),
-            summary.failed,
-        )
-        check(
-            f"{base} deadline misses",
-            int(store.counter_total(
-                "cluster.jobs.deadline_missed", tenant=tenant
-            )),
-            summary.deadline_misses,
-        )
+        triples += [
+            (
+                f"{base} {field.replace('_', ' ')}",
+                int(store.counter_total(series, tenant=tenant)),
+                getattr(summary, field),
+            )
+            for field, series in TENANT_TALLIES
+        ]
         latencies = store.samples("cluster.job.latency", tenant=tenant)
-        check(f"{base} latency samples", len(latencies), summary.completed)
-        for label, p in (("p50", 50), ("p95", 95), ("p99", 99)):
-            check(
-                f"{base} latency {label}",
-                percentile(latencies, p),
+        triples.append(
+            (f"{base} latency samples", len(latencies), summary.completed)
+        )
+        triples += [
+            (
+                f"{base} latency {label}", percentile(latencies, p),
                 getattr(summary, label),
             )
-    total_completed = int(store.counter_total("cluster.jobs.completed"))
-    if total_completed:
-        check(
-            "total completed (unlabeled)", total_completed,
-            len(report.completed),
-        )
-    return problems
+            for label, p in (("p50", 50), ("p95", 95), ("p99", 99))
+        ]
+    return exact_mismatches("tsdb", "report", triples)
 
 
 # -- Prometheus export ------------------------------------------------------

@@ -8,6 +8,8 @@ fair share + preemption must cut interactive p95 latency to at most
 half of the FIFO baseline on the *same* seeded traffic trace.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import (
@@ -16,9 +18,7 @@ from repro.cluster import (
     JobRequest,
     QueueConfig,
     TenantConfig,
-    fifo_variant,
     percentile,
-    sample_profile,
 )
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
@@ -98,19 +98,6 @@ class TestPolicyConfig:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             ClusterPolicy(queues=[], tenants=[], policy="lottery")
-
-    def test_fifo_variant_keeps_structure(self):
-        fair = sample_profile().cluster_policy()
-        fifo = fifo_variant(fair)
-        assert fifo.policy == "fifo"
-        assert [q.name for q in fifo.queues] == [
-            q.name for q in fair.queues
-        ]
-
-    def test_round_trips_through_dict(self):
-        policy = sample_profile().cluster_policy()
-        again = ClusterPolicy.from_dict(policy.to_dict())
-        assert again.to_dict() == policy.to_dict()
 
 
 class TestSingleJobEquivalence:
@@ -241,7 +228,7 @@ class TestFairShare:
 
     def test_fifo_serializes_the_second_arrival(self):
         fs = small_fs(nodes=2, slots=2)
-        policy = fifo_variant(self.two_tenant_policy())
+        policy = replace(self.two_tenant_policy(), policy="fifo")
         report = ClusterManager(fs, policy).run(self.requests())
         starts = {o.job_name: o.start for o in report.completed}
         assert starts["a-job"] == 0.0
@@ -314,7 +301,7 @@ class TestPreemption:
         assert {o.status for o in report.outcomes} == {"completed"}
 
     def test_fifo_never_preempts(self):
-        report = self.run_mixed(fifo_variant(preemption_policy()))
+        report = self.run_mixed(replace(preemption_policy(), policy="fifo"))
         assert report.preemptions == 0
         by_name = {o.job_name: o for o in report.completed}
         # Without preemption the point query waits for a scan slot.

@@ -409,6 +409,76 @@ class TestClusterMonitor:
         assert monitor.map_failed == 0
         assert monitor.map_done == 0
 
+    def test_a_speculative_loser_is_not_a_map_failure(self):
+        monitor = self.fold(*(
+            ("task.finish", dict(
+                sim_time=0.1, kind="map", outcome=outcome,
+                node=0, slot=0, tenant="etl",
+            ))
+            for outcome in ("killed", "lost", "failed")
+        ))
+        # the race's loser was killed, not failed; a node death is
+        # still a failed attempt
+        assert monitor.map_failed == 2
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("fair", False), ("fair", True), ("fifo", False), ("fifo", True)],
+    ids=["fair", "fair-speculate", "fifo", "fifo-speculate"],
+)
+def monitored_load(request):
+    """The sample load with a ``LiveMonitor`` on the recorder's bus:
+    ``(policy, speculate, monitor, report, recorded events)``."""
+    from dataclasses import replace
+
+    from repro.cluster import run_traffic, sample_profile
+
+    policy, speculate = request.param
+    profile = sample_profile()
+    profile.speculation = replace(profile.speculation, enabled=speculate)
+    recorder = FlightRecorder(clock=FakeClock())
+    monitor = LiveMonitor(lambda s: None, quiet=True).attach(recorder.bus)
+    report = run_traffic(profile, policy=policy, obs=recorder)
+    events = [event.to_dict() for event in recorder.events_log]
+    return policy, speculate, monitor, report, events
+
+
+class TestMonitorReconcilesWithTheReport:
+    """The monitor's tenant table is the tsdb fold, so it shows exactly
+    the tallies ``reconcile_tsdb`` proves equal to the report."""
+
+    def test_tenant_rows_equal_the_report_summaries(self, monitored_load):
+        from repro.obs.tsdb import TENANT_TALLIES, reconcile_tsdb
+
+        _, _, monitor, report, _ = monitored_load
+        rows = monitor.tenant_rows()
+        summaries = report.tenant_summaries()
+        assert sorted(rows) == sorted(summaries)
+        for tenant, summary in summaries.items():
+            for field, series in TENANT_TALLIES:
+                assert rows[tenant][series] == getattr(summary, field)
+        assert reconcile_tsdb(monitor.store, report) == []
+
+    def test_replay_shows_no_failure_on_a_fault_free_load(
+        self, monitored_load
+    ):
+        _, speculate, monitor, report, events = monitored_load
+        killed = sum(
+            1 for event in events
+            if event["kind"] == "task.finish"
+            and event["attrs"].get("outcome") == "killed"
+        )
+        assert (killed > 0) == speculate
+        replayed = LiveMonitor(lambda s: None, quiet=True)
+        bus = EventBus()
+        replayed.attach(bus)
+        bus.replay(events)
+        assert not report.failed
+        assert replayed.map_failed == 0
+        assert "failed=" not in replayed.render_frame()
+        assert replayed.render_frame() == monitor.render_frame()
+
 
 class TestBufferedSink:
     """``flush_every`` trades durability for fewer flush syscalls."""

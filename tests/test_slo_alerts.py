@@ -419,21 +419,17 @@ def test_policy_validates_slo_tenants_and_rule_references():
         _policy(alerts=[AlertRule(name="x", kind="burn_rate", slo="ghost")])
 
 
-def test_policy_round_trip_with_slos_and_alerts():
-    policy = _policy(
-        slos=[SLO],
-        alerts=[AlertRule(
-            name="a", kind="static", series="s", threshold=1.0,
-        )],
-    )
-    rebuilt = ClusterPolicy.from_dict(policy.to_dict())
-    assert rebuilt.slos == policy.slos
-    assert rebuilt.alerts == policy.alerts
+def test_profile_names_slos_and_alerts_only_when_declared():
+    from repro.cluster.traffic import TrafficTenant
+
     # journals written before the monitoring layer landed stay stable:
     # the keys only appear when declared
-    bare = _policy()
-    assert "slos" not in bare.to_dict()
-    assert "alerts" not in bare.to_dict()
+    bare = TrafficProfile(
+        queues=[QueueConfig("q", 1.0)],
+        tenants=[TrafficTenant(name="t", queue="q", rate=1.0)],
+    ).to_dict()
+    assert "alerts" not in bare
+    assert "slo" not in bare["tenants"][0]
 
 
 def test_profile_round_trip_with_slos_and_alerts():
