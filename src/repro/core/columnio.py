@@ -586,12 +586,7 @@ class SkipListColumnReader(ColumnReader):
                     if level == 0 and self.has_dictionaries:
                         self._consume_dictionary()
             step = min(remaining, smallest - self.next_index % smallest)
-            decoded = (
-                None if self.has_dictionaries
-                else _batch_decode_values(
-                    self.reader, self.field_schema, step, self.ctx
-                )
-            )
+            decoded = self._decode_run(step)
             if decoded is None:
                 decode = self._decode_one_value
                 builder.add_objects([decode() for _ in range(step)])
@@ -604,6 +599,13 @@ class SkipListColumnReader(ColumnReader):
         return builder.finish()
 
     # Hook points so DCSL can change the value encoding only.
+    def _decode_run(self, step: int):
+        """``step`` contiguous in-block values as ``(tag, values)``, or
+        None when the kind needs :meth:`_decode_one_value` per value."""
+        return _batch_decode_values(
+            self.reader, self.field_schema, step, self.ctx
+        )
+
     def _skip_one_value(self) -> None:
         self._decoder.skip_datum(self.field_schema)
 
@@ -639,6 +641,14 @@ class DcslColumnReader(SkipListColumnReader):
         ctx.cost.charge_raw_scan(ctx.metrics, reader.offset - start)
         ctx.metrics.cells += entries
         return out
+
+    def _decode_run(self, step: int):
+        if not self._map_kernel:
+            return None
+        return "obj", vecdecode.read_maps(
+            self.reader, self.field_schema, step, self.ctx.cost,
+            self.ctx.metrics, self.dictionary.keys, self._decode_one_value,
+        )
 
     def _skip_one_value(self) -> None:
         reader = self.reader

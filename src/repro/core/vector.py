@@ -55,6 +55,7 @@ __all__ = [
     "PredicateProgram",
     "FrameProgram",
     "fold_aggregate",
+    "fold_partials",
     "BatchOp",
     "run_batch_map",
     "VectorFrame",
@@ -439,8 +440,9 @@ def _has_literal(expr) -> bool:
 def _compile_value(expr) -> Optional[Callable]:
     """Compile to ``fn(frame, sel, ctx) -> list`` aligned with ``sel``.
 
-    A column leaf is ``frame.values(name, sel)``; every other node maps
-    its ``op_fn`` over its operands' lists.  None for what has no value
+    A column leaf is ``frame.values(name, sel)``, a column's ``length``
+    is :func:`_lengths`, and every other node maps its ``op_fn`` over
+    its operands' lists.  None for what has no value
     function: ``contains``, whose charge belongs to a filter, and an
     Expr built without metadata.
     """
@@ -453,6 +455,9 @@ def _compile_value(expr) -> Optional[Callable]:
     op = getattr(expr, "op_fn", None)
     if op is None:
         return None
+    name = _is_column(expr.operands[0])
+    if expr.op_symbol == "length" and name is not None:
+        return lambda frame, sel, ctx: _lengths(frame.column(name, sel), sel)
     fns = [_compile_value(operand) for operand in expr.operands]
     if None in fns:
         return None
@@ -463,6 +468,15 @@ def _compile_value(expr) -> Optional[Callable]:
     return lambda frame, sel, ctx: list(
         map(op, left(frame, sel, ctx), right(frame, sel, ctx))
     )
+
+
+def _lengths(data, sel: Sequence[int]) -> List[int]:
+    """``len`` of each value at ``sel``.  An ASCII string buffer holds
+    one byte per character, so its offsets give the counts undecoded."""
+    if isinstance(data, StringVector) and data.buffer.isascii():
+        offsets = data.offsets
+        return [offsets[i + 1] - offsets[i] for i in sel]
+    return list(map(len, gather(data, sel)))
 
 
 def _compile_pred(expr) -> Optional[Callable]:
@@ -590,17 +604,16 @@ class FrameProgram:
 # ---------------------------------------------------------------------------
 
 
-def fold_aggregate(agg, values: Sequence, state=None):
-    """Fold one aggregate over already-gathered values.
-
-    NULL semantics match repro.query.aggregates: ``count`` counts every
-    row, every value-consuming aggregate skips None.  Sums fold left in
-    row order so float results are bit-identical to the scalar ``step``
-    chain, not merely close.
+def fold_aggregate(agg, values: Sequence, state):
+    """Fold one aggregate's values, in row order, into ``state``:
+    exactly ``merge(state, step(init(), v))`` per value, as a combiner
+    merges one-row partials.  The built-in kinds fold inline, bit for
+    bit the same (sums fold left; ``0 + v`` is ``v`` but for ``-0.0``,
+    and ``x + 0.0`` is ``x + -0.0`` for any ``x`` a sum reaches).  NULL
+    semantics match repro.query.aggregates: ``count`` counts every row,
+    every value-consuming aggregate skips None.
     """
-    kind = getattr(agg, "kind", None)
-    if state is None:
-        state = agg.init()
+    kind = agg.kind
     if kind == "count":
         return state + len(values)
     if kind == "sum":
@@ -623,12 +636,27 @@ def fold_aggregate(agg, values: Sequence, state=None):
                 total = total + v
                 n += 1
         return (total, n)
-    if kind == "count_distinct":
-        state.update(v for v in values if v is not None)
-        return state
+    step, merge, init = agg.step, agg.merge, agg.init
     for v in values:
-        state = agg.step(state, v)
+        state = merge(state, step(init(), v))
     return state
+
+
+def fold_partials(acc: Dict, key, aggregates: Sequence, columns) -> None:
+    """Fold one group's rows into ``acc[key]``, its list of partial
+    states, one per combinable aggregate (``columns`` holds each one's
+    values in row order).  A group's first row starts it, as the
+    combiner's first partial does: ``step(init(), v)``.
+    """
+    states = acc.get(key)
+    if states is None:
+        states = acc[key] = [
+            a.step(a.init(), column[0])
+            for a, column in zip(aggregates, columns)
+        ]
+        columns = [column[1:] for column in columns]
+    for j, (a, column) in enumerate(zip(aggregates, columns)):
+        states[j] = fold_aggregate(a, column, states[j])
 
 
 # ---------------------------------------------------------------------------
@@ -852,9 +880,13 @@ class CellLedger:
 
 class BatchOp:
     """A vectorizable mapper: ``filters`` run as selection kernels over
-    each frame, then ``frame_fn(program.run(frame, sel, ctx), emit)``
-    once over the survivors; when ``program.refused``, ``row_fn(row,
-    emit, ctx)`` runs per survivor instead."""
+    each frame, then ``frame_fn(program.run(frame, sel, ctx), emit,
+    acc)`` once over the survivors; when ``program.refused``,
+    ``row_fn(row, emit, ctx)`` runs per survivor instead.
+
+    ``frame_fn`` emits pairs or folds into ``acc``, the map task's group
+    key -> partial states (:func:`fold_partials`), which the task emits
+    as ``(key, tuple(states))``, first seen first, once drained."""
 
     __slots__ = ("filters", "row_fn", "program", "frame_fn")
 
@@ -889,9 +921,12 @@ def run_batch_map(job, reader, emit, ctx) -> None:
             "vecexpr.fallback", expr=program.refused.description
         ).inc()
     profiler = ctx.profiler
+    acc: Dict = {}
     while True:
         frame = reader.read_batch()
         if frame is None:
+            for key, states in acc.items():
+                emit(key, tuple(states))
             return
         metrics.charge_cpu(frame.length * map_invoke)
         sel = frame.selection
@@ -909,7 +944,7 @@ def run_batch_map(job, reader, emit, ctx) -> None:
             for i in sel:
                 row_fn(row(i), emit, ctx)
         elif sel:
-            frame_fn(program.run(frame, sel, ctx), emit)
+            frame_fn(program.run(frame, sel, ctx), emit, acc)
         # Attribute the next read_batch to the scan stage.
         profiler.switch("scan")
 

@@ -27,7 +27,8 @@ class Aggregate:
 
     ``kind`` names the aggregate family ("count", "sum", ...) so the
     vectorized kernels can pick a whole-vector fast path; unknown kinds
-    fall back to folding ``step`` row by row, which is always correct.
+    fall back to merging one-row partials row by row, which is always
+    correct.
     """
 
     def __init__(

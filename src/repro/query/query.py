@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.cif import ColumnInputFormat
 from repro.core.stats import extract_range_predicates
-from repro.core.vector import BatchOp, FrameProgram
+from repro.core.vector import BatchOp, FrameProgram, fold_partials
 from repro.mapreduce.job import Job
 from repro.mapreduce.runner import JobResult, run_job
 from repro.query.aggregates import Aggregate
@@ -222,12 +222,13 @@ class Q:
         self, exprs: List[Expr], row_fn, frame_fn, execution: str, **job_args
     ) -> Job:
         """The query as a job over the values of ``exprs``: per frame,
-        ``frame_fn(values, emit)`` gets one list per expression, aligned
-        with the survivors (``row_fn(row, emit, ctx)`` per survivor if
-        one does not compile).  ``mapper`` is what the runner falls
-        back to when the reader has no ``read_batch`` (the scalar
-        reference), with operator boundaries mirroring
-        ``run_batch_map``'s so both readers profile identically."""
+        ``frame_fn(values, emit, acc)`` gets one list per expression,
+        aligned with the survivors (``row_fn(row, emit, ctx)`` per
+        survivor if one does not compile; ``acc`` is ``BatchOp``'s).
+        ``mapper`` is what the runner falls back to when the reader has
+        no ``read_batch`` (the scalar reference), with operator
+        boundaries mirroring ``run_batch_map``'s so both readers
+        profile identically."""
         filters = self._filters
 
         def mapper(key, record, emit, ctx):
@@ -263,7 +264,7 @@ class Q:
                 expr.evaluate(row, ctx) for expr in selects.values()
             ))
 
-        def project_frame(values, emit):
+        def project_frame(values, emit, acc):
             for row in zip(*values):
                 emit(None, row)
 
@@ -279,11 +280,13 @@ class Q:
     def _run_aggregation(self, fs, execution: str) -> QueryResult:
         group_exprs = dict(self._group_by)
         aggregates = dict(self._aggregates)
+        groups, aggs = len(group_exprs), list(aggregates.values())
 
         def partial_row(record, emit, ctx):
-            # Shared by both executions: per-record partials keep the
-            # emitted shuffle stream (and so spill/shuffle accounting)
-            # byte-identical between scalar and vectorized runs.
+            # One partial per record: the reference reader's mapper, and
+            # the engine's when an expression does not compile.  The
+            # combiner merges these into what fold_frame folds in the
+            # mapper, so the spill, the shuffle and the output agree.
             group_key: Tuple = (
                 tuple(e.evaluate(record, ctx) for e in group_exprs.values())
                 if group_exprs
@@ -291,20 +294,26 @@ class Q:
             )
             partial = tuple(
                 a.step(a.init(), a.expr.evaluate(record, ctx))
-                for a in aggregates.values()
+                for a in aggs
             )
             emit(group_key, partial)
 
-        def partial_frame(values, emit):
-            keys = (
-                zip(*values[:len(group_exprs)]) if group_exprs
-                else repeat(_UNGROUPED)
-            )
+        def fold_frame(values, emit, acc):
+            columns = values[groups:]
+            if not groups:
+                return fold_partials(acc, _UNGROUPED, aggs, columns)
+            rows: Dict[Tuple, list] = {}
+            for key, row in zip(zip(*values[:groups]), zip(*columns)):
+                rows.setdefault(key, []).append(row)
+            for key, group in rows.items():
+                fold_partials(acc, key, aggs, list(zip(*group)))
+
+        def partial_frame(values, emit, acc):
+            # no combiner (count_distinct): one partial per survivor
+            keys = zip(*values[:groups]) if groups else repeat(_UNGROUPED)
             partials = zip(*(
                 [a.step(a.init(), v) for v in column]
-                for a, column in zip(
-                    aggregates.values(), values[len(group_exprs):]
-                )
+                for a, column in zip(aggs, values[groups:])
             ))
             for key, partial in zip(keys, partials):
                 emit(key, partial)
@@ -316,22 +325,22 @@ class Q:
                     merged = partial
                 else:
                     merged = tuple(
-                        a.merge(m, p)
-                        for a, m, p in zip(aggregates.values(), merged, partial)
+                        a.merge(m, p) for a, m, p in zip(aggs, merged, partial)
                     )
             emit(key, merged)
 
         def reducer(key, values, emit, ctx):
             merge(key, values, lambda k, merged: emit(
-                k, tuple(a.finish(m) for a, m in zip(aggregates.values(), merged))
+                k, tuple(a.finish(m) for a, m in zip(aggs, merged))
             ), ctx)
 
+        combinable = self._combinable()
         job = self._job(
-            list(group_exprs.values())
-            + [a.expr for a in aggregates.values()],
-            partial_row, partial_frame, execution,
+            list(group_exprs.values()) + [a.expr for a in aggs],
+            partial_row, fold_frame if combinable else partial_frame,
+            execution,
             reducer=reducer,
-            combiner=merge if self._combinable() else None,
+            combiner=merge if combinable else None,
             num_reducers=self._num_reducers,
         )
         job_result = run_job(fs, job)

@@ -7,10 +7,11 @@ skip) runs of values in tight loops over the reader's buffered window.
 Every kernel is a *window loop* plus one *hand-off*.  A window loop is
 a pure function over ``(buf, pos)``: it consumes only datums that lie
 wholly inside the window and stops at the first byte of one that does
-not (running off the edge drops that datum's partial sums).  That one
-datum is handed to the per-datum method the reference itself uses
-(``reader.read_zigzag()``, ``BinaryDecoder.read_datum``/``skip_datum``,
-the DCSL reader's own per-value skip), and the loop resumes on
+not, or that does not decode (running off the edge drops that datum's
+partial sums).  That one datum is handed to the per-datum method the
+reference itself uses (``reader.read_zigzag()``,
+``BinaryDecoder.read_datum``/``skip_datum``, the DCSL reader's own
+per-value decode and skip), which refills or raises; the loop resumes on
 whatever window the hand-off left behind; :func:`_windows` is the only
 place this happens.
 
@@ -200,10 +201,13 @@ def map_batch_supported(field_schema) -> bool:
     )
 
 
-def _maps(buf, pos, k, value_kind, cost, metrics, out, keys):
+def _maps(buf, pos, k, value_kind, cost, metrics, out, keys, coded_keys):
     """Decode whole maps off the window and charge them as that many
-    ``read_datum`` calls: map container + per-entry key string +
-    per-entry value + raw scan of the span."""
+    per-datum decodes: map container + per-entry key + per-entry value
+    + raw scan of the span.  Keys are strings (``keys`` memoizes their
+    decode) or, ``coded_keys``, DCSL ids into ``keys``, each charged a
+    ``dictionary_lookup``.  A map that does not decode (bad UTF-8, an id
+    past the dictionary) is left to the hand-off, which raises."""
     ints = value_kind in _INTEGER_KINDS
     limit = len(buf)
     unpack = _DOUBLE.unpack_from
@@ -225,11 +229,14 @@ def _maps(buf, pos, k, value_kind, cost, metrics, out, keys):
                     p += 1
                 else:
                     n, p = decode_varint(buf, p)
-                # a key slice that comes up short is caught at its
-                # value, which then starts beyond the window
-                raw_key = bytes(buf[p:p + n])
-                p += n
-                key_payload += n
+                if coded_keys:
+                    key = keys[n]
+                else:
+                    # a key slice that comes up short is caught at its
+                    # value, which then starts beyond the window
+                    raw_key = bytes(buf[p:p + n])
+                    p += n
+                    key_payload += n
                 if ints:  # inline LEB128, as in _zigzags
                     folded = buf[p]
                     p += 1
@@ -263,45 +270,59 @@ def _maps(buf, pos, k, value_kind, cost, metrics, out, keys):
                     value_payload += n
                     if value_kind == "string":
                         value = value.decode("utf-8")
-                key = keys.get(raw_key)
-                if key is None:
-                    key = keys[raw_key] = raw_key.decode("utf-8")
+                if not coded_keys:
+                    key = keys.get(raw_key)
+                    if key is None:
+                        key = keys[raw_key] = raw_key.decode("utf-8")
                 item[key] = value
             out.append(item)
             pos = p
             entries += count
             whole = (entries, key_payload, value_payload)
-    except _OFF_WINDOW:
+    except _OFF_WINDOW + (UnicodeDecodeError,):
         pass
     done = len(out) - before
     entries, key_payload, value_payload = whole
     profile = cost.profile
-    metrics.cells += 2 * entries  # key strings + values
-    metrics.objects += done + 2 * entries  # maps + entries, key strings
+    metrics.cells += 2 * entries  # keys + values
+    # maps + entries, and a string per key unless it is looked up
+    metrics.objects += done + (1 if coded_keys else 2) * entries
     if value_kind in ("string", "bytes"):
         metrics.objects += entries
     metrics.charge_cpu(
         done * profile.map_decode_base
         + entries * profile.map_entry
-        + cost.prim_cpu("string", entries, key_payload)
+        + (
+            entries * profile.dictionary_lookup if coded_keys
+            else cost.prim_cpu("string", entries, key_payload)
+        )
         + cost.prim_cpu(value_kind, entries, value_payload)
         + (pos - start) * profile.raw_scan_per_byte
     )
     return pos, done
 
 
-def read_maps(reader, field_schema, k: int, cost, metrics) -> list:
-    """Decode ``k`` map datums; exact integer side effects and
-    linear-sum cpu of ``k`` scalar ``read_datum`` calls."""
+def read_maps(
+    reader, field_schema, k: int, cost, metrics, keys=None, read_one=None
+) -> list:
+    """Decode ``k`` map datums, charging exactly what ``k`` per-datum
+    decodes do: ``read_datum`` calls, or for a DCSL value stream, whose
+    key ids index the block dictionary's ``keys``, the column reader's
+    own ``read_one``."""
     out = []
-    keys = {}  # bytes -> decoded str; map keys repeat heavily
+    coded = keys is not None
+    if not coded:
+        keys = {}  # bytes -> decoded str; map keys repeat heavily
+
+        def read_one():
+            decoder = BinaryDecoder(reader, cost, metrics)
+            return decoder.read_datum(field_schema)
+
     for _ in _windows(
         reader, "read_maps", k, _maps,
-        field_schema.values.kind, cost, metrics, out, keys,
+        field_schema.values.kind, cost, metrics, out, keys, coded,
     ):
-        out.append(
-            BinaryDecoder(reader, cost, metrics).read_datum(field_schema)
-        )
+        out.append(read_one())
     return out
 
 

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compress.dictionary import KeyDictionary
 from repro.core.vector import (
     NumericVector,
     ObjectVector,
@@ -408,21 +409,35 @@ def _prim_reads(kind, kernel, one):
     )
 
 
+def _map_walks(schema, k, column=None):
+    """The map read kernel and the per-datum reference over ``k`` datums
+    of ``schema``, or with ``column`` (a DCSL reader over them) that
+    reader's kernel run and its per-datum decode."""
+    if column is None:
+        def batch(reader, ctx):
+            return vecdecode.read_maps(
+                reader, schema, k, ctx.cost, ctx.metrics
+            )
+
+        def scalar(reader, ctx):
+            decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
+            return [decoder.read_datum(schema) for _ in range(k)]
+    else:
+        def batch(reader, ctx):
+            tag, values = column(reader, ctx)._decode_run(k)
+            return values
+
+        def scalar(reader, ctx):
+            col = column(reader, ctx)
+            return [col._decode_one_value() for _ in range(k)]
+
+    return batch, scalar
+
+
 def _map_reads(kind):
     schema = Schema.map(values=Schema(kind))
     payload, k = _datum_run(schema)
-
-    def scalar(reader, ctx):
-        decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
-        return [decoder.read_datum(schema) for _ in range(k)]
-
-    return (
-        payload,
-        lambda reader, ctx: vecdecode.read_maps(
-            reader, schema, k, ctx.cost, ctx.metrics
-        ),
-        scalar,
-    )
+    return (payload, *_map_walks(schema, k))
 
 
 def _taken(supported):
@@ -447,32 +462,50 @@ def _skips(schema):
     )
 
 
-def _dcsl_skips(kind):
+def _dcsl_run(kind):
+    """A DCSL value stream of map datums (keys are dictionary ids, some
+    of them two-byte varints) and a column reader over it, its block
+    dictionary already read."""
     schema = Schema.map(values=Schema(kind))
     datums = _edge_datums(schema)
     writer = ByteWriter()
-    for datum in datums:  # the DCSL value stream: ids for keys
+    for datum in datums:
         writer.write_varint(len(datum))
         for key_id, value in enumerate(datum.values()):
             writer.write_varint(key_id * 50)
             BinaryEncoder(writer).write_datum(schema.values, value)
     writer.write_byte(0x7F)
+    keys = [f"key{i}" for i in range(201)]
+    return writer.getvalue(), len(datums), _dcsl_column(schema, keys)
 
+
+def _dcsl_column(schema, keys):
     def column(reader, ctx):
-        return DcslColumnReader(reader, schema, len(datums), ctx, (100, 10))
+        col = DcslColumnReader(reader, schema, 1000, ctx, (100, 10))
+        col.dictionary = KeyDictionary(keys)
+        return col
+
+    return column
+
+
+def _dcsl_skips(kind):
+    payload, k, column = _dcsl_run(kind)
 
     def scalar(reader, ctx):
         col = column(reader, ctx)
-        for _ in datums:
+        for _ in range(k):
             col._skip_one_value()
 
     return (
-        writer.getvalue(),
-        lambda reader, ctx: _taken(
-            column(reader, ctx)._batch_skip_run(len(datums))
-        ),
+        payload,
+        lambda reader, ctx: _taken(column(reader, ctx)._batch_skip_run(k)),
         scalar,
     )
+
+
+def _dcsl_reads(kind):
+    payload, k, column = _dcsl_run(kind)
+    return (payload, *_map_walks(None, k, column))
 
 
 _PRIMS = ("int", "long", "double", "boolean", "string", "bytes")
@@ -498,6 +531,8 @@ _EDGE_CASES = {
         lambda r: r.read_byte() != 0,
     ),
     **{f"read_maps[{kind}]": partial(_map_reads, kind) for kind in _PRIMS},
+    **{f"read_maps[dcsl,{kind}]": partial(_dcsl_reads, kind)
+       for kind in _PRIMS},
     **{f"skip_batch[{schema.to_json()}]": partial(_skips, schema)
        for schema in _SKIP_SCHEMAS},
     **{f"skip_dcsl_batch[{kind}]": partial(_dcsl_skips, kind)
@@ -505,9 +540,10 @@ _EDGE_CASES = {
 }
 
 
-def _run_at_window(fs, path, window, walk):
+def _run_at_window(fs, path, window, walk, raises=()):
     """``walk`` a reader over ``path`` whose windows are ``window``
-    bytes; what it returned plus everything it left behind."""
+    bytes; what it returned (or the type of the ``raises`` error it
+    raised) plus everything it left behind."""
     ctx = TaskContext(node=0, cost=CpuCostModel(), io_buffer_size=window)
     stream = fs.open(path, node=0, metrics=ctx.metrics, buffer_size=window)
     reads, read = [], stream.read
@@ -518,7 +554,10 @@ def _run_at_window(fs, path, window, walk):
 
     stream.read = logged_read
     reader = StreamByteReader(stream)
-    values = walk(reader, ctx)
+    try:
+        values = walk(reader, ctx)
+    except raises as error:
+        values = type(error)
     return values, reader.offset, dataclasses.asdict(ctx.metrics), reads
 
 
@@ -537,3 +576,58 @@ def test_kernel_equals_per_datum_path_at_every_window_edge(name):
         for walk in (batch, scalar):
             with pytest.raises(EOFError):
                 _run_at_window(fs, "/cut", window, walk)
+
+
+# -- a map that does not decode --------------------------------------------
+#
+# A read kernel leaves a map it cannot decode to the hand-off, as it does
+# one that runs past the window, so the per-datum path raises, having
+# charged exactly what the reference has charged by then.
+
+
+def _undecodable_maps(layout, value_kind, bad):
+    """Three one-entry maps whose third has a key (``bad="key"``) or a
+    string value (``"value"``) that is not UTF-8, or a DCSL key id past
+    the block dictionary (``"id"``); and the walks that read them."""
+    schema = Schema.map(values=Schema(value_kind))
+    writer = ByteWriter()
+    for i in range(3):
+        spoilt = i == 2
+        writer.write_varint(1)
+        if layout == "dcsl":
+            writer.write_varint(9 if spoilt and bad == "id" else i)
+        else:
+            writer.write_len_prefixed(
+                b"\xff\xfe" if spoilt and bad == "key" else b"k%d" % i
+            )
+        if value_kind == "string":
+            writer.write_len_prefixed(
+                b"v\xc3(" if spoilt and bad == "value" else b"v"
+            )
+        else:
+            writer.write_zigzag(i - 1)
+    column = None
+    if layout == "dcsl":
+        column = _dcsl_column(schema, ["k0", "k1", "k2"])
+    return writer.getvalue(), *_map_walks(schema, 3, column)
+
+
+@pytest.mark.parametrize("layout, value_kind, bad, error", [
+    ("plain", "int", "key", UnicodeDecodeError),
+    ("plain", "string", "key", UnicodeDecodeError),
+    ("plain", "string", "value", UnicodeDecodeError),
+    ("dcsl", "string", "value", UnicodeDecodeError),
+    ("dcsl", "int", "id", IndexError),
+])
+def test_an_undecodable_map_raises_with_the_reference_charges(
+    layout, value_kind, bad, error
+):
+    payload, batch, scalar = _undecodable_maps(layout, value_kind, bad)
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/bad", payload)
+    for window in range(1, len(payload) + 1):
+        got = _run_at_window(fs, "/bad", window, batch, raises=error)
+        want = _run_at_window(fs, "/bad", window, scalar, raises=error)
+        assert got == want, f"window={window}"
+        assert got[0] is error
+        assert got[2]["cells"] >= 4, "the two whole maps are charged"
