@@ -12,7 +12,7 @@ imports it; ``tests/test_layering.py``):
   around it: admission control (including deadline-aware shedding),
   every request's outcome, the run's report,
 - :mod:`repro.cluster.fairshare`: the scheduling policies the manager
-  installs on the loop's four hooks: hierarchical fair share with
+  installs on the loop's three hooks: hierarchical fair share with
   preemption and quotas, and a FIFO baseline,
 - :mod:`repro.cluster.wal`: the write-ahead journal and crash-resume
   replay (:func:`~repro.cluster.wal.resume_from_wal`),

@@ -1,7 +1,7 @@
 """Who gets the next slot: the multi-tenant scheduling policies.
 
 Both are :class:`~repro.mapreduce.scheduler.SchedulingPolicy` objects
-over the event loop's four hooks, built from a :class:`~repro.cluster.
+over the event loop's three hooks, built from a :class:`~repro.cluster.
 config.ClusterPolicy`:
 
 - :class:`TenantPolicy` is ``policy="fifo"``: the kernel's own arrival
@@ -17,14 +17,15 @@ config.ClusterPolicy`:
   duplicates are the preferred victims: killing a clone costs nothing).
 
 Under either, a speculative clone is charged to its tenant's slot
-quota, and an execution starting or failing is reported to the request
-envelope (``on_execution``, supplied by the manager).
+quota.  A policy only decides: it holds its :class:`ClusterPolicy` and
+nothing of the manager that installs it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from collections import Counter
+from typing import Dict, List, Optional
 
 from repro.mapreduce.scheduler import (
     SchedulingPolicy,
@@ -38,11 +39,8 @@ from repro.cluster.config import ClusterPolicy, TenantConfig
 class TenantPolicy(SchedulingPolicy):
     """Arrival order between tenants that have slot quotas."""
 
-    def __init__(
-        self, config: ClusterPolicy, on_execution: Callable[..., None]
-    ) -> None:
+    def __init__(self, config: ClusterPolicy) -> None:
         self.config = config
-        self.on_execution = on_execution
 
     @staticmethod
     def under_quota(tenant: TenantConfig, in_use: int) -> bool:
@@ -56,7 +54,7 @@ class TenantPolicy(SchedulingPolicy):
             self.config.tenant(execution.tenant),
             sum(
                 1 for r in scheduler.running.values()
-                if r.alive and r.execution.tenant == execution.tenant
+                if r.execution.tenant == execution.tenant
             ),
         )
 
@@ -78,7 +76,7 @@ class FairShare(TenantPolicy):
     def _running_in_queue(scheduler, queue: str) -> int:
         return sum(
             1 for r in scheduler.running.values()
-            if r.alive and r.execution.queue == queue
+            if r.execution.queue == queue
         )
 
     def before_assign(self, scheduler, now: float) -> None:
@@ -114,7 +112,7 @@ class FairShare(TenantPolicy):
         }
         candidates = [
             r for r in scheduler.running.values()
-            if r.alive and r.execution.queue in preemptible
+            if r.execution.queue in preemptible
         ]
         if not candidates:
             return None
@@ -160,12 +158,9 @@ class FairShare(TenantPolicy):
     def _select_in_queue(
         self, scheduler, executions: List[_Execution], now: float
     ):
-        running_by_tenant: Dict[str, int] = {}
-        for r in scheduler.running.values():
-            if r.alive:
-                running_by_tenant[r.execution.tenant] = (
-                    running_by_tenant.get(r.execution.tenant, 0) + 1
-                )
+        running_by_tenant = Counter(
+            r.execution.tenant for r in scheduler.running.values()
+        )
         by_tenant: Dict[str, List[_Execution]] = {}
         for execution in executions:
             by_tenant.setdefault(execution.tenant, []).append(execution)
@@ -179,14 +174,12 @@ class FairShare(TenantPolicy):
             name = min(
                 candidates,
                 key=lambda n: (
-                    running_by_tenant.get(n, 0)
-                    / self.config.tenant(n).weight,
-                    n,
+                    running_by_tenant[n] / self.config.tenant(n).weight, n
                 ),
             )
             skipped.add(name)
             if not self.under_quota(
-                self.config.tenant(name), running_by_tenant.get(name, 0)
+                self.config.tenant(name), running_by_tenant[name]
             ):
                 continue
             placed = self.oldest_first(scheduler, by_tenant[name], now)

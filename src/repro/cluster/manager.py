@@ -5,9 +5,10 @@ SlotScheduler` (the one event loop, which also runs ``run_job`` and
 ``parallel_load`` alone) plus what a shared cluster adds on top of it.
 :meth:`ClusterManager.run` turns each admitted :class:`JobRequest` into
 the same kind of work a single job is: map attempts run for real via
-``JobRunner.execute_map_attempt`` and each finished job's sort/reduce
-via ``JobRunner.run_reduce_phase``, so a job computes byte-identical
-output whether it runs alone or under contention.
+``JobRunner.execute_map_attempt`` and each finished job commits through
+``JobRunner.finish``, so a job computes a byte-identical
+:class:`~repro.mapreduce.runner.JobResult` (output and counters) whether
+it runs alone or under contention.
 
 What lives here is the **request envelope**:
 
@@ -32,15 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.hdfs.filesystem import FileSystem
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.eventloop import SlotScheduler, run_alone  # noqa: F401
 from repro.mapreduce.job import Job
 from repro.mapreduce.nodeloss import BLACKLIST_AFTER  # noqa: F401
-from repro.mapreduce.output import CollectOutputFormat
-from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.runner import JobResult, JobRunner
 from repro.mapreduce.scheduler import MapWork, _Execution
 from repro.obs import Observability
 
@@ -83,7 +82,7 @@ class ClusterManager(SlotScheduler):
         arbiter = FairShare if policy.policy == "fair" else TenantPolicy
         super().__init__(
             fs, obs, faults,
-            policy=arbiter(policy, self._on_execution),
+            policy=arbiter(policy),
             speculation=policy.speculation,
             backoff=policy.backoff,
             max_attempts=max_attempts,
@@ -95,8 +94,7 @@ class ClusterManager(SlotScheduler):
         #: the request behind each admitted execution, by its eid
         self._requests: Dict[int, JobRequest] = {}
         #: committed job results, keyed by request_id (tests, repro.check)
-        self.job_counters: Dict[int, Counters] = {}
-        self.job_outputs: Dict[int, List[Tuple[object, object]]] = {}
+        self.job_results: Dict[int, JobResult] = {}
 
     # -- public entry points -------------------------------------------
 
@@ -259,13 +257,13 @@ class ClusterManager(SlotScheduler):
 
     # -- the envelope's end of an execution -----------------------------
 
-    def _on_execution(
+    def on_execution(
         self, execution: _Execution, now: float,
         error: Optional[str] = None,
     ) -> None:
-        """The policy's fourth hook: an execution started or failed.
-        Work submitted directly, not through a request, has no envelope
-        to tell."""
+        """An execution started or failed: the envelope's
+        ``job.dispatch`` or failed outcome.  Work submitted directly, not
+        through a request, has no envelope to tell."""
         request = self._requests.get(execution.eid)
         if request is None:
             return
@@ -302,36 +300,20 @@ class ClusterManager(SlotScheduler):
     def _finalize(
         self, request: JobRequest, execution: _Execution, map_end: float
     ) -> float:
-        """A request's commit: sort/reduce, then the job's outcome."""
-        job = request.job
-        counters = Counters()
-        map_outputs = []
-        for index in range(len(execution.splits)):
-            partitions, task_counters = execution.payloads[index]
-            map_outputs.append(partitions)
-            counters.merge(task_counters)
-        output_format = job.output_format
-        collect = None
-        if output_format is None:
-            collect = CollectOutputFormat()
-            output_format = collect
-        reduce_makespan, _ = self.runner.run_reduce_phase(
-            job, map_outputs, output_format, counters, map_end
-        )
+        """A request's commit: the job's result, then its outcome."""
+        result = self.runner.finish(request.job, execution, map_end)
+        self.job_results[request.request_id] = result
         finish = (
-            map_end + reduce_makespan
+            map_end + result.reduce_time
             + self.fs.cluster.job_overhead_seconds
         )
-        self.job_counters[request.request_id] = counters
-        if collect is not None:
-            self.job_outputs[request.request_id] = collect.collected
         outcome = self._outcome(
             request, "completed",
             start=execution.start,
             finish=finish,
-            map_makespan=map_end - execution.start,
-            reduce_time=reduce_makespan,
-            attempts=len(execution.tasks),
+            map_makespan=result.map_makespan,
+            reduce_time=result.reduce_time,
+            attempts=result.attempts,
             preemptions=execution.preemptions,
         )
         finish_attrs = {}
@@ -340,9 +322,10 @@ class ClusterManager(SlotScheduler):
             finish_attrs["deadline_miss"] = outcome.deadline_missed
         self.tell(
             "job.finish", finish,
-            job=job.name, tenant=execution.tenant, queue=execution.queue,
-            outcome="completed", latency=outcome.latency,
-            wait=outcome.wait, preemptions=execution.preemptions,
-            attempts=len(execution.tasks), **finish_attrs,
+            job=execution.name, tenant=execution.tenant,
+            queue=execution.queue, outcome="completed",
+            latency=outcome.latency, wait=outcome.wait,
+            preemptions=execution.preemptions, attempts=result.attempts,
+            **finish_attrs,
         )
         return finish

@@ -16,10 +16,11 @@ bounds how long committed map outputs stay exposed, speculative races
 (:mod:`repro.mapreduce.speculation` detects and launches; the race is
 settled here) and ``tell``, through which every fact reaches the bus
 and the journal.  Tenant and queue are opaque labels
-on an execution.  Every *decision* goes through the four hooks of
+on an execution.  Every *decision* goes through the three hooks of
 :class:`~repro.mapreduce.scheduler.SchedulingPolicy`: who gets the next
-free slot, what to evict first, whether an execution may take one more
-slot, and what an execution starting or failing means to its owner.
+free slot, what to evict first, and whether an execution may take one
+more slot.  An execution starting or failing decides nothing; it is
+told to the work's owner through :meth:`SlotScheduler.on_execution`.
 
 Everything flows through the ambient EventBus, so ``repro top`` and the
 trace exporters render any run with no extra plumbing.
@@ -108,6 +109,15 @@ class SlotScheduler(NodeLoss):
     def _note(self, kind: str, sim_time: float, attrs: dict) -> None:
         if self.journal is not None:
             self.journal.note(kind, sim_time, attrs)
+
+    def on_execution(
+        self, execution: _Execution, now: float,
+        error: Optional[str] = None,
+    ) -> None:
+        """``execution`` launched its first attempt (``error`` None) or
+        failed for good with ``error``.  It decides nothing: an owner
+        with something to report (the cluster's request envelope)
+        overrides it."""
 
     # -- entry points ---------------------------------------------------
 
@@ -225,7 +235,7 @@ class SlotScheduler(NodeLoss):
     ) -> None:
         """An attempt left its slot at ``at``, one way or another:
         settle the slot-time and slot-pool books, publish the outcome."""
-        running.alive = False
+        del self.running[running.seq]
         execution = running.execution
         execution.running -= 1
         task = running.task
@@ -245,13 +255,8 @@ class SlotScheduler(NodeLoss):
         )
 
     def live_partner(self, running: _Running) -> Optional[_Running]:
-        """The other attempt racing this one, if it is still alive."""
-        if running.partner_seq is None:
-            return None
-        partner = self.running.get(running.partner_seq)
-        if partner is not None and partner.alive:
-            return partner
-        return None
+        """The other attempt racing this one, if it is still running."""
+        return self.running.get(running.partner_seq)
 
     def _cover(self, running: _Running, at: float, error: str) -> None:
         """A resolved attempt produced nothing (fault, node death): see
@@ -329,7 +334,7 @@ class SlotScheduler(NodeLoss):
     def _fail(self, execution: _Execution, error: str, now: float) -> None:
         execution.failed = error
         execution.pending.clear()
-        self.hooks.on_execution(execution, now, error)
+        self.on_execution(execution, now, error)
 
     def _strand(self) -> None:
         for execution in self.executions:
@@ -374,19 +379,15 @@ class SlotScheduler(NodeLoss):
     def _prune_completions(self) -> None:
         """Drop stale heap tops (attempts preempted / killed with
         their node) so they never masquerade as future events."""
-        while self._completions:
-            _, seq = self._completions[0]
-            running = self.running.get(seq)
-            if running is not None and running.alive:
-                return
-            heapq.heappop(self._completions)
-            self.running.pop(seq, None)
+        completions = self._completions
+        while completions and completions[0][1] not in self.running:
+            heapq.heappop(completions)
 
     def _drain_completions(self, upto: float) -> None:
         while self._completions and self._completions[0][0] <= upto:
             end, seq = heapq.heappop(self._completions)
-            running = self.running.pop(seq, None)
-            if running is None or not running.alive:
+            running = self.running.get(seq)
+            if running is None:
                 continue  # preempted or killed with the node
             execution = running.execution
             if running.faulted:
@@ -502,9 +503,7 @@ class SlotScheduler(NodeLoss):
     # -- assignment -----------------------------------------------------
 
     def live_slots(self) -> int:
-        return len(self.free) + sum(
-            1 for r in self.running.values() if r.alive
-        )
+        return len(self.free) + len(self.running)
 
     def _assign(self, now: float) -> None:
         """Place ready work on free slots, then clone stragglers onto
@@ -540,7 +539,7 @@ class SlotScheduler(NodeLoss):
         # left outside it (none free, none running that could free
         # up) a banned node beats a stranded job.
         live = {node for node, _slot in free}
-        live.update(r.node for r in self.running.values() if r.alive)
+        live.update(r.node for r in self.running.values())
         for pending in ready:
             if live <= pending.banned:
                 node, slot = free[0]
@@ -577,7 +576,7 @@ class SlotScheduler(NodeLoss):
         if not execution.started:
             execution.started = True
             execution.start = now
-            self.hooks.on_execution(execution, now)
+            self.on_execution(execution, now)
         self.execute_attempt(now, execution, pending, node, slot, local)
 
     def execute_attempt(

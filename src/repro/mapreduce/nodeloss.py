@@ -90,9 +90,9 @@ class NodeLoss:
     def _node_lost(self, node: int, died_at: float) -> None:
         self._retire_node(node)
         self.tell("node.lost", died_at, node=node)
-        for running in list(self.running.values()):
-            if not running.alive or running.node != node:
-                continue
+        for running in [
+            r for r in self.running.values() if r.node == node
+        ]:
             self._truncate(running, died_at, "node died")
             self._resolve(
                 running, died_at, "lost", counted="node_lost",

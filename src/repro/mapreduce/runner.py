@@ -30,6 +30,7 @@ from repro.mapreduce.output import CollectOutputFormat
 from repro.mapreduce.scheduler import (
     MapWork,
     ScheduledTask,
+    _Execution,
     simulate_wave_makespan,
 )
 from repro.mapreduce.types import InputSplit, TaskContext
@@ -140,31 +141,14 @@ class JobRunner:
 
     def _run_traced(self, job: Job, obs: Observability) -> JobResult:
         splits = job.input_format.get_splits(self.fs, self.fs.cluster)
-        work = self.map_work(job, splits)
-        # One entry per executed attempt, aligned with the execution's
-        # task list (both in launch order): the attempt's payload, or
-        # None for one that died mid-read.
-        attempt_payloads: List[Optional[tuple]] = []
-
-        def attempt(split: InputSplit, node: int):
-            try:
-                metrics, payload = work.attempt(split, node)
-            except FaultError:
-                attempt_payloads.append(None)
-                raise
-            attempt_payloads.append(payload)
-            return metrics, payload
-
         result: Optional[JobResult] = None
         map_phase = ExitStack()
 
-        def commit(execution, map_end: float) -> float:
+        def commit(execution: _Execution, map_end: float) -> float:
             nonlocal result
             self._record_map_phase(job, execution.tasks, map_end)
             map_phase.close()
-            result = self._finish(
-                job, execution.tasks, attempt_payloads, map_end
-            )
+            result = self.finish(job, execution, map_end)
             return result.total_time
 
         with map_phase:
@@ -176,7 +160,7 @@ class JobRunner:
                 job=job.name, splits=len(splits),
             )
             run_alone(
-                self.fs, replace(work, attempt=attempt, commit=commit),
+                self.fs, replace(self.map_work(job, splits), commit=commit),
                 obs, self.faults, speculative=job.speculative,
             )
         return result
@@ -218,41 +202,39 @@ class JobRunner:
             job=job.name, makespan=map_end, tasks=len(tasks),
         )
 
-    def _finish(
-        self,
-        job: Job,
-        tasks: List[ScheduledTask],
-        attempt_payloads: List[Optional[tuple]],
-        map_makespan: float,
+    def finish(
+        self, job: Job, execution: _Execution, map_end: float
     ) -> JobResult:
         """Every split has committed and the shuffle window has closed:
-        run the reduce phase and assemble the result."""
+        run the reduce phase and assemble the result.  This is the one
+        commit of a job, alone (``run_job``) or on a shared cluster.
+
+        Reduce input is the committed payloads in split order, whatever
+        order their attempts ran in, so a survivable fault plan or a
+        speculative race cannot reorder what a reducer sees.
+        """
         cluster = self.fs.cluster
+        tasks = execution.tasks
         counters = Counters()
-        # Only surviving attempts — not killed in a speculative race,
-        # not failed by a fault, output not lost with its node —
-        # contribute output and job counters; that keeps both
-        # byte-identical between a fault-free run and any survivable
-        # chaos run (retry visibility lives in the obs registry's
-        # task.attempts counters instead).
         map_outputs: List[List[List[Tuple[object, object]]]] = []
-        surviving: List[ScheduledTask] = []
-        for task, payload in zip(tasks, attempt_payloads):
-            if not task.produced_output or payload is None:
-                continue
-            surviving.append(task)
-            map_outputs.append(payload[0])
-            counters.merge(payload[1])
+        for index in range(len(execution.splits)):
+            partitions, task_counters = execution.payloads[index]
+            map_outputs.append(partitions)
+            counters.merge(task_counters)
         map_metrics = Metrics()
         for task in tasks:
             map_metrics.add(task.metrics)
         map_time = sum(t.duration for t in tasks) / cluster.total_map_slots
-        # Job counters carry only *logical* facts (tasks, records) so a
+        # Job counters carry only *logical* facts (tasks, records) of the
+        # surviving attempts (not killed in a speculative race, not
+        # failed by a fault, output not lost with its node), so a
         # survivable fault plan leaves them byte-identical to a
-        # fault-free run.  Physical placement is run-dependent under
-        # faults (a retry may land remote); it lives in the obs
-        # registry (``scheduler.assignments{placement=...}``) and in
+        # fault-free run.  Retries live in the obs registry's
+        # ``task.attempts``; physical placement is run-dependent under
+        # faults (a retry may land remote), so it lives in the registry
+        # (``scheduler.assignments{placement=...}``) and in
         # ``JobResult.data_local_fraction``.
+        surviving = [t for t in tasks if t.produced_output]
         counters.increment("map.tasks", len(surviving))
         counters.increment(
             "map.records", sum(t.metrics.records for t in surviving)
@@ -268,9 +250,10 @@ class JobRunner:
             output_format = collect
 
         reduce_makespan, reduce_metrics = self.run_reduce_phase(
-            job, map_outputs, output_format, counters, map_makespan
+            job, map_outputs, output_format, counters, map_end
         )
 
+        map_makespan = map_end - execution.start
         total_time = (
             map_makespan + reduce_makespan + cluster.job_overhead_seconds
         )

@@ -14,7 +14,7 @@ its policies are made of:
   ``JobResult.tasks`` and the loader's report,
 - :class:`JobFailedError`: a split exhausted its attempts (or the
   cluster died), with the failed-attempt history,
-- :class:`SchedulingPolicy`: the four hooks through which every
+- :class:`SchedulingPolicy`: the three hooks through which every
   scheduling *decision* is taken, and their arrival-order default;
   the state they read is ``_Execution`` (one unit of work while it is
   on the cluster) and ``_Running`` (one attempt on a slot),
@@ -151,7 +151,8 @@ def simulate_wave_makespan(durations: Sequence[float], total_slots: int) -> floa
 
 @dataclass
 class _Running:
-    """One in-flight map attempt on a slot."""
+    """One in-flight map attempt: in ``scheduler.running`` under its
+    ``seq`` exactly while it holds its slot."""
 
     execution: "_Execution"
     pending: _Pending
@@ -161,7 +162,6 @@ class _Running:
     end: float
     seq: int = 0
     payload: object = None
-    alive: bool = True      # False once preempted / node died / killed
     faulted: bool = False   # attempt failed mid-read (FaultError)
     speculative: bool = False
     partner_seq: Optional[int] = None  # the other attempt in a race
@@ -235,11 +235,10 @@ class _Execution:
 class SchedulingPolicy:
     """The seam between the event loop and whoever arbitrates its slots.
 
-    Four hooks (``docs/cluster.md`` gives their call order inside one
-    loop iteration); the ones that decide get the :class:`SlotScheduler`
-    and read its ``executions``, ``free`` and ``running``.  This class
-    is the default policy, arrival order, which is all a job running
-    alone needs.
+    Three hooks (``docs/cluster.md`` gives their call order inside one
+    loop iteration), each handed the :class:`SlotScheduler` to read its
+    ``executions``, ``free`` and ``running``.  This class is the default
+    policy, arrival order, which is all a job running alone needs.
     """
 
     def before_assign(self, scheduler: SlotScheduler, now: float) -> None:
@@ -274,10 +273,3 @@ class SchedulingPolicy:
         before a speculative clone launches; a policy with quotas asks
         itself the same thing inside :meth:`select`."""
         return True
-
-    def on_execution(
-        self, execution: _Execution, now: float,
-        error: Optional[str] = None,
-    ) -> None:
-        """``execution`` launched its first attempt (``error`` None) or
-        failed for good with ``error``."""

@@ -93,12 +93,11 @@ class Speculator:
         completion duration (progress-based detection: the scheduler
         never peeks at an attempt's predetermined end)."""
         cfg = self.config
-        for seq in sorted(scheduler.running):
-            running = scheduler.running[seq]
+        # ``running`` is keyed by launch seq, inserted in launch order
+        for running in scheduler.running.values():
             execution = running.execution
             if (
-                not running.alive
-                or running.speculative
+                running.speculative
                 or scheduler.live_partner(running) is not None
                 or execution.failed is not None
                 or running.pending.index in execution.speculated
@@ -130,8 +129,12 @@ class Speculator:
         for original, patience in list(self.candidates(scheduler)):
             if not scheduler.free:
                 break
-            # not < so the threshold-crossing wake-up itself qualifies
-            if now - original.task.start < patience or not original.alive:
+            # not < so the threshold-crossing wake-up itself qualifies;
+            # an earlier clone's task boundary may have resolved it
+            if (
+                now - original.task.start < patience
+                or original.seq not in scheduler.running
+            ):
                 continue
             if not scheduler.hooks.may_take_slot(
                 scheduler, original.execution
@@ -160,7 +163,7 @@ class Speculator:
             execution.speculated.discard(index)
             return
         if (
-            not original.alive
+            original.seq not in scheduler.running
             or execution.failed is not None
             or index in execution.payloads
         ):

@@ -187,12 +187,12 @@ class TestMapOutputLoss:
         # Recovery is exact: same output, same counters, job completed.
         assert report.completed and not report.failed
         assert (
-            sorted(manager.job_outputs[0])
-            == sorted(baseline.job_outputs[0])
+            sorted(manager.job_results[0].output)
+            == sorted(baseline.job_results[0].output)
         )
         assert (
-            manager.job_counters[0].as_dict()
-            == baseline.job_counters[0].as_dict()
+            manager.job_results[0].counters.as_dict()
+            == baseline.job_results[0].counters.as_dict()
         )
         # ...but it really took longer: the re-runs happened.
         assert report.completed[0].finish > base_report.completed[0].finish
@@ -293,12 +293,12 @@ class TestSpeculation:
         )
         assert plain_report.completed[0].map_makespan >= 0.5
         assert (
-            sorted(spec_manager.job_outputs[0])
-            == sorted(plain_manager.job_outputs[0])
+            sorted(spec_manager.job_results[0].output)
+            == sorted(plain_manager.job_results[0].output)
         )
         assert (
-            spec_manager.job_counters[0].as_dict()
-            == plain_manager.job_counters[0].as_dict()
+            spec_manager.job_results[0].counters.as_dict()
+            == plain_manager.job_results[0].counters.as_dict()
         )
 
     def test_speculative_runs_are_deterministic(self):

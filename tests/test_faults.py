@@ -415,6 +415,61 @@ class TestManagerFaultPaths:
         assert {t.node for t in execution.tasks} == {1, 2, 3}
 
 
+class TestReduceInputOrder:
+    """A reducer sees the map outputs in split order, whatever order the
+    attempts that produced them ran in."""
+
+    @staticmethod
+    def _crawl(speculative=False):
+        from repro.formats.sequence_file import (
+            SequenceFileInputFormat,
+            write_sequence_file,
+        )
+        from repro.workloads.crawl import crawl_records, crawl_schema
+
+        fs = FileSystem(ClusterConfig(
+            num_nodes=4, replication=3, block_size=16 * 1024,
+            io_buffer_size=1024,
+        ))
+        write_sequence_file(
+            fs, "/crawl/seq", crawl_schema(), crawl_records(60, seed=5),
+            sync_interval=20,
+        )
+
+        def mapper(key, record, emit, ctx):
+            content_type = record.get("metadata").get("content-type")
+            emit(content_type, record.get("url"))
+
+        def reducer(key, values, emit, ctx):
+            emit(key, list(values))  # order-sensitive on purpose
+
+        return fs, Job(
+            "crawl", mapper, SequenceFileInputFormat("/crawl/seq"),
+            reducer=reducer, num_reducers=2, speculative=speculative,
+        )
+
+    def test_retried_splits_keep_their_place(self):
+        baseline = run_job(*self._crawl())
+        plan = FaultPlan([
+            FaultEvent("transient_read_error", node=node, count=1, at_task=0)
+            for node in range(4)
+        ])
+        result = run_job(*self._crawl(), faults=plan)
+        assert result.failed_tasks == 4
+        assert result.output == baseline.output
+        assert result.counters.as_dict() == baseline.counters.as_dict()
+
+    def test_a_winning_clone_keeps_its_split_in_place(self):
+        baseline = run_job(*self._crawl())
+        plan = FaultPlan([
+            FaultEvent("slow_node", node=0, factor=5.0, at_time=0.0)
+        ])
+        result = run_job(*self._crawl(speculative=True), faults=plan)
+        assert any(t.speculative and t.produced_output for t in result.tasks)
+        assert result.output == baseline.output
+        assert result.counters.as_dict() == baseline.counters.as_dict()
+
+
 class TestSpeculationTermination:
     def test_speculate_stops_once_nothing_is_eligible(self):
         # One straggler, 39 idle nodes: exactly one clone launches, and

@@ -237,6 +237,16 @@ def assert_schedule_invariants(manager, events):
     assert manager.busy_slot_seconds == pytest.approx(sum(
         t.duration for e in executions for t in e.tasks
     ))
+    # A finished run holds no slot: ``running`` is only attempts on
+    # slots, and every slot of a node still taking work is free, once.
+    assert not manager.running
+    cluster = manager.fs.cluster
+    assert sorted(manager.free) == [
+        (node, slot)
+        for node in range(cluster.num_nodes)
+        if node not in manager.dead_nodes and manager.fs.is_node_live(node)
+        for slot in range(cluster.map_slots_per_node)
+    ]
     # Replayed from the event stream.  Every request ends exactly once,
     # as completed / failed / shed / rejected, and the report agrees.
     submitted = [

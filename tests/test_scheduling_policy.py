@@ -47,7 +47,7 @@ class Hail:
         #: (free slots, [(split, banned)] ready, split, node, local) taken
         self.decisions = []
 
-    def __getattr__(self, hook):  # before_assign, may_take_slot, on_execution
+    def __getattr__(self, hook):  # before_assign, may_take_slot
         return getattr(self.inner, hook)
 
     def select(self, scheduler, now):
@@ -141,12 +141,12 @@ class TestHailSelection:
         manager, events = run_figure1(install_hail)
         assert_schedule_invariants(manager, events)
         assert_took_the_top_scored_replica(manager.hooks)
-        assert manager.job_outputs[0] == default.job_outputs[0]
-        assert manager.job_outputs[0] == run_job(
+        assert manager.job_results[0].output == default.job_results[0].output
+        assert manager.job_results[0].output == run_job(
             figure1_cluster(), figure1_job()
         ).output
-        assert manager.job_counters[0].as_dict() == (
-            default.job_counters[0].as_dict()
+        assert manager.job_results[0].counters.as_dict() == (
+            default.job_results[0].counters.as_dict()
         )
         # it is a different schedule, not the default one re-derived
         placements = [
@@ -167,9 +167,9 @@ class TestHailSelection:
         for request_id in completed & {
             o.request_id for o in default_report.completed
         }:
-            assert manager.job_outputs[request_id] == (
-                default.job_outputs[request_id]
+            assert manager.job_results[request_id].output == (
+                default.job_results[request_id].output
             )
-            assert manager.job_counters[request_id].as_dict() == (
-                default.job_counters[request_id].as_dict()
+            assert manager.job_results[request_id].counters.as_dict() == (
+                default.job_results[request_id].counters.as_dict()
             )
