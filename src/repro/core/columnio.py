@@ -264,9 +264,10 @@ _BATCH_KERNELS = {
 }
 
 
-def _batch_decode_values(reader, field_schema: Schema, k: int, ctx):
+def _batch_decode_values(reader, field_schema: Schema, k: int, ctx,
+                         keys=None):
     """Decode ``k`` consecutive plainly-encoded values off ``reader``
-    with batched cost charges.
+    with batched cost charges (maps cut down to ``keys``, if given).
 
     Returns ``(tag, payload)`` for primitive kinds and maps of them,
     ``None`` for other container kinds (callers fall back to per-value
@@ -280,7 +281,7 @@ def _batch_decode_values(reader, field_schema: Schema, k: int, ctx):
         if not vecdecode.map_batch_supported(field_schema):
             return None
         return "obj", vecdecode.read_maps(
-            reader, field_schema, k, cost, metrics
+            reader, field_schema, k, cost, metrics, wanted=keys
         )
     kernel, tag = _BATCH_KERNELS[kind]
     start = reader.offset
@@ -335,6 +336,10 @@ class ColumnReader:
     return; :meth:`skip` advances it as cheaply as the layout allows.
     This is the object a LazyRecord keeps its per-column ``lastPos``
     in (Section 5.1).
+
+    A read's ``keys`` (a tuple of map keys) asks for each map cut down
+    to those keys, charged as the whole map; a read without a map
+    kernel for the column returns whole values.
 
     ``labels`` (typically ``file=...``, ``column=...``) tag the
     per-reader access counters — ``column.rows.read`` and
@@ -394,10 +399,10 @@ class ColumnReader:
     def skip(self, n: int) -> None:
         raise NotImplementedError
 
-    def read_value(self):
+    def read_value(self, keys=None):
         raise NotImplementedError
 
-    def _read_datum_fast(self, reader=None, decoder=None):
+    def _read_datum_fast(self, reader=None, decoder=None, keys=None):
         """One datum via the batched map kernel when enabled (sparse
         gathers hit this per survivor); charge-identical to
         ``read_datum`` either way."""
@@ -405,12 +410,13 @@ class ColumnReader:
             return vecdecode.read_maps(
                 reader if reader is not None else self.reader,
                 self.field_schema, 1, self.ctx.cost, self.ctx.metrics,
+                wanted=keys,
             )[0]
         return (decoder if decoder is not None else self._decoder).read_datum(
             self.field_schema
         )
 
-    def read_vector(self, n: int):
+    def read_vector(self, n: int, keys=None):
         """Decode the next ``n`` values into a typed vector.
 
         Charge-identical to ``n`` consecutive :meth:`read_value` calls
@@ -422,7 +428,7 @@ class ColumnReader:
 
         self._check_read_vector(n)
         read_value = self.read_value
-        return ObjectVector([read_value() for _ in range(n)])
+        return ObjectVector([read_value(keys) for _ in range(n)])
 
     def _check_read_vector(self, n: int) -> None:
         if n < 0:
@@ -467,18 +473,20 @@ class PlainColumnReader(ColumnReader):
                 self._decoder.skip_datum(self.field_schema)
         self.next_index += n
 
-    def read_value(self):
+    def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
-        value = self._read_datum_fast()
+        value = self._read_datum_fast(keys=keys)
         self.next_index += 1
         self._obs_rows_read.inc()
         self._profiler.on_cells(1)
         return value
 
-    def read_vector(self, n: int):
+    def read_vector(self, n: int, keys=None):
         self._check_read_vector(n)
-        decoded = _batch_decode_values(self.reader, self.field_schema, n, self.ctx)
+        decoded = _batch_decode_values(
+            self.reader, self.field_schema, n, self.ctx, keys
+        )
         if decoded is None:  # container kinds: per-value decode is exact
             return super().read_vector(n)
         builder = _VectorBuilder()
@@ -557,7 +565,7 @@ class SkipListColumnReader(ColumnReader):
             self.next_index += run
             n -= run
 
-    def read_value(self):
+    def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
         for level, size in enumerate(self.sizes):
@@ -566,13 +574,13 @@ class SkipListColumnReader(ColumnReader):
             self._consume_block_header(level)
             if level == 0 and self.has_dictionaries:
                 self._consume_dictionary()
-        value = self._decode_one_value()
+        value = self._decode_one_value(keys)
         self.next_index += 1
         self._obs_rows_read.inc()
         self._profiler.on_cells(1)
         return value
 
-    def read_vector(self, n: int):
+    def read_vector(self, n: int, keys=None):
         """Batched read: consume block headers at boundaries exactly as
         ``n`` scalar reads would, decoding bottom blocks in tight runs."""
         self._check_read_vector(n)
@@ -586,7 +594,7 @@ class SkipListColumnReader(ColumnReader):
                     if level == 0 and self.has_dictionaries:
                         self._consume_dictionary()
             step = min(remaining, smallest - self.next_index % smallest)
-            decoded = self._decode_run(step)
+            decoded = self._decode_run(step, keys)
             if decoded is None:
                 decode = self._decode_one_value
                 builder.add_objects([decode() for _ in range(step)])
@@ -599,11 +607,11 @@ class SkipListColumnReader(ColumnReader):
         return builder.finish()
 
     # Hook points so DCSL can change the value encoding only.
-    def _decode_run(self, step: int):
+    def _decode_run(self, step: int, keys=None):
         """``step`` contiguous in-block values as ``(tag, values)``, or
         None when the kind needs :meth:`_decode_one_value` per value."""
         return _batch_decode_values(
-            self.reader, self.field_schema, step, self.ctx
+            self.reader, self.field_schema, step, self.ctx, keys
         )
 
     def _skip_one_value(self) -> None:
@@ -617,8 +625,8 @@ class SkipListColumnReader(ColumnReader):
             self.ctx.cost, self.ctx.metrics,
         )
 
-    def _decode_one_value(self):
-        return self._read_datum_fast()
+    def _decode_one_value(self, keys=None):
+        return self._read_datum_fast(keys=keys)
 
 
 class DcslColumnReader(SkipListColumnReader):
@@ -626,7 +634,9 @@ class DcslColumnReader(SkipListColumnReader):
 
     has_dictionaries = True
 
-    def _decode_one_value(self) -> dict:
+    def _decode_one_value(self, keys=None) -> dict:
+        if keys is not None and self._map_kernel:  # a projected gather
+            return self._decode_run(1, keys)[1][0]
         ctx = self.ctx
         reader = self.reader
         start = reader.offset
@@ -642,12 +652,13 @@ class DcslColumnReader(SkipListColumnReader):
         ctx.metrics.cells += entries
         return out
 
-    def _decode_run(self, step: int):
+    def _decode_run(self, step: int, keys=None):
         if not self._map_kernel:
             return None
         return "obj", vecdecode.read_maps(
             self.reader, self.field_schema, step, self.ctx.cost,
             self.ctx.metrics, self.dictionary.keys, self._decode_one_value,
+            wanted=keys,
         )
 
     def _skip_one_value(self) -> None:
@@ -756,13 +767,13 @@ class CBlockColumnReader(ColumnReader):
             self.next_index += step
             n -= step
 
-    def read_value(self):
+    def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
         if self._block_remaining == 0:
             self._open_block()
         value = self._read_datum_fast(
-            reader=self._block_reader, decoder=self._block_decoder
+            self._block_reader, self._block_decoder, keys
         )
         self._block_remaining -= 1
         self.next_index += 1
@@ -770,7 +781,7 @@ class CBlockColumnReader(ColumnReader):
         self._profiler.on_cells(1)
         return value
 
-    def read_vector(self, n: int):
+    def read_vector(self, n: int, keys=None):
         """Batched read: inflate blocks lazily as scalar reads would,
         then decode each open block's values in one tight run."""
         self._check_read_vector(n)
@@ -781,7 +792,7 @@ class CBlockColumnReader(ColumnReader):
                 self._open_block()
             step = min(remaining, self._block_remaining)
             decoded = _batch_decode_values(
-                self._block_reader, self.field_schema, step, self.ctx
+                self._block_reader, self.field_schema, step, self.ctx, keys
             )
             if decoded is None:
                 decode = self._block_decoder.read_datum
@@ -818,7 +829,7 @@ class DefaultColumnReader(ColumnReader):
         self._check_bounds(n)
         self.next_index += n
 
-    def read_value(self):
+    def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
         self.next_index += 1
@@ -850,7 +861,7 @@ class RleColumnReader(ColumnReader):
         self._run_remaining = run
         return run
 
-    def read_value(self):
+    def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
         if self._run_remaining == 0:
@@ -866,7 +877,7 @@ class RleColumnReader(ColumnReader):
         self._profiler.on_cells(1)
         return self._run_value
 
-    def read_vector(self, n: int):
+    def read_vector(self, n: int, keys=None):
         """Batched read into a RunsVector: one decode per run, one
         re-emit charge per additional row — and downstream filters
         evaluate once per run, never touching individual rows."""
@@ -931,7 +942,7 @@ class DeltaColumnReader(ColumnReader):
         super().__init__(reader, field_schema, count, ctx, labels=labels)
         self._current = 0
 
-    def read_value(self):
+    def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
         before = self.reader.offset
@@ -944,7 +955,7 @@ class DeltaColumnReader(ColumnReader):
         self._profiler.on_cells(1)
         return self._current
 
-    def read_vector(self, n: int):
+    def read_vector(self, n: int, keys=None):
         from repro.core.vector import NumericVector
 
         self._check_read_vector(n)

@@ -577,6 +577,28 @@ def compile_predicate(expr) -> PredicateProgram:
     return PredicateProgram(expr, fallback, compiled=False)
 
 
+def _key_projection(exprs) -> Dict[str, tuple]:
+    """Map column -> the keys ``exprs`` read it at, for each column they
+    read only as ``col(m)[k]`` with a str ``k``.  A column also read
+    whole (a bare reference, or under an Expr without structure) is left
+    out: readers cannot rewind, so it is decoded once, whole."""
+    keys: Dict[str, dict] = {}  # column -> its keys, as an ordered set
+    whole = set()
+    stack = list(exprs)
+    while stack:
+        expr = stack.pop()
+        operands = getattr(expr, "operands", None)
+        name = _is_column(operands[0]) if operands else None
+        key = getattr(expr, "item_key", None)
+        if name is not None and isinstance(key, str):
+            keys.setdefault(name, {})[key] = None
+        elif operands is not None:
+            stack.extend(operands)
+        elif not _has_literal(expr):
+            whole |= expr.columns  # a column leaf, or no structure
+    return {name: tuple(k) for name, k in keys.items() if name not in whole}
+
+
 class FrameProgram:
     """``Q``'s select / group-by / aggregate expressions, compiled once.
 
@@ -585,15 +607,20 @@ class FrameProgram:
     ``frame.values``.  ``refused`` is the first expression that does not
     compile; then the whole op runs row by row, because the op's
     ``frame_fn`` takes every expression's column or none of them.
+
+    ``keys`` is the key projection of these expressions and the op's
+    ``filters`` together (:func:`_key_projection`): frames read those
+    map columns cut down to the keys ``getitem`` looks up.
     """
 
-    __slots__ = ("refused", "_fns")
+    __slots__ = ("refused", "keys", "_fns")
 
-    def __init__(self, exprs: Sequence) -> None:
+    def __init__(self, exprs: Sequence, filters: Sequence) -> None:
         self._fns = [_compile_value(expr) for expr in exprs]
         self.refused = next(
             (e for e, fn in zip(exprs, self._fns) if fn is None), None
         )
+        self.keys = _key_projection([*filters, *exprs])
 
     def run(self, frame, sel: Sequence[int], ctx) -> List[List]:
         return [fn(frame, sel, ctx) for fn in self._fns]
@@ -676,6 +703,9 @@ class VectorFrame:
     subsets of the first and hit the cache, mirroring LazyRecord's
     first-touch-only accounting.
 
+    A column named in ``keys`` (a :attr:`FrameProgram.keys` projection)
+    is read cut down to those map keys, and cached so.
+
     Row indexes are frame-local (0 .. length-1); ``start`` maps them to
     absolute record positions for the column readers.
     """
@@ -690,6 +720,7 @@ class VectorFrame:
         self.length = length
         self.ctx = ctx
         self.ledger = ledger
+        self.keys: Dict[str, tuple] = {}
         self._columns: Dict[str, object] = {}
         self._touched: Dict[str, object] = {}  # name -> set of rows | True
         self.selection: Sequence[int] = full_selection(length)
@@ -711,11 +742,12 @@ class VectorFrame:
         """The column's data at ``sel``: a Vector (full frame) or a
         sparse ``{row: value}`` dict."""
         data = self._columns.get(name)
+        keys = self.keys.get(name)
         if data is None:
             reader = self._require_reader(name)
             if len(sel) == self.length:
                 reader.sync_to(self.start)
-                data = reader.read_vector(self.length)
+                data = reader.read_vector(self.length, keys)
                 self._touched[name] = True
                 if self.ledger is not None:
                     self.ledger.on_materialized(name, self.length)
@@ -724,7 +756,7 @@ class VectorFrame:
                 sync_to, read_value = reader.sync_to, reader.read_value
                 for i in sel:
                     sync_to(self.start + i)
-                    data[i] = read_value()
+                    data[i] = read_value(keys)
                 self._touched[name] = set(sel)
                 if self.ledger is not None:
                     self.ledger.on_materialized(name, len(sel))
@@ -738,7 +770,7 @@ class VectorFrame:
                 reader = self._require_reader(name)
                 for i in missing:
                     reader.sync_to(self.start + i)
-                    data[i] = reader.read_value()
+                    data[i] = reader.read_value(keys)
                 self._touched[name].update(missing)
                 if self.ledger is not None:
                     self.ledger.on_materialized(name, len(missing))
@@ -929,6 +961,7 @@ def run_batch_map(job, reader, emit, ctx) -> None:
                 emit(key, tuple(states))
             return
         metrics.charge_cpu(frame.length * map_invoke)
+        frame.keys = program.keys
         sel = frame.selection
         if predicates:
             profiler.switch("filter")

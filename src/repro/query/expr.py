@@ -198,14 +198,22 @@ class Expr:
         return _describe(result, "contains", None, self)
 
     def __getitem__(self, key) -> "Expr":
-        """Map-key (or array-index) access: ``col('metadata')['server']``."""
+        """Map-key (or array-index) access: ``col('metadata')['server']``.
+
+        A missing map key is NULL.  ``item_key`` records the key: a
+        query that uses a map column only as ``col(m)[k]`` (str ``k``)
+        reads it key-projected, keeping only the wanted keys' values
+        and charging whole maps (``core.vector.FrameProgram.keys``).
+        """
 
         def item(value):
             if isinstance(value, dict):
                 return value.get(key)
             return value[key]
 
-        return self._unary(item, "getitem", f"{self.description}[{key!r}]")
+        result = self._unary(item, "getitem", f"{self.description}[{key!r}]")
+        result.item_key = key
+        return result
 
     def length(self) -> "Expr":
         return self._unary(len, "length", f"len({self.description})")

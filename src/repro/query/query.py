@@ -251,7 +251,9 @@ class Q:
             execution=execution,
         )
         job = Job(f"query({self.dataset})", mapper, input_format, **job_args)
-        job.batch_op = BatchOp(filters, row_fn, FrameProgram(exprs), frame_fn)
+        job.batch_op = BatchOp(
+            filters, row_fn, FrameProgram(exprs, filters), frame_fn
+        )
         return job
 
     def _run_projection(self, fs, execution: str) -> QueryResult:

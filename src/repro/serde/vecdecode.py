@@ -201,13 +201,21 @@ def map_batch_supported(field_schema) -> bool:
     )
 
 
-def _maps(buf, pos, k, value_kind, cost, metrics, out, keys, coded_keys):
+def _maps(buf, pos, k, value_kind, cost, metrics, out, keys, coded_keys,
+          wanted=None):
     """Decode whole maps off the window and charge them as that many
     per-datum decodes: map container + per-entry key + per-entry value
     + raw scan of the span.  Keys are strings (``keys`` memoizes their
     decode) or, ``coded_keys``, DCSL ids into ``keys``, each charged a
     ``dictionary_lookup``.  A map that does not decode (bad UTF-8, an id
-    past the dictionary) is left to the hand-off, which raises."""
+    past the dictionary) is left to the hand-off, which raises.
+
+    A key projection (``wanted`` not None) keeps the wanted entries,
+    charged as whole maps.  A DCSL ``keys`` holds None for an unwanted
+    key; a plain key is compared as raw bytes with ``wanted`` (byte
+    length -> ``(raw, key)`` pairs), decoded only if not ASCII, to raise
+    if not UTF-8.  Unwanted integers are hopped; other unwanted values
+    decode (bad UTF-8 raises) and land under None, dropped per map."""
     ints = value_kind in _INTEGER_KINDS
     limit = len(buf)
     unpack = _DOUBLE.unpack_from
@@ -233,11 +241,29 @@ def _maps(buf, pos, k, value_kind, cost, metrics, out, keys, coded_keys):
                     key = keys[n]
                 else:
                     # a key slice that comes up short is caught at its
-                    # value, which then starts beyond the window
-                    raw_key = bytes(buf[p:p + n])
+                    # value, which then starts beyond the window (what
+                    # the short slice decoded to is still its decode)
+                    raw_key = buf[p:p + n]
                     p += n
                     key_payload += n
+                    if wanted is None:
+                        raw_key = bytes(raw_key)
+                        key = keys.get(raw_key)
+                        if key is None:
+                            key = keys[raw_key] = raw_key.decode("utf-8")
+                    else:
+                        if not raw_key.isascii():
+                            raw_key.decode("utf-8")
+                        key = None
+                        for raw, name in wanted.get(n, ()):
+                            if raw_key == raw:
+                                key = name
                 if ints:  # inline LEB128, as in _zigzags
+                    if key is None:  # unwanted: hop it
+                        while buf[p] >= 0x80:
+                            p += 1
+                        p += 1
+                        continue
                     folded = buf[p]
                     p += 1
                     if folded >= 0x80:
@@ -270,11 +296,9 @@ def _maps(buf, pos, k, value_kind, cost, metrics, out, keys, coded_keys):
                     value_payload += n
                     if value_kind == "string":
                         value = value.decode("utf-8")
-                if not coded_keys:
-                    key = keys.get(raw_key)
-                    if key is None:
-                        key = keys[raw_key] = raw_key.decode("utf-8")
                 item[key] = value
+            if wanted is not None:
+                item.pop(None, None)  # where unwanted values landed
             out.append(item)
             pos = p
             entries += count
@@ -303,12 +327,17 @@ def _maps(buf, pos, k, value_kind, cost, metrics, out, keys, coded_keys):
 
 
 def read_maps(
-    reader, field_schema, k: int, cost, metrics, keys=None, read_one=None
+    reader, field_schema, k: int, cost, metrics, keys=None, read_one=None,
+    wanted=None,
 ) -> list:
     """Decode ``k`` map datums, charging exactly what ``k`` per-datum
     decodes do: ``read_datum`` calls, or for a DCSL value stream, whose
     key ids index the block dictionary's ``keys``, the column reader's
-    own ``read_one``."""
+    own ``read_one``.
+
+    With ``wanted`` (a tuple of keys), each map comes back as a dict of
+    the wanted keys it holds, still charged as the whole map.  A map
+    handed off is read whole by ``read_one`` and then cut down."""
     out = []
     coded = keys is not None
     if not coded:
@@ -318,11 +347,23 @@ def read_maps(
             decoder = BinaryDecoder(reader, cost, metrics)
             return decoder.read_datum(field_schema)
 
+    lookup = None  # the wanted plain keys, by byte length
+    if wanted is not None:
+        lookup = {}
+        if coded:  # the block's keys, resolved once
+            keys = [key if key in wanted else None for key in keys]
+        else:
+            for key in wanted:
+                raw = key.encode("utf-8")
+                lookup[len(raw)] = lookup.get(len(raw), ()) + ((raw, key),)
     for _ in _windows(
         reader, "read_maps", k, _maps,
-        field_schema.values.kind, cost, metrics, out, keys, coded,
+        field_schema.values.kind, cost, metrics, out, keys, coded, lookup,
     ):
-        out.append(read_one())
+        item = read_one()
+        if wanted is not None:
+            item = {key: item[key] for key in wanted if key in item}
+        out.append(item)
     return out
 
 

@@ -8,6 +8,9 @@ map key that is absent), both readers must produce the same rows, the
 same ``JobResult.output``, the same spill and shuffle bytes and the same
 ``Metrics``, field for field.  A ``count_distinct`` query has no
 combiner, so the engine still emits one pair per survivor there.
+
+The same holds for key-projected map reads: generated queries read map
+columns by literal key, alone or beside a whole use of the column.
 """
 
 import math
@@ -25,6 +28,7 @@ from repro.obs import FlightRecorder
 from repro.query import Q, avg, col, count, count_distinct, max_, min_, sum_
 from repro.query.aggregates import Aggregate
 from repro.serde.record import Record
+from repro.serde import vecdecode
 from repro.serde.schema import Schema
 
 SCHEMA = Schema.record("fold", [
@@ -186,3 +190,137 @@ def test_another_kind_folds_by_the_combiners_own_merges(combined):
         assert engine.rows == scalar.rows
         assert engine.job.output == scalar.job.output
         assert "+" in repr(engine.rows)
+
+
+# -- key-projected map reads ------------------------------------------------
+#
+# A query whose every use of a map column is ``col(m)[k]`` reads that
+# column key-projected; one that also uses it whole reads it whole.
+# Either way the engine must agree with the reference reader on rows,
+# output, every Metrics field and the registry's counters.
+
+PSCHEMA = Schema.record("proj", [
+    ("g", Schema.int_()),
+    ("m", Schema.map(Schema.long_())),
+    ("t", Schema.map(Schema.string())),
+])
+PKEYS = ["x", "", "é", "absent"]  # "absent" is in no map
+PLAYOUTS = {
+    **LAYOUTS,
+    "cblock": {"default_spec": ColumnSpec("cblock", codec="zlib")},
+    "dcsl": {
+        "default_spec": ColumnSpec("skiplist"),
+        "specs": {"m": ColumnSpec("dcsl"), "t": ColumnSpec("dcsl")},
+    },
+}
+
+
+def _maps_of(values):
+    return st.dictionaries(st.sampled_from(PKEYS[:3]), values, max_size=3)
+
+
+prows = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        _maps_of(st.integers(-50, 50)),
+        _maps_of(st.sampled_from(["a", "bé", ""])),
+    ),
+    min_size=20, max_size=60,
+)
+
+
+@st.composite
+def keyed_queries(draw):
+    """A ``Q`` over ``/proj`` reading ``m`` and ``t`` by key in a filter,
+    group keys and selects or aggregates, and whether it reads ``m``
+    whole too."""
+    keys = draw(st.lists(st.sampled_from(PKEYS), min_size=1, max_size=3,
+                         unique=True))
+
+    def m():
+        return col("m")[draw(st.sampled_from(keys))]
+
+    t = col("t")[draw(st.sampled_from(PKEYS))]
+    whole = draw(st.booleans())
+    q = Q("/proj")
+    where = draw(st.sampled_from(["none", "m", "g", "t"]))
+    if where != "none":
+        q = q.where({
+            "m": lambda: m() > 0, "g": lambda: col("g") != 1,
+            "t": lambda: t.is_null(),
+        }[where]())
+    if draw(st.booleans()):
+        named = {"a": m(), "b": t}
+        if whole:
+            named["n"] = col("m").length()
+        return q.select(**named), whole
+    group = draw(st.sampled_from(["none", "g", "m", "t"]))
+    if group != "none":
+        q = q.group_by(k={"g": col("g"), "m": m(), "t": t}[group])
+    aggregates = {"n": count(), "s": sum_(m()), "lo": min_(m()),
+                  "hi": max_(m())}
+    if whole:
+        aggregates["w"] = sum_(col("m").length())
+    return q.aggregate(**aggregates), whole
+
+
+def _counters(registry):
+    """Every counter but the engine's own kernel and batch counts, with
+    the ``engine`` label dropped."""
+    return {
+        (name, tuple(kv for kv in labels if kv[0] != "engine")): metric.value
+        for name, labels, metric in registry
+        if hasattr(metric, "inc") and not name.startswith(
+            ("vecdecode.", "op.batches", "op.invocations")
+        )
+    }
+
+
+def test_key_projected_reads_equal_the_per_record_path(monkeypatch):
+    monkeypatch.setattr(
+        query_module, "ColumnInputFormat",
+        partial(ColumnInputFormat, batch_rows=3),
+    )
+    projected = []  # value kinds of the map columns read cut down
+    original = vecdecode.read_maps
+
+    def spy(reader, schema, *args, wanted=None, **kwargs):
+        if wanted is not None:
+            projected.append(schema.values.kind)
+        return original(reader, schema, *args, wanted=wanted, **kwargs)
+
+    monkeypatch.setattr(vecdecode, "read_maps", spy)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        drawn=prows, layout=st.sampled_from(sorted(PLAYOUTS)),
+        io_buffer=st.sampled_from([61, 509]), query=keyed_queries(),
+    )
+    def check(drawn, layout, io_buffer, query):
+        q, whole = query
+        fs = FileSystem(ClusterConfig(num_nodes=4, io_buffer_size=io_buffer))
+        records = []
+        for g, m, t in drawn:
+            record = Record(PSCHEMA)
+            record.put("g", g)
+            record.put("m", m)
+            record.put("t", t)
+            records.append(record)
+        write_dataset(
+            fs, "/proj", PSCHEMA, records, split_bytes=512,
+            **PLAYOUTS[layout],
+        )
+        scalar, scalar_registry = _run(q, fs, "scalar")
+        del projected[:]
+        engine, engine_registry = _run(q, fs, "vectorized")
+        assert repr(engine.rows) == repr(scalar.rows)
+        assert repr(engine.job.output) == repr(scalar.job.output)
+        assert engine.job.map_metrics == scalar.job.map_metrics
+        assert engine.job.reduce_metrics == scalar.job.reduce_metrics
+        assert _counters(engine_registry) == _counters(scalar_registry)
+        if whole:  # ``m`` is read whole, never cut down
+            assert "long" not in projected
+        elif engine.rows:  # some row survived, so ``m`` was read by key
+            assert "long" in projected
+
+    check()

@@ -40,7 +40,12 @@ from repro.core.vector import (
     kernel_contains,
     union_selections,
 )
-from repro.core.columnio import DcslColumnReader
+from repro.core.columnio import (
+    ColumnSpec,
+    DcslColumnReader,
+    encode_column_file,
+    open_column_reader,
+)
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.hdfs.streams import StreamByteReader
 from repro.mapreduce.types import TaskContext
@@ -409,35 +414,56 @@ def _prim_reads(kind, kernel, one):
     )
 
 
-def _map_walks(schema, k, column=None):
+def _picked(maps, wanted, projected=False):
+    """Each map's value at each ``wanted`` key, as ``{full decode}.get(k)``
+    gives it (the maps themselves without ``wanted``).  A ``projected``
+    map must hold the wanted keys only."""
+    if wanted is None:
+        return maps
+    if projected:
+        assert all(set(m) <= set(wanted) for m in maps), maps
+    return [tuple(m.get(key) for key in wanted) for m in maps]
+
+
+def _map_walks(schema, k, column=None, wanted=None):
     """The map read kernel and the per-datum reference over ``k`` datums
     of ``schema``, or with ``column`` (a DCSL reader over them) that
-    reader's kernel run and its per-datum decode."""
+    reader's kernel run and its per-datum decode.  With ``wanted`` the
+    kernel reads key-projected and both walks give ``_picked`` values."""
     if column is None:
         def batch(reader, ctx):
-            return vecdecode.read_maps(
-                reader, schema, k, ctx.cost, ctx.metrics
-            )
+            return _picked(vecdecode.read_maps(
+                reader, schema, k, ctx.cost, ctx.metrics, wanted=wanted
+            ), wanted, projected=True)
 
         def scalar(reader, ctx):
             decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
-            return [decoder.read_datum(schema) for _ in range(k)]
+            return _picked(
+                [decoder.read_datum(schema) for _ in range(k)], wanted
+            )
     else:
         def batch(reader, ctx):
-            tag, values = column(reader, ctx)._decode_run(k)
-            return values
+            tag, values = column(reader, ctx)._decode_run(k, wanted)
+            return _picked(values, wanted, projected=True)
 
         def scalar(reader, ctx):
             col = column(reader, ctx)
-            return [col._decode_one_value() for _ in range(k)]
+            return _picked(
+                [col._decode_one_value() for _ in range(k)], wanted
+            )
 
     return batch, scalar
 
 
-def _map_reads(kind):
+#: present, absent, empty and non-ASCII keys, for a plain and a DCSL run
+_WANTED = ("k2", "", "é" * 70, "absent")
+_DCSL_WANTED = ("key200", "", "é" * 70, "absent")
+
+
+def _map_reads(kind, wanted=None):
     schema = Schema.map(values=Schema(kind))
     payload, k = _datum_run(schema)
-    return (payload, *_map_walks(schema, k))
+    return (payload, *_map_walks(schema, k, wanted=wanted))
 
 
 def _taken(supported):
@@ -476,6 +502,7 @@ def _dcsl_run(kind):
             BinaryEncoder(writer).write_datum(schema.values, value)
     writer.write_byte(0x7F)
     keys = [f"key{i}" for i in range(201)]
+    keys[50], keys[150] = "", "é" * 70
     return writer.getvalue(), len(datums), _dcsl_column(schema, keys)
 
 
@@ -503,9 +530,9 @@ def _dcsl_skips(kind):
     )
 
 
-def _dcsl_reads(kind):
+def _dcsl_reads(kind, wanted=None):
     payload, k, column = _dcsl_run(kind)
-    return (payload, *_map_walks(None, k, column))
+    return (payload, *_map_walks(None, k, column, wanted))
 
 
 _PRIMS = ("int", "long", "double", "boolean", "string", "bytes")
@@ -533,6 +560,11 @@ _EDGE_CASES = {
     **{f"read_maps[{kind}]": partial(_map_reads, kind) for kind in _PRIMS},
     **{f"read_maps[dcsl,{kind}]": partial(_dcsl_reads, kind)
        for kind in _PRIMS},
+    **{f"read_maps[{kind},keys]": partial(_map_reads, kind, _WANTED)
+       for kind in _PRIMS},
+    **{f"read_maps[dcsl,{kind},keys]": partial(
+        _dcsl_reads, kind, _DCSL_WANTED
+    ) for kind in _PRIMS},
     **{f"skip_batch[{schema.to_json()}]": partial(_skips, schema)
        for schema in _SKIP_SCHEMAS},
     **{f"skip_dcsl_batch[{kind}]": partial(_dcsl_skips, kind)
@@ -585,10 +617,11 @@ def test_kernel_equals_per_datum_path_at_every_window_edge(name):
 # charged exactly what the reference has charged by then.
 
 
-def _undecodable_maps(layout, value_kind, bad):
+def _undecodable_maps(layout, value_kind, bad, wanted=None):
     """Three one-entry maps whose third has a key (``bad="key"``) or a
     string value (``"value"``) that is not UTF-8, or a DCSL key id past
-    the block dictionary (``"id"``); and the walks that read them."""
+    the block dictionary (``"id"``); and the walks that read them, all
+    of each map or (``wanted``) a key the third map lacks."""
     schema = Schema.map(values=Schema(value_kind))
     writer = ByteWriter()
     for i in range(3):
@@ -609,20 +642,38 @@ def _undecodable_maps(layout, value_kind, bad):
     column = None
     if layout == "dcsl":
         column = _dcsl_column(schema, ["k0", "k1", "k2"])
-    return writer.getvalue(), *_map_walks(schema, 3, column)
+    return writer.getvalue(), *_map_walks(schema, 3, column, wanted)
 
 
-@pytest.mark.parametrize("layout, value_kind, bad, error", [
+_UNDECODABLE = [
     ("plain", "int", "key", UnicodeDecodeError),
     ("plain", "string", "key", UnicodeDecodeError),
     ("plain", "string", "value", UnicodeDecodeError),
     ("dcsl", "string", "value", UnicodeDecodeError),
     ("dcsl", "int", "id", IndexError),
-])
+]
+
+
+@pytest.mark.parametrize("layout, value_kind, bad, error", _UNDECODABLE)
 def test_an_undecodable_map_raises_with_the_reference_charges(
     layout, value_kind, bad, error
 ):
-    payload, batch, scalar = _undecodable_maps(layout, value_kind, bad)
+    _raises_as_the_reference(layout, value_kind, bad, error)
+
+
+@pytest.mark.parametrize("layout, value_kind, bad, error", _UNDECODABLE)
+def test_a_key_projected_read_raises_where_the_whole_map_does(
+    layout, value_kind, bad, error
+):
+    """The bad key or value is one the projection does not want, and
+    the walk still stops at that map, so the hand-off raises."""
+    _raises_as_the_reference(layout, value_kind, bad, error, ("k0",))
+
+
+def _raises_as_the_reference(layout, value_kind, bad, error, wanted=None):
+    payload, batch, scalar = _undecodable_maps(
+        layout, value_kind, bad, wanted
+    )
     fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
     fs.write_file("/bad", payload)
     for window in range(1, len(payload) + 1):
@@ -631,3 +682,77 @@ def test_an_undecodable_map_raises_with_the_reference_charges(
         assert got == want, f"window={window}"
         assert got[0] is error
         assert got[2]["cells"] >= 4, "the two whole maps are charged"
+
+
+# -- key-projected column reads ---------------------------------------------
+#
+# Each layout that holds map columns, read whole and read cut down to a
+# key projection, densely (``read_vector``) and sparsely (``sync_to`` +
+# ``read_value`` per row of a selection), at I/O buffers from a few
+# datums to the whole file: the values at the wanted keys, the Metrics
+# and the stream reads must all be the whole read's.
+
+_KEYED_LAYOUTS = {
+    "plain": ColumnSpec("plain"),
+    "skiplist": ColumnSpec("skiplist", skip_sizes=(20, 5)),
+    "cblock": ColumnSpec("cblock", codec="zlib", block_bytes=200),
+    "dcsl": ColumnSpec("dcsl", skip_sizes=(20, 5)),
+}
+
+
+def _keyed_column(kind, layout):
+    """60 maps of ``kind`` values as a ``layout`` column file.  The
+    first 20, a DCSL top block whose dictionary then lacks them, never
+    hold "k" or "anchor"."""
+    schema = Schema.map(values=Schema(kind))
+    values = _EDGE_VALUES[kind]
+    datums = [
+        {
+            key: values[(i + j) % len(values)]
+            for j, key in enumerate(
+                (_EDGE_KEYS if i >= 20 else ["", "k2", "é" * 70])[:i % 6]
+            )
+        }
+        for i in range(60)
+    ]
+    return schema, encode_column_file(schema, datums, _KEYED_LAYOUTS[layout])
+
+
+def _column_walk(schema, rows, keys):
+    """Open the column file under the window's stream and read every
+    value, or (``rows``) those of a selection."""
+    def walk(reader, ctx):
+        column = open_column_reader(reader._stream, schema, ctx)
+        column.batch_kernels = True
+        if rows is None:
+            return column.read_vector(column.count, keys).to_list()
+        values = []
+        for i in rows:
+            column.sync_to(i)
+            values.append(column.read_value(keys))
+        return values
+
+    return walk
+
+
+@pytest.mark.parametrize("layout", sorted(_KEYED_LAYOUTS))
+@pytest.mark.parametrize("kind", ("int", "string", "double", "boolean"))
+def test_a_key_projected_column_read_is_the_whole_read_cut_down(
+    kind, layout
+):
+    schema, payload = _keyed_column(kind, layout)
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/column", payload)
+    sparse = [i for i in range(60) if i % 3 != 1]
+    for window in (61, 509, 2048, 12288):
+        for wanted in (("k",), ("anchor", "", "é" * 70, "absent")):
+            for rows in (None, sparse):
+                got = _run_at_window(
+                    fs, "/column", window, _column_walk(schema, rows, wanted)
+                )
+                want = _run_at_window(
+                    fs, "/column", window, _column_walk(schema, rows, None)
+                )
+                assert (_picked(got[0], wanted, projected=True), *got[1:]) == (
+                    _picked(want[0], wanted), *want[1:]
+                ), f"window={window} wanted={wanted} sparse={bool(rows)}"
