@@ -252,52 +252,6 @@ def _build_dcsl_region(
 # ---------------------------------------------------------------------------
 
 
-#: primitive kind -> (batched read kernel, vector tag)
-_BATCH_KERNELS = {
-    "int": (vecdecode.read_zigzags, "num"),
-    "long": (vecdecode.read_zigzags, "num"),
-    "time": (vecdecode.read_zigzags, "num"),
-    "double": (vecdecode.read_doubles, "double"),
-    "boolean": (vecdecode.read_booleans, "obj"),
-    "string": (vecdecode.read_chunks, "str"),
-    "bytes": (vecdecode.read_chunks, "obj"),
-}
-
-
-def _batch_decode_values(reader, field_schema: Schema, k: int, ctx,
-                         keys=None):
-    """Decode ``k`` consecutive plainly-encoded values off ``reader``
-    with batched cost charges (maps cut down to ``keys``, if given).
-
-    Returns ``(tag, payload)`` for primitive kinds and maps of them,
-    ``None`` for other container kinds (callers fall back to per-value
-    decoding).  The charges are the exact sums of ``k`` scalar
-    ``read_datum`` calls: the cost model is linear and charges whole
-    ticks, so cells, objects and ``cpu_ticks`` are identical.
-    """
-    kind = field_schema.kind
-    cost, metrics = ctx.cost, ctx.metrics
-    if kind not in _BATCH_KERNELS:
-        if not vecdecode.map_batch_supported(field_schema):
-            return None
-        return "obj", vecdecode.read_maps(
-            reader, field_schema, k, cost, metrics, wanted=keys
-        )
-    kernel, tag = _BATCH_KERNELS[kind]
-    start = reader.offset
-    values = kernel(reader, k)
-    payload = 0
-    if kernel is vecdecode.read_chunks:  # one object per var-length value
-        payload = sum(map(len, values))
-        metrics.objects += k
-    metrics.cells += k
-    metrics.charge_cpu(
-        cost.prim_cpu(kind, k, payload)
-        + (reader.offset - start) * cost.profile.raw_scan_per_byte
-    )
-    return tag, values
-
-
 class _VectorBuilder:
     """Accumulates (possibly several segments of) decoded values and
     finishes them into the right typed vector."""
@@ -484,7 +438,7 @@ class PlainColumnReader(ColumnReader):
 
     def read_vector(self, n: int, keys=None):
         self._check_read_vector(n)
-        decoded = _batch_decode_values(
+        decoded = vecdecode.batch_decode_values(
             self.reader, self.field_schema, n, self.ctx, keys
         )
         if decoded is None:  # container kinds: per-value decode is exact
@@ -610,7 +564,7 @@ class SkipListColumnReader(ColumnReader):
     def _decode_run(self, step: int, keys=None):
         """``step`` contiguous in-block values as ``(tag, values)``, or
         None when the kind needs :meth:`_decode_one_value` per value."""
-        return _batch_decode_values(
+        return vecdecode.batch_decode_values(
             self.reader, self.field_schema, step, self.ctx, keys
         )
 
@@ -791,7 +745,7 @@ class CBlockColumnReader(ColumnReader):
             if self._block_remaining == 0:
                 self._open_block()
             step = min(remaining, self._block_remaining)
-            decoded = _batch_decode_values(
+            decoded = vecdecode.batch_decode_values(
                 self._block_reader, self.field_schema, step, self.ctx, keys
             )
             if decoded is None:

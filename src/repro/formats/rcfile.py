@@ -28,7 +28,7 @@ discussed in Section 4.3.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.compress.codecs import get_codec
 from repro.formats.common import (
@@ -40,11 +40,14 @@ from repro.formats.common import (
 )
 from repro.hdfs.streams import StreamByteReader
 from repro.mapreduce.types import InputFormat, RecordReader, TaskContext
+from repro.serde import vecdecode
 from repro.serde.binary import BinaryDecoder, BinaryEncoder
-from repro.serde.record import Record, field_values
+from repro.serde.record import DeferringRecord, field_values
 from repro.serde.schema import Schema
+from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
+from repro.util.varint import decode_varint
 
 MAGIC = b"RCF1"
 DEFAULT_ROW_GROUP_BYTES = 4 * 1024 * 1024  # the recommended 4 MB [20]
@@ -170,7 +173,7 @@ class RCFileRecordReader(RecordReader):
         # the same way.
         start = scan_to_sync(self._stream, header.sync, split.start, split.end)
         self._next_group = start  # offset just past a sync marker
-        self._rows: List[Record] = []
+        self._rows: List[DeferringRecord] = []
         self._row_index = 0
 
     def read_next(self):
@@ -186,86 +189,86 @@ class RCFileRecordReader(RecordReader):
         if self._next_group is None:
             return False
         ctx = self.ctx
+        cost, metrics = ctx.cost, ctx.metrics
         stream = self._stream
         stream.seek(self._next_group)
-        meta_raw = _read_len_prefixed(stream)
-        meta = ByteReader(meta_raw)
+        region = _read_len_prefixed(stream)
+        meta = ByteReader(region)
         rows = meta.read_varint()
         num_cols = meta.read_varint()
+        if num_cols != len(self.header.schema.fields):
+            raise ValueError("row group column count mismatch")
         chunk_lens = []
         for _ in range(num_cols):
             chunk_lens.append(meta.read_varint())
-            for _ in range(rows):
-                meta.read_varint()  # per-row value length (key buffer)
-        if num_cols != len(self.header.schema.fields):
-            raise ValueError("row group column count mismatch")
+            meta.pos, done = vecdecode.hop_prims(region, meta.pos, rows, "int")
+            if done < rows:  # the per-row value lengths (key buffer)
+                raise EOFError("truncated RCFile key buffer")
         # Interpreting the metadata block costs CPU for every length
         # entry, for all columns, whether projected or not.
-        ctx.cost.charge_raw_scan(ctx.metrics, len(meta_raw))
-        ctx.cost.charge_rcfile_rowgroup(ctx.metrics, rows * num_cols)
+        cost.charge_raw_scan(metrics, len(region))
+        cost.charge_rcfile_rowgroup(metrics, rows * num_cols)
 
         wanted_indices = {f.index for f in self._wanted}
-        columns: Dict[int, List[object]] = {}
+        columns = []  # the projected chunks' values, in schema order
         for index, chunk_len in enumerate(chunk_lens):
+            if stream.tell() + chunk_len > stream.length:
+                raise EOFError("truncated RCFile column chunk")
             if index not in wanted_indices:
                 stream.seek(stream.tell() + chunk_len)
                 continue
             data = stream.read(chunk_len)
-            ctx.cost.charge_raw_scan(ctx.metrics, len(data))
+            cost.charge_raw_scan(metrics, len(data))
             if self.header.codec:
-                ctx.cost.charge_block_inflate_setup(ctx.metrics)
+                cost.charge_block_inflate_setup(metrics)
                 data = get_codec(self.header.codec).decompress(
-                    data, ctx.cost, ctx.metrics, registry=ctx.obs.registry
+                    data, cost, metrics, registry=ctx.obs.registry
                 )
-            dec = BinaryDecoder(ByteReader(data), ctx.cost, ctx.metrics)
+            reader = ByteReader(data)
             field_schema = self.header.schema.fields[index].schema
-            columns[index] = [dec.read_datum(field_schema) for _ in range(rows)]
+            if field_schema.is_primitive:
+                tag, values = vecdecode.batch_decode_values(
+                    reader, field_schema, rows, ctx
+                )
+                if tag == "str":
+                    values = [str(raw, "utf-8") for raw in values]
+            else:
+                values = BinaryDecoder(reader, cost, metrics).read_deferred(
+                    field_schema, rows
+                )
+            columns.append(values)
+            if not reader.at_end():
+                raise ValueError("corrupt RCFile column chunk framing")
 
         # Materialize one writable per projected field per row — the
         # "inefficient serialization in parts of RCFile" CPU overhead.
-        ctx.cost.charge_rcfile_fields(ctx.metrics, rows * len(self._wanted))
-        self._rows = []
-        for r in range(rows):
-            record = Record(self._projected)
-            for field in self._wanted:
-                record.put(field.name, columns[field.index][r])
-            self._rows.append(record)
+        cost.charge_rcfile_fields(metrics, rows * len(self._wanted))
+        self._rows = [
+            DeferringRecord.of(self._projected, list(values))
+            for values in (zip(*columns) if columns else [()] * rows)
+        ]
         self._row_index = 0
 
-        # Locate the following row group: it starts with a sync marker
-        # immediately after this group's data region.
+        # The following row group starts with a sync marker right after
+        # this one's data; one at or past our range is the next split's.
         group_end = stream.tell()
-        if group_end >= self._stream.length:
+        if group_end >= min(stream.length, self.split.end):
             self._next_group = None
+        elif stream.read(SYNC_SIZE) != self.header.sync:
+            raise ValueError(f"missing sync marker at {group_end}")
         else:
-            marker_pos = group_end
-            if marker_pos >= self.split.end:
-                # The next group's sync is at/past our range: next split's.
-                self._next_group = None
-            else:
-                self._next_group = self._verify_sync(marker_pos)
+            self._next_group = group_end + SYNC_SIZE
         return True
-
-    def _verify_sync(self, marker_pos: int) -> Optional[int]:
-        self._stream.seek(marker_pos)
-        marker = self._stream.read(SYNC_SIZE)
-        if marker != self.header.sync:
-            raise ValueError(f"missing sync marker at {marker_pos}")
-        return marker_pos + SYNC_SIZE
 
 
 def _read_len_prefixed(stream) -> bytes:
     """Read a varint-length-prefixed region directly off a stream."""
     prefix = b""
-    while True:
+    while not prefix or prefix[-1] & 0x80:
         byte = stream.read(1)
         if not byte:
             raise EOFError("truncated length prefix")
         prefix += byte
-        if not byte[0] & 0x80:
-            break
-    from repro.util.varint import decode_varint
-
     length, _ = decode_varint(prefix)
     return stream.read(length)
 
@@ -317,10 +320,7 @@ def add_column_rewrite(
     # Read the whole dataset back (charged as I/O against the metrics).
     stream = fs.open(src_path, metrics=ctx_metrics)
     stream.read_fully()
-    from repro.mapreduce.types import TaskContext as _Ctx
-    from repro.sim.cost import CpuCostModel
-
-    ctx = _Ctx(node=None, cost=CpuCostModel(), io_buffer_size=64 * 1024)
+    ctx = TaskContext(node=None, cost=CpuCostModel(), io_buffer_size=64 * 1024)
     split = FileSplit(
         src_path, 0, fs.file_length(src_path), fs.file_length(src_path), []
     )

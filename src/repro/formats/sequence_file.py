@@ -209,45 +209,42 @@ class SequenceFileRecordReader(RecordReader):
                 return None, record
 
     def _read_record(self, reader) -> object:
-        key_len = reader.read_varint()
-        if key_len:
-            reader.skip(key_len)
-        ctx = self.ctx
+        reader.skip(reader.read_varint())  # the key (NullWritable: empty)
         if self.header.compression == "record":
-            compressed = reader.read_len_prefixed()
-            ctx.cost.charge_raw_scan(ctx.metrics, len(compressed))
-            ctx.cost.charge_block_inflate_setup(ctx.metrics)
-            raw = self._codec.decompress(
-                compressed, ctx.cost, ctx.metrics, registry=ctx.obs.registry
-            )
-            dec = BinaryDecoder(ByteReader(raw), ctx.cost, ctx.metrics)
-            return dec.read_datum(self.header.schema)
-        value_len = reader.read_varint()
-        dec = BinaryDecoder(reader, ctx.cost, ctx.metrics)
+            value = self._inflate(reader)
+            return self._read_value(value, len(value))
+        return self._read_value(reader, reader.read_varint())
+
+    def _read_value(self, reader, value_len: int):
+        """One record, which must fill its ``value_len`` framed bytes."""
+        ctx = self.ctx
         start = reader.offset
-        record = dec.read_datum(self.header.schema)
+        record = BinaryDecoder(reader, ctx.cost, ctx.metrics).read_datum(
+            self.header.schema
+        )
         if reader.offset - start != value_len:
             raise ValueError("corrupt SequenceFile record framing")
         return record
 
-    def _load_block(self, reader) -> None:
+    def _inflate(self, reader) -> ByteReader:
+        """The compressed region next on ``reader``, charged and inflated."""
         ctx = self.ctx
-        count = reader.read_varint()
-        keys_len = reader.read_varint()
-        if keys_len:
-            reader.skip(keys_len)
         compressed = reader.read_len_prefixed()
         ctx.cost.charge_raw_scan(ctx.metrics, len(compressed))
         ctx.cost.charge_block_inflate_setup(ctx.metrics)
-        raw = self._codec.decompress(
+        return ByteReader(self._codec.decompress(
             compressed, ctx.cost, ctx.metrics, registry=ctx.obs.registry
-        )
-        dec = BinaryDecoder(ByteReader(raw), ctx.cost, ctx.metrics)
-        self._block = []
-        for _ in range(count):
-            dec.reader.read_varint()  # value length framing
-            self._block.append(dec.read_datum(self.header.schema))
-        self._block_index = 0
+        ))
+
+    def _load_block(self, reader) -> None:
+        count = reader.read_varint()
+        reader.skip(reader.read_varint())  # the keys (NullWritable: empty)
+        block = self._inflate(reader)
+        self._block = [
+            self._read_value(block, block.read_varint()) for _ in range(count)
+        ]
+        if not block.at_end():
+            raise ValueError("corrupt SequenceFile record framing")
 
 
 class SequenceFileInputFormat(InputFormat):

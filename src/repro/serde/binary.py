@@ -25,6 +25,9 @@ construction exploits (Section 5).
 Charges are whole ticks added into ``metrics.cpu_ticks``: a plan adds
 the same terms the cost model's ``charge_*`` methods would
 (``docs/cost-model.md`` § Where charges are applied).
+
+A charged record read *defers* its map and array fields (see
+:func:`_deferral`): each is charged in full and built on first access.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from __future__ import annotations
 import struct
 from typing import Callable, NamedTuple, Optional
 
-from repro.serde.record import Record, field_values
+from repro.serde.record import (
+    DeferringRecord, Record, _Deferred, field_values,
+)
 from repro.serde.schema import Schema, SchemaError
 from repro.sim.cost import CpuCostModel, decode_rates
 from repro.sim.metrics import Metrics
@@ -341,11 +346,111 @@ def _map_plan(schema: Schema) -> _Plan:
     return _Plan(read, read_charged, skip, skip_charged, write)
 
 
+# -- deferral: a record's maps and arrays, built on first access --------
+#
+# A charged record read takes each map or array of primitives with one
+# window loop and one hand-off.  The loop hops the datum and proves it
+# decodes: it lies wholly in the window and is ASCII throughout, so every
+# varint in it is one byte and every string in it is ASCII.  It charges
+# what ``read_charged`` would and returns a ``_Deferred`` over a copy of
+# the span.  Any other datum goes to ``read_charged``, which refills,
+# raises and charges partially as it always has.  (A double's eight
+# bytes are seldom ASCII, so doubles are never deferred.)
+
+#: item kind -> its value from its one byte in a proven span
+_ONE_BYTE = dict.fromkeys(("int", "long", "time"), lambda b: b >> 1 ^ -(b & 1))
+_ONE_BYTE["boolean"] = bool
+
+
+def _builder(keyed: bool, kind: str) -> Callable:
+    """Builds the map (``keyed``) or array in a proven span in one loop;
+    every string is a slice of the span's text, decoded once."""
+    one_byte = _ONE_BYTE.get(kind)
+    raw = kind == "bytes"
+
+    def build(span):
+        text = span.decode("ascii")
+        out = {} if keyed else []
+        pos = 1
+        for _ in range(span[0]):
+            if keyed:
+                key_end = pos + 1 + span[pos]
+                key = text[pos + 1:key_end]
+                pos = key_end
+            if one_byte:
+                value = one_byte(span[pos])
+                pos += 1
+            else:
+                end = pos + 1 + span[pos]
+                value = bytes(span[pos + 1:end]) if raw else text[pos + 1:end]
+                pos = end
+            if keyed:
+                out[key] = value
+            else:
+                out.append(value)
+        return out
+
+    return build
+
+
+def _deferral(schema: Schema, eager: Callable) -> Callable:
+    """The deferral step of a map or array of primitives; ``eager`` (its
+    ``read_charged``) for any other schema."""
+    if schema.kind not in ("map", "array"):
+        return eager
+    keyed = schema.kind == "map"
+    item = schema.values if keyed else schema.items
+    if item.kind not in ("string", "bytes", *_ONE_BYTE):
+        return eager
+    chunked = item.kind in ("string", "bytes")
+    base, per_unit = decode_rates(schema.kind)
+    item_base, item_byte = decode_rates(item.kind)
+    build = _builder(keyed, item.kind)
+
+    def step(r, p, m):
+        buf = r._buf
+        start = r.pos
+        keys = 0  # key payload bytes
+        try:
+            count = buf[start]
+            pos = start + 1
+            for _ in range(count):
+                if keyed:
+                    n = buf[pos]
+                    keys += n
+                    pos += n + 1
+                pos += buf[pos] + 1 if chunked else 1
+        except IndexError:
+            return eager(r, p, m)
+        span = buf[start:pos]
+        if pos > len(buf) or not span.isascii():
+            return eager(r, p, m)
+        r.pos = pos
+        cells = 2 * count if keyed else count  # and as many prefixes
+        cpu = base(p) + count * (per_unit(p) + item_base(p))
+        if chunked:
+            cpu += (pos - start - 1 - cells - keys) * item_byte(p)
+        if keyed:
+            cpu += count * _KEY_BASE(p) + keys * _KEY_BYTE(p)
+        m.cpu_ticks += cpu
+        m.cells += cells
+        # the container, and a key (plus its entry) and a string a value
+        m.objects += 1 + count * (2 * keyed + chunked)
+        return _Deferred(build, span)
+
+    return step
+
+
 def _record_plan(schema: Schema) -> _Plan:
     plans = [_plan(f.schema) for f in schema.fields]
     reads, reads_charged, skips, skips_charged, writes = (
         zip(*plans) if plans else [()] * 5
     )
+    steps = [
+        _deferral(f.schema, read)
+        for f, read in zip(schema.fields, reads_charged)
+    ]
+    make = (Record if steps == list(reads_charged) else DeferringRecord).of
     base, _ = decode_rates("record")
 
     def read(r):
@@ -354,7 +459,7 @@ def _record_plan(schema: Schema) -> _Plan:
     def read_charged(r, p, m):
         m.cpu_ticks += base(p)
         m.objects += 1
-        return Record.of(schema, [field(r, p, m) for field in reads_charged])
+        return make(schema, [field(r, p, m) for field in steps])
 
     def skip(r):
         for field in skips:
@@ -449,6 +554,16 @@ class BinaryDecoder:
         return plan.read_charged(
             self.reader, self.cost.profile, self.metrics
         )
+
+    def read_deferred(self, schema: Schema, k: int) -> list:
+        """``k`` datums charged as ``k`` :meth:`read_datum` calls, maps and
+        arrays deferred as a record's are (for a :class:`DeferringRecord`)."""
+        step = _deferral(schema, _plan(schema).read_charged)
+        r, cost = self.reader, self.cost
+        start = r.offset
+        out = [step(r, cost.profile, self.metrics) for _ in range(k)]
+        self.metrics.cpu_ticks += cost.raw_scan_cpu(r.offset - start)
+        return out
 
     def skip_datum(self, schema: Schema) -> int:
         """Skip one datum without materializing it; returns bytes skipped.

@@ -5,6 +5,8 @@ MapReduce jobs in the paper access record attributes through
 produced it.  :class:`Record` is that interface; it is implemented
 eagerly here and lazily by :class:`repro.core.lazy.LazyRecord` — map
 functions cannot tell the difference, which is the point (Section 5.1).
+A row format's decoder hands out a :class:`DeferringRecord`, whose map
+and array fields are built on first access.
 """
 
 from __future__ import annotations
@@ -62,6 +64,41 @@ class Record:
 
     def __repr__(self) -> str:
         return f"Record({self.to_dict()!r})"
+
+
+class _Deferred:
+    """A container field charged but not built: a copy of the span its
+    decoder proved, and the function that builds it from the span."""
+
+    __slots__ = ("build", "span")
+
+    def __init__(self, build, span) -> None:
+        self.build, self.span = build, span
+
+
+class DeferringRecord(Record):
+    """A decoded record that builds each ``_Deferred`` field on first
+    access and keeps it.  A record no decoder made is a plain
+    :class:`Record` and pays nothing for this."""
+
+    __slots__ = ()
+
+    def get(self, name: str):
+        index = self.schema.field(name).index
+        value = self._values[index]
+        if type(value) is _Deferred:
+            value = self._values[index] = value.build(value.span)
+        return value
+
+    def values_in_order(self) -> list:
+        values = self._values
+        for index, value in enumerate(values):
+            if type(value) is _Deferred:
+                values[index] = value.build(value.span)
+        return list(values)
+
+    def to_dict(self) -> dict:
+        return dict(zip(self.schema.field_names, self.values_in_order()))
 
 
 def field_values(schema: Schema, value) -> list:

@@ -367,6 +367,51 @@ def read_maps(
     return out
 
 
+#: primitive kind -> (batched read kernel, vector tag)
+_BATCH_KERNELS = {
+    "int": (read_zigzags, "num"),
+    "long": (read_zigzags, "num"),
+    "time": (read_zigzags, "num"),
+    "double": (read_doubles, "double"),
+    "boolean": (read_booleans, "obj"),
+    "string": (read_chunks, "str"),
+    "bytes": (read_chunks, "obj"),
+}
+
+
+def batch_decode_values(reader, field_schema, k: int, ctx, keys=None):
+    """Decode ``k`` consecutive plainly-encoded values off ``reader``
+    with batched cost charges (maps cut down to ``keys``, if given).
+
+    Returns ``(tag, payload)`` for primitive kinds and maps of them,
+    ``None`` for other container kinds (callers fall back to per-value
+    decoding).  The charges are the exact sums of ``k`` scalar
+    ``read_datum`` calls: the cost model is linear and charges whole
+    ticks, so cells, objects and ``cpu_ticks`` are identical.
+    """
+    kind = field_schema.kind
+    cost, metrics = ctx.cost, ctx.metrics
+    if kind not in _BATCH_KERNELS:
+        if not map_batch_supported(field_schema):
+            return None
+        return "obj", read_maps(
+            reader, field_schema, k, cost, metrics, wanted=keys
+        )
+    kernel, tag = _BATCH_KERNELS[kind]
+    start = reader.offset
+    values = kernel(reader, k)
+    payload = 0
+    if kernel is read_chunks:  # one object per var-length value
+        payload = sum(map(len, values))
+        metrics.objects += k
+    metrics.cells += k
+    metrics.charge_cpu(
+        cost.prim_cpu(kind, k, payload)
+        + (reader.offset - start) * cost.profile.raw_scan_per_byte
+    )
+    return tag, values
+
+
 # ---------------------------------------------------------------------------
 # Batched skips
 # ---------------------------------------------------------------------------
@@ -383,7 +428,7 @@ def skip_batch_supported(field_schema) -> bool:
     return False
 
 
-def _hop_prims(buf, pos, k, kind):
+def hop_prims(buf, pos, k, kind):
     """Hop up to ``k`` primitives lying wholly inside the window.
 
     (Here and below, ``for done in range(k)`` leaves ``done`` at the
@@ -431,7 +476,7 @@ def _hop_arrays(buf, pos, k, item_kind):
     try:
         for done in range(k):
             count, p = decode_varint(buf, pos)
-            end, hopped = _hop_prims(buf, p, count, item_kind)
+            end, hopped = hop_prims(buf, p, count, item_kind)
             if hopped < count:
                 break
             pos = end
@@ -526,7 +571,7 @@ def _skips(buf, pos, k, field_schema, cost, metrics):
         # A var-length value's skip charge counts prefix+payload bytes
         # (skip_datum charges the full span, length prefix included),
         # which over a run of them is the run's own span.
-        end, done = _hop_prims(buf, pos, k, kind)
+        end, done = hop_prims(buf, pos, k, kind)
         cpu = cost.prim_cpu(kind, done, end - pos)
     cpu += (end - pos) * profile.raw_scan_per_byte
     metrics.charge_cpu(cost.skip_discount(cpu))

@@ -1,0 +1,238 @@
+"""Deferred map and array fields are invisible: the proof of equivalence.
+
+A charged record read defers each map or array of primitives it can
+prove decodes (``repro.serde.binary``'s deferral step) and the record
+builds it on first access.  Every property here compares such a record
+with its *eager twin*, ``decode_datum`` of the same bytes, under every
+operation the Record API allows, and compares everything the read
+charged with the same read done eagerly, one ``read_datum`` per datum
+(the deferral step and RCFile's batched chunk decode patched out, on a
+fresh copy of the schema so the plans recompile):
+
+- straight off a ``ByteReader`` and a ``StreamByteReader`` at a 61 B
+  and a 12 KiB window, so maps straddle window edges constantly;
+- through every row format: SEQ with none / record / block compression
+  and RCFile with and without zlib.
+"""
+
+import contextlib
+import dataclasses
+from unittest import mock
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.formats import rcfile, sequence_file
+from repro.hdfs import ClusterConfig, FileSystem
+from repro.hdfs.streams import StreamByteReader
+from repro.mapreduce.types import TaskContext
+from repro.serde import binary, vecdecode
+from repro.serde.binary import BinaryDecoder, decode_datum, encode_datum
+from repro.serde.record import DeferringRecord, Record, _Deferred
+from repro.serde.schema import Schema
+from repro.sim.cost import CpuCostModel
+from repro.sim.metrics import Metrics
+from repro.util.buffers import ByteReader
+from repro.workloads.crawl import crawl_records, crawl_schema
+from tests.test_fuzz_schemas import (
+    FUZZ_SETTINGS, record_schema_strategy, value_for,
+)
+
+COST = CpuCostModel()
+WINDOWS = (61, 12 * 1024)
+
+
+def per_datum(reader, schema, k, ctx, keys=None):
+    decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
+    return "obj", [decoder.read_datum(schema) for _ in range(k)]
+
+
+@contextlib.contextmanager
+def eager_plans():
+    """Every datum read eagerly, one ``read_datum`` at a time: the
+    deferral step patched out, and an RCFile chunk decoded per datum."""
+    with mock.patch.object(binary, "_deferral", lambda schema, eager: eager), \
+            mock.patch.object(vecdecode, "batch_decode_values", per_datum), \
+            mock.patch.object(
+                BinaryDecoder, "read_deferred",
+                lambda self, schema, k: [
+                    self.read_datum(schema) for _ in range(k)
+                ],
+            ):
+        yield
+
+
+def fresh(schema: Schema) -> Schema:
+    """An equal schema with no compiled plans on it."""
+    return Schema.parse(schema.to_json())
+
+
+def read_records(schema, data, n, window):
+    """``n`` records off ``data`` (a ByteReader when ``window`` is None),
+    with everything the reads charged."""
+    m = Metrics()
+    if window is None:
+        reader = ByteReader(data)
+    else:
+        fs = FileSystem(ClusterConfig(
+            num_nodes=1, block_size=4096, io_buffer_size=window
+        ))
+        fs.write_file("/datums", data)
+        reader = StreamByteReader(fs.open("/datums", metrics=m))
+    decoder = BinaryDecoder(reader, COST, m)
+    return [decoder.read_datum(schema) for _ in range(n)], m
+
+
+def assert_behaves_as_its_twin(schema, record, twin, draw):
+    """Drawn Record operations give the same answers on both, in the
+    same drawn order: gets in any order, a put, then the whole-record
+    views, equality and re-encoding."""
+    names = [f.name for f in schema.fields]
+    for name in draw(st.permutations(names)):
+        assert record.get(name) == twin.get(name), name
+    if draw(st.booleans()):
+        field = schema.field(draw(st.sampled_from(names)))
+        value = value_for(field.schema, draw)
+        record.put(field.name, value)
+        twin.put(field.name, value)
+    views = ["to_dict", "values_in_order", "repr", "eq", "encode"]
+    for view in draw(st.permutations(views)):
+        if view == "repr":
+            assert repr(record) == repr(twin)
+        elif view == "eq":
+            assert record == twin and twin == record
+        elif view == "encode":
+            assert encode_datum(schema, record) == encode_datum(schema, twin)
+        else:
+            assert getattr(record, view)() == getattr(twin, view)()
+
+
+class TestCodec:
+    @FUZZ_SETTINGS
+    @given(data=st.data(), schema=record_schema_strategy())
+    def test_a_deferred_read_is_its_eager_twin(self, data, schema):
+        values = [value_for(schema, data.draw) for _ in range(3)]
+        encoded = b"".join(encode_datum(schema, v) for v in values)
+        for window in (None,) + WINDOWS:
+            got, metrics = read_records(schema, encoded, 3, window)
+            with eager_plans():
+                _, eager = read_records(fresh(schema), encoded, 3, window)
+            assert dataclasses.asdict(metrics) == dataclasses.asdict(eager)
+            for record, value in zip(got, values):
+                twin = decode_datum(schema, encode_datum(schema, value))
+                assert_behaves_as_its_twin(schema, record, twin, data.draw)
+
+    def test_only_containers_of_primitives_are_deferred(self):
+        schema = Schema.record("r", [
+            ("tags", Schema.array(Schema.string())),
+            ("attrs", Schema.map(Schema.int_())),
+            ("nested", Schema.array(Schema.array(Schema.int_()))),
+            ("name", Schema.string()),
+        ])
+        value = {
+            "tags": ["a", "b"], "attrs": {"k": 1},
+            "nested": [[1]], "name": "n",
+        }
+        (record,), _ = read_records(schema, encode_datum(schema, value), 1,
+                                    None)
+        assert type(record) is DeferringRecord
+        held = [type(v) for v in record._values]
+        assert held == [_Deferred, _Deferred, list, str]
+        assert record.get("tags") is record.get("tags")  # built once
+        assert record.to_dict() == value
+
+    def test_what_cannot_be_proven_is_read_eagerly(self):
+        schema = Schema.record("r", [
+            ("text", Schema.map(Schema.string())),  # not ASCII
+            ("wide", Schema.array(Schema.int_())),  # a two-byte varint
+            ("fine", Schema.array(Schema.int_())),
+        ])
+        value = {"text": {"k": "café"}, "wide": [64], "fine": [63]}
+        (record,), _ = read_records(schema, encode_datum(schema, value), 1,
+                                    None)
+        held = [type(v) for v in record._values]
+        assert held == [dict, list, _Deferred]
+        assert record.to_dict() == value
+
+    def test_an_undeferred_record_is_a_plain_record(self):
+        schema = Schema.record("r", [("a", Schema.int_())])
+        (record,), _ = read_records(schema, encode_datum(schema, {"a": 1}), 1,
+                                    None)
+        assert type(record) is Record
+
+
+def write_seq(mode):
+    def write(fs, path, schema, records):
+        sequence_file.write_sequence_file(
+            fs, path, schema, records, compression=mode, block_records=3,
+            sync_interval=300,
+        )
+        return sequence_file.SequenceFileInputFormat(path)
+    return write
+
+
+def write_rc(codec):
+    def write(fs, path, schema, records):
+        rcfile.write_rcfile(
+            fs, path, schema, records, row_group_bytes=256, codec=codec
+        )
+        return rcfile.RCFileInputFormat(path)
+    return write
+
+
+ROW_FORMATS = {
+    "seq-none": write_seq("none"),
+    "seq-record": write_seq("record"),
+    "seq-block": write_seq("block"),
+    "rcfile": write_rc(None),
+    "rcfile-zlib": write_rc("zlib"),
+}
+
+
+def scan(write, schema, values, window):
+    """``values`` written to a fresh filesystem and read back whole,
+    with everything the read charged."""
+    fs = FileSystem(ClusterConfig(num_nodes=2, block_size=4096))
+    fmt = write(fs, "/rows", schema, values)
+    ctx = TaskContext(node=None, cost=COST, io_buffer_size=window)
+    out = []
+    for split in fmt.get_splits(fs, fs.cluster):
+        out.extend(record for _, record in fmt.open_reader(fs, split, ctx))
+    return out, ctx.metrics
+
+
+class TestRowFormats:
+    @FUZZ_SETTINGS
+    @given(
+        data=st.data(),
+        schema=record_schema_strategy(max_fields=4),
+        n=st.integers(min_value=1, max_value=8),
+    )
+    def test_every_row_format_reads_the_eager_twin(self, data, schema, n):
+        values = [value_for(schema, data.draw) for _ in range(n)]
+        for name, write in ROW_FORMATS.items():
+            for window in WINDOWS:
+                got, metrics = scan(write, schema, values, window)
+                with eager_plans():  # the reader parses its own schema
+                    _, eager = scan(write, schema, values, window)
+                assert dataclasses.asdict(metrics) == dataclasses.asdict(
+                    eager
+                ), (name, window)
+                assert len(got) == n, name
+                for record, value in zip(got, values):
+                    twin = decode_datum(schema, encode_datum(schema, value))
+                    assert_behaves_as_its_twin(
+                        schema, record, twin, data.draw
+                    )
+
+
+def test_the_crawl_defers_its_three_containers():
+    schema = crawl_schema()
+    value = next(crawl_records(1, content_bytes=64, seed=3))
+    (record,), _ = read_records(schema, encode_datum(schema, value), 1, None)
+    deferred = [
+        f.name for f in schema.fields
+        if type(record._values[f.index]) is _Deferred
+    ]
+    assert deferred == ["inlink", "metadata", "annotations"]
+    assert record == value
