@@ -9,7 +9,7 @@ are exactly what the reproduction targets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 _MARKERS = "*o+x#@%&"
 
@@ -126,8 +126,3 @@ def grouped_bar_chart(
                 f"{value:,.4g}{unit}"
             )
     return "\n".join(lines)
-
-
-def series_from_rows(rows: Sequence, x_of, y_of) -> Dict[float, float]:
-    """Helper to build a series dict from arbitrary row objects."""
-    return {x_of(row): y_of(row) for row in rows}

@@ -78,7 +78,6 @@ def cluster_fs(
     num_nodes: int = 40,
     block_size: int = MICRO_BLOCK,
     io_buffer: int = MICRO_IO_BUFFER,
-    job_overhead: float = 0.0,
     seed: int = 20110401,
 ) -> FileSystem:
     """The full-cluster setup of Section 6.1 (40 nodes, 6 map slots)."""
@@ -91,7 +90,6 @@ def cluster_fs(
             io_buffer_size=io_buffer,
             disk=scaled_disk(),
             network=scaled_network(),
-            job_overhead_seconds=job_overhead,
             seed=seed,
         )
     )

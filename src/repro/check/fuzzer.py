@@ -253,7 +253,6 @@ def fuzz(
     matrix: str = "quick",
     corpus_dir: Optional[str] = DEFAULT_CORPUS_DIR,
     stop_on_failure: bool = True,
-    shrink_evals: int = DEFAULT_SHRINK_EVALS,
     log: Optional[Callable[[str], None]] = None,
 ) -> FuzzResult:
     """Run ``budget`` generated cases through the oracle.
@@ -278,9 +277,7 @@ def fuzz(
             continue
         if log:
             log(f"fuzz: seed {case_seed} FAILED: {message}")
-        shrunk, final_message = shrink(
-            case, checker, max_evals=shrink_evals, log=log
-        )
+        shrunk, final_message = shrink(case, checker, log=log)
         corpus_path = None
         if corpus_dir:
             corpus_path = save_case(shrunk, corpus_dir, error=final_message)

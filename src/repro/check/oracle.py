@@ -30,7 +30,7 @@ ground truth.  A corruption that reads back clean is the failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.check.generators import (
     DEFAULT_IO_BUFFER,
@@ -557,11 +557,10 @@ def run_matrix(
     case: Case,
     matrix: str = "full",
     plant_corruption: bool = False,
-    configs: Optional[Sequence[StorageConfig]] = None,
 ) -> OracleReport:
     """Run ``case`` across the matrix; the one oracle entry point."""
     report = OracleReport(case=case, matrix=matrix)
-    for config in (configs if configs is not None else matrix_configs(matrix)):
+    for config in matrix_configs(matrix):
         reason = config.skip_reason(case)
         if reason:
             report.cells.append(CellResult(

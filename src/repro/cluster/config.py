@@ -146,6 +146,3 @@ class ClusterPolicy:
 
     def tenant(self, name: str) -> TenantConfig:
         return next(t for t in self.tenants if t.name == name)
-
-    def queue_of(self, tenant: str) -> QueueConfig:
-        return self.queue(self.tenant(tenant).queue)

@@ -24,11 +24,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from repro.core.cof import SCHEMA_FILE, split_dirs_of
-from repro.core.columnio import (
-    ColumnReader,
-    DefaultColumnReader,
-    open_column_reader,
-)
+from repro.core.columnio import DefaultColumnReader, open_column_reader
 from repro.core.stats import (
     RangePredicate,
     read_split_stats,
@@ -168,10 +164,6 @@ class CIFRecordReader(RecordReader):
                 },
             )
         self._cursor = 0
-        self._record = (
-            LazyRecord(self._schema, self._readers, obs=obs)
-            if self._lazy else None
-        )
         return True
 
     def _any_column_count(self, split_dir: str, schema: Schema) -> int:
@@ -185,6 +177,10 @@ class CIFRecordReader(RecordReader):
         while self._cursor >= self._count:
             if not self._open_next_dir():
                 return None
+            if self._lazy:
+                self._record = LazyRecord(
+                    self._schema, self._readers, obs=self.ctx.obs
+                )
         row = self._cursor
         self._cursor += 1
         if self._lazy:
@@ -352,7 +348,10 @@ class ColumnInputFormat(InputFormat):
 
     ``dirs_per_split`` assigns several split-directories to one map task
     ("CIF can actually assign one or more split-directories to a single
-    split", Section 4.2).
+    split", Section 4.2).  ``predicates`` are conjunctive range
+    predicates pushed down for split pruning: a split-directory whose
+    ``.stats`` zone map proves one unsatisfiable is never scheduled, its
+    files never opened.  They do NOT filter surviving records.
     """
 
     def __init__(
@@ -390,16 +389,6 @@ class ColumnInputFormat(InputFormat):
         if isinstance(columns, str):
             columns = [c.strip() for c in columns.split(",") if c.strip()]
         self.columns = list(columns)
-
-    def set_predicates(self, predicates: Sequence[RangePredicate]) -> None:
-        """Push conjunctive range predicates down for split pruning.
-
-        A split-directory whose ``.stats`` zone map proves a predicate
-        unsatisfiable is never scheduled — its files are not even
-        opened.  Predicates do NOT filter surviving records; callers
-        still apply their full filter per record.
-        """
-        self.predicates = list(predicates)
 
     def get_splits(self, fs, cluster) -> List[CIFSplit]:
         dirs = split_dirs_of(fs, self.dataset)
@@ -445,7 +434,7 @@ class ColumnInputFormat(InputFormat):
     def set_filter(self, *exprs) -> None:
         """Push full row filters (:class:`repro.query.expr.Expr`) down.
 
-        Unlike :meth:`set_predicates` (zone-map pruning only), these
+        Unlike ``predicates`` (zone-map pruning only), these
         filter records: :meth:`VectorizedCIFRecordReader.read_batch`
         applies them as selection kernels.  Row iteration and the
         scalar reference reader ignore them — those callers filter per

@@ -438,13 +438,10 @@ class PlainColumnReader(ColumnReader):
 
     def read_vector(self, n: int, keys=None):
         self._check_read_vector(n)
-        decoded = vecdecode.batch_decode_values(
-            self.reader, self.field_schema, n, self.ctx, keys
-        )
-        if decoded is None:  # container kinds: per-value decode is exact
-            return super().read_vector(n)
         builder = _VectorBuilder()
-        builder.add(decoded)
+        builder.add(vecdecode.batch_decode_values(
+            self.reader, self.field_schema, n, self.ctx, keys
+        ))
         self.next_index += n
         self._obs_rows_read.inc(n)
         self._profiler.on_cells(n)
@@ -563,7 +560,8 @@ class SkipListColumnReader(ColumnReader):
     # Hook points so DCSL can change the value encoding only.
     def _decode_run(self, step: int, keys=None):
         """``step`` contiguous in-block values as ``(tag, values)``, or
-        None when the kind needs :meth:`_decode_one_value` per value."""
+        None when the kind needs :meth:`_decode_one_value` per value
+        (a DCSL map whose values are containers)."""
         return vecdecode.batch_decode_values(
             self.reader, self.field_schema, step, self.ctx, keys
         )
@@ -745,15 +743,9 @@ class CBlockColumnReader(ColumnReader):
             if self._block_remaining == 0:
                 self._open_block()
             step = min(remaining, self._block_remaining)
-            decoded = vecdecode.batch_decode_values(
+            builder.add(vecdecode.batch_decode_values(
                 self._block_reader, self.field_schema, step, self.ctx, keys
-            )
-            if decoded is None:
-                decode = self._block_decoder.read_datum
-                schema = self.field_schema
-                builder.add_objects([decode(schema) for _ in range(step)])
-            else:
-                builder.add(decoded)
+            ))
             self._block_remaining -= step
             self.next_index += step
             remaining -= step

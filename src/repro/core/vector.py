@@ -197,9 +197,6 @@ class StringVector(Vector):
             offsets[i + 1] = total
         return cls(b"".join(chunks), offsets)
 
-    def byte_length(self, i: int) -> int:
-        return self.offsets[i + 1] - self.offsets[i]
-
     def value(self, i: int) -> str:
         cached = self._decoded[i]
         if cached is None:

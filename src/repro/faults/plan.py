@@ -141,28 +141,23 @@ class FaultPlan:
     # -- chaos generation ----------------------------------------------
 
     @classmethod
-    def random(
-        cls,
-        seed: int,
-        num_nodes: int,
-        max_events: int = 3,
-        task_horizon: int = 6,
-    ) -> "FaultPlan":
+    def random(cls, seed: int, num_nodes: int) -> "FaultPlan":
         """A bounded random plan the retry machinery can always survive.
 
         At most one node is killed (so 3-way-replicated data never loses
         its last copy), corruption hits a single replica, and transient
         errors are few enough that ``max_attempts`` >= 4 outlasts them.
-        Triggers are task boundaries, so the same plan is meaningful for
-        any input format or job length.
+        One to three events fire, each at one of the first six task
+        boundaries, so the same plan is meaningful for any input format
+        or job length.
         """
         rng = random.Random(seed)
         plan = cls(seed=seed)
         kinds = ["kill_node", "transient_read_error", "slow_node",
                  "corrupt_replica"]
         rng.shuffle(kinds)
-        for kind in kinds[: rng.randint(1, max_events)]:
-            at_task = rng.randrange(task_horizon)
+        for kind in kinds[: rng.randint(1, 3)]:
+            at_task = rng.randrange(6)
             if kind == "kill_node":
                 plan.add(FaultEvent("kill_node", node=RANDOM,
                                     at_task=at_task))

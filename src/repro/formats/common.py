@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from typing import List, Optional
 
-from repro.mapreduce.types import InputSplit
+from repro.mapreduce.types import InputFormat, InputSplit
 
 SYNC_SIZE = 16
 
@@ -44,6 +44,30 @@ def block_splits(fs, path: str, label: str) -> List["FileSplit"]:
         )
         offset += block.length
     return splits
+
+
+class BlockInputFormat(InputFormat):
+    """A single-file format split at its HDFS blocks, whose header
+    ``parse_header(fs, path)`` reads once, on first use."""
+
+    #: each split is labeled ``<split_label>[<block index>]``
+    split_label = ""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._header = None
+
+    @staticmethod
+    def parse_header(fs, path: str):
+        raise NotImplementedError
+
+    def _read_header(self, fs):
+        if self._header is None:
+            self._header = self.parse_header(fs, self.path)
+        return self._header
+
+    def get_splits(self, fs, cluster) -> List["FileSplit"]:
+        return block_splits(fs, self.path, self.split_label)
 
 
 class FileSplit(InputSplit):

@@ -33,13 +33,13 @@ from typing import Iterable, List, Optional, Sequence
 from repro.compress.codecs import get_codec
 from repro.formats.common import (
     SYNC_SIZE,
+    BlockInputFormat,
     FileSplit,
-    block_splits,
     make_sync_marker,
     scan_to_sync,
 )
 from repro.hdfs.streams import StreamByteReader
-from repro.mapreduce.types import InputFormat, RecordReader, TaskContext
+from repro.mapreduce.types import RecordReader, TaskContext
 from repro.serde import vecdecode
 from repro.serde.binary import BinaryDecoder, BinaryEncoder
 from repro.serde.record import DeferringRecord, field_values
@@ -273,25 +273,19 @@ def _read_len_prefixed(stream) -> bytes:
     return stream.read(length)
 
 
-class RCFileInputFormat(InputFormat):
+class RCFileInputFormat(BlockInputFormat):
     """Block-granular splits over an RCFile, with column projection."""
 
+    split_label = "rcfile"
+    parse_header = staticmethod(read_header)
+
     def __init__(self, path: str, columns: Optional[Sequence[str]] = None):
-        self.path = path
+        super().__init__(path)
         self.columns = list(columns) if columns is not None else None
-        self._header: Optional[_Header] = None
 
     def set_columns(self, columns: Sequence[str]) -> None:
         """Projection push-down (mirrors CIF's ``setColumns``)."""
         self.columns = list(columns)
-
-    def _read_header(self, fs) -> _Header:
-        if self._header is None:
-            self._header = read_header(fs, self.path)
-        return self._header
-
-    def get_splits(self, fs, cluster) -> List[FileSplit]:
-        return block_splits(fs, self.path, "rcfile")
 
     def open_reader(self, fs, split: FileSplit, ctx: TaskContext) -> RecordReader:
         return RCFileRecordReader(

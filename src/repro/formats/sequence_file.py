@@ -28,13 +28,13 @@ from typing import Iterable, List, Optional
 from repro.compress.codecs import get_codec
 from repro.formats.common import (
     SYNC_SIZE,
+    BlockInputFormat,
     FileSplit,
-    block_splits,
     make_sync_marker,
     scan_to_sync,
 )
 from repro.hdfs.streams import StreamByteReader
-from repro.mapreduce.types import InputFormat, RecordReader, TaskContext
+from repro.mapreduce.types import RecordReader, TaskContext
 from repro.serde.binary import BinaryDecoder, encode_datum
 from repro.serde.schema import Schema
 from repro.sim.metrics import Metrics
@@ -247,20 +247,11 @@ class SequenceFileRecordReader(RecordReader):
             raise ValueError("corrupt SequenceFile record framing")
 
 
-class SequenceFileInputFormat(InputFormat):
+class SequenceFileInputFormat(BlockInputFormat):
     """Figure 1's ``SequenceFileInputFormat``: one split per HDFS block."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._header: Optional[_Header] = None
-
-    def _read_header(self, fs) -> _Header:
-        if self._header is None:
-            self._header = read_header(fs, self.path)
-        return self._header
-
-    def get_splits(self, fs, cluster) -> List[FileSplit]:
-        return block_splits(fs, self.path, "seq")
+    split_label = "seq"
+    parse_header = staticmethod(read_header)
 
     def open_reader(self, fs, split: FileSplit, ctx: TaskContext) -> RecordReader:
         return SequenceFileRecordReader(fs, split, self._read_header(fs), ctx)

@@ -140,10 +140,6 @@ class FileSystem:
         self._decommissioned: Set[int] = set()
         self._slowdowns: Dict[int, float] = {}
         self._transient: Dict[int, int] = {}
-        #: re-replicate a block as soon as a corrupt replica is detected
-        #: on the read path (HDFS does this asynchronously; the repair is
-        #: instant here).
-        self.auto_repair = True
 
     # -- configuration ---------------------------------------------------
 
@@ -219,18 +215,14 @@ class FileSystem:
         ``probe`` is an observability :class:`~repro.obs.StreamProbe`
         attributing this stream's fetches to labeled counters.
         """
-        blocks = self.namenode.blocks_of(path)
         return HdfsInputStream(
-            blocks,
-            self.blockstore.get,
+            self,
+            self.namenode.blocks_of(path),
             buffer_size=buffer_size or self.cluster.io_buffer_size,
             node=node,
             metrics=metrics,
-            disk=self.cluster.disk,
-            network=self.cluster.network,
             bandwidth_scale=bandwidth_scale / self.slowdown_of(node),
             probe=probe,
-            replica_source=self,
         )
 
     def write_file(
@@ -292,8 +284,7 @@ class FileSystem:
         Returns ``(payload, local)``.  Preference order: the reader's
         own replica, then the lowest-numbered live one.  Replicas that
         fail their checksum are reported to the namenode (invalidated
-        and, with :attr:`auto_repair`, immediately re-replicated from a
-        good copy); a read that *planned* to be local but was served
+        and immediately re-replicated from a good copy); a read that *planned* to be local but was served
         remotely counts a ``replica.failover`` and is charged network
         cost by the stream layer.
         """
@@ -332,10 +323,10 @@ class FileSystem:
     def report_corrupt_replica(self, block: BlockInfo, node: int) -> None:
         """A reader detected a checksum mismatch on one replica.
 
-        The replica is invalidated at the namenode; with
-        :attr:`auto_repair` the block is immediately re-replicated from
-        a surviving good copy (through the placement policy, so CPP
-        datasets stay co-located).
+        The replica is invalidated at the namenode and the block is
+        immediately re-replicated from a surviving good copy (HDFS does
+        this asynchronously), through the placement policy, so CPP
+        datasets stay co-located.
         """
         if not self._evict_replica(block, node):
             return
@@ -351,7 +342,7 @@ class FileSystem:
             and not self.blockstore.replica_marked(block.block_id, n)
             for n in block.locations
         )
-        if self.auto_repair and has_good_copy:
+        if has_good_copy:
             path = self.namenode.path_of_block(block.block_id)
             if path is not None:
                 self._repair_block(path, block)
@@ -370,15 +361,6 @@ class FileSystem:
         for locations in per_block[1:]:
             hosts &= set(locations)
         return sorted(hosts)
-
-    def bytes_on_node(self, node: int) -> int:
-        """Replica bytes hosted by ``node`` (load-balance statistics)."""
-        return sum(
-            b.length
-            for blocks in self.namenode.files_with_blocks().values()
-            for b in blocks
-            if node in b.locations
-        )
 
     # -- node lifecycle ------------------------------------------------------
 
@@ -532,8 +514,8 @@ class FileSystem:
         """Block-scanner pass: detect and evict corrupt replicas.
 
         Models HDFS's periodic ``DataBlockScanner``: every replica whose
-        stored checksum mismatches is reported to the namenode and (with
-        :attr:`auto_repair`) re-replicated from a good copy — without
+        stored checksum mismatches is reported to the namenode and
+        re-replicated from a good copy — without
         waiting for a reader to stumble over it.  Returns the number of
         corrupt replicas evicted.
         """

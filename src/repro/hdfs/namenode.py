@@ -70,9 +70,6 @@ class NameNode:
     def is_dir(self, path: str) -> bool:
         return normalize(path) in self._dirs
 
-    def is_file(self, path: str) -> bool:
-        return normalize(path) in self._files
-
     def create_file(
         self, path: str, overwrite: bool = False
     ) -> List[BlockInfo]:

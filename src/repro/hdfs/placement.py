@@ -82,15 +82,16 @@ class DefaultPlacementPolicy(BlockPlacementPolicy):
         return rng.choice(candidates)
 
 
-class ColumnPlacementPolicy(BlockPlacementPolicy):
+class ColumnPlacementPolicy(DefaultPlacementPolicy):
     """CPP: co-locate all column files of a split-directory (Section 4.2).
 
     Guarantees that a map task scheduled on any node holding one column
-    of its split holds *all* columns of that split locally.
+    of its split holds *all* columns of that split locally.  Paths
+    outside split-directories, and each directory's first pick, get the
+    default placement.
     """
 
-    def __init__(self, fallback: Optional[BlockPlacementPolicy] = None) -> None:
-        self.fallback = fallback if fallback is not None else DefaultPlacementPolicy()
+    def __init__(self) -> None:
         self._pinned: Dict[str, List[int]] = {}
 
     def pinned_nodes(self, split_dir: str) -> Optional[List[int]]:
@@ -101,19 +102,19 @@ class ColumnPlacementPolicy(BlockPlacementPolicy):
     def choose_targets(self, path, cluster, rng) -> List[int]:
         split_dir = split_directory_of(path)
         if split_dir is None:
-            return self.fallback.choose_targets(path, cluster, rng)
+            return super().choose_targets(path, cluster, rng)
         pinned = self._pinned.get(split_dir)
         if pinned is None:
             # First block of this split-directory: default placement
             # chooses, then the whole directory sticks to it.
-            pinned = self.fallback.choose_targets(path, cluster, rng)
+            pinned = super().choose_targets(path, cluster, rng)
             self._pinned[split_dir] = pinned
         return list(pinned)
 
     def choose_replacement(self, path, existing, cluster, rng) -> int:
         split_dir = split_directory_of(path)
         if split_dir is None or split_dir not in self._pinned:
-            return self.fallback.choose_replacement(path, existing, cluster, rng)
+            return super().choose_replacement(path, existing, cluster, rng)
         pinned = self._pinned[split_dir]
         # Re-pin once per failure: swap any dead pinned node for a fresh
         # one so the whole split-directory re-replicates to the same
@@ -121,12 +122,7 @@ class ColumnPlacementPolicy(BlockPlacementPolicy):
         for candidate in pinned:
             if candidate not in existing:
                 return candidate
-        fresh = self.fallback.choose_replacement(path, pinned, cluster, rng)
-        # Replace the pinned node that the caller no longer lists.
-        for i, node in enumerate(pinned):
-            if node not in existing:  # pragma: no cover - handled above
-                pinned[i] = fresh
-                return fresh
+        fresh = super().choose_replacement(path, pinned, cluster, rng)
         pinned.append(fresh)
         return fresh
 
@@ -142,7 +138,7 @@ class ColumnPlacementPolicy(BlockPlacementPolicy):
         for split_dir, pinned in self._pinned.items():
             if failed_node in pinned:
                 exclude = list(pinned) + [n for n in avoid if n not in pinned]
-                fresh = self.fallback.choose_replacement(
+                fresh = super().choose_replacement(
                     split_dir, exclude, cluster, rng
                 )
                 pinned[pinned.index(failed_node)] = fresh

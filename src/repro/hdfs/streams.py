@@ -69,33 +69,26 @@ class HdfsInputStream:
 
     def __init__(
         self,
+        fs,
         blocks: List[BlockInfo],
-        payload_of,
         buffer_size: int,
         node: Optional[int] = None,
         metrics: Optional[Metrics] = None,
-        disk=None,
-        network=None,
         bandwidth_scale: float = 1.0,
         probe: Optional[StreamProbe] = None,
-        replica_source=None,
     ) -> None:
-        """``replica_source`` (optional) is an object with
-        ``check_transient(node)`` and ``fetch_block(block, node) ->
-        (payload, local)`` — the checksum-verifying, failure-aware read
-        path provided by :class:`~repro.hdfs.filesystem.FileSystem`.
-        Without it the stream falls back to the raw ``payload_of``
-        callable and pure location-metadata locality (no fault model).
-        """
+        """``fs`` is the :class:`~repro.hdfs.filesystem.FileSystem` that
+        serves every fetch (``check_transient`` and ``fetch_block``: the
+        checksum-verifying, failure-aware read path) and whose cluster's
+        disk and network models the fetches are charged to."""
+        self._fs = fs
         self._blocks = blocks
-        self._payload_of = payload_of
-        self._replica_source = replica_source
         self._buffer_size = buffer_size
         self._node = node
         self._metrics = metrics
         self._probe = probe if probe is not None else NULL_STREAM_PROBE
-        self._disk = disk
-        self._network = network
+        self._disk = fs.cluster.disk
+        self._network = fs.cluster.network
         self._bandwidth_scale = bandwidth_scale
         self.buffer_size = buffer_size
         self._starts: List[int] = []
@@ -164,10 +157,9 @@ class HdfsInputStream:
         local_bytes = 0
         remote_bytes = 0
         remote_transfers = 0
-        if self._replica_source is not None:
-            # Flaky-reader faults surface here, at fetch granularity, so
-            # a retried task re-reads from a clean stream position.
-            self._replica_source.check_transient(self._node)
+        # Flaky-reader faults surface here, at fetch granularity, so a
+        # retried task re-reads from a clean stream position.
+        self._fs.check_transient(self._node)
         block_index = self._block_index(start)
         cursor = start
         while cursor < end:
@@ -175,14 +167,7 @@ class HdfsInputStream:
             block_start = self._starts[block_index]
             lo = cursor - block_start
             hi = min(end - block_start, block.length)
-            if self._replica_source is not None:
-                payload, local = self._replica_source.fetch_block(
-                    block, self._node
-                )
-            else:
-                payload, local = self._payload_of(block.block_id), (
-                    self._is_local(block)
-                )
+            payload, local = self._fs.fetch_block(block, self._node)
             chunks.append(payload[lo:hi])
             nbytes = hi - lo
             if local:
@@ -197,14 +182,14 @@ class HdfsInputStream:
         self._last_fetch_end = end
         if self._metrics is not None:
             self._probe.on_fetch(local_bytes, remote_bytes, seeking)
-            if local_bytes and self._disk is not None:
+            if local_bytes:
                 self._disk.charge_read(
                     self._metrics,
                     local_bytes,
                     seeks=1 if seeking else 0,
                     bandwidth_scale=self._bandwidth_scale,
                 )
-            if remote_bytes and self._network is not None:
+            if remote_bytes:
                 self._network.charge_remote_read(
                     self._metrics,
                     remote_bytes,
@@ -221,9 +206,6 @@ class HdfsInputStream:
                 hi = mid - 1
         return lo
 
-    def _is_local(self, block: BlockInfo) -> bool:
-        return self._node is None or self._node in block.locations
-
 
 class StreamByteReader(ByteReader):
     """A :class:`ByteReader` that pulls from an :class:`HdfsInputStream`.
@@ -237,14 +219,12 @@ class StreamByteReader(ByteReader):
 
     _COMPACT_THRESHOLD = 1 << 20
 
-    def __init__(
-        self, stream: HdfsInputStream, chunk: Optional[int] = None
-    ) -> None:
+    def __init__(self, stream: HdfsInputStream) -> None:
         super().__init__(bytearray(), 0)
         self._stream = stream
         # Decode-window size follows the stream's readahead so skip-based
         # I/O elimination operates at the same granularity HDFS fetches at.
-        self._chunk = chunk if chunk is not None else stream.buffer_size
+        self._chunk = stream.buffer_size
         self._origin = stream.tell()  # stream offset of self._buf[0]
 
     @property
@@ -292,16 +272,6 @@ class StreamByteReader(ByteReader):
                 f"skip {n} from {self.offset} passes EOF at {self._stream.length}"
             )
         self.pos += n
-
-    def seek_to(self, stream_offset: int) -> None:
-        """Reposition to an absolute stream offset (forward or back)."""
-        rel = stream_offset - self._origin
-        if 0 <= rel <= len(self._buf):
-            self.pos = rel
-        else:
-            self._origin = stream_offset
-            self._buf = bytearray()
-            self.pos = 0
 
     def _read_varint_slow(self) -> int:
         while True:

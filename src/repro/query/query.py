@@ -28,6 +28,8 @@ from repro.query.aggregates import Aggregate
 from repro.query.expr import Expr, col
 
 _UNGROUPED = ("__all__",)
+#: reduce tasks of a grouped query
+_REDUCERS = 4
 
 
 class QueryError(ValueError):
@@ -71,7 +73,6 @@ class Q:
         self._having: List = []       # post-aggregation row predicates
         self._order_by: Optional[Tuple[str, bool]] = None
         self._limit: Optional[int] = None
-        self._num_reducers = 4
 
     def _copy(self) -> "Q":
         out = Q(self.dataset)
@@ -82,7 +83,6 @@ class Q:
         out._having = list(self._having)
         out._order_by = self._order_by
         out._limit = self._limit
-        out._num_reducers = self._num_reducers
         return out
 
     # -- builder -----------------------------------------------------------
@@ -147,11 +147,6 @@ class Q:
             raise QueryError("limit must be >= 0")
         out = self._copy()
         out._limit = n
-        return out
-
-    def reducers(self, n: int) -> "Q":
-        out = self._copy()
-        out._num_reducers = n
         return out
 
     # -- planning -----------------------------------------------------------
@@ -343,7 +338,7 @@ class Q:
             execution,
             reducer=reducer,
             combiner=merge if combinable else None,
-            num_reducers=self._num_reducers,
+            num_reducers=_REDUCERS,
         )
         job_result = run_job(fs, job)
         rows = []

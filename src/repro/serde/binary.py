@@ -28,6 +28,8 @@ the same terms the cost model's ``charge_*`` methods would
 
 A charged record read *defers* its map and array fields (see
 :func:`_deferral`): each is charged in full and built on first access.
+A charged ``map<string>`` read outside a record takes the same step and
+builds the span at once.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class _Plan(NamedTuple):
     #: (r, p, cpu) -> cpu plus the datum's decode-equivalent cost
     skip_charged: Callable
     write: Callable  #: (value, out) -> None
+    #: (r, p, m) -> value or a ``_Deferred``, charged as ``read_charged``:
+    #: what a record field or :meth:`BinaryDecoder.read_deferred` reads
+    defer: Callable
 
 
 def _plan(schema: Schema) -> _Plan:
@@ -143,7 +148,7 @@ def _fixed(kind: str, read, skip, write) -> _Plan:
         skip(r)
         return cpu + rate(p)
 
-    return _Plan(read, read_charged, skip, skip_charged, write)
+    return _Plan(read, read_charged, skip, skip_charged, write, read_charged)
 
 
 def _write_chunk(value, out) -> None:
@@ -172,7 +177,9 @@ def _chunk_plan(kind: str, decode, encode) -> _Plan:
     def write(value, out):
         _write_chunk(encode(value), out)
 
-    return _Plan(read, read_charged, _hop_chunk, skip_charged, write)
+    return _Plan(
+        read, read_charged, _hop_chunk, skip_charged, write, read_charged
+    )
 
 
 _PRIMITIVE_PLANS = {
@@ -205,7 +212,7 @@ _PRIMITIVE_PLANS = {
 
 def _array_plan(schema: Schema) -> _Plan:
     item_read, item_read_charged, item_skip, item_skip_charged, \
-        item_write = _plan(schema.items)
+        item_write, _ = _plan(schema.items)
     base, per_element = decode_rates("array")
 
     def read(r):
@@ -233,12 +240,14 @@ def _array_plan(schema: Schema) -> _Plan:
         for element in value:
             item_write(element, out)
 
-    return _Plan(read, read_charged, skip, skip_charged, write)
+    return _Plan(
+        read, read_charged, skip, skip_charged, write,
+        _deferral(schema, read_charged),
+    )
 
 
 _MAP_BASE, _MAP_ENTRY = decode_rates("map")
 _KEY_BASE, _KEY_BYTE = decode_rates("string")
-_string_read_charged = _PRIMITIVE_PLANS["string"].read_charged
 
 
 def _key_charged(r, p, m):
@@ -251,58 +260,9 @@ def _key_charged(r, p, m):
     return raw
 
 
-def _read_string_map_charged(r, p, m):
-    """``read_charged`` of a ``map<string>``.
-
-    An entry is two length-prefixed strings, so whole entries come off
-    the window in one loop, their ticks summed in a local that is added
-    to ``m`` once, when the map is done or raises.  The one entry that
-    does not fit (or does not decode) is read the per-datum way, which
-    may refill or raise, and the loop resumes on the window that leaves.
-    """
-    count = _varint(r)
-    m.cpu_ticks += _MAP_BASE(p) + count * _MAP_ENTRY(p)
-    m.objects += 1 + count
-    pair_base, per_byte = 2 * _KEY_BASE(p), _KEY_BYTE(p)
-    out = {}
-    cpu = 0
-    try:
-        while True:
-            buf = r._buf
-            pos = r.pos
-            limit = len(buf)
-            taken = 0
-            try:
-                while taken < count:
-                    n = buf[pos]
-                    value_pos = pos + 1 + n
-                    k = buf[value_pos]
-                    end = value_pos + 1 + k
-                    if n >= 0x80 or k >= 0x80 or end > limit:
-                        break
-                    key = str(buf[pos + 1:value_pos], "utf-8")
-                    out[key] = str(buf[value_pos + 1:end], "utf-8")
-                    cpu += pair_base + (n + k) * per_byte
-                    pos = end
-                    taken += 1
-            except (IndexError, UnicodeDecodeError):
-                pass
-            r.pos = pos
-            m.cells += 2 * taken
-            m.objects += 2 * taken
-            count -= taken
-            if not count:
-                return out
-            raw = _key_charged(r, p, m)
-            out[str(raw, "utf-8")] = _string_read_charged(r, p, m)
-            count -= 1
-    finally:
-        m.cpu_ticks += cpu
-
-
 def _map_plan(schema: Schema) -> _Plan:
     value_read, value_read_charged, value_skip, value_skip_charged, \
-        value_write = _plan(schema.values)
+        value_write, _ = _plan(schema.values)
 
     def read(r):
         out = {}
@@ -311,18 +271,26 @@ def _map_plan(schema: Schema) -> _Plan:
             out[key] = value_read(r)
         return out
 
+    def per_entry(r, p, m):
+        count = _varint(r)
+        m.cpu_ticks += _MAP_BASE(p) + count * _MAP_ENTRY(p)
+        m.objects += 1 + count
+        out = {}
+        for _ in range(count):
+            raw = _key_charged(r, p, m)
+            out[str(raw, "utf-8")] = value_read_charged(r, p, m)
+        return out
+
+    defer = _deferral(schema, per_entry)
     if schema.values.kind == "string":
-        read_charged = _read_string_map_charged
-    else:
         def read_charged(r, p, m):
-            count = _varint(r)
-            m.cpu_ticks += _MAP_BASE(p) + count * _MAP_ENTRY(p)
-            m.objects += 1 + count
-            out = {}
-            for _ in range(count):
-                raw = _key_charged(r, p, m)
-                out[str(raw, "utf-8")] = value_read_charged(r, p, m)
-            return out
+            # the one window route: the deferral step, built at once
+            value = defer(r, p, m)
+            if type(value) is _Deferred:
+                return value.build(value.span)
+            return value
+    else:
+        read_charged = per_entry
 
     def skip(r):
         for _ in range(_varint(r)):
@@ -343,7 +311,7 @@ def _map_plan(schema: Schema) -> _Plan:
             _write_chunk(key.encode("utf-8"), out)
             value_write(val, out)
 
-    return _Plan(read, read_charged, skip, skip_charged, write)
+    return _Plan(read, read_charged, skip, skip_charged, write, defer)
 
 
 # -- deferral: a record's maps and arrays, built on first access --------
@@ -353,9 +321,12 @@ def _map_plan(schema: Schema) -> _Plan:
 # decodes: it lies wholly in the window and is ASCII throughout, so every
 # varint in it is one byte and every string in it is ASCII.  It charges
 # what ``read_charged`` would and returns a ``_Deferred`` over a copy of
-# the span.  Any other datum goes to ``read_charged``, which refills,
-# raises and charges partially as it always has.  (A double's eight
-# bytes are seldom ASCII, so doubles are never deferred.)
+# the span.  Any other datum goes to the per-entry ``read_charged``,
+# which refills, raises and charges partially as it always has.  (A
+# double's eight bytes are seldom ASCII, so doubles are never deferred.)
+# Each plan compiles its step once (``_Plan.defer``), and a ``map<string>``
+# read anywhere else is the same step with its span built at once: the
+# one window route that type has.
 
 #: item kind -> its value from its one byte in a proven span
 _ONE_BYTE = dict.fromkeys(("int", "long", "time"), lambda b: b >> 1 ^ -(b & 1))
@@ -443,14 +414,10 @@ def _deferral(schema: Schema, eager: Callable) -> Callable:
 
 def _record_plan(schema: Schema) -> _Plan:
     plans = [_plan(f.schema) for f in schema.fields]
-    reads, reads_charged, skips, skips_charged, writes = (
-        zip(*plans) if plans else [()] * 5
+    reads, reads_charged, skips, skips_charged, writes, steps = (
+        zip(*plans) if plans else [()] * 6
     )
-    steps = [
-        _deferral(f.schema, read)
-        for f, read in zip(schema.fields, reads_charged)
-    ]
-    make = (Record if steps == list(reads_charged) else DeferringRecord).of
+    make = (Record if steps == reads_charged else DeferringRecord).of
     base, _ = decode_rates("record")
 
     def read(r):
@@ -481,7 +448,7 @@ def _record_plan(schema: Schema) -> _Plan:
         for field, fval in zip(writes, values):
             field(fval, out)
 
-    return _Plan(read, read_charged, skip, skip_charged, write)
+    return _Plan(read, read_charged, skip, skip_charged, write, read_charged)
 
 
 _CONTAINER_PLANS = {
@@ -558,7 +525,7 @@ class BinaryDecoder:
     def read_deferred(self, schema: Schema, k: int) -> list:
         """``k`` datums charged as ``k`` :meth:`read_datum` calls, maps and
         arrays deferred as a record's are (for a :class:`DeferringRecord`)."""
-        step = _deferral(schema, _plan(schema).read_charged)
+        step = _plan(schema).defer
         r, cost = self.reader, self.cost
         start = r.offset
         out = [step(r, cost.profile, self.metrics) for _ in range(k)]

@@ -383,20 +383,22 @@ def batch_decode_values(reader, field_schema, k: int, ctx, keys=None):
     """Decode ``k`` consecutive plainly-encoded values off ``reader``
     with batched cost charges (maps cut down to ``keys``, if given).
 
-    Returns ``(tag, payload)`` for primitive kinds and maps of them,
-    ``None`` for other container kinds (callers fall back to per-value
-    decoding).  The charges are the exact sums of ``k`` scalar
-    ``read_datum`` calls: the cost model is linear and charges whole
-    ticks, so cells, objects and ``cpu_ticks`` are identical.
+    Returns ``(tag, payload)`` for every kind.  Primitives and maps of
+    them are decoded by the kernels; any other container is ``k``
+    charged ``read_datum`` calls.  The charges are the exact sums of
+    ``k`` scalar ``read_datum`` calls: the cost model is linear and
+    charges whole ticks, so cells, objects and ``cpu_ticks`` are
+    identical.
     """
     kind = field_schema.kind
     cost, metrics = ctx.cost, ctx.metrics
     if kind not in _BATCH_KERNELS:
-        if not map_batch_supported(field_schema):
-            return None
-        return "obj", read_maps(
-            reader, field_schema, k, cost, metrics, wanted=keys
-        )
+        if map_batch_supported(field_schema):
+            return "obj", read_maps(
+                reader, field_schema, k, cost, metrics, wanted=keys
+            )
+        read = BinaryDecoder(reader, cost, metrics).read_datum
+        return "obj", [read(field_schema) for _ in range(k)]
     kernel, tag = _BATCH_KERNELS[kind]
     start = reader.offset
     values = kernel(reader, k)

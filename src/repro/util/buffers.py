@@ -19,7 +19,6 @@ from repro.util.varint import (
 )
 
 _DOUBLE = struct.Struct("<d")
-_FLOAT = struct.Struct("<f")
 _UINT32 = struct.Struct("<I")
 
 
@@ -59,9 +58,6 @@ class ByteWriter:
 
     def write_double(self, value: float) -> None:
         self._buf += _DOUBLE.pack(value)
-
-    def write_float(self, value: float) -> None:
-        self._buf += _FLOAT.pack(value)
 
     def write_uint32(self, value: int) -> None:
         self._buf += _UINT32.pack(value)
@@ -136,12 +132,6 @@ class ByteReader:
         self._require(8)
         value = _DOUBLE.unpack_from(self._buf, self.pos)[0]
         self.pos += 8
-        return value
-
-    def read_float(self) -> float:
-        self._require(4)
-        value = _FLOAT.unpack_from(self._buf, self.pos)[0]
-        self.pos += 4
         return value
 
     def read_uint32(self) -> int:

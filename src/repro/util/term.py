@@ -20,11 +20,9 @@ from typing import IO, Optional
 
 _CODES = {
     "bold": "1",
-    "dim": "2",
     "red": "31",
     "green": "32",
     "yellow": "33",
-    "cyan": "36",
 }
 
 
@@ -44,9 +42,6 @@ class Palette:
     def bold(self, text: str) -> str:
         return self._wrap(_CODES["bold"], text)
 
-    def dim(self, text: str) -> str:
-        return self._wrap(_CODES["dim"], text)
-
     def red(self, text: str) -> str:
         return self._wrap(_CODES["red"], text)
 
@@ -55,9 +50,6 @@ class Palette:
 
     def yellow(self, text: str) -> str:
         return self._wrap(_CODES["yellow"], text)
-
-    def cyan(self, text: str) -> str:
-        return self._wrap(_CODES["cyan"], text)
 
 
 #: the shared disabled palette: every method is the identity

@@ -12,8 +12,6 @@ column matches a pattern.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.mapreduce.job import Job
 from repro.mapreduce.types import InputFormat
 from repro.workloads.crawl import CRAWL_PREDICATE
@@ -95,14 +93,12 @@ def selectivity_aggregation_job(
     )
 
 
-def make_projection_scan_mapper(columns, counter: Optional[str] = None):
+def make_projection_scan_mapper(columns):
     """A pure scan: touch the given columns of every record (Figure 7)."""
 
     def mapper(key, record, emit, ctx):
         for column in columns:
             record.get(column)
-        if counter:
-            ctx.counters.increment(counter)
 
     return mapper
 

@@ -40,6 +40,9 @@ from tests.test_fuzz_schemas import (
 
 COST = CpuCostModel()
 WINDOWS = (61, 12 * 1024)
+#: ASCII, non-ASCII and, at up to 140 characters, two-byte length
+#: prefixes and maps that straddle a 61 B window
+_MAP_TEXT = st.text(alphabet="ab~\x00é€", max_size=140)
 
 
 def per_datum(reader, schema, k, ctx, keys=None):
@@ -153,6 +156,26 @@ class TestCodec:
         held = [type(v) for v in record._values]
         assert held == [dict, list, _Deferred]
         assert record.to_dict() == value
+
+    @FUZZ_SETTINGS
+    @given(maps=st.lists(
+        st.dictionaries(_MAP_TEXT, _MAP_TEXT, max_size=5), min_size=1,
+        max_size=6,
+    ))
+    def test_a_string_map_read_is_the_per_entry_read(self, maps):
+        # a standalone map<string> takes the deferral step built at once
+        # (its one window route), or the per-entry plan when the step
+        # cannot prove the span: either way the per-entry plan's read
+        schema = Schema.map(Schema.string())
+        encoded = b"".join(encode_datum(schema, m) for m in maps)
+        for window in (None,) + WINDOWS:
+            got, metrics = read_records(schema, encoded, len(maps), window)
+            with eager_plans():
+                want, eager = read_records(
+                    fresh(schema), encoded, len(maps), window
+                )
+            assert got == want == maps
+            assert dataclasses.asdict(metrics) == dataclasses.asdict(eager)
 
     def test_an_undeferred_record_is_a_plain_record(self):
         schema = Schema.record("r", [("a", Schema.int_())])

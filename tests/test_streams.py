@@ -187,14 +187,6 @@ class TestStreamByteReader:
         with pytest.raises(EOFError):
             reader.read_bytes(2)
 
-    def test_seek_to_backwards(self):
-        payload = b"0123456789" * 100
-        reader = self.build(payload)
-        reader.skip(500)
-        reader.read_bytes(10)
-        reader.seek_to(100)
-        assert reader.read_bytes(10) == payload[100:110]
-
     def test_offset_stable_across_compaction(self):
         payload = bytes(i % 251 for i in range(3 << 20))
         reader = self.build(payload, io_buffer=1 << 16)

@@ -1,4 +1,5 @@
-"""Surface audit: every module under ``src/repro`` serves some caller.
+"""Surface audit: every module under ``src/repro`` serves some caller,
+and every public function and class is named somewhere.
 
 A module is *reached* when a file under ``src/repro``, ``examples/``,
 ``wallbench/`` or ``benchmarks/`` (other than the module itself and its
@@ -16,16 +17,24 @@ Entry points (``__init__``, ``__main__``) and modules named by a
 dispatch table (``repro.cli.VERBS``, ``repro.bench.regress.SCENARIOS``)
 are reached by definition.  A module only its own tests import was
 built for traffic nobody sends: delete it, or list it in
-:data:`KEPT_ON_PURPOSE` with the reason.  This is the module-level half
-of the audit; the function-level half needs a trace and judgement
+:data:`KEPT_ON_PURPOSE` with the reason.
+
+The cheap half of the function-level audit is a name search: a public
+``def`` or ``class`` under ``src/repro`` (at module or class level) whose
+name appears in no file under ``src/``, ``tests/``, ``examples/``,
+``wallbench/`` or ``benchmarks/`` except at its own definition has no
+caller and no test, so it goes, or into :data:`UNNAMED_ON_PURPOSE` with
+the reason.  The other half needs a trace and judgement
 (``docs/testing.md`` § Reachability audit).
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Set
+from typing import Dict, Iterator, Set
 
 import repro
 from repro.bench.regress import SCENARIOS
@@ -34,6 +43,7 @@ from repro.cli import VERBS
 SRC = Path(repro.__file__).parent
 ROOT = SRC.parents[1]
 CALLER_DIRS = (SRC, ROOT / "examples", ROOT / "wallbench", ROOT / "benchmarks")
+NAMING_DIRS = (ROOT / "src", ROOT / "tests") + CALLER_DIRS[1:]
 
 #: modules no caller reaches, kept anyway: name -> why
 KEPT_ON_PURPOSE = {
@@ -155,4 +165,80 @@ def test_the_walk_sees_each_way_of_reaching_a_module(tmp_path):
     assert unreached(pkg, (pkg, callers)) == {
         # re-exported by its own __init__ only; imported by itself only
         "repro.obs.orphan", "repro.obs.selfish",
+    }
+
+
+#: public definitions named nowhere but where they are defined, kept
+#: anyway: qualified name -> why
+UNNAMED_ON_PURPOSE: Dict[str, str] = {}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def public_defs(tree: ast.Module) -> Iterator[tuple]:
+    """``(qualified name, name)`` of every public def and class at module
+    or class level (a function's nested defs are its own business)."""
+    pending = [(node, "") for node in tree.body]
+    while pending:
+        node, owner = pending.pop()
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ) or node.name.startswith("_"):
+            continue
+        yield owner + node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            pending += [(child, f"{owner}{node.name}.") for child in node.body]
+
+
+def unnamed(src: Path = SRC, naming_dirs=NAMING_DIRS) -> Set[str]:
+    """Public defs and classes under ``src`` whose name no file under
+    ``naming_dirs`` holds but at the definition (this file excepted: it
+    names what it exempts)."""
+    names: Counter = Counter()
+    for directory in naming_dirs:
+        for path in directory.rglob("*.py"):
+            if path.resolve() != Path(__file__).resolve():
+                names.update(_IDENTIFIER.findall(path.read_text()))
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        module = module_name(path, src)
+        for qualified, name in public_defs(ast.parse(path.read_text())):
+            if names[name] <= 1:
+                found.add(f"{module}.{qualified}")
+    return found
+
+
+def test_every_public_definition_is_named_or_kept_on_purpose():
+    assert sorted(unnamed() - set(UNNAMED_ON_PURPOSE)) == []
+
+
+def test_the_name_allow_list_holds_only_what_is_still_unnamed():
+    assert sorted(set(UNNAMED_ON_PURPOSE) - unnamed()) == []
+
+
+def test_the_name_search_sees_each_way_of_naming_a_definition(tmp_path):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(
+        "def lonely(): pass\n"                  # named at its def only
+        "def _private(): pass\n"                # private: not audited
+        "def called_here(): pass\n"
+        "def caller():\n"
+        "    def nested(): pass\n"              # nested: not audited
+        "    return called_here()\n"
+        "class Box:\n"
+        "    def unused(self): pass\n"          # a method named nowhere
+        "    def in_a_test(self): pass\n"
+        "    def in_a_docstring(self): pass\n"
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        '"""Covers Box.in_a_docstring."""\n'
+        "from repro.mod import Box, caller\n"
+        "Box().in_a_test()\n"
+    )
+    assert unnamed(pkg, (tmp_path / "src", tests)) == {
+        "repro.mod.lonely", "repro.mod.Box.unused",
     }

@@ -535,6 +535,45 @@ def _dcsl_reads(kind, wanted=None):
     return (payload, *_map_walks(None, k, column, wanted))
 
 
+def _container_reads(schema, datums):
+    """``batch_decode_values`` over a container with no kernel of its
+    own, against ``k`` charged ``read_datum`` calls."""
+    encoder = BinaryEncoder()
+    for datum in datums:
+        encoder.write_datum(schema, datum)
+    k = len(datums)
+
+    def scalar(reader, ctx):
+        decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
+        return "obj", [decoder.read_datum(schema) for _ in range(k)]
+
+    return (
+        encoder.getvalue(),
+        lambda reader, ctx: vecdecode.batch_decode_values(
+            reader, schema, k, ctx
+        ),
+        scalar,
+    )
+
+
+_POINT = Schema.record("point", [
+    ("x", Schema("long")), ("tag", Schema.string()),
+    ("attrs", Schema.map(Schema.string())),
+])
+_POINTS = [
+    {"x": x, "tag": tag, "attrs": {key: tag for key in _EDGE_KEYS[:n]}}
+    for n, (x, tag) in enumerate(zip(_EDGE_INTS[:5], _EDGE_TEXTS[1:6]))
+]
+_LONGS = Schema.array(Schema("long"))
+#: every container kind the value kernels leave to ``read_datum``
+_CONTAINERS = {
+    "array": (_LONGS, _edge_datums(_LONGS)),
+    "record": (_POINT, _POINTS),
+    "map-of-record": (Schema.map(_POINT), [
+        {}, {"a": _POINTS[0]}, {"é": _POINTS[3], "": _POINTS[4]},
+    ]),
+}
+
 _PRIMS = ("int", "long", "double", "boolean", "string", "bytes")
 _SKIP_SCHEMAS = (
     [Schema(kind) for kind in _PRIMS]
@@ -569,6 +608,8 @@ _EDGE_CASES = {
        for schema in _SKIP_SCHEMAS},
     **{f"skip_dcsl_batch[{kind}]": partial(_dcsl_skips, kind)
        for kind in _PRIMS},
+    **{f"batch_decode_values[{name}]": partial(_container_reads, *case)
+       for name, case in _CONTAINERS.items()},
 }
 
 
