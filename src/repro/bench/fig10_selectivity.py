@@ -96,8 +96,8 @@ def aggregate_metrics(
                     profiler.switch("materialize")
                     profiler.add_rows("materialize", n, n)
                     values = [
-                        frame.get_value("attrs", i)[MAP_KEY]
-                        for i in survivors
+                        attrs[MAP_KEY]
+                        for attrs in frame.values("attrs", survivors)
                     ]
                     profiler.switch("aggregate")
                     profiler.add_rows("aggregate", n, n)

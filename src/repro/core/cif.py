@@ -7,16 +7,18 @@ Projections are pushed down with :meth:`ColumnInputFormat.set_columns`
 — files of unprojected columns are never opened, let alone read.
 
 Two materialization strategies (Section 5.1): ``lazy=False`` decodes
-every projected column of every record; ``lazy=True`` deserializes a
-column value only when the map function calls ``get()``.
+every projected column of every record; ``lazy=True`` hands map
+functions one reused :class:`~repro.core.lazy.LazyRecord`, which
+deserializes a column value only when ``get()`` is called.
 
 :class:`VectorizedCIFRecordReader` is the reader every scan opens: it
-decodes column frames in batches and hands map functions
-:class:`~repro.core.vector.VectorRow` views.  :class:`CIFRecordReader`
-is the per-datum reference (eager :class:`~repro.serde.record.Record`,
-or a reused :class:`~repro.core.lazy.LazyRecord`) that ``repro.check``
-and the differential tests open with ``execution="scalar"`` to prove
-the batch reader record- and charge-identical.
+decodes eager rows and :meth:`~VectorizedCIFRecordReader.read_batch`
+frames column-wise, and its column readers skip through the batched
+kernels.  :class:`CIFRecordReader` is the per-datum reference that
+``repro.check`` and the differential tests open with
+``execution="scalar"`` to prove the batch reader record- and
+charge-identical.  Both hand lazy rows out through the same
+``LazyRecord``.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ class CIFRecordReader(RecordReader):
     """Reassembles records from the column files of split-directories,
     one datum at a time: the reference the batch reader is checked
     against (``execution="scalar"``)."""
+
+    #: what each opened column reader's ``batch_kernels`` is set to
+    batch_kernels = False
 
     def __init__(
         self,
@@ -163,6 +168,8 @@ class CIFRecordReader(RecordReader):
                     "column": field.name,
                 },
             )
+        for reader in self._readers.values():
+            reader.batch_kernels = self.batch_kernels
         self._cursor = 0
         return True
 
@@ -203,27 +210,26 @@ class CIFRecordReader(RecordReader):
 class VectorizedCIFRecordReader(CIFRecordReader):
     """Batch-decoding CIF reader: what ``open_reader`` returns.
 
-    Decodes column frames of up to ``batch_rows`` records with the
-    whole-vector ``read_vector`` fast paths and supports two mutually
-    exclusive drain styles:
+    Its column readers skip through the batched kernels, and it decodes
+    column frames of up to ``batch_rows`` records with the whole-vector
+    ``read_vector`` fast paths.  It supports two mutually exclusive
+    drain styles:
 
-    - **row iteration** (:meth:`read_next`): a drop-in for
-      :class:`CIFRecordReader` that yields eager Records, or (lazy)
-      :class:`~repro.core.vector.VectorRow` views valid until the
-      frame is left.  Lazy-materialization accounting replicates
-      :class:`~repro.core.lazy.LazyRecord` exactly — a row's untouched
-      columns settle as ``cells.skipped`` when the *next* row of the
-      same directory is read, and a directory's final row never
-      settles.
+    - **row iteration** (:meth:`read_next`): eager rows are copied out
+      of fully decoded frames as real Records; lazy rows are the
+      reference's reused :class:`~repro.core.lazy.LazyRecord`, valid
+      until the next row.  Record counts are left to
+      ``RecordReader.__iter__``.
     - **batch iteration** (:meth:`read_batch`): returns whole
       :class:`~repro.core.vector.VectorFrame` objects with any pushed
       filters already applied to ``frame.selection``; record counts are
-      charged per frame here (row iteration leaves that to
-      ``RecordReader.__iter__``).
+      charged per frame here.
 
     Frames never span split-directories, so every frame reads one
     contiguous row range of one directory's column files.
     """
+
+    batch_kernels = True
 
     def __init__(
         self,
@@ -245,16 +251,13 @@ class VectorizedCIFRecordReader(CIFRecordReader):
         self._ledger: Optional[CellLedger] = None
         self._frame: Optional[VectorFrame] = None
         self._frame_last = False  # frame ends its directory
-        self._frame_row = 0  # next row to yield (row-iteration mode)
-        self._pending = None  # (frame, row) awaiting lazy settle
+        self._frame_row = 0  # next eager row to yield (row iteration)
 
     def _next_frame(self) -> Optional[VectorFrame]:
         while self._cursor >= self._count:
             if not self._open_next_dir():
                 self._frame = None
                 return None
-            for column_reader in self._readers.values():
-                column_reader.batch_kernels = True
             self._ledger = (
                 CellLedger(self._readers, self.ctx.obs) if self._lazy else None
             )
@@ -288,6 +291,8 @@ class VectorizedCIFRecordReader(CIFRecordReader):
                 "row iteration cannot be mixed in"
             )
         self._mode = "rows"
+        if self._lazy:
+            return super().read_next()
         frame = self._frame
         if frame is None or self._frame_row >= frame.length:
             frame = self._next_frame()
@@ -295,20 +300,9 @@ class VectorizedCIFRecordReader(CIFRecordReader):
                 return None
         row = self._frame_row
         self._frame_row = row + 1
-        pending = self._pending
-        if pending is not None:
-            prev_frame, prev_row = pending
-            if prev_frame.ledger is not None:
-                prev_frame.ledger.settle_row(prev_frame, prev_row)
-        # A directory's final row is never settled (LazyRecord parity).
-        dir_last = self._frame_last and row == frame.length - 1
-        self._pending = None if dir_last else (frame, row)
-        if frame.ledger is not None:
-            frame.ledger.on_rows(1)
-        view = frame.row(row)
-        # Eager frames are fully decoded, so copying a row out charges
-        # nothing and keeps ``lazy=False`` yielding real Records.
-        return None, view if self._lazy else view.materialize()
+        # The frame is fully decoded, so copying a row out charges
+        # nothing and yields a real Record.
+        return None, frame.row(row).materialize()
 
     def read_batch(self) -> Optional[VectorFrame]:
         """Next frame with filters applied, or ``None`` at end of split."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.columnio import ColumnReader
+from repro.core.vector import CellLedger
 from repro.obs import NULL_OBS, Observability
 from repro.serde.record import Record
 from repro.serde.schema import Schema, SchemaError
@@ -42,19 +43,10 @@ class LazyRecord:
         self._readers = readers
         self._row = -1
         self._cache: Dict[str, object] = {}
-        registry = (obs if obs is not None else NULL_OBS).registry
-        self._obs_records = registry.counter("lazy.records")
-        # Per-column cells: labeled so the heatmap can show which
-        # projected columns a map function actually touches.  Aggregate
-        # queries (value_of with no labels) still sum across columns.
-        self._obs_materialized = {
-            name: registry.counter("lazy.cells.materialized", column=name)
-            for name in readers
-        }
-        self._obs_skipped = {
-            name: registry.counter("lazy.cells.skipped", column=name)
-            for name in readers
-        }
+        ledger = CellLedger(readers, obs if obs is not None else NULL_OBS)
+        self._obs_records = ledger.records
+        self._obs_materialized = ledger.materialized
+        self._obs_skipped = ledger.skipped
 
     def _advance(self, row: int) -> None:
         """Move to record ``row`` (called by the record reader)."""

@@ -781,24 +781,9 @@ class VectorFrame:
     def get_value(self, name: str, i: int):
         """One cell, decoding at most once (LazyRecord.get semantics)."""
         data = self._columns.get(name)
-        if data is not None:
-            if isinstance(data, dict):
-                if i in data:
-                    return data[i]
-            else:
-                return data.value(i)
-        reader = self._require_reader(name)
-        reader.sync_to(self.start + i)
-        value = reader.read_value()
-        if not isinstance(data, dict):
-            data = {}
-            self._columns[name] = data
-            self._touched[name] = set()
-        data[i] = value
-        self._touched[name].add(i)
-        if self.ledger is not None:
-            self.ledger.on_materialized(name, 1)
-        return value
+        if data is None or (isinstance(data, dict) and i not in data):
+            data = self.column(name, (i,))
+        return data[i] if isinstance(data, dict) else data.value(i)
 
     def row(self, i: int) -> "VectorRow":
         return VectorRow(self, i)
@@ -843,54 +828,49 @@ class VectorRow:
 
 
 class CellLedger:
-    """Replicates LazyRecord's obs counters for batch execution.
+    """The ``lazy.*`` counters of one split-directory's projection.
 
-    Same counter names and labels (``lazy.records``,
-    ``lazy.cells.materialized{column=}``, ``lazy.cells.skipped{column=}``),
-    created eagerly like LazyRecord does, so registry snapshots compare
-    exactly — including LazyRecord's advance-settles-previous quirk:
-    the final record of a split-directory is never settled, so its
-    untouched columns are not counted as skipped.
+    ``lazy.records``, ``lazy.cells.materialized{column=}`` and
+    ``lazy.cells.skipped{column=}`` are registered here only, eagerly,
+    so registry snapshots of both engines compare exactly.
+    :class:`~repro.core.lazy.LazyRecord` counts into them row by row;
+    batch frames count through :meth:`on_rows`,
+    :meth:`on_materialized` and :meth:`settle_frame`.
     """
 
     def __init__(self, names: Sequence[str], obs) -> None:
         registry = obs.registry
-        self._records = registry.counter("lazy.records")
-        self._materialized = {
+        self.records = registry.counter("lazy.records")
+        # Per-column cells: labeled so the heatmap can show which
+        # projected columns a map function actually touches.  Aggregate
+        # queries (value_of with no labels) still sum across columns.
+        self.materialized = {
             name: registry.counter("lazy.cells.materialized", column=name)
             for name in names
         }
-        self._skipped = {
+        self.skipped = {
             name: registry.counter("lazy.cells.skipped", column=name)
             for name in names
         }
-        self._names = list(names)
 
     def on_rows(self, n: int) -> None:
-        self._records.inc(n)
+        self.records.inc(n)
 
     def on_materialized(self, name: str, n: int) -> None:
-        self._materialized[name].inc(n)
-
-    def settle_row(self, frame: VectorFrame, i: int) -> None:
-        """Row-granular settle (iterator mode), exactly LazyRecord._advance."""
-        for name in self._names:
-            touched = frame.touched(name)
-            if touched is True:
-                continue
-            if touched is None or i not in touched:
-                self._skipped[name].inc()
+        self.materialized[name].inc(n)
 
     def settle_frame(self, frame: VectorFrame, exclude_last: bool) -> None:
         """Frame-granular settle (batch mode).
 
         ``exclude_last`` marks the final frame of a split-directory,
-        whose last row the scalar path never settles.
+        whose last row :class:`~repro.core.lazy.LazyRecord` never
+        settles: it settles a row when the next row of the directory
+        starts.
         """
         settled = frame.length - (1 if exclude_last else 0)
         if settled <= 0:
             return
-        for name in self._names:
+        for name, skipped in self.skipped.items():
             touched = frame.touched(name)
             if touched is True:
                 continue
@@ -899,7 +879,7 @@ class CellLedger:
                 else sum(1 for i in touched if i < settled)
             )
             if settled > covered:
-                self._skipped[name].inc(settled - covered)
+                skipped.inc(settled - covered)
 
 
 # ---------------------------------------------------------------------------

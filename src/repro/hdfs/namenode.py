@@ -190,12 +190,3 @@ class NameNode:
                 if block.block_id == block_id:
                     return path
         return None
-
-    def replica_count(self, node: int) -> int:
-        """Number of block replicas hosted by ``node`` (balance checks)."""
-        return sum(
-            1
-            for blocks in self._files.values()
-            for b in blocks
-            if node in b.locations
-        )

@@ -232,10 +232,6 @@ class StreamByteReader(ByteReader):
         """Logical offset in the underlying stream."""
         return self._origin + self.pos
 
-    @property
-    def stream_remaining(self) -> int:
-        return self._stream.length - self.offset
-
     def at_end(self) -> bool:
         return self.offset >= self._stream.length
 

@@ -90,14 +90,3 @@ class Metrics:
             else:
                 setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def copy(self) -> "Metrics":
-        out = Metrics()
-        out.add(self)
-        return out
-
-    def reset(self) -> None:
-        for f in fields(self):
-            if f.name == "extra":
-                self.extra.clear()
-            else:
-                setattr(self, f.name, type(getattr(self, f.name))())

@@ -19,7 +19,6 @@ from repro.util.varint import (
 )
 
 _DOUBLE = struct.Struct("<d")
-_UINT32 = struct.Struct("<I")
 
 
 class ByteWriter:
@@ -58,9 +57,6 @@ class ByteWriter:
 
     def write_double(self, value: float) -> None:
         self._buf += _DOUBLE.pack(value)
-
-    def write_uint32(self, value: int) -> None:
-        self._buf += _UINT32.pack(value)
 
     def write_len_prefixed(self, data) -> None:
         """Write a varint length followed by the raw bytes."""
@@ -132,12 +128,6 @@ class ByteReader:
         self._require(8)
         value = _DOUBLE.unpack_from(self._buf, self.pos)[0]
         self.pos += 8
-        return value
-
-    def read_uint32(self) -> int:
-        self._require(4)
-        value = _UINT32.unpack_from(self._buf, self.pos)[0]
-        self.pos += 4
         return value
 
     def read_len_prefixed(self) -> bytes:

@@ -57,11 +57,6 @@ class TestByteReader:
         r = ByteReader(w.getvalue())
         assert r.skip_len_prefixed() == 202
 
-    def test_uint32_roundtrip(self):
-        w = ByteWriter()
-        w.write_uint32(0xDEADBEEF)
-        assert ByteReader(w.getvalue()).read_uint32() == 0xDEADBEEF
-
     @given(st.floats(allow_nan=False))
     def test_double_roundtrip(self, value):
         w = ByteWriter()

@@ -125,13 +125,6 @@ class TestNameNodeEdges:
         assert not fs.exists("/top")
         assert len(fs.blockstore) == 0
 
-    def test_replica_count_per_node(self):
-        fs = FileSystem(ClusterConfig(num_nodes=3, replication=3,
-                                      block_size=1024))
-        fs.write_file("/f", b"x" * 3000)  # 3 blocks x 3 replicas
-        total = sum(fs.namenode.replica_count(n) for n in range(3))
-        assert total == 9
-
     def test_status_length_and_blocks(self):
         fs = FileSystem(ClusterConfig(num_nodes=2, block_size=1000))
         fs.write_file("/f", b"z" * 2500)

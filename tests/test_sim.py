@@ -34,21 +34,6 @@ class TestMetrics:
         assert a.records == 1
         assert a.extra == {"x": 5, "y": 1}
 
-    def test_copy_is_independent(self):
-        a = Metrics()
-        a.charge_cpu(TICKS_PER_SECOND)
-        b = a.copy()
-        b.charge_cpu(TICKS_PER_SECOND)
-        assert a.cpu_time == 1.0 and b.cpu_time == 2.0
-
-    def test_reset(self):
-        m = Metrics()
-        m.charge_io(TICKS_PER_SECOND)
-        m.seeks = 3
-        m.extra["k"] = 1
-        m.reset()
-        assert m.io_ticks == 0 and m.seeks == 0 and m.extra == {}
-
     def test_total_bytes(self):
         m = Metrics()
         m.disk_bytes, m.net_bytes = 100, 50

@@ -200,10 +200,9 @@ class TestStreamByteReader:
 
     def test_at_end_and_remaining(self):
         reader = self.build(b"xyz")
-        assert reader.stream_remaining == 3
+        assert not reader.at_end()
         reader.read_bytes(3)
         assert reader.at_end()
-        assert reader.stream_remaining == 0
 
     def test_corrupt_varint_raises(self):
         reader = self.build(b"\xff" * 32)

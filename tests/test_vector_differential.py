@@ -29,15 +29,23 @@ from repro.check.oracle import (
     matrix_configs,
     scan_records,
 )
-from repro.core import ColumnInputFormat, ColumnSpec, write_dataset
+from repro.core import (
+    ColumnInputFormat,
+    ColumnSpec,
+    declare_column,
+    write_dataset,
+)
+from repro.core.cof import split_dirs_of
 from repro.core.vector import compile_predicate, reconcile_metrics
 from repro.faults import FaultPlan
 from repro.hdfs import ClusterConfig, FileSystem
-from repro.mapreduce import run_job
+from repro.mapreduce import Job, run_job
 from repro.obs import FlightRecorder
 from repro.query import Q, col
+from repro.serde.schema import Schema
 from repro.workloads.crawl import crawl_records, crawl_schema
-from repro.workloads.jobs import distinct_content_types_job
+from repro.workloads.jobs import distinct_content_types_job, distinct_reducer
+from tests.conftest import make_ctx
 
 SEEDS = (3, 7, 11, 23, 42)
 
@@ -142,42 +150,121 @@ def test_seeded_fault_plan_invisible_under_both_engines(seed):
     assert results["scalar"] == results["vectorized"]
 
 
+#: the four column layouts, as ``write_dataset`` keyword arguments; DCSL
+#: applies to map columns, so that leg writes only ``metadata`` with it
+CRAWL_LAYOUTS = {
+    "plain": dict(default_spec=ColumnSpec("plain")),
+    "sl": dict(default_spec=ColumnSpec("skiplist")),
+    "cblock": dict(
+        default_spec=ColumnSpec("cblock", codec="zlib", block_bytes=4096)
+    ),
+    "dcsl": dict(specs={"metadata": ColumnSpec("dcsl")}),
+}
+
+
 @pytest.fixture(scope="module")
 def crawl_fs():
     """Crawl datasets behind a 512-byte io buffer, so the skip kernels
-    walking ``metadata`` (map<string,string>) refill mid-datum."""
+    walking ``metadata`` (map<string,string>) refill mid-datum.  Each
+    also declares a ``rank`` column that no split-directory has a file
+    for, so every read of it is the declared default."""
     fs = FileSystem(ClusterConfig(
         num_nodes=4, replication=2, block_size=64 * 1024, io_buffer_size=512,
     ))
     fs.use_column_placement()
     records = list(crawl_records(240, content_bytes=256))
-    for name, kind in (("sl", "skiplist"), ("dcsl", "dcsl")):
+    for name, layout in CRAWL_LAYOUTS.items():
         write_dataset(
             fs, f"/crawl/{name}", crawl_schema(), records,
-            specs={"metadata": ColumnSpec(kind)}, split_bytes=32 * 1024,
+            split_bytes=32 * 1024, **layout,
         )
+        declare_column(fs, f"/crawl/{name}", "rank", Schema.int_(), 0)
     return fs
 
 
+def _sparse_job(fmt):
+    """A hand-written mapper that reads ``metadata`` and the declared
+    ``rank`` only on some rows, so whether a directory's final row is
+    settled shows in ``lazy.cells.skipped``."""
+
+    def mapper(key, record, emit, ctx):
+        url = record.get("url")
+        if len(url) % 3 == 0:
+            emit(record.get("metadata").get("content-type"), None)
+        if len(url) % 4 == 1:
+            emit("rank", record.get("rank"))
+
+    return Job(
+        "sparse", mapper, fmt, reducer=distinct_reducer, num_reducers=2,
+    )
+
+
+def _registry_series(recorder):
+    return {
+        (name, labels): metric.value
+        for name, labels, metric in recorder.registry
+        if name.startswith(("lazy.", "column.rows."))
+    }
+
+
 @pytest.mark.parametrize("lazy", (False, True))
-@pytest.mark.parametrize("layout", ("sl", "dcsl"))
+@pytest.mark.parametrize("layout", sorted(CRAWL_LAYOUTS))
 def test_hand_written_mapper_over_crawl_reconciles(crawl_fs, layout, lazy):
-    """Figure 1's job (a plain mapper, no BatchOp) drains the batch
-    reader row by row; skipped ``metadata`` runs go through the batched
-    skip kernels and must charge what the per-datum walk charges."""
-    results = {}
-    for execution in ("scalar", "vectorized"):
-        fmt = ColumnInputFormat(
-            f"/crawl/{layout}", columns=["url", "metadata"], lazy=lazy,
-            execution=execution, batch_rows=50,
+    """Figure 1's job and a sparse mapper (plain mappers, no BatchOp)
+    drain the batch reader row by row, two split-directories a task;
+    skipped ``metadata`` runs go through the batched skip kernels.
+    Outputs, counters, every Metrics field and the ``lazy.*`` and
+    ``column.rows.*`` registry series equal the per-datum reference's."""
+    dirs = len(split_dirs_of(crawl_fs, f"/crawl/{layout}"))
+    assert dirs > 2
+    for job in ("figure1", "sparse"):
+        results = {}
+        for execution in ("scalar", "vectorized"):
+            fmt = ColumnInputFormat(
+                f"/crawl/{layout}", lazy=lazy, dirs_per_split=2,
+                columns=["url", "metadata"]
+                + (["rank"] if job == "sparse" else []),
+                execution=execution, batch_rows=50,
+            )
+            recorder = FlightRecorder(clock=lambda: 0.0)
+            with recorder.activate():
+                result = run_job(
+                    crawl_fs,
+                    _sparse_job(fmt) if job == "sparse"
+                    else distinct_content_types_job(fmt, num_reducers=2),
+                )
+            results[execution] = (result, _registry_series(recorder))
+        (scalar, scalar_series), (vec, vec_series) = (
+            results["scalar"], results["vectorized"]
         )
-        results[execution] = run_job(
-            crawl_fs, distinct_content_types_job(fmt, num_reducers=2)
-        )
-    scalar, vec = results["scalar"], results["vectorized"]
-    assert _sorted_output(vec.output) == _sorted_output(scalar.output)
-    assert vec.counters.as_dict() == scalar.counters.as_dict()
-    assert reconcile_metrics(scalar.map_metrics, vec.map_metrics) == []
+        assert _sorted_output(vec.output) == _sorted_output(scalar.output)
+        assert vec.counters.as_dict() == scalar.counters.as_dict()
+        assert reconcile_metrics(scalar.map_metrics, vec.map_metrics) == []
+        assert vec_series == scalar_series, job
+        assert any(name == "column.rows.read" for name, _ in vec_series)
+        if not lazy:
+            continue
+        # Advancing settles the previous row, so each directory's final
+        # row leaves the columns it did not touch unsettled.
+        records = vec_series[("lazy.records", ())]
+        unsettled = [
+            records - value - vec_series[("lazy.cells.skipped", labels)]
+            for (name, labels), value in vec_series.items()
+            if name == "lazy.cells.materialized"
+        ]
+        assert all(0 <= n <= dirs for n in unsettled), job
+        assert any(n > 0 for n in unsettled), job
+
+
+@pytest.mark.parametrize("first", ("read_next", "read_batch"))
+def test_row_and_batch_iteration_do_not_mix(crawl_fs, first):
+    fmt = ColumnInputFormat("/crawl/plain", columns=["url"], batch_rows=50)
+    split = fmt.get_splits(crawl_fs, crawl_fs.cluster)[0]
+    reader = fmt.open_reader(crawl_fs, split, make_ctx())
+    second = "read_batch" if first == "read_next" else "read_next"
+    assert getattr(reader, first)() is not None
+    with pytest.raises(RuntimeError, match="cannot be mixed"):
+        getattr(reader, second)()
 
 
 def test_vectorized_legs_registered_in_check_matrix():
