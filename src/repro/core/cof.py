@@ -17,10 +17,11 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.columnio import ColumnSpec, encode_column_file
+from repro.core.columnio import (
+    ColumnSpec, encode_column_file, frame_column_file,
+)
 from repro.core.stats import STATS_FILE, compute_stats, encode_stats
-from repro.serde.binary import encode_datum
-from repro.serde.record import field_values
+from repro.serde.binary import column_runs
 from repro.serde.schema import Schema, SchemaError
 from repro.sim.metrics import Metrics
 
@@ -86,63 +87,51 @@ class ColumnOutputFormat:
     ) -> int:
         """Load ``records`` under ``dataset``; returns split-dirs written.
 
+        A split-directory closes after the record that brings its plain
+        encoded bytes to ``split_bytes`` or more.  Records are encoded a
+        column at a time, a fixed batch of records per step
+        (:func:`~repro.serde.binary.column_runs`), so a value that cannot
+        be encoded raises before any split-directory holding a record of
+        its batch is written: fewer split-directories may exist after
+        the raise than records before the bad one would fill.
+
         ``first_split_index`` lets several loader tasks write into one
         dataset concurrently, each with its own split-directory number
         range (see :func:`repro.core.loader.parallel_load`).
         """
-        fields = self.schema.fields
-        buffers: List[List] = [[] for _ in fields]
-        #: each buffered value's plain encoding: sizes the split now,
-        #: and is what the column files are framed from at flush
-        encoded: List[List[bytes]] = [[] for _ in fields]
-        buffered_bytes = 0
         split_index = first_split_index
-
-        def flush() -> None:
-            nonlocal buffers, encoded, buffered_bytes, split_index
-            if not buffers[0] and split_index > first_split_index:
-                return
-            split_dir = f"{dataset.rstrip('/')}/s{split_index}"
-            fs.write_file(
-                f"{split_dir}/{SCHEMA_FILE}",
-                self.schema.to_json().encode("utf-8"),
-                metrics=metrics,
-            )
-            # Zone maps: per-column min/max for split pruning.
-            stats = compute_stats(
-                self.schema,
-                {f.name: values for f, values in zip(fields, buffers)},
-            )
-            fs.write_file(
-                f"{split_dir}/{STATS_FILE}", encode_stats(stats),
-                metrics=metrics,
-            )
-            for field, values, blobs in zip(fields, buffers, encoded):
-                payload = encode_column_file(
-                    field.schema, values, self.spec_for(field.name), blobs
-                )
-                fs.write_file(f"{split_dir}/{field.name}", payload, metrics=metrics)
-            buffers = [[] for _ in fields]
-            encoded = [[] for _ in fields]
-            buffered_bytes = 0
+        for _, run in column_runs(self.schema, records, self.split_bytes):
+            self._write_split(fs, dataset, split_index, run, metrics)
             split_index += 1
-
-        wrote_any = False
-        for record in records:
-            wrote_any = True
-            values = field_values(self.schema, record)
-            for buffer, blobs, field, value in zip(
-                buffers, encoded, fields, values
-            ):
-                buffer.append(value)
-                blob = encode_datum(field.schema, value)
-                blobs.append(blob)
-                buffered_bytes += len(blob)
-            if buffered_bytes >= self.split_bytes:
-                flush()
-        if buffers[0] or not wrote_any:
-            flush()
+        if split_index == first_split_index:  # no records: one empty split
+            empty = [((), b"", [0]) for _ in self.schema.fields]
+            self._write_split(fs, dataset, split_index, empty, metrics)
+            split_index += 1
         return split_index - first_split_index
+
+    def _write_split(self, fs, dataset, split_index, run, metrics) -> None:
+        """One split-directory: the schema, zone maps and column files of
+        ``run`` (per field, ``(values, data, ends)``)."""
+        fields = self.schema.fields
+        split_dir = f"{dataset.rstrip('/')}/s{split_index}"
+        fs.write_file(
+            f"{split_dir}/{SCHEMA_FILE}",
+            self.schema.to_json().encode("utf-8"),
+            metrics=metrics,
+        )
+        # Zone maps: per-column min/max for split pruning.
+        stats = compute_stats(
+            self.schema,
+            {f.name: values for f, (values, _, _) in zip(fields, run)},
+        )
+        fs.write_file(
+            f"{split_dir}/{STATS_FILE}", encode_stats(stats), metrics=metrics,
+        )
+        for field, (values, data, ends) in zip(fields, run):
+            payload = frame_column_file(
+                field.schema, values, self.spec_for(field.name), data, ends
+            )
+            fs.write_file(f"{split_dir}/{field.name}", payload, metrics=metrics)
 
 
 def write_dataset(

@@ -47,6 +47,7 @@ types, not complex ones):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,9 +56,10 @@ from repro.compress.dictionary import KeyDictionary
 from repro.mapreduce.types import TaskContext
 from repro.obs import NULL_PROFILER
 from repro.serde import vecdecode
-from repro.serde.binary import BinaryDecoder, BinaryEncoder, encode_datum
+from repro.serde.binary import BinaryDecoder, BinaryEncoder, encode_values
 from repro.serde.schema import Schema, SchemaError
 from repro.util.buffers import ByteReader, ByteWriter
+from repro.util.varint import encode_varint
 
 MAGIC = b"CF1"
 
@@ -116,43 +118,47 @@ class ColumnSpec:
 
 
 def encode_column_file(
-    field_schema: Schema,
-    values: Sequence,
-    spec: ColumnSpec,
-    encoded: Optional[List[bytes]] = None,
+    field_schema: Schema, values: Sequence, spec: ColumnSpec
 ) -> bytes:
     """Serialize one column's values into a complete column-file payload.
 
     The whole column is assembled in memory: HDFS output streams are
     append-only, so skip-block lengths must be known before any value
     byte is written (the double-buffering cost Appendix B.3 measures).
-    ``encoded`` is ``values`` already through ``encode_datum``, from a
-    caller that had to size them (``ColumnOutputFormat.write``).
+    That buffer is the column's values in one buffer plus their end
+    offsets (:func:`~repro.serde.binary.encode_values`); every block and
+    skip-block cut reads the offsets.
     """
-    if encoded is None:
-        encoded = [encode_datum(field_schema, value) for value in values]
+    data, ends = encode_values(field_schema, values)
+    return frame_column_file(field_schema, values, spec, data, ends)
 
+
+def frame_column_file(
+    field_schema: Schema, values: Sequence, spec: ColumnSpec,
+    data: bytes, ends: List[int],
+) -> bytes:
+    """:func:`encode_column_file` from ``values`` already through
+    ``encode_values`` (``data``, ``ends``), for a caller that encoded
+    them to size a split (``ColumnOutputFormat.write``)."""
     out = ByteWriter()
     out.write_bytes(MAGIC)
     out.write_byte(_FORMAT_NAMES[spec.format])
     out.write_varint(len(values))
+    body = b""  # the value region, when it is built whole: copied once
 
     if spec.format == "plain":
-        for blob in encoded:
-            out.write_bytes(blob)
+        body = data
     elif spec.format == "skiplist":
         _write_skip_params(out, spec.skip_sizes)
-        out.write_bytes(_build_skip_region(encoded, spec.skip_sizes, 0, None))
+        body = _build_skip_region(data, ends, 0, len(values), spec.skip_sizes)
     elif spec.format == "cblock":
         out.write_string(spec.codec)
-        _write_cblocks(out, encoded, spec)
+        _write_cblocks(out, data, ends, spec)
     elif spec.format == "dcsl":
         if field_schema.kind != "map":
             raise SchemaError("dcsl layout requires a map-typed column")
         _write_skip_params(out, spec.skip_sizes)
-        out.write_bytes(
-            _build_dcsl_region(field_schema, list(values), spec.skip_sizes)
-        )
+        body = _build_dcsl_region(field_schema, values, spec.skip_sizes)
     elif spec.format == "rle":
         _write_rle(out, field_schema, list(values))
     elif spec.format == "delta":
@@ -162,7 +168,7 @@ def encode_column_file(
         for value in values:
             out.write_zigzag(value - previous)
             previous = value
-    return out.getvalue()
+    return out.getvalue() + body
 
 
 def _write_rle(out: ByteWriter, field_schema: Schema, values: List) -> None:
@@ -184,67 +190,72 @@ def _write_skip_params(out: ByteWriter, sizes: Sequence[int]) -> None:
 
 
 def _build_skip_region(
-    encoded: List[bytes],
-    sizes: Sequence[int],
-    level: int,
-    dictionaries: Optional[List[bytes]],
+    data: bytes, ends: List[int], lo: int, hi: int, sizes: Sequence[int],
+    level: int = 0, dictionaries: Optional[List[bytes]] = None,
 ) -> bytes:
-    """Recursively frame blocks: ``count, nbytes, [dict,] body``."""
+    """Recursively frame values ``lo:hi`` into blocks: ``count, nbytes,
+    [dict,] body``; ``dictionaries`` (one per top block) for DCSL."""
     if level == len(sizes):
-        return b"".join(encoded)
+        return data[ends[lo]:ends[hi]]
     size = sizes[level]
-    out = ByteWriter()
-    for start in range(0, len(encoded), size):
-        chunk = encoded[start:start + size]
-        body = _build_skip_region(chunk, sizes, level + 1, None)
-        if level == 0 and dictionaries is not None:
-            body = dictionaries[start // size] + body
-        out.write_varint(len(chunk))
-        out.write_varint(len(body))
-        out.write_bytes(body)
-    return out.getvalue()
+    out = bytearray()
+    for start in range(lo, hi, size):
+        stop = min(start + size, hi)
+        body = _build_skip_region(data, ends, start, stop, sizes, level + 1)
+        if dictionaries is not None:
+            body = dictionaries[(start - lo) // size] + body
+        encode_varint(stop - start, out)
+        encode_varint(len(body), out)
+        out += body
+    return out
 
 
-def _write_cblocks(out: ByteWriter, encoded: List[bytes], spec: ColumnSpec):
+def _write_cblocks(
+    out: ByteWriter, data: bytes, ends: List[int], spec: ColumnSpec
+) -> None:
+    """Blocks of whole values, each closed by the value that brings it
+    to ``block_bytes`` or more."""
     codec = get_codec(spec.codec)
+    count = len(ends) - 1
     i = 0
-    while i < len(encoded):
-        raw = bytearray()
-        count = 0
-        while i < len(encoded) and (count == 0 or len(raw) < spec.block_bytes):
-            raw += encoded[i]
-            i += 1
-            count += 1
-        compressed = codec.compress(bytes(raw))
-        out.write_varint(count)
+    while i < count:
+        j = min(bisect_left(ends, ends[i] + spec.block_bytes, i + 1), count)
+        raw = data[ends[i]:ends[j]]
+        out.write_varint(j - i)
         out.write_varint(len(raw))
-        out.write_len_prefixed(compressed)
+        out.write_len_prefixed(codec.compress(raw))
+        i = j
 
 
 def _build_dcsl_region(
-    field_schema: Schema, values: List, sizes: Sequence[int]
+    field_schema: Schema, values: Sequence, sizes: Sequence[int]
 ) -> bytes:
-    """Skip-list region with per-top-block dictionaries and id-coded keys."""
+    """Skip-list region with per-top-block dictionaries and id-coded
+    keys: one loop per top block numbers its keys in order of first
+    use and writes its maps into one buffer, each entry's value a slice
+    of the block's values through ``encode_values``."""
     top = sizes[0]
-    encoded: List[bytes] = []
+    data, ends = bytearray(), [0]
     dictionaries: List[bytes] = []
-    for start in range(0, max(len(values), 1), top):
-        chunk = values[start:start + top]
-        dictionary = KeyDictionary()
+    for start in range(0, len(values), top):
+        chunk, ids = values[start:start + top], {}
+        entries, entry_ends = encode_values(
+            field_schema.values, [v for m in chunk for v in m.values()]
+        )
+        i = 0
         for mapping in chunk:
+            encode_varint(len(mapping), data)
             for key in mapping:
-                dictionary.add(key)
+                encode_varint(ids.setdefault(key, len(ids)), data)
+                data += entries[entry_ends[i]:entry_ends[i + 1]]
+                i += 1
+            ends.append(len(data))
         dict_writer = ByteWriter()
-        dictionary.write(dict_writer)
+        KeyDictionary(ids).write(dict_writer)
         dictionaries.append(dict_writer.getvalue())
-        for mapping in chunk:
-            enc = BinaryEncoder()
-            enc.writer.write_varint(len(mapping))
-            for key, value in mapping.items():
-                enc.writer.write_varint(dictionary.id_of(key))
-                enc.write_datum(field_schema.values, value)
-            encoded.append(enc.getvalue())
-    return _build_skip_region(encoded, sizes, 0, dictionaries)
+    return _build_skip_region(
+        data, ends, 0, len(values), sizes, 0, dictionaries
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -70,15 +70,6 @@ class ColumnStats:
     minimum: Optional[object] = None
     maximum: Optional[object] = None
 
-    def observe(self, value) -> None:
-        if value is None:
-            return
-        self.count += 1
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
     def to_obj(self) -> dict:
         return {"count": self.count, "min": self.minimum, "max": self.maximum}
 
@@ -95,14 +86,12 @@ def compute_stats(schema: Schema, columns: Dict[str, list]) -> Dict[str, ColumnS
     """Statistics for one split-directory's buffered column values."""
     out: Dict[str, ColumnStats] = {}
     for field in schema.fields:
-        stats = ColumnStats()
-        values = columns.get(field.name, [])
-        if field.schema.kind in _ORDERABLE:
-            for value in values:
-                stats.observe(value)
-        else:
-            stats.count = sum(1 for v in values if v is not None)
-        out[field.name] = stats
+        present = [v for v in columns.get(field.name, ()) if v is not None]
+        stats = out[field.name] = ColumnStats(len(present))
+        if present and field.schema.kind in _ORDERABLE:
+            # like a running ``v < lo`` / ``v > hi``: the first of equal
+            # values is kept and a NaN after the first value never wins
+            stats.minimum, stats.maximum = min(present), max(present)
     return out
 
 

@@ -41,8 +41,8 @@ from repro.formats.common import (
 from repro.hdfs.streams import StreamByteReader
 from repro.mapreduce.types import RecordReader, TaskContext
 from repro.serde import vecdecode
-from repro.serde.binary import BinaryDecoder, BinaryEncoder
-from repro.serde.record import DeferringRecord, field_values
+from repro.serde.binary import BinaryDecoder, column_runs
+from repro.serde.record import DeferringRecord
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -70,56 +70,31 @@ def write_rcfile(
     out.write_string(codec or "")
     out.write_bytes(sync)
 
-    columns = [f.schema for f in schema.fields]
-    encoders = [BinaryEncoder() for _ in columns]  # one chunk per column
-    value_lengths: List[List[int]] = [[] for _ in columns]
-    rows = 0
-    first_group = True
-
-    def flush() -> None:
-        nonlocal encoders, value_lengths, rows, first_group
-        if rows == 0:
-            return
-        payloads = []
-        for enc in encoders:
-            data = enc.getvalue()
-            if codec:
-                data = get_codec(codec).compress(data)
-            payloads.append(data)
+    # A row group closes after the row that brings its column chunks to
+    # ``row_group_bytes`` or more, the cut COF makes its splits by.
+    runs = column_runs(schema, records, row_group_bytes)
+    for group, (rows, run) in enumerate(runs):
+        payloads = [
+            get_codec(codec).compress(data) if codec else data
+            for _, data, _ in run
+        ]
         # The header's trailing sync doubles as the first group's marker;
         # later groups each write their own.
-        if not first_group:
+        if group:
             out.write_bytes(sync)
-        first_group = False
         # Metadata region: row count, then per column its (compressed)
         # chunk length plus every row's value length — RCFile's key
         # buffer, which readers must fetch in full for every row group.
         meta = ByteWriter()
         meta.write_varint(rows)
         meta.write_varint(len(payloads))
-        for payload, lengths in zip(payloads, value_lengths):
+        for payload, (_, _, ends) in zip(payloads, run):
             meta.write_varint(len(payload))
-            for length in lengths:
-                meta.write_varint(length)
+            for start, end in zip(ends, ends[1:]):
+                meta.write_varint(end - start)
         out.write_len_prefixed(meta.getvalue())
         for payload in payloads:
             out.write_bytes(payload)
-        encoders = [BinaryEncoder() for _ in columns]
-        value_lengths = [[] for _ in columns]
-        rows = 0
-
-    for record in records:
-        values = field_values(schema, record)
-        for i, (enc, column_schema, value) in enumerate(
-            zip(encoders, columns, values)
-        ):
-            before = len(enc.writer)
-            enc.write_datum(column_schema, value)
-            value_lengths[i].append(len(enc.writer) - before)
-        rows += 1
-        if sum(len(enc.writer) for enc in encoders) >= row_group_bytes:
-            flush()
-    flush()
 
     with fs.create(path, metrics=metrics) as stream:
         stream.write(out.getvalue())

@@ -35,7 +35,11 @@ builds the span at once.
 from __future__ import annotations
 
 import struct
-from typing import Callable, NamedTuple, Optional
+from bisect import bisect_left
+from itertools import accumulate, islice
+from typing import (
+    Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.serde.record import (
     DeferringRecord, Record, _Deferred, field_values,
@@ -44,7 +48,7 @@ from repro.serde.schema import Schema, SchemaError
 from repro.sim.cost import CpuCostModel, decode_rates
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
-from repro.util.varint import encode_varint, encode_zigzag
+from repro.util.varint import _VARINT_LIMIT, encode_varint, encode_zigzag
 
 _DOUBLE = struct.Struct("<d")
 
@@ -477,6 +481,152 @@ def encode_datum(schema: Schema, value) -> bytes:
     out = bytearray()
     _plan(schema).write(value, out)
     return bytes(out)
+
+
+# -- whole columns ------------------------------------------------------
+#
+# A loader encodes a column at a time.  Strings, integers and maps of
+# integers have loops of their own for plain values (ASCII strings under
+# 128 characters, ``int`` values a varint holds, ``dict`` maps of under
+# 128 entries and keys of under 128 bytes); a column with any other
+# value is written by its plan, so every error is ``encode_datum``'s.
+
+_ZIGZAG_KINDS = ("int", "long", "time")
+
+
+def _string_column(values):
+    if set(map(type, values)) <= {str}:
+        lengths = list(map(len, values))
+        if max(lengths, default=0) < 0x80:
+            text = "".join(map("%c%s".__mod__, zip(lengths, values)))
+            if text.isascii():
+                ends = accumulate(map((1).__add__, lengths), initial=0)
+                return text.encode("ascii"), list(ends)
+    return None
+
+
+def _zigzag_column(values):
+    if not set(map(type, values)) <= {int}:
+        return None
+    out, ends = bytearray(), [0]
+    append = out.append
+    for value in values:
+        folded = value << 1 if value >= 0 else (-value << 1) - 1
+        if folded >= _VARINT_LIMIT:
+            return None
+        while folded >= 0x80:
+            append(folded & 0x7F | 0x80)
+            folded >>= 7
+        append(folded)
+        ends.append(len(out))
+    return out, ends
+
+
+def _zigzag_map_column(values):
+    out, ends, keys = bytearray(), [0], {}  # keys: str -> prefix + bytes
+    append = out.append
+    for mapping in values:
+        if type(mapping) is not dict or len(mapping) >= 0x80:
+            return None
+        append(len(mapping))
+        for key, value in mapping.items():
+            if type(key) is not str or type(value) is not int:
+                return None
+            encoded = keys.get(key)
+            if encoded is None:
+                encoded = key.encode("utf-8")
+                if len(encoded) >= 0x80:
+                    return None
+                encoded = keys[key] = bytes((len(encoded),)) + encoded
+            out += encoded
+            folded = value << 1 if value >= 0 else (-value << 1) - 1
+            if folded >= _VARINT_LIMIT:
+                return None
+            while folded >= 0x80:
+                append(folded & 0x7F | 0x80)
+                folded >>= 7
+            append(folded)
+        ends.append(len(out))
+    return out, ends
+
+
+def encode_values(schema: Schema, values: Sequence) -> Tuple[bytes, List[int]]:
+    """A column's ``values`` back to back in one buffer, and their end
+    offsets: value ``i`` is ``data[ends[i]:ends[i + 1]]``, ``ends[0]``
+    is 0.  The bytes are :func:`encode_datum`'s, joined."""
+    encoded = None
+    if schema.kind == "string":
+        encoded = _string_column(values)
+    elif schema.kind in _ZIGZAG_KINDS:
+        encoded = _zigzag_column(values)
+    elif schema.kind == "map" and schema.values.kind in _ZIGZAG_KINDS:
+        encoded = _zigzag_map_column(values)
+    if encoded is not None:
+        return encoded
+    write = _plan(schema).write
+    data, ends = bytearray(), [0]
+    for value in values:
+        write(value, data)
+        ends.append(len(data))
+    return data, ends
+
+
+#: records read and encoded per step of :func:`column_runs`
+_BATCH_RECORDS = 128
+
+
+def _extend(run: list, batch: list, start: int, stop: int) -> None:
+    """Append rows ``start:stop`` of an encoded batch to ``run``."""
+    for (values, data, ends), (column, cdata, cends) in zip(run, batch):
+        values += column[start:stop]
+        shift = len(data) - cends[start]
+        data += memoryview(cdata)[cends[start]:cends[stop]]
+        ends += [end + shift for end in cends[start + 1:stop + 1]]
+
+
+def column_runs(schema: Schema, records: Iterable, limit: int) -> Iterator:
+    """Cut ``records`` into runs, each closed by the record that brings
+    its encoded bytes to ``limit`` or more (the last may fall short),
+    and yield ``(count, columns)``: a run's record count and, per field
+    of the record ``schema``, ``(values, data, ends)`` as
+    :func:`encode_values` returns them.
+
+    Records are encoded a fixed batch at a time, a column per call; the
+    rows past a batch's last cut are copied into the next run, so no
+    value is encoded twice.  A value that cannot be encoded raises
+    before any run holding a row of its batch is yielded.
+    """
+    records, run, count, held = iter(records), None, 0, 0
+    while True:
+        rows = [
+            field_values(schema, r) for r in islice(records, _BATCH_RECORDS)
+        ]
+        if not rows:
+            break
+        batch = [
+            (column, *encode_values(f.schema, column))
+            for f, column in zip(schema.fields, zip(*rows))
+        ]
+        # the batch's bytes before each row (all 0 without fields)
+        totals = list(map(sum, zip(*[e for _, _, e in batch]))) or [0] * (
+            len(rows) + 1)
+        start, closed = 0, []
+        while start < len(rows):
+            stop = bisect_left(totals, totals[start] + limit - held, start + 1)
+            cut = stop <= len(rows)
+            stop = min(stop, len(rows))
+            run = run or [([], bytearray(), [0]) for _ in batch]
+            _extend(run, batch, start, stop)
+            count += stop - start
+            held += totals[stop] - totals[start]
+            if cut:
+                closed.append((count, run))
+                run, count, held = None, 0, 0
+            start = stop
+        batch = rows = None  # hold only the rows past the last cut
+        yield from closed
+    if run is not None:
+        yield count, run
 
 
 class BinaryDecoder:

@@ -61,23 +61,33 @@ class TestCofLayout:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.format + "-" + s.codec)
     def test_each_value_is_encoded_once(self, fs, spec, monkeypatch):
         """The encoding that sizes a split is the one its column files
-        are framed from; the files are what values alone encode to."""
-        from repro.core import cof, columnio
-        from repro.serde.binary import encode_datum
+        are framed from: each column's values pass through
+        ``encode_values`` once, in record order.  The files are what
+        values alone encode to."""
+        from repro.core import columnio
+        from repro.serde import binary
 
+        encode_values = binary.encode_values
         calls = []
 
-        def counting(schema, value):
-            calls.append(1)
-            return encode_datum(schema, value)
+        def recording(schema, values):
+            calls.append((schema, list(values)))
+            return encode_values(schema, values)
 
-        monkeypatch.setattr(cof, "encode_datum", counting)
-        monkeypatch.setattr(columnio, "encode_datum", counting)
+        monkeypatch.setattr(binary, "encode_values", recording)
+        monkeypatch.setattr(columnio, "encode_values", recording)
         schema = micro_schema()
         records = micro_records(schema, 300)
         n = load(fs, records, schema, default_spec=spec, split_bytes=16 * 1024)
         assert n > 1
-        assert len(calls) == len(records) * len(schema.fields)
+        # a batch at a time, one call per column in schema order
+        width = len(schema.fields)
+        assert calls and len(calls) % width == 0
+        for i, field in enumerate(schema.fields):
+            assert all(s is field.schema for s, _ in calls[i::width])
+            assert [v for _, values in calls[i::width] for v in values] == [
+                r.get(field.name) for r in records
+            ]
         monkeypatch.undo()
         offset = 0
         for split_dir in split_dirs_of(fs, "/data/d1"):

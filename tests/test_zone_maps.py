@@ -7,6 +7,7 @@ from repro.core.cof import split_dirs_of
 from repro.core.stats import (
     ColumnStats,
     RangePredicate,
+    compute_stats,
     decode_stats,
     encode_stats,
     extract_range_predicates,
@@ -48,16 +49,30 @@ def dataset(fs):
 
 
 class TestStatsPrimitives:
-    def test_observe_tracks_min_max(self):
-        stats = ColumnStats()
-        for v in (5, 2, 9, 2):
-            stats.observe(v)
+    def test_compute_stats_tracks_min_max(self):
+        schema = Schema.record("t", [("v", Schema.int_())])
+        stats = compute_stats(schema, {"v": [5, 2, 9, 2]})["v"]
         assert (stats.minimum, stats.maximum, stats.count) == (2, 9, 4)
 
     def test_none_ignored(self):
-        stats = ColumnStats()
-        stats.observe(None)
+        schema = Schema.record("t", [("v", Schema.int_())])
+        stats = compute_stats(schema, {"v": [None]})["v"]
         assert stats.count == 0 and stats.minimum is None
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 1.0], [-0.0, 0.0], [1.0, float("nan"), -2.0],
+        [float("nan"), 3.0, -1.0], [2, True, 1, 2.0, False, 0],
+    ])
+    def test_min_max_match_a_running_comparison(self, values):
+        """The first of equal values is kept and a NaN after the first
+        value never wins, as a value-at-a-time ``<`` / ``>`` has it."""
+        lo = hi = None
+        for v in values:
+            lo = v if lo is None or v < lo else lo
+            hi = v if hi is None or v > hi else hi
+        schema = Schema.record("t", [("v", Schema.double())])
+        stats = compute_stats(schema, {"v": values})["v"]
+        assert repr((stats.minimum, stats.maximum)) == repr((lo, hi))
 
     def test_json_roundtrip(self):
         stats = {"a": ColumnStats(3, -1, 7), "b": ColumnStats(0, None, None)}
