@@ -92,8 +92,8 @@ class ColumnOutputFormat:
         column at a time, a fixed batch of records per step
         (:func:`~repro.serde.binary.column_runs`), so a value that cannot
         be encoded raises before any split-directory holding a record of
-        its batch is written: fewer split-directories may exist after
-        the raise than records before the bad one would fill.
+        its batch is written: split-directories that the records before
+        it would close may be missing after the raise.
 
         ``first_split_index`` lets several loader tasks write into one
         dataset concurrently, each with its own split-directory number

@@ -495,14 +495,19 @@ _ZIGZAG_KINDS = ("int", "long", "time")
 
 
 def _string_column(values):
-    if set(map(type, values)) <= {str}:
-        lengths = list(map(len, values))
-        if max(lengths, default=0) < 0x80:
-            text = "".join(map("%c%s".__mod__, zip(lengths, values)))
-            if text.isascii():
-                ends = accumulate(map((1).__add__, lengths), initial=0)
-                return text.encode("ascii"), list(ends)
-    return None
+    if not set(map(type, values)) <= {str}:
+        return None
+    lengths = list(map(len, values))
+    if max(lengths, default=0) >= 0x80:
+        return None
+    parts = [""] * (2 * len(values))  # length prefix, text, ...
+    parts[0::2] = map(chr, lengths)
+    parts[1::2] = values
+    text = "".join(parts)
+    if not text.isascii():
+        return None
+    ends = accumulate(map((1).__add__, lengths), initial=0)
+    return text.encode("ascii"), list(ends)
 
 
 def _zigzag_column(values):
@@ -553,7 +558,8 @@ def _zigzag_map_column(values):
 def encode_values(schema: Schema, values: Sequence) -> Tuple[bytes, List[int]]:
     """A column's ``values`` back to back in one buffer, and their end
     offsets: value ``i`` is ``data[ends[i]:ends[i + 1]]``, ``ends[0]``
-    is 0.  The bytes are :func:`encode_datum`'s, joined."""
+    is 0.  The bytes are :func:`encode_datum`'s, joined, and a value
+    it rejects raises what :func:`encode_datum` raises."""
     encoded = None
     if schema.kind == "string":
         encoded = _string_column(values)
@@ -571,7 +577,9 @@ def encode_values(schema: Schema, values: Sequence) -> Tuple[bytes, List[int]]:
     return data, ends
 
 
-#: records read and encoded per step of :func:`column_runs`
+#: records read and encoded per step of :func:`column_runs`: a bigger
+#: batch costs less per value, and a batch of wide records is held
+#: while the runs it closes are written
 _BATCH_RECORDS = 128
 
 
