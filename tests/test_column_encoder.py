@@ -127,6 +127,8 @@ class TestEncodeValues:
         (Schema.string(), ["ascii", "é", "x" * 127, "y" * 128]),
         (Schema.long_(), [0, -1, True, WIDEST - 1, -WIDEST]),
         (Schema.map(Schema.long_()), [{"k": False, "é": -3}]),
+        (Schema.map(Schema.int_()), [{"k" * 127: 1}, {"é" * 64: 2, "x": 3}]),
+        (Schema.map(Schema.int_()), [{str(i): i for i in range(130)}]),
     ])
     def test_edges(self, schema, values):
         data_, ends = encode_values(schema, values)
