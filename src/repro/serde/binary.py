@@ -616,8 +616,8 @@ def column_runs(schema: Schema, records: Iterable, limit: int) -> Iterator:
             for f, column in zip(schema.fields, zip(*rows))
         ]
         # the batch's bytes before each row (all 0 without fields)
-        totals = list(map(sum, zip(*[e for _, _, e in batch]))) or [0] * (
-            len(rows) + 1)
+        totals = list(map(sum, zip(*[e for _, _, e in batch])))
+        totals = totals or [0] * (len(rows) + 1)
         start, closed = 0, []
         while start < len(rows):
             stop = bisect_left(totals, totals[start] + limit - held, start + 1)
