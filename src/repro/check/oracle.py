@@ -52,7 +52,6 @@ from repro.formats.text import TextInputFormat, write_text
 from repro.hdfs import ClusterConfig, FaultError, FileSystem
 from repro.mapreduce import Job, JobFailedError, run_job
 from repro.mapreduce.types import TaskContext
-from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 
@@ -332,16 +331,6 @@ def _fresh_fs(kind: str, io_buffer: int = DEFAULT_IO_BUFFER) -> FileSystem:
     return fs
 
 
-def _materialize(record) -> dict:
-    """Ground-truth form of an eager Record *or* a LazyRecord."""
-    if isinstance(record, Record):
-        return normalize(record)
-    return {
-        name: normalize(record.get(name))
-        for name in record.schema.field_names
-    }
-
-
 def scan_records(fs: FileSystem, input_format):
     """Scan every split in order; returns (normalized rows, Metrics)."""
     ctx = TaskContext(
@@ -352,7 +341,7 @@ def scan_records(fs: FileSystem, input_format):
         reader = input_format.open_reader(fs, split, ctx)
         try:
             for _, record in reader:
-                rows.append(_materialize(record))
+                rows.append(normalize(record))
         finally:
             reader.close()
     return rows, ctx.metrics

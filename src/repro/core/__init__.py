@@ -1,5 +1,9 @@
 """The paper's primary contribution: CIF/COF column-oriented storage.
 
+Every reader here hands map functions the one record type,
+:class:`repro.serde.record.Record`, so they cannot tell an eager record
+from a lazy one (Section 5.1).
+
 - :mod:`repro.core.columnio` — the four column-file layouts: plain,
   skip-list (Section 5.2), compressed blocks (Section 5.3), and
   dictionary compressed skip lists (DCSL),
@@ -9,9 +13,9 @@
   (Section 4.3),
 - :mod:`repro.core.cif` — ``ColumnInputFormat``: projection push-down
   via ``set_columns``, split generation over split-directories, and
-  the batch record reader (plus the per-datum reference reader),
-- :mod:`repro.core.lazy` — ``LazyRecord`` with the split-level
-  ``curPos`` / per-column ``lastPos`` scheme of Section 5.1.
+  the batch record reader (plus the per-datum reference reader), whose
+  lazy rows keep Section 5.1's split-level ``curPos`` / per-column
+  ``lastPos`` scheme: a cell is deserialized on its first ``get``.
 
 Replica co-location (CPP) lives in :mod:`repro.hdfs.placement`; install
 it with ``fs.use_column_placement()`` before loading.
@@ -29,7 +33,6 @@ from repro.core.cof import (
     write_dataset,
 )
 from repro.core.columnio import ColumnSpec
-from repro.core.lazy import LazyRecord
 from repro.core.loader import ParallelLoadReport, parallel_load
 from repro.core.vector import VectorFrame, reconcile_metrics
 
@@ -38,7 +41,6 @@ __all__ = [
     "ColumnInputFormat",
     "ColumnOutputFormat",
     "ColumnSpec",
-    "LazyRecord",
     "ParallelLoadReport",
     "VectorFrame",
     "VectorizedCIFRecordReader",

@@ -8,8 +8,9 @@ Projections are pushed down with :meth:`ColumnInputFormat.set_columns`
 
 Two materialization strategies (Section 5.1): ``lazy=False`` decodes
 every projected column of every record; ``lazy=True`` hands map
-functions one reused :class:`~repro.core.lazy.LazyRecord`, which
-deserializes a column value only when ``get()`` is called.
+functions one reused :class:`~repro.serde.record.Record` per
+split-directory, whose slots each defer to a column reader, so a
+column value is deserialized only when ``get()`` is called.
 
 :class:`VectorizedCIFRecordReader` is the reader every scan opens: it
 decodes eager rows and :meth:`~VectorizedCIFRecordReader.read_batch`
@@ -17,8 +18,7 @@ frames column-wise, and its column readers skip through the batched
 kernels.  :class:`CIFRecordReader` is the per-datum reference that
 ``repro.check`` and the differential tests open with
 ``execution="scalar"`` to prove the batch reader record- and
-charge-identical.  Both hand lazy rows out through the same
-``LazyRecord``.
+charge-identical.  Both hand lazy rows out through the same code.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.core.stats import (
     read_split_stats,
     split_satisfiable,
 )
-from repro.core.lazy import LazyRecord
 from repro.core.vector import (
     DEFAULT_BATCH_ROWS,
     CellLedger,
@@ -42,7 +41,7 @@ from repro.core.vector import (
     resolve_execution,
 )
 from repro.mapreduce.types import InputFormat, InputSplit, RecordReader, TaskContext
-from repro.serde.record import Record
+from repro.serde.record import Record, _Deferred
 from repro.serde.schema import Schema
 from repro.sim.calibration import interleave_bandwidth_scale
 
@@ -72,7 +71,14 @@ class CIFSplit(InputSplit):
 class CIFRecordReader(RecordReader):
     """Reassembles records from the column files of split-directories,
     one datum at a time: the reference the batch reader is checked
-    against (``execution="scalar"``)."""
+    against (``execution="scalar"``).
+
+    A lazy reader hands out one reused Record per split-directory and
+    advances a split-level ``curPos``; each column reader keeps its own
+    ``lastPos`` (``next_index``).  A slot's deferral skips its column up
+    to ``curPos`` and deserializes one value.  Values read for one row
+    are invalid once the reader advances: ``materialize()`` copies them.
+    """
 
     #: what each opened column reader's ``batch_kernels`` is set to
     batch_kernels = False
@@ -95,7 +101,12 @@ class CIFRecordReader(RecordReader):
         self._schema: Optional[Schema] = None
         self._count = 0
         self._cursor = 0
-        self._record: Optional[LazyRecord] = None
+        # The lazy row, its place in its directory (curPos), its slots
+        # and their deferrals: see _arm_lazy_row.
+        self._record: Optional[Record] = None
+        self._row = 0
+        self._values = self._armed = self._skipped = []
+        self._ledger: Optional[CellLedger] = None
 
     def _open_next_dir(self) -> bool:
         if self._dir_index >= len(self._dirs):
@@ -180,18 +191,53 @@ class CIFRecordReader(RecordReader):
                 return column_record_count(self._fs, path)
         return 0
 
+    def _arm_lazy_row(self) -> None:
+        """A new lazy row for the directory just opened: one deferral
+        per projected slot, each reading through its column's reader."""
+        ledger = self._ledger = CellLedger(self._readers, self.ctx.obs)
+        n = len(self._schema.fields)
+        self._armed, self._skipped = [None] * n, [None] * n
+        for name, reader in self._readers.items():
+            index = self._schema.field(name).index
+            self._armed[index] = _Deferred(
+                self._read_cell, (reader, ledger.materialized[name])
+            )
+            self._skipped[index] = ledger.skipped[name]
+        self._values = list(self._armed)
+        self._record = Record.of(self._schema, self._values)
+
+    def _read_cell(self, cursor):
+        reader, materialized = cursor
+        # lastPos (reader.next_index) catches up to curPos (self._row):
+        # the records in between are skipped, not deserialized.
+        reader.sync_to(self._row)
+        value = reader.read_value()
+        # Counted only after the read succeeds, so a fault mid-read
+        # cannot desynchronize this from column.rows.read — the exact
+        # reconciliation `repro explain` performs depends on it.
+        materialized.inc()
+        return value
+
     def read_next(self):
         while self._cursor >= self._count:
             if not self._open_next_dir():
                 return None
             if self._lazy:
-                self._record = LazyRecord(
-                    self._schema, self._readers, obs=self.ctx.obs
-                )
+                self._arm_lazy_row()
         row = self._cursor
         self._cursor += 1
         if self._lazy:
-            self._record._advance(row)
+            values, armed = self._values, self._armed
+            if row:
+                # Settle the previous row's books: projected columns the
+                # map function never read were skipped, not deserialized.
+                # A directory's last row is never settled.
+                for i, skipped in enumerate(self._skipped):
+                    if values[i] is armed[i]:
+                        skipped.inc()
+            self._ledger.records.inc()
+            self._row = row
+            values[:] = armed
             return None, self._record
         record = Record(self._schema)
         # Eager materialization is the scalar engine's decode stage;
@@ -216,10 +262,9 @@ class VectorizedCIFRecordReader(CIFRecordReader):
     drain styles:
 
     - **row iteration** (:meth:`read_next`): eager rows are copied out
-      of fully decoded frames as real Records; lazy rows are the
-      reference's reused :class:`~repro.core.lazy.LazyRecord`, valid
-      until the next row.  Record counts are left to
-      ``RecordReader.__iter__``.
+      of fully decoded frames as Records; lazy rows are the
+      reference's reused Record, valid until the next row.  Record
+      counts are left to ``RecordReader.__iter__``.
     - **batch iteration** (:meth:`read_batch`): returns whole
       :class:`~repro.core.vector.VectorFrame` objects with any pushed
       filters already applied to ``frame.selection``; record counts are
@@ -248,7 +293,6 @@ class VectorizedCIFRecordReader(CIFRecordReader):
         self._filters = list(filters or [])
         self._programs = None
         self._mode: Optional[str] = None
-        self._ledger: Optional[CellLedger] = None
         self._frame: Optional[VectorFrame] = None
         self._frame_last = False  # frame ends its directory
         self._frame_row = 0  # next eager row to yield (row iteration)
@@ -301,8 +345,11 @@ class VectorizedCIFRecordReader(CIFRecordReader):
         row = self._frame_row
         self._frame_row = row + 1
         # The frame is fully decoded, so copying a row out charges
-        # nothing and yields a real Record.
-        return None, frame.row(row).materialize()
+        # nothing.
+        get = frame.get_value
+        return None, Record.of(
+            self._schema, [get(f.name, row) for f in self._schema.fields]
+        )
 
     def read_batch(self) -> Optional[VectorFrame]:
         """Next frame with filters applied, or ``None`` at end of split."""

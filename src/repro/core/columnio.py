@@ -299,8 +299,8 @@ class ColumnReader:
 
     ``next_index`` is the record index the next :meth:`read_value` will
     return; :meth:`skip` advances it as cheaply as the layout allows.
-    This is the object a LazyRecord keeps its per-column ``lastPos``
-    in (Section 5.1).
+    This is the object a lazy row's deferral keeps its per-column
+    ``lastPos`` in (Section 5.1).
 
     A read's ``keys`` (a tuple of map keys) asks for each map cut down
     to those keys, charged as the whole map; a read without a map

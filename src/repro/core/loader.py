@@ -20,7 +20,6 @@ from repro.mapreduce.eventloop import run_alone
 from repro.mapreduce.scheduler import MapWork, ScheduledTask, makespan
 from repro.mapreduce.types import InputFormat, InputSplit, TaskContext
 from repro.obs import NULL_OBS
-from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -68,9 +67,7 @@ def parallel_load(
         reader = input_format.open_reader(fs, split, ctx)
         try:
             for _, record in reader:
-                if not isinstance(record, Record):
-                    record = record.materialize()
-                records.append(record)
+                records.append(record.materialize())
         finally:
             reader.close()
         cof = ColumnOutputFormat(

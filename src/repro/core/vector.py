@@ -35,7 +35,7 @@ from dataclasses import fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs.opprofile import exact_mismatches
-from repro.serde.record import Record
+from repro.serde.record import Record, _Deferred
 
 __all__ = [
     "EXECUTION_MODES",
@@ -59,7 +59,6 @@ __all__ = [
     "BatchOp",
     "run_batch_map",
     "VectorFrame",
-    "VectorRow",
     "CellLedger",
     "reconcile_metrics",
 ]
@@ -401,11 +400,11 @@ def kernel_contains(data, needle, sel: Sequence[int], ctx) -> List[int]:
 # `contains_needle`, ...; see repro.query.expr).  The compiler pattern-
 # matches that metadata into vector kernels; any shape it does not
 # recognize falls back to evaluating the original Expr row-at-a-time
-# over VectorRow views, which is charge-identical to the scalar path by
-# construction.  Note scalar `&`/`|` evaluate BOTH sides on every row
-# (no short-circuit inside one Expr), so compiled and/or run both
-# children over the same selection before combining — keeping contains
-# charges identical.
+# over frame rows (VectorFrame.row), which is charge-identical to the
+# scalar path by construction.  Note scalar `&`/`|` evaluate BOTH sides
+# on every row (no short-circuit inside one Expr), so compiled and/or
+# run both children over the same selection before combining — keeping
+# contains charges identical.
 
 
 class PredicateProgram:
@@ -697,7 +696,7 @@ class VectorFrame:
     every row, else a sparse per-row gather (``sync_to`` +
     ``read_value`` — byte-for-byte the scalar access pattern).  Because
     selections only shrink as filters apply, later uses are always
-    subsets of the first and hit the cache, mirroring LazyRecord's
+    subsets of the first and hit the cache, mirroring a lazy row's
     first-touch-only accounting.
 
     A column named in ``keys`` (a :attr:`FrameProgram.keys` projection)
@@ -779,14 +778,23 @@ class VectorFrame:
         return gather(self.column(name, sel), sel)
 
     def get_value(self, name: str, i: int):
-        """One cell, decoding at most once (LazyRecord.get semantics)."""
+        """One cell, decoding at most once (a lazy row's ``get``)."""
         data = self._columns.get(name)
         if data is None or (isinstance(data, dict) and i not in data):
             data = self.column(name, (i,))
         return data[i] if isinstance(data, dict) else data.value(i)
 
-    def row(self, i: int) -> "VectorRow":
-        return VectorRow(self, i)
+    def row(self, i: int) -> Record:
+        """Row ``i`` as a Record whose slots each read their cell with
+        :meth:`get_value` on first ``get``: what row-at-a-time
+        fallbacks evaluate."""
+        cell = self._cell
+        return Record.of(self.schema, [
+            _Deferred(cell, (f.name, i)) for f in self.schema.fields
+        ])
+
+    def _cell(self, span):
+        return self.get_value(*span)
 
     def __repr__(self) -> str:
         return (
@@ -795,47 +803,17 @@ class VectorFrame:
         )
 
 
-class VectorRow:
-    """A late-materialized row view (duck-types LazyRecord for map fns).
-
-    Unlike LazyRecord it is not reused across rows — but like it, a
-    value is deserialized at most once per (row, column)."""
-
-    __slots__ = ("_frame", "_row")
-
-    def __init__(self, frame: VectorFrame, row: int) -> None:
-        self._frame = frame
-        self._row = row
-
-    @property
-    def schema(self):
-        return self._frame.schema
-
-    def get(self, name: str):
-        return self._frame.get_value(name, self._row)
-
-    def materialize(self):
-        record = Record(self.schema)
-        for name in self.schema.field_names:
-            record.put(name, self.get(name))
-        return record
-
-    def to_dict(self) -> dict:
-        return self.materialize().to_dict()
-
-    def __repr__(self) -> str:
-        return f"VectorRow(row={self._frame.start + self._row})"
-
-
 class CellLedger:
     """The ``lazy.*`` counters of one split-directory's projection.
 
     ``lazy.records``, ``lazy.cells.materialized{column=}`` and
     ``lazy.cells.skipped{column=}`` are registered here only, eagerly,
-    so registry snapshots of both engines compare exactly.
-    :class:`~repro.core.lazy.LazyRecord` counts into them row by row;
-    batch frames count through :meth:`on_rows`,
-    :meth:`on_materialized` and :meth:`settle_frame`.
+    so registry snapshots of both engines compare exactly.  A lazy row
+    (:class:`~repro.core.cif.CIFRecordReader`) counts into them row by
+    row: a record per row, a materialized cell when a slot's deferral
+    reads it, and at the next row a skipped cell for each slot that
+    still holds its deferral.  Batch frames count through
+    :meth:`on_rows`, :meth:`on_materialized` and :meth:`settle_frame`.
     """
 
     def __init__(self, names: Sequence[str], obs) -> None:
@@ -863,9 +841,8 @@ class CellLedger:
         """Frame-granular settle (batch mode).
 
         ``exclude_last`` marks the final frame of a split-directory,
-        whose last row :class:`~repro.core.lazy.LazyRecord` never
-        settles: it settles a row when the next row of the directory
-        starts.
+        whose last row a lazy row never settles: it settles a row when
+        the next row of the directory starts.
         """
         settled = frame.length - (1 if exclude_last else 0)
         if settled <= 0:

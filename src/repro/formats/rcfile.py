@@ -42,7 +42,7 @@ from repro.hdfs.streams import StreamByteReader
 from repro.mapreduce.types import RecordReader, TaskContext
 from repro.serde import vecdecode
 from repro.serde.binary import BinaryDecoder, column_runs
-from repro.serde.record import DeferringRecord
+from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -148,7 +148,7 @@ class RCFileRecordReader(RecordReader):
         # the same way.
         start = scan_to_sync(self._stream, header.sync, split.start, split.end)
         self._next_group = start  # offset just past a sync marker
-        self._rows: List[DeferringRecord] = []
+        self._rows: List[Record] = []
         self._row_index = 0
 
     def read_next(self):
@@ -219,7 +219,7 @@ class RCFileRecordReader(RecordReader):
         # "inefficient serialization in parts of RCFile" CPU overhead.
         cost.charge_rcfile_fields(metrics, rows * len(self._wanted))
         self._rows = [
-            DeferringRecord.of(self._projected, list(values))
+            Record.of(self._projected, list(values))
             for values in (zip(*columns) if columns else [()] * rows)
         ]
         self._row_index = 0

@@ -36,6 +36,7 @@ from repro.mapreduce.scheduler import (
 from repro.mapreduce.types import InputSplit, TaskContext
 from repro.obs import NULL_PROFILER, Observability, OperatorProfiler, current_obs
 from repro.obs.registry import TASK_DURATION_BOUNDARIES
+from repro.serde.record import Record
 from repro.sim.calibration import TICKS_PER_NS
 from repro.sim.metrics import Metrics
 
@@ -431,6 +432,9 @@ class JobRunner:
         ]
 
         def emit(key, value):
+            if isinstance(value, Record):
+                # A reader may reuse the row it handed the mapper.
+                value = value.materialize()
             index = (
                 _stable_hash(key) % num_partitions if num_partitions > 1 else 0
             )

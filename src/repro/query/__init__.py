@@ -10,7 +10,7 @@ expression trees, and the planner
   (or RCFile) without the user naming them,
 - orders evaluation so filter columns are read first and all other
   columns are only materialized for surviving records (late
-  materialization via LazyRecord),
+  materialization via lazy records),
 - compiles to a single MapReduce job with a combiner for the aggregates
   that allow one.
 

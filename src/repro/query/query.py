@@ -9,7 +9,7 @@ enable happen here, automatically:
   never opened;
 - **late materialization**: filters are evaluated first against lazy
   records, so non-filter columns are deserialized only for records that
-  survive every predicate (Section 5's LazyRecord benefit, without the
+  survive every predicate (Section 5.1's lazy-record benefit, without the
   user writing the two-phase access by hand);
 - **combiners** where every aggregate is algebraic.
 """

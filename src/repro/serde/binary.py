@@ -41,9 +41,7 @@ from typing import (
     Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from repro.serde.record import (
-    DeferringRecord, Record, _Deferred, field_values,
-)
+from repro.serde.record import Record, _Deferred, field_values
 from repro.serde.schema import Schema, SchemaError
 from repro.sim.cost import CpuCostModel, decode_rates
 from repro.sim.metrics import Metrics
@@ -418,10 +416,9 @@ def _deferral(schema: Schema, eager: Callable) -> Callable:
 
 def _record_plan(schema: Schema) -> _Plan:
     plans = [_plan(f.schema) for f in schema.fields]
-    reads, reads_charged, skips, skips_charged, writes, steps = (
+    reads, _, skips, skips_charged, writes, steps = (
         zip(*plans) if plans else [()] * 6
     )
-    make = (Record if steps == reads_charged else DeferringRecord).of
     base, _ = decode_rates("record")
 
     def read(r):
@@ -430,7 +427,7 @@ def _record_plan(schema: Schema) -> _Plan:
     def read_charged(r, p, m):
         m.cpu_ticks += base(p)
         m.objects += 1
-        return make(schema, [field(r, p, m) for field in steps])
+        return Record.of(schema, [field(r, p, m) for field in steps])
 
     def skip(r):
         for field in skips:
@@ -682,7 +679,7 @@ class BinaryDecoder:
 
     def read_deferred(self, schema: Schema, k: int) -> list:
         """``k`` datums charged as ``k`` :meth:`read_datum` calls, maps and
-        arrays deferred as a record's are (for a :class:`DeferringRecord`)."""
+        arrays deferred as a record's are (for a :class:`Record`)."""
         step = _plan(schema).defer
         r, cost = self.reader, self.cost
         start = r.offset

@@ -1,12 +1,16 @@
-"""The generic Record abstraction (Appendix A).
+"""The one record type (Section 5.1, Appendix A).
 
-MapReduce jobs in the paper access record attributes through
-``rec.get(name)`` on a generic record, regardless of which InputFormat
-produced it.  :class:`Record` is that interface; it is implemented
-eagerly here and lazily by :class:`repro.core.lazy.LazyRecord` — map
-functions cannot tell the difference, which is the point (Section 5.1).
-A row format's decoder hands out a :class:`DeferringRecord`, whose map
-and array fields are built on first access.
+Map functions read attributes with ``rec.get(name)`` whichever
+InputFormat made the record, and lazy and eager records share that
+interface "so map functions cannot tell which one the InputFormat
+instantiated".  :class:`Record` is the only class behind it.  Each slot
+holds a value or a :class:`_Deferred`, which the first access builds
+and keeps.  A row format's decoder defers the maps and arrays it proved
+decode (:mod:`repro.serde.binary`); a lazy CIF row defers every
+projected cell to its column's reader (:mod:`repro.core.cif`), and a
+frame row each cell to its frame (:mod:`repro.core.vector`).  A lazy
+CIF row is reused, as in Hadoop, so a caller that keeps one keeps
+:meth:`Record.materialize`'s copy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.serde.schema import Schema, SchemaError
 
 
 class Record:
-    """An eagerly materialized record conforming to a record schema.
+    """A record conforming to a record schema.
 
     Attribute access follows the paper's API: ``rec.get("url")`` returns
     the value (callers type-cast in Java; in Python they just use it).
@@ -36,8 +40,9 @@ class Record:
 
     @classmethod
     def of(cls, schema: Schema, values: list) -> "Record":
-        """A record over ``values``, one per field in schema order; the
-        list is kept, not copied or checked (the decoder's constructor)."""
+        """A record over ``values``, one value or ``_Deferred`` per field
+        in schema order; the list is kept, not copied or checked (the
+        readers' constructor)."""
         record = cls.__new__(cls)
         record.schema = schema
         record._values = values
@@ -45,17 +50,33 @@ class Record:
 
     def get(self, name: str):
         """Return the value of field ``name`` (None if never set)."""
-        return self._values[self.schema.field(name).index]
+        try:
+            index = self.schema._field_index[name].index
+        except KeyError:
+            index = self.schema.field(name).index  # raises SchemaError
+        value = self._values[index]
+        if type(value) is _Deferred:
+            value = self._values[index] = value.build(value.span)
+        return value
 
     def put(self, name: str, value) -> None:
         self._values[self.schema.field(name).index] = value
 
     def to_dict(self) -> dict:
-        return {f.name: self._values[f.index] for f in self.schema.fields}
+        return dict(zip(self.schema.field_names, self.values_in_order()))
 
     def values_in_order(self) -> list:
         """Field values in schema order (used by encoders)."""
-        return list(self._values)
+        values = self._values
+        for index, value in enumerate(values):
+            if type(value) is _Deferred:
+                values[index] = value.build(value.span)
+        return list(values)
+
+    def materialize(self) -> "Record":
+        """A copy with every slot built: what a caller keeps of a row
+        its reader will reuse."""
+        return Record.of(self.schema, self.values_in_order())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Record):
@@ -67,38 +88,14 @@ class Record:
 
 
 class _Deferred:
-    """A container field charged but not built: a copy of the span its
-    decoder proved, and the function that builds it from the span."""
+    """A slot's value not yet built: ``build(span)`` builds it, where
+    ``span`` is whatever the builder needs (a proven span's bytes, a
+    column's cursor, a frame cell)."""
 
     __slots__ = ("build", "span")
 
     def __init__(self, build, span) -> None:
         self.build, self.span = build, span
-
-
-class DeferringRecord(Record):
-    """A decoded record that builds each ``_Deferred`` field on first
-    access and keeps it.  A record no decoder made is a plain
-    :class:`Record` and pays nothing for this."""
-
-    __slots__ = ()
-
-    def get(self, name: str):
-        index = self.schema.field(name).index
-        value = self._values[index]
-        if type(value) is _Deferred:
-            value = self._values[index] = value.build(value.span)
-        return value
-
-    def values_in_order(self) -> list:
-        values = self._values
-        for index, value in enumerate(values):
-            if type(value) is _Deferred:
-                values[index] = value.build(value.span)
-        return list(values)
-
-    def to_dict(self) -> dict:
-        return dict(zip(self.schema.field_names, self.values_in_order()))
 
 
 def field_values(schema: Schema, value) -> list:

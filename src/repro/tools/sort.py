@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 from repro.core.cof import ColumnOutputFormat
 from repro.core.columnio import ColumnSpec
 from repro.mapreduce.types import InputFormat, TaskContext
-from repro.serde.record import Record
 from repro.serde.schema import Schema, SchemaError
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -50,9 +49,7 @@ def _read_all(fs, input_format: InputFormat, ctx: TaskContext) -> List:
         reader = input_format.open_reader(fs, split, ctx)
         try:
             for _, record in reader:
-                if not isinstance(record, Record):
-                    record = record.materialize()
-                records.append(record)
+                records.append(record.materialize())
         finally:
             reader.close()
     return records

@@ -6,6 +6,7 @@ import pytest
 from repro.core import ColumnInputFormat, ColumnSpec, add_column, write_dataset
 from repro.core.cif import column_record_count
 from repro.core.cof import read_dataset_schema, split_dirs_of
+from repro.serde.record import Record
 from repro.serde.schema import Schema, SchemaError
 from tests.conftest import make_ctx, micro_records, micro_schema
 
@@ -339,6 +340,60 @@ class TestLazySkipping:
         assert got == {
             i: (records[i].get("int2"), records[i].get("attrs")) for i in wanted
         }
+
+
+def lazy_and_eager_rows(fs, dataset, columns, execution):
+    """Each lazy row (reused: compared before the next one is read) with
+    its eager twin, over every split of ``dataset``."""
+    lazy, eager = (
+        ColumnInputFormat(dataset, columns=columns, lazy=lazy,
+                          execution=execution)
+        for lazy in (True, False)
+    )
+    for split in lazy.get_splits(fs, fs.cluster):
+        yield from zip(
+            (r for _, r in lazy.open_reader(fs, split, make_ctx())),
+            (r for _, r in eager.open_reader(fs, split, make_ctx())),
+        )
+
+
+class TestLazyRowsAreRecords:
+    @pytest.mark.parametrize("execution", ["scalar", "vectorized"])
+    def test_a_lazy_row_equals_its_eager_twin(self, fs, execution):
+        schema = micro_schema()
+        load(fs, micro_records(schema, 60), schema, split_bytes=4096)
+        pairs = 0
+        for lazy, eager in lazy_and_eager_rows(
+            fs, "/data/d1", ["int1", "str0", "attrs"], execution
+        ):
+            assert isinstance(lazy, Record)
+            lazy.get("int1")
+            assert lazy == eager and eager == lazy
+            assert repr(lazy) == repr(eager)
+            pairs += 1
+        assert pairs == 60
+
+    def test_a_writer_takes_lazy_rows(self, fs):
+        schema = micro_schema()
+        load(fs, micro_records(schema, 80), schema, split_bytes=4096)
+        for name, lazy in (("eager", False), ("lazy", True)):
+            fmt = ColumnInputFormat("/data/d1", lazy=lazy)
+            rows = (
+                r for split in fmt.get_splits(fs, fs.cluster)
+                for _, r in fmt.open_reader(fs, split, make_ctx())
+            )
+            load(fs, rows, schema, dataset=f"/out/{name}", split_bytes=2048)
+        dirs = split_dirs_of(fs, "/out/eager")
+        assert len(dirs) > 1
+        assert [d.replace("eager", "lazy") for d in dirs] == split_dirs_of(
+            fs, "/out/lazy"
+        )
+        for split_dir in dirs:
+            for name in fs.listdir(split_dir):
+                path = f"{split_dir}/{name}"
+                assert fs.read_file(path) == fs.read_file(
+                    path.replace("eager", "lazy")
+                ), path
 
 
 class TestAddColumn:

@@ -12,7 +12,11 @@ fresh copy of the schema so the plans recompile):
 - straight off a ``ByteReader`` and a ``StreamByteReader`` at a 61 B
   and a 12 KiB window, so maps straddle window edges constantly;
 - through every row format: SEQ with none / record / block compression
-  and RCFile with and without zlib.
+  and RCFile with and without zlib;
+- as lazy CIF rows, whose every projected cell is deferred to its
+  column's reader, in the four ``cif_scan`` layouts through both CIF
+  readers, where a lazy scan that reads every cell charges what the
+  eager scan does.
 """
 
 import contextlib
@@ -22,13 +26,14 @@ from unittest import mock
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import ColumnInputFormat, ColumnSpec, write_dataset
 from repro.formats import rcfile, sequence_file
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.hdfs.streams import StreamByteReader
 from repro.mapreduce.types import TaskContext
 from repro.serde import binary, vecdecode
 from repro.serde.binary import BinaryDecoder, decode_datum, encode_datum
-from repro.serde.record import DeferringRecord, Record, _Deferred
+from repro.serde.record import Record, _Deferred
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -138,7 +143,7 @@ class TestCodec:
         }
         (record,), _ = read_records(schema, encode_datum(schema, value), 1,
                                     None)
-        assert type(record) is DeferringRecord
+        assert type(record) is Record
         held = [type(v) for v in record._values]
         assert held == [_Deferred, _Deferred, list, str]
         assert record.get("tags") is record.get("tags")  # built once
@@ -259,3 +264,83 @@ def test_the_crawl_defers_its_three_containers():
     ]
     assert deferred == ["inlink", "metadata", "annotations"]
     assert record == value
+
+
+SKIPS = (4, 2)
+CIF_LAYOUTS = {
+    "plain": {},
+    "skiplist": {"default_spec": ColumnSpec("skiplist", skip_sizes=SKIPS)},
+    "cblock_zlib": {
+        "default_spec": ColumnSpec("cblock", codec="zlib", block_bytes=256),
+    },
+    "dcsl": {
+        "default_spec": ColumnSpec("skiplist", skip_sizes=SKIPS),
+        "specs": {"m": ColumnSpec("dcsl", skip_sizes=SKIPS)},
+    },
+}
+
+
+def cif_scan(fs, dataset, columns, lazy, execution, visit):
+    """Every row of ``dataset`` passed to ``visit`` before the next is
+    read; returns what the scan charged."""
+    fmt = ColumnInputFormat(
+        dataset, columns=columns, lazy=lazy, execution=execution,
+        dirs_per_split=2,
+    )
+    ctx = TaskContext(node=None, cost=COST, io_buffer_size=128)
+    for split in fmt.get_splits(fs, fs.cluster):
+        for _, record in fmt.open_reader(fs, split, ctx):
+            visit(record)
+    return ctx.metrics
+
+
+class TestLazyCifRows:
+    @FUZZ_SETTINGS
+    @given(
+        data=st.data(),
+        map_values=st.sampled_from([Schema.int_(), Schema.string()]),
+        n=st.integers(min_value=1, max_value=12),
+    )
+    def test_a_lazy_row_is_its_eager_twin(self, data, map_values, n):
+        schema = Schema.record("r", [
+            ("s", Schema.string()), ("n", Schema.int_()),
+            ("m", Schema.map(map_values)), ("a", Schema.array(Schema.int_())),
+        ])
+        values = [value_for(schema, data.draw) for _ in range(n)]
+        names = data.draw(st.permutations(schema.field_names))
+        columns = names[:data.draw(st.integers(1, len(names)))]
+        fs = FileSystem(ClusterConfig(num_nodes=2, block_size=4096))
+        for layout, spec_args in CIF_LAYOUTS.items():
+            dataset = f"/cif/{layout}"
+            write_dataset(
+                fs, dataset, schema, values, split_bytes=96, **spec_args
+            )
+            for execution in ("scalar", "vectorized"):
+                rows = iter(values)
+
+                def check(record):
+                    projected = record.schema
+                    assert projected == schema.project(columns)
+                    value = next(rows)
+                    twin = decode_datum(projected, encode_datum(projected, {
+                        name: value.get(name)
+                        for name in projected.field_names
+                    }))
+                    assert isinstance(record, Record)
+                    assert_behaves_as_its_twin(
+                        projected, record, twin, data.draw
+                    )
+
+                cif_scan(fs, dataset, columns, True, execution, check)
+                assert next(rows, None) is None
+                lazy = cif_scan(
+                    fs, dataset, columns, True, execution,
+                    lambda record: record.to_dict(),
+                )
+                eager = cif_scan(
+                    fs, dataset, columns, False, execution,
+                    lambda record: None,
+                )
+                assert dataclasses.asdict(lazy) == dataclasses.asdict(
+                    eager
+                ), (layout, execution)

@@ -105,6 +105,29 @@ class TestWordCount:
         assert sorted(content.decode().splitlines()) == ["a\t1", "b\t1"]
 
 
+class TestLazyRows:
+    def test_a_lazy_row_emitted_into_the_shuffle_keeps_its_values(self, fs):
+        # The reader reuses one lazy row; what the mapper emits is kept
+        # until the job ends.
+        schema = Schema.record(
+            "r", [("a", Schema.int_()), ("b", Schema.string())]
+        )
+        rows = [{"a": i, "b": f"s{i}"} for i in range(5)]
+        write_dataset(fs, "/in/rows", schema, rows)
+
+        def identity(key, value, emit, ctx):
+            emit(value.get("a"), value)
+
+        for reducer in (None, lambda k, vs, emit, ctx: emit(k, *vs)):
+            result = run_job(fs, Job(
+                "id", identity, ColumnInputFormat("/in/rows", lazy=True),
+                reducer=reducer,
+            ))
+            assert sorted(
+                (k, v.to_dict()) for k, v in result.output
+            ) == [(row["a"], row) for row in rows]
+
+
 class TestJobMetrics:
     def test_result_reports_bytes_and_times(self, fs):
         schema = micro_schema()

@@ -8,6 +8,7 @@ from repro.query import (
     Expr, Q, avg, col, count, count_distinct, lit, max_, min_, sum_,
 )
 from repro.query.query import QueryError
+from repro.serde.record import Record
 from repro.workloads.crawl import crawl_records, crawl_schema
 from tests.conftest import micro_records, micro_schema
 
@@ -403,6 +404,21 @@ class TestFramePrograms:
         report = recorder.report()
         assert expr_fallback_totals(report) == {raw.description: 1}
         assert raw.description in render_operators(report)
+
+    def test_a_fallback_evaluates_records(self, micro_fs):
+        fs, records = micro_fs
+        seen = set()
+
+        def plus_one(row, ctx):
+            seen.add(type(row))
+            return row.get("int0") + 1
+
+        raw = Expr(plus_one, frozenset({"int0"}), "opaque plus one")
+        result = Q("/q/micro").where(raw > 5000).select(x=raw).run(fs)
+        assert sorted(r["x"] for r in result) == sorted(
+            r.get("int0") + 1 for r in records if r.get("int0") + 1 > 5000
+        )
+        assert seen == {Record}
 
     def test_contains_outside_where_falls_back(self, micro_fs):
         fs, records = micro_fs

@@ -93,9 +93,9 @@ class TestSortDataset:
         )
 
     def test_lazy_rows_are_copied_out_of_their_frame(self, fs):
-        # The default reader hands out lazy row views that die with
-        # their frame; sorting holds every row until the end, across
-        # many 7-row frames.
+        # The default reader hands out one lazy row and re-arms it for
+        # every row, whatever its batch size; sorting holds every row
+        # until the end.
         schema = event_schema()
         records = shuffled_records(120)
         write_dataset(fs, "/s/in", schema, records, split_bytes=2048)
