@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -273,11 +274,28 @@ def write_result(payload: dict, out_dir: str) -> str:
 
 
 def load_result(path: str) -> dict:
+    """A ``BENCH_*.json`` payload; ``ValueError`` unless it is an object
+    with a ``benchmark`` and a ``metrics`` object of finite numbers."""
     with open(path) as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} is not a BENCH result: not a JSON object")
     for key in ("benchmark", "metrics"):
         if key not in payload:
             raise ValueError(f"{path} is not a BENCH result: missing {key!r}")
+    metrics = payload["metrics"]
+    if not isinstance(metrics, dict):
+        raise ValueError(f"{path} is not a BENCH result: 'metrics' is "
+                         "not a JSON object")
+    for key, value in metrics.items():
+        number = isinstance(value, (int, float)) and not isinstance(
+            value, bool
+        )
+        if not (number and math.isfinite(value)):
+            raise ValueError(
+                f"{path} is not a BENCH result: metric {key!r} is "
+                f"{value!r}, not a finite number"
+            )
     return payload
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 from typing import Callable, Optional
 
 Out = Callable[[str], None]
@@ -44,6 +45,20 @@ def _at_least(minimum: int):
 #: argparse types for counts: below the bound is a usage error (exit 2)
 positive = _at_least(1)
 non_negative = _at_least(0)
+
+
+def tolerance(text: str) -> float:
+    """argparse type for a tolerance: a finite number >= 0.  A NaN or
+    negative band would pass or fail every comparison (exit 2)."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be at least 0 and finite, got {text}"
+        )
+    return value
+
+
+tolerance.__name__ = "float"  # argparse's "invalid float value"
 
 
 def add_color(parser, quiet: Optional[str] = None) -> None:

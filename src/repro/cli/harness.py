@@ -62,7 +62,7 @@ def configure(subparsers) -> None:
         help="check only this scenario (repeatable; default: all baselines)",
     )
     bcheck.add_argument(
-        "--rel-tol", type=float, default=None,
+        "--rel-tol", type=common.tolerance, default=None,
         help=(
             "relative tolerance for directional metrics, for comparing "
             "across cost models (default 0: the gate is exact)"

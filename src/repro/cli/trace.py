@@ -98,7 +98,7 @@ def configure(subparsers) -> None:
     pd.add_argument("a", help="baseline flight-recorder JSONL")
     pd.add_argument("b", help="candidate flight-recorder JSONL")
     pd.add_argument(
-        "--rel-tol", type=float, default=0.01,
+        "--rel-tol", type=common.tolerance, default=0.01,
         help="relative noise tolerance (default 0.01)",
     )
     pd.add_argument(

@@ -690,7 +690,7 @@ def diff_operators(baseline, fresh, rel_tol: float = 0.01) -> OperatorDiff:
         if worst is not None:
             kernel, kernel_delta = None, 0
             for name, delta in kernel_deltas.items():
-                if abs(delta) > abs(kernel_delta):
+                if delta > kernel_delta:
                     kernel, kernel_delta = name, delta
             attribution[engine] = {
                 "op": worst[1],

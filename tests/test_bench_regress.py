@@ -183,6 +183,30 @@ class TestPipeline:
         assert not report.ok
         assert report.diffs[0].error
 
+    @pytest.mark.parametrize("document", [
+        "[1, 2]",
+        '"BENCH"',
+        '{"benchmark": "pruning", "metrics": [1]}',
+        '{"benchmark": "pruning", "params": {"records": 500},'
+        ' "metrics": {"bytes.sorted": "many"}}',
+        '{"benchmark": "pruning", "params": {"records": 500},'
+        ' "metrics": {"bytes.sorted": NaN}}',
+        '{"benchmark": "pruning", "params": {"records": 500},'
+        ' "metrics": {"count.rows": true}}',
+    ])
+    def test_malformed_fresh_file_is_a_typed_error(self, tmp_path, document):
+        # parses as JSON, is not a BENCH result: the scenario's ERROR
+        # line, not a traceback
+        (tmp_path / "BENCH_pruning.json").write_text(document)
+        with pytest.raises(ValueError):
+            regress.load_result(str(tmp_path / "BENCH_pruning.json"))
+        report = regress.check(
+            "benchmarks/baselines", names=["pruning"],
+            fresh_dir=str(tmp_path),
+        )
+        assert not report.ok
+        assert "pruning: ERROR" in report.render()
+
     def test_empty_baseline_dir(self, tmp_path):
         report = regress.check(str(tmp_path))
         assert not report.ok

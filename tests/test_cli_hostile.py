@@ -8,7 +8,7 @@ Everything else, including a torn or truncated single-document JSON
 input (fault plan, traffic profile, check case), is one ``error:`` line
 and exit 1.  Nothing raises out of ``main``.  A count option given a
 number its verb cannot use is refused at parse time as a usage error
-(exit 2).
+(exit 2), and so is a tolerance that is negative or not finite.
 """
 
 import gzip
@@ -204,6 +204,12 @@ UNUSABLE_NUMBERS = {
         "perf", "critical-path", "T", "--top", "-1",
     ],
     "top --frame-every 0": ["top", "--replay", "T", "--frame-every", "0"],
+    # a NaN band passes every comparison, a negative one fails them all
+    "perf diff --rel-tol nan": ["perf", "diff", "A", "B", "--rel-tol", "nan"],
+    "bench check --rel-tol -0.5": [
+        "bench", "check", "--scenario", "fig9", "--rel-tol", "-0.5",
+    ],
+    "bench check --rel-tol inf": ["bench", "check", "--rel-tol", "inf"],
 }
 
 
@@ -213,6 +219,14 @@ def test_unusable_number_is_a_usage_error(name, capsys):
         main(UNUSABLE_NUMBERS[name], out=lambda line: None)
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_non_number_tolerance_keeps_argparse_wording(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["perf", "diff", "A", "B", "--rel-tol", "tight"],
+             out=lambda line: None)
+    assert exc.value.code == 2
+    assert "invalid float value: 'tight'" in capsys.readouterr().err
 
 
 def test_non_integer_count_keeps_argparse_wording(capsys):

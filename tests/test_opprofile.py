@@ -423,7 +423,7 @@ class TestRunnerIntegration:
 class TestDiffAttribution:
     """``repro perf diff --operators`` blames the right operator."""
 
-    def _report_with(self, aggregate_cpu, kernel_calls=3):
+    def _report_with(self, aggregate_cpu, kernel_calls=3, **more_kernels):
         recorder = FlightRecorder(clock=FakeClock())
         with recorder.activate():
             from repro.obs import current_obs
@@ -437,6 +437,9 @@ class TestDiffAttribution:
             profiler.switch("aggregate")
             for _ in range(kernel_calls):
                 profiler.kernel("read_zigzags")
+            for name, calls in more_kernels.items():
+                for _ in range(calls):
+                    profiler.kernel(name)
             metrics.charge_cpu(to_ticks(aggregate_cpu))
             profiler.switch("scan")
             profiler.finish(current_obs())
@@ -453,6 +456,24 @@ class TestDiffAttribution:
         assert blame["kernel_delta"] == 6
         text = diff.render()
         assert "aggregate" in text and "read_zigzags" in text
+
+    def test_blame_goes_to_the_kernel_that_grew(self):
+        # read_zigzags has the largest change, but it shrank
+        base = self._report_with(0.002, kernel_calls=20, read_strings=3)
+        slow = self._report_with(0.050, kernel_calls=2, read_strings=6)
+        diff = diff_operators(base, slow)
+        blame = diff.attribution["vectorized"]
+        assert blame["op"] == "aggregate"
+        assert (blame["kernel"], blame["kernel_delta"]) == ("read_strings", 3)
+        assert "kernel read_strings calls +3" in diff.render()
+
+    def test_no_kernel_is_blamed_when_none_grew(self):
+        base = self._report_with(0.002, kernel_calls=20)
+        slow = self._report_with(0.050, kernel_calls=2)
+        diff = diff_operators(base, slow)
+        blame = diff.attribution["vectorized"]
+        assert blame["op"] == "aggregate" and blame["kernel"] is None
+        assert "read_zigzags" not in diff.render().splitlines()[-1]
 
     def test_identical_runs_produce_no_attribution(self):
         base = self._report_with(0.002)
