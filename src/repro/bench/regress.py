@@ -5,8 +5,8 @@ given size, ``metrics(result)`` flattening its result into a canonical
 metric dict) plus one row of :data:`SCENARIOS` naming its **smoke
 size**.  ``repro bench run`` serializes the metrics as
 ``BENCH_<name>.json``; ``repro bench check`` re-runs (or loads) fresh
-results and compares them against committed baselines with noise
-tolerances, failing on any regression.
+results and compares them against committed baselines through
+:mod:`repro.util.compare`, failing on any regression.
 
 Every cost in the reproduction is *simulated* (seeks, transfer, CPU are
 arithmetic over the cost model, not wall time), so the numbers are
@@ -15,16 +15,11 @@ byte-identical files, which is what makes committing baselines and
 comparing in CI sound.  Nothing here reads a wall clock; how fast the
 Python itself runs is ``wallbench``'s question.
 
-Metric-key conventions (direction is encoded in the key prefix):
-
-- ``time.*``, ``bytes.*``, ``seeks.*`` — simulated seconds / bytes
-  moved; **lower is better**, growth beyond tolerance is a regression.
-- ``ratio.*``, ``bandwidth.*``, ``fraction.*`` — paper-headline ratios
-  (oriented so higher = the column-store advantage the paper claims),
-  scan bandwidth, locality fractions; **higher is better**.
-- ``count.*`` — logical results (records scanned, query answers);
-  compared **exactly**, any change is a regression (it means the
-  reproduction's *answers* changed, not just its speed).
+A metric key's prefix is its direction (:func:`direction_of`):
+``time.``, ``bytes.``, ``seeks.`` are lower-is-better; ``ratio.``
+(oriented so higher = the column-store advantage the paper claims),
+``bandwidth.``, ``fraction.`` higher-is-better; ``count.`` (the
+reproduction's *answers*) exact.
 
 File schema (``BENCH_<name>.json``)::
 
@@ -44,6 +39,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
+
+from repro.util.compare import Diff, compare as compare_metrics
 
 SCHEMA_VERSION = 1
 
@@ -278,24 +275,14 @@ def load_result(path: str) -> dict:
     with a ``benchmark`` and a ``metrics`` object of finite numbers."""
     with open(path) as handle:
         payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path} is not a BENCH result: not a JSON object")
-    for key in ("benchmark", "metrics"):
-        if key not in payload:
-            raise ValueError(f"{path} is not a BENCH result: missing {key!r}")
-    metrics = payload["metrics"]
-    if not isinstance(metrics, dict):
-        raise ValueError(f"{path} is not a BENCH result: 'metrics' is "
-                         "not a JSON object")
+    metrics = payload.get("metrics") if isinstance(payload, dict) else None
+    if not isinstance(metrics, dict) or "benchmark" not in payload:
+        raise ValueError(f"{path} is not a BENCH result: it needs "
+                         "'benchmark' and a 'metrics' object")
     for key, value in metrics.items():
-        number = isinstance(value, (int, float)) and not isinstance(
-            value, bool
-        )
-        if not (number and math.isfinite(value)):
-            raise ValueError(
-                f"{path} is not a BENCH result: metric {key!r} is "
-                f"{value!r}, not a finite number"
-            )
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"{path} is not a BENCH result: metric "
+                             f"{key!r} is {value!r}, not a finite number")
     return payload
 
 
@@ -327,39 +314,12 @@ def run_all(
 
 
 @dataclass
-class RegressEntry:
-    """One compared metric between baseline and fresh."""
+class ScenarioDiff(Diff):
+    """One scenario's moved metrics in key order, or the ``error`` that
+    stopped its comparison."""
 
-    key: str
-    direction: str
-    baseline: Optional[float]
-    fresh: Optional[float]
-    severity: str  # "regression" | "improvement" | "new" | "ok"
-
-    def render(self) -> str:
-        if self.baseline is None:
-            return f"[new] {self.key}: (no baseline) -> {self.fresh:g}"
-        if self.fresh is None:
-            return f"[regression] {self.key}: metric disappeared"
-        delta = self.fresh - self.baseline
-        rel = delta / abs(self.baseline) if self.baseline else float("inf")
-        return (
-            f"[{self.severity}] {self.key} ({self.direction}-is-better): "
-            f"{self.baseline:g} -> {self.fresh:g} ({rel * 100:+.2f}%)"
-        )
-
-
-@dataclass
-class ScenarioDiff:
-    """Baseline-vs-fresh comparison for one scenario."""
-
-    name: str
-    entries: List[RegressEntry] = field(default_factory=list)
+    name: str = "?"
     error: Optional[str] = None
-
-    @property
-    def regressions(self) -> List[RegressEntry]:
-        return [e for e in self.entries if e.severity == "regression"]
 
     @property
     def ok(self) -> bool:
@@ -371,18 +331,23 @@ class ScenarioDiff:
         pal = pal if pal is not None else PLAIN
         if self.error:
             return pal.red(f"{self.name}: ERROR — {self.error}")
-        compared = len(self.entries)
-        notable = [e for e in self.entries if e.severity != "ok"]
-        verdict = (
-            pal.green("OK") if self.ok else pal.red("REGRESSED")
-        )
-        header = (
+        verdict = pal.green("OK") if self.ok else pal.red("REGRESSED")
+        lines = [
             f"{self.name}: {verdict} "
-            f"({compared} metrics, {len(self.regressions)} regression(s))"
-        )
-        lines = [header]
-        for entry in notable:
-            lines.append("  " + entry.render())
+            f"({self.compared} metrics, {len(self.regressions)} regression(s))"
+        ]
+        for entry in self.entries:
+            if entry.a is None:
+                line = f"[new] {entry.key}: (no baseline) -> {entry.b:g}"
+            elif entry.b is None:
+                line = f"[regression] {entry.key}: metric disappeared"
+            else:
+                line = (
+                    f"[{entry.severity}] {entry.key} "
+                    f"({direction_of(entry.key)}-is-better): "
+                    f"{entry.a:g} -> {entry.b:g} ({entry.rel * 100:+.2f}%)"
+                )
+            lines.append("  " + line)
         return "\n".join(lines)
 
 
@@ -394,45 +359,30 @@ def compare(
     ``exact`` metrics must match bit-for-bit; directional metrics may
     drift within ``rel_tol`` of the baseline (by default not at all),
     and moves *in the good direction* beyond tolerance are reported as
-    improvements (worth a baseline refresh), never failures.
+    improvements (worth a baseline refresh), never failures.  A metric
+    the fresh run lacks is a regression; one only it has is ``new``.
     """
     name = baseline.get("benchmark", "?")
-    diff = ScenarioDiff(name=name)
     if fresh.get("benchmark") != name:
-        diff.error = (
+        return ScenarioDiff(name=name, error=(
             f"comparing different scenarios: baseline={name!r} "
             f"fresh={fresh.get('benchmark')!r}"
-        )
-        return diff
+        ))
     if baseline.get("params") != fresh.get("params"):
-        diff.error = (
+        return ScenarioDiff(name=name, error=(
             "smoke-size params changed "
             f"(baseline {baseline.get('params')} vs fresh "
             f"{fresh.get('params')}); re-record the baseline"
-        )
-        return diff
-    base_metrics = baseline.get("metrics", {})
-    fresh_metrics = fresh.get("metrics", {})
-    for key in sorted(set(base_metrics) | set(fresh_metrics)):
-        direction = direction_of(key)
-        base = base_metrics.get(key)
-        new = fresh_metrics.get(key)
-        if base is None:
-            severity = "new"
-        elif new is None:
-            severity = "regression"
-        elif direction == "exact":
-            severity = "ok" if new == base else "regression"
-        else:
-            band = rel_tol * abs(base)
-            if abs(new - base) <= band:
-                severity = "ok"
-            elif (new > base) == (direction == "lower"):
-                severity = "regression"
-            else:
-                severity = "improvement"
-        diff.entries.append(RegressEntry(key, direction, base, new, severity))
-    return diff
+        ))
+    diff = compare_metrics(
+        baseline["metrics"], fresh["metrics"], direction_of, rel_tol
+    )
+    entries = [
+        e._replace(severity="regression") if e.severity == "gone" else e
+        for e in diff.entries
+    ]
+    entries.sort(key=lambda entry: entry.key)
+    return ScenarioDiff(entries, diff.compared, name)
 
 
 @dataclass
@@ -457,9 +407,7 @@ class CheckReport:
             f"{len(self.diffs)} scenario(s))"
         ]
         for diff in self.diffs:
-            if quiet and diff.ok and not diff.error and not any(
-                entry.severity != "ok" for entry in diff.entries
-            ):
+            if quiet and diff.ok and not diff.entries:
                 continue
             lines.append(diff.render(pal=pal))
         lines.append(
@@ -501,13 +449,10 @@ def check(
             ))
             return report
     for name in names:
-        baseline_path = os.path.join(baseline_dir, result_filename(name))
         try:
-            baseline = load_result(baseline_path)
-        except (OSError, ValueError) as exc:
-            report.diffs.append(ScenarioDiff(name=name, error=str(exc)))
-            continue
-        try:
+            baseline = load_result(
+                os.path.join(baseline_dir, result_filename(name))
+            )
             if fresh_dir is not None:
                 fresh = load_result(
                     os.path.join(fresh_dir, result_filename(name))

@@ -48,14 +48,14 @@ non_negative = _at_least(0)
 
 
 def tolerance(text: str) -> float:
-    """argparse type for a tolerance: a finite number >= 0.  A NaN or
-    negative band would pass or fail every comparison (exit 2)."""
+    """argparse type for a tolerance: finite and >= 0, or exit 2 (a NaN
+    band passes every comparison, a negative one fails them all)."""
     value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be at least 0 and finite, got {text}"
-        )
-    return value
+    if math.isfinite(value) and value >= 0:
+        return value
+    raise argparse.ArgumentTypeError(
+        f"must be at least 0 and finite, got {text}"
+    )
 
 
 tolerance.__name__ = "float"  # argparse's "invalid float value"

@@ -194,10 +194,12 @@ def _perf(args, out: common.Out) -> int:
     base = common.load_trace(args.a, out)
     cand = common.load_trace(args.b, out)
     diff = obs.analysis.diff_runs(base, cand, rel_tol=args.rel_tol)
-    out(diff.render())
+    out(obs.analysis.render_run_diff(diff, args.rel_tol))
     if args.operators:
         out("")
-        out(obs.diff_operators(base, cand, rel_tol=args.rel_tol).render())
+        out(obs.render_operator_diff(
+            *obs.diff_operators(base, cand, rel_tol=args.rel_tol)
+        ))
     return 0 if diff.ok else 1
 
 

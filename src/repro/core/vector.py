@@ -34,8 +34,8 @@ from bisect import bisect_right
 from dataclasses import fields
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.obs.opprofile import exact_mismatches
 from repro.serde.record import Record, _Deferred
+from repro.util.compare import exact_mismatches
 
 __all__ = [
     "EXECUTION_MODES",

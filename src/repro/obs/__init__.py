@@ -86,7 +86,6 @@ from repro.obs.live import LiveMonitor
 from repro.obs.opprofile import (
     NULL_PROFILER,
     NullOperatorProfiler,
-    OperatorDiff,
     OperatorProfiler,
     OperatorStats,
     OPS,
@@ -96,11 +95,11 @@ from repro.obs.opprofile import (
     kernel_call_totals,
     operator_profiles,
     reconcile_profiles,
+    render_operator_diff,
     render_operators,
 )
 from repro.obs.analysis import (
     CriticalPath,
-    RunDiff,
     SpanNode,
     build_tree,
     critical_path,
@@ -182,7 +181,6 @@ __all__ = [
     "LiveMonitor",
     "NULL_PROFILER",
     "NullOperatorProfiler",
-    "OperatorDiff",
     "OperatorProfiler",
     "OperatorStats",
     "OPS",
@@ -192,9 +190,9 @@ __all__ = [
     "kernel_call_totals",
     "operator_profiles",
     "reconcile_profiles",
+    "render_operator_diff",
     "render_operators",
     "CriticalPath",
-    "RunDiff",
     "SpanNode",
     "build_tree",
     "critical_path",

@@ -29,8 +29,10 @@ the process that produced it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.util.compare import Diff, compare
 
 #: float slack when chaining simulated task intervals
 _EPS = 1e-9
@@ -695,113 +697,29 @@ def render_breakdown(report) -> str:
 # run diffing
 
 
-@dataclass
-class DiffEntry:
-    """One compared series between two reports."""
-
-    kind: str        # "metrics" | "counter" | "gauge" | "span"
-    key: str
-    a: float
-    b: float
-    severity: str    # "regression" | "improvement" | "drift" | "same"
-
-    @property
-    def delta(self) -> float:
-        return self.b - self.a
-
-    @property
-    def rel(self) -> float:
-        if self.a:
-            return self.delta / abs(self.a)
-        return float("inf") if self.delta else 0.0
-
-    def render(self) -> str:
-        rel = f"{self.rel * 100:+.2f}%" if self.a else "new"
-        return (
-            f"[{self.severity}] {self.kind} {self.key}: "
-            f"{self.a:g} -> {self.b:g} ({rel})"
-        )
-
-
-@dataclass
-class RunDiff:
-    """Every tolerance-exceeding delta between two runs."""
-
-    entries: List[DiffEntry] = field(default_factory=list)
-    rel_tol: float = 0.01
-
-    @property
-    def regressions(self) -> List[DiffEntry]:
-        return [e for e in self.entries if e.severity == "regression"]
-
-    @property
-    def improvements(self) -> List[DiffEntry]:
-        return [e for e in self.entries if e.severity == "improvement"]
-
-    @property
-    def drifts(self) -> List[DiffEntry]:
-        return [e for e in self.entries if e.severity == "drift"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def render(self) -> str:
-        lines = [
-            f"Run diff (rel_tol={self.rel_tol:g}, abs_tol={_ABS_TOL:g}): "
-            f"{len(self.regressions)} regression(s), "
-            f"{len(self.improvements)} improvement(s), "
-            f"{len(self.drifts)} drift(s)"
-        ]
-        for bucket in ("regression", "improvement", "drift"):
-            for entry in self.entries:
-                if entry.severity == bucket:
-                    lines.append("  " + entry.render())
-        if len(lines) == 1:
-            lines.append("  runs are equivalent within tolerance")
-        return "\n".join(lines)
-
-
-def _is_cost_counter(name: str) -> bool:
-    return any(marker in name for marker in _COST_COUNTER_MARKERS)
-
-
-def diff_runs(a, b, rel_tol: float = 0.01) -> RunDiff:
+def diff_runs(a, b, rel_tol: float = 0.01) -> Diff:
     """Compare two ``RunReport``\\ s metric-by-metric and span-by-span.
 
-    Only simulated/physical series are compared — wall-clock numbers
-    vary run to run by nature.  A delta within ``rel_tol`` (relative)
-    or 1e-9 (absolute) is noise.  Beyond tolerance:
-
-    - cost series (bytes, seeks, io/cpu/simulated time, cost counters)
-      growing from ``a`` to ``b`` is a **regression**, shrinking an
-      **improvement**;
-    - everything else (record counts, logical counters, span counts)
-      is **drift** — worth eyeballing, not a perf verdict.
+    Each run folds to ``metrics <field>``, ``counter <name>{labels}``,
+    ``gauge <name>{labels}``, ``span <name>.count`` and ``span
+    <name>.sim_time`` keys; a series one run lacks reads 0 there.  Wall
+    clocks vary run to run by nature and are never compared.  Cost
+    series (bytes, seeks, io/cpu/simulated time, cost counters) are
+    lower-is-better, so their growth beyond ``rel_tol`` (and 1e-9) is a
+    regression; everything else (record counts, logical counters, span
+    counts) is drift, worth eyeballing but not a perf verdict.
     """
-    diff = RunDiff(rel_tol=rel_tol)
+    series_a, series_b, cost = {}, {}, set()
 
-    def exceeds(x: float, y: float) -> bool:
-        delta = abs(y - x)
-        return delta > _ABS_TOL and delta > rel_tol * abs(x)
-
-    def add(kind: str, key: str, x: float, y: float, is_cost: bool) -> None:
-        if not exceeds(x, y):
-            return
+    def add(key: str, x: float, y: float, is_cost: bool) -> None:
+        series_a[key], series_b[key] = x, y
         if is_cost:
-            severity = "regression" if y > x else "improvement"
-        else:
-            severity = "drift"
-        diff.entries.append(DiffEntry(kind, key, x, y, severity))
+            cost.add(key)
 
-    for fname in _COST_METRICS:
-        add("metrics", fname, a.metrics_total(fname), b.metrics_total(fname),
-            True)
-    for fname in _DRIFT_METRICS:
-        add("metrics", fname, a.metrics_total(fname), b.metrics_total(fname),
-            False)
-
-    series_a, series_b = (
+    for name in _COST_METRICS + _DRIFT_METRICS:
+        add(f"metrics {name}", a.metrics_total(name), b.metrics_total(name),
+            name in _COST_METRICS)
+    registry_a, registry_b = (
         {
             (entry["kind"], entry["name"],
              json.dumps(entry.get("labels", {}), sort_keys=True)):
@@ -811,21 +729,42 @@ def diff_runs(a, b, rel_tol: float = 0.01) -> RunDiff:
         }
         for report in (a, b)
     )
-    for key in sorted(set(series_a) | set(series_b)):
-        kind, name, labels = key
-        label = name if labels == "{}" else f"{name}{labels}"
+    for series in sorted(registry_a.keys() | registry_b.keys()):
+        kind, name, labels = series
         add(
-            kind, label,
-            series_a.get(key, 0.0), series_b.get(key, 0.0),
-            kind == "counter" and _is_cost_counter(name),
+            f"{kind} {name}" + ("" if labels == "{}" else labels),
+            registry_a.get(series, 0.0), registry_b.get(series, 0.0),
+            kind == "counter" and any(
+                marker in name for marker in _COST_COUNTER_MARKERS
+            ),
         )
-
-    # span counts and simulated time only: wall times are noise
     spans_a, spans_b = a.span_totals(), b.span_totals()
-    for name in sorted(set(spans_a) | set(spans_b)):
+    for name in sorted(spans_a.keys() | spans_b.keys()):
         count_a, time_a = spans_a.get(name, (0, 0.0))
         count_b, time_b = spans_b.get(name, (0, 0.0))
-        add("span", f"{name}.count", count_a, count_b, False)
-        add("span", f"{name}.sim_time", time_a, time_b, True)
+        add(f"span {name}.count", count_a, count_b, False)
+        add(f"span {name}.sim_time", time_a, time_b, True)
+    return compare(
+        series_a, series_b,
+        lambda key: "lower" if key in cost else "drift", rel_tol, _ABS_TOL,
+    )
 
-    return diff
+
+def render_run_diff(diff: Diff, rel_tol: float = 0.01) -> str:
+    """``repro perf diff``: regressions, improvements, then drifts."""
+    lines = [
+        f"Run diff (rel_tol={rel_tol:g}, abs_tol={_ABS_TOL:g}): "
+        f"{len(diff.regressions)} regression(s), "
+        f"{len(diff.improvements)} improvement(s), "
+        f"{len(diff.drifts)} drift(s)"
+    ]
+    for severity in ("regression", "improvement", "drift"):
+        for entry in diff.of(severity):
+            rel = f"{entry.rel * 100:+.2f}%" if entry.a else "new"
+            lines.append(
+                f"  [{severity}] {entry.key}: "
+                f"{entry.a:g} -> {entry.b:g} ({rel})"
+            )
+    if len(lines) == 1:
+        lines.append("  runs are equivalent within tolerance")
+    return "\n".join(lines)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.opprofile import exact_mismatches
+from repro.util.compare import exact_mismatches
 
 #: registry counter name -> CellStats field
 _COUNTER_FIELDS = {
@@ -275,7 +275,7 @@ def reconcile(
     """Cross-check the heatmap against the run's independent probes.
 
     Every comparison is EXACT, through
-    :func:`~repro.obs.opprofile.exact_mismatches` — both sides count
+    :func:`~repro.util.compare.exact_mismatches` — both sides count
     the same physical events through different code paths (stream
     probes vs ``Metrics`` charging vs heatmap attribution), so any
     nonzero difference is an accounting bug, not noise.  Returns

@@ -53,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.calibration import TICKS_PER_SECOND
 from repro.sim.metrics import Metrics
+from repro.util.compare import Diff, compare, exact_mismatches
 
 #: The operator chain, in pipeline order.  Every profile reports all
 #: five, zero-valued where an engine/mode has no work for a stage
@@ -373,17 +374,6 @@ class NullOperatorProfiler:
 NULL_PROFILER = NullOperatorProfiler()
 
 
-def exact_mismatches(left: str, right: str, triples) -> List[str]:
-    """One line per ``(name, left value, right value)`` triple whose
-    values differ, each side named by its label: the one comparison
-    every reconcile makes (the two engines', the tsdb's, the
-    heatmap's), with no tolerance."""
-    return [
-        f"{name}: {left}={a!r} {right}={b!r} (exact match required)"
-        for name, a, b in triples if a != b
-    ]
-
-
 def reconcile_profiles(scalar, vectorized) -> List[str]:
     """Cross-engine profile reconciliation; returns mismatch strings.
 
@@ -562,144 +552,102 @@ def render_operators(report, pal=None) -> str:
     return "\n\n".join(sections)
 
 
-class OperatorDiffEntry:
-    """One per-operator delta between two profiled runs."""
-
-    __slots__ = ("engine", "op", "field", "a", "b", "delta", "ratio")
-
-    def __init__(self, engine, op, field, a, b):
-        self.engine = engine
-        self.op = op
-        self.field = field
-        self.a = a
-        self.b = b
-        self.delta = b - a
-        self.ratio = (b / a) if a else (float("inf") if b else 1.0)
+#: operator fields ``perf diff --operators`` compares: the ``*_time``
+#: fields within tolerance, the counts exactly
+_DIFF_FIELDS = (
+    "rows_in", "rows_out", "cells_decoded", "cells_skipped",
+    "kernel_calls", "fallback_calls", "sim_time", "wall_time",
+)
 
 
-class OperatorDiff:
-    """`diff_operators` result: deltas plus a blamed operator/kernel."""
+def diff_operators(
+    baseline, fresh, rel_tol: float = 0.01
+) -> Tuple[Diff, Dict[str, dict]]:
+    """Per-operator deltas between two runs, and who is to blame.
 
-    def __init__(self, entries, attribution, kernel_deltas,
-                 has_profiles=True):
-        self.entries = entries
-        #: {engine: {"op", "sim_delta", "wall_delta", "kernel",
-        #:  "kernel_delta"}} — the operator (and busiest kernel) a
-        #: regression is attributed to, per engine; empty when no
-        #: operator slowed down.
-        self.attribution = attribution
-        self.kernel_deltas = kernel_deltas
-        self.has_profiles = has_profiles
-
-    def render(self, pal=None) -> str:
-        from repro.util.term import PLAIN
-
-        pal = pal if pal is not None else PLAIN
-        if not self.entries:
-            if self.has_profiles:
-                return "operator diff: no per-operator deltas beyond tolerance"
-            return "(no operator profiles to diff)"
-        lines = [pal.bold("operator diff (baseline → fresh)")]
-        for entry in self.entries:
-            if entry.field in ("sim_time", "wall_time"):
-                rendered = (
-                    f"{entry.a:.6f}s → {entry.b:.6f}s"
-                    f" ({entry.delta:+.6f}s)"
-                )
-            else:
-                rendered = f"{entry.a:,} → {entry.b:,} ({entry.delta:+,})"
-            lines.append(
-                f"  {entry.engine}/{entry.op}.{entry.field}: {rendered}"
-            )
-        for engine in sorted(self.attribution):
-            blame = self.attribution[engine]
-            line = (
-                f"slowdown attributed to operator "
-                f"{pal.bold(blame['op'])} ({engine}): "
-                f"sim {blame['sim_delta']:+.6f}s, "
-                f"wall {blame['wall_delta']:+.4f}s"
-            )
-            if blame.get("kernel"):
-                line += (
-                    f"; kernel {pal.bold(blame['kernel'])} "
-                    f"calls {blame['kernel_delta']:+,}"
-                )
-            lines.append(pal.yellow(line))
-        if not self.attribution:
-            lines.append("no operator slowed down")
-        return "\n".join(lines)
-
-
-def diff_operators(baseline, fresh, rel_tol: float = 0.01) -> OperatorDiff:
-    """Attribute a time delta between two runs to operators/kernels.
-
-    Compares per-operator totals of two :class:`RunReport`-likes and
-    names, per engine, the operator with the largest simulated-time
-    growth (falling back to wall time when simulated costs are
-    identical — the vectorized engine's whole point is moving wall
-    time without moving simulated time), plus the kernel whose
-    invocation count grew the most under that engine.
+    Both runs fold to ``<engine>/<op>.<field>`` keys, an operator one
+    run lacks reading 0 there.  The attribution names, per engine, the
+    operator whose simulated time grew the most; an operator whose
+    simulated time did not move beyond tolerance counts its wall-time
+    growth instead (the vectorized engine's whole point is moving wall
+    time without moving simulated time).  It also names the kernel
+    whose invocation count grew the most, or none if none grew.
+    Returns ``(diff, {engine: {"op", "sim_delta", "wall_delta",
+    "kernel", "kernel_delta"}})``, the dict empty when no operator
+    slowed down.
     """
-    a_profiles = operator_profiles(baseline)
-    b_profiles = operator_profiles(fresh)
-    kernels_a = kernel_call_totals(baseline)
-    kernels_b = kernel_call_totals(fresh)
-    kernel_deltas = {
-        name: kernels_b.get(name, 0) - kernels_a.get(name, 0)
-        for name in sorted(set(kernels_a) | set(kernels_b))
-    }
-    entries: List[OperatorDiffEntry] = []
-    attribution: Dict[str, dict] = {}
-    for engine in sorted(set(a_profiles) | set(b_profiles)):
-        a_ops = a_profiles.get(engine, {})
-        b_ops = b_profiles.get(engine, {})
-        worst = None
-        for op in OPS:
-            a = a_ops.get(op)
-            b = b_ops.get(op)
-            if a is None and b is None:
-                continue
-            blank = {f: 0 for f in _SUM_FIELDS} | {
-                "sim_time": 0.0, "wall_time": 0.0,
-            }
-            a = a if a is not None else blank
-            b = b if b is not None else blank
-            for field in (
-                "rows_in", "rows_out", "cells_decoded", "cells_skipped",
-                "kernel_calls", "fallback_calls", "sim_time", "wall_time",
-            ):
-                va, vb = a[field], b[field]
-                if isinstance(va, float) or isinstance(vb, float):
-                    scale = max(abs(va), abs(vb), 1e-12)
-                    changed = abs(vb - va) > rel_tol * scale
-                else:
-                    changed = va != vb
-                if changed:
-                    entries.append(
-                        OperatorDiffEntry(engine, op, field, va, vb)
-                    )
-            sim_delta = b["sim_time"] - a["sim_time"]
-            wall_delta = b["wall_time"] - a["wall_time"]
-            sim_scale = max(abs(a["sim_time"]), abs(b["sim_time"]), 1e-12)
-            score = (
-                sim_delta if abs(sim_delta) > rel_tol * sim_scale
-                else wall_delta
-            )
-            if score > 0 and (worst is None or score > worst[0]):
-                worst = (score, op, sim_delta, wall_delta)
-        if worst is not None:
-            kernel, kernel_delta = None, 0
-            for name, delta in kernel_deltas.items():
-                if delta > kernel_delta:
-                    kernel, kernel_delta = name, delta
-            attribution[engine] = {
-                "op": worst[1],
-                "sim_delta": worst[2],
-                "wall_delta": worst[3],
-                "kernel": kernel,
-                "kernel_delta": kernel_delta,
-            }
-    return OperatorDiff(
-        entries, attribution, kernel_deltas,
-        has_profiles=bool(a_profiles or b_profiles),
+    profiles = operator_profiles(baseline), operator_profiles(fresh)
+    present = sorted(
+        {(engine, op) for by_engine in profiles
+         for engine, ops in by_engine.items() for op in ops if op in OPS},
+        key=lambda pair: (pair[0], OPS.index(pair[1])),
     )
+    series_a, series_b = (
+        {
+            f"{engine}/{op}.{field}":
+            by_engine.get(engine, {}).get(op, {}).get(field, 0)
+            for engine, op in present for field in _DIFF_FIELDS
+        }
+        for by_engine in profiles
+    )
+    diff = compare(
+        series_a, series_b,
+        lambda key: "lower" if key.endswith("_time") else "exact", rel_tol,
+    )
+    moved = {entry.key for entry in diff.entries}
+    kernels_a, kernels_b = map(kernel_call_totals, (baseline, fresh))
+    grown = {
+        name: calls - kernels_a.get(name, 0)
+        for name, calls in sorted(kernels_b.items())
+        if calls > kernels_a.get(name, 0)
+    }
+    kernel = max(grown, key=grown.get, default=None)
+    attribution: Dict[str, dict] = {}
+    worst: Dict[str, float] = {}
+    for engine, op in present:
+        sim, wall = f"{engine}/{op}.sim_time", f"{engine}/{op}.wall_time"
+        sim_delta = series_b[sim] - series_a[sim]
+        wall_delta = series_b[wall] - series_a[wall]
+        score = sim_delta if sim in moved else wall_delta
+        if score > worst.get(engine, 0):
+            worst[engine] = score
+            attribution[engine] = {
+                "op": op, "sim_delta": sim_delta, "wall_delta": wall_delta,
+                "kernel": kernel, "kernel_delta": grown.get(kernel, 0),
+            }
+    return diff, attribution
+
+
+def render_operator_diff(diff: Diff, attribution, pal=None) -> str:
+    """``repro perf diff --operators``'s text for :func:`diff_operators`."""
+    from repro.util.term import PLAIN
+
+    pal = pal if pal is not None else PLAIN
+    if not diff.entries:
+        if diff.compared:
+            return "operator diff: no per-operator deltas beyond tolerance"
+        return "(no operator profiles to diff)"
+    lines = [pal.bold("operator diff (baseline → fresh)")]
+    for entry in diff.entries:
+        if entry.key.endswith("_time"):
+            rendered = (
+                f"{entry.a:.6f}s → {entry.b:.6f}s ({entry.delta:+.6f}s)"
+            )
+        else:
+            rendered = f"{entry.a:,} → {entry.b:,} ({entry.delta:+,})"
+        lines.append(f"  {entry.key}: {rendered}")
+    for engine, blame in sorted(attribution.items()):
+        line = (
+            f"slowdown attributed to operator {pal.bold(blame['op'])} "
+            f"({engine}): sim {blame['sim_delta']:+.6f}s, "
+            f"wall {blame['wall_delta']:+.4f}s"
+        )
+        if blame["kernel"]:
+            line += (
+                f"; kernel {pal.bold(blame['kernel'])} "
+                f"calls {blame['kernel_delta']:+,}"
+            )
+        lines.append(pal.yellow(line))
+    if not attribution:
+        lines.append("no operator slowed down")
+    return "\n".join(lines)

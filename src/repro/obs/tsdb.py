@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.opprofile import exact_mismatches
 from repro.util import jsonl
+from repro.util.compare import exact_mismatches
 from repro.util.stats import percentile
 
 #: bump when the sidecar schema changes incompatibly
@@ -506,7 +506,7 @@ def reconcile_tsdb(store: TimeSeriesStore, report) -> List[str]:
     """Cross-check the folded series against a ClusterReport, exactly.
 
     Zero tolerance, through the same
-    :func:`~repro.obs.opprofile.exact_mismatches` as every reconcile:
+    :func:`~repro.util.compare.exact_mismatches` as every reconcile:
     the tsdb watched the same event stream the report was built from,
     so every per-tenant count and every nearest-rank latency quantile
     must agree bit-for-bit.  Returns a list of mismatch descriptions

@@ -22,6 +22,7 @@ from repro.obs.analysis import (
     io_breakdown,
     partition_skew,
     render_breakdown,
+    render_run_diff,
     render_stragglers,
     render_timeline,
     timeline,
@@ -289,7 +290,7 @@ class TestDiffRuns:
         b = report_of([], metrics=[self.metrics()])
         diff = diff_runs(a, b)
         assert diff.ok and diff.entries == []
-        assert "equivalent" in diff.render()
+        assert "equivalent" in render_run_diff(diff)
 
     def test_cost_growth_is_a_regression(self):
         a = report_of([], metrics=[self.metrics()])
@@ -297,7 +298,8 @@ class TestDiffRuns:
         diff = diff_runs(a, b)
         assert not diff.ok
         (entry,) = diff.regressions
-        assert entry.key == "seeks" and entry.a == 10 and entry.b == 15
+        assert entry.key == "metrics seeks"
+        assert entry.a == 10 and entry.b == 15
 
     def test_cost_shrink_is_an_improvement(self):
         a = report_of([], metrics=[self.metrics()])
@@ -321,7 +323,7 @@ class TestDiffRuns:
         a = report_of([span(1, None, "scan", sim_duration=1.0)])
         b = report_of([span(1, None, "scan", sim_duration=2.0)])
         diff = diff_runs(a, b)
-        assert [e.key for e in diff.regressions] == ["scan.sim_time"]
+        assert [e.key for e in diff.regressions] == ["span scan.sim_time"]
 
     def test_cost_counter_vs_logical_counter(self):
         def rep(value):
@@ -334,7 +336,7 @@ class TestDiffRuns:
 
         diff = diff_runs(rep(100), rep(200))
         assert len(diff.regressions) == 1
-        assert diff.regressions[0].key.startswith("hdfs.bytes.disk")
+        assert diff.regressions[0].key.startswith("counter hdfs.bytes.disk")
         assert len(diff.drifts) == 1
 
     def test_wall_times_are_never_compared(self):

@@ -184,8 +184,8 @@ class TestPipeline:
         assert report.diffs[0].error
 
     @pytest.mark.parametrize("document", [
-        "[1, 2]",
-        '"BENCH"',
+        '["benchmark", "metrics"]',
+        '"benchmark metrics"',
         '{"benchmark": "pruning", "metrics": [1]}',
         '{"benchmark": "pruning", "params": {"records": 500},'
         ' "metrics": {"bytes.sorted": "many"}}',

@@ -30,6 +30,7 @@ from repro.obs import (
     kernel_call_totals,
     operator_profiles,
     reconcile_profiles,
+    render_operator_diff,
     render_operators,
 )
 from repro.sim.calibration import to_ticks
@@ -448,39 +449,56 @@ class TestDiffAttribution:
     def test_injected_slowdown_attributed_to_operator_and_kernel(self):
         base = self._report_with(0.002, kernel_calls=3)
         slow = self._report_with(0.050, kernel_calls=9)
-        diff = diff_operators(base, slow)
-        blame = diff.attribution["vectorized"]
+        diff, attribution = diff_operators(base, slow)
+        blame = attribution["vectorized"]
         assert blame["op"] == "aggregate"
         assert blame["sim_delta"] == pytest.approx(0.048)
         assert blame["kernel"] == "read_zigzags"
         assert blame["kernel_delta"] == 6
-        text = diff.render()
+        text = render_operator_diff(diff, attribution)
         assert "aggregate" in text and "read_zigzags" in text
 
     def test_blame_goes_to_the_kernel_that_grew(self):
         # read_zigzags has the largest change, but it shrank
         base = self._report_with(0.002, kernel_calls=20, read_strings=3)
         slow = self._report_with(0.050, kernel_calls=2, read_strings=6)
-        diff = diff_operators(base, slow)
-        blame = diff.attribution["vectorized"]
+        diff, attribution = diff_operators(base, slow)
+        blame = attribution["vectorized"]
         assert blame["op"] == "aggregate"
         assert (blame["kernel"], blame["kernel_delta"]) == ("read_strings", 3)
-        assert "kernel read_strings calls +3" in diff.render()
+        text = render_operator_diff(diff, attribution)
+        assert "kernel read_strings calls +3" in text
 
     def test_no_kernel_is_blamed_when_none_grew(self):
         base = self._report_with(0.002, kernel_calls=20)
         slow = self._report_with(0.050, kernel_calls=2)
-        diff = diff_operators(base, slow)
-        blame = diff.attribution["vectorized"]
+        diff, attribution = diff_operators(base, slow)
+        blame = attribution["vectorized"]
         assert blame["op"] == "aggregate" and blame["kernel"] is None
-        assert "read_zigzags" not in diff.render().splitlines()[-1]
+        blamed = render_operator_diff(diff, attribution).splitlines()[-1]
+        assert "read_zigzags" not in blamed
+
+    def test_time_growth_is_measured_against_the_baseline(self):
+        # +1.005 % of the baseline's aggregate time is beyond the 1 %
+        # band, though it is within 1 % of the fresh time
+        base = self._report_with(0.100)
+        slow = self._report_with(0.101005)
+        diff, attribution = diff_operators(base, slow)
+        assert [e.key for e in diff.entries] == [
+            "vectorized/aggregate.sim_time"
+        ]
+        assert attribution["vectorized"]["op"] == "aggregate"
+        assert attribution["vectorized"]["sim_delta"] == pytest.approx(
+            0.001005
+        )
 
     def test_identical_runs_produce_no_attribution(self):
         base = self._report_with(0.002)
         again = self._report_with(0.002)
-        diff = diff_operators(base, again)
-        assert diff.attribution == {}
-        assert "no per-operator deltas" in diff.render()
+        diff, attribution = diff_operators(base, again)
+        assert attribution == {}
+        text = render_operator_diff(diff, attribution)
+        assert "no per-operator deltas" in text
 
 
 class TestReconcileMessages:
