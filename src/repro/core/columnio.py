@@ -59,7 +59,7 @@ from repro.serde import vecdecode
 from repro.serde.binary import BinaryDecoder, BinaryEncoder, encode_values
 from repro.serde.schema import Schema, SchemaError
 from repro.util.buffers import ByteReader, ByteWriter
-from repro.util.varint import encode_varint
+from repro.util.varint import VarintError, decode_varint, encode_varint
 
 MAGIC = b"CF1"
 
@@ -263,35 +263,28 @@ def _build_dcsl_region(
 # ---------------------------------------------------------------------------
 
 
-class _VectorBuilder:
-    """Accumulates (possibly several segments of) decoded values and
-    finishes them into the right typed vector."""
+def _vector(gather):
+    """A finished gather's values as the typed vector of its tag."""
+    from repro.core.vector import NumericVector, ObjectVector, StringVector
 
-    def __init__(self) -> None:
-        self._tag: Optional[str] = None
-        self._data: list = []
+    if gather.tag in ("q", "d"):
+        return NumericVector.build(gather.values, gather.tag)
+    if gather.tag == "str":
+        return StringVector.from_chunks(gather.values)
+    return ObjectVector(gather.values)
 
-    def add(self, tagged) -> None:
-        tag, payload = tagged
-        if self._tag is None:
-            self._tag = tag
-        self._data.extend(payload)
 
-    def add_objects(self, values) -> None:
-        if self._tag is None:
-            self._tag = "obj"
-        self._data.extend(values)
-
-    def finish(self):
-        from repro.core import vector as _vector
-
-        if self._tag == "num":
-            return _vector.NumericVector.build(self._data, "q")
-        if self._tag == "double":
-            return _vector.NumericVector.build(self._data, "d")
-        if self._tag == "str":
-            return _vector.StringVector.from_chunks(self._data)
-        return _vector.ObjectVector(self._data)
+def _runs(rows):
+    """Ascending ``rows`` as ``(start, length)`` runs of consecutive rows."""
+    start = end = rows[0]
+    for row in rows:
+        if row != end:
+            if row < end:
+                raise ValueError(f"rows must ascend: {row} after {end - 1}")
+            yield start, end - start
+            start = row
+        end = row + 1
+    yield start, end - start
 
 
 class ColumnReader:
@@ -357,9 +350,9 @@ class ColumnReader:
         if index > self.next_index:
             self.skip(index - self.next_index)
 
-    def value_at(self, index: int):
+    def value_at(self, index: int, keys=None):
         self.sync_to(index)
-        return self.read_value()
+        return self.read_value(keys)
 
     def skip(self, n: int) -> None:
         raise NotImplementedError
@@ -368,8 +361,8 @@ class ColumnReader:
         raise NotImplementedError
 
     def _read_datum_fast(self, reader=None, decoder=None, keys=None):
-        """One datum via the batched map kernel when enabled (sparse
-        gathers hit this per survivor); charge-identical to
+        """One datum via the batched map kernel when enabled (a lazy
+        row's cell read hits this); charge-identical to
         ``read_datum`` either way."""
         if self.batch_kernels and self._map_kernel:
             return vecdecode.read_maps(
@@ -381,19 +374,49 @@ class ColumnReader:
             self.field_schema
         )
 
+    #: ``_gather(runs, keys) -> Gather``, the layout's one window loop
+    #: over ``(start, length)`` runs of rows from ``next_index`` on
+    _gather = None
+
     def read_vector(self, n: int, keys=None):
         """Decode the next ``n`` values into a typed vector.
 
         Charge-identical to ``n`` consecutive :meth:`read_value` calls
-        (the vectorized execution contract).  Layouts override this
-        with batched fast paths; this generic version is always
-        correct, so any reader is batch-capable.
+        (the vectorized execution contract): one ``_gather`` over one
+        run, or where a layout has none, ``n`` :meth:`read_value` calls.
         """
         from repro.core.vector import ObjectVector
 
         self._check_read_vector(n)
-        read_value = self.read_value
-        return ObjectVector([read_value(keys) for _ in range(n)])
+        if self._gather is None:
+            read_value = self.read_value
+            return ObjectVector([read_value(keys) for _ in range(n)])
+        gather = self._gather(((self.next_index, n),), keys)
+        self._obs_rows_read.inc(n)
+        self._profiler.on_cells(n)
+        return _vector(gather)
+
+    def read_selected(self, rows: Sequence[int], keys=None) -> dict:
+        """``{row: value}`` for ascending absolute ``rows``: one window
+        loop that hops each gap and decodes each survivor, equal in every
+        charge, counter and stream request to ``sync_to(row)`` +
+        ``read_value(keys)`` per row, which runs where there is none."""
+        if not (
+            rows and self._gather is not None and self.batch_kernels
+            and self.next_index <= rows[0] and rows[-1] < self.count
+        ):
+            return {row: self.value_at(row, keys) for row in rows}
+        skipped = rows[-1] + 1 - self.next_index - len(rows)
+        gather = self._gather(_runs(rows), keys)
+        values = gather.values
+        if gather.tag == "str":
+            values = [str(raw, "utf-8") for raw in values]
+        if skipped:
+            self._obs_rows_skipped.inc(skipped)
+            self._profiler.on_cells_skipped(skipped)
+        self._obs_rows_read.inc(len(rows))
+        self._profiler.on_cells(len(rows))
+        return dict(zip(rows, values))
 
     def _check_read_vector(self, n: int) -> None:
         if n < 0:
@@ -447,16 +470,19 @@ class PlainColumnReader(ColumnReader):
         self._profiler.on_cells(1)
         return value
 
-    def read_vector(self, n: int, keys=None):
-        self._check_read_vector(n)
-        builder = _VectorBuilder()
-        builder.add(vecdecode.batch_decode_values(
-            self.reader, self.field_schema, n, self.ctx, keys
-        ))
-        self.next_index += n
-        self._obs_rows_read.inc(n)
-        self._profiler.on_cells(n)
-        return builder.finish()
+    def _gather(self, runs, keys=None):
+        gather = vecdecode.Gather(
+            self.reader, self.field_schema, self.ctx.cost, self.ctx.metrics,
+            keys,
+        )
+        i = self.next_index
+        for start, length in runs:
+            if start > i:
+                gather.hop(start - i)
+            gather.take(length)
+            i = start + length
+        self.next_index = i
+        return gather.finish()
 
 
 class SkipListColumnReader(ColumnReader):
@@ -481,7 +507,7 @@ class SkipListColumnReader(ColumnReader):
             "column.skiplist.jumped_bytes", **self.labels
         )
 
-    def _consume_block_header(self, level: int) -> Tuple[int, int]:
+    def _consume_block_header(self) -> Tuple[int, int]:
         """Read ``count, nbytes`` (charging their bytes as raw scan)."""
         before = self.reader.offset
         block_count = self.reader.read_varint()
@@ -494,6 +520,12 @@ class SkipListColumnReader(ColumnReader):
         self.dictionary = KeyDictionary.read(self.reader)
         self.ctx.cost.charge_raw_scan(self.ctx.metrics, self.reader.offset - before)
 
+    def _jump(self, block_count: int, nbytes: int) -> None:
+        self.reader.skip(nbytes)
+        self._obs_jumps.inc()
+        self._obs_jumped_records.inc(block_count)
+        self._obs_jumped_bytes.inc(nbytes)
+
     def skip(self, n: int) -> None:
         self._check_bounds(n)
         smallest = self.sizes[-1]
@@ -502,14 +534,11 @@ class SkipListColumnReader(ColumnReader):
             for level, size in enumerate(self.sizes):
                 if self.next_index % size:
                     continue
-                block_count, nbytes = self._consume_block_header(level)
+                block_count, nbytes = self._consume_block_header()
                 if n >= block_count:
-                    self.reader.skip(nbytes)
+                    self._jump(block_count, nbytes)
                     self.next_index += block_count
                     n -= block_count
-                    self._obs_jumps.inc()
-                    self._obs_jumped_records.inc(block_count)
-                    self._obs_jumped_bytes.inc(nbytes)
                     jumped = True
                     break
                 if level == 0 and self.has_dictionaries:
@@ -533,7 +562,7 @@ class SkipListColumnReader(ColumnReader):
         for level, size in enumerate(self.sizes):
             if self.next_index % size:
                 continue
-            self._consume_block_header(level)
+            self._consume_block_header()
             if level == 0 and self.has_dictionaries:
                 self._consume_dictionary()
         value = self._decode_one_value(keys)
@@ -542,40 +571,67 @@ class SkipListColumnReader(ColumnReader):
         self._profiler.on_cells(1)
         return value
 
-    def read_vector(self, n: int, keys=None):
-        """Batched read: consume block headers at boundaries exactly as
-        ``n`` scalar reads would, decoding bottom blocks in tight runs."""
-        self._check_read_vector(n)
-        builder = _VectorBuilder()
-        smallest = self.sizes[-1]
-        remaining = n
-        while remaining:
-            for level, size in enumerate(self.sizes):
-                if self.next_index % size == 0:
-                    self._consume_block_header(level)
-                    if level == 0 and self.has_dictionaries:
-                        self._consume_dictionary()
-            step = min(remaining, smallest - self.next_index % smallest)
-            decoded = self._decode_run(step, keys)
-            if decoded is None:
-                decode = self._decode_one_value
-                builder.add_objects([decode() for _ in range(step)])
-            else:
-                builder.add(decoded)
-            self.next_index += step
-            remaining -= step
-        self._obs_rows_read.inc(n)
-        self._profiler.on_cells(n)
-        return builder.finish()
-
-    # Hook points so DCSL can change the value encoding only.
-    def _decode_run(self, step: int, keys=None):
-        """``step`` contiguous in-block values as ``(tag, values)``, or
-        None when the kind needs :meth:`_decode_one_value` per value
-        (a DCSL map whose values are containers)."""
-        return vecdecode.batch_decode_values(
-            self.reader, self.field_schema, step, self.ctx, keys
+    def _gather(self, runs, keys=None):
+        """Headers are parsed off the window (one it does not hold goes
+        to :meth:`_consume_block_header`, a DCSL dictionary always to
+        :meth:`_consume_dictionary`); gaps jump whole blocks where
+        :meth:`skip` would, and bottom blocks' values go to one gather."""
+        reader, ctx = self.reader, self.ctx
+        dcsl = self.has_dictionaries
+        gather = vecdecode.Gather(
+            reader, self.field_schema, ctx.cost, ctx.metrics, keys,
+            *((lambda _: self._decode_one_value(),
+               lambda _: self._skip_one_value()) if dcsl else ()),
         )
+        if dcsl and self.dictionary is not None:
+            gather.use_keys(self.dictionary.keys)
+        sizes, smallest = self.sizes, self.sizes[-1]
+        parsed = 0  # header bytes parsed off the window
+
+        def headers(i, n):
+            """Row ``i``'s headers, as ``skip(n)`` or (``n == 0``)
+            ``read_value`` takes them: the rows jumped, or 0."""
+            nonlocal parsed
+            for level, size in enumerate(sizes):
+                if i % size:
+                    continue
+                buf, pos = reader._buf, reader.pos
+                try:
+                    block_count, p = decode_varint(buf, pos)
+                    nbytes, p = decode_varint(buf, p)
+                    parsed += p - pos
+                    reader.pos = p
+                except VarintError:
+                    vecdecode.fallback(reader, "skiplist_headers")
+                    block_count, nbytes = self._consume_block_header()
+                if n and n >= block_count:
+                    self._jump(block_count, nbytes)
+                    return block_count
+                if level == 0 and dcsl:
+                    self._consume_dictionary()
+                    gather.use_keys(self.dictionary.keys)
+            return 0
+
+        i = self.next_index
+        for start, length in runs:
+            n = start - i
+            while n > 0:
+                jumped = headers(i, n) if i % smallest == 0 else 0
+                if not jumped:
+                    jumped = min(n, smallest - i % smallest)
+                    gather.hop(jumped)
+                i += jumped
+                n -= jumped
+            end = start + length
+            while i < end:
+                if i % smallest == 0:
+                    headers(i, 0)
+                step = min(end - i, smallest - i % smallest)
+                gather.take(step)
+                i += step
+        self.next_index = i
+        ctx.cost.charge_raw_scan(ctx.metrics, parsed)
+        return gather.finish()
 
     def _skip_one_value(self) -> None:
         self._decoder.skip_datum(self.field_schema)
@@ -598,10 +654,13 @@ class DcslColumnReader(SkipListColumnReader):
     has_dictionaries = True
 
     def _decode_one_value(self, keys=None) -> dict:
-        if keys is not None and self._map_kernel:  # a projected gather
-            return self._decode_run(1, keys)[1][0]
         ctx = self.ctx
         reader = self.reader
+        if keys is not None and self._map_kernel:  # a key-projected read
+            return vecdecode.read_maps(
+                reader, self.field_schema, 1, ctx.cost, ctx.metrics,
+                self.dictionary.keys, self._decode_one_value, wanted=keys,
+            )[0]
         start = reader.offset
         entries = reader.read_varint()
         ctx.cost.charge_map(ctx.metrics, entries)
@@ -615,15 +674,6 @@ class DcslColumnReader(SkipListColumnReader):
         ctx.metrics.cells += entries
         return out
 
-    def _decode_run(self, step: int, keys=None):
-        if not self._map_kernel:
-            return None
-        return "obj", vecdecode.read_maps(
-            self.reader, self.field_schema, step, self.ctx.cost,
-            self.ctx.metrics, self.dictionary.keys, self._decode_one_value,
-            wanted=keys,
-        )
-
     def _skip_one_value(self) -> None:
         reader = self.reader
         start = reader.offset
@@ -636,8 +686,8 @@ class DcslColumnReader(SkipListColumnReader):
         )
 
     def _batch_skip_run(self, run: int) -> bool:
-        return vecdecode.skip_dcsl_batch(
-            self.reader, self.field_schema.values, run,
+        return vecdecode.skip_batch(
+            self.reader, self.field_schema, run,
             self.ctx.cost, self.ctx.metrics, self._skip_one_value,
         )
 
@@ -699,6 +749,12 @@ class CBlockColumnReader(ColumnReader):
         self._block_decoder = BinaryDecoder(self._block_reader, ctx.cost, ctx.metrics)
         self._block_remaining = block_count
 
+    def _skip_block(self, comp_len: int) -> None:
+        """Pass a whole block no row is wanted from, compressed."""
+        self.reader.skip(comp_len)
+        self._obs_blocks_skipped.inc()
+        self._obs_bytes_skipped.inc(comp_len)
+
     def skip(self, n: int) -> None:
         self._check_bounds(n)
         while n > 0:
@@ -706,12 +762,9 @@ class CBlockColumnReader(ColumnReader):
                 header = self._block_header()
                 block_count, _, comp_len = header
                 if n >= block_count:
-                    # Whole block unused: skip it compressed.
-                    self.reader.skip(comp_len)
+                    self._skip_block(comp_len)
                     self.next_index += block_count
                     n -= block_count
-                    self._obs_blocks_skipped.inc()
-                    self._obs_bytes_skipped.inc(comp_len)
                     continue
                 # Someone needs a value inside: inflate the whole block.
                 self._open_block(header)
@@ -744,25 +797,34 @@ class CBlockColumnReader(ColumnReader):
         self._profiler.on_cells(1)
         return value
 
-    def read_vector(self, n: int, keys=None):
-        """Batched read: inflate blocks lazily as scalar reads would,
-        then decode each open block's values in one tight run."""
-        self._check_read_vector(n)
-        builder = _VectorBuilder()
-        remaining = n
-        while remaining:
-            if self._block_remaining == 0:
-                self._open_block()
-            step = min(remaining, self._block_remaining)
-            builder.add(vecdecode.batch_decode_values(
-                self._block_reader, self.field_schema, step, self.ctx, keys
-            ))
-            self._block_remaining -= step
-            self.next_index += step
-            remaining -= step
-        self._obs_rows_read.inc(n)
-        self._profiler.on_cells(n)
-        return builder.finish()
+    def _gather(self, runs, keys=None):
+        """Gaps pass blocks compressed or hop in an open one, as
+        :meth:`skip` does; a survivor inflates its block."""
+        gather = vecdecode.Gather(
+            self._block_reader, self.field_schema, self.ctx.cost,
+            self.ctx.metrics, keys,
+        )
+        i = self.next_index
+        for start, length in runs:
+            for n, take in ((start - i, False), (length, True)):
+                while n > 0:
+                    if self._block_remaining == 0:
+                        header = self._block_header()
+                        block_count, _, comp_len = header
+                        if not take and n >= block_count:
+                            self._skip_block(comp_len)
+                            i += block_count
+                            n -= block_count
+                            continue
+                        self._open_block(header)
+                        gather.reader = self._block_reader
+                    step = min(n, self._block_remaining)
+                    (gather.take if take else gather.hop)(step)
+                    self._block_remaining -= step
+                    i += step
+                    n -= step
+        self.next_index = i
+        return gather.finish()
 
 
 class DefaultColumnReader(ColumnReader):
@@ -916,20 +978,22 @@ class DeltaColumnReader(ColumnReader):
         from repro.core.vector import NumericVector
 
         self._check_read_vector(n)
-        reader = self.reader
         cost, metrics = self.ctx.cost, self.ctx.metrics
-        start = reader.offset
+        deltas = vecdecode.Gather(
+            self.reader, self.field_schema, cost, metrics
+        )
+        deltas.take(n)
         current = self._current
         values = []
         append = values.append
-        for delta in vecdecode.read_zigzags(reader, n):
+        for delta in deltas.values:
             current += delta
             append(current)
         self._current = current
         metrics.cells += n
         metrics.charge_cpu(
             cost.prim_cpu("int", n)
-            + (reader.offset - start) * cost.profile.raw_scan_per_byte
+            + deltas.span * cost.profile.raw_scan_per_byte
         )
         self.next_index += n
         self._obs_rows_read.inc(n)

@@ -693,8 +693,9 @@ class VectorFrame:
 
     A column is decoded exactly once per frame, at its first use: the
     whole frame (``read_vector``) when the requesting selection covers
-    every row, else a sparse per-row gather (``sync_to`` +
-    ``read_value`` — byte-for-byte the scalar access pattern).  Because
+    every row, else a sparse gather of the selected rows
+    (``read_selected``: one window loop over the selection, charged as
+    ``sync_to`` + ``read_value`` per row would be).  Because
     selections only shrink as filters apply, later uses are always
     subsets of the first and hit the cache, mirroring a lazy row's
     first-touch-only accounting.
@@ -748,11 +749,7 @@ class VectorFrame:
                 if self.ledger is not None:
                     self.ledger.on_materialized(name, self.length)
             else:
-                data = {}
-                sync_to, read_value = reader.sync_to, reader.read_value
-                for i in sel:
-                    sync_to(self.start + i)
-                    data[i] = read_value(keys)
+                data = self._read_selected(reader, sel, keys)
                 self._touched[name] = set(sel)
                 if self.ledger is not None:
                     self.ledger.on_materialized(name, len(sel))
@@ -764,13 +761,16 @@ class VectorFrame:
             missing = [i for i in sel if i not in data]
             if missing:
                 reader = self._require_reader(name)
-                for i in missing:
-                    reader.sync_to(self.start + i)
-                    data[i] = reader.read_value(keys)
+                data.update(self._read_selected(reader, missing, keys))
                 self._touched[name].update(missing)
                 if self.ledger is not None:
                     self.ledger.on_materialized(name, len(missing))
         return data
+
+    def _read_selected(self, reader, sel: Sequence[int], keys) -> dict:
+        """``{row: value}`` of frame-local ``sel``."""
+        got = reader.read_selected([self.start + i for i in sel], keys)
+        return dict(zip(sel, got.values()))
 
     def values(self, name: str, sel: Sequence[int]) -> List:
         """The column's values at ``sel``, aligned with it: what compiled

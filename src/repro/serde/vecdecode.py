@@ -12,7 +12,7 @@ partial sums).  That one datum is handed to the per-datum method the
 reference itself uses (``reader.read_zigzag()``,
 ``BinaryDecoder.read_datum``/``skip_datum``, the DCSL reader's own
 per-value decode and skip), which refills or raises; the loop resumes on
-whatever window the hand-off left behind; :func:`_windows` is the only
+whatever window the hand-off left behind; :func:`_edges` is the only
 place this happens.
 
 That is what keeps the kernels *charge-identical* to the scalar path
@@ -35,6 +35,8 @@ zero.  See ``docs/vectorized.md`` § Window edges.
 from __future__ import annotations
 
 import struct
+from functools import partial
+from operator import methodcaller
 
 from repro.serde.binary import BinaryDecoder
 from repro.util.varint import VarintError, decode_varint
@@ -73,7 +75,13 @@ def _kernel(name: str) -> None:
         _SINK.kernel(name)
 
 
-def _windows(reader, kernel: str, k: int, window, *args):
+def fallback(reader, kernel: str) -> None:
+    """Count one datum ``kernel`` handed to the per-datum path."""
+    if _SINK is not None:
+        _SINK.fallback(reader, kernel)
+
+
+def _edges(reader, kernel: str, k: int, window, args):
     """Pass ``k`` datums: the one window hand-off.
 
     Runs ``window(buf, pos, k, *args) -> (pos, done)`` over the
@@ -83,14 +91,12 @@ def _windows(reader, kernel: str, k: int, window, *args):
     the scalar path does because it is the scalar path.  Each yield is
     one ``vecdecode.fallback.<kernel>`` count.
     """
-    _kernel(kernel)
     while True:
         reader.pos, done = window(reader._buf, reader.pos, k, *args)
         k -= done
         if k <= 0:
             return
-        if _SINK is not None:
-            _SINK.fallback(reader, kernel)
+        fallback(reader, kernel)
         yield
         k -= 1
 
@@ -125,14 +131,6 @@ def _zigzags(buf, pos, k, out):
     return pos, len(out) - before
 
 
-def read_zigzags(reader, k: int) -> list:
-    """Decode ``k`` zig-zag varints; equivalent to k ``read_zigzag()``."""
-    out = []
-    for _ in _windows(reader, "read_zigzags", k, _zigzags, out):
-        out.append(reader.read_zigzag())
-    return out
-
-
 def _chunks(buf, pos, k, out):
     before = len(out)
     append = out.append
@@ -154,26 +152,11 @@ def _chunks(buf, pos, k, out):
     return pos, len(out) - before
 
 
-def read_chunks(reader, k: int) -> list:
-    """Decode ``k`` length-prefixed byte chunks (string/bytes wire form)."""
-    out = []
-    for _ in _windows(reader, "read_chunks", k, _chunks, out):
-        out.append(reader.read_len_prefixed())
-    return out
-
-
 def _doubles(buf, pos, k, out):
     done = max(0, min(k, (len(buf) - pos) // 8))
     if done:
         out.extend(struct.unpack_from(f"<{done}d", buf, pos))
     return pos + 8 * done, done
-
-
-def read_doubles(reader, k: int) -> list:
-    out = []
-    for _ in _windows(reader, "read_doubles", k, _doubles, out):
-        out.append(reader.read_double())
-    return out
 
 
 def _booleans(buf, pos, k, out):
@@ -182,11 +165,22 @@ def _booleans(buf, pos, k, out):
     return pos + done, done
 
 
-def read_booleans(reader, k: int) -> list:
-    out = []
-    for _ in _windows(reader, "read_booleans", k, _booleans, out):
-        out.append(reader.read_byte() != 0)
-    return out
+#: primitive kind -> (window loop, per-datum read, kernel, vector tag:
+#: an array typecode, "str" for UTF-8 chunks, or "obj")
+_TAKES = {
+    "int": (_zigzags, methodcaller("read_zigzag"), "read_zigzags", "q"),
+    "double": (_doubles, methodcaller("read_double"), "read_doubles", "d"),
+    "boolean": (
+        _booleans, lambda reader: reader.read_byte() != 0, "read_booleans",
+        "obj",
+    ),
+    "string": (
+        _chunks, methodcaller("read_len_prefixed"), "read_chunks", "str"
+    ),
+}
+_TAKES["long"] = _TAKES["time"] = _TAKES["int"]
+_TAKES["bytes"] = _TAKES["string"][:3] + ("obj",)
+_PRIM_WINDOWS = (_zigzags, _doubles, _booleans, _chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +195,7 @@ def map_batch_supported(field_schema) -> bool:
     )
 
 
-def _maps(buf, pos, k, value_kind, cost, metrics, out, keys, coded_keys,
+def _maps(buf, pos, k, out, value_kind, cost, metrics, keys, coded_keys,
           wanted=None):
     """Decode whole maps off the window and charge them as that many
     per-datum decodes: map container + per-entry key + per-entry value
@@ -324,94 +318,6 @@ def _maps(buf, pos, k, value_kind, cost, metrics, out, keys, coded_keys,
         + (pos - start) * profile.raw_scan_per_byte
     )
     return pos, done
-
-
-def read_maps(
-    reader, field_schema, k: int, cost, metrics, keys=None, read_one=None,
-    wanted=None,
-) -> list:
-    """Decode ``k`` map datums, charging exactly what ``k`` per-datum
-    decodes do: ``read_datum`` calls, or for a DCSL value stream, whose
-    key ids index the block dictionary's ``keys``, the column reader's
-    own ``read_one``.
-
-    With ``wanted`` (a tuple of keys), each map comes back as a dict of
-    the wanted keys it holds, still charged as the whole map.  A map
-    handed off is read whole by ``read_one`` and then cut down."""
-    out = []
-    coded = keys is not None
-    if not coded:
-        keys = {}  # bytes -> decoded str; map keys repeat heavily
-
-        def read_one():
-            decoder = BinaryDecoder(reader, cost, metrics)
-            return decoder.read_datum(field_schema)
-
-    lookup = None  # the wanted plain keys, by byte length
-    if wanted is not None:
-        lookup = {}
-        if coded:  # the block's keys, resolved once
-            keys = [key if key in wanted else None for key in keys]
-        else:
-            for key in wanted:
-                raw = key.encode("utf-8")
-                lookup[len(raw)] = lookup.get(len(raw), ()) + ((raw, key),)
-    for _ in _windows(
-        reader, "read_maps", k, _maps,
-        field_schema.values.kind, cost, metrics, out, keys, coded, lookup,
-    ):
-        item = read_one()
-        if wanted is not None:
-            item = {key: item[key] for key in wanted if key in item}
-        out.append(item)
-    return out
-
-
-#: primitive kind -> (batched read kernel, vector tag)
-_BATCH_KERNELS = {
-    "int": (read_zigzags, "num"),
-    "long": (read_zigzags, "num"),
-    "time": (read_zigzags, "num"),
-    "double": (read_doubles, "double"),
-    "boolean": (read_booleans, "obj"),
-    "string": (read_chunks, "str"),
-    "bytes": (read_chunks, "obj"),
-}
-
-
-def batch_decode_values(reader, field_schema, k: int, ctx, keys=None):
-    """Decode ``k`` consecutive plainly-encoded values off ``reader``
-    with batched cost charges (maps cut down to ``keys``, if given).
-
-    Returns ``(tag, payload)`` for every kind.  Primitives and maps of
-    them are decoded by the kernels; any other container is ``k``
-    charged ``read_datum`` calls.  The charges are the exact sums of
-    ``k`` scalar ``read_datum`` calls: the cost model is linear and
-    charges whole ticks, so cells, objects and ``cpu_ticks`` are
-    identical.
-    """
-    kind = field_schema.kind
-    cost, metrics = ctx.cost, ctx.metrics
-    if kind not in _BATCH_KERNELS:
-        if map_batch_supported(field_schema):
-            return "obj", read_maps(
-                reader, field_schema, k, cost, metrics, wanted=keys
-            )
-        read = BinaryDecoder(reader, cost, metrics).read_datum
-        return "obj", [read(field_schema) for _ in range(k)]
-    kernel, tag = _BATCH_KERNELS[kind]
-    start = reader.offset
-    values = kernel(reader, k)
-    payload = 0
-    if kernel is read_chunks:  # one object per var-length value
-        payload = sum(map(len, values))
-        metrics.objects += k
-    metrics.cells += k
-    metrics.charge_cpu(
-        cost.prim_cpu(kind, k, payload)
-        + (reader.offset - start) * cost.profile.raw_scan_per_byte
-    )
-    return tag, values
 
 
 # ---------------------------------------------------------------------------
@@ -580,32 +486,6 @@ def _skips(buf, pos, k, field_schema, cost, metrics):
     return end, done
 
 
-def skip_batch(reader, field_schema, k: int, cost, metrics) -> bool:
-    """Skip ``k`` datums, charging the exact sum of ``k`` scalar
-    ``skip_datum`` calls.  Returns False when the kind needs the
-    generic per-value walk."""
-    if not skip_batch_supported(field_schema):
-        return False
-    width = _FIXED_WIDTH.get(field_schema.kind)
-    if width:
-        # No byte of a fixed-width run is needed to pass it, so this is
-        # position arithmetic wherever the window ends (reader.skip
-        # keeps the stream reader's lazy-gap elision and its EOF check).
-        _kernel("skip_batch")
-        reader.skip(k * width)
-        cpu = (
-            cost.prim_cpu(field_schema.kind, k)
-            + k * width * cost.profile.raw_scan_per_byte
-        )
-        metrics.charge_cpu(cost.skip_discount(cpu))
-        return True
-    for _ in _windows(
-        reader, "skip_batch", k, _skips, field_schema, cost, metrics
-    ):
-        BinaryDecoder(reader, cost, metrics).skip_datum(field_schema)
-    return True
-
-
 def _dcsl_skips(buf, pos, k, value_kind, cost, metrics):
     """Matches the scalar DCSL walk: each entry's value is skip-charged
     like a standalone ``skip_datum`` (discounted decode cpu + its own
@@ -622,16 +502,201 @@ def _dcsl_skips(buf, pos, k, value_kind, cost, metrics):
     return end, done
 
 
-def skip_dcsl_batch(
-    reader, values_schema, k: int, cost, metrics, skip_one
+def _hops(schema, cost, metrics, skip_one=None):
+    """How to pass datums of ``schema``: ``(kernel, window, args, one)``
+    with ``one(reader)`` the per-datum skip (``skip_one``, a DCSL
+    reader's, if given).  ``window`` is a fixed width for position
+    arithmetic, or None for ``one`` per datum."""
+    if skip_one is not None:
+        value_kind = schema.values.kind
+        if value_kind not in _PRIMITIVE_KINDS:
+            return None, None, (), skip_one
+        return (
+            "skip_dcsl_batch", _dcsl_skips, (value_kind, cost, metrics),
+            skip_one,
+        )
+    one = partial(_skip_datum, schema, cost, metrics)
+    if not skip_batch_supported(schema):
+        return None, None, (), one
+    return "skip_batch", _FIXED_WIDTH.get(schema.kind, _skips), (
+        schema, cost, metrics
+    ), one
+
+
+def _hop(reader, hops, k: int) -> None:
+    """Pass ``k`` datums as :func:`_hops` says, charged as ``k``
+    per-datum skips."""
+    kernel, window, args, one = hops
+    if window is None:
+        for _ in range(k):
+            one(reader)
+    elif type(window) is int:
+        # A fixed-width run is position arithmetic wherever the window
+        # ends (reader.skip keeps the lazy-gap elision and EOF check).
+        schema, cost, metrics = args
+        reader.skip(k * window)
+        metrics.charge_cpu(cost.skip_discount(
+            cost.prim_cpu(schema.kind, k)
+            + k * window * cost.profile.raw_scan_per_byte
+        ))
+    else:
+        for _ in _edges(reader, kernel, k, window, args):
+            one(reader)
+
+
+def skip_batch(
+    reader, field_schema, k: int, cost, metrics, skip_one=None
 ) -> bool:
-    """Skip ``k`` dictionary-coded map datums (DCSL value stream);
-    ``skip_one`` is the column reader's own per-datum skip."""
-    value_kind = values_schema.kind
-    if value_kind not in _PRIMITIVE_KINDS:
+    """Skip ``k`` datums, charging the exact sum of ``k`` per-datum
+    skips: ``skip_datum`` calls, or (a DCSL value stream) ``skip_one()``
+    calls.  Returns False when the kind needs the per-value walk."""
+    one = skip_one and (lambda _: skip_one())
+    hops = _hops(field_schema, cost, metrics, one)
+    if hops[1] is None:
         return False
-    for _ in _windows(
-        reader, "skip_dcsl_batch", k, _dcsl_skips, value_kind, cost, metrics
-    ):
-        skip_one()
+    _kernel(hops[0])
+    _hop(reader, hops, k)
     return True
+
+
+# ---------------------------------------------------------------------------
+# One window loop per column read
+# ---------------------------------------------------------------------------
+
+
+def _read_datum(schema, cost, metrics, reader):
+    return BinaryDecoder(reader, cost, metrics).read_datum(schema)
+
+
+def _skip_datum(schema, cost, metrics, reader):
+    BinaryDecoder(reader, cost, metrics).skip_datum(schema)
+
+
+class Gather:
+    """One window loop over a column's datums, for a whole read.
+
+    :meth:`take` decodes the next ``k`` datums onto ``values`` and
+    :meth:`hop` passes ``k``, off the window of ``reader`` (repointed at
+    each compressed block a column reader opens); a datum on an edge
+    goes to the per-datum method through :func:`_edges`.  A kind with
+    no window loop is one ``read_datum`` per datum.  Primitives are
+    charged once, by :meth:`finish`, as the per-datum sums; anything
+    else as it goes.  ``wanted`` cuts maps down as :func:`read_maps`
+    does.  A DCSL reader passes its per-datum ``decode_one(reader)`` and
+    ``skip_one(reader)``, and each block dictionary to :meth:`use_keys`.
+    A gather counts one kernel call, however many blocks it crosses.
+    """
+
+    def __init__(
+        self, reader, field_schema, cost, metrics, wanted=None,
+        decode_one=None, skip_one=None,
+    ) -> None:
+        self.reader, self.schema, self.wanted = reader, field_schema, wanted
+        self.cost, self.metrics = cost, metrics
+        self.values, self.span = [], 0  # and the primitives' bytes
+        self._skip_one, self._hops = skip_one, None  # hops: on first use
+        self.window, self.args, self.tag = None, (), "obj"
+        kind = field_schema.kind
+        self.one = decode_one or partial(
+            _read_datum, field_schema, cost, metrics
+        )
+        if kind in _TAKES:
+            self.window, self.one, self.kernel, self.tag = _TAKES[kind]
+            self.args = (self.values,)
+        elif map_batch_supported(field_schema):
+            self.window, self.kernel = _maps, "read_maps"
+            lookup = None  # the wanted plain keys, by byte length
+            if wanted is not None:
+                lookup = {}
+                for key in wanted:
+                    raw = key.encode("utf-8")
+                    lookup[len(raw)] = lookup.get(len(raw), ()) + ((raw, key),)
+                self.one = partial(_cut, self.one, wanted)
+            # plain keys: bytes -> decoded str (map keys repeat heavily)
+            self.args = [
+                self.values, field_schema.values.kind, cost, metrics, {},
+                False, lookup,
+            ]
+        if self.window is not None:
+            _kernel(self.kernel)
+
+    def use_keys(self, keys) -> None:
+        """Map keys are ids into ``keys`` (a DCSL block dictionary) from
+        here on; a key projection resolves them once per dictionary."""
+        if self.window is _maps:
+            if self.wanted is not None:
+                keys = [key if key in self.wanted else None for key in keys]
+            self.args[4:6] = keys, True
+
+    def take(self, k: int) -> None:
+        reader, one, values = self.reader, self.one, self.values
+        if self.window is None:
+            values += [one(reader) for _ in range(k)]
+            return
+        start = reader.offset
+        for _ in _edges(reader, self.kernel, k, self.window, self.args):
+            values.append(one(reader))
+        self.span += reader.offset - start
+
+    def hop(self, k: int) -> None:
+        if self._hops is None:
+            self._hops = _hops(
+                self.schema, self.cost, self.metrics, self._skip_one
+            )
+            if self._hops[1] is not None:
+                _kernel(self._hops[0])
+        _hop(self.reader, self._hops, k)
+
+    def finish(self) -> "Gather":
+        """Charge the primitives taken: a cell each, an object each if
+        var-length, their decode cpu and the raw scan of their bytes."""
+        n = len(self.values)
+        if n and self.window in _PRIM_WINDOWS:
+            cost, metrics = self.cost, self.metrics
+            payload = 0
+            if self.window is _chunks:
+                payload = sum(map(len, self.values))
+                metrics.objects += n
+            metrics.cells += n
+            metrics.charge_cpu(
+                cost.prim_cpu(self.schema.kind, n, payload)
+                + self.span * cost.profile.raw_scan_per_byte
+            )
+        return self
+
+
+def _cut(read, wanted, reader):
+    item = read(reader)
+    return {key: item[key] for key in wanted if key in item}
+
+
+def batch_decode_values(reader, field_schema, k: int, ctx, keys=None):
+    """Decode ``k`` consecutive plainly-encoded values off ``reader``
+    as ``(tag, values)``, maps cut down to ``keys`` if given: one
+    :class:`Gather`, charged as ``k`` per-datum ``read_datum`` calls."""
+    gather = Gather(reader, field_schema, ctx.cost, ctx.metrics, keys)
+    gather.take(k)
+    gather.finish()
+    return gather.tag, gather.values
+
+
+def read_maps(
+    reader, field_schema, k: int, cost, metrics, keys=None, read_one=None,
+    wanted=None,
+) -> list:
+    """Decode ``k`` map datums, charging exactly what ``k`` per-datum
+    decodes do: ``read_datum`` calls, or for a DCSL value stream, whose
+    key ids index the block dictionary's ``keys``, the column reader's
+    own ``read_one``.
+
+    With ``wanted`` (a tuple of keys), each map comes back as a dict of
+    the wanted keys it holds, still charged as the whole map.  A map
+    handed off is read whole by ``read_one`` and then cut down."""
+    gather = Gather(
+        reader, field_schema, cost, metrics, wanted,
+        read_one and (lambda _: read_one()),
+    )
+    if keys is not None:
+        gather.use_keys(keys)
+    gather.take(k)
+    return gather.values

@@ -282,14 +282,14 @@ def test_key_projected_reads_equal_the_per_record_path(monkeypatch):
         partial(ColumnInputFormat, batch_rows=3),
     )
     projected = []  # value kinds of the map columns read cut down
-    original = vecdecode.read_maps
 
-    def spy(reader, schema, *args, wanted=None, **kwargs):
-        if wanted is not None:
-            projected.append(schema.values.kind)
-        return original(reader, schema, *args, wanted=wanted, **kwargs)
+    class Spy(vecdecode.Gather):
+        def __init__(self, reader, schema, *args, **kwargs):
+            super().__init__(reader, schema, *args, **kwargs)
+            if self.wanted is not None:
+                projected.append(schema.values.kind)
 
-    monkeypatch.setattr(vecdecode, "read_maps", spy)
+    monkeypatch.setattr(vecdecode, "Gather", Spy)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -341,3 +341,85 @@ def test_filters_over_length_and_apply_compile_and_reconcile(
     assert vec.rows == scalar.rows
     assert vec_lazy == scalar_lazy
     assert reconcile_metrics(scalar.job.map_metrics, vec.job.map_metrics) == []
+
+
+#: ``Q``'s filters over every column layout: the cif_scan layouts, and
+#: rle / delta columns (``_light_specs``) beside plain ones
+MICRO_LAYOUTS = {
+    "plain": dict(default_spec=ColumnSpec("plain")),
+    "skiplist": dict(default_spec=ColumnSpec("skiplist", skip_sizes=SKIP_SIZES)),
+    "cblock": dict(default_spec=ColumnSpec(
+        "cblock", codec="zlib", block_bytes=CBLOCK_BYTES
+    )),
+    "dcsl": dict(
+        default_spec=ColumnSpec("skiplist", skip_sizes=SKIP_SIZES),
+        specs={"attrs": ColumnSpec("dcsl", skip_sizes=SKIP_SIZES)},
+    ),
+    "rle": dict(default_spec=ColumnSpec("rle")),
+    "delta": dict(specs={
+        name: ColumnSpec("delta") for name in ("int0", "int1", "int2", "int3")
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def micro_windows():
+    """The micro records in every ``MICRO_LAYOUTS`` layout, behind each
+    I/O buffer: {buffer: fs}."""
+    from repro.workloads.micro import micro_records, micro_schema
+
+    records = list(micro_records(600, seed=9))
+    out = {}
+    for window in (61, 509, 2048):
+        fs = FileSystem(ClusterConfig(
+            num_nodes=4, block_size=64 * 1024, io_buffer_size=window,
+        ))
+        for name, layout in MICRO_LAYOUTS.items():
+            write_dataset(
+                fs, f"/micro/{name}", micro_schema(), records,
+                split_bytes=48 * 1024, **layout,
+            )
+        out[window] = fs
+    return out
+
+
+@pytest.mark.parametrize("window", (61, 509, 2048))
+@pytest.mark.parametrize("layout", sorted(MICRO_LAYOUTS))
+def test_filtered_q_reconciles_over_every_layout_and_window(
+    micro_windows, layout, window
+):
+    """The three filters of the test above, over dcsl, rle and delta
+    columns as well, and at 61 B and 509 B buffers, which cut values,
+    skip-list headers and DCSL dictionaries at window edges.  Each
+    filter leaves a sparse selection, which the other columns read
+    with ``read_selected``."""
+    for where in (
+        col("str1").length() > 30,
+        col("int2").apply(lambda v: v % 3, "mod3") == 1,
+        (col("str0").length() < 28) & (col("int0").apply(abs, "abs") > 2000),
+    ):
+        q = (
+            Q(f"/micro/{layout}").where(where)
+            .select("int3", "str5", m=col("attrs").length())
+        )
+        runs = {}
+        for execution in ("scalar", "vectorized"):
+            recorder = FlightRecorder(clock=lambda: 0.0)
+            with recorder.activate():
+                result = q.run(micro_windows[window], execution=execution)
+            registry = {
+                (name, labels): metric.value
+                for name, labels, metric in recorder.registry
+                if name.startswith(("lazy.", "column."))
+            }
+            runs[execution] = (result, registry)
+        (scalar, scalar_registry), (vec, vec_registry) = (
+            runs["scalar"], runs["vectorized"]
+        )
+        assert 0 < len(vec.rows) < 600
+        assert vec.rows == scalar.rows
+        assert vec_registry == scalar_registry
+        assert reconcile_metrics(
+            scalar.job.map_metrics, vec.job.map_metrics
+        ) == []
+        assert vec.job.map_metrics == scalar.job.map_metrics

@@ -267,6 +267,17 @@ class TestPinnedComparisonSemantics:
 ints64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
+def _take(kind):
+    """A gather's window loop over ``k`` datums of ``kind``, uncharged
+    (a primitive's charges wait for ``finish``)."""
+    def take(reader, k):
+        gather = vecdecode.Gather(reader, Schema(kind), None, None)
+        gather.take(k)
+        return gather.values
+
+    return take
+
+
 def _two_readers(build):
     """Encode once; return two independent readers over the bytes."""
     writer = ByteWriter()
@@ -281,7 +292,7 @@ def test_read_zigzags_equals_scalar_reads(values):
     batch, scalar = _two_readers(
         lambda w: [w.write_zigzag(v) for v in values]
     )
-    assert vecdecode.read_zigzags(batch, len(values)) == [
+    assert _take("long")(batch, len(values)) == [
         scalar.read_zigzag() for _ in values
     ]
     assert batch.offset == scalar.offset
@@ -293,7 +304,7 @@ def test_read_chunks_equals_scalar_len_prefixed_reads(blobs):
     batch, scalar = _two_readers(
         lambda w: [w.write_len_prefixed(b) for b in blobs]
     )
-    got = vecdecode.read_chunks(batch, len(blobs))
+    got = _take("bytes")(batch, len(blobs))
     want = [scalar.read_bytes(scalar.read_varint()) for _ in blobs]
     assert got == want
     assert batch.offset == scalar.offset
@@ -307,7 +318,7 @@ def test_read_doubles_equals_scalar_reads(values):
     batch, scalar = _two_readers(
         lambda w: [w.write_double(v) for v in values]
     )
-    assert vecdecode.read_doubles(batch, len(values)) == [
+    assert _take("double")(batch, len(values)) == [
         scalar.read_double() for _ in values
     ]
     assert batch.offset == scalar.offset
@@ -319,7 +330,7 @@ def test_read_booleans_equals_scalar_reads(values):
     batch, scalar = _two_readers(
         lambda w: [w.write_byte(1 if v else 0) for v in values]
     )
-    assert vecdecode.read_booleans(batch, len(values)) == [
+    assert _take("boolean")(batch, len(values)) == [
         scalar.read_byte() != 0 for _ in values
     ]
     assert batch.offset == scalar.offset
@@ -443,8 +454,11 @@ def _map_walks(schema, k, column=None, wanted=None):
             )
     else:
         def batch(reader, ctx):
-            tag, values = column(reader, ctx)._decode_run(k, wanted)
-            return _picked(values, wanted, projected=True)
+            col = column(reader, ctx)
+            return _picked(vecdecode.read_maps(
+                reader, col.field_schema, k, ctx.cost, ctx.metrics,
+                col.dictionary.keys, col._decode_one_value, wanted=wanted,
+            ), wanted, projected=True)
 
         def scalar(reader, ctx):
             col = column(reader, ctx)
@@ -582,18 +596,18 @@ _SKIP_SCHEMAS = (
 )
 _EDGE_CASES = {
     "read_zigzags": partial(
-        _prim_reads, "long", vecdecode.read_zigzags, lambda r: r.read_zigzag()
+        _prim_reads, "long", _take("long"), lambda r: r.read_zigzag()
     ),
     "read_chunks": partial(
-        _prim_reads, "bytes", vecdecode.read_chunks,
+        _prim_reads, "bytes", _take("bytes"),
         lambda r: r.read_len_prefixed(),
     ),
     "read_doubles": partial(
-        _prim_reads, "double", vecdecode.read_doubles,
+        _prim_reads, "double", _take("double"),
         lambda r: r.read_double(),
     ),
     "read_booleans": partial(
-        _prim_reads, "boolean", vecdecode.read_booleans,
+        _prim_reads, "boolean", _take("boolean"),
         lambda r: r.read_byte() != 0,
     ),
     **{f"read_maps[{kind}]": partial(_map_reads, kind) for kind in _PRIMS},
@@ -797,3 +811,178 @@ def test_a_key_projected_column_read_is_the_whole_read_cut_down(
                 assert (_picked(got[0], wanted, projected=True), *got[1:]) == (
                     _picked(want[0], wanted), *want[1:]
                 ), f"window={window} wanted={wanted} sparse={bool(rows)}"
+
+
+# -- read_selected: one window loop over a selection ------------------------
+#
+# ``read_selected(rows, keys)`` must be ``sync_to(row)`` + ``read_value(keys)``
+# per row: the values, every Metrics field (stream requests and seeks
+# included), the registry counters and the stream reads, over every layout,
+# the kinds a column holds, selections from empty to dense with gaps past a
+# skip block, key projections, and I/O buffers from a few datums to the file.
+
+_SELECT_LAYOUTS = {
+    "plain": ColumnSpec("plain"),
+    "skiplist": ColumnSpec("skiplist", skip_sizes=(20, 5)),
+    "dcsl": ColumnSpec("dcsl", skip_sizes=(20, 5)),
+    "cblock": ColumnSpec("cblock", codec="zlib", block_bytes=96),
+    "rle": ColumnSpec("rle"),
+    "delta": ColumnSpec("delta"),
+}
+_SELECT_TEXT = st.text(alphabet="ab~\x00é€", max_size=140)
+_SELECT_KEYS = st.sampled_from(["", "k", "k2", "é" * 70, "anchor"])
+_SELECT_INTS = st.integers(min_value=-(2**40), max_value=2**40)
+_SELECT_KINDS = {
+    "int": (Schema.int_(), st.integers(-(2**31), 2**31 - 1)),
+    "string": (Schema.string(), _SELECT_TEXT),
+    "bytes": (Schema.bytes_(), st.binary(max_size=40)),
+    "double": (Schema.double(), st.floats(allow_nan=False)),
+    "boolean": (Schema.boolean(), st.booleans()),
+    "map<int>": (
+        Schema.map(Schema.long_()),
+        st.dictionaries(_SELECT_KEYS, _SELECT_INTS, max_size=5),
+    ),
+    "map<string>": (
+        Schema.map(Schema.string()),
+        st.dictionaries(_SELECT_KEYS, _SELECT_TEXT, max_size=5),
+    ),
+    "array<int>": (
+        Schema.array(Schema.long_()), st.lists(_SELECT_INTS, max_size=6),
+    ),
+}
+
+
+def _layout_kinds(layout):
+    if layout == "dcsl":
+        return ["map<int>", "map<string>"]
+    if layout == "delta":
+        return ["int"]
+    return sorted(_SELECT_KINDS)
+
+
+@st.composite
+def _selections(draw, count):
+    """Ascending rows of ``count``: runs of consecutive rows between
+    gaps of up to 30 (past a 20-row skip block), possibly none."""
+    rows, row = [], draw(st.integers(0, 30))
+    for gap, run in draw(st.lists(
+        st.tuples(st.integers(1, 30), st.integers(1, 8)), max_size=12,
+    )):
+        rows.extend(range(row, min(row + run, count)))
+        row += run + gap
+    return rows
+
+
+def _selected_walk(schema, calls, keys, per_row):
+    """Open the column file and read each call's rows with one
+    ``read_selected`` or (``per_row``) ``sync_to`` + ``read_value`` each."""
+    def walk(reader, ctx):
+        column = open_column_reader(reader._stream, schema, ctx)
+        column.batch_kernels = True
+        got = []
+        for rows in calls:
+            if not per_row:
+                got.append(column.read_selected(rows, keys))
+                continue
+            values = {}
+            for row in rows:
+                column.sync_to(row)
+                values[row] = column.read_value(keys)
+            got.append(values)
+        return got
+
+    return walk
+
+
+def _counted_run(fs, path, window, walk):
+    """:func:`_run_at_window` plus the registry counters it moved."""
+    from repro.obs import FlightRecorder
+
+    recorder = FlightRecorder(clock=lambda: 0.0)
+    with recorder.activate():
+        ran = _run_at_window(fs, path, window, walk)
+    counters = {
+        (name, labels): metric.value
+        for name, labels, metric in recorder.registry
+        if hasattr(metric, "inc")
+    }
+    return ran, counters
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_read_selected_equals_sync_to_and_read_value_per_row(data):
+    layout = data.draw(st.sampled_from(sorted(_SELECT_LAYOUTS)), "layout")
+    kind = data.draw(st.sampled_from(_layout_kinds(layout)), "kind")
+    schema, values = _SELECT_KINDS[kind]
+    pool = data.draw(st.lists(values, min_size=1, max_size=12), "pool")
+    column = data.draw(st.lists(
+        st.sampled_from(range(len(pool))), min_size=1, max_size=80,
+    ).map(lambda picks: [pool[i] for i in picks]), "column")
+    rows = data.draw(_selections(len(column)), "rows")
+    cut = data.draw(st.integers(0, len(rows)), "cut")
+    calls = [rows[:cut], rows[cut:]]  # the second resumes mid-column
+    keys = data.draw(st.sampled_from(
+        [None, ("k",), ("k2", "", "é" * 70, "absent")]
+    ), "keys")
+    window = data.draw(st.sampled_from([61, 509, 12 * 1024]), "window")
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/col", encode_column_file(
+        schema, column, _SELECT_LAYOUTS[layout]
+    ))
+    got = _counted_run(
+        fs, "/col", window, _selected_walk(schema, calls, keys, False)
+    )
+    want = _counted_run(
+        fs, "/col", window, _selected_walk(schema, calls, keys, True)
+    )
+    assert got == want
+    assert [list(call) for call in got[0][0]] == calls
+
+
+# -- the skip-list window loop at every window edge --------------------------
+#
+# Skip-list block headers are parsed off the window and handed to
+# ``_consume_block_header`` when one straddles its edge; a DCSL top block's
+# dictionary always goes to ``_consume_dictionary``.  Bottom blocks of
+# 16-byte strings take 160+ bytes, so every header has a two-byte varint.
+
+_SWEPT = [f"value-{i:03d}-{'é' if i % 7 == 0 else 'e'}xyz" for i in range(40)]
+_SWEPT_COLUMNS = {
+    "skiplist": (Schema.string(), _SWEPT),
+    "dcsl": (Schema.map(Schema.string()), [
+        {key: text for key in ("k", "k2", "é" * 3)[:i % 4]}
+        for i, text in enumerate(_SWEPT)
+    ]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_SWEPT_COLUMNS))
+def test_skiplist_run_loop_equals_per_row_path_at_every_window_edge(
+    layout, monkeypatch
+):
+    schema, column = _SWEPT_COLUMNS[layout]
+    payload = encode_column_file(
+        schema, column, ColumnSpec(layout, skip_sizes=(20, 10))
+    )
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/col", payload)
+    handed = []
+    monkeypatch.setattr(
+        vecdecode, "fallback", lambda reader, kernel: handed.append(kernel)
+    )
+    every, sparse = [list(range(40))], [[0, 3, 4, 5, 19, 20, 31], [39]]
+    for window in range(1, len(payload) + 1):
+        for calls in (every, sparse):
+            dense = calls is every
+            got = _run_at_window(fs, "/col", window, (
+                _column_walk(schema, None, None) if dense
+                else _selected_walk(schema, calls, None, False)
+            ))
+            want = _run_at_window(
+                fs, "/col", window, _selected_walk(schema, calls, None, True)
+            )
+            if dense:
+                want = ([want[0][0][row] for row in calls[0]], *want[1:])
+            assert got == want, f"window={window} dense={dense}"
+    assert "skiplist_headers" in handed
