@@ -1,8 +1,8 @@
 """The resource manager: the event loop under a multi-tenant policy.
 
 :class:`ClusterManager` is a :class:`~repro.mapreduce.eventloop.
-SlotScheduler` (the one event loop, which also runs ``run_job`` and
-``parallel_load`` alone) plus what a shared cluster adds on top of it.
+SlotScheduler` (the one event loop, which also runs ``run_job``
+alone) plus what a shared cluster adds on top of it.
 :meth:`ClusterManager.run` turns each admitted :class:`JobRequest` into
 the same kind of work a single job is: map attempts run for real via
 ``JobRunner.execute_map_attempt`` and each finished job commits through

@@ -33,7 +33,6 @@ from repro.core.cof import (
     write_dataset,
 )
 from repro.core.columnio import ColumnSpec
-from repro.core.loader import ParallelLoadReport, parallel_load
 from repro.core.vector import VectorFrame, reconcile_metrics
 
 __all__ = [
@@ -41,12 +40,10 @@ __all__ = [
     "ColumnInputFormat",
     "ColumnOutputFormat",
     "ColumnSpec",
-    "ParallelLoadReport",
     "VectorFrame",
     "VectorizedCIFRecordReader",
     "add_column",
     "declare_column",
-    "parallel_load",
     "reconcile_metrics",
     "write_dataset",
 ]

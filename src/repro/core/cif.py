@@ -14,8 +14,9 @@ column value is deserialized only when ``get()`` is called.
 
 :class:`VectorizedCIFRecordReader` is the reader every scan opens: it
 decodes eager rows and :meth:`~VectorizedCIFRecordReader.read_batch`
-frames column-wise, and its column readers skip through the batched
-kernels.  :class:`CIFRecordReader` is the per-datum reference that
+frames column-wise, and its column readers' gathers (every column
+read, skips included) take window steps through the batched kernels.
+:class:`CIFRecordReader` is the per-datum reference that
 ``repro.check`` and the differential tests open with
 ``execution="scalar"`` to prove the batch reader record- and
 charge-identical.  Both hand lazy rows out through the same code.
@@ -256,7 +257,7 @@ class CIFRecordReader(RecordReader):
 class VectorizedCIFRecordReader(CIFRecordReader):
     """Batch-decoding CIF reader: what ``open_reader`` returns.
 
-    Its column readers skip through the batched kernels, and it decodes
+    Its column readers' gathers take window steps, and it decodes
     column frames of up to ``batch_rows`` records with the whole-vector
     ``read_vector`` fast paths.  It supports two mutually exclusive
     drain styles:

@@ -95,9 +95,9 @@ class ColumnOutputFormat:
         its batch is written: split-directories that the records before
         it would close may be missing after the raise.
 
-        ``first_split_index`` lets several loader tasks write into one
-        dataset concurrently, each with its own split-directory number
-        range (see :func:`repro.core.loader.parallel_load`).
+        ``first_split_index`` lets several writes fill one dataset, each
+        with its own split-directory number range (``repro.tools.sort``
+        writes one range per partition).
         """
         split_index = first_split_index
         for _, run in column_runs(self.schema, records, self.split_bytes):
@@ -144,7 +144,7 @@ def write_dataset(
     split_bytes: int = DEFAULT_SPLIT_BYTES,
     metrics: Optional[Metrics] = None,
 ) -> int:
-    """One-shot COF load (the 'parallel loader' of Section 4.2)."""
+    """One-shot COF load: Section 4.2's loader, as one sequential task."""
     cof = ColumnOutputFormat(
         schema, specs=specs, default_spec=default_spec, split_bytes=split_bytes
     )

@@ -315,10 +315,12 @@ class ColumnReader:
         self.ctx = ctx
         self.labels = dict(labels or {})
         self.next_index = 0
-        #: vectorized execution flips this on to route skips through the
-        #: batched kernels in :mod:`repro.serde.vecdecode`; the scalar
-        #: path keeps the per-datum reference walk.  Charges are
-        #: identical either way (the differential layer proves it).
+        #: vectorized execution flips this on: each column read's gather
+        #: (:meth:`_new_gather`) then takes and hops runs of datums
+        #: through the window loops of :mod:`repro.serde.vecdecode`,
+        #: where off (the reference) it steps one datum at a time.
+        #: Charges are identical either way (the differential layer
+        #: proves it).
         self.batch_kernels = False
         #: whether the batched map kernel can decode this column's
         #: values (``_read_datum_fast`` asks per value)
@@ -355,7 +357,11 @@ class ColumnReader:
         return self.read_value(keys)
 
     def skip(self, n: int) -> None:
-        raise NotImplementedError
+        """Advance ``n`` rows as cheaply as the layout allows: one gap of
+        the layout's gather, with no rows taken."""
+        self._check_bounds(n)
+        if n:
+            self._gather(((self.next_index + n, 0),))
 
     def read_value(self, keys=None):
         raise NotImplementedError
@@ -374,9 +380,21 @@ class ColumnReader:
             self.field_schema
         )
 
-    #: ``_gather(runs, keys) -> Gather``, the layout's one window loop
-    #: over ``(start, length)`` runs of rows from ``next_index`` on
+    #: ``_gather(runs, keys) -> Gather``, the layout's one walk over
+    #: ``(start, length)`` runs of rows from ``next_index`` on: gaps are
+    #: skipped, runs taken
     _gather = None
+
+    def _new_gather(self, reader, keys, *per_datum):
+        """The gather of one column read, in window steps or (without
+        ``batch_kernels``) per-datum ones; a DCSL reader passes its
+        ``per_datum`` decode and skip."""
+        gather = vecdecode.Gather(
+            reader, self.field_schema, self.ctx.cost, self.ctx.metrics, keys,
+            *per_datum,
+        )
+        gather.batched = self.batch_kernels
+        return gather
 
     def read_vector(self, n: int, keys=None):
         """Decode the next ``n`` values into a typed vector.
@@ -402,7 +420,7 @@ class ColumnReader:
         charge, counter and stream request to ``sync_to(row)`` +
         ``read_value(keys)`` per row, which runs where there is none."""
         if not (
-            rows and self._gather is not None and self.batch_kernels
+            rows and self._gather is not None
             and self.next_index <= rows[0] and rows[-1] < self.count
         ):
             return {row: self.value_at(row, keys) for row in rows}
@@ -432,7 +450,8 @@ class ColumnReader:
 
         Every layout's ``skip`` calls this exactly once with the full
         row count before advancing, so it doubles as the single
-        ``column.rows.skipped`` attribution point.
+        ``column.rows.skipped`` attribution point (``read_selected``
+        counts its gaps itself).
         """
         if n < 0:
             raise ValueError("cannot skip backwards")
@@ -448,19 +467,6 @@ class ColumnReader:
 class PlainColumnReader(ColumnReader):
     """Values back to back; skips walk each value individually."""
 
-    def skip(self, n: int) -> None:
-        self._check_bounds(n)
-        if not (
-            self.batch_kernels
-            and vecdecode.skip_batch(
-                self.reader, self.field_schema, n,
-                self.ctx.cost, self.ctx.metrics,
-            )
-        ):
-            for _ in range(n):
-                self._decoder.skip_datum(self.field_schema)
-        self.next_index += n
-
     def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
@@ -471,15 +477,13 @@ class PlainColumnReader(ColumnReader):
         return value
 
     def _gather(self, runs, keys=None):
-        gather = vecdecode.Gather(
-            self.reader, self.field_schema, self.ctx.cost, self.ctx.metrics,
-            keys,
-        )
+        gather = self._new_gather(self.reader, keys)
         i = self.next_index
         for start, length in runs:
             if start > i:
                 gather.hop(start - i)
-            gather.take(length)
+            if length:
+                gather.take(length)
             i = start + length
         self.next_index = i
         return gather.finish()
@@ -526,36 +530,6 @@ class SkipListColumnReader(ColumnReader):
         self._obs_jumped_records.inc(block_count)
         self._obs_jumped_bytes.inc(nbytes)
 
-    def skip(self, n: int) -> None:
-        self._check_bounds(n)
-        smallest = self.sizes[-1]
-        while n > 0:
-            jumped = False
-            for level, size in enumerate(self.sizes):
-                if self.next_index % size:
-                    continue
-                block_count, nbytes = self._consume_block_header()
-                if n >= block_count:
-                    self._jump(block_count, nbytes)
-                    self.next_index += block_count
-                    n -= block_count
-                    jumped = True
-                    break
-                if level == 0 and self.has_dictionaries:
-                    self._consume_dictionary()
-            if jumped:
-                continue
-            # Values are contiguous until the next bottom-block
-            # boundary (where headers must be consumed again).
-            run = min(n, smallest - self.next_index % smallest)
-            if not (
-                run > 1 and self.batch_kernels and self._batch_skip_run(run)
-            ):
-                run = 1
-                self._skip_one_value()
-            self.next_index += run
-            n -= run
-
     def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
@@ -574,23 +548,23 @@ class SkipListColumnReader(ColumnReader):
     def _gather(self, runs, keys=None):
         """Headers are parsed off the window (one it does not hold goes
         to :meth:`_consume_block_header`, a DCSL dictionary always to
-        :meth:`_consume_dictionary`); gaps jump whole blocks where
-        :meth:`skip` would, and bottom blocks' values go to one gather."""
+        :meth:`_consume_dictionary`); a gap jumps each whole block it
+        covers from that block's start, and bottom blocks' values go to
+        one gather."""
         reader, ctx = self.reader, self.ctx
         dcsl = self.has_dictionaries
-        gather = vecdecode.Gather(
-            reader, self.field_schema, ctx.cost, ctx.metrics, keys,
-            *((lambda _: self._decode_one_value(),
-               lambda _: self._skip_one_value()) if dcsl else ()),
-        )
+        gather = self._new_gather(reader, keys, *(
+            (lambda _: self._decode_one_value(),
+             lambda _: self._skip_one_value()) if dcsl else ()
+        ))
         if dcsl and self.dictionary is not None:
             gather.use_keys(self.dictionary.keys)
         sizes, smallest = self.sizes, self.sizes[-1]
         parsed = 0  # header bytes parsed off the window
 
         def headers(i, n):
-            """Row ``i``'s headers, as ``skip(n)`` or (``n == 0``)
-            ``read_value`` takes them: the rows jumped, or 0."""
+            """Row ``i``'s headers, for a gap of ``n`` rows or (``n == 0``)
+            as ``read_value`` takes them: the rows jumped, or 0."""
             nonlocal parsed
             for level, size in enumerate(sizes):
                 if i % size:
@@ -633,17 +607,6 @@ class SkipListColumnReader(ColumnReader):
         ctx.cost.charge_raw_scan(ctx.metrics, parsed)
         return gather.finish()
 
-    def _skip_one_value(self) -> None:
-        self._decoder.skip_datum(self.field_schema)
-
-    def _batch_skip_run(self, run: int) -> bool:
-        """Skip ``run`` contiguous in-block values in one kernel call;
-        charge-identical to ``run`` calls of :meth:`_skip_one_value`."""
-        return vecdecode.skip_batch(
-            self.reader, self.field_schema, run,
-            self.ctx.cost, self.ctx.metrics,
-        )
-
     def _decode_one_value(self, keys=None):
         return self._read_datum_fast(keys=keys)
 
@@ -683,12 +646,6 @@ class DcslColumnReader(SkipListColumnReader):
             self._decoder.skip_datum(self.field_schema.values)
         self.ctx.cost.charge_raw_scan(
             self.ctx.metrics, reader.offset - start
-        )
-
-    def _batch_skip_run(self, run: int) -> bool:
-        return vecdecode.skip_batch(
-            self.reader, self.field_schema, run,
-            self.ctx.cost, self.ctx.metrics, self._skip_one_value,
         )
 
 
@@ -755,34 +712,6 @@ class CBlockColumnReader(ColumnReader):
         self._obs_blocks_skipped.inc()
         self._obs_bytes_skipped.inc(comp_len)
 
-    def skip(self, n: int) -> None:
-        self._check_bounds(n)
-        while n > 0:
-            if self._block_remaining == 0:
-                header = self._block_header()
-                block_count, _, comp_len = header
-                if n >= block_count:
-                    self._skip_block(comp_len)
-                    self.next_index += block_count
-                    n -= block_count
-                    continue
-                # Someone needs a value inside: inflate the whole block.
-                self._open_block(header)
-            step = min(n, self._block_remaining)
-            if not (
-                self.batch_kernels
-                and step > 1
-                and vecdecode.skip_batch(
-                    self._block_reader, self.field_schema, step,
-                    self.ctx.cost, self.ctx.metrics,
-                )
-            ):
-                for _ in range(step):
-                    self._block_decoder.skip_datum(self.field_schema)
-            self._block_remaining -= step
-            self.next_index += step
-            n -= step
-
     def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
@@ -798,12 +727,9 @@ class CBlockColumnReader(ColumnReader):
         return value
 
     def _gather(self, runs, keys=None):
-        """Gaps pass blocks compressed or hop in an open one, as
-        :meth:`skip` does; a survivor inflates its block."""
-        gather = vecdecode.Gather(
-            self._block_reader, self.field_schema, self.ctx.cost,
-            self.ctx.metrics, keys,
-        )
+        """Gaps pass whole blocks compressed or hop in an open one; a
+        survivor inflates its block."""
+        gather = self._new_gather(self._block_reader, keys)
         i = self.next_index
         for start, length in runs:
             for n, take in ((start - i, False), (length, True)):
@@ -979,9 +905,7 @@ class DeltaColumnReader(ColumnReader):
 
         self._check_read_vector(n)
         cost, metrics = self.ctx.cost, self.ctx.metrics
-        deltas = vecdecode.Gather(
-            self.reader, self.field_schema, cost, metrics
-        )
+        deltas = self._new_gather(self.reader, None)
         deltas.take(n)
         current = self._current
         values = []

@@ -1,8 +1,8 @@
 """The event loop: one slot pool, one timeline, any number of executions.
 
 :class:`SlotScheduler` is the only scheduler in the repo, and it sits
-beneath everything that runs on it: ``run_job`` and ``parallel_load``
-hand it one unit of work through :func:`run_alone`, and
+beneath everything that runs on it: ``run_job`` hands it one unit of
+work through :func:`run_alone`, and
 :class:`repro.cluster.ClusterManager` is the same loop under a
 multi-tenant policy.  It places :class:`~repro.mapreduce.scheduler.
 MapWork` on slots, data-local first, and carries Hadoop's
@@ -652,8 +652,7 @@ def run_alone(
     faults=None,
     speculative: bool = False,
 ) -> _Execution:
-    """Give one unit of work the whole cluster: what ``run_job`` and
-    ``parallel_load`` do.
+    """Give one unit of work the whole cluster: what ``run_job`` does.
 
     The work goes straight onto the event loop under the default
     arrival-order policy.  ``speculative`` turns on progress-based

@@ -8,10 +8,10 @@ contract, lives once, in :class:`repro.mapreduce.eventloop.
 SlotScheduler`.  This module holds what its callers, its results and
 its policies are made of:
 
-- :class:`MapWork`: what ``run_job`` and ``parallel_load`` hand the
+- :class:`MapWork`: what ``run_job`` and the cluster manager hand the
   event loop: splits plus the callable that runs one attempt,
 - :class:`ScheduledTask`: one executed attempt, as it appears in
-  ``JobResult.tasks`` and the loader's report,
+  ``JobResult.tasks``,
 - :class:`JobFailedError`: a split exhausted its attempts (or the
   cluster died), with the failed-attempt history,
 - :class:`SchedulingPolicy`: the three hooks through which every

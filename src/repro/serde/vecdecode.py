@@ -180,7 +180,6 @@ _TAKES = {
 }
 _TAKES["long"] = _TAKES["time"] = _TAKES["int"]
 _TAKES["bytes"] = _TAKES["string"][:3] + ("obj",)
-_PRIM_WINDOWS = (_zigzags, _doubles, _booleans, _chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +320,8 @@ def _maps(buf, pos, k, out, value_kind, cost, metrics, keys, coded_keys,
 
 
 # ---------------------------------------------------------------------------
-# Batched skips
+# Hops: passing datums, charged as that many skips
 # ---------------------------------------------------------------------------
-
-
-def skip_batch_supported(field_schema) -> bool:
-    kind = field_schema.kind
-    if kind in _PRIMITIVE_KINDS:
-        return True
-    if kind == "map":
-        return field_schema.values.kind in _PRIMITIVE_KINDS
-    if kind == "array":
-        return field_schema.items.kind in _PRIMITIVE_KINDS
-    return False
 
 
 def hop_prims(buf, pos, k, kind):
@@ -503,60 +491,25 @@ def _dcsl_skips(buf, pos, k, value_kind, cost, metrics):
 
 
 def _hops(schema, cost, metrics, skip_one=None):
-    """How to pass datums of ``schema``: ``(kernel, window, args, one)``
-    with ``one(reader)`` the per-datum skip (``skip_one``, a DCSL
-    reader's, if given).  ``window`` is a fixed width for position
-    arithmetic, or None for ``one`` per datum."""
+    """How to pass datums of ``schema``: ``(kernel, window, args, skip)``
+    with ``skip(reader, k=1)`` ``k`` per-datum skips (``skip_one``, a
+    DCSL reader's, if given).  ``window`` is a fixed width for position
+    arithmetic, or None for ``skip`` per datum."""
     if skip_one is not None:
+        one = partial(_repeat, skip_one)
         value_kind = schema.values.kind
         if value_kind not in _PRIMITIVE_KINDS:
-            return None, None, (), skip_one
-        return (
-            "skip_dcsl_batch", _dcsl_skips, (value_kind, cost, metrics),
-            skip_one,
-        )
-    one = partial(_skip_datum, schema, cost, metrics)
-    if not skip_batch_supported(schema):
+            return None, None, (), one
+        return "hop_dcsl", _dcsl_skips, (value_kind, cost, metrics), one
+    one = partial(_skip_data, schema, cost, metrics)
+    kind = schema.kind
+    if kind in ("map", "array"):
+        kind = (schema.values if kind == "map" else schema.items).kind
+    if kind not in _PRIMITIVE_KINDS:
         return None, None, (), one
-    return "skip_batch", _FIXED_WIDTH.get(schema.kind, _skips), (
+    return "hop", _FIXED_WIDTH.get(schema.kind, _skips), (
         schema, cost, metrics
     ), one
-
-
-def _hop(reader, hops, k: int) -> None:
-    """Pass ``k`` datums as :func:`_hops` says, charged as ``k``
-    per-datum skips."""
-    kernel, window, args, one = hops
-    if window is None:
-        for _ in range(k):
-            one(reader)
-    elif type(window) is int:
-        # A fixed-width run is position arithmetic wherever the window
-        # ends (reader.skip keeps the lazy-gap elision and EOF check).
-        schema, cost, metrics = args
-        reader.skip(k * window)
-        metrics.charge_cpu(cost.skip_discount(
-            cost.prim_cpu(schema.kind, k)
-            + k * window * cost.profile.raw_scan_per_byte
-        ))
-    else:
-        for _ in _edges(reader, kernel, k, window, args):
-            one(reader)
-
-
-def skip_batch(
-    reader, field_schema, k: int, cost, metrics, skip_one=None
-) -> bool:
-    """Skip ``k`` datums, charging the exact sum of ``k`` per-datum
-    skips: ``skip_datum`` calls, or (a DCSL value stream) ``skip_one()``
-    calls.  Returns False when the kind needs the per-value walk."""
-    one = skip_one and (lambda _: skip_one())
-    hops = _hops(field_schema, cost, metrics, one)
-    if hops[1] is None:
-        return False
-    _kernel(hops[0])
-    _hop(reader, hops, k)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +521,15 @@ def _read_datum(schema, cost, metrics, reader):
     return BinaryDecoder(reader, cost, metrics).read_datum(schema)
 
 
-def _skip_datum(schema, cost, metrics, reader):
-    BinaryDecoder(reader, cost, metrics).skip_datum(schema)
+def _skip_data(schema, cost, metrics, reader, k=1):
+    skip = BinaryDecoder(reader, cost, metrics).skip_datum
+    for _ in range(k):
+        skip(schema)
+
+
+def _repeat(step, reader, k=1):
+    for _ in range(k):
+        step(reader)
 
 
 class Gather:
@@ -579,13 +539,23 @@ class Gather:
     :meth:`hop` passes ``k``, off the window of ``reader`` (repointed at
     each compressed block a column reader opens); a datum on an edge
     goes to the per-datum method through :func:`_edges`.  A kind with
-    no window loop is one ``read_datum`` per datum.  Primitives are
-    charged once, by :meth:`finish`, as the per-datum sums; anything
-    else as it goes.  ``wanted`` cuts maps down as :func:`read_maps`
-    does.  A DCSL reader passes its per-datum ``decode_one(reader)`` and
-    ``skip_one(reader)``, and each block dictionary to :meth:`use_keys`.
-    A gather counts one kernel call, however many blocks it crosses.
+    no window loop, and every kind in the per-datum mode (``batched``
+    off: the reference), is one per-datum decode or skip per datum.
+    Primitives taken are charged once, by :meth:`finish`, as the
+    per-datum sums; anything else as it goes.  ``wanted`` cuts maps down
+    as :func:`read_maps` does.  A DCSL reader passes its per-datum
+    ``decode_one(reader)`` and ``skip_one(reader)``, and each block
+    dictionary to :meth:`use_keys`.  The take and the hop machinery are
+    each built on first use, and each counts one kernel call, however
+    many blocks the gather crosses.
     """
+
+    #: whether datums go through the window loops; off, each goes to
+    #: the per-datum decode or skip, and no kernel call is counted
+    batched = True
+    # built on first use (a skip builds no take machinery)
+    one = _hops = _keys = window = None
+    args = ()
 
     def __init__(
         self, reader, field_schema, cost, metrics, wanted=None,
@@ -594,72 +564,107 @@ class Gather:
         self.reader, self.schema, self.wanted = reader, field_schema, wanted
         self.cost, self.metrics = cost, metrics
         self.values, self.span = [], 0  # and the primitives' bytes
-        self._skip_one, self._hops = skip_one, None  # hops: on first use
-        self.window, self.args, self.tag = None, (), "obj"
-        kind = field_schema.kind
-        self.one = decode_one or partial(
-            _read_datum, field_schema, cost, metrics
+        self._decode_one, self._skip_one = decode_one, skip_one
+
+    @property
+    def tag(self) -> str:
+        """What ``values`` hold: an array typecode, "str" for UTF-8
+        chunks, or "obj"."""
+        take = _TAKES.get(self.schema.kind)
+        return take[3] if take else "obj"
+
+    def _arm(self) -> None:
+        """Build the take machinery."""
+        schema, cost, metrics = self.schema, self.cost, self.metrics
+        self.one = self._decode_one or partial(
+            _read_datum, schema, cost, metrics
         )
-        if kind in _TAKES:
-            self.window, self.one, self.kernel, self.tag = _TAKES[kind]
+        if schema.kind in _TAKES:
+            self.window, self.one, self.kernel, _ = _TAKES[schema.kind]
             self.args = (self.values,)
-        elif map_batch_supported(field_schema):
+        elif map_batch_supported(schema):
             self.window, self.kernel = _maps, "read_maps"
             lookup = None  # the wanted plain keys, by byte length
-            if wanted is not None:
+            if self.wanted is not None:
                 lookup = {}
-                for key in wanted:
+                for key in self.wanted:
                     raw = key.encode("utf-8")
                     lookup[len(raw)] = lookup.get(len(raw), ()) + ((raw, key),)
-                self.one = partial(_cut, self.one, wanted)
+                self.one = partial(_cut, self.one, self.wanted)
             # plain keys: bytes -> decoded str (map keys repeat heavily)
             self.args = [
-                self.values, field_schema.values.kind, cost, metrics, {},
-                False, lookup,
+                self.values, schema.values.kind, cost, metrics, {}, False,
+                lookup,
             ]
-        if self.window is not None:
+            if self._keys is not None:
+                self.use_keys(self._keys)
+        if not self.batched:
+            self.window = None
+        elif self.window is not None:
             _kernel(self.kernel)
 
     def use_keys(self, keys) -> None:
         """Map keys are ids into ``keys`` (a DCSL block dictionary) from
         here on; a key projection resolves them once per dictionary."""
+        self._keys = keys
         if self.window is _maps:
             if self.wanted is not None:
                 keys = [key if key in self.wanted else None for key in keys]
             self.args[4:6] = keys, True
 
     def take(self, k: int) -> None:
+        if self.one is None:
+            self._arm()
         reader, one, values = self.reader, self.one, self.values
+        start = reader.offset
         if self.window is None:
             values += [one(reader) for _ in range(k)]
-            return
-        start = reader.offset
-        for _ in _edges(reader, self.kernel, k, self.window, self.args):
-            values.append(one(reader))
+        else:
+            for _ in _edges(reader, self.kernel, k, self.window, self.args):
+                values.append(one(reader))
         self.span += reader.offset - start
 
     def hop(self, k: int) -> None:
+        """Pass ``k`` datums, charged as ``k`` per-datum skips."""
         if self._hops is None:
             self._hops = _hops(
                 self.schema, self.cost, self.metrics, self._skip_one
             )
-            if self._hops[1] is not None:
+            if not self.batched:
+                self._hops = (None, None, (), self._hops[3])
+            elif self._hops[1] is not None:
                 _kernel(self._hops[0])
-        _hop(self.reader, self._hops, k)
+        kernel, window, args, skip = self._hops
+        reader = self.reader
+        if window is None:
+            skip(reader, k)
+        elif type(window) is int:
+            # A fixed-width run is position arithmetic wherever the window
+            # ends (reader.skip keeps the lazy-gap elision and EOF check).
+            schema, cost, metrics = args
+            reader.skip(k * window)
+            metrics.charge_cpu(cost.skip_discount(
+                cost.prim_cpu(schema.kind, k)
+                + k * window * cost.profile.raw_scan_per_byte
+            ))
+        else:
+            for _ in _edges(reader, kernel, k, window, args):
+                skip(reader)
 
     def finish(self) -> "Gather":
         """Charge the primitives taken: a cell each, an object each if
         var-length, their decode cpu and the raw scan of their bytes."""
         n = len(self.values)
-        if n and self.window in _PRIM_WINDOWS:
+        kind = self.schema.kind
+        if n and kind in _TAKES:
             cost, metrics = self.cost, self.metrics
             payload = 0
-            if self.window is _chunks:
+            if _TAKES[kind][0] is _chunks:
                 payload = sum(map(len, self.values))
                 metrics.objects += n
             metrics.cells += n
             metrics.charge_cpu(
-                cost.prim_cpu(self.schema.kind, n, payload)
+                cost.prim_cpu(kind, n, payload)
                 + self.span * cost.profile.raw_scan_per_byte
             )
         return self

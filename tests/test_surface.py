@@ -46,12 +46,7 @@ CALLER_DIRS = (SRC, ROOT / "examples", ROOT / "wallbench", ROOT / "benchmarks")
 NAMING_DIRS = (ROOT / "src", ROOT / "tests") + CALLER_DIRS[1:]
 
 #: modules no caller reaches, kept anyway: name -> why
-KEPT_ON_PURPOSE = {
-    "repro.core.loader": (
-        "the paper's Section 4.2 parallel loader, one of its own "
-        "artifacts; tests/test_parallel_loader.py is its only caller"
-    ),
-}
+KEPT_ON_PURPOSE: Dict[str, str] = {}
 
 
 def module_name(path: Path, src: Path) -> str:

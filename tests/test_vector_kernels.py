@@ -278,6 +278,45 @@ def _take(kind):
     return take
 
 
+class _KernelLog:
+    """A profiling sink that lists the kernel calls counted."""
+
+    def __init__(self):
+        self.kernels = []
+
+    def kernel(self, name):
+        self.kernels.append(name)
+
+    def fallback(self, reader, kernel):
+        pass
+
+
+def _kernel_calls(run):
+    """The kernel calls ``run()`` counts, in order."""
+    log, sink = _KernelLog(), vecdecode.profile_sink()
+    vecdecode.set_profile_sink(log)
+    try:
+        run()
+    finally:
+        vecdecode.set_profile_sink(sink)
+    return log.kernels
+
+
+def _hop(schema, k, skip_one=None, kernel="hop"):
+    """A hop-only gather over ``k`` datums of ``schema`` (a DCSL value
+    stream with ``skip_one``), charged to ``ctx``; it must count one
+    call, of the ``kernel`` window loop, not pass them one by one."""
+    def hop(reader, ctx):
+        gather = vecdecode.Gather(
+            reader, schema, ctx.cost, ctx.metrics, None, None, skip_one,
+        )
+        assert _kernel_calls(lambda: gather.hop(k)) == [kernel], (
+            "the gather declined to hop in bulk"
+        )
+
+    return hop
+
+
 def _two_readers(build):
     """Encode once; return two independent readers over the bytes."""
     writer = ByteWriter()
@@ -342,9 +381,8 @@ def test_hop_varints_lands_exactly_past_k_varints(values):
         # the trailing byte is what a kernel that over-hops would eat
         lambda w: [w.write_zigzag(v) for v in values] + [w.write_byte(0xFF)]
     )
-    assert vecdecode.skip_batch(
-        batch, Schema.long_(), len(values), CpuCostModel(), Metrics()
-    )
+    ctx = TaskContext(node=0, cost=CpuCostModel(), io_buffer_size=4096)
+    _hop(Schema.long_(), len(values))(batch, ctx)
     for _ in values:
         scalar.read_zigzag()
     assert batch.offset == scalar.offset
@@ -358,13 +396,43 @@ def test_varint_width_matches_encoder():
         lambda w: [w.write_string(blob) for blob in blobs]
     )
     schema, cost = Schema.string(), CpuCostModel()
-    got, want = Metrics(), Metrics()
-    assert vecdecode.skip_batch(batch, schema, len(blobs), cost, got)
+    ctx, want = TaskContext(node=0, cost=cost, io_buffer_size=4096), Metrics()
+    _hop(schema, len(blobs))(batch, ctx)
     decoder = BinaryDecoder(scalar, cost, want)
     for _ in blobs:
         decoder.skip_datum(schema)
     assert batch.offset == scalar.offset == len(scalar)
-    assert got.cpu_ticks == want.cpu_ticks
+    assert ctx.metrics.cpu_ticks == want.cpu_ticks
+
+
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("layout", ["plain", "skiplist", "dcsl", "cblock"])
+def test_a_hop_only_gather_counts_one_kernel_call_the_hop(layout, batched):
+    """A skip is a gather with no rows taken: batched, it counts the hop
+    kernel once, however many blocks it crosses, and no take kernel;
+    per-datum (the reference), none."""
+    schema = Schema.map(Schema.string())
+    spec = {
+        "plain": ColumnSpec("plain"),
+        "skiplist": ColumnSpec("skiplist", skip_sizes=(20, 5)),
+        "dcsl": ColumnSpec("dcsl", skip_sizes=(20, 5)),
+        "cblock": ColumnSpec("cblock", codec="zlib", block_bytes=64),
+    }[layout]
+    maps = [{"k": "v" * (i % 9), "k2": str(i)} for i in range(90)]
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/col", encode_column_file(schema, maps, spec))
+
+    def skip(reader, ctx):
+        column = open_column_reader(reader._stream, schema, ctx)
+        column.batch_kernels = batched
+        # a partial top block, whole ones, a partial one
+        kernels = _kernel_calls(lambda: column.skip(48))
+        assert column.read_value() == maps[48]
+        return kernels
+
+    kernels = _run_at_window(fs, "/col", 61, skip)[0]
+    hop = "hop_dcsl" if layout == "dcsl" else "hop"
+    assert kernels == ([hop] if batched else [])
 
 
 # -- window edges: every kernel x every truncation point --------------------
@@ -480,10 +548,6 @@ def _map_reads(kind, wanted=None):
     return (payload, *_map_walks(schema, k, wanted=wanted))
 
 
-def _taken(supported):
-    assert supported, "the kernel declined a kind it should batch"
-
-
 def _skips(schema):
     payload, k = _datum_run(schema)
     payload += b"\x7f"  # what an over-hop would eat
@@ -493,13 +557,7 @@ def _skips(schema):
         for _ in range(k):
             decoder.skip_datum(schema)
 
-    return (
-        payload,
-        lambda reader, ctx: _taken(vecdecode.skip_batch(
-            reader, schema, k, ctx.cost, ctx.metrics
-        )),
-        scalar,
-    )
+    return payload, _hop(schema, k), scalar
 
 
 def _dcsl_run(kind):
@@ -537,11 +595,13 @@ def _dcsl_skips(kind):
         for _ in range(k):
             col._skip_one_value()
 
-    return (
-        payload,
-        lambda reader, ctx: _taken(column(reader, ctx)._batch_skip_run(k)),
-        scalar,
-    )
+    def batch(reader, ctx):
+        col = column(reader, ctx)
+        _hop(
+            col.field_schema, k, lambda _: col._skip_one_value(), "hop_dcsl"
+        )(reader, ctx)
+
+    return payload, batch, scalar
 
 
 def _dcsl_reads(kind, wanted=None):
@@ -618,6 +678,8 @@ _EDGE_CASES = {
     **{f"read_maps[dcsl,{kind},keys]": partial(
         _dcsl_reads, kind, _DCSL_WANTED
     ) for kind in _PRIMS},
+    # the hop cases keep their ids from the kernels they were written
+    # against, ``skip_batch`` and ``skip_dcsl_batch``
     **{f"skip_batch[{schema.to_json()}]": partial(_skips, schema)
        for schema in _SKIP_SCHEMAS},
     **{f"skip_dcsl_batch[{kind}]": partial(_dcsl_skips, kind)
