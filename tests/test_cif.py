@@ -245,35 +245,6 @@ class TestCifSplits:
         for split in fmt.get_splits(fs, fs.cluster):
             assert len(split.locations) == 3  # fully co-located replicas
 
-    def test_cpp_colocates_split_dirs_of_several_writes(self, fs):
-        """Writes that each fill their own split-directory number range
-        (as one write per task or per partition does) leave every
-        directory co-located, and the dataset reads back, and queries,
-        in range order."""
-        from repro.core import ColumnOutputFormat
-        from repro.query import Q, col, sum_
-
-        fs.use_column_placement()
-        schema = micro_schema()
-        records = micro_records(schema, 600)
-        cof = ColumnOutputFormat(schema, split_bytes=8 * 1024)
-        for part in range(3):
-            written = cof.write(
-                fs, "/data/d1", records[part * 200:(part + 1) * 200],
-                first_split_index=part * 1000,
-            )
-            assert written > 1
-        for split_dir in split_dirs_of(fs, "/data/d1"):
-            placements = {
-                tuple(sorted(locs))
-                for child in fs.listdir(split_dir)
-                for locs in fs.block_locations(f"{split_dir}/{child}")
-            }
-            assert len(placements) == 1, split_dir
-        assert read_all(fs, "/data/d1") == [r.to_dict() for r in records]
-        result = Q("/data/d1").aggregate(total=sum_(col("int0"))).run(fs)
-        assert result.rows[0]["total"] == sum(r.get("int0") for r in records)
-
     def test_split_length_counts_projected_only(self, fs):
         schema = micro_schema()
         load(fs, micro_records(schema, 200), schema)

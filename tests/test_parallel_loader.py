@@ -1,12 +1,14 @@
-"""Tests for the parallel COF loader (Section 4.2)."""
+"""Tests for a COF dataset loaded in parts: several writes, each filling
+its own split-directory number range (as one write per load task or per
+partition does), make one dataset."""
 
-import pytest
-
-from repro.core import ColumnInputFormat, ColumnSpec, parallel_load, write_dataset
-from repro.core.cof import read_dataset_schema, split_dirs_of
-from repro.formats.sequence_file import SequenceFileInputFormat, write_sequence_file
+from repro.core import ColumnInputFormat, ColumnOutputFormat
+from repro.core.cof import split_dirs_of
 from repro.hdfs import ClusterConfig, FileSystem
 from tests.conftest import make_ctx, micro_records, micro_schema
+
+PARTS = 3
+INDEX_STRIDE = 1000
 
 
 def cluster_fs(**kw):
@@ -15,10 +17,19 @@ def cluster_fs(**kw):
     return FileSystem(ClusterConfig(**defaults))
 
 
-def seed_seq(fs, n=600):
+def ranged_load(fs, dataset, n=600, split_bytes=8 * 1024):
+    """Write ``n`` records as ``PARTS`` writes at disjoint
+    ``first_split_index`` ranges, in range order."""
     schema = micro_schema()
     records = micro_records(schema, n)
-    write_sequence_file(fs, "/src/seq", schema, records)
+    cof = ColumnOutputFormat(schema, split_bytes=split_bytes)
+    per_part = n // PARTS
+    for part in range(PARTS):
+        written = cof.write(
+            fs, dataset, records[part * per_part:(part + 1) * per_part],
+            first_split_index=part * INDEX_STRIDE,
+        )
+        assert written > 1
     return schema, records
 
 
@@ -33,99 +44,30 @@ def read_cif(fs, dataset):
 
 
 class TestParallelLoad:
-    def test_content_equals_sequential_load(self):
-        fs = cluster_fs()
-        schema, records = seed_seq(fs)
-        report = parallel_load(
-            fs, SequenceFileInputFormat("/src/seq"), "/out/par", schema,
-            split_bytes=16 * 1024,
-        )
-        write_dataset(fs, "/out/seq", schema, records, split_bytes=16 * 1024)
-        assert read_cif(fs, "/out/par") == read_cif(fs, "/out/seq")
-        assert report.records == len(records)
-
     def test_record_order_preserved_across_tasks(self):
         fs = cluster_fs()
-        schema, records = seed_seq(fs, n=900)  # several input splits
-        report = parallel_load(
-            fs, SequenceFileInputFormat("/src/seq"), "/out/par", schema,
-            split_bytes=8 * 1024,
-        )
-        assert len(report.tasks) > 1  # genuinely parallel
-        out = read_cif(fs, "/out/par")
-        assert out == [r.to_dict() for r in records]
-
-    def test_split_dir_ranges_disjoint(self):
-        fs = cluster_fs()
-        schema, _ = seed_seq(fs, n=900)
-        parallel_load(
-            fs, SequenceFileInputFormat("/src/seq"), "/out/par", schema,
-            split_bytes=8 * 1024,
-        )
-        from repro.core.loader import INDEX_STRIDE
-
+        _, records = ranged_load(fs, "/out/par", n=900)
         dirs = split_dirs_of(fs, "/out/par")
-        indices = [int(d.rsplit("/s", 1)[1]) for d in dirs]
-        assert indices == sorted(indices)
-        per_task = {}
-        for index in indices:
-            per_task.setdefault(index // INDEX_STRIDE, []).append(index)
-        assert len(per_task) > 1
-        for base, owned in per_task.items():
-            assert all(i // INDEX_STRIDE == base for i in owned)
-
-    def test_schema_readable_and_specs_applied(self):
-        fs = cluster_fs()
-        schema, _ = seed_seq(fs, n=300)
-        parallel_load(
-            fs, SequenceFileInputFormat("/src/seq"), "/out/par", schema,
-            specs={"attrs": ColumnSpec("dcsl", skip_sizes=(50, 10))},
-            split_bytes=16 * 1024,
+        assert {int(d.rsplit("/s", 1)[1]) // INDEX_STRIDE for d in dirs} == set(
+            range(PARTS)
         )
-        assert read_dataset_schema(fs, "/out/par") == schema
-        from repro.core.columnio import FORMAT_DCSL, MAGIC
-
-        first = split_dirs_of(fs, "/out/par")[0]
-        head = fs.open(f"{first}/attrs").read(8)
-        assert head[:3] == MAGIC
-        assert head[3] == FORMAT_DCSL
-
-    def test_load_is_accounted_and_parallel(self):
-        fs = cluster_fs()
-        schema, _ = seed_seq(fs, n=900)
-        report = parallel_load(
-            fs, SequenceFileInputFormat("/src/seq"), "/out/par", schema,
-            split_bytes=8 * 1024,
-        )
-        assert report.metrics.disk_bytes > 0
-        assert report.load_time > 0
-        # Wall clock beats doing every task back to back on one slot.
-        serial = sum(t.duration for t in report.tasks)
-        assert report.makespan < serial
+        assert read_cif(fs, "/out/par") == [r.to_dict() for r in records]
 
     def test_cpp_colocates_parallel_output(self):
         fs = cluster_fs()
         fs.use_column_placement()
-        schema, _ = seed_seq(fs, n=600)
-        parallel_load(
-            fs, SequenceFileInputFormat("/src/seq"), "/out/par", schema,
-            split_bytes=16 * 1024,
-        )
+        ranged_load(fs, "/out/par")
         for split_dir in split_dirs_of(fs, "/out/par"):
             placements = {
                 tuple(sorted(locs))
                 for child in fs.listdir(split_dir)
                 for locs in fs.block_locations(f"{split_dir}/{child}")
             }
-            assert len(placements) == 1
+            assert len(placements) == 1, split_dir
 
     def test_queryable_after_parallel_load(self):
         fs = cluster_fs()
-        schema, records = seed_seq(fs, n=400)
-        parallel_load(
-            fs, SequenceFileInputFormat("/src/seq"), "/out/par", schema,
-            split_bytes=16 * 1024,
-        )
+        _, records = ranged_load(fs, "/out/par")
         from repro.query import Q, col, sum_
 
         result = Q("/out/par").aggregate(total=sum_(col("int0"))).run(fs)
