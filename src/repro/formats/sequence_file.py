@@ -35,7 +35,7 @@ from repro.formats.common import (
 )
 from repro.hdfs.streams import StreamByteReader
 from repro.mapreduce.types import RecordReader, TaskContext
-from repro.serde.binary import BinaryDecoder, encode_datum
+from repro.serde.binary import datum_reader, encode_datum
 from repro.serde.schema import Schema
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
@@ -153,6 +153,7 @@ class SequenceFileRecordReader(RecordReader):
         self._codec = (
             get_codec(header.codec) if header.compression != "none" else None
         )
+        self._read = datum_reader(header.schema, ctx.cost, ctx.metrics)
         self._stream = fs.open(
             split.path,
             node=ctx.node,
@@ -217,12 +218,8 @@ class SequenceFileRecordReader(RecordReader):
 
     def _read_value(self, reader, value_len: int):
         """One record, which must fill its ``value_len`` framed bytes."""
-        ctx = self.ctx
-        start = reader.offset
-        record = BinaryDecoder(reader, ctx.cost, ctx.metrics).read_datum(
-            self.header.schema
-        )
-        if reader.offset - start != value_len:
+        record, span = self._read(reader)
+        if span != value_len:
             raise ValueError("corrupt SequenceFile record framing")
         return record
 

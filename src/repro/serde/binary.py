@@ -26,10 +26,12 @@ Charges are whole ticks added into ``metrics.cpu_ticks``: a plan adds
 the same terms the cost model's ``charge_*`` methods would
 (``docs/cost-model.md`` § Where charges are applied).
 
-A charged record read *defers* its map and array fields (see
-:func:`_deferral`): each is charged in full and built on first access.
-A charged ``map<string>`` read outside a record takes the same step and
-builds the span at once.
+A charged record read is one loop over its fields (see :func:`_walk`),
+and it *defers* its map and array fields: each is charged in full and
+built on first access.  An RCFile column chunk
+(:meth:`BinaryDecoder.read_deferred`) is the same loop a chunk wide, and
+a charged ``map<string>`` read outside a record is the same loop one
+datum wide, its span built at once.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ from repro.serde.schema import Schema, SchemaError
 from repro.sim.cost import CpuCostModel, decode_rates
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
-from repro.util.varint import _VARINT_LIMIT, encode_varint, encode_zigzag
+from repro.util.varint import (
+    _VARINT_LIMIT, VarintError, decode_varint, encode_varint, encode_zigzag,
+)
 
 _DOUBLE = struct.Struct("<d")
 
@@ -61,9 +65,9 @@ class _Plan(NamedTuple):
     #: (r, p, cpu) -> cpu plus the datum's decode-equivalent cost
     skip_charged: Callable
     write: Callable  #: (value, out) -> None
-    #: (r, p, m) -> value or a ``_Deferred``, charged as ``read_charged``:
-    #: what a record field or :meth:`BinaryDecoder.read_deferred` reads
-    defer: Callable
+    #: (p) -> the datum's step in :func:`_walk`, bound to p's rates: how
+    #: a record field or :meth:`BinaryDecoder.read_deferred` reads it
+    step: Callable
 
 
 def _plan(schema: Schema) -> _Plan:
@@ -137,6 +141,18 @@ def _hop_chunk(r) -> int:
 # profile, bound here once; the profile itself (``p``) is the decoder's.
 
 
+def _per_profile(bind: Callable) -> Callable:
+    """``bind(p)``, kept for the last profile it was asked for."""
+    last = [None, None]
+
+    def bound(p):
+        if last[0] is not p:
+            last[:] = p, bind(p)
+        return last[1]
+
+    return bound
+
+
 def _fixed(kind: str, read, skip, write) -> _Plan:
     """A primitive charged one flat rate per value."""
     rate, _ = decode_rates(kind)
@@ -150,7 +166,11 @@ def _fixed(kind: str, read, skip, write) -> _Plan:
         skip(r)
         return cpu + rate(p)
 
-    return _Plan(read, read_charged, skip, skip_charged, write, read_charged)
+    step = (
+        _per_profile(lambda p: ("zigzag", read_charged, rate(p)))
+        if kind in _ZIGZAG_KINDS else lambda p: ("call", read_charged)
+    )
+    return _Plan(read, read_charged, skip, skip_charged, write, step)
 
 
 def _write_chunk(value, out) -> None:
@@ -179,11 +199,11 @@ def _chunk_plan(kind: str, decode, encode) -> _Plan:
     def write(value, out):
         _write_chunk(encode(value), out)
 
-    return _Plan(
-        read, read_charged, _hop_chunk, skip_charged, write, read_charged
-    )
+    step = _per_profile(lambda p: (kind, read_charged, base(p), per_byte(p)))
+    return _Plan(read, read_charged, _hop_chunk, skip_charged, write, step)
 
 
+_ZIGZAG_KINDS = ("int", "long", "time")
 _PRIMITIVE_PLANS = {
     "int": _fixed("int", _zigzag, _varint, encode_zigzag),
     "long": _fixed("long", _zigzag, _varint, encode_zigzag),
@@ -244,22 +264,12 @@ def _array_plan(schema: Schema) -> _Plan:
 
     return _Plan(
         read, read_charged, skip, skip_charged, write,
-        _deferral(schema, read_charged),
+        _container_step(schema, read_charged),
     )
 
 
 _MAP_BASE, _MAP_ENTRY = decode_rates("map")
 _KEY_BASE, _KEY_BYTE = decode_rates("string")
-
-
-def _key_charged(r, p, m):
-    """A map key's bytes, charged.  The caller decodes them once the
-    entry's value is read, the order the codec has always taken."""
-    raw = _chunk(r)
-    m.cpu_ticks += _KEY_BASE(p) + len(raw) * _KEY_BYTE(p)
-    m.cells += 1
-    m.objects += 1
-    return raw
 
 
 def _map_plan(schema: Schema) -> _Plan:
@@ -279,15 +289,18 @@ def _map_plan(schema: Schema) -> _Plan:
         m.objects += 1 + count
         out = {}
         for _ in range(count):
-            raw = _key_charged(r, p, m)
+            raw = _chunk(r)  # decoded once its value is read
+            m.cpu_ticks += _KEY_BASE(p) + len(raw) * _KEY_BYTE(p)
+            m.cells += 1
+            m.objects += 1
             out[str(raw, "utf-8")] = value_read_charged(r, p, m)
         return out
 
-    defer = _deferral(schema, per_entry)
+    step = _container_step(schema, per_entry)
     if schema.values.kind == "string":
         def read_charged(r, p, m):
-            # the one window route: the deferral step, built at once
-            value = defer(r, p, m)
+            # the one window route: the loop one datum wide, built at once
+            value, = _walk((step(p),), r, p, m)
             if type(value) is _Deferred:
                 return value.build(value.span)
             return value
@@ -313,22 +326,17 @@ def _map_plan(schema: Schema) -> _Plan:
             _write_chunk(key.encode("utf-8"), out)
             value_write(val, out)
 
-    return _Plan(read, read_charged, skip, skip_charged, write, defer)
+    return _Plan(read, read_charged, skip, skip_charged, write, step)
 
 
 # -- deferral: a record's maps and arrays, built on first access --------
 #
-# A charged record read takes each map or array of primitives with one
-# window loop and one hand-off.  The loop hops the datum and proves it
-# decodes: it lies wholly in the window and is ASCII throughout, so every
-# varint in it is one byte and every string in it is ASCII.  It charges
-# what ``read_charged`` would and returns a ``_Deferred`` over a copy of
-# the span.  Any other datum goes to the per-entry ``read_charged``,
-# which refills, raises and charges partially as it always has.  (A
-# double's eight bytes are seldom ASCII, so doubles are never deferred.)
-# Each plan compiles its step once (``_Plan.defer``), and a ``map<string>``
-# read anywhere else is the same step with its span built at once: the
-# one window route that type has.
+# The record loop takes a map or array of primitives with one hop, which
+# proves the datum decodes: it lies wholly in the window and is ASCII
+# throughout, so every varint in it is one byte and every string ASCII.
+# It charges what ``read_charged`` would and holds a ``_Deferred`` over a
+# copy of the span; any other datum goes to the per-entry ``read_charged``.
+# (A double's eight bytes are seldom ASCII, so doubles are never deferred.)
 
 #: item kind -> its value from its one byte in a proven span
 _ONE_BYTE = dict.fromkeys(("int", "long", "time"), lambda b: b >> 1 ^ -(b & 1))
@@ -366,52 +374,117 @@ def _builder(keyed: bool, kind: str) -> Callable:
     return build
 
 
-def _deferral(schema: Schema, eager: Callable) -> Callable:
-    """The deferral step of a map or array of primitives; ``eager`` (its
-    ``read_charged``) for any other schema."""
-    if schema.kind not in ("map", "array"):
-        return eager
+def _container_step(schema: Schema, eager: Callable) -> Callable:
+    """A map's or array's step: the hop when its items are primitives a
+    span can hold, else a call of ``eager`` (its per-entry read)."""
     keyed = schema.kind == "map"
     item = schema.values if keyed else schema.items
     if item.kind not in ("string", "bytes", *_ONE_BYTE):
-        return eager
+        return lambda p: ("call", eager)
     chunked = item.kind in ("string", "bytes")
     base, per_unit = decode_rates(schema.kind)
     item_base, item_byte = decode_rates(item.kind)
     build = _builder(keyed, item.kind)
+    # per entry: a key (and its entry) and a string or bytes value are
+    # objects, and every key and value is a cell with a one-byte prefix
+    cells, objects = 1 + keyed, 2 * keyed + chunked
 
-    def step(r, p, m):
-        buf = r._buf
-        start = r.pos
-        keys = 0  # key payload bytes
-        try:
-            count = buf[start]
-            pos = start + 1
-            for _ in range(count):
-                if keyed:
-                    n = buf[pos]
-                    keys += n
-                    pos += n + 1
-                pos += buf[pos] + 1 if chunked else 1
-        except IndexError:
-            return eager(r, p, m)
-        span = buf[start:pos]
-        if pos > len(buf) or not span.isascii():
-            return eager(r, p, m)
-        r.pos = pos
-        cells = 2 * count if keyed else count  # and as many prefixes
-        cpu = base(p) + count * (per_unit(p) + item_base(p))
-        if chunked:
-            cpu += (pos - start - 1 - cells - keys) * item_byte(p)
-        if keyed:
-            cpu += count * _KEY_BASE(p) + keys * _KEY_BYTE(p)
+    def bind(p):
+        key_base, key_byte = (_KEY_BASE(p), _KEY_BYTE(p)) if keyed else (0, 0)
+        return (
+            "hop", eager, build, keyed, chunked, base(p),
+            per_unit(p) + item_base(p) + key_base,
+            item_byte(p) if chunked else 0, key_byte, cells, objects,
+        )
+
+    return _per_profile(bind)
+
+
+# -- one loop per record ------------------------------------------------
+#
+# A charged record read is one loop over its fields' steps (bound once
+# per profile), and so are an RCFile column chunk (``k`` steps of one
+# schema) and a standalone ``map<string>`` read.  The loop takes each
+# field straight off the window (``r._buf`` / ``r.pos``), its charges
+# summed in locals and added once.  A field it cannot take there (one on
+# the window's edge, a span failing its proof, any other shape) goes to
+# the field's own read, after the loop adds what it has summed: the
+# reader sees the same calls, and a raise leaves the same books.
+
+
+def _walk(steps, r, p, m, cpu: int = 0, objects: int = 0) -> list:
+    """The datums of ``steps`` off ``r``, in order, charged into ``m``
+    with ``cpu`` and ``objects`` (a record's own terms)."""
+    buf, pos, cells, out = r._buf, r.pos, 0, []
+    try:
+        for step in steps:
+            kind = step[0]
+            try:
+                if kind == "hop":
+                    _, _, build, keyed, chunked, base, per_entry, per_byte, \
+                        key_byte, cells_per, objects_per = step
+                    count = buf[pos]
+                    end, keys = pos + 1, 0  # keys: key payload bytes
+                    for _ in range(count):
+                        if keyed:
+                            n = buf[end]
+                            keys += n
+                            end += n + 1
+                        end += buf[end] + 1 if chunked else 1
+                    span = buf[pos:end]
+                    if end <= len(buf) and span.isascii():
+                        cells_in = count * cells_per
+                        cpu += base + count * per_entry + keys * key_byte + (
+                            end - pos - 1 - cells_in - keys
+                        ) * per_byte
+                        cells += cells_in
+                        objects += 1 + count * objects_per
+                        pos = end
+                        out.append(_Deferred(build, span))
+                        continue
+                elif kind == "string" or kind == "bytes":
+                    n, start = buf[pos], pos + 1
+                    if n >= 0x80:
+                        n, start = decode_varint(buf, pos)
+                    end = start + n
+                    if end <= len(buf):
+                        raw, pos = buf[start:end], end
+                        cpu += step[2] + n * step[3]
+                        cells += 1
+                        objects += 1
+                        out.append(
+                            str(raw, "utf-8") if kind == "string"
+                            else bytes(raw)
+                        )
+                        continue
+                elif kind == "zigzag":
+                    folded = buf[pos]
+                    if folded < 0x80:
+                        pos += 1
+                    else:
+                        folded, pos = decode_varint(buf, pos)
+                    cpu += step[2]
+                    cells += 1
+                    out.append(folded >> 1 ^ -(folded & 1))
+                    continue
+            except (IndexError, VarintError):
+                pass
+            # the field's own read, with what the loop summed added first
+            r.pos = pos
+            m.cpu_ticks += cpu
+            m.cells += cells
+            m.objects += objects
+            cpu = cells = objects = 0
+            pos = None  # the read owns the position, also if it raises
+            out.append(step[1](r, p, m))
+            buf, pos = r._buf, r.pos
+    finally:
+        if pos is not None:
+            r.pos = pos
         m.cpu_ticks += cpu
         m.cells += cells
-        # the container, and a key (plus its entry) and a string a value
-        m.objects += 1 + count * (2 * keyed + chunked)
-        return _Deferred(build, span)
-
-    return step
+        m.objects += objects
+    return out
 
 
 def _record_plan(schema: Schema) -> _Plan:
@@ -420,14 +493,14 @@ def _record_plan(schema: Schema) -> _Plan:
         zip(*plans) if plans else [()] * 6
     )
     base, _ = decode_rates("record")
+    bound = _per_profile(lambda p: (tuple(step(p) for step in steps), base(p)))
 
     def read(r):
         return Record.of(schema, [field(r) for field in reads])
 
     def read_charged(r, p, m):
-        m.cpu_ticks += base(p)
-        m.objects += 1
-        return Record.of(schema, [field(r, p, m) for field in steps])
+        field_steps, cpu = bound(p)
+        return Record.of(schema, _walk(field_steps, r, p, m, cpu, 1))
 
     def skip(r):
         for field in skips:
@@ -449,7 +522,8 @@ def _record_plan(schema: Schema) -> _Plan:
         for field, fval in zip(writes, values):
             field(fval, out)
 
-    return _Plan(read, read_charged, skip, skip_charged, write, read_charged)
+    return _Plan(read, read_charged, skip, skip_charged, write,
+                 lambda p: ("call", read_charged))
 
 
 _CONTAINER_PLANS = {
@@ -487,9 +561,6 @@ def encode_datum(schema: Schema, value) -> bytes:
 # 128 characters, ``int`` values a varint holds, ``dict`` maps of under
 # 128 entries and keys of under 128 bytes); a column with any other
 # value is written by its plan, so every error is ``encode_datum``'s.
-
-_ZIGZAG_KINDS = ("int", "long", "time")
-
 
 def _string_column(values):
     if not set(map(type, values)) <= {str}:
@@ -679,12 +750,16 @@ class BinaryDecoder:
 
     def read_deferred(self, schema: Schema, k: int) -> list:
         """``k`` datums charged as ``k`` :meth:`read_datum` calls, maps and
-        arrays deferred as a record's are (for a :class:`Record`)."""
-        step = _plan(schema).defer
-        r, cost = self.reader, self.cost
+        arrays deferred as a record's are (for a :class:`Record`): the
+        record loop ``k`` datums wide.  Uncharged, ``k`` plain reads."""
+        plan = _plan(schema)
+        r, m = self.reader, self.metrics
+        if m is None:
+            return [plan.read(r) for _ in range(k)]
+        cost = self.cost
         start = r.offset
-        out = [step(r, cost.profile, self.metrics) for _ in range(k)]
-        self.metrics.cpu_ticks += cost.raw_scan_cpu(r.offset - start)
+        out = _walk((plan.step(cost.profile),) * k, r, cost.profile, m)
+        m.cpu_ticks += cost.raw_scan_cpu(r.offset - start)
         return out
 
     def skip_datum(self, schema: Schema) -> int:
@@ -710,6 +785,22 @@ class BinaryDecoder:
         # decode-equivalent cost plus the raw scan, discounted once
         m.cpu_ticks += cost.skip_discount(cpu + cost.raw_scan_cpu(span))
         return span
+
+
+def datum_reader(schema: Schema, cost: CpuCostModel, metrics: Metrics):
+    """``read(r) -> (datum, span)``: :meth:`BinaryDecoder.read_datum` of
+    ``schema`` bound once, off any reader, and the bytes the datum took."""
+    read_charged = _plan(schema).read_charged
+    profile, raw_scan_cpu = cost.profile, cost.raw_scan_cpu
+
+    def read(r):
+        start = r.offset
+        value = read_charged(r, profile, metrics)
+        span = r.offset - start
+        metrics.cpu_ticks += raw_scan_cpu(span)
+        return value, span
+
+    return read
 
 
 def decode_datum(schema: Schema, data: bytes):

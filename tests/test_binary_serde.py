@@ -142,6 +142,21 @@ class TestTypedErrors:
         assert decoder.read_datum(Schema.int_()) == 1
         assert decoder.skip_datum(Schema.int_()) == 1
 
+    @pytest.mark.parametrize("cost", [None, CpuCostModel()])
+    def test_a_run_without_metrics_is_read_uncharged(self, cost):
+        # as read_datum, read_inner and skip_datum: plain values, built
+        schema = micro_schema()
+        records = [micro_record(schema, i) for i in range(3)]
+        data = b"".join(encode_datum(schema, r) for r in records)
+        decoder = BinaryDecoder(ByteReader(data), cost=cost)
+        assert decoder.read_deferred(schema, 3) == records
+        assert decoder.reader.at_end()
+        attrs = Schema.map(Schema.int_())
+        maps = [{"a": 1}, {}, {"b": -300}]
+        data = b"".join(encode_datum(attrs, m) for m in maps)
+        got = BinaryDecoder(ByteReader(data)).read_deferred(attrs, 3)
+        assert got == maps and all(type(m) is dict for m in got)
+
 
 values_strategy = st.recursive(
     st.one_of(

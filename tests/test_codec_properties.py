@@ -15,8 +15,12 @@ them lands on both legs.  These properties stand outside both:
   (public reader methods, public charges, one step at a time) holds
   when *it* raises.
 
-All of it runs over a ``ByteReader`` and over a ``StreamByteReader``
-with a 61-byte buffer, so datums cross window edges constantly.
+Each holds for one datum (``read_datum``) and for a run of ``k``
+datums (``read_deferred(schema, k)``, an RCFile column chunk's read),
+which charges what ``k`` per-datum reads charge, with one raw scan of
+the run.  All of it runs over a ``ByteReader`` and over a
+``StreamByteReader`` with a 61-byte buffer, so datums cross window
+edges constantly.
 """
 
 import dataclasses
@@ -28,7 +32,7 @@ from hypothesis import strategies as st
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.hdfs.streams import StreamByteReader
 from repro.serde.binary import BinaryDecoder, encode_datum
-from repro.serde.record import Record, field_values
+from repro.serde.record import Record, _Deferred, field_values
 from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
@@ -42,6 +46,7 @@ from tests.test_fuzz_schemas import (
 COST = CpuCostModel()
 WINDOW = 61
 READERS = ("bytes", "stream")
+RUNS = (1, 2, 5)  # datums per read_deferred
 
 
 def open_reader(kind: str, data: bytes, metrics=None):
@@ -125,6 +130,30 @@ def assert_charges_match_the_oracle(schema, value):
         ), kind
 
 
+def assert_a_run_matches_the_oracle(schema, values):
+    """``read_deferred`` of ``values`` charges each as the oracle does,
+    plus one raw scan of the run, and reads them back."""
+    data = b"".join(encode_datum(schema, value) for value in values)
+    for kind in READERS:
+        expected = Metrics(cpu_ticks=_ALREADY)
+        for value in values:
+            charge_walk(expected, schema, value)
+        COST.charge_raw_scan(expected, len(data))
+        got = Metrics(cpu_ticks=_ALREADY)
+        reader = open_reader(kind, data)
+        run = BinaryDecoder(reader, COST, got).read_deferred(
+            schema, len(values)
+        )
+        assert (got.cpu_ticks, got.cells, got.objects) == (
+            expected.cpu_ticks, expected.cells, expected.objects
+        ), kind
+        assert reader.offset == len(data), kind
+        built = [
+            v.build(v.span) if type(v) is _Deferred else v for v in run
+        ]
+        assert b"".join(encode_datum(schema, v) for v in built) == data
+
+
 class TestChargeOracle:
     @FUZZ_SETTINGS
     @given(data=st.data(), schema=record_schema_strategy())
@@ -134,6 +163,22 @@ class TestChargeOracle:
     @pytest.mark.parametrize("schema_json,value,_", GOLDEN)
     def test_golden_rows(self, schema_json, value, _):
         assert_charges_match_the_oracle(Schema.parse(schema_json), value)
+
+    @pytest.mark.parametrize("k", RUNS)
+    @FUZZ_SETTINGS
+    @given(data=st.data(), schema=record_schema_strategy())
+    def test_generated_runs(self, k, data, schema):
+        # a run of records, and a run of each field's datums (a column
+        # chunk of that field)
+        for s in [schema] + [f.schema for f in schema.fields]:
+            assert_a_run_matches_the_oracle(
+                s, [value_for(s, data.draw) for _ in range(k)]
+            )
+
+    @pytest.mark.parametrize("k", RUNS)
+    @pytest.mark.parametrize("schema_json,value,_", GOLDEN)
+    def test_golden_runs(self, k, schema_json, value, _):
+        assert_a_run_matches_the_oracle(Schema.parse(schema_json), [value] * k)
 
     def test_a_map_far_wider_than_the_window(self):
         # whole entries off the window, entries straddling its edge and
@@ -241,12 +286,47 @@ def assert_every_prefix_raises_cleanly(schema, value):
             assert (held["cells"], held["objects"]) == (0, 0)
 
 
+def assert_every_prefix_of_a_run_raises_cleanly(schema, values):
+    """Every proper prefix of a run of ``values`` raises from
+    ``read_deferred``, holding the books of one per-datum reference read
+    after another: every step completed before the raise, and no raw
+    scan (a run charges it once, at its end)."""
+    k = len(values)
+    whole = b"".join(encode_datum(schema, value) for value in values)
+
+    def plan_run(reader, m, schema):
+        return BinaryDecoder(reader, COST, m).read_deferred(schema, k)
+
+    def reference_run(reader, m, schema):
+        start = reader.offset
+        run = [reference_read(reader, m, schema) for _ in range(k)]
+        COST.charge_raw_scan(m, reader.offset - start)
+        return run
+
+    for cut in range(len(whole)):
+        data = whole + whole[:cut]
+        for kind in READERS:
+            raised, held = outcome(kind, data, schema, plan_run)
+            assert raised in (EOFError, VarintError), (kind, cut, raised)
+            assert (raised, held) == outcome(
+                kind, data, schema, reference_run
+            ), (kind, cut)
+
+
 class TestTruncation:
     @FUZZ_SETTINGS
     @given(data=st.data(), schema=record_schema_strategy(max_fields=3))
     def test_generated_schemas(self, data, schema):
         assert_every_prefix_raises_cleanly(
             schema, value_for(schema, data.draw)
+        )
+
+    @pytest.mark.parametrize("k", RUNS)
+    @FUZZ_SETTINGS
+    @given(data=st.data(), schema=record_schema_strategy(max_fields=3))
+    def test_generated_runs(self, k, data, schema):
+        assert_every_prefix_of_a_run_raises_cleanly(
+            schema, [value_for(schema, data.draw) for _ in range(k)]
         )
 
     @pytest.mark.parametrize(

@@ -58,8 +58,14 @@ def per_datum(reader, schema, k, ctx, keys=None):
 @contextlib.contextmanager
 def eager_plans():
     """Every datum read eagerly, one ``read_datum`` at a time: the
-    deferral step patched out, and an RCFile chunk decoded per datum."""
-    with mock.patch.object(binary, "_deferral", lambda schema, eager: eager), \
+    record loop patched out for a call of each field's own per-entry
+    read, and an RCFile chunk decoded per datum."""
+    def per_field(steps, r, p, m, cpu=0, objects=0):
+        m.cpu_ticks += cpu
+        m.objects += objects
+        return [step[1](r, p, m) for step in steps]
+
+    with mock.patch.object(binary, "_walk", per_field), \
             mock.patch.object(vecdecode, "batch_decode_values", per_datum), \
             mock.patch.object(
                 BinaryDecoder, "read_deferred",
