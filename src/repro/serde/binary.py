@@ -143,12 +143,14 @@ def _hop_chunk(r) -> int:
 
 def _per_profile(bind: Callable) -> Callable:
     """``bind(p)``, kept for the last profile it was asked for."""
-    last = [None, None]
+    last = [(None, None)]  # one (profile, binding) pair, swapped whole
 
     def bound(p):
-        if last[0] is not p:
-            last[:] = p, bind(p)
-        return last[1]
+        profile, value = last[0]
+        if profile is not p:
+            value = bind(p)
+            last[0] = p, value
+        return value
 
     return bound
 
@@ -750,8 +752,7 @@ class BinaryDecoder:
 
     def read_deferred(self, schema: Schema, k: int) -> list:
         """``k`` datums charged as ``k`` :meth:`read_datum` calls, maps and
-        arrays deferred as a record's are (for a :class:`Record`): the
-        record loop ``k`` datums wide.  Uncharged, ``k`` plain reads."""
+        arrays deferred as a record's are: the record loop ``k`` wide."""
         plan = _plan(schema)
         r, m = self.reader, self.metrics
         if m is None:
