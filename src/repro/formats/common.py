@@ -120,6 +120,6 @@ def scan_to_sync(
             return None
         pos += len(chunk)
         # Keep a marker-sized tail so markers spanning chunk edges match.
-        keep = window[-(SYNC_SIZE - 1):] if len(window) >= SYNC_SIZE else window
+        keep = window[-(SYNC_SIZE - 1):]
         window_start += len(window) - len(keep)
         window = keep + chunk

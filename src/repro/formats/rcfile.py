@@ -28,7 +28,7 @@ discussed in Section 4.3.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.compress.codecs import get_codec
 from repro.formats.common import (
@@ -146,27 +146,30 @@ class RCFileRecordReader(RecordReader):
         # Every row group is preceded by a sync marker (including the
         # first), so both the 0-offset and mid-file cases resynchronize
         # the same way.
-        start = scan_to_sync(self._stream, header.sync, split.start, split.end)
-        self._next_group = start  # offset just past a sync marker
-        self._rows: List[Record] = []
-        self._row_index = 0
+        self._start = scan_to_sync(
+            self._stream, header.sync, split.start, split.end
+        )
 
-    def read_next(self):
-        while self._row_index >= len(self._rows):
-            if not self._load_group():
-                return None
-        record = self._rows[self._row_index]
-        self._row_index += 1
-        return None, record
+    def __iter__(self):
+        """The split's rows, in one loop: a row group is decoded whole,
+        and the sync marker after it checked, before its rows are
+        handed out, each counted as it is."""
+        metrics, projected = self.ctx.metrics, self._projected
+        next_group = self._start  # offset just past a sync marker
+        while next_group is not None:
+            columns, rows, next_group = self._read_group(next_group)
+            for values in zip(*columns) if columns else [()] * rows:
+                metrics.records += 1
+                yield None, Record.of(projected, list(values))
 
-    def _load_group(self) -> bool:
-        """Parse the next row group into ``self._rows``; False at split end."""
-        if self._next_group is None:
-            return False
+    def _read_group(self, offset: int):
+        """``(columns, rows, next)``: the projected chunks' values of the
+        row group at ``offset``, its row count, and the offset of the
+        next group of this split (None at its end)."""
         ctx = self.ctx
         cost, metrics = ctx.cost, ctx.metrics
         stream = self._stream
-        stream.seek(self._next_group)
+        stream.seek(offset)
         region = _read_len_prefixed(stream)
         meta = ByteReader(region)
         rows = meta.read_varint()
@@ -218,22 +221,15 @@ class RCFileRecordReader(RecordReader):
         # Materialize one writable per projected field per row — the
         # "inefficient serialization in parts of RCFile" CPU overhead.
         cost.charge_rcfile_fields(metrics, rows * len(self._wanted))
-        self._rows = [
-            Record.of(self._projected, list(values))
-            for values in (zip(*columns) if columns else [()] * rows)
-        ]
-        self._row_index = 0
 
         # The following row group starts with a sync marker right after
         # this one's data; one at or past our range is the next split's.
         group_end = stream.tell()
         if group_end >= min(stream.length, self.split.end):
-            self._next_group = None
-        elif stream.read(SYNC_SIZE) != self.header.sync:
+            return columns, rows, None
+        if stream.read(SYNC_SIZE) != self.header.sync:
             raise ValueError(f"missing sync marker at {group_end}")
-        else:
-            self._next_group = group_end + SYNC_SIZE
-        return True
+        return columns, rows, group_end + SYNC_SIZE
 
 
 def _read_len_prefixed(stream) -> bytes:

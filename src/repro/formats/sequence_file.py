@@ -35,10 +35,13 @@ from repro.formats.common import (
 )
 from repro.hdfs.streams import StreamByteReader
 from repro.mapreduce.types import RecordReader, TaskContext
-from repro.serde.binary import datum_reader, encode_datum
+from repro.serde import binary
+from repro.serde.binary import encode_datum, record_steps
+from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
+from repro.util.varint import VarintError, decode_varint
 
 MAGIC = b"SEQ6"
 _TAG_RECORD = 0x01
@@ -73,14 +76,7 @@ def write_sequence_file(
     out.write_string(codec if compression != "none" else "")
     out.write_bytes(sync)
     codec_impl = get_codec(codec) if compression != "none" else None
-
     last_sync = out.position
-
-    def maybe_sync() -> None:
-        nonlocal last_sync
-        if out.position - last_sync >= sync_interval:
-            out.write_bytes(sync)
-            last_sync = out.position
 
     if compression == "block":
         # Block mode flushes by accumulated bytes (Hadoop's
@@ -93,13 +89,10 @@ def write_sequence_file(
             batch.append(encode_datum(schema, record))
             batch_bytes += len(batch[-1])
             if len(batch) >= block_records or batch_bytes >= block_bytes:
-                out.write_bytes(sync)
-                _flush_block(out, batch, codec_impl)
-                batch = []
-                batch_bytes = 0
+                _flush_block(out, sync, batch, codec_impl)
+                batch, batch_bytes = [], 0
         if batch:
-            out.write_bytes(sync)
-            _flush_block(out, batch, codec_impl)
+            _flush_block(out, sync, batch, codec_impl)
     else:
         for record in records:
             value = encode_datum(schema, record)
@@ -108,13 +101,17 @@ def write_sequence_file(
             out.write_byte(_TAG_RECORD)
             out.write_varint(0)  # NullWritable key
             out.write_len_prefixed(value)
-            maybe_sync()
+            if out.position - last_sync >= sync_interval:
+                out.write_bytes(sync)
+                last_sync = out.position
 
     with fs.create(path, metrics=metrics) as stream:
         stream.write(out.getvalue())
 
 
-def _flush_block(out: ByteWriter, batch: List[bytes], codec_impl) -> None:
+def _flush_block(out: ByteWriter, sync: bytes, batch: List[bytes],
+                 codec_impl) -> None:
+    out.write_bytes(sync)
     payload = ByteWriter()
     for value in batch:
         payload.write_len_prefixed(value)
@@ -153,7 +150,6 @@ class SequenceFileRecordReader(RecordReader):
         self._codec = (
             get_codec(header.codec) if header.compression != "none" else None
         )
-        self._read = datum_reader(header.schema, ctx.cost, ctx.metrics)
         self._stream = fs.open(
             split.path,
             node=ctx.node,
@@ -162,86 +158,128 @@ class SequenceFileRecordReader(RecordReader):
             probe=ctx.obs.stream_probe(file=split.path, format="seq"),
         )
         if split.start == 0:
+            # Hadoop's ``more = start < end``: the split after one that
+            # ends before the header's sync marker resyncs at that
+            # marker, so this one owns no entries.
             start = header.header_end
+            if split.end <= start - SYNC_SIZE:
+                start = None
         else:
             start = scan_to_sync(
                 self._stream, header.sync, split.start, split.end
             )
-        self._done = start is None
-        if not self._done:
-            self._stream.seek(start)
-            self._reader = StreamByteReader(self._stream)
-        self._block: List = []
-        self._block_index = 0
+        self._start = start
 
-    def read_next(self):
-        if self._block_index < len(self._block):
-            record = self._block[self._block_index]
-            self._block_index += 1
-            return None, record
-        if self._done:
-            return None
-        reader = self._reader
+    def __iter__(self):
+        """The split's records, in one loop.  A record entry's frame (the
+        sync check, tag, key length and value length) is read off the
+        reader's window in place and its value handed straight to the
+        record loop (``binary._walk``); a block, or a frame on the
+        window's edge, goes through the reader's own methods, which
+        refill, seek and raise.  A split owns every entry up to the
+        first sync marker at or past its end (Hadoop's rule)."""
+        if self._start is None:
+            return
+        metrics, profile = self.ctx.metrics, self.ctx.cost.profile
+        raw_per_byte = profile.raw_scan_per_byte
+        schema, walk = self.header.schema, binary._walk
+        steps, record_cpu = record_steps(schema, profile)
+        inflated = self.header.compression == "record"
+        split_end = self.split.end
+        self._stream.seek(self._start)
+        r = StreamByteReader(self._stream)
         while True:
-            if reader.at_end():
-                self._done = True
-                return None
-            entry_start = reader.offset
-            tag = reader.read_byte()
-            if tag == 0xFF:
-                # Hadoop semantics: a split owns every entry up to the
-                # first sync marker at or past its end offset; the next
-                # split resynchronizes at exactly that marker.
-                if entry_start >= self.split.end:
-                    self._done = True
-                    return None
-                reader.skip(SYNC_SIZE - 1)
+            buf, pos = r._buf, r.pos
+            tag = at = count = None
+            try:
+                tag = buf[pos]
+                if tag == 0xFF:
+                    if r._origin + pos >= split_end:
+                        return
+                    if pos + SYNC_SIZE <= len(buf):
+                        r.pos = pos + SYNC_SIZE
+                        continue
+                elif tag == _TAG_RECORD:
+                    n, at = buf[pos + 1], pos + 2  # the key's length
+                    if n >= 0x80:
+                        n, at = decode_varint(buf, pos + 1)
+                    n, at = buf[at + n], at + n + 1  # the value's
+                    if n >= 0x80:
+                        n, at = decode_varint(buf, at - 1)
+            except (IndexError, VarintError):
+                at = None
+            if at is None:
+                r.pos = pos
+                if r.at_end():
+                    return
+                entry_start = r.offset
+                tag = r.read_byte()
+                if tag == 0xFF:
+                    if entry_start >= split_end:
+                        return
+                    r.skip(SYNC_SIZE - 1)
+                    continue
+                if tag != _TAG_RECORD and tag != _TAG_BLOCK:
+                    raise ValueError(
+                        f"corrupt SequenceFile entry tag {tag:#x} "
+                        f"at {entry_start}"
+                    )
+                if tag == _TAG_BLOCK:
+                    count = r.read_varint()
+                r.skip(r.read_varint())  # the key, never decoded
+                n = r.read_varint()
+                at = r.pos
+
+            r.pos = at
+            if tag == _TAG_RECORD and not inflated:
+                start = r._origin + at
+                values = walk(steps, r, profile, metrics, record_cpu, 1)
+                span = r._origin + r.pos - start
+                metrics.cpu_ticks += span * raw_per_byte
+                if span != n:
+                    raise ValueError(_FRAMING)
+                metrics.records += 1
+                yield None, Record.of(schema, values)
                 continue
-            if tag == _TAG_RECORD:
-                return None, self._read_record(reader)
-            if tag != _TAG_BLOCK:
-                raise ValueError(
-                    f"corrupt SequenceFile entry tag {tag:#x} at {entry_start}"
-                )
-            self._load_block(reader)
-            if self._block:
-                record = self._block[0]
-                self._block_index = 1
-                return None, record
+            # a compressed region: one record's value, or a block's
+            data = r.read_bytes(n)
+            for values in self._inflate(data, count, steps, record_cpu):
+                metrics.records += 1
+                yield None, Record.of(schema, values)
 
-    def _read_record(self, reader) -> object:
-        reader.skip(reader.read_varint())  # the key (NullWritable: empty)
-        if self.header.compression == "record":
-            value = self._inflate(reader)
-            return self._read_value(value, len(value))
-        return self._read_value(reader, reader.read_varint())
-
-    def _read_value(self, reader, value_len: int):
-        """One record, which must fill its ``value_len`` framed bytes."""
-        record, span = self._read(reader)
-        if span != value_len:
-            raise ValueError("corrupt SequenceFile record framing")
-        return record
-
-    def _inflate(self, reader) -> ByteReader:
-        """The compressed region next on ``reader``, charged and inflated."""
+    def _inflate(self, data, count: Optional[int], steps, cpu) -> list:
+        """The values in one compressed region, charged, inflated and
+        decoded: a record's value, or the ``count`` length-prefixed
+        values of a block, which must fill it exactly."""
         ctx = self.ctx
-        compressed = reader.read_len_prefixed()
-        ctx.cost.charge_raw_scan(ctx.metrics, len(compressed))
-        ctx.cost.charge_block_inflate_setup(ctx.metrics)
-        return ByteReader(self._codec.decompress(
-            compressed, ctx.cost, ctx.metrics, registry=ctx.obs.registry
-        ))
+        cost, metrics, profile = ctx.cost, ctx.metrics, ctx.cost.profile
+        raw_per_byte = profile.raw_scan_per_byte
+        metrics.cpu_ticks += (
+            len(data) * raw_per_byte + profile.block_inflate_setup
+        )
+        data = self._codec.decompress(
+            data, cost, metrics, registry=ctx.obs.registry
+        )
+        walk = binary._walk
+        v = ByteReader(data)
+        out = []
+        for _ in range(1 if count is None else count):
+            n = len(data)
+            if count is not None:
+                n, v.pos = decode_varint(data, v.pos)
+            start = v.pos
+            values = walk(steps, v, profile, metrics, cpu, 1)
+            span = v.pos - start
+            metrics.cpu_ticks += span * raw_per_byte
+            if span != n:
+                raise ValueError(_FRAMING)
+            out.append(values)
+        if v.pos != len(data):
+            raise ValueError(_FRAMING)
+        return out
 
-    def _load_block(self, reader) -> None:
-        count = reader.read_varint()
-        reader.skip(reader.read_varint())  # the keys (NullWritable: empty)
-        block = self._inflate(reader)
-        self._block = [
-            self._read_value(block, block.read_varint()) for _ in range(count)
-        ]
-        if not block.at_end():
-            raise ValueError("corrupt SequenceFile record framing")
+
+_FRAMING = "corrupt SequenceFile record framing"
 
 
 class SequenceFileInputFormat(BlockInputFormat):

@@ -36,40 +36,8 @@ def write_text(
         fs.write_file(schema_path, schema.to_json().encode("utf-8"))
 
 
-class _LineReader:
-    """Incremental line extraction over an HDFS input stream."""
-
-    def __init__(self, stream, start: int) -> None:
-        self._stream = stream
-        self._buf = b""
-        self._offset = start  # stream offset of _buf[0]
-        stream.seek(start)
-
-    @property
-    def position(self) -> int:
-        """Stream offset of the next unread byte."""
-        return self._offset
-
-    def next_line(self) -> Optional[bytes]:
-        while True:
-            newline = self._buf.find(b"\n")
-            if newline != -1:
-                line = self._buf[:newline]
-                self._buf = self._buf[newline + 1:]
-                self._offset += newline + 1
-                return line
-            chunk = self._stream.read(64 * 1024)
-            if not chunk:
-                if self._buf:
-                    line, self._buf = self._buf, b""
-                    self._offset += len(line)
-                    return line
-                return None
-            self._buf += chunk
-
-
 class TextRecordReader(RecordReader):
-    """Reads the lines of one block-range split.
+    """Reads the lines of one block-range split, in one loop.
 
     Follows Hadoop's convention: a split that does not begin at offset 0
     discards the (partial) first line — it belongs to the previous
@@ -88,30 +56,35 @@ class TextRecordReader(RecordReader):
             buffer_size=ctx.io_buffer_size,
             probe=ctx.obs.stream_probe(file=split.path, format="txt"),
         )
-        self._lines = _LineReader(self._stream, split.start)
-        if split.start > 0:
-            self._lines.next_line()  # skip the partial line
-        self._done = False
 
-    def read_next(self):
-        if self._done:
-            return None
+    def __iter__(self):
+        ctx, stream, end = self.ctx, self._stream, self.split.end
+        buf, offset = b"", self.split.start  # the stream offset of buf[0]
+        stream.seek(offset)
+        partial = offset > 0
         # A line starting exactly at `end` still belongs to this split
         # (the next split unconditionally discards its first line).
-        if self._lines.position > self.split.end:
-            self._done = True
-            return None
-        raw = self._lines.next_line()
-        if raw is None:
-            self._done = True
-            return None
-        record = text_serde.decode_record(
-            self.schema,
-            raw.decode("utf-8"),
-            cost=self.ctx.cost,
-            metrics=self.ctx.metrics,
-        )
-        return None, record
+        while partial or offset <= end:
+            newline = buf.find(b"\n")
+            if newline == -1:
+                chunk = stream.read(64 * 1024)
+                if chunk:
+                    buf += chunk
+                    continue
+                if not buf:
+                    return
+                newline = len(buf)  # the last line, unterminated
+            line, buf = buf[:newline], buf[newline + 1:]
+            offset += newline + 1
+            if partial:
+                partial = False
+                continue
+            record = text_serde.decode_record(
+                self.schema, line.decode("utf-8"),
+                cost=ctx.cost, metrics=ctx.metrics,
+            )
+            ctx.metrics.records += 1
+            yield None, record
 
 
 class TextInputFormat(InputFormat):

@@ -11,6 +11,7 @@ separate files and large skips effective.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional
 
 from repro.hdfs.namenode import BlockInfo
@@ -128,17 +129,17 @@ class HdfsInputStream:
         if self._metrics is not None:
             self._metrics.requested_bytes += n
             self._probe.on_request(n)
-        out = bytearray()
+        parts = []
         while n > 0:
             window_off = self.pos - self._window_start
             if 0 <= window_off < len(self._window):
-                take = min(n, len(self._window) - window_off)
-                out += self._window[window_off:window_off + take]
-                self.pos += take
-                n -= take
+                parts.append(self._window[window_off:window_off + n])
+                self.pos += len(parts[-1])
+                n -= len(parts[-1])
             else:
                 self._fetch(self.pos, max(n, self._buffer_size))
-        return bytes(out)
+        # most reads lie in one window: its slice, not a copy of it
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def read_fully(self) -> bytes:
         self.seek(0)
@@ -160,7 +161,7 @@ class HdfsInputStream:
         # Flaky-reader faults surface here, at fetch granularity, so a
         # retried task re-reads from a clean stream position.
         self._fs.check_transient(self._node)
-        block_index = self._block_index(start)
+        block_index = bisect_right(self._starts, start) - 1
         cursor = start
         while cursor < end:
             block = self._blocks[block_index]
@@ -195,16 +196,6 @@ class HdfsInputStream:
                     remote_bytes,
                     transfers=remote_transfers + (1 if seeking else 0),
                 )
-
-    def _block_index(self, offset: int) -> int:
-        lo, hi = 0, len(self._starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
 
 class StreamByteReader(ByteReader):

@@ -8,7 +8,7 @@ substrate for reduce-side joins and union jobs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.mapreduce.types import InputFormat, InputSplit, RecordReader, TaskContext
 
@@ -29,12 +29,11 @@ class _TaggedReader(RecordReader):
         self._tag = tag
         self._inner = inner
 
-    def read_next(self) -> Optional[Tuple[object, object]]:
-        pair = self._inner.read_next()
-        if pair is None:
-            return None
-        key, record = pair
-        return key, (self._tag, record)
+    def __iter__(self) -> Iterator[Tuple[object, object]]:
+        # the inner reader counts the records
+        tag = self._tag
+        for key, record in self._inner:
+            yield key, (tag, record)
 
     def close(self) -> None:
         self._inner.close()

@@ -19,6 +19,8 @@ import zlib
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.hdfs.errors import FaultError
@@ -461,13 +463,19 @@ class JobRunner:
                         profiler.engine = "vectorized"
                     run_batch_map(job, reader, emit, ctx)
                 else:
-                    switch = profiler.switch
-                    for key, value in reader:
-                        job.cost.charge_map_invoke(ctx.metrics)
-                        # The scalar mapper is where lazy cells settle.
-                        switch("materialize")
-                        job.mapper(key, value, emit, ctx)
-                        switch("scan")
+                    # One loop per split: the map calls are charged once
+                    # after it, also when a row raises, and to ``scan``
+                    # as each was when it ran.
+                    mapper, invoked = profiler.wrap_mapper(job.mapper), 0
+                    try:
+                        for key, value in reader:
+                            invoked += 1
+                            mapper(key, value, emit, ctx)
+                    finally:
+                        profiler.switch("scan")
+                        ctx.metrics.cpu_ticks += (
+                            invoked * job.cost.profile.map_invoke
+                        )
             finally:
                 reader.close()
 
@@ -524,16 +532,9 @@ class JobRunner:
             comparisons = len(pairs) * max(1, int(math.log2(len(pairs)) + 1))
             ctx.metrics.charge_cpu(comparisons * _SORT_TICKS_PER_COMPARE)
         writer = output_format.open_writer(self.fs, partition_index, ctx)
-        i = 0
-        while i < len(pairs):
-            key = pairs[i][0]
-            j = i
-            while j < len(pairs) and pairs[j][0] == key:
-                j += 1
-            values = (pairs[k][1] for k in range(i, j))
-            job.reducer(key, values, writer.write, ctx)
+        for key, group in groupby(pairs, key=itemgetter(0)):
+            job.reducer(key, map(itemgetter(1), group), writer.write, ctx)
             ctx.counters.increment("reduce.groups")
-            i = j
         writer.close()
 
 

@@ -60,14 +60,16 @@ class TaskContext:
 
     def charge_predicate(self, text) -> None:
         """Charge a string/bytes predicate evaluated in user map code."""
-        self.cost.charge_predicate(self.metrics, len(text))
+        self.metrics.cpu_ticks += len(text) * self.cost.profile.predicate_per_byte
 
 
 class RecordReader:
     """Iterates the (key, value) pairs of one split.
 
     Subclasses implement :meth:`read_next`, returning ``None`` at end of
-    split.  Iteration counts records into the task metrics.
+    split, or override ``__iter__`` with a loop of their own.  Either
+    way iteration counts each record into the task metrics as it is
+    handed out.
     """
 
     def __init__(self, ctx: TaskContext) -> None:

@@ -212,6 +212,18 @@ class OperatorProfiler:
             self._current = op
         return prev
 
+    def wrap_mapper(self, mapper: Callable) -> Callable:
+        """``mapper`` run under ``materialize`` (a scalar mapper is where
+        lazy cells settle), returning to ``scan`` for the next row."""
+        switch = self.switch
+
+        def profiled(key, value, emit, ctx):
+            switch("materialize")
+            mapper(key, value, emit, ctx)
+            switch("scan")
+
+        return profiled
+
     def add_rows(self, op: str, rows_in: int, rows_out: int) -> None:
         stats = self.stats[op]
         stats.rows_in += rows_in
@@ -351,6 +363,9 @@ class NullOperatorProfiler:
 
     def switch(self, op: str) -> str:
         return "scan"
+
+    def wrap_mapper(self, mapper):
+        return mapper
 
     def add_rows(self, op, rows_in, rows_out) -> None:
         pass

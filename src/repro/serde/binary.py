@@ -31,7 +31,8 @@ and it *defers* its map and array fields: each is charged in full and
 built on first access.  An RCFile column chunk
 (:meth:`BinaryDecoder.read_deferred`) is the same loop a chunk wide, and
 a charged ``map<string>`` read outside a record is the same loop one
-datum wide, its span built at once.
+datum wide, its span built at once.  A SequenceFile reader runs the loop
+on each value itself, with the record's steps from :func:`record_steps`.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class _Plan(NamedTuple):
     #: (p) -> the datum's step in :func:`_walk`, bound to p's rates: how
     #: a record field or :meth:`BinaryDecoder.read_deferred` reads it
     step: Callable
+    #: a record's (p) -> :func:`record_steps`, kept per profile
+    fields: Optional[Callable] = None
 
 
 def _plan(schema: Schema) -> _Plan:
@@ -236,7 +239,7 @@ _PRIMITIVE_PLANS = {
 
 def _array_plan(schema: Schema) -> _Plan:
     item_read, item_read_charged, item_skip, item_skip_charged, \
-        item_write, _ = _plan(schema.items)
+        item_write, _, _ = _plan(schema.items)
     base, per_element = decode_rates("array")
 
     def read(r):
@@ -276,7 +279,7 @@ _KEY_BASE, _KEY_BYTE = decode_rates("string")
 
 def _map_plan(schema: Schema) -> _Plan:
     value_read, value_read_charged, value_skip, value_skip_charged, \
-        value_write, _ = _plan(schema.values)
+        value_write, _, _ = _plan(schema.values)
 
     def read(r):
         out = {}
@@ -489,10 +492,18 @@ def _walk(steps, r, p, m, cpu: int = 0, objects: int = 0) -> list:
     return out
 
 
+def record_steps(schema: Schema, p) -> tuple:
+    """``(steps, cpu)``: the field steps of the record ``schema`` bound
+    to profile ``p``, and the record's own decode term.  A charged
+    record read is ``Record.of(schema, _walk(steps, r, p, m, cpu, 1))``,
+    which a row reader may run in its own loop."""
+    return _plan(schema).fields(p)
+
+
 def _record_plan(schema: Schema) -> _Plan:
     plans = [_plan(f.schema) for f in schema.fields]
-    reads, _, skips, skips_charged, writes, steps = (
-        zip(*plans) if plans else [()] * 6
+    reads, _, skips, skips_charged, writes, steps, _ = (
+        zip(*plans) if plans else [()] * 7
     )
     base, _ = decode_rates("record")
     bound = _per_profile(lambda p: (tuple(step(p) for step in steps), base(p)))
@@ -525,7 +536,7 @@ def _record_plan(schema: Schema) -> _Plan:
             field(fval, out)
 
     return _Plan(read, read_charged, skip, skip_charged, write,
-                 lambda p: ("call", read_charged))
+                 lambda p: ("call", read_charged), bound)
 
 
 _CONTAINER_PLANS = {
@@ -786,22 +797,6 @@ class BinaryDecoder:
         # decode-equivalent cost plus the raw scan, discounted once
         m.cpu_ticks += cost.skip_discount(cpu + cost.raw_scan_cpu(span))
         return span
-
-
-def datum_reader(schema: Schema, cost: CpuCostModel, metrics: Metrics):
-    """``read(r) -> (datum, span)``: :meth:`BinaryDecoder.read_datum` of
-    ``schema`` bound once, off any reader, and the bytes the datum took."""
-    read_charged = _plan(schema).read_charged
-    profile, raw_scan_cpu = cost.profile, cost.raw_scan_cpu
-
-    def read(r):
-        start = r.offset
-        value = read_charged(r, profile, metrics)
-        span = r.offset - start
-        metrics.cpu_ticks += raw_scan_cpu(span)
-        return value, span
-
-    return read
 
 
 def decode_datum(schema: Schema, data: bytes):

@@ -184,7 +184,3 @@ class CpuCostModel:
     def charge_predicate(self, metrics: Metrics, nbytes: int) -> None:
         """A string-matching predicate over ``nbytes`` of input."""
         metrics.charge_cpu(nbytes * self.profile.predicate_per_byte)
-
-    def charge_map_invoke(self, metrics: Metrics) -> None:
-        """Fixed overhead of one map() call."""
-        metrics.charge_cpu(self.profile.map_invoke)
