@@ -217,9 +217,7 @@ def _export(args, out: common.Out) -> int:
     if common.is_tsdb(args.trace):
         if args.format != "prom":
             raise common.CliError(".tsdb sidecars export as 'prom' only")
-        from repro.obs.tsdb import tsdb_prometheus_text
-
-        payload = tsdb_prometheus_text(
+        payload = prometheus_text(
             common.load_tsdb(args.trace, out),
             since=args.since, until=args.until,
         )

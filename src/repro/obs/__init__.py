@@ -3,7 +3,9 @@
 The observability subsystem gives every run three instruments:
 
 - a **metric registry** (:mod:`repro.obs.registry`): labeled counters,
-  gauges and fixed-boundary histograms with a deterministic snapshot;
+  gauges and fixed-boundary histograms: the one metric store, which a
+  saved run's registry and the monitoring :class:`TimeSeriesStore`
+  (the same map with a time axis) share;
 - a **tracer** (:mod:`repro.obs.trace`): nested job → phase → task →
   op spans on both the wall clock and the simulated clock;
 - a **flight recorder** (:mod:`repro.obs.recorder`): collects spans,
@@ -64,7 +66,6 @@ from repro.obs.tsdb import (
     TimeSeriesStore,
     TSDB_VERSION,
     reconcile_tsdb,
-    tsdb_prometheus_text,
 )
 from repro.obs.slo import (
     SloConfig,
@@ -162,7 +163,6 @@ __all__ = [
     "TimeSeriesStore",
     "TSDB_VERSION",
     "reconcile_tsdb",
-    "tsdb_prometheus_text",
     "SloConfig",
     "SloStatus",
     "burn_rate",

@@ -231,14 +231,12 @@ class AlertEngine:
                 long_burn,
             )
         if rule.kind == "absence":
-            series = [
-                s for s in self.store
-                if s.name == rule.series and all(
-                    s.labels.get(k) == v for k, v in rule.labels.items()
-                )
-            ]
             last = max(
-                (s.last_t for s in series if s.last_t is not None),
+                (
+                    s.last_t
+                    for _, s in self.store.find(rule.series, **rule.labels)
+                    if s.last_t is not None
+                ),
                 default=None,
             )
             if last is None:
@@ -249,25 +247,20 @@ class AlertEngine:
                 gap = now - last
             return gap > rule.window, gap
         # static
-        since = max(0.0, now - rule.window)
-        if rule.reduce == "sum":
-            value = self.store.counter_total(
-                rule.series, since=since, until=now, **rule.labels
-            )
-        elif rule.reduce == "last":
-            found = self.store.gauge_last(
-                rule.series, since=since, until=now, **rule.labels
-            )
+        query = {
+            "sum": self.store.counter_total, "last": self.store.gauge_last,
+            "count": self.store.samples, "max": self.store.points,
+        }[rule.reduce]
+        found = query(
+            rule.series, since=max(0.0, now - rule.window), until=now,
+            **rule.labels,
+        )
+        if rule.reduce == "count":
+            value = float(len(found))
+        elif rule.reduce == "max":
+            value = max((v for _, v in found), default=0.0)
+        else:
             value = 0.0 if found is None else found
-        elif rule.reduce == "count":
-            value = float(len(self.store.samples(
-                rule.series, since=since, until=now, **rule.labels
-            )))
-        else:  # max
-            points = self.store.points(
-                rule.series, since=since, until=now, **rule.labels
-            )
-            value = max((v for _, v in points), default=0.0)
         met = {
             ">": value > rule.threshold,
             ">=": value >= rule.threshold,
@@ -295,17 +288,12 @@ class AlertEngine:
                     if now - state.pending_since >= rule.for_seconds:
                         state.state = "firing"
                         self._transition(rule, "firing", now, value)
-            else:
-                if state.state == "firing":
-                    state.state = "inactive"
-                    state.pending_since = None
-                    self._transition(rule, "resolved", now, value)
-                elif state.state == "pending":
-                    # never fired: quietly disarm (the SRE convention —
-                    # a pending alert that clears was never an incident)
-                    state.state = "inactive"
-                    state.pending_since = None
-                    self._transition(rule, "resolved", now, value)
+            elif state.state != "inactive":
+                # a firing alert resolves, and so does a pending one
+                # that clears (it never fired: SRE counts no incident)
+                state.state = "inactive"
+                state.pending_since = None
+                self._transition(rule, "resolved", now, value)
         self._emit_slo_transitions(now)
 
     def _transition(

@@ -65,38 +65,22 @@ _COST_COUNTER_MARKERS = (
 class SpanNode:
     """One span of a loaded report, linked into the tree."""
 
-    __slots__ = ("span", "children", "_sim_time")
+    __slots__ = (
+        "span", "children", "_sim_time", "span_id", "name", "kind",
+        "attrs", "sim_start", "sim_duration",
+    )
 
     def __init__(self, span: dict) -> None:
         self.span = span
         self.children: List["SpanNode"] = []
         self._sim_time: Optional[float] = None
-
-    # -- span-field accessors ------------------------------------------
-
-    @property
-    def span_id(self) -> int:
-        return self.span["id"]
-
-    @property
-    def name(self) -> str:
-        return self.span["name"]
-
-    @property
-    def kind(self) -> str:
-        return self.span.get("kind", "op")
-
-    @property
-    def attrs(self) -> dict:
-        return self.span.get("attrs", {})
-
-    @property
-    def sim_start(self) -> Optional[float]:
-        return self.span.get("sim_start")
-
-    @property
-    def sim_duration(self) -> Optional[float]:
-        return self.span.get("sim_duration")
+        # the span's fields, read once
+        self.span_id: int = span["id"]
+        self.name: str = span["name"]
+        self.kind: str = span.get("kind", "op")
+        self.attrs: dict = span.get("attrs", {})
+        self.sim_start: Optional[float] = span.get("sim_start")
+        self.sim_duration: Optional[float] = span.get("sim_duration")
 
     @property
     def sim_end(self) -> Optional[float]:
@@ -648,18 +632,16 @@ _BREAKDOWN_FIELDS = {
 def io_breakdown(report) -> List[BreakdownRow]:
     """Stream-probe counters folded into per-(format, column) rows."""
     rows: Dict[Tuple[str, str], BreakdownRow] = {}
-    for entry in report.registry:
-        if entry["kind"] != "counter":
-            continue
-        attr = _BREAKDOWN_FIELDS.get(entry["name"])
-        if attr is None:
-            continue
-        labels = entry.get("labels", {})
-        key = (labels.get("format", "?"), labels.get("column", "-"))
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = BreakdownRow(format=key[0], column=key[1])
-        setattr(row, attr, getattr(row, attr) + int(entry["value"]))
+    for name, attr in _BREAKDOWN_FIELDS.items():
+        for labels, metric in report.registry.find(name):
+            if metric.kind != "counter":
+                continue
+            labels = dict(labels)
+            key = (labels.get("format", "?"), labels.get("column", "-"))
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = BreakdownRow(format=key[0], column=key[1])
+            setattr(row, attr, getattr(row, attr) + int(metric.value))
     return [rows[key] for key in sorted(rows)]
 
 
@@ -721,11 +703,10 @@ def diff_runs(a, b, rel_tol: float = 0.01) -> Diff:
             name in _COST_METRICS)
     registry_a, registry_b = (
         {
-            (entry["kind"], entry["name"],
-             json.dumps(entry.get("labels", {}), sort_keys=True)):
-            entry["value"]
-            for entry in report.registry
-            if entry["kind"] in ("counter", "gauge")
+            (metric.kind, name, json.dumps(dict(labels), sort_keys=True)):
+            metric.value
+            for name, labels, metric in report.registry
+            if metric.kind != "histogram"
         }
         for report in (a, b)
     )

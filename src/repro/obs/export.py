@@ -16,17 +16,22 @@ is globally sorted by timestamp with End-before-Begin tie-breaking, so
 every lane's B/E nesting is balanced in file order — the invariant the
 tests assert.
 
-**Prometheus** (:func:`prometheus_text`) renders the metric registry in
-the text exposition format: ``repro_``-prefixed names, ``_total``
-suffix on counters, cumulative ``_bucket`` series for histograms.
-:func:`parse_prometheus_text` is a small validating parser used by the
-round-trip tests.
+**Prometheus** (:func:`prometheus_text`) renders any metric store in
+the text exposition format: a live registry, a report's, or a
+time-series store over a ``since``/``until`` range.  Names are
+``repro_``-prefixed with a ``_total`` suffix on counters; a bucketed
+histogram renders cumulative ``_bucket`` series, an exact-sample
+``hist`` a summary.  :func:`parse_prometheus_text` is a small
+validating parser used by the round-trip tests.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
+
+from repro.util.stats import percentile
 
 _MICROS = 1_000_000.0
 
@@ -239,60 +244,61 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def prometheus_text(source) -> str:
-    """Render a registry (or a report's frozen registry) as Prometheus
+#: metric kind -> its Prometheus type
+_PROM_TYPES = {
+    "counter": "counter", "gauge": "gauge", "histogram": "histogram",
+    "hist": "summary",
+}
 
-    text exposition.  ``source`` is a ``MetricRegistry``, a
-    ``RunReport``, or a raw snapshot list.
+
+def _prom_samples(kind: str, value) -> List[Tuple[str, Optional[dict], float]]:
+    """What one metric exposes, as ``(suffix, extra labels, value)``:
+    a counter or gauge its value (nothing for a gauge with no value in
+    the range), a bucketed histogram its cumulative ``_bucket`` counts,
+    an exact-sample ``hist`` a summary's quantiles."""
+    if kind == "histogram":
+        cumulative = list(accumulate(value.counts))
+        edges = [_format_value(float(b)) for b in value.boundaries] + ["+Inf"]
+        return [
+            ("_bucket", {"le": le}, count)
+            for le, count in zip(edges, cumulative)
+        ] + [("_sum", None, value.total), ("_count", None, cumulative[-1])]
+    if kind == "hist":
+        return [
+            ("", {"quantile": quantile}, percentile(value, p))
+            for quantile, p in (("0.5", 50), ("0.95", 95), ("0.99", 99))
+        ] + [("_sum", None, float(sum(value))), ("_count", None, len(value))]
+    return [] if value is None else [("", None, value)]
+
+
+def prometheus_text(
+    source, since: Optional[float] = None, until: Optional[float] = None,
+) -> str:
+    """Render a metric store as Prometheus text exposition.
+
+    ``source`` is a ``MetricRegistry``, anything holding one as
+    ``.registry`` (a ``RunReport``, a recorder), or a
+    ``TimeSeriesStore``, whose counters expose their totals over
+    simulated ``since..until``, gauges the last value in it and
+    exact-sample series a summary of the pooled range.
     """
-    if hasattr(source, "snapshot"):
-        entries = source.snapshot()
-    elif hasattr(source, "registry") and not isinstance(source, list):
-        entries = source.registry
-    else:
-        entries = source
-
+    store = getattr(source, "registry", source)
     # Group by (exposed name, kind) so each family gets one TYPE line.
-    families: Dict[Tuple[str, str], List[dict]] = {}
-    order: List[Tuple[str, str]] = []
-    for entry in entries:
-        key = (_prom_name(entry["name"], entry["kind"]), entry["kind"])
-        if key not in families:
-            families[key] = []
-            order.append(key)
-        families[key].append(entry)
-
+    families: Dict[Tuple[str, str], List[Tuple[dict, object]]] = {}
+    for name, labels, metric in store:
+        exposed = _prom_name(name, _PROM_TYPES[metric.kind])
+        families.setdefault((exposed, metric.kind), []).append(
+            (dict(labels), store.reading(metric, since, until))
+        )
     lines: List[str] = []
-    for name, kind in sorted(order):
-        lines.append(f"# TYPE {name} {kind}")
-        for entry in families[(name, kind)]:
-            labels = entry.get("labels", {})
-            if kind == "histogram":
-                cumulative = 0
-                for boundary, count in zip(
-                    entry["boundaries"], entry["counts"]
-                ):
-                    cumulative += count
-                    lines.append(
-                        f"{name}_bucket"
-                        f"{_prom_labels(labels, {'le': _format_value(float(boundary))})}"
-                        f" {cumulative}"
-                    )
-                total = cumulative + entry["counts"][len(entry["boundaries"])]
-                lines.append(
-                    f"{name}_bucket{_prom_labels(labels, {'le': '+Inf'})}"
-                    f" {total}"
-                )
-                lines.append(
-                    f"{name}_sum{_prom_labels(labels)}"
-                    f" {_format_value(entry['sum'])}"
-                )
-                lines.append(f"{name}_count{_prom_labels(labels)} {total}")
-            else:
-                lines.append(
-                    f"{name}{_prom_labels(labels)}"
-                    f" {_format_value(entry['value'])}"
-                )
+    for (exposed, kind), members in sorted(families.items()):
+        lines.append(f"# TYPE {exposed} {_PROM_TYPES[kind]}")
+        lines.extend(
+            f"{exposed}{suffix}{_prom_labels(labels, extra)}"
+            f" {_format_value(value)}"
+            for labels, reading in members
+            for suffix, extra, value in _prom_samples(kind, reading)
+        )
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -99,8 +99,8 @@ class DatasetHeatmap:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def from_registry(cls, dataset: str, entries: List[dict]) -> "DatasetHeatmap":
-        """Fold one registry snapshot (live or from a ``RunReport``).
+    def from_registry(cls, dataset: str, registry) -> "DatasetHeatmap":
+        """Fold one run's metric registry (live or a ``RunReport``'s).
 
         Only counters whose ``file`` label lies under ``dataset`` are
         attributed; everything else (other datasets, row-format files)
@@ -108,13 +108,11 @@ class DatasetHeatmap:
         """
         heatmap = cls(dataset)
         prefix = heatmap.dataset + "/"
-        for entry in entries:
-            if entry.get("kind") != "counter":
+        for name, labels, metric in registry:
+            field = _COUNTER_FIELDS.get(name)
+            if field is None or metric.kind != "counter":
                 continue
-            field = _COUNTER_FIELDS.get(entry.get("name", ""))
-            if field is None:
-                continue
-            labels = entry.get("labels", {})
+            labels = dict(labels)
             path = labels.get("file")
             if not path or not path.startswith(prefix):
                 continue
@@ -124,7 +122,7 @@ class DatasetHeatmap:
             rel = path[len(prefix):]
             split_dir = rel.rsplit("/", 1)[0] if "/" in rel else ""
             cell = heatmap.cell(split_dir, column)
-            setattr(cell, field, getattr(cell, field) + entry["value"])
+            setattr(cell, field, getattr(cell, field) + metric.value)
         heatmap.runs = 1
         return heatmap
 
@@ -301,15 +299,11 @@ def reconcile(
 
     # Totals vs raw probe counters (filtered to this dataset's files).
     prefix = heatmap.dataset + "/"
-    for name, field in (
-        ("hdfs.bytes.disk", "bytes_disk"),
-        ("hdfs.bytes.net", "bytes_net"),
-        ("hdfs.bytes.requested", "bytes_requested"),
-        ("hdfs.seeks", "seeks"),
-        ("hdfs.fetches", "fetches"),
-    ):
+    for name, field in _COUNTER_FIELDS.items():
+        if not name.startswith("hdfs."):
+            continue
         want = sum(
-            value for path, value in report.counter_sums("file", name).items()
+            value for path, value in report.registry.sums("file", name).items()
             if path.startswith(prefix)
         )
         triples.append((f"total {name}", heatmap.total(field), want))

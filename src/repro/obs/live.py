@@ -27,22 +27,10 @@ import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.events import Event, EventBus
-from repro.obs.tsdb import TimeSeriesStore
+from repro.obs.tsdb import TENANT_COUNTERS, TimeSeriesStore
 from repro.util.term import PLAIN, Palette
 
 _CLEAR = "\x1b[H\x1b[2J"
-
-#: the tenant table: column header, width, and the per-tenant store
-#: counter the column shows
-_TENANT_COLUMNS = (
-    ("sub", 5, "cluster.jobs.submitted"),
-    ("done", 6, "cluster.jobs.completed"),
-    ("rej", 5, "cluster.jobs.rejected"),
-    ("shed", 5, "cluster.jobs.shed"),
-    ("miss", 5, "cluster.jobs.deadline_missed"),
-    ("fail", 5, "cluster.jobs.failed"),
-    ("preempt", 8, "cluster.tasks.preempted"),
-)
 
 
 def _bar(done: int, total: int, width: int = 24) -> str:
@@ -229,7 +217,7 @@ class LiveMonitor:
         rows = {
             tenant: {
                 series: int(self.store.counter_total(series, tenant=tenant))
-                for _, _, series in _TENANT_COLUMNS
+                for series, *_ in TENANT_COUNTERS
             }
             for tenant in sorted(self.queues)
         }
@@ -242,7 +230,7 @@ class LiveMonitor:
         rows = self.tenant_rows()
         total = {
             header: sum(row[series] for row in rows.values())
-            for header, _, series in _TENANT_COLUMNS
+            for series, _, header, _ in TENANT_COUNTERS
         }
         status = "FINISHED" if self.finished else f"phase: {self.phase}"
         if self.finished and self.total_time is not None:
@@ -285,13 +273,13 @@ class LiveMonitor:
         ]
         if rows:
             headers = "".join(
-                f"{header:>{width}}" for header, width, _ in _TENANT_COLUMNS
+                f"{header:>{width}}" for _, _, header, width in TENANT_COUNTERS
             )
             lines.append(f"  {'tenant':<12}{'queue':<14}{headers}")
             for name, row in rows.items():
                 cells = "".join(
                     f"{row[series]:>{width}}"
-                    for _, width, series in _TENANT_COLUMNS
+                    for series, _, _, width in TENANT_COUNTERS
                 )
                 lines.append(f"  {name:<12}{self.queues[name]:<14}{cells}")
         if self.slo_statuses:

@@ -63,6 +63,17 @@ OPS = ("scan", "decode", "filter", "materialize", "aggregate")
 #: Per-operator integer fields that must agree exactly across engines.
 _RECONCILE_FIELDS = ("rows_in", "rows_out", "cells_decoded")
 
+#: registry counter -> the OperatorStats field each task adds to it
+_OP_COUNTERS = (
+    ("op.rows.in", "rows_in"),
+    ("op.rows.out", "rows_out"),
+    ("op.cells.decoded", "cells_decoded"),
+    ("op.cells.skipped", "cells_skipped"),
+    ("op.batches", "batches"),
+    ("op.invocations.kernel", "kernel_calls"),
+    ("op.invocations.fallback", "fallback_calls"),
+)
+
 
 class OperatorStats:
     """One operator's accumulated profile."""
@@ -295,29 +306,12 @@ class OperatorProfiler:
                 wall_time=stats.wall_time,
                 **self.meta,
             )
-            labels = {"engine": self.engine, "op": op}
-            if stats.rows_in:
-                registry.counter("op.rows.in", **labels).inc(stats.rows_in)
-            if stats.rows_out:
-                registry.counter("op.rows.out", **labels).inc(stats.rows_out)
-            if stats.cells_decoded:
-                registry.counter(
-                    "op.cells.decoded", **labels
-                ).inc(stats.cells_decoded)
-            if stats.cells_skipped:
-                registry.counter(
-                    "op.cells.skipped", **labels
-                ).inc(stats.cells_skipped)
-            if stats.batches:
-                registry.counter("op.batches", **labels).inc(stats.batches)
-            if stats.kernel_calls:
-                registry.counter(
-                    "op.invocations.kernel", **labels
-                ).inc(stats.kernel_calls)
-            if stats.fallback_calls:
-                registry.counter(
-                    "op.invocations.fallback", **labels
-                ).inc(stats.fallback_calls)
+            for name, field in _OP_COUNTERS:
+                value = getattr(stats, field)
+                if value:
+                    registry.counter(name, engine=self.engine, op=op).inc(
+                        value
+                    )
             event_ops[op] = {
                 "rows_in": stats.rows_in,
                 "rows_out": stats.rows_out,
@@ -472,20 +466,19 @@ def operator_profiles(report) -> Dict[str, Dict[str, dict]]:
 
 def kernel_call_totals(report) -> Dict[str, int]:
     """``{kernel name: batched invocations}`` from report counters."""
-    return report.counter_sums("kernel", "vecdecode.kernel.calls")
+    return report.registry.sums("kernel", "vecdecode.kernel.calls")
 
 
 def fallback_totals(report) -> Dict[str, int]:
     """``{"kernel/ReaderType": hand-offs}`` from report counters."""
     prefix = "vecdecode.fallback."
     names = sorted({
-        entry["name"] for entry in report.registry
-        if entry["name"].startswith(prefix)
+        name for name, _, _ in report.registry if name.startswith(prefix)
     })
     return {
         f"{name[len(prefix):]}/{reader}": calls
         for name in names
-        for reader, calls in report.counter_sums("reader", name).items()
+        for reader, calls in report.registry.sums("reader", name).items()
     }
 
 
@@ -493,7 +486,7 @@ def expr_fallback_totals(report) -> Dict[str, int]:
     """``{expression: map tasks}`` from ``vecexpr.fallback`` counters:
     the ``Q`` ops whose select / group / aggregate expressions did not
     compile and were evaluated row by row."""
-    return report.counter_sums("expr", "vecexpr.fallback")
+    return report.registry.sums("expr", "vecexpr.fallback")
 
 
 def render_operators(report, pal=None) -> str:

@@ -42,8 +42,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.obs.events import NULL_BUS, EventBus
 from repro.obs.registry import (
     NULL_REGISTRY,
+    SNAPSHOT_QUANTILES,
     MetricRegistry,
-    NullRegistry,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.util import jsonl
@@ -269,7 +269,9 @@ class RunReport:
         self.spans = spans
         self.metrics = metrics
         self.counters = counters
-        self.registry = registry
+        #: the run's metric store, loaded (and checked) from its
+        #: snapshot records
+        self.registry = MetricRegistry.load(registry)
         self.events = events if events is not None else []
         #: loader warnings (e.g. a truncated final line from a crashed
         #: run); surfaced by ``repro report|perf|explain``
@@ -278,27 +280,8 @@ class RunReport:
     # -- aggregate views ----------------------------------------------
 
     def counter_total(self, name: str, /, **labels) -> float:
-        """Sum of every registry counter matching ``name`` + labels."""
-        want = set((k, str(v)) for k, v in labels.items())
-        return sum(
-            entry["value"]
-            for entry in self.registry
-            if entry["kind"] == "counter"
-            and entry["name"] == name
-            and want <= set(entry["labels"].items())
-        )
-
-    def counter_sums(self, by: str, *names: str) -> Dict[str, float]:
-        """Registry counters called any of ``names``, summed per value
-        of their ``by`` label; a counter without that label is left out.
-        """
-        out: Dict[str, float] = {}
-        for entry in self.registry:
-            if entry["kind"] == "counter" and entry["name"] in names:
-                key = entry["labels"].get(by)
-                if key is not None:
-                    out[key] = out.get(key, 0) + entry["value"]
-        return out
+        """Sum of the registry's counters matching ``name`` + labels."""
+        return self.registry.value_of(name, **labels)
 
     def span_totals(self) -> Dict[str, Tuple[int, float]]:
         """``name -> (span count, summed sim_duration)``; a span with
@@ -317,31 +300,29 @@ class RunReport:
 
     def per_column_bytes(self) -> Dict[str, int]:
         """``column -> disk+net bytes`` from the stream-probe counters."""
-        return self.counter_sums("column", "hdfs.bytes.disk", "hdfs.bytes.net")
+        return self.registry.sums(
+            "column", "hdfs.bytes.disk", "hdfs.bytes.net"
+        )
 
     def task_duration_stats(self) -> Dict[str, dict]:
-        """Per-task-kind duration stats from the snapshot quantiles.
+        """Per-task-kind duration stats from the duration histograms.
 
         Keyed by the ``kind`` label of the ``task.duration.seconds``
-        histograms (``map``/``reduce``).  Quantile keys are absent for
-        artifacts recorded before snapshots carried them.
+        histograms (``map``/``reduce``).  Min, max and quantile keys are
+        absent for artifacts recorded before snapshots carried them.
         """
         out: Dict[str, dict] = {}
-        for entry in self.registry:
-            if entry["kind"] != "histogram":
-                continue
-            if entry["name"] != "task.duration.seconds":
-                continue
-            if not entry.get("count"):
+        for labels, metric in self.registry.find("task.duration.seconds"):
+            if metric.kind != "histogram" or not metric.count:
                 continue
             stats = {
-                "count": entry["count"],
-                "mean": entry["sum"] / entry["count"],
+                "count": metric.count, "mean": metric.total / metric.count,
             }
-            for key in ("min", "max", "p50", "p95", "p99"):
-                if key in entry:
-                    stats[key] = entry[key]
-            out[entry["labels"].get("kind", "task")] = stats
+            if metric.vmin is not None:
+                stats["min"], stats["max"] = metric.vmin, metric.vmax
+                for key, q in SNAPSHOT_QUANTILES:
+                    stats[key] = metric.quantile(q)
+            out[dict(labels).get("kind", "task")] = stats
         return out
 
     def summary(self) -> dict:
@@ -402,10 +383,8 @@ class RunReport:
             yield {"type": "span", **span}
         for event in self.events:
             yield {"type": "event", **event}
-        for entry in self.registry:
-            yield {"type": entry["kind"], **{
-                k: v for k, v in entry.items() if k != "kind"
-            }}
+        for entry in self.registry.snapshot():
+            yield {"type": entry.pop("kind"), **entry}
         for snap in self.metrics:
             yield {"type": "metrics", **snap}
         for dump in self.counters:
@@ -499,14 +478,16 @@ class RunReport:
             )
         for warning in self.warnings:
             sections.append(pal.yellow(f"WARNING: {warning}"))
+        counters = ["Job counters"]
+        for dump in self.counters:
+            counters.append(f"  {dump['label']}:")
+            counters += [
+                f"    {name} = {value:,}"
+                for name, value in sorted(dump["values"].items())
+            ]
         if quiet:
             if self.counters:
-                lines = ["Job counters"]
-                for dump in self.counters:
-                    lines.append(f"  {dump['label']}:")
-                    for name, value in sorted(dump["values"].items()):
-                        lines.append(f"    {name} = {value:,}")
-                sections.append("\n".join(lines))
+                sections.append("\n".join(counters))
             if not sections:
                 sections.append("(empty flight recording)")
             return "\n\n".join(sections)
@@ -576,12 +557,7 @@ class RunReport:
             sections.append("\n".join(lines))
 
         if self.counters:
-            lines = ["Job counters"]
-            for dump in self.counters:
-                lines.append(f"  {dump['label']}:")
-                for name, value in sorted(dump["values"].items()):
-                    lines.append(f"    {name} = {value:,}")
-            sections.append("\n".join(lines))
+            sections.append("\n".join(counters))
 
         events = summary["events"]
         if events["count"]:

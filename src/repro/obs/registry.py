@@ -1,10 +1,16 @@
-"""Labeled metric registry: counters, gauges, fixed-boundary histograms.
+"""The metric store: labeled counters, gauges, fixed-boundary histograms.
 
 The registry is the accounting substrate of the observability subsystem
 (`repro.obs`).  Hot paths obtain a metric handle once — usually at
 reader/stream construction — and then call ``inc()``/``set()``/
 ``observe()`` on it; the handle is a bare slotted object so the cost of
 an increment is one attribute add.
+
+It is the one ``(name, labels) -> metric`` map of a run's numbers: a
+saved run's registry loads back into one (:meth:`MetricRegistry.load`
+checks every record), and :class:`~repro.obs.tsdb.TimeSeriesStore` is
+the same map with a time axis, sharing its label key, kind check,
+get-or-create path and queries.
 
 Observability is **zero-overhead by default**: when no flight recorder
 is active, code sees a :class:`NullRegistry`, whose factory methods hand
@@ -28,6 +34,13 @@ LabelSet = Tuple[Tuple[str, str], ...]
 
 def _label_key(labels: Dict[str, object]) -> LabelSet:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def checked_number(value, what: str):
+    """``value`` if it is an int or float (not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what}: {value!r} is not a number")
+    return value
 
 
 #: the quantiles baked into histogram snapshots
@@ -78,6 +91,7 @@ class Counter:
     """A monotonically increasing count (bytes, seeks, calls...)."""
 
     __slots__ = ("value",)
+    kind = "counter"
 
     def __init__(self) -> None:
         self.value = 0
@@ -90,6 +104,7 @@ class Gauge:
     """A point-in-time value that can move both ways (queue depth...)."""
 
     __slots__ = ("value",)
+    kind = "gauge"
 
     def __init__(self) -> None:
         self.value = 0.0
@@ -118,6 +133,7 @@ class Histogram:
     """
 
     __slots__ = ("boundaries", "counts", "total", "count", "vmin", "vmax")
+    kind = "histogram"
 
     def __init__(self, boundaries: Sequence[float] = DEFAULT_BOUNDARIES):
         self.boundaries = tuple(boundaries)
@@ -177,9 +193,6 @@ class NullHistogram(Histogram):
         pass
 
 
-_KINDS = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
-
-
 class MetricRegistry:
     """Holds every (name, labels) -> metric binding of one recording.
 
@@ -200,10 +213,10 @@ class MetricRegistry:
     # labels the counter with name=map.tasks.
 
     def counter(self, name: str, /, **labels) -> Counter:
-        return self._get_or_create(name, _label_key(labels), Counter)
+        return self._get_or_create(name, labels, "counter", Counter)
 
     def gauge(self, name: str, /, **labels) -> Gauge:
-        return self._get_or_create(name, _label_key(labels), Gauge)
+        return self._get_or_create(name, labels, "gauge", Gauge)
 
     def histogram(
         self,
@@ -212,30 +225,28 @@ class MetricRegistry:
         boundaries: Sequence[float] = DEFAULT_BOUNDARIES,
         **labels,
     ) -> Histogram:
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = Histogram(boundaries)
-        elif type(metric) is not Histogram:
-            raise ValueError(f"{name}{dict(key[1])} is not a histogram")
-        elif metric.boundaries != tuple(boundaries):
+        metric = self._get_or_create(
+            name, labels, "histogram", Histogram, boundaries
+        )
+        if metric.boundaries != tuple(boundaries):
             raise ValueError(
                 f"histogram {name} re-registered with different boundaries"
             )
         return metric
 
-    def _get_or_create(self, name: str, key: LabelSet, cls):
-        metric = self._metrics.get((name, key))
+    def _get_or_create(self, name: str, labels: dict, kind: str, make, *args):
+        """The ``kind`` metric at ``(name, labels)``, made on first use."""
+        key = (name, _label_key(labels))
+        metric = self._metrics.get(key)
         if metric is None:
-            metric = self._metrics[(name, key)] = cls()
-        elif type(metric) is not cls:
+            metric = self._metrics[key] = make(*args)
+        elif metric.kind != kind:
             raise ValueError(
-                f"{name}{dict(key)} already registered as "
-                f"{_KINDS.get(type(metric), type(metric).__name__)}"
+                f"{name}{dict(key[1])} already registered as {metric.kind}"
             )
         return metric
 
-    # -- introspection -------------------------------------------------
+    # -- queries -------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -245,23 +256,43 @@ class MetricRegistry:
         for (name, labels) in sorted(self._metrics):
             yield name, labels, self._metrics[(name, labels)]
 
+    def get(self, name: str, /, **labels):
+        """The metric at exactly ``(name, labels)``, or None."""
+        return self._metrics.get((name, _label_key(labels)))
+
     def find(self, name: str, /, **labels) -> List[Tuple[LabelSet, object]]:
         """All metrics called ``name`` whose labels include ``labels``."""
         want = set(_label_key(labels))
         return [
-            (key, metric)
-            for (n, key), metric in sorted(
-                self._metrics.items(), key=lambda kv: kv[0]
-            )
+            (key, metric) for n, key, metric in self
             if n == name and want <= set(key)
         ]
 
     def value_of(self, name: str, /, default: float = 0, **labels) -> float:
         """Sum of counter/gauge values matching ``name`` + ``labels``."""
-        found = self.find(name, **labels)
-        if not found:
-            return default
-        return sum(metric.value for _, metric in found)
+        found = [
+            metric.value for _, metric in self.find(name, **labels)
+            if metric.kind != "histogram"
+        ]
+        return sum(found) if found else default
+
+    def sums(self, by: str, *names: str) -> Dict[str, float]:
+        """Counters called any of ``names``, summed per value of their
+        ``by`` label; a counter without that label is left out."""
+        out: Dict[str, float] = {}
+        for name, labels, metric in self:
+            if name in names and metric.kind == "counter":
+                key = dict(labels).get(by)
+                if key is not None:
+                    out[key] = out.get(key, 0) + metric.value
+        return out
+
+    def reading(self, metric, since=None, until=None):
+        """What ``metric`` reads: a histogram itself, a counter or gauge
+        its value (a time axis, which this store lacks, takes a range)."""
+        if since is not None or until is not None:
+            raise ValueError("this metric store has no time axis")
+        return metric if metric.kind == "histogram" else metric.value
 
     # -- snapshot ------------------------------------------------------
 
@@ -269,23 +300,69 @@ class MetricRegistry:
         """A deterministic, JSON-ready dump of every metric."""
         out: List[dict] = []
         for name, labels, metric in self:
-            entry = {"name": name, "labels": dict(labels)}
-            if type(metric) is Histogram:
-                entry["kind"] = "histogram"
+            entry = {"name": name, "labels": dict(labels), "kind": metric.kind}
+            if metric.kind == "histogram":
                 entry["boundaries"] = list(metric.boundaries)
                 entry["counts"] = list(metric.counts)
                 entry["sum"] = metric.total
                 entry["count"] = metric.count
-                if metric.count:
+                if metric.vmin is not None:
                     entry["min"] = metric.vmin
                     entry["max"] = metric.vmax
                     for key, q in SNAPSHOT_QUANTILES:
                         entry[key] = metric.quantile(q)
             else:
-                entry["kind"] = _KINDS[type(metric)]
                 entry["value"] = metric.value
             out.append(entry)
         return out
+
+    @classmethod
+    def load(cls, entries: List[dict]) -> "MetricRegistry":
+        """A registry holding a snapshot's metrics (a saved run's, say).
+
+        Every entry is checked here, once, so no query meets a malformed
+        one: a missing or non-numeric field, histogram counts that do
+        not fit its boundaries or a repeated (name, labels) is a
+        ValueError naming the entry.
+        """
+        registry = cls()
+        for entry in entries:
+            kind, name = entry.get("kind"), entry.get("name")
+            labels = entry.get("labels", {})
+            what = f"{kind} {name!r}"
+            if not (isinstance(name, str) and isinstance(labels, dict)
+                    and registry.get(name, **labels) is None):
+                raise ValueError(f"{what}: needs a name and labels, once")
+            if kind in _SCALARS:
+                registry._get_or_create(
+                    name, labels, kind, _SCALARS[kind]
+                ).value = checked_number(entry.get("value"), what)
+                continue
+            bounds, counts = entry.get("boundaries"), entry.get("counts")
+            if kind != "histogram" or not (
+                bounds and isinstance(bounds, list)
+                and isinstance(counts, list) and len(counts) == len(bounds) + 1
+            ):
+                raise ValueError(f"{what}: not a counter, gauge or histogram "
+                                 "with boundaries and a count per bucket")
+            metric = registry._get_or_create(
+                name, labels, kind, Histogram,
+                [checked_number(b, what) for b in bounds],
+            )
+            metric.counts = [checked_number(c, what) for c in counts]
+            metric.total, metric.count = (
+                checked_number(entry.get(key), what)
+                for key in ("sum", "count")
+            )
+            if "min" in entry:
+                metric.vmin, metric.vmax = (
+                    checked_number(entry.get(key), what)
+                    for key in ("min", "max")
+                )
+        return registry
+
+
+_SCALARS = {"counter": Counter, "gauge": Gauge}
 
 
 _NULL_COUNTER = NullCounter()
@@ -312,9 +389,6 @@ class NullRegistry(MetricRegistry):
         **labels,
     ) -> Histogram:
         return _NULL_HISTOGRAM
-
-    def snapshot(self) -> List[dict]:
-        return []
 
 
 NULL_REGISTRY = NullRegistry()

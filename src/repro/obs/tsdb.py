@@ -1,13 +1,12 @@
 """The embedded time-series store behind continuous cluster monitoring.
 
-Every observability surface before this module was per-run and
-point-in-time: a flight recording is one job's story, ``repro top``
-shows the current frame, the advisor reads one heatmap.  The
-:class:`TimeSeriesStore` adds the missing axis — *metrics over time* —
-so a cluster serving sustained traffic can answer "is the interactive
-tenant burning its latency budget right now?" and feed the SLO/alerting
-engine (:mod:`repro.obs.slo`, :mod:`repro.obs.alerts`) with continuous
-signals.
+:class:`TimeSeriesStore` is the metric registry's ``(name, labels) ->
+metric`` map (:class:`~repro.obs.registry.MetricRegistry`) with a time
+axis — *metrics over time* — so a cluster serving sustained traffic can
+answer "is the interactive tenant burning its latency budget right
+now?" and feed the SLO/alerting engine (:mod:`repro.obs.slo`,
+:mod:`repro.obs.alerts`).  Its metrics are :class:`Series`; the label
+key, kind check, queries and Prometheus writer are the registry's.
 
 Design rules, inherited from the rest of the simulator:
 
@@ -36,8 +35,10 @@ Design rules, inherited from the rest of the simulator:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.registry import MetricRegistry, checked_number
 from repro.util import jsonl
 from repro.util.compare import exact_mismatches
 from repro.util.stats import percentile
@@ -47,24 +48,28 @@ TSDB_VERSION = 1
 
 SERIES_KINDS = ("counter", "gauge", "hist")
 
-#: ``TenantSummary`` field -> the per-tenant counter :meth:`fold_event`
-#: keeps for it; :func:`reconcile_tsdb` proves each pair equal
-TENANT_TALLIES = (
-    ("completed", "cluster.jobs.completed"),
-    ("rejected", "cluster.jobs.rejected"),
-    ("shed", "cluster.jobs.shed"),
-    ("failed", "cluster.jobs.failed"),
-    ("deadline_misses", "cluster.jobs.deadline_missed"),
+#: the per-tenant job counters :meth:`TimeSeriesStore.fold_event` keeps,
+#: in ``repro top``'s column order: series, its ``TenantSummary`` field
+#: (None: the report keeps no such tally), column header and width
+TENANT_COUNTERS = (
+    ("cluster.jobs.submitted", None, "sub", 5),
+    ("cluster.jobs.completed", "completed", "done", 6),
+    ("cluster.jobs.rejected", "rejected", "rej", 5),
+    ("cluster.jobs.shed", "shed", "shed", 5),
+    ("cluster.jobs.deadline_missed", "deadline_misses", "miss", 5),
+    ("cluster.jobs.failed", "failed", "fail", 5),
+    ("cluster.tasks.preempted", None, "preempt", 8),
+)
+
+#: ``TenantSummary`` field -> its counter, proved equal by reconcile_tsdb
+TENANT_TALLIES = tuple(
+    (field, series) for series, field, _, _ in TENANT_COUNTERS if field
 )
 
 #: every key of a series record; a record with any other is refused
 _SERIES_FIELDS = frozenset(
     ("type", "name", "kind", "labels", "fine", "last_t")
 )
-
-
-def _label_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
 class Series:
@@ -74,7 +79,7 @@ class Series:
 
     def __init__(self, name: str, kind: str, labels: Dict[str, object]):
         if kind not in SERIES_KINDS:
-            raise ValueError(f"unknown series kind {kind!r}")
+            raise ValueError(f"series {name!r}: unknown kind {kind!r}")
         self.name = name
         self.kind = kind
         self.labels = {str(k): str(v) for k, v in labels.items()}
@@ -84,14 +89,50 @@ class Series:
         self.last_t: Optional[float] = None
 
     def observe(self, bucket: int, value: float, t: float) -> None:
+        value = float(value)
+        self._fold(bucket, [value] if self.kind == "hist" else value)
+        self._seen(t)
+
+    def merge(self, other: "Series") -> None:
+        """Fold ``other``'s buckets (a newer run's) into this series."""
+        for bucket, value in other.fine.items():
+            self._fold(bucket, value)
+        if other.last_t is not None:
+            self._seen(other.last_t)
+
+    def _fold(self, bucket: int, value) -> None:
+        """The kind's one rule: a counter adds, a gauge keeps the newest
+        value, a hist pools the samples."""
+        fine = self.fine
+        if self.kind == "counter":
+            fine[bucket] = fine.get(bucket, 0.0) + value
+        elif self.kind == "gauge":
+            fine[bucket] = value
+        else:
+            fine.setdefault(bucket, []).extend(value)
+
+    def _seen(self, t: float) -> None:
         if self.last_t is None or t > self.last_t:
             self.last_t = t
+
+    def buckets(self, lo: Optional[int], hi: Optional[int]):
+        """``(bucket, value)`` pairs in ``lo..hi`` (None: open), oldest
+        first."""
+        return [
+            (bucket, value) for bucket, value in sorted(self.fine.items())
+            if (lo is None or bucket >= lo) and (hi is None or bucket <= hi)
+        ]
+
+    def over(self, lo: Optional[int], hi: Optional[int]):
+        """What the series reads over buckets ``lo..hi``: a counter its
+        sum, a gauge its last value (None if it has none there), a hist
+        its pooled samples, sorted."""
+        values = [value for _, value in self.buckets(lo, hi)]
         if self.kind == "counter":
-            self.fine[bucket] = self.fine.get(bucket, 0.0) + float(value)
-        elif self.kind == "gauge":
-            self.fine[bucket] = float(value)
-        else:
-            self.fine.setdefault(bucket, []).append(float(value))
+            return sum(values)
+        if self.kind == "gauge":
+            return values[-1] if values else None
+        return sorted(chain.from_iterable(values))
 
     def to_dict(self) -> dict:
         out = {
@@ -110,26 +151,40 @@ class Series:
 
     @classmethod
     def from_dict(cls, record: dict) -> "Series":
+        """A series record, every field checked against its kind: a
+        malformed one is a ValueError naming the series."""
+        name, labels = record.get("name"), record.get("labels") or {}
+        what = f"series {name!r}"
         unknown = sorted(set(record) - _SERIES_FIELDS)
         if unknown:
             # e.g. a second bucket level this build cannot fold: merging
             # the record without it would silently lose its samples
             raise ValueError(
-                f"series {record.get('name')!r} has fields this build "
-                f"does not read: {unknown}"
+                f"{what} has fields this build does not read: {unknown}"
             )
-        series = cls(
-            record["name"], record["kind"], dict(record.get("labels") or {})
+        if not isinstance(name, str) or not isinstance(labels, dict):
+            raise ValueError(f"{what}: needs a name and a labels object")
+        series = cls(name, record.get("kind"), labels)
+        fine = record.get("fine", [])
+        for pair in fine if isinstance(fine, list) else [fine]:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"{what}: {pair!r} is not a bucket pair")
+            bucket, value = pair
+            if series.kind != "hist":
+                value = float(checked_number(value, what))
+            elif isinstance(value, list):
+                value = [float(checked_number(v, what)) for v in value]
+            else:
+                raise ValueError(f"{what}: hist bucket {value!r} is no list")
+            series.fine[int(checked_number(bucket, what))] = value
+        last_t = record.get("last_t")
+        series.last_t = None if last_t is None else checked_number(
+            last_t, what
         )
-        for bucket, value in record.get("fine", []):
-            series.fine[int(bucket)] = (
-                list(value) if isinstance(value, list) else float(value)
-            )
-        series.last_t = record.get("last_t")
         return series
 
 
-class TimeSeriesStore:
+class TimeSeriesStore(MetricRegistry):
     """Fixed-interval series folded from bus events on the sim clock."""
 
     def __init__(
@@ -139,6 +194,7 @@ class TimeSeriesStore:
     ) -> None:
         if step <= 0:
             raise ValueError("step must be > 0")
+        super().__init__()
         self.step = float(step)
         #: free-form header fields persisted in the sidecar meta line
         #: (the cluster monitor stores SLO declarations + rules here)
@@ -152,7 +208,6 @@ class TimeSeriesStore:
         #: loader warnings (torn tail), empty for in-memory stores
         self.warnings: List[str] = []
         self.watermark: float = 0.0
-        self._series: Dict[Tuple[str, tuple], Series] = {}
         #: running-jobs gauge state folded from admission/finish events
         self._running_jobs: Dict[str, int] = {}
 
@@ -163,57 +218,23 @@ class TimeSeriesStore:
         # the bucket they open instead of one float ulp below it.
         return int((t + 1e-12) // self.step)
 
-    def bucket_start(self, bucket: int) -> float:
-        return bucket * self.step
-
-    def series(self, name: str, kind: str, /, **labels) -> Series:
-        key = (name, _label_key(labels))
-        found = self._series.get(key)
-        if found is None:
-            found = self._series[key] = Series(name, kind, labels)
-        elif found.kind != kind:
-            raise ValueError(
-                f"series {name!r} already registered as {found.kind!r}"
-            )
-        return found
-
-    def get(self, name: str, /, **labels) -> Optional[Series]:
-        return self._series.get((name, _label_key(labels)))
-
-    def __iter__(self):
-        for key in sorted(self._series):
-            yield self._series[key]
-
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def _advance(self, t: float) -> None:
+    def record(
+        self, kind: str, name: str, t: float, value: float = 1.0, /,
+        **labels,
+    ) -> None:
+        """Fold one sample at simulated time ``t`` into the ``kind``
+        series at ``(name, labels)``."""
+        self._get_or_create(
+            name, labels, kind, Series, name, kind, labels
+        ).observe(self.bucket_of(t), value, t)
         if t > self.watermark:
             self.watermark = t
 
-    def record_counter(
-        self, name: str, t: float, value: float = 1.0, /, **labels
-    ) -> None:
-        self.series(name, "counter", **labels).observe(
-            self.bucket_of(t), value, t
-        )
-        self._advance(t)
-
-    def record_gauge(
-        self, name: str, t: float, value: float, /, **labels
-    ) -> None:
-        self.series(name, "gauge", **labels).observe(
-            self.bucket_of(t), value, t
-        )
-        self._advance(t)
-
-    def record_hist(
-        self, name: str, t: float, value: float, /, **labels
-    ) -> None:
-        self.series(name, "hist", **labels).observe(
-            self.bucket_of(t), value, t
-        )
-        self._advance(t)
+    def _adopt(self, series: Series) -> None:
+        self._get_or_create(
+            series.name, series.labels, series.kind,
+            Series, series.name, series.kind, series.labels,
+        ).merge(series)
 
     # -- the cluster event vocabulary ----------------------------------
 
@@ -233,135 +254,92 @@ class TimeSeriesStore:
         if t is None:
             return
         attrs = event.attrs
-        self.record_counter("cluster.events", t, 1.0, kind=kind)
+        record = self.record
+        record("counter", "cluster.events", t, kind=kind)
         tenant = attrs.get("tenant")
         if kind == "cluster.start":
-            self.record_gauge("cluster.slots", t, attrs.get("slots", 0))
+            record("gauge", "cluster.slots", t, attrs.get("slots", 0))
         elif kind == "cluster.finish":
-            self.record_gauge(
-                "cluster.utilization", t, attrs.get("utilization", 0.0)
-            )
+            record("gauge", "cluster.utilization", t,
+                   attrs.get("utilization", 0.0))
         elif kind == "job.submitted":
-            self.record_counter("cluster.jobs.submitted", t, 1.0,
-                                tenant=tenant)
+            record("counter", "cluster.jobs.submitted", t, tenant=tenant)
         elif kind == "admission.accept":
-            self.record_counter("cluster.jobs.accepted", t, 1.0,
-                                tenant=tenant)
+            record("counter", "cluster.jobs.accepted", t, tenant=tenant)
             self._bump_running(tenant, +1, t)
         elif kind == "admission.reject":
-            self.record_counter("cluster.jobs.rejected", t, 1.0,
-                                tenant=tenant)
+            record("counter", "cluster.jobs.rejected", t, tenant=tenant)
         elif kind == "admission.shed":
-            self.record_counter("cluster.jobs.shed", t, 1.0, tenant=tenant)
+            record("counter", "cluster.jobs.shed", t, tenant=tenant)
         elif kind == "job.finish":
             if attrs.get("outcome") == "completed":
-                self.record_counter("cluster.jobs.completed", t, 1.0,
-                                    tenant=tenant)
-                self.record_hist("cluster.job.latency", t,
-                                 attrs.get("latency", 0.0), tenant=tenant)
+                record("counter", "cluster.jobs.completed", t, tenant=tenant)
+                record("hist", "cluster.job.latency", t,
+                       attrs.get("latency", 0.0), tenant=tenant)
                 if attrs.get("deadline_miss"):
-                    self.record_counter("cluster.jobs.deadline_missed", t,
-                                        1.0, tenant=tenant)
+                    record("counter", "cluster.jobs.deadline_missed", t,
+                           tenant=tenant)
             elif attrs.get("outcome") == "failed":
-                self.record_counter("cluster.jobs.failed", t, 1.0,
-                                    tenant=tenant)
+                record("counter", "cluster.jobs.failed", t, tenant=tenant)
             if tenant is not None:
                 self._bump_running(tenant, -1, t)
         elif kind == "task.preempted":
-            self.record_counter("cluster.tasks.preempted", t, 1.0,
-                                tenant=tenant)
+            record("counter", "cluster.tasks.preempted", t, tenant=tenant)
         elif kind == "retry.backoff":
-            self.record_counter("cluster.retries", t, 1.0)
+            record("counter", "cluster.retries", t)
         elif kind == "node.lost":
-            self.record_counter("cluster.nodes.lost", t, 1.0)
+            record("counter", "cluster.nodes.lost", t)
         elif kind == "mapoutput.lost":
-            self.record_counter("cluster.mapoutputs.lost", t, 1.0)
+            record("counter", "cluster.mapoutputs.lost", t)
         elif kind == "task.speculative":
-            self.record_counter("cluster.tasks.speculative", t, 1.0)
+            record("counter", "cluster.tasks.speculative", t)
         elif kind == "operator.profile":
             engine = attrs.get("engine", "none")
             for op, stats in (attrs.get("ops") or {}).items():
-                self.record_counter(
-                    "cluster.operator.rows", t,
-                    float(stats.get("rows_out", 0)), engine=engine, op=op,
-                )
+                record("counter", "cluster.operator.rows", t,
+                       stats.get("rows_out", 0), engine=engine, op=op)
                 cells = stats.get("cells_decoded", 0)
                 if cells:
-                    self.record_counter(
-                        "cluster.operator.cells", t,
-                        float(cells), engine=engine, op=op,
-                    )
-                self.record_hist(
-                    "cluster.operator.sim_time", t,
-                    float(stats.get("sim_time", 0.0)), engine=engine, op=op,
-                )
+                    record("counter", "cluster.operator.cells", t, cells,
+                           engine=engine, op=op)
+                record("hist", "cluster.operator.sim_time", t,
+                       stats.get("sim_time", 0.0), engine=engine, op=op)
 
     def _bump_running(self, tenant: Optional[str], delta: int, t: float):
         if tenant is None:
             return
         count = max(0, self._running_jobs.get(tenant, 0) + delta)
         self._running_jobs[tenant] = count
-        self.record_gauge("cluster.jobs.running", t, count, tenant=tenant)
+        self.record("gauge", "cluster.jobs.running", t, count, tenant=tenant)
 
     # -- queries -------------------------------------------------------
 
-    def _selected(self, series: Series, since, until):
-        lo = None if since is None else self.bucket_of(since)
-        hi = None if until is None else self.bucket_of(until)
-        for bucket in sorted(series.fine):
-            if lo is not None and bucket < lo:
-                continue
-            if hi is not None and bucket > hi:
-                continue
-            yield bucket, series.fine[bucket]
+    def _window(self, since, until) -> Tuple[Optional[int], ...]:
+        return tuple(
+            None if t is None else self.bucket_of(t) for t in (since, until)
+        )
 
-    def counter_total(
-        self,
-        name: str,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        **labels,
-    ) -> float:
+    def reading(self, metric: Series, since=None, until=None):
+        """What ``metric`` reads over simulated ``since..until``."""
+        return metric.over(*self._window(since, until))
+
+    # The series at exactly ``(name, labels)`` over ``since..until``
+    # (simulated seconds, None: open), or what an absent one reads.
+
+    def _read(self, name, since, until, labels, empty):
         series = self.get(name, **labels)
-        if series is None:
-            return 0.0
-        return sum(v for _, v in self._selected(series, since, until))
+        return empty if series is None else self.reading(series, since, until)
 
-    def gauge_last(
-        self,
-        name: str,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        **labels,
-    ) -> Optional[float]:
-        series = self.get(name, **labels)
-        if series is None:
-            return None
-        values = [v for _, v in self._selected(series, since, until)]
-        return values[-1] if values else None
+    def counter_total(self, name, since=None, until=None, **labels) -> float:
+        return self._read(name, since, until, labels, 0.0)
 
-    def samples(
-        self,
-        name: str,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        **labels,
-    ) -> List[float]:
-        series = self.get(name, **labels)
-        if series is None:
-            return []
-        out: List[float] = []
-        for _, values in self._selected(series, since, until):
-            out.extend(values)
-        return sorted(out)
+    def gauge_last(self, name, since=None, until=None, **labels):
+        return self._read(name, since, until, labels, None)
 
-    def points(
-        self,
-        name: str,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        **labels,
-    ) -> List[Tuple[float, float]]:
+    def samples(self, name, since=None, until=None, **labels) -> List[float]:
+        return self._read(name, since, until, labels, [])
+
+    def points(self, name, since=None, until=None, **labels):
         """Per-bucket ``(start_time, value)`` pairs, oldest first.
 
         Counters yield per-interval sums, gauges the interval's last
@@ -372,10 +350,10 @@ class TimeSeriesStore:
             return []
         return [
             (
-                self.bucket_start(bucket),
+                bucket * self.step,
                 float(len(value)) if isinstance(value, list) else value,
             )
-            for bucket, value in self._selected(series, since, until)
+            for bucket, value in series.buckets(*self._window(since, until))
         ]
 
     # -- merging -------------------------------------------------------
@@ -386,21 +364,8 @@ class TimeSeriesStore:
             raise ValueError(
                 f"cannot merge step={other.step} into step={self.step}"
             )
-        for series in other:
-            mine = self.series(series.name, series.kind, **series.labels)
-            buckets = mine.fine
-            for bucket, value in sorted(series.fine.items()):
-                if series.kind == "counter":
-                    buckets[bucket] = buckets.get(bucket, 0.0) + value
-                elif series.kind == "gauge":
-                    buckets[bucket] = value
-                else:
-                    merged = list(buckets.get(bucket, [])) + list(value)
-                    buckets[bucket] = sorted(merged)
-            if series.last_t is not None and (
-                mine.last_t is None or series.last_t > mine.last_t
-            ):
-                mine.last_t = series.last_t
+        for _, _, series in other:
+            self._adopt(series)
         self.alerts.extend(
             {**entry, "run": entry.get("run", self.runs)}
             for entry in other.alerts
@@ -422,15 +387,12 @@ class TimeSeriesStore:
             "watermark": self.watermark,
             **self.meta,
         }
-        lines = [header]
-        lines.extend(series.to_dict() for series in self)
-        for entry in self.alerts:
-            lines.append({
-                "type": "alert", "run": entry.get("run", 0), **entry,
-            })
-        for entry in self.statuses:
-            lines.append({"type": "slo", **entry})
-        return lines
+        return [header] + [
+            series.to_dict() for _, _, series in self
+        ] + [
+            {"type": "alert", "run": entry.get("run", 0), **entry}
+            for entry in self.alerts
+        ] + [{"type": "slo", **entry} for entry in self.statuses]
 
     def save(self, path: str) -> "TimeSeriesStore":
         """Persist the sidecar, folding any existing file in first.
@@ -470,31 +432,25 @@ class TimeSeriesStore:
                 f"{path}: tsdb version {header.get('v')!r} "
                 f"(this build reads {TSDB_VERSION})"
             )
-        store = cls(
-            step=float(header.get("step", 0.05)),
-            meta={
-                k: v for k, v in header.items()
-                if k not in (
-                    "type", "format", "v", "step", "runs", "watermark",
-                )
-            },
-        )
-        store.runs = int(header.get("runs", 1))
-        store.watermark = float(header.get("watermark", 0.0))
+        meta = {
+            k: v for k, v in header.items() if k not in ("type", "format", "v")
+        }
+
+        def number(key, default):
+            return checked_number(meta.pop(key, default), path)
+
+        store = cls(step=float(number("step", 0.05)))
+        store.runs = int(number("runs", 1))
+        store.watermark = float(number("watermark", 0.0))
+        store.meta = meta
         for record in records[1:]:
-            if record["type"] == "series":
-                series = Series.from_dict(record)
-                store._series[(series.name, _label_key(series.labels))] = (
-                    series
-                )
-            elif record["type"] == "alert":
-                store.alerts.append(
-                    {k: v for k, v in record.items() if k != "type"}
-                )
-            elif record["type"] == "slo":
-                store.statuses.append(
-                    {k: v for k, v in record.items() if k != "type"}
-                )
+            kind = record.pop("type", None)
+            if kind == "series":
+                store._adopt(Series.from_dict(record))
+            elif kind == "alert":
+                store.alerts.append(record)
+            elif kind == "slo":
+                store.statuses.append(record)
         store.warnings = list(warnings)
         return store, warnings
 
@@ -535,69 +491,3 @@ def reconcile_tsdb(store: TimeSeriesStore, report) -> List[str]:
             for label, p in (("p50", 50), ("p95", 95), ("p99", 99))
         ]
     return exact_mismatches("tsdb", "report", triples)
-
-
-# -- Prometheus export ------------------------------------------------------
-
-
-def tsdb_prometheus_text(
-    store: TimeSeriesStore,
-    since: Optional[float] = None,
-    until: Optional[float] = None,
-) -> str:
-    """Render a (time-range of a) store as Prometheus text exposition.
-
-    Counters expose their range totals, gauges the last value in range,
-    histogram series a summary family (``_count``/``_sum`` plus
-    p50/p95/p99 quantile samples over the pooled range).
-    """
-    from repro.obs.export import _format_value, _prom_labels, _prom_name
-
-    grouped: Dict[Tuple[str, str], List[Series]] = {}
-    for series in store:
-        grouped.setdefault((series.name, series.kind), []).append(series)
-
-    lines: List[str] = []
-    for (name, kind) in sorted(grouped):
-        if kind == "hist":
-            exposed = _prom_name(name, "gauge")
-            lines.append(f"# TYPE {exposed} summary")
-        else:
-            exposed = _prom_name(name, kind)
-            lines.append(f"# TYPE {exposed} {kind}")
-        for series in grouped[(name, kind)]:
-            labels = series.labels
-            if kind == "counter":
-                value = store.counter_total(
-                    name, since=since, until=until, **labels
-                )
-                lines.append(
-                    f"{exposed}{_prom_labels(labels)} {_format_value(value)}"
-                )
-            elif kind == "gauge":
-                value = store.gauge_last(
-                    name, since=since, until=until, **labels
-                )
-                if value is None:
-                    continue
-                lines.append(
-                    f"{exposed}{_prom_labels(labels)} {_format_value(value)}"
-                )
-            else:
-                sample = store.samples(
-                    name, since=since, until=until, **labels
-                )
-                for quantile, p in (("0.5", 50), ("0.95", 95), ("0.99", 99)):
-                    lines.append(
-                        f"{exposed}"
-                        f"{_prom_labels(labels, {'quantile': quantile})}"
-                        f" {_format_value(percentile(sample, p))}"
-                    )
-                lines.append(
-                    f"{exposed}_sum{_prom_labels(labels)}"
-                    f" {_format_value(float(sum(sample)))}"
-                )
-                lines.append(
-                    f"{exposed}_count{_prom_labels(labels)} {len(sample)}"
-                )
-    return "\n".join(lines) + "\n" if lines else ""

@@ -170,6 +170,68 @@ def test_valid_artifacts_load_clean(valid):
         assert not any("warning" in line.lower() for line in lines), reader
 
 
+#: registry records a flight recording cannot hold, each with the
+#: readers that would trip over it: the loader refuses them all
+BAD_REGISTRY_RECORDS = {
+    "counter without value": (
+        {"type": "counter", "name": "hdfs.bytes.disk", "labels": {}},
+        ("report", "export prom", "perf breakdown"),
+    ),
+    "counter with text value": (
+        {"type": "counter", "name": "hdfs.bytes.disk", "labels": {},
+         "value": "7"},
+        ("report", "export prom"),
+    ),
+    "histogram without boundaries": (
+        {"type": "histogram", "name": "hdfs.fetch.bytes", "labels": {},
+         "counts": [1], "sum": 3.0, "count": 1},
+        ("export prom",),
+    ),
+    "histogram counts short": (
+        {"type": "histogram", "name": "hdfs.fetch.bytes", "labels": {},
+         "boundaries": [1, 4], "counts": [1, 0], "sum": 3.0, "count": 1},
+        ("export prom",),
+    ),
+}
+BAD_REGISTRY_CASES = [
+    (record, reader)
+    for record, (_, readers) in sorted(BAD_REGISTRY_RECORDS.items())
+    for reader in readers
+]
+
+
+def _with_bad_record(valid, tmp_path, record):
+    lines = text_of(valid / "trace").decode().splitlines(keepends=True)
+    lines.insert(1, json.dumps(BAD_REGISTRY_RECORDS[record][0]) + "\n")
+    path = tmp_path / "run.jsonl"
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize(
+    "record,reader", BAD_REGISTRY_CASES,
+    ids=[f"{reader}:{record}" for record, reader in BAD_REGISTRY_CASES],
+)
+def test_malformed_registry_record_is_an_unreadable_recording(
+    valid, tmp_path, record, reader
+):
+    path = str(_with_bad_record(valid, tmp_path, record))
+    _, argv = READERS[reader]
+    code, lines = run([arg.replace("{}", path) for arg in argv])
+    assert code == 1, lines
+    assert lines[-1].startswith(f"error: cannot read flight recording {path}")
+
+
+@pytest.mark.parametrize("record", sorted(BAD_REGISTRY_RECORDS))
+def test_malformed_registry_record_fails_at_load(valid, tmp_path, record):
+    from repro.obs import RunReport
+
+    path = _with_bad_record(valid, tmp_path, record)
+    kind = BAD_REGISTRY_RECORDS[record][0]["type"]
+    with pytest.raises(ValueError, match=kind):
+        RunReport.load(str(path))
+
+
 @pytest.mark.parametrize("case", [c for c in HOSTILE if c != "missing"])
 def test_corpus_replay_reports_an_unreadable_case(
     valid, hostile, tmp_path, case

@@ -128,8 +128,7 @@ class TestExactReconciliation:
         with recorder.activate():
             lazy_scan(fs, "/ha/cif", ["int0"], ["int0"])
             lazy_scan(fs, "/hb/cif", ["str0"], ["str0"])
-        snapshot = recorder.registry.snapshot()
-        only_a = DatasetHeatmap.from_registry("/ha/cif", snapshot)
+        only_a = DatasetHeatmap.from_registry("/ha/cif", recorder.registry)
         assert all(
             column in ("int0", ".schema") for _, column in only_a.cells
         )
@@ -147,7 +146,7 @@ class TestHeatmapSidecar:
             with recorder.activate():
                 lazy_scan(fs, "/hs/cif", ["int0"], ["int0"])
             heatmap = DatasetHeatmap.from_registry(
-                "/hs/cif", recorder.registry.snapshot()
+                "/hs/cif", recorder.registry
             )
             totals.append(heatmap.total("rows_read"))
             heatmap.save(fs)

@@ -107,7 +107,7 @@ def artifacts(tmp_path_factory):
     recorder.report().write_jsonl(str(root / "run.jsonl.gz"))
     store = TimeSeriesStore(meta={"origin": "test"})
     for n in range(2000):
-        store.record_counter("jobs", n * 0.01, 1.0, tenant=str(n % 97))
+        store.record("counter", "jobs", n * 0.01, 1.0, tenant=str(n % 97))
     store.save(str(root / "run.tsdb"))
     return root, json.dumps(report.to_dict(), sort_keys=True)
 

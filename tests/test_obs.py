@@ -284,7 +284,7 @@ class TestFlightRecorder:
         back = RunReport.from_jsonl(text)
         assert back.meta == {"run": "t1"}
         assert back.spans == report.spans
-        assert back.registry == report.registry
+        assert back.registry.snapshot() == report.registry.snapshot()
         assert back.metrics == report.metrics
         assert back.counters == report.counters
         assert back.to_jsonl() == text

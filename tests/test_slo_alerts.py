@@ -31,7 +31,7 @@ def _store_with(latencies=(), failed=0, shed=0, rejected=0, t0=0.0):
     store = TimeSeriesStore(step=0.05)
     t = t0
     for latency in latencies:
-        store.record_hist("cluster.job.latency", t, latency, tenant="t")
+        store.record("hist", "cluster.job.latency", t, latency, tenant="t")
         t += 0.05
     for series, count in (
         ("cluster.jobs.failed", failed),
@@ -39,7 +39,7 @@ def _store_with(latencies=(), failed=0, shed=0, rejected=0, t0=0.0):
         ("cluster.jobs.rejected", rejected),
     ):
         for _ in range(count):
-            store.record_counter(series, t, 1.0, tenant="t")
+            store.record("counter", series, t, 1.0, tenant="t")
             t += 0.05
     return store, t
 
@@ -174,10 +174,10 @@ def test_static_rule_fires_and_resolves():
         reduce="sum", op=">=", threshold=2.0,
     )
     store, engine = _static_engine(rule)
-    store.record_counter("rej", 0.01, 1.0)
+    store.record("counter", "rej", 0.01, 1.0)
     engine.evaluate(0.05)
     assert engine.firing() == []
-    store.record_counter("rej", 0.06, 1.0)
+    store.record("counter", "rej", 0.06, 1.0)
     engine.evaluate(0.1)
     assert engine.firing() == ["rejects"]
     engine.evaluate(1.0)  # window empty again
@@ -192,7 +192,7 @@ def test_for_seconds_dwell_walks_pending_then_firing():
         reduce="sum", op=">", threshold=0.5, for_seconds=0.1,
     )
     store, engine = _static_engine(rule)
-    store.record_counter("x", 0.0, 1.0)
+    store.record("counter", "x", 0.0, 1.0)
     engine.evaluate(0.05)
     assert engine.pending() == ["slow"]
     engine.evaluate(0.1)
@@ -209,7 +209,7 @@ def test_pending_that_clears_resolves_without_firing():
         reduce="sum", op=">", threshold=0.5, for_seconds=1.0,
     )
     store, engine = _static_engine(rule)
-    store.record_counter("x", 0.0, 1.0)
+    store.record("counter", "x", 0.0, 1.0)
     engine.evaluate(0.05)
     assert engine.pending() == ["blip"]
     engine.evaluate(5.0)  # condition gone before the dwell elapsed
@@ -222,23 +222,23 @@ def test_absence_rule_fires_on_silence():
     rule = AlertRule(name="dead", kind="absence", series="beat", window=0.3)
     store = TimeSeriesStore(step=0.05)
     engine = AlertEngine(store, [rule])
-    store.record_counter("beat", 0.1, 1.0)
+    store.record("counter", "beat", 0.1, 1.0)
     engine.evaluate(0.3)
     assert engine.firing() == []
     engine.evaluate(0.5)  # 0.4s of silence > 0.3 window
     assert engine.firing() == ["dead"]
-    store.record_counter("beat", 0.55, 1.0)
+    store.record("counter", "beat", 0.55, 1.0)
     engine.evaluate(0.6)
     assert engine.firing() == []
 
 
 def test_static_reducers():
     store = TimeSeriesStore(step=0.05)
-    store.record_gauge("depth", 0.02, 9.0)
-    store.record_hist("lat", 0.02, 0.5)
-    store.record_hist("lat", 0.03, 0.7)
-    store.record_counter("err", 0.02, 1.0)
-    store.record_counter("err", 0.07, 3.0)
+    store.record("gauge", "depth", 0.02, 9.0)
+    store.record("hist", "lat", 0.02, 0.5)
+    store.record("hist", "lat", 0.03, 0.7)
+    store.record("counter", "err", 0.02, 1.0)
+    store.record("counter", "err", 0.07, 3.0)
     last = AlertRule(
         name="g", kind="static", series="depth", window=1.0,
         reduce="last", op=">=", threshold=9.0,
@@ -270,12 +270,12 @@ def test_burn_rate_needs_both_windows():
     # bad jobs early, then a recovery: long window still burns, short
     # window is clean
     for i in range(10):
-        store.record_hist(
-            "cluster.job.latency", i * 0.05, 5.0, tenant="t"
+        store.record(
+            "hist", "cluster.job.latency", i * 0.05, 5.0, tenant="t"
         )
     for i in range(10):
-        store.record_hist(
-            "cluster.job.latency", 1.0 + i * 0.02, 0.01, tenant="t"
+        store.record(
+            "hist", "cluster.job.latency", 1.0 + i * 0.02, 0.01, tenant="t"
         )
     engine = AlertEngine(store, [rule], slos=[slo])
     engine.evaluate(1.2)
@@ -299,10 +299,10 @@ def test_observe_watermark_evaluates_each_crossed_boundary():
         reduce="sum", op=">", threshold=0.5,
     )
     store, engine = _static_engine(rule)
-    store.record_counter("x", 0.12, 1.0)
+    store.record("counter", "x", 0.12, 1.0)
     engine.observe_watermark(0.12)   # first observation: one eval
     engine.observe_watermark(0.13)   # same bucket: no new eval
-    store.record_counter("x", 0.31, 1.0)
+    store.record("counter", "x", 0.31, 1.0)
     engine.observe_watermark(0.31)   # crosses 0.15..0.30: catch-up evals
     transitions = [(a["t"], a["transition"]) for a in store.alerts]
     assert (0.1, "firing") in transitions
@@ -321,7 +321,7 @@ def test_alert_events_emitted_on_bus():
         reduce="sum", op=">", threshold=0.5,
     )
     store, engine = _static_engine(rule, bus=bus)
-    store.record_counter("x", 0.0, 1.0)
+    store.record("counter", "x", 0.0, 1.0)
     engine.evaluate(0.05)
     assert "alert.firing" in seen
 

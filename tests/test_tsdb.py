@@ -19,12 +19,12 @@ from repro.cluster.traffic import run_traffic, sample_profile
 from repro.faults import FaultEvent, FaultPlan
 from repro.obs import EventBus, MetricRegistry, NULL_TRACER, Observability
 from repro.obs.alerts import ClusterMonitor
+from repro.obs.export import prometheus_text
 from repro.obs.tsdb import (
     Series,
     TimeSeriesStore,
     TSDB_VERSION,
     reconcile_tsdb,
-    tsdb_prometheus_text,
 )
 from repro.util import jsonl
 
@@ -42,9 +42,9 @@ def _bus_store(step=0.05, **kwargs):
 
 def test_counter_buckets_sum_increments():
     store = TimeSeriesStore(step=0.1)
-    store.record_counter("hits", 0.01)
-    store.record_counter("hits", 0.09)
-    store.record_counter("hits", 0.11)
+    store.record("counter", "hits", 0.01)
+    store.record("counter", "hits", 0.09)
+    store.record("counter", "hits", 0.11)
     series = store.get("hits")
     assert series.fine == {0: 2.0, 1: 1.0}
     assert store.counter_total("hits") == 3.0
@@ -54,8 +54,8 @@ def test_counter_buckets_sum_increments():
 
 def test_gauge_buckets_keep_last_value():
     store = TimeSeriesStore(step=0.1)
-    store.record_gauge("depth", 0.02, 4.0)
-    store.record_gauge("depth", 0.08, 7.0)
+    store.record("gauge", "depth", 0.02, 4.0)
+    store.record("gauge", "depth", 0.08, 7.0)
     assert store.get("depth").fine == {0: 7.0}
     assert store.gauge_last("depth") == 7.0
     assert store.gauge_last("depth", since=0.2) is None
@@ -64,7 +64,7 @@ def test_gauge_buckets_keep_last_value():
 def test_hist_buckets_keep_exact_samples():
     store = TimeSeriesStore(step=0.1)
     for t, v in ((0.01, 0.5), (0.05, 0.2), (0.15, 0.9)):
-        store.record_hist("lat", t, v)
+        store.record("hist", "lat", t, v)
     assert store.samples("lat") == [0.2, 0.5, 0.9]
     assert store.samples("lat", until=0.1 - 1e-9) == [0.2, 0.5]
     # points expose per-bucket sample counts
@@ -73,8 +73,8 @@ def test_hist_buckets_keep_exact_samples():
 
 def test_labels_split_series_and_kind_label_is_allowed():
     store = TimeSeriesStore()
-    store.record_counter("ev", 0.0, 1.0, kind="a")
-    store.record_counter("ev", 0.0, 1.0, kind="b")
+    store.record("counter", "ev", 0.0, 1.0, kind="a")
+    store.record("counter", "ev", 0.0, 1.0, kind="b")
     assert store.counter_total("ev", kind="a") == 1.0
     assert store.counter_total("ev", kind="b") == 1.0
     assert store.counter_total("ev") == 0.0  # unlabeled series distinct
@@ -83,15 +83,15 @@ def test_labels_split_series_and_kind_label_is_allowed():
 
 def test_kind_conflict_rejected():
     store = TimeSeriesStore()
-    store.record_counter("x", 0.0)
+    store.record("counter", "x", 0.0)
     with pytest.raises(ValueError, match="already registered"):
-        store.record_gauge("x", 0.1, 1.0)
+        store.record("gauge", "x", 0.1, 1.0)
 
 
 def test_boundary_sample_lands_in_opening_bucket():
     store = TimeSeriesStore(step=0.05)
     # 3 * 0.05 is not exact in floats; the epsilon keeps it in bucket 3
-    store.record_counter("edge", 0.15000000000000002)
+    store.record("counter", "edge", 0.15000000000000002)
     assert store.bucket_of(0.15) == 3
     assert list(store.get("edge").fine) == [3]
 
@@ -148,9 +148,9 @@ def test_running_jobs_gauge_tracks_accept_and_finish():
 
 def _small_store():
     store = TimeSeriesStore(step=0.05, meta={"origin": "test"})
-    store.record_counter("c", 0.02, 2.0, tenant="a")
-    store.record_gauge("g", 0.04, 1.5)
-    store.record_hist("h", 0.06, 0.25, tenant="a")
+    store.record("counter", "c", 0.02, 2.0, tenant="a")
+    store.record("gauge", "g", 0.04, 1.5)
+    store.record("hist", "h", 0.06, 0.25, tenant="a")
     store.alerts.append(
         {"t": 0.05, "alert": "r", "transition": "firing", "kind": "static",
          "value": 2.0, "threshold": 1.0}
@@ -255,7 +255,7 @@ def test_torn_gzip_stream_salvaged(tmp_path):
     path = str(tmp_path / "cut.tsdb")
     store = TimeSeriesStore()
     for i in range(200):
-        store.record_counter("many", i * 0.05, 1.0, idx=str(i % 7))
+        store.record("counter", "many", i * 0.05, 1.0, idx=str(i % 7))
     store.save(path)
     blob = open(path, "rb").read()
     with open(path, "wb") as handle:
@@ -275,6 +275,52 @@ def test_early_malformed_line_is_hard_error(tmp_path):
         handle.write(text)
     with pytest.raises(ValueError, match="line 2"):
         TimeSeriesStore.load(path)
+
+
+#: a series record broken each way, as ``(line, field, value)`` edits of
+#: ``_small_store().to_lines()`` (line 1: counter ``c``, 2: gauge ``g``,
+#: 3: hist ``h``), with the name the error must give
+MALFORMED_SERIES = {
+    "no name": (1, "name", None, "series"),
+    "null bucket": (1, "fine", [[None, 1.0]], "'c'"),
+    "bucket not a pair": (1, "fine", [[0]], "'c'"),
+    "list counter value": (1, "fine", [[0, [2.0]]], "'c'"),
+    "text gauge value": (2, "fine", [[0, "1.5"]], "'g'"),
+    "scalar hist samples": (3, "fine", [[1, 0.25]], "'h'"),
+    "text hist sample": (3, "fine", [[1, ["0.25"]]], "'h'"),
+    "labels not an object": (1, "labels", ["tenant", "a"], "'c'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SERIES))
+def test_malformed_series_record_is_a_value_error(tmp_path, case):
+    line, field, value, named = MALFORMED_SERIES[case]
+    lines = _small_store().to_lines()
+    if value is None:
+        del lines[line][field]
+    else:
+        lines[line][field] = value
+    path = tmp_path / "bad.tsdb"
+    jsonl.write_frame(str(path), lines)
+    damaged = path.read_bytes()
+    with pytest.raises(ValueError, match=named):
+        TimeSeriesStore.load(str(path))
+    # save() folds the file in first: it refuses, and leaves it as it was
+    with pytest.raises(ValueError, match=named):
+        _small_store().save(str(path))
+    assert path.read_bytes() == damaged
+
+
+@pytest.mark.parametrize("field", ["step", "runs", "watermark"])
+def test_non_numeric_header_field_is_a_value_error(tmp_path, field):
+    lines = _small_store().to_lines()
+    lines[0][field] = [1]
+    path = tmp_path / "bad.tsdb"
+    jsonl.write_frame(str(path), lines)
+    damaged = path.read_bytes()
+    with pytest.raises(ValueError, match="is not a number"):
+        _small_store().save(str(path))
+    assert path.read_bytes() == damaged
 
 
 def test_load_rejects_wrong_format_and_version(tmp_path):
@@ -413,7 +459,7 @@ def test_tsdb_prometheus_text_round_trips(monitored):
     from repro.obs.export import parse_prometheus_text
 
     monitor, _, _ = monitored
-    payload = tsdb_prometheus_text(monitor.store)
+    payload = prometheus_text(monitor.store)
     parsed = parse_prometheus_text(payload)
     assert parsed
     assert "repro_cluster_jobs_completed_total" in payload
@@ -422,11 +468,11 @@ def test_tsdb_prometheus_text_round_trips(monitored):
 
 def test_tsdb_prometheus_time_range_filters():
     store = TimeSeriesStore(step=0.1)
-    store.record_counter("c", 0.05, 1.0)
-    store.record_counter("c", 0.55, 5.0)
-    full = tsdb_prometheus_text(store)
-    early = tsdb_prometheus_text(store, until=0.2)
-    late = tsdb_prometheus_text(store, since=0.5)
+    store.record("counter", "c", 0.05, 1.0)
+    store.record("counter", "c", 0.55, 5.0)
+    full = prometheus_text(store)
+    early = prometheus_text(store, until=0.2)
+    late = prometheus_text(store, since=0.5)
     assert " 6" in full
     assert " 1" in early
     assert " 5" in late
