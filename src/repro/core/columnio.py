@@ -549,8 +549,8 @@ class SkipListColumnReader(ColumnReader):
         """Headers are parsed off the window (one it does not hold goes
         to :meth:`_consume_block_header`, a DCSL dictionary always to
         :meth:`_consume_dictionary`); a gap jumps each whole block it
-        covers from that block's start, and bottom blocks' values go to
-        one gather."""
+        covers from that block's start, and a run is one take across
+        its blocks' headers."""
         reader, ctx = self.reader, self.ctx
         dcsl = self.has_dictionaries
         gather = self._new_gather(reader, keys, *(
@@ -596,13 +596,10 @@ class SkipListColumnReader(ColumnReader):
                     gather.hop(jumped)
                 i += jumped
                 n -= jumped
-            end = start + length
-            while i < end:
-                if i % smallest == 0:
-                    headers(i, 0)
-                step = min(end - i, smallest - i % smallest)
-                gather.take(step)
-                i += step
+            if length:  # (its headers() calls add to parsed as it goes)
+                in_place = gather.take(length, (i, sizes, dcsl, headers))
+                parsed += in_place
+            i += length
         self.next_index = i
         ctx.cost.charge_raw_scan(ctx.metrics, parsed)
         return gather.finish()

@@ -32,6 +32,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import fields
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.serde.record import Record, _Deferred
@@ -189,11 +190,7 @@ class StringVector(Vector):
 
     @classmethod
     def from_chunks(cls, chunks: List[bytes]) -> "StringVector":
-        offsets = [0] * (len(chunks) + 1)
-        total = 0
-        for i, chunk in enumerate(chunks):
-            total += len(chunk)
-            offsets[i + 1] = total
+        offsets = list(accumulate(map(len, chunks), initial=0))
         return cls(b"".join(chunks), offsets)
 
     def value(self, i: int) -> str:
@@ -260,9 +257,12 @@ def complement_selection(
 
 
 def gather(data, sel: Sequence[int]) -> List:
-    """Materialize the values of ``sel`` from a vector or sparse dict."""
+    """Materialize the values of ``sel`` from a vector or sparse dict
+    (a whole frame's in one ``to_list``: one call for a flat vector)."""
     if isinstance(data, dict):
         return [data[i] for i in sel]
+    if sel == range(data.length):
+        return data.to_list()
     value = data.value
     return [value(i) for i in sel]
 

@@ -44,12 +44,24 @@ from repro.obs.registry import (
     NULL_REGISTRY,
     SNAPSHOT_QUANTILES,
     MetricRegistry,
+    checked_number,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.util import jsonl
 
 #: what :mod:`repro.util.jsonl` calls this artifact's lines in errors
 _RECORD = "flight-recorder record"
+
+#: span and event records (the schema above): the keys each must hold,
+#: and its times, which must be numbers where present
+_SHAPES = {
+    "span": (
+        ("id", "parent", "name", "kind", "wall_start", "wall_end"),
+        ("wall_start", "wall_end", "sim_start", "sim_duration", "sim_io",
+         "sim_cpu"),
+    ),
+    "event": (("seq", "kind", "wall"), ("wall", "sim")),
+}
 
 #: Metrics fields serialized into ``metrics`` records, in schema order.
 _METRICS_FIELDS = (
@@ -252,6 +264,20 @@ class FlightRecorder(Observability):
         )
 
 
+def _check_shape(index: int, kind: str, record: dict) -> None:
+    """A ``span`` or ``event`` record as the schema has it, else a
+    ValueError naming the record: no reader meets a missing key or a
+    time that is not a number."""
+    keys, times = _SHAPES[kind]
+    what = f"record {index}: {kind}"
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+    for key in times:
+        if key in record:
+            checked_number(record[key], f"{what} {key}")
+
+
 class RunReport:
     """The frozen artifact: everything one run's flight recorder saw."""
 
@@ -418,6 +444,8 @@ class RunReport:
         events: List[dict] = []
         for index, record in enumerate(records):
             kind = record.pop("type")
+            if kind in _SHAPES:
+                _check_shape(index, kind, record)
             if kind == "meta":
                 meta = record
             elif kind == "span":

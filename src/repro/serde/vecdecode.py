@@ -12,7 +12,7 @@ partial sums).  That one datum is handed to the per-datum method the
 reference itself uses (``reader.read_zigzag()``,
 ``BinaryDecoder.read_datum``/``skip_datum``, the DCSL reader's own
 per-value decode and skip), which refills or raises; the loop resumes on
-whatever window the hand-off left behind; :func:`_edges` is the only
+whatever window the hand-off left behind.  :class:`Gather` is the one
 place this happens.
 
 That is what keeps the kernels *charge-identical* to the scalar path
@@ -35,6 +35,7 @@ zero.  See ``docs/vectorized.md`` § Window edges.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from functools import partial
 from operator import methodcaller
 
@@ -79,26 +80,6 @@ def fallback(reader, kernel: str) -> None:
     """Count one datum ``kernel`` handed to the per-datum path."""
     if _SINK is not None:
         _SINK.fallback(reader, kernel)
-
-
-def _edges(reader, kernel: str, k: int, window, args):
-    """Pass ``k`` datums: the one window hand-off.
-
-    Runs ``window(buf, pos, k, *args) -> (pos, done)`` over the
-    buffered bytes and yields once for each datum that does not lie
-    wholly inside them.  The kernel driving this generator passes that
-    datum to the per-datum reference method, which refills exactly as
-    the scalar path does because it is the scalar path.  Each yield is
-    one ``vecdecode.fallback.<kernel>`` count.
-    """
-    while True:
-        reader.pos, done = window(reader._buf, reader.pos, k, *args)
-        k -= done
-        if k <= 0:
-            return
-        fallback(reader, kernel)
-        yield
-        k -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +519,7 @@ class Gather:
     :meth:`take` decodes the next ``k`` datums onto ``values`` and
     :meth:`hop` passes ``k``, off the window of ``reader`` (repointed at
     each compressed block a column reader opens); a datum on an edge
-    goes to the per-datum method through :func:`_edges`.  A kind with
+    goes to the per-datum method, one ``fallback`` count.  A kind with
     no window loop, and every kind in the per-datum mode (``batched``
     off: the reference), is one per-datum decode or skip per datum.
     Primitives taken are charged once, by :meth:`finish`, as the
@@ -612,17 +593,73 @@ class Gather:
                 keys = [key if key in self.wanted else None for key in keys]
             self.args[4:6] = keys, True
 
-    def take(self, k: int) -> None:
+    def take(self, k: int, frame=None) -> int:
+        """Decode the next ``k`` datums onto ``values``; returns the
+        header bytes parsed in place.  A skip-list run passes ``frame =
+        (row, sizes, top, headers)``: each multiple of ``sizes[-1]`` from
+        ``row`` on follows its blocks' headers.  Batched, those the window
+        holds are parsed in place and one window loop takes the bodies
+        they frame, joined.  Any other header group, every one per datum,
+        and (``top``) one on a top-block row go to ``headers(row, 0)``."""
         if self.one is None:
             self._arm()
         reader, one, values = self.reader, self.one, self.values
-        start = reader.offset
-        if self.window is None:
-            values += [one(reader) for _ in range(k)]
-        else:
-            for _ in _edges(reader, self.kernel, k, self.window, self.args):
+        window, args = self.window, self.args
+        row, sizes, top, headers = frame or (0, (k + 1,), False, None)
+        smallest, end = sizes[-1], row + k
+        start, parsed = reader.offset, 0
+        ready = frame is None or row % smallest  # no headers pending
+        while row < end:
+            n = smallest - row % smallest  # to the next boundary or the
+            n = n if n < end - row else end - row  # end (min() costs a call)
+            if ready and window is None:
+                values += [one(reader) for _ in range(n)]
+                got = n
+            elif ready:  # the rest of a bottom block, off the window
+                reader.pos, got = window(reader._buf, reader.pos, n, *args)
+            else:
+                buf, p = reader._buf, reader.pos
+                parts, spans, at, header, b = [], [], 0, 0, row
+                try:
+                    while window and b < end and (b % sizes[0] or not top):
+                        q = p  # b's header group: each level's rows, bytes
+                        for size in sizes:
+                            for _ in (0, 1) if b % size == 0 else ():
+                                nbytes = buf[q]
+                                q += 1
+                                if nbytes >= 0x80:  # inline LEB128
+                                    nbytes, shift = nbytes & 0x7F, 7
+                                    while buf[q] >= 0x80:
+                                        nbytes |= (buf[q] & 0x7F) << shift
+                                        q, shift = q + 1, shift + 7
+                                    nbytes |= buf[q] << shift
+                                    q += 1
+                        header, p = header + q - p, q + nbytes
+                        parts.append(buf[q:p])  # the bottom block's body
+                        spans.append((at, q, header))
+                        at += len(parts[-1])
+                        b += smallest
+                except IndexError:  # a header group off the window
+                    pass
+                if not parts:
+                    before = reader.offset
+                    headers(row, 0)
+                    start += reader.offset - before  # out of the span
+                    ready = True
+                    continue
+                n = min(b, end) - row  # then back into the body it ends in
+                at, got = window(b"".join(parts), 0, n, *args)
+                j = bisect_right(spans, (at, len(buf) + 1)) - 1
+                reader.pos = spans[j][1] + at - spans[j][0]
+                parsed += spans[j][2]
+            row += got
+            if got < n:  # a datum on the window's edge
+                fallback(reader, self.kernel)
                 values.append(one(reader))
-        self.span += reader.offset - start
+                row += 1
+            ready = row % smallest
+        self.span += reader.offset - start - parsed
+        return parsed
 
     def hop(self, k: int) -> None:
         """Pass ``k`` datums, charged as ``k`` per-datum skips."""
@@ -648,8 +685,14 @@ class Gather:
                 + k * window * cost.profile.raw_scan_per_byte
             ))
         else:
-            for _ in _edges(reader, kernel, k, window, args):
+            while True:
+                reader.pos, done = window(reader._buf, reader.pos, k, *args)
+                k -= done
+                if k <= 0:
+                    break
+                fallback(reader, kernel)  # a datum on the window's edge
                 skip(reader)
+                k -= 1
 
     def finish(self) -> "Gather":
         """Charge the primitives taken: a cell each, an object each if

@@ -201,8 +201,13 @@ BAD_REGISTRY_CASES = [
 
 
 def _with_bad_record(valid, tmp_path, record):
+    return _inserted(valid, tmp_path, BAD_REGISTRY_RECORDS[record][0])
+
+
+def _inserted(valid, tmp_path, record):
+    """The valid recording with ``record`` as its record 1."""
     lines = text_of(valid / "trace").decode().splitlines(keepends=True)
-    lines.insert(1, json.dumps(BAD_REGISTRY_RECORDS[record][0]) + "\n")
+    lines.insert(1, json.dumps(record) + "\n")
     path = tmp_path / "run.jsonl"
     path.write_text("".join(lines))
     return path
@@ -229,6 +234,68 @@ def test_malformed_registry_record_fails_at_load(valid, tmp_path, record):
     path = _with_bad_record(valid, tmp_path, record)
     kind = BAD_REGISTRY_RECORDS[record][0]["type"]
     with pytest.raises(ValueError, match=kind):
+        RunReport.load(str(path))
+
+
+#: span and event records the schema in ``repro.obs.recorder`` refuses,
+#: each with the readers that died on it with a bare KeyError or
+#: TypeError before the loader checked them ("event without wall" read
+#: as a default time instead)
+BAD_TIMELINE_RECORDS = {
+    "span without wall_end": (
+        {"type": "span", "id": 999, "parent": None, "name": "x",
+         "kind": "job", "wall_start": 0.0},
+        ("report", "export chrome"),
+    ),
+    "span with text wall_start": (
+        {"type": "span", "id": 999, "parent": None, "name": "x",
+         "kind": "job", "wall_start": "0", "wall_end": 1.0},
+        ("report", "export chrome"),
+    ),
+    "span without id": (
+        {"type": "span", "parent": None, "name": "x", "kind": "job",
+         "wall_start": 0.0, "wall_end": 1.0},
+        ("perf critical-path", "perf timeline", "perf stragglers"),
+    ),
+    "event with text sim": (
+        {"type": "event", "seq": 999, "kind": "task.finish", "wall": 0.1,
+         "sim": "0.1"},
+        ("export chrome", "top --replay"),
+    ),
+    "event without wall": (
+        {"type": "event", "seq": 999, "kind": "job.start"}, ("report",),
+    ),
+}
+BAD_TIMELINE_CASES = [
+    (record, reader)
+    for record, (_, readers) in sorted(BAD_TIMELINE_RECORDS.items())
+    for reader in readers
+]
+
+
+@pytest.mark.parametrize(
+    "record,reader", BAD_TIMELINE_CASES,
+    ids=[f"{reader}:{record}" for record, reader in BAD_TIMELINE_CASES],
+)
+def test_malformed_span_or_event_record_is_an_unreadable_recording(
+    valid, tmp_path, record, reader
+):
+    path = str(_inserted(valid, tmp_path, BAD_TIMELINE_RECORDS[record][0]))
+    _, argv = READERS[reader]
+    code, lines = run([arg.replace("{}", path) for arg in argv])
+    assert code == 1, lines
+    assert lines[-1].startswith(f"error: cannot read flight recording {path}")
+
+
+@pytest.mark.parametrize("record", sorted(BAD_TIMELINE_RECORDS))
+def test_malformed_span_or_event_record_fails_at_load(
+    valid, tmp_path, record
+):
+    from repro.obs import RunReport
+
+    bad = BAD_TIMELINE_RECORDS[record][0]
+    path = _inserted(valid, tmp_path, bad)
+    with pytest.raises(ValueError, match=f"record 1: {bad['type']}"):
         RunReport.load(str(path))
 
 

@@ -43,6 +43,7 @@ from repro.core.vector import (
 from repro.core.columnio import (
     ColumnSpec,
     DcslColumnReader,
+    SkipListColumnReader,
     encode_column_file,
     open_column_reader,
 )
@@ -1048,3 +1049,142 @@ def test_skiplist_run_loop_equals_per_row_path_at_every_window_edge(
                 want = ([want[0][0][row] for row in calls[0]], *want[1:])
             assert got == want, f"window={window} dense={dense}"
     assert "skiplist_headers" in handed
+
+
+# -- the run loop at every window edge, three levels deep ---------------------
+#
+# The same sweep over an int column of multi-byte zig-zags and a DCSL
+# column read with a key projection, framed into blocks of 8/4/2 rows,
+# so that two or three header groups stack on one row.  The run loop's
+# hand-offs are compared too.  The per-row path hands nothing off, so
+# each of its header or datum reads that has to fetch is recorded as the
+# one the run loop hands off there ("skiplist_headers", or the datum's
+# kernel); its gaps are the run loop's own and record their own.
+
+_STACKED = {
+    "int": (
+        Schema.long_(), [(-1) ** i * 7 ** (i % 13) for i in range(40)], None,
+    ),
+    "dcsl": (Schema.map(Schema.long_()), [
+        {key: (-1) ** i * 5 ** (i % 9) for key in ("k", "k2", "é" * 3)[:i % 4]}
+        for i in range(40)
+    ], ("k",)),
+}
+
+
+def _record_per_row_hand_offs(monkeypatch, handed, cls, kernel):
+    """Inside ``read_value`` of ``cls``, add ``kernel`` to ``handed`` for
+    each datum read that fetches and "skiplist_headers" for each header
+    read that does, unless the read counted a hand-off itself."""
+    fetched, depth, in_row = [], [], []
+    require = StreamByteReader._require
+
+    def counted_require(self, n):
+        if self.pos + n > len(self._buf):
+            fetched.append(n)
+        require(self, n)
+
+    def per_row(method, name):
+        def wrapped(self, *args):
+            fetches, hands = len(fetched), len(handed)
+            depth.append(name)
+            try:
+                return method(self, *args)
+            finally:
+                depth.pop()
+                if in_row and not depth and len(fetched) > fetches and (
+                    len(handed) == hands
+                ):
+                    handed.append(name)
+        return wrapped
+
+    def read_value(self, keys=None):
+        in_row.append(True)
+        try:
+            return row_read(self, keys)
+        finally:
+            in_row.pop()
+
+    row_read = SkipListColumnReader.read_value
+    monkeypatch.setattr(StreamByteReader, "_require", counted_require)
+    monkeypatch.setattr(SkipListColumnReader, "read_value", read_value)
+    monkeypatch.setattr(SkipListColumnReader, "_consume_block_header", per_row(
+        SkipListColumnReader._consume_block_header, "skiplist_headers",
+    ))
+    monkeypatch.setattr(cls, "_decode_one_value", per_row(
+        cls._decode_one_value, kernel,
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(_STACKED))
+def test_stacked_skiplist_run_loop_hands_off_where_the_per_row_path_fetches(
+    name, monkeypatch
+):
+    schema, column, keys = _STACKED[name]
+    layout = "dcsl" if schema.kind == "map" else "skiplist"
+    payload = encode_column_file(
+        schema, column, ColumnSpec(layout, skip_sizes=(8, 4, 2))
+    )
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/col", payload)
+    handed = []
+    monkeypatch.setattr(
+        vecdecode, "fallback", lambda reader, kernel: handed.append(kernel)
+    )
+    kernel = "read_maps" if layout == "dcsl" else "read_zigzags"
+    _record_per_row_hand_offs(monkeypatch, handed, (
+        DcslColumnReader if layout == "dcsl" else SkipListColumnReader
+    ), kernel)
+    every, sparse = [list(range(40))], [[0, 1, 2, 5, 8, 15, 16, 17, 31], [39]]
+    seen = set()
+    for window in range(1, len(payload) + 1):
+        for calls in (every, sparse):
+            dense = calls is every
+            runs = []
+            for walk in (
+                _column_walk(schema, None, keys) if dense
+                else _selected_walk(schema, calls, keys, False),
+                _selected_walk(schema, calls, keys, True),
+            ):
+                handed.clear()
+                runs.append((*_run_at_window(fs, "/col", window, walk),
+                             list(handed)))
+            got, want = runs
+            if dense:
+                want = ([want[0][0][row] for row in calls[0]], *want[1:])
+            assert got == want, f"window={window} dense={dense}"
+            seen.update(got[-1])
+    assert {"skiplist_headers", kernel} <= seen, seen
+
+
+def test_a_bad_key_id_inside_a_run_raises_as_the_per_datum_gather_does():
+    """A DCSL map whose key id is past its dictionary, in a bottom block
+    inside a run: the run loop stops at it and hands it to the per-datum
+    decode, which raises as the per-datum gather (the reference) does,
+    with the same charges and stream reads, wherever the window ends."""
+    schema = Schema.map(Schema.long_())
+    maps = [{"k": i, "k2": -i} for i in range(40)]
+    maps[13] = {"k2": 4242}  # zig-zag 8484: the bytes a4 42
+    payload = bytearray(encode_column_file(
+        schema, maps, ColumnSpec("dcsl", skip_sizes=(8, 4, 2))
+    ))
+    at = payload.index(b"\xa4\x42") - 1
+    assert payload[at] == 1  # the id of "k2"
+    payload[at] = 0x7F
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/col", bytes(payload))
+
+    def dense(batched):
+        def walk(reader, ctx):
+            column = open_column_reader(reader._stream, schema, ctx)
+            column.batch_kernels = batched
+            return column.read_vector(column.count).to_list()
+        return walk
+
+    for window in range(1, len(payload) + 1):
+        got, want = (
+            _run_at_window(fs, "/col", window, dense(batched), IndexError)
+            for batched in (True, False)
+        )
+        assert got == want, f"window={window}"
+        assert got[0] is IndexError
