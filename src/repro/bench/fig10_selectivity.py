@@ -78,11 +78,11 @@ def aggregate_metrics(
     matches = 0
     try:
         if execution == "vectorized":
-            from repro.core.vector import fold_aggregate
+            from repro.core.vector import compile_predicate, fold_aggregate
             from repro.query.aggregates import sum_
             from repro.query.expr import col
 
-            fmt.set_filter(col("str0").contains(PATTERN))
+            predicate = compile_predicate(col("str0").contains(PATTERN))
             folder = sum_(col("attrs"))
             for split in fmt.get_splits(fs, fs.cluster):
                 reader = fmt.open_reader(fs, split, ctx)
@@ -91,8 +91,10 @@ def aggregate_metrics(
                     frame = reader.read_batch()
                     if frame is None:
                         break
-                    survivors = frame.selection
+                    profiler.switch("filter")
+                    survivors = predicate.run(frame, frame.selection, ctx)
                     n = len(survivors)
+                    profiler.add_rows("filter", frame.length, n)
                     profiler.switch("materialize")
                     profiler.add_rows("materialize", n, n)
                     values = [

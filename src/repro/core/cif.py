@@ -37,7 +37,6 @@ from repro.core.vector import (
     DEFAULT_BATCH_ROWS,
     CellLedger,
     VectorFrame,
-    compile_predicate,
     full_selection,
     resolve_execution,
 )
@@ -267,9 +266,8 @@ class VectorizedCIFRecordReader(CIFRecordReader):
       reference's reused Record, valid until the next row.  Record
       counts are left to ``RecordReader.__iter__``.
     - **batch iteration** (:meth:`read_batch`): returns whole
-      :class:`~repro.core.vector.VectorFrame` objects with any pushed
-      filters already applied to ``frame.selection``; record counts are
-      charged per frame here.
+      :class:`~repro.core.vector.VectorFrame` objects, every row
+      selected; record counts are charged per frame here.
 
     Frames never span split-directories, so every frame reads one
     contiguous row range of one directory's column files.
@@ -285,14 +283,11 @@ class VectorizedCIFRecordReader(CIFRecordReader):
         lazy: bool,
         ctx: TaskContext,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        filters: Optional[Sequence] = None,
     ) -> None:
         super().__init__(fs, split, columns, lazy, ctx)
         if batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
         self._batch_rows = batch_rows
-        self._filters = list(filters or [])
-        self._programs = None
         self._mode: Optional[str] = None
         self._frame: Optional[VectorFrame] = None
         self._frame_last = False  # frame ends its directory
@@ -353,15 +348,13 @@ class VectorizedCIFRecordReader(CIFRecordReader):
         )
 
     def read_batch(self) -> Optional[VectorFrame]:
-        """Next frame with filters applied, or ``None`` at end of split."""
+        """Next frame, or ``None`` at end of split."""
         if self._mode == "rows":
             raise RuntimeError(
                 "reader is being drained with read_next(); "
                 "batch iteration cannot be mixed in"
             )
-        if self._mode is None:
-            self._mode = "batches"
-            self._programs = [compile_predicate(f) for f in self._filters]
+        self._mode = "batches"
         prev, prev_last = self._frame, self._frame_last
         if prev is not None and prev.ledger is not None:
             prev.ledger.settle_frame(prev, exclude_last=prev_last)
@@ -371,17 +364,6 @@ class VectorizedCIFRecordReader(CIFRecordReader):
         self.ctx.metrics.records += frame.length
         if frame.ledger is not None:
             frame.ledger.on_rows(frame.length)
-        sel = frame.selection
-        if self._programs:
-            profiler = self.ctx.profiler
-            prev = profiler.switch("filter")
-            for program in self._programs:
-                if not sel:
-                    break
-                sel = program.run(frame, sel, self.ctx)
-            profiler.add_rows("filter", frame.length, len(sel))
-            profiler.switch(prev)
-        frame.selection = sel
         return frame
 
 
@@ -421,7 +403,6 @@ class ColumnInputFormat(InputFormat):
         #: reference reader the differential oracle compares it against
         self.execution = resolve_execution(execution)
         self.batch_rows = batch_rows
-        self.filters: List = []
         #: split-directories pruned by zone maps on the last get_splits
         self.pruned_dirs = 0
 
@@ -473,21 +454,10 @@ class ColumnInputFormat(InputFormat):
         # Dot-files (.schema, .stats) are metadata, not columns.
         return [c for c in fs.listdir(split_dir) if not c.startswith(".")]
 
-    def set_filter(self, *exprs) -> None:
-        """Push full row filters (:class:`repro.query.expr.Expr`) down.
-
-        Unlike ``predicates`` (zone-map pruning only), these
-        filter records: :meth:`VectorizedCIFRecordReader.read_batch`
-        applies them as selection kernels.  Row iteration and the
-        scalar reference reader ignore them — those callers filter per
-        record.
-        """
-        self.filters = list(exprs)
-
     def open_reader(self, fs, split: CIFSplit, ctx: TaskContext) -> RecordReader:
         if self.execution == "scalar":
             return CIFRecordReader(fs, split, self.columns, self.lazy, ctx)
         return VectorizedCIFRecordReader(
             fs, split, self.columns, self.lazy, ctx,
-            batch_rows=self.batch_rows, filters=self.filters,
+            batch_rows=self.batch_rows,
         )

@@ -48,8 +48,10 @@ types, not complex ones):
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from copy import copy
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.compress.codecs import get_codec
 from repro.compress.dictionary import KeyDictionary
@@ -104,10 +106,10 @@ class ColumnSpec:
         if self.format not in _FORMAT_NAMES:
             raise ValueError(f"unknown column format {self.format!r}")
         sizes = tuple(self.skip_sizes)
-        if any(a <= b for a, b in zip(sizes, sizes[1:])) or any(
+        if any(a <= b or a % b for a, b in zip(sizes, sizes[1:])) or any(
             s < 2 for s in sizes
         ):
-            raise ValueError(f"skip sizes must be descending >= 2: {sizes}")
+            raise ValueError(f"skip sizes must be descending >= 2 and nest: {sizes}")
         if self.format == "cblock" and self.block_bytes < 1:
             raise ValueError("block_bytes must be positive")
 
@@ -263,10 +265,26 @@ def _build_dcsl_region(
 # ---------------------------------------------------------------------------
 
 
-def _vector(gather):
-    """A finished gather's values as the typed vector of its tag."""
-    from repro.core.vector import NumericVector, ObjectVector, StringVector
+class _Taken(NamedTuple):
+    """A walk's result where no :class:`~repro.serde.vecdecode.Gather`
+    holds it: ``values`` tagged as a gather's are, or (``tag`` "runs")
+    the values of RLE runs, ``values[r]`` from taken row ``starts[r]``
+    on, ``length`` rows in all."""
 
+    tag: str
+    values: list
+    starts: Optional[list] = None
+    length: int = 0
+
+
+def _vector(gather):
+    """A walk's values as the typed vector of its tag."""
+    from repro.core.vector import (
+        NumericVector, ObjectVector, RunsVector, StringVector,
+    )
+
+    if gather.tag == "runs":
+        return RunsVector(gather.values, gather.starts, gather.length)
     if gather.tag in ("q", "d"):
         return NumericVector.build(gather.values, gather.tag)
     if gather.tag == "str":
@@ -366,6 +384,13 @@ class ColumnReader:
     def read_value(self, keys=None):
         raise NotImplementedError
 
+    def _gather(self, runs, keys=None):
+        """The layout's one walk over ``(start, length)`` runs of rows
+        from ``next_index`` on: gaps are skipped, runs taken.  Returns a
+        finished :class:`~repro.serde.vecdecode.Gather` or a
+        :class:`_Taken`."""
+        raise NotImplementedError
+
     def _read_datum_fast(self, reader=None, decoder=None, keys=None):
         """One datum via the batched map kernel when enabled (a lazy
         row's cell read hits this); charge-identical to
@@ -379,11 +404,6 @@ class ColumnReader:
         return (decoder if decoder is not None else self._decoder).read_datum(
             self.field_schema
         )
-
-    #: ``_gather(runs, keys) -> Gather``, the layout's one walk over
-    #: ``(start, length)`` runs of rows from ``next_index`` on: gaps are
-    #: skipped, runs taken
-    _gather = None
 
     def _new_gather(self, reader, keys, *per_datum):
         """The gather of one column read, in window steps or (without
@@ -401,14 +421,9 @@ class ColumnReader:
 
         Charge-identical to ``n`` consecutive :meth:`read_value` calls
         (the vectorized execution contract): one ``_gather`` over one
-        run, or where a layout has none, ``n`` :meth:`read_value` calls.
+        run.
         """
-        from repro.core.vector import ObjectVector
-
         self._check_read_vector(n)
-        if self._gather is None:
-            read_value = self.read_value
-            return ObjectVector([read_value(keys) for _ in range(n)])
         gather = self._gather(((self.next_index, n),), keys)
         self._obs_rows_read.inc(n)
         self._profiler.on_cells(n)
@@ -418,17 +433,19 @@ class ColumnReader:
         """``{row: value}`` for ascending absolute ``rows``: one window
         loop that hops each gap and decodes each survivor, equal in every
         charge, counter and stream request to ``sync_to(row)`` +
-        ``read_value(keys)`` per row, which runs where there is none."""
-        if not (
-            rows and self._gather is not None
-            and self.next_index <= rows[0] and rows[-1] < self.count
-        ):
-            return {row: self.value_at(row, keys) for row in rows}
+        ``read_value(keys)`` per row."""
+        if not rows:
+            return {}
+        if rows[0] < self.next_index:
+            self.sync_to(rows[0])  # raises: a column cannot rewind
+        self._check_read_vector(rows[-1] + 1 - self.next_index)
         skipped = rows[-1] + 1 - self.next_index - len(rows)
         gather = self._gather(_runs(rows), keys)
         values = gather.values
         if gather.tag == "str":
             values = [str(raw, "utf-8") for raw in values]
+        elif gather.tag == "runs":
+            values = _vector(gather).to_list()
         if skipped:
             self._obs_rows_skipped.inc(skipped)
             self._profiler.on_cells_skipped(skipped)
@@ -587,21 +604,22 @@ class SkipListColumnReader(ColumnReader):
             return 0
 
         i = self.next_index
-        for start, length in runs:
-            n = start - i
-            while n > 0:
-                jumped = headers(i, n) if i % smallest == 0 else 0
-                if not jumped:
-                    jumped = min(n, smallest - i % smallest)
-                    gather.hop(jumped)
-                i += jumped
-                n -= jumped
-            if length:  # (its headers() calls add to parsed as it goes)
-                in_place = gather.take(length, (i, sizes, dcsl, headers))
-                parsed += in_place
-            i += length
+        try:  # a read that raises has still parsed its headers
+            for start, length in runs:
+                n = start - i
+                while n > 0:
+                    jumped = headers(i, n) if i % smallest == 0 else 0
+                    if not jumped:
+                        jumped = min(n, smallest - i % smallest)
+                        gather.hop(jumped)
+                    i += jumped
+                    n -= jumped
+                if length:  # (its headers() calls add to parsed as it goes)
+                    gather.take(length, (i, sizes, self.count, dcsl, headers))
+                i += length
+        finally:
+            ctx.cost.charge_raw_scan(ctx.metrics, parsed + gather.parsed)
         self.next_index = i
-        ctx.cost.charge_raw_scan(ctx.metrics, parsed)
         return gather.finish()
 
     def _decode_one_value(self, keys=None):
@@ -767,22 +785,22 @@ class DefaultColumnReader(ColumnReader):
         self._default = default
         self._decoder = None  # no bytes to decode
 
-    def skip(self, n: int) -> None:
-        self._check_bounds(n)
-        self.next_index += n
-
     def read_value(self, keys=None):
         if self.next_index >= self.count:
             raise EOFError("read past column end")
         self.next_index += 1
         self._obs_rows_read.inc()
         self._profiler.on_cells(1)
-        value = self._default
-        if isinstance(value, dict):
-            return dict(value)
-        if isinstance(value, list):
-            return list(value)
-        return value
+        return copy(self._default)
+
+    def _gather(self, runs, keys=None):
+        """No bytes to walk: a gap moves ``next_index``, a run copies the
+        default once per row."""
+        values = []
+        for start, length in runs:
+            values += [copy(self._default) for _ in range(length)]
+            self.next_index = start + length
+        return _Taken("obj", values)
 
 
 class RleColumnReader(ColumnReader):
@@ -793,15 +811,19 @@ class RleColumnReader(ColumnReader):
         self._run_remaining = 0
         self._run_value = None
 
-    def _open_run(self) -> int:
-        before = self.reader.offset
-        run = self.reader.read_varint()
-        self._run_value = self._decoder.read_datum(self.field_schema)
-        self.ctx.cost.charge_raw_scan(
-            self.ctx.metrics, self.reader.offset - before
-        )
-        self._run_remaining = run
-        return run
+    def _open_run(self, gap: int = 0) -> int:
+        """Read the next run's length and value, or hop the value of a
+        run that a ``gap`` covers whole: returns the rows hopped."""
+        reader = self.reader
+        before = reader.offset
+        run = reader.read_varint()
+        if gap >= run:
+            self._decoder.skip_datum(self.field_schema)
+        else:
+            self._run_value = self._decoder.read_datum(self.field_schema)
+            self._run_remaining = run
+        self.ctx.cost.charge_raw_scan(self.ctx.metrics, reader.offset - before)
+        return run if gap >= run else 0
 
     def read_value(self, keys=None):
         if self.next_index >= self.count:
@@ -819,62 +841,36 @@ class RleColumnReader(ColumnReader):
         self._profiler.on_cells(1)
         return self._run_value
 
-    def read_vector(self, n: int, keys=None):
-        """Batched read into a RunsVector: one decode per run, one
-        re-emit charge per additional row — and downstream filters
-        evaluate once per run, never touching individual rows."""
-        from repro.core.vector import RunsVector
-
-        self._check_read_vector(n)
+    def _gather(self, runs, keys=None):
+        """Runs of rows as RLE runs (a :class:`~repro.core.vector.RunsVector`
+        when whole, so a filter evaluates once per run): one decode per
+        run opened, one re-emit charge per further row.  A gap hops the
+        value of each run it covers whole."""
         cost, metrics = self.ctx.cost, self.ctx.metrics
-        values: list = []
-        starts: list = []
-        produced = 0
-        while produced < n:
-            if self._run_remaining == 0:
-                # opening charges the decode; the first row re-emits free
-                self._open_run()
-                take = min(n - produced, self._run_remaining)
-                reemits = take - 1
-            else:
-                take = min(n - produced, self._run_remaining)
-                reemits = take
-            values.append(self._run_value)
-            starts.append(produced)
-            if reemits:
-                cost.charge_dictionary_lookup(metrics, reemits)
-                metrics.cells += reemits
-            self._run_remaining -= take
-            produced += take
-        self.next_index += n
-        self._obs_rows_read.inc(n)
-        self._profiler.on_cells(n)
-        return RunsVector(values, starts, n)
-
-    def skip(self, n: int) -> None:
-        self._check_bounds(n)
-        while n > 0:
-            if self._run_remaining == 0:
-                before = self.reader.offset
-                run = self.reader.read_varint()
-                if n >= run:
-                    # The whole run is unwanted: hop the value bytes.
-                    self._decoder.skip_datum(self.field_schema)
-                    self.ctx.cost.charge_raw_scan(
-                        self.ctx.metrics, self.reader.offset - before
-                    )
-                    self.next_index += run
-                    n -= run
-                    continue
-                self._run_value = self._decoder.read_datum(self.field_schema)
-                self.ctx.cost.charge_raw_scan(
-                    self.ctx.metrics, self.reader.offset - before
-                )
-                self._run_remaining = run
-            step = min(n, self._run_remaining)
-            self._run_remaining -= step
-            self.next_index += step
-            n -= step
+        values, starts, taken = [], [], 0
+        i = self.next_index
+        for start, length in runs:
+            for n, take in ((start - i, False), (length, True)):
+                i += n
+                while n > 0:
+                    opened = self._run_remaining == 0
+                    if opened:
+                        hopped = self._open_run(0 if take else n)
+                        if hopped:
+                            n -= hopped
+                            continue
+                    step = min(n, self._run_remaining)
+                    self._run_remaining -= step
+                    n -= step
+                    if take:
+                        values.append(self._run_value)
+                        starts.append(taken)
+                        taken += step
+                        if step > opened:  # the opening decode was charged
+                            cost.charge_dictionary_lookup(metrics, step - opened)
+                            metrics.cells += step - opened
+        self.next_index = i
+        return _Taken("runs", values, starts, taken)
 
 
 class DeltaColumnReader(ColumnReader):
@@ -897,41 +893,27 @@ class DeltaColumnReader(ColumnReader):
         self._profiler.on_cells(1)
         return self._current
 
-    def read_vector(self, n: int, keys=None):
-        from repro.core.vector import NumericVector
-
-        self._check_read_vector(n)
+    def _gather(self, runs, keys=None):
+        """One take of every delta up to the last run's end: deltas are
+        cumulative, so a gap's are summed too (cheap, they are bare
+        varints), and charged as skipped."""
         cost, metrics = self.ctx.cost, self.ctx.metrics
+        first, runs = self.next_index, list(runs)
+        end = runs[-1][0] + runs[-1][1]
         deltas = self._new_gather(self.reader, None)
-        deltas.take(n)
-        current = self._current
-        values = []
-        append = values.append
-        for delta in deltas.values:
-            current += delta
-            append(current)
-        self._current = current
-        metrics.cells += n
-        metrics.charge_cpu(
-            cost.prim_cpu("int", n)
-            + deltas.span * cost.profile.raw_scan_per_byte
-        )
-        self.next_index += n
-        self._obs_rows_read.inc(n)
-        self._profiler.on_cells(n)
-        return NumericVector.build(values, "q")
-
-    def skip(self, n: int) -> None:
-        # Deltas are cumulative: every skipped delta must still be
-        # summed (cheap — they are bare varints).
-        self._check_bounds(n)
-        before = self.reader.offset
-        for _ in range(n):
-            self._current += self.reader.read_zigzag()
-        cost, metrics = self.ctx.cost, self.ctx.metrics
-        cost.charge_raw_scan(metrics, self.reader.offset - before)
-        metrics.charge_cpu(cost.skip_discount(cost.prim_cpu("int", n)))
-        self.next_index += n
+        deltas.take(end - first)
+        sums = list(accumulate(deltas.values, initial=self._current))
+        values, i = [], first
+        cpu = deltas.span * cost.profile.raw_scan_per_byte
+        for start, length in runs:
+            if start > i:
+                cpu += cost.skip_discount(cost.prim_cpu("int", start - i))
+            values += sums[start - first + 1:start - first + 1 + length]
+            i = start + length
+        metrics.cells += len(values)
+        metrics.charge_cpu(cpu + cost.prim_cpu("int", len(values)))
+        self._current, self.next_index = sums[-1], end
+        return _Taken("q", values)
 
 
 def open_column_reader(

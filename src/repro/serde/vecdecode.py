@@ -537,6 +537,9 @@ class Gather:
     # built on first use (a skip builds no take machinery)
     one = _hops = _keys = window = None
     args = ()
+    #: skip-list header bytes :meth:`take` parsed in place, its caller's
+    #: to charge (also when a take raises)
+    parsed = 0
 
     def __init__(
         self, reader, field_schema, cost, metrics, wanted=None,
@@ -593,21 +596,25 @@ class Gather:
                 keys = [key if key in self.wanted else None for key in keys]
             self.args[4:6] = keys, True
 
-    def take(self, k: int, frame=None) -> int:
-        """Decode the next ``k`` datums onto ``values``; returns the
-        header bytes parsed in place.  A skip-list run passes ``frame =
-        (row, sizes, top, headers)``: each multiple of ``sizes[-1]`` from
-        ``row`` on follows its blocks' headers.  Batched, those the window
-        holds are parsed in place and one window loop takes the bodies
-        they frame, joined.  Any other header group, every one per datum,
-        and (``top``) one on a top-block row go to ``headers(row, 0)``."""
+    def take(self, k: int, frame=None) -> None:
+        """Decode the next ``k`` datums onto ``values``.  A skip-list run
+        passes ``frame = (row, sizes, count, top, headers)``: each
+        multiple of ``sizes[-1]`` from ``row`` on follows its blocks'
+        headers.  Batched, those the window holds are parsed in place
+        (onto :attr:`parsed`) and one window loop takes the bodies they
+        frame, joined.  Any other header group, every one per datum, one
+        whose bottom block does not hold the rows a column of ``count``
+        has there, and (``top``) one on a top-block row go to
+        ``headers(row, 0)``."""
         if self.one is None:
             self._arm()
         reader, one, values = self.reader, self.one, self.values
         window, args = self.window, self.args
-        row, sizes, top, headers = frame or (0, (k + 1,), False, None)
+        row, sizes, count, top, headers = frame or (
+            0, (k + 1,), 0, False, None
+        )
         smallest, end = sizes[-1], row + k
-        start, parsed = reader.offset, 0
+        start, parsed_before = reader.offset, self.parsed
         ready = frame is None or row % smallest  # no headers pending
         while row < end:
             n = smallest - row % smallest  # to the next boundary or the
@@ -620,12 +627,13 @@ class Gather:
             else:
                 buf, p = reader._buf, reader.pos
                 parts, spans, at, header, b = [], [], 0, 0, row
+                nbytes = 0
                 try:
                     while window and b < end and (b % sizes[0] or not top):
                         q = p  # b's header group: each level's rows, bytes
                         for size in sizes:
                             for _ in (0, 1) if b % size == 0 else ():
-                                nbytes = buf[q]
+                                rows, nbytes = nbytes, buf[q]
                                 q += 1
                                 if nbytes >= 0x80:  # inline LEB128
                                     nbytes, shift = nbytes & 0x7F, 7
@@ -634,6 +642,9 @@ class Gather:
                                         q, shift = q + 1, shift + 7
                                     nbytes |= buf[q] << shift
                                     q += 1
+                        if rows != (smallest if count - b > smallest
+                                    else count - b):
+                            break  # misplaced by a wrong nbytes: stop here
                         header, p = header + q - p, q + nbytes
                         parts.append(buf[q:p])  # the bottom block's body
                         spans.append((at, q, header))
@@ -651,15 +662,14 @@ class Gather:
                 at, got = window(b"".join(parts), 0, n, *args)
                 j = bisect_right(spans, (at, len(buf) + 1)) - 1
                 reader.pos = spans[j][1] + at - spans[j][0]
-                parsed += spans[j][2]
+                self.parsed += spans[j][2]
             row += got
             if got < n:  # a datum on the window's edge
                 fallback(reader, self.kernel)
                 values.append(one(reader))
                 row += 1
             ready = row % smallest
-        self.span += reader.offset - start - parsed
-        return parsed
+        self.span += reader.offset - start - (self.parsed - parsed_before)
 
     def hop(self, k: int) -> None:
         """Pass ``k`` datums, charged as ``k`` per-datum skips."""

@@ -52,6 +52,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ColumnSpec("skiplist", skip_sizes=(10, 100))
 
+    def test_skip_sizes_that_do_not_nest_rejected(self):
+        # a bottom block would straddle two blocks of the level above
+        for sizes in ((50, 7), (10, 4), (100, 30, 10)):
+            with pytest.raises(ValueError, match="nest"):
+                ColumnSpec("skiplist", skip_sizes=sizes)
+        ColumnSpec("skiplist", skip_sizes=(49, 7))
+
     def test_skip_size_one_rejected(self):
         with pytest.raises(ValueError):
             ColumnSpec("skiplist", skip_sizes=(10, 1))

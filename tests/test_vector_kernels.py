@@ -1157,11 +1157,9 @@ def test_stacked_skiplist_run_loop_hands_off_where_the_per_row_path_fetches(
     assert {"skiplist_headers", kernel} <= seen, seen
 
 
-def test_a_bad_key_id_inside_a_run_raises_as_the_per_datum_gather_does():
-    """A DCSL map whose key id is past its dictionary, in a bottom block
-    inside a run: the run loop stops at it and hands it to the per-datum
-    decode, which raises as the per-datum gather (the reference) does,
-    with the same charges and stream reads, wherever the window ends."""
+def _bad_key_column():
+    """A DCSL map column (skip sizes 8/4/2) whose row 13 has a key id
+    past its dictionary, on a filesystem at ``/col``."""
     schema = Schema.map(Schema.long_())
     maps = [{"k": i, "k2": -i} for i in range(40)]
     maps[13] = {"k2": 4242}  # zig-zag 8484: the bytes a4 42
@@ -1173,14 +1171,25 @@ def test_a_bad_key_id_inside_a_run_raises_as_the_per_datum_gather_does():
     payload[at] = 0x7F
     fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
     fs.write_file("/col", bytes(payload))
+    return schema, payload, fs
 
-    def dense(batched):
-        def walk(reader, ctx):
-            column = open_column_reader(reader._stream, schema, ctx)
-            column.batch_kernels = batched
-            return column.read_vector(column.count).to_list()
-        return walk
 
+def _dense_walk(schema, batched):
+    """Read the whole column with one ``read_vector``."""
+    def walk(reader, ctx):
+        column = open_column_reader(reader._stream, schema, ctx)
+        column.batch_kernels = batched
+        return column.read_vector(column.count).to_list()
+    return walk
+
+
+def test_a_bad_key_id_inside_a_run_raises_as_the_per_datum_gather_does():
+    """A DCSL map whose key id is past its dictionary, in a bottom block
+    inside a run: the run loop stops at it and hands it to the per-datum
+    decode, which raises as the per-datum gather (the reference) does,
+    with the same charges and stream reads, wherever the window ends."""
+    schema, payload, fs = _bad_key_column()
+    dense = partial(_dense_walk, schema)
     for window in range(1, len(payload) + 1):
         got, want = (
             _run_at_window(fs, "/col", window, dense(batched), IndexError)
@@ -1188,3 +1197,48 @@ def test_a_bad_key_id_inside_a_run_raises_as_the_per_datum_gather_does():
         )
         assert got == want, f"window={window}"
         assert got[0] is IndexError
+
+
+def test_a_raising_gather_charges_the_headers_it_parsed():
+    """The run loop parses headers ahead of the datums it decodes; when a
+    datum raises, the headers of the blocks it reached are charged as the
+    per-row ``read_value`` path charged them: the same ``Metrics``,
+    offset and stream reads at the raise, wherever the window ends."""
+    schema, payload, fs = _bad_key_column()
+
+    def per_row(reader, ctx):
+        column = open_column_reader(reader._stream, schema, ctx)
+        return [column.read_value() for _ in range(column.count)]
+
+    for window in [*range(1, len(payload) + 1), 4096]:
+        want = _run_at_window(fs, "/col", window, per_row, IndexError)
+        for batched in (True, False):
+            got = _run_at_window(
+                fs, "/col", window, _dense_walk(schema, batched), IndexError
+            )
+            assert got == want, f"window={window} batched={batched}"
+
+
+def test_a_short_bottom_block_nbytes_reads_as_read_value_does():
+    """A bottom block whose ``nbytes`` is two short (checksums intact:
+    what a writer bug would leave).  ``read_value`` never reads
+    ``nbytes``; the run loop checks each header it parses in place
+    against the rows its block must hold, so it does not follow that
+    ``nbytes`` to a misplaced header, and both read the column right,
+    with the same charges and stream reads, wherever the window ends."""
+    values = [1000 + i for i in range(40)]
+    payload = bytearray(encode_column_file(
+        Schema.long_(), values, ColumnSpec("skiplist", skip_sizes=(10,))
+    ))
+    # a 7-byte file header, then block 1: count 10, nbytes 20, 20 bytes
+    at = 7 + 22 + 1
+    assert payload[at - 1:at + 1] == bytes([10, 20])  # block 2's header
+    payload[at] -= 2
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/col", bytes(payload))
+    rows = _column_walk(Schema.long_(), list(range(40)), None)
+    for window in range(1, len(payload) + 1):
+        got = _run_at_window(fs, "/col", window, _dense_walk(Schema.long_(), True))
+        want = _run_at_window(fs, "/col", window, rows)
+        assert got == want, f"window={window}"
+        assert got[0] == values

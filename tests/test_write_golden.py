@@ -5,7 +5,9 @@ bytes of every file under it (the ``.schema`` and ``.stats`` sidecars
 included).  The digests were recorded once, on the per-value
 ``encode_datum`` loader that preceded the column-at-a-time encoder, and
 are never regenerated: a failing row means a writer's on-disk bytes
-moved.  The cases cover the four CIF layouts the ``load`` wall workload
+moved.  (The two ``every-kind-skiplist`` rows were re-pinned once, at
+skip sizes 49/7, when sizes that do not nest, like their first 50/7,
+became an error: such a column read back wrong.)  The cases cover the four CIF layouts the ``load`` wall workload
 writes, crawl records with a DCSL ``metadata`` column, SEQ (none and
 block), RCFile (plain and zlib), ``rle`` and ``delta`` columns, and a
 column of every schema kind whose values take every slow path of the
@@ -137,7 +139,7 @@ def _cases():
         )
     every = {
         "plain": {},
-        "skiplist": {"default_spec": ColumnSpec("skiplist", skip_sizes=(50, 7))},
+        "skiplist": {"default_spec": ColumnSpec("skiplist", skip_sizes=(49, 7))},
         "cblock": {"default_spec": ColumnSpec(
             "cblock", codec="zlib", block_bytes=900)},
     }
@@ -176,8 +178,8 @@ DIGESTS = {
     "every-kind-cblock-40960": "a2d199c4f569b5dd20477f2f52649d86ce1072cc8343f09e560ea11add76885c",
     "every-kind-plain-3000": "143a7547fbe3c6eb7ec330554bb461d067603a6588cbaa70781c8ca42563e653",
     "every-kind-plain-40960": "bc630bf8d17e3c21777cf7d6d502f404e3cdd93a040fdf6a70af1285058ab5fe",
-    "every-kind-skiplist-3000": "48f1273f67ecac65573553349504e019f13fe91397dbe5a45d96165fb5e70ae3",
-    "every-kind-skiplist-40960": "58453a2cb5f68ed5248cc2a2c2c836c0a80428bd839f500580b7b3dd84a2e7f2",
+    "every-kind-skiplist-3000": "2c72b38a80131df2259d470c65b04c3bf5a1e1d48aa3029e58a163b351806ee1",
+    "every-kind-skiplist-40960": "2ba410c8dc00b48a60304f765d65013fd1de763ef50e7889df3b443c7d1bc46d",
     "micro-cblock_zlib-seed11-131072": "aba0704010182b81cc3ec956142105d902ebe557db98fb7883b7b8cf95e80be1",
     "micro-cblock_zlib-seed11-16384": "5c978ac9aae4474e442837135b8dcdd267ad303c1d9137b45ab6ea09a284cc52",
     "micro-cblock_zlib-seed7-131072": "72050578c5d34bd1c0ef34dfd47ae612fad07314630c0ecabe60cfacca90f3cf",
