@@ -22,14 +22,9 @@ import random
 
 from repro.bench import harness
 from repro.core import ColumnInputFormat, write_dataset
-from repro.obs import (
-    DatasetHeatmap,
-    FlightRecorder,
-    advise,
-    column_layouts,
-    current_obs,
-    reconcile,
-)
+from repro.obs import FlightRecorder, current_obs
+from repro.obs.advisor import advise, column_layouts
+from repro.obs.heatmap import DatasetHeatmap, reconcile
 from repro.serde.record import Record
 from repro.serde.schema import Schema
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.bench import harness
 from repro.bench.regress import flatten, fraction_slug
@@ -27,13 +27,22 @@ from repro.workloads.micro import micro_records, micro_schema
 PATTERN = "=HIT="
 MAP_KEY = "kk"
 SELECTIVITIES = (0.0, 0.05, 0.2, 0.5, 0.8, 1.0)
+#: seeds the records and, on an RNG of its own, each selectivity's rewrite
+SEED = 10
 
 
-def _dataset(records: int, selectivity: float, seed: int = 10):
+def _dataset(records: int, selectivity: float, seed: int = SEED):
     """Microbenchmark records with ``selectivity`` of str0 matching."""
+    return _matching(micro_records(records, seed=seed), selectivity, seed)
+
+
+def _matching(
+    base: Iterable[Record], selectivity: float, seed: int = SEED
+) -> List[Record]:
+    """Copies of ``base`` with ``selectivity`` of str0 matching."""
     rng = random.Random(seed)
     out: List[Record] = []
-    for record in micro_records(records, seed=seed):
+    for record in map(Record.materialize, base):
         if rng.random() < selectivity:
             record.put("str0", record.get("str0")[:10] + PATTERN)
         attrs = dict(record.get("attrs"))
@@ -141,10 +150,11 @@ class Fig10Result:
 
 def run(records: int = 10000) -> Fig10Result:
     result = Fig10Result(records=records)
+    base = list(micro_records(records, seed=SEED))
+    schema = micro_schema()
     for selectivity in SELECTIVITIES:
         fs = harness.single_node_fs()
-        data = _dataset(records, selectivity)
-        schema = micro_schema()
+        data = _matching(base, selectivity)
         harness.write_micro(fs, "/f10/cif", schema, data)
         harness.write_micro(fs, "/f10/sl", schema, data, "cif-sl")
         t_cif, sum_cif, _ = _aggregate(fs, "/f10/cif", lazy=False)

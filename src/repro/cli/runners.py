@@ -176,7 +176,7 @@ def _top(args, out: common.Out) -> int:
         return replay(args, out)
     from repro.core.cif import ColumnInputFormat
     from repro.mapreduce.runner import run_job
-    from repro.obs import LiveMonitor
+    from repro.obs.live import LiveMonitor
     from repro.workloads.jobs import distinct_content_types_job
 
     plan = common.load_plan(args.faults)
@@ -294,7 +294,8 @@ def _emit_explain(
 
 def _explain_job(args, out: common.Out, pal) -> int:
     """``explain --job``: advise from a recording's storage counters."""
-    from repro.obs import DatasetHeatmap, advise, infer_layouts, reconcile
+    from repro.obs.advisor import advise, infer_layouts
+    from repro.obs.heatmap import DatasetHeatmap, reconcile
 
     report = common.load_trace(args.job, out, pal)
     heatmap = DatasetHeatmap.from_registry(args.path, report.registry)
@@ -321,7 +322,8 @@ def _explain(args, out: common.Out) -> int:
     from repro.core.cif import ColumnInputFormat
     from repro.core.columnio import ColumnSpec
     from repro.core.cof import split_dirs_of
-    from repro.obs import DatasetHeatmap, advise, column_layouts, reconcile
+    from repro.obs.advisor import advise, column_layouts
+    from repro.obs.heatmap import DatasetHeatmap, reconcile
 
     plan = common.load_plan(args.faults)
     touch = [c.strip() for c in args.touch.split(",") if c.strip()]

@@ -164,41 +164,42 @@ def _report(args, out: common.Out) -> int:
     return 0
 
 
-#: ``perf`` sub-verb -> its rendering of one loaded trace
-_PERF_VIEWS = {
-    "critical-path": lambda obs, report, args: obs.analysis.critical_path(
-        report, root_id=args.root
-    ).render(top=args.top),
-    "timeline": lambda obs, report, args: obs.analysis.render_timeline(
-        report, width=args.width, pal=common.palette(args)
-    ),
-    "breakdown": lambda obs, report, args: obs.analysis.render_breakdown(
-        report
-    ),
-    "stragglers": lambda obs, report, args: obs.analysis.render_stragglers(
-        report, threshold=args.threshold
-    ),
-    "operators": lambda obs, report, args: obs.render_operators(
-        report, pal=common.palette(args)
-    ),
-}
+def _perf_views():
+    """``perf`` sub-verb -> its rendering of one loaded trace."""
+    from repro.obs import analysis, render_operators
+
+    return {
+        "critical-path": lambda report, args: analysis.critical_path(
+            report, root_id=args.root
+        ).render(top=args.top),
+        "timeline": lambda report, args: analysis.render_timeline(
+            report, width=args.width, pal=common.palette(args)
+        ),
+        "breakdown": lambda report, args: analysis.render_breakdown(report),
+        "stragglers": lambda report, args: analysis.render_stragglers(
+            report, threshold=args.threshold
+        ),
+        "operators": lambda report, args: render_operators(
+            report, pal=common.palette(args)
+        ),
+    }
 
 
 def _perf(args, out: common.Out) -> int:
-    from repro import obs
+    from repro.obs import analysis, diff_operators, render_operator_diff
 
     if args.perf_command != "diff":
         report = common.load_trace(args.trace, out)
-        out(_PERF_VIEWS[args.perf_command](obs, report, args))
+        out(_perf_views()[args.perf_command](report, args))
         return 0
     base = common.load_trace(args.a, out)
     cand = common.load_trace(args.b, out)
-    diff = obs.analysis.diff_runs(base, cand, rel_tol=args.rel_tol)
-    out(obs.analysis.render_run_diff(diff, args.rel_tol))
+    diff = analysis.diff_runs(base, cand, rel_tol=args.rel_tol)
+    out(analysis.render_run_diff(diff, args.rel_tol))
     if args.operators:
         out("")
-        out(obs.render_operator_diff(
-            *obs.diff_operators(base, cand, rel_tol=args.rel_tol)
+        out(render_operator_diff(
+            *diff_operators(base, cand, rel_tol=args.rel_tol)
         ))
     return 0 if diff.ok else 1
 
@@ -206,7 +207,7 @@ def _perf(args, out: common.Out) -> int:
 def _export(args, out: common.Out) -> int:
     """Recordings -> Chrome trace / Prometheus text; a ``.tsdb``
     sidecar exports directly (prom only), with ``--since/--until``."""
-    from repro.obs import (
+    from repro.obs.export import (
         chrome_trace,
         parse_prometheus_text,
         prometheus_text,
@@ -247,7 +248,8 @@ def _export(args, out: common.Out) -> int:
 
 def replay(args, out: common.Out) -> int:
     """``repro top --replay``: a recording's events through the monitor."""
-    from repro.obs import EventBus, LiveMonitor
+    from repro.obs import EventBus
+    from repro.obs.live import LiveMonitor
 
     pal = common.palette(args)
     report = common.load_trace(args.replay, out, pal)

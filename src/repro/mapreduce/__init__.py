@@ -21,8 +21,6 @@ time** (wall-clock makespan including shuffle/sort/reduce).
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
-from repro.mapreduce.runner import JobResult, JobRunner, run_job
-from repro.mapreduce.scheduler import JobFailedError
 from repro.mapreduce.types import (
     InputFormat,
     InputSplit,
@@ -30,6 +28,21 @@ from repro.mapreduce.types import (
     RecordReader,
     TaskContext,
 )
+
+
+def __getattr__(name: str):
+    """The runner's names, bound on first use (PEP 562): a format that
+    imports ``repro.mapreduce.types`` need not load the runner, the
+    event loop and the scheduler."""
+    if name == "JobFailedError":
+        from repro.mapreduce.scheduler import JobFailedError
+    elif name in ("JobResult", "JobRunner", "run_job"):
+        from repro.mapreduce.runner import JobResult, JobRunner, run_job
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = locals()[name]
+    return value
+
 
 __all__ = [
     "Counters",

@@ -22,6 +22,12 @@ Everything is zero-overhead by default: code paths hold the ambient
         result = run_job(fs, job)          # instrumented automatically
     rec.report().write_jsonl("run.jsonl")  # `repro report run.jsonl`
 
+The package exports what a run touches: those three, the event bus and
+the operator profiler.  The readers of a finished or live run are
+imported from their own modules, so an engine run never loads them:
+``tsdb``, ``slo``, ``alerts``, ``live``, ``analysis``, ``export``,
+``heatmap`` and ``advisor``.
+
 See ``docs/observability.md`` for the span model, the metric naming
 scheme, and the JSONL schema.
 """
@@ -54,36 +60,6 @@ from repro.obs.recorder import (
     RunReport,
     StreamProbe,
 )
-from repro.obs.export import (
-    chrome_trace,
-    parse_prometheus_text,
-    prometheus_text,
-    validate_chrome_trace,
-)
-from repro.obs.heatmap import CellStats, DatasetHeatmap, load_sidecar, reconcile
-from repro.obs.tsdb import (
-    Series,
-    TimeSeriesStore,
-    TSDB_VERSION,
-    reconcile_tsdb,
-)
-from repro.obs.slo import (
-    SloConfig,
-    SloStatus,
-    burn_rate,
-    evaluate_slo,
-    evaluate_slos,
-    render_slo_table,
-)
-from repro.obs.alerts import (
-    AlertEngine,
-    AlertRule,
-    ClusterMonitor,
-    burn_rate_rules,
-    render_alert_timeline,
-)
-from repro.obs.advisor import Recommendation, advise, column_layouts, infer_layouts
-from repro.obs.live import LiveMonitor
 from repro.obs.opprofile import (
     NULL_PROFILER,
     NullOperatorProfiler,
@@ -98,20 +74,6 @@ from repro.obs.opprofile import (
     reconcile_profiles,
     render_operator_diff,
     render_operators,
-)
-from repro.obs.analysis import (
-    CriticalPath,
-    SpanNode,
-    build_tree,
-    critical_path,
-    detect_stragglers,
-    diff_runs,
-    io_breakdown,
-    partition_skew,
-    render_breakdown,
-    render_stragglers,
-    render_timeline,
-    timeline,
 )
 
 #: the ambient observability; FlightRecorder.activate() swaps it in
@@ -151,34 +113,6 @@ __all__ = [
     "RunReport",
     "StreamProbe",
     "current_obs",
-    "chrome_trace",
-    "parse_prometheus_text",
-    "prometheus_text",
-    "validate_chrome_trace",
-    "CellStats",
-    "DatasetHeatmap",
-    "load_sidecar",
-    "reconcile",
-    "Series",
-    "TimeSeriesStore",
-    "TSDB_VERSION",
-    "reconcile_tsdb",
-    "SloConfig",
-    "SloStatus",
-    "burn_rate",
-    "evaluate_slo",
-    "evaluate_slos",
-    "render_slo_table",
-    "AlertEngine",
-    "AlertRule",
-    "ClusterMonitor",
-    "burn_rate_rules",
-    "render_alert_timeline",
-    "Recommendation",
-    "advise",
-    "column_layouts",
-    "infer_layouts",
-    "LiveMonitor",
     "NULL_PROFILER",
     "NullOperatorProfiler",
     "OperatorProfiler",
@@ -192,16 +126,4 @@ __all__ = [
     "reconcile_profiles",
     "render_operator_diff",
     "render_operators",
-    "CriticalPath",
-    "SpanNode",
-    "build_tree",
-    "critical_path",
-    "detect_stragglers",
-    "diff_runs",
-    "io_breakdown",
-    "partition_skew",
-    "render_breakdown",
-    "render_stragglers",
-    "render_timeline",
-    "timeline",
 ]

@@ -29,8 +29,19 @@ Example::
 
 from repro.query.expr import Expr, col, lit
 from repro.query.aggregates import avg, count, count_distinct, max_, min_, sum_
-from repro.query.join import join
-from repro.query.query import Q, QueryResult
+
+
+def __getattr__(name: str):
+    """``Q``, ``QueryResult`` and ``join``, bound on first use (PEP 562):
+    the expressions the column readers compile need not load the
+    planner and the job runner."""
+    if name not in ("Q", "QueryResult", "join"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.query.query import Q, QueryResult, join
+
+    value = globals()[name] = locals()[name]
+    return value
+
 
 __all__ = [
     "Expr",

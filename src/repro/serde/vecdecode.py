@@ -40,7 +40,7 @@ from functools import partial
 from operator import methodcaller
 
 from repro.serde.binary import BinaryDecoder
-from repro.util.varint import VarintError, decode_varint
+from repro.util.varint import MAX_VARINT_BYTES, VarintError, decode_varint
 
 _DOUBLE = struct.Struct("<d")
 
@@ -53,6 +53,11 @@ _PRIMITIVE_KINDS = frozenset(
 #: What ends a window loop early: the datum under the cursor runs past
 #: the buffered bytes (or starts beyond them, after a skip).
 _OFF_WINDOW = (IndexError, VarintError, struct.error)
+
+#: The shift an inline LEB128 loop ends on past a varint's tenth byte,
+#: where the per-datum decode raises: such a datum is left to the
+#: hand-off (its bytes are looked at only if it is more than one long).
+_OVERLONG_SHIFT = 7 * MAX_VARINT_BYTES
 
 #: Optional profiling sink (an ``obs.opprofile.OperatorProfiler``).
 #: ``None`` outside profiled scans, so the only hot-path overhead is
@@ -104,6 +109,8 @@ def _zigzags(buf, pos, k, out):
                         break
                     folded |= (b & 0x7F) << shift
                     shift += 7
+                if shift >= _OVERLONG_SHIFT:
+                    break
                 folded |= b << shift
             append(-((folded + 1) >> 1) if folded & 1 else folded >> 1)
             pos = p
@@ -232,11 +239,19 @@ def _maps(buf, pos, k, out, value_kind, cost, metrics, keys, coded_keys,
                         for raw, name in wanted.get(n, ()):
                             if raw_key == raw:
                                 key = name
-                if ints:  # inline LEB128, as in _zigzags
+                if ints:  # inline LEB128, as in _zigzags and hop_prims
                     if key is None:  # unwanted: hop it
-                        while buf[p] >= 0x80:
+                        if buf[p] < 0x80:
                             p += 1
-                        p += 1
+                        elif buf[p + 1] < 0x80:
+                            p += 2
+                        else:
+                            q, p = p, p + 2
+                            while buf[p] >= 0x80:
+                                p += 1
+                            if p - q >= MAX_VARINT_BYTES:
+                                raise VarintError("varint too long")
+                            p += 1
                         continue
                     folded = buf[p]
                     p += 1
@@ -250,6 +265,8 @@ def _maps(buf, pos, k, out, value_kind, cost, metrics, keys, coded_keys,
                                 break
                             folded |= (b & 0x7F) << shift
                             shift += 7
+                        if shift >= _OVERLONG_SHIFT:
+                            raise VarintError("varint too long")
                         folded |= b << shift
                     value = (
                         -((folded + 1) >> 1) if folded & 1 else folded >> 1
@@ -321,10 +338,17 @@ def hop_prims(buf, pos, k, kind):
     try:
         if kind in _INTEGER_KINDS:
             for done in range(k):
-                p = pos
-                while buf[p] >= 0x80:
-                    p += 1
-                pos = p + 1
+                if buf[pos] < 0x80:
+                    pos += 1
+                elif buf[pos + 1] < 0x80:
+                    pos += 2
+                else:
+                    p = pos + 2
+                    while buf[p] >= 0x80:
+                        p += 1
+                    if p - pos >= MAX_VARINT_BYTES:  # left to the hand-off
+                        break
+                    pos = p + 1
             else:
                 done = k
         else:  # string / bytes: length prefix, then the payload
@@ -397,10 +421,18 @@ def _hop_maps(buf, pos, k, value_kind, coded_keys):
                 if not coded_keys:
                     p += n
                 value_start = p
-                if ints:
-                    while buf[p] >= 0x80:
+                if ints:  # as in hop_prims
+                    if buf[p] < 0x80:
                         p += 1
-                    p += 1
+                    elif buf[p + 1] < 0x80:
+                        p += 2
+                    else:
+                        p += 2
+                        while buf[p] >= 0x80:
+                            p += 1
+                        if p - value_start >= MAX_VARINT_BYTES:
+                            raise VarintError("varint too long")
+                        p += 1
                 elif fixed:
                     p += fixed
                 else:
@@ -640,6 +672,8 @@ class Gather:
                                     while buf[q] >= 0x80:
                                         nbytes |= (buf[q] & 0x7F) << shift
                                         q, shift = q + 1, shift + 7
+                                    if shift >= _OVERLONG_SHIFT:
+                                        raise VarintError("varint too long")
                                     nbytes |= buf[q] << shift
                                     q += 1
                         if rows != (smallest if count - b > smallest
@@ -650,8 +684,8 @@ class Gather:
                         spans.append((at, q, header))
                         at += len(parts[-1])
                         b += smallest
-                except IndexError:  # a header group off the window
-                    pass
+                except (IndexError, VarintError):  # a header group off
+                    pass  # the window, or one headers() rejects below
                 if not parts:
                     before = reader.offset
                     headers(row, 0)

@@ -216,7 +216,8 @@ class TestPipeline:
             regress.run_all(str(tmp_path), names=["nope"])
 
     def test_trace_dir_writes_flight_recordings(self, tmp_path):
-        from repro.obs import RunReport, critical_path
+        from repro.obs import RunReport
+        from repro.obs.analysis import critical_path
 
         trace_dir = str(tmp_path / "traces")
         regress.run_all(

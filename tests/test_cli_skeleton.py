@@ -65,6 +65,24 @@ class TestImportHygiene:
         ]
         assert heavy == []
 
+    def test_an_engine_verb_imports_only_the_engine_it_runs(self):
+        modules = imported_by("experiment", "fig10", "--records", "30")
+        assert {"repro.core.cif", "repro.obs.recorder"} <= modules
+        unused = {
+            f"repro.obs.{leaf}" for leaf in (
+                "tsdb", "alerts", "slo", "analysis", "export", "heatmap",
+                "advisor", "live",
+            )
+        } | {
+            "repro.mapreduce.runner", "repro.mapreduce.eventloop",
+            "repro.mapreduce.scheduler", "repro.query.query",
+        }
+        stray = [
+            m for m in modules
+            if m in unused or m.split(".")[:2] == ["repro", "cluster"]
+        ]
+        assert stray == []
+
 
 def walk(parser, path=("repro",)):
     """Yield ``(path, parser)`` for a parser and all its sub-parsers."""

@@ -21,9 +21,9 @@ from repro.obs import (
     EventBus,
     FlightRecorder,
     JsonlEventSink,
-    LiveMonitor,
     NullEventBus,
 )
+from repro.obs.live import LiveMonitor
 from tests.conftest import micro_records, micro_schema
 
 

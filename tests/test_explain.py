@@ -16,16 +16,9 @@ from repro.cli import main
 from repro.core import ColumnInputFormat, ColumnSpec, write_dataset
 from repro.faults import FaultEvent, FaultPlan
 from repro.hdfs import ClusterConfig, FileSystem
-from repro.obs import (
-    CellStats,
-    DatasetHeatmap,
-    FlightRecorder,
-    advise,
-    column_layouts,
-    infer_layouts,
-    load_sidecar,
-    reconcile,
-)
+from repro.obs import FlightRecorder
+from repro.obs.advisor import advise, column_layouts, infer_layouts
+from repro.obs.heatmap import CellStats, DatasetHeatmap, load_sidecar, reconcile
 from tests.conftest import make_ctx, micro_records, micro_schema
 
 SEEDS = [11, 23, 37, 41, 53]

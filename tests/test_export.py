@@ -16,9 +16,8 @@ from repro.core import ColumnInputFormat, write_dataset
 from repro.faults import FaultEvent, FaultPlan
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
-from repro.obs import (
-    FlightRecorder,
-    RunReport,
+from repro.obs import FlightRecorder, RunReport
+from repro.obs.export import (
     chrome_trace,
     parse_prometheus_text,
     prometheus_text,

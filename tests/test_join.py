@@ -6,7 +6,7 @@ from repro.core import write_dataset
 from repro.core.cif import ColumnInputFormat
 from repro.mapreduce import Job, run_job
 from repro.mapreduce.multi import MultiInputFormat
-from repro.query.join import join
+from repro.query.query import join
 from repro.serde.record import Record
 from repro.serde.schema import Schema
 

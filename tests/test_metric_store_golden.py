@@ -34,8 +34,10 @@ from repro.faults import FaultPlan
 from repro.formats import SequenceFileInputFormat, write_sequence_file
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import run_job
-from repro.obs import DatasetHeatmap, FlightRecorder, prometheus_text
+from repro.obs import FlightRecorder
 from repro.obs.analysis import render_breakdown
+from repro.obs.export import prometheus_text
+from repro.obs.heatmap import DatasetHeatmap
 from repro.obs.opprofile import fallback_totals
 from repro.workloads.crawl import crawl_records, crawl_schema
 from repro.workloads.jobs import distinct_content_types_job

@@ -57,6 +57,7 @@ from repro.serde.schema import Schema
 from repro.sim.cost import CpuCostModel
 from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
+from repro.util.varint import VarintError
 
 SYMBOLS = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -1242,3 +1243,85 @@ def test_a_short_bottom_block_nbytes_reads_as_read_value_does():
         want = _run_at_window(fs, "/col", window, rows)
         assert got == want, f"window={window}"
         assert got[0] == values
+
+
+@pytest.mark.parametrize("layout", ["plain", "skiplist"])
+@pytest.mark.parametrize(
+    "schema", [Schema.long_(), Schema.map(Schema.long_())],
+    ids=["long", "map<long>"],
+)
+def test_an_overlong_varint_raises_as_the_per_datum_gather_does(
+    layout, schema
+):
+    """40 longs 1000..1039 (bare, or each under key "k") whose row 13 is
+    a 12-byte varint, two bytes past the longest the per-datum decode
+    takes: read whole (a map also cut down to a key it lacks), or hopped
+    to row 39, the window loops hand it off at its tenth continuation
+    byte, so it raises (or its skip block passes it) as the per-datum
+    gather does, with the same charges and stream reads, wherever the
+    window ends."""
+    values = range(1000, 1040)
+    if schema.kind == "map":
+        values = [{"k": value} for value in values]
+    payload = bytearray(encode_column_file(
+        schema, list(values), ColumnSpec(layout, skip_sizes=(10,)),
+    ))
+    assert payload.count(b"\xea\x0f") == 1  # zig-zag 2026: the long 1013
+    at = payload.index(b"\xea\x0f")
+    payload[at:at + 2] = b"\xff" * 11 + b"\x01"
+    if layout == "skiplist":
+        # a 7-byte file header, then block 1: count 10, nbytes, its rows;
+        # block 2, which holds row 13, frames ten more bytes
+        payload[7 + 2 + payload[8] + 1] += 10
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/col", bytes(payload))
+
+    def gather(rows, keys, batched):
+        def walk(reader, ctx):
+            column = open_column_reader(reader._stream, schema, ctx)
+            column.batch_kernels = batched
+            if rows is None:
+                return column.read_vector(column.count, keys).to_list()
+            return column.read_selected(rows)
+        return walk
+
+    reads = [(None, None), ([39], None)]
+    if schema.kind == "map":
+        reads.append((None, ("j",)))
+    for rows, keys in reads:
+        for window in [*range(1, len(payload) + 1), 4096]:
+            got, want = (
+                _run_at_window(fs, "/col", window,
+                               gather(rows, keys, batched), VarintError)
+                for batched in (True, False)
+            )
+            assert got == want, f"rows={rows} keys={keys} window={window}"
+            if rows is None or layout == "plain":
+                assert got[0] is VarintError
+
+
+
+def test_an_overlong_block_header_raises_as_the_per_datum_gather_does():
+    """A skip list whose second block's ``nbytes`` is an 11-byte varint
+    (20, padded): the run loop's in-place header parse leaves that group
+    to the per-datum parse, which raises as the per-datum gather does,
+    with the same charges and stream reads, wherever the window ends."""
+    schema = Schema.long_()
+    payload = bytearray(encode_column_file(
+        schema, list(range(1000, 1040)),
+        ColumnSpec("skiplist", skip_sizes=(10,)),
+    ))
+    at = 7 + 2 + payload[8] + 1  # a 7-byte file header, then block 1
+    assert payload[at] == 20
+    payload[at:at + 1] = bytes([0x94] + [0x80] * 9 + [0x00])
+    fs = FileSystem(ClusterConfig(num_nodes=1, replication=1))
+    fs.write_file("/col", bytes(payload))
+    for window in [*range(1, len(payload) + 1), 4096]:
+        got, want = (
+            _run_at_window(
+                fs, "/col", window, _dense_walk(schema, batched), VarintError
+            )
+            for batched in (True, False)
+        )
+        assert got == want, f"window={window}"
+        assert got[0] is VarintError
