@@ -60,6 +60,7 @@ from repro.obs import NULL_PROFILER
 from repro.serde import vecdecode
 from repro.serde.binary import BinaryDecoder, BinaryEncoder, encode_values
 from repro.serde.schema import Schema, SchemaError
+from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
 from repro.util.varint import VarintError, decode_varint, encode_varint
 
@@ -292,6 +293,15 @@ def _vector(gather):
     return ObjectVector(gather.values)
 
 
+def _walk(gather, plan) -> list:
+    """Run a body's ``plan`` (datum counts hopped, taken, hopped, ...,
+    its last pair open) through the gather's step loop if it holds a
+    datum; a fresh plan."""
+    if len(plan) > 2 or plan[0]:
+        gather.steps(plan)
+    return [0, 0]
+
+
 def _runs(rows):
     """Ascending ``rows`` as ``(start, length)`` runs of consecutive rows."""
     start = end = rows[0]
@@ -386,9 +396,10 @@ class ColumnReader:
 
     def _gather(self, runs, keys=None):
         """The layout's one walk over ``(start, length)`` runs of rows
-        from ``next_index`` on: gaps are skipped, runs taken.  Returns a
-        finished :class:`~repro.serde.vecdecode.Gather` or a
-        :class:`_Taken`."""
+        from ``next_index`` on: gaps are skipped, runs taken, each body's
+        (a plain column, an inflated block, a bottom block) in one
+        :meth:`~repro.serde.vecdecode.Gather.steps` loop.  Returns the
+        :class:`~repro.serde.vecdecode.Gather` or a :class:`_Taken`."""
         raise NotImplementedError
 
     def _read_datum_fast(self, reader=None, decoder=None, keys=None):
@@ -495,15 +506,13 @@ class PlainColumnReader(ColumnReader):
 
     def _gather(self, runs, keys=None):
         gather = self._new_gather(self.reader, keys)
-        i = self.next_index
+        i, plan = self.next_index, []
         for start, length in runs:
-            if start > i:
-                gather.hop(start - i)
-            if length:
-                gather.take(length)
+            plan += (start - i, length)
             i = start + length
+        gather.steps(plan)
         self.next_index = i
-        return gather.finish()
+        return gather
 
 
 class SkipListColumnReader(ColumnReader):
@@ -566,8 +575,9 @@ class SkipListColumnReader(ColumnReader):
         """Headers are parsed off the window (one it does not hold goes
         to :meth:`_consume_block_header`, a DCSL dictionary always to
         :meth:`_consume_dictionary`); a gap jumps each whole block it
-        covers from that block's start, and a run is one take across
-        its blocks' headers."""
+        covers from that block's start.  The gaps and runs inside one
+        bottom block are one step loop; a run that starts on or crosses
+        a block's start is one take across its blocks' headers."""
         reader, ctx = self.reader, self.ctx
         dcsl = self.has_dictionaries
         gather = self._new_gather(reader, keys, *(
@@ -603,24 +613,36 @@ class SkipListColumnReader(ColumnReader):
                     gather.use_keys(self.dictionary.keys)
             return 0
 
-        i = self.next_index
+        i, plan = self.next_index, [0, 0]  # the bottom block's counts
         try:  # a read that raises has still parsed its headers
             for start, length in runs:
                 n = start - i
                 while n > 0:
-                    jumped = headers(i, n) if i % smallest == 0 else 0
-                    if not jumped:
-                        jumped = min(n, smallest - i % smallest)
-                        gather.hop(jumped)
-                    i += jumped
-                    n -= jumped
-                if length:  # (its headers() calls add to parsed as it goes)
+                    if i % smallest == 0:
+                        plan = _walk(gather, plan)
+                        jumped = headers(i, n)
+                        if jumped:
+                            i += jumped
+                            n -= jumped
+                            continue
+                    step = min(n, smallest - i % smallest)
+                    plan[-2] += step
+                    i += step
+                    n -= step
+                if not length:
+                    continue
+                if i % smallest and i % smallest + length <= smallest:
+                    plan[-1] = length
+                    plan += (0, 0)
+                else:  # (its headers() calls add to parsed as it goes)
+                    plan = _walk(gather, plan)
                     gather.take(length, (i, sizes, self.count, dcsl, headers))
                 i += length
+            _walk(gather, plan)
         finally:
             ctx.cost.charge_raw_scan(ctx.metrics, parsed + gather.parsed)
         self.next_index = i
-        return gather.finish()
+        return gather
 
     def _decode_one_value(self, keys=None):
         return self._read_datum_fast(keys=keys)
@@ -745,11 +767,12 @@ class CBlockColumnReader(ColumnReader):
         """Gaps pass whole blocks compressed or hop in an open one; a
         survivor inflates its block."""
         gather = self._new_gather(self._block_reader, keys)
-        i = self.next_index
+        i, plan = self.next_index, [0, 0]  # the open block's counts
         for start, length in runs:
             for n, take in ((start - i, False), (length, True)):
                 while n > 0:
                     if self._block_remaining == 0:
+                        plan = _walk(gather, plan)
                         header = self._block_header()
                         block_count, _, comp_len = header
                         if not take and n >= block_count:
@@ -760,12 +783,17 @@ class CBlockColumnReader(ColumnReader):
                         self._open_block(header)
                         gather.reader = self._block_reader
                     step = min(n, self._block_remaining)
-                    (gather.take if take else gather.hop)(step)
+                    if take:
+                        plan[-1] = step
+                        plan += (0, 0)
+                    else:
+                        plan[-2] += step
                     self._block_remaining -= step
                     i += step
                     n -= step
+        _walk(gather, plan)
         self.next_index = i
-        return gather.finish()
+        return gather
 
 
 class DefaultColumnReader(ColumnReader):
@@ -900,11 +928,15 @@ class DeltaColumnReader(ColumnReader):
         cost, metrics = self.ctx.cost, self.ctx.metrics
         first, runs = self.next_index, list(runs)
         end = runs[-1][0] + runs[-1][1]
-        deltas = self._new_gather(self.reader, None)
+        # the deltas are charged below, as skips and reads, not as the
+        # gather's takes (it charges a scratch Metrics)
+        deltas = vecdecode.Gather(self.reader, self.field_schema, cost, Metrics())
+        deltas.batched = self.batch_kernels
+        before = self.reader.offset
         deltas.take(end - first)
         sums = list(accumulate(deltas.values, initial=self._current))
         values, i = [], first
-        cpu = deltas.span * cost.profile.raw_scan_per_byte
+        cpu = (self.reader.offset - before) * cost.profile.raw_scan_per_byte
         for start, length in runs:
             if start > i:
                 cpu += cost.skip_discount(cost.prim_cpu("int", start - i))

@@ -36,6 +36,7 @@ from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.serde.record import Record, _Deferred
+from repro.serde.vecdecode import LENGTHS
 from repro.util.compare import exact_mismatches
 
 __all__ = [
@@ -437,8 +438,8 @@ def _compile_value(expr) -> Optional[Callable]:
     """Compile to ``fn(frame, sel, ctx) -> list`` aligned with ``sel``.
 
     A column leaf is ``frame.values(name, sel)``, a column's ``length``
-    is :func:`_lengths`, and every other node maps its ``op_fn`` over
-    its operands' lists.  None for what has no value
+    is :func:`_lengths` of it, and every other node maps its ``op_fn``
+    over its operands' lists.  None for what has no value
     function: ``contains``, whose charge belongs to a filter, and an
     Expr built without metadata.
     """
@@ -453,7 +454,7 @@ def _compile_value(expr) -> Optional[Callable]:
         return None
     name = _is_column(expr.operands[0])
     if expr.op_symbol == "length" and name is not None:
-        return lambda frame, sel, ctx: _lengths(frame.column(name, sel), sel)
+        return lambda frame, sel, ctx: _lengths(frame, name, sel)
     fns = [_compile_value(operand) for operand in expr.operands]
     if None in fns:
         return None
@@ -466,13 +467,30 @@ def _compile_value(expr) -> Optional[Callable]:
     )
 
 
-def _lengths(data, sel: Sequence[int]) -> List[int]:
-    """``len`` of each value at ``sel``.  An ASCII string buffer holds
-    one byte per character, so its offsets give the counts undecoded."""
+def _lengths(frame, name: str, sel: Sequence[int]) -> List[int]:
+    """``len`` of the column's value at each row of ``sel``.
+
+    A string or bytes column read as :data:`~repro.serde.vecdecode.LENGTHS`
+    holds them already, as ints, but for a non-ASCII string's bytes,
+    decoded here as a whole read's value would be (bad UTF-8 raises
+    here either way); one read whole (a layout with no lengths window)
+    holds values.  An ASCII string buffer holds one byte per
+    character, so its offsets give the counts undecoded."""
+    data = frame.column(name, sel)
+    kind = frame._readers[name].field_schema.kind
+    if kind not in ("string", "bytes"):
+        return list(map(len, gather(data, sel)))
+    if isinstance(data, NumericVector):
+        return gather(data, sel)
     if isinstance(data, StringVector) and data.buffer.isascii():
         offsets = data.offsets
         return [offsets[i + 1] - offsets[i] for i in sel]
-    return list(map(len, gather(data, sel)))
+    text = kind == "string"
+    return [
+        v if type(v) is int
+        else len(str(v, "utf-8") if text and type(v) is not str else v)
+        for v in gather(data, sel)
+    ]
 
 
 def _compile_pred(expr) -> Optional[Callable]:
@@ -573,13 +591,16 @@ def compile_predicate(expr) -> PredicateProgram:
     return PredicateProgram(expr, fallback, compiled=False)
 
 
-def _key_projection(exprs) -> Dict[str, tuple]:
-    """Map column -> the keys ``exprs`` read it at, for each column they
-    read only as ``col(m)[k]`` with a str ``k``.  A column also read
-    whole (a bare reference, or under an Expr without structure) is left
-    out: readers cannot rewind, so it is decoded once, whole."""
+def _projection(exprs, lengths: bool = True) -> Dict[str, object]:
+    """Map column -> how ``exprs`` read it, for each column they read
+    only as ``col(m)[k]`` with a str ``k`` (the tuple of those keys) or,
+    with ``lengths``, only as ``col(c).length()``
+    (:data:`~repro.serde.vecdecode.LENGTHS`).  A column also read whole
+    (a bare reference, or under an Expr without structure), or both
+    ways, is left out: readers cannot rewind, so it is decoded once,
+    whole."""
     keys: Dict[str, dict] = {}  # column -> its keys, as an ordered set
-    whole = set()
+    measured, whole = set(), set()
     stack = list(exprs)
     while stack:
         expr = stack.pop()
@@ -588,11 +609,18 @@ def _key_projection(exprs) -> Dict[str, tuple]:
         key = getattr(expr, "item_key", None)
         if name is not None and isinstance(key, str):
             keys.setdefault(name, {})[key] = None
+        elif lengths and name is not None and expr.op_symbol == "length":
+            measured.add(name)
         elif operands is not None:
             stack.extend(operands)
         elif not _has_literal(expr):
             whole |= expr.columns  # a column leaf, or no structure
-    return {name: tuple(k) for name, k in keys.items() if name not in whole}
+    whole |= measured & keys.keys()
+    out: Dict[str, object] = {
+        name: tuple(k) for name, k in keys.items() if name not in whole
+    }
+    out.update((name, LENGTHS) for name in measured - whole)
+    return out
 
 
 class FrameProgram:
@@ -604,9 +632,13 @@ class FrameProgram:
     compile; then the whole op runs row by row, because the op's
     ``frame_fn`` takes every expression's column or none of them.
 
-    ``keys`` is the key projection of these expressions and the op's
-    ``filters`` together (:func:`_key_projection`): frames read those
-    map columns cut down to the keys ``getitem`` looks up.
+    ``keys`` is the projection of these expressions and the op's
+    ``filters`` together (:func:`_projection`), one walk: frames read
+    those map columns cut down to the keys ``getitem`` looks up, and
+    those string and bytes columns as the lengths ``length`` takes.  A
+    row evaluated whole (a refused expression, a filter that does not
+    compile) would see a length for its value, so then no column is
+    read as lengths.
     """
 
     __slots__ = ("refused", "keys", "_fns")
@@ -616,7 +648,10 @@ class FrameProgram:
         self.refused = next(
             (e for e, fn in zip(exprs, self._fns) if fn is None), None
         )
-        self.keys = _key_projection([*filters, *exprs])
+        compiled = self.refused is None and all(
+            _compile_pred(f) is not None for f in filters
+        )
+        self.keys = _projection([*filters, *exprs], lengths=compiled)
 
     def run(self, frame, sel: Sequence[int], ctx) -> List[List]:
         return [fn(frame, sel, ctx) for fn in self._fns]
@@ -701,7 +736,8 @@ class VectorFrame:
     first-touch-only accounting.
 
     A column named in ``keys`` (a :attr:`FrameProgram.keys` projection)
-    is read cut down to those map keys, and cached so.
+    is read cut down to those map keys, or as its values' lengths, and
+    cached so.
 
     Row indexes are frame-local (0 .. length-1); ``start`` maps them to
     absolute record positions for the column readers.

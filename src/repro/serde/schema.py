@@ -162,11 +162,13 @@ class Schema:
     @classmethod
     def parse(cls, obj) -> "Schema":
         """Parse a schema from its JSON-able form (or a JSON string)."""
+        if obj in PRIMITIVES:  # a bare primitive name like "int"
+            return cls(obj)
         if isinstance(obj, str):
             try:
                 decoded = json.loads(obj)
             except json.JSONDecodeError:
-                decoded = obj  # a bare primitive name like "int"
+                decoded = obj  # a bare name that is not a primitive
             if isinstance(decoded, str):
                 if decoded not in PRIMITIVES:
                     raise SchemaError(f"unknown primitive {decoded!r}")

@@ -9,11 +9,12 @@ a pure function over ``(buf, pos)``: it consumes only datums that lie
 wholly inside the window and stops at the first byte of one that does
 not, or that does not decode (running off the edge drops that datum's
 partial sums).  That one datum is handed to the per-datum method the
-reference itself uses (``reader.read_zigzag()``,
+reference itself uses (the reader's ``read_zigzag()`` or
+``read_len_prefixed()`` charged as ``read_datum`` charges it,
 ``BinaryDecoder.read_datum``/``skip_datum``, the DCSL reader's own
 per-value decode and skip), which refills or raises; the loop resumes on
 whatever window the hand-off left behind.  :class:`Gather` is the one
-place this happens.
+place this happens, in one step loop over a read's gaps and runs.
 
 That is what keeps the kernels *charge-identical* to the scalar path
 by construction.  Stream-level charges (disk bytes, seeks, probes)
@@ -23,9 +24,10 @@ refills on either path, and the one that straddles the edge is decoded
 by the scalar path itself — so the stream sees the identical read and
 seek pattern.  CPU charges come from the same linear cost formulas
 (:meth:`~repro.sim.cost.CpuCostModel.prim_cpu`), summed over a window's
-run instead of applied per value; every charge is whole ticks, so the
-run's sum is exactly the per-value charges' (cells, objects and
-``cpu_ticks`` alike).
+run instead of applied per value and charged when the run ends, before
+any hand-off; every charge is whole ticks, so the run's sum is exactly
+the per-value charges' (cells, objects and ``cpu_ticks`` alike), and a
+read that raises has charged what the per-datum path had.
 
 Hand-offs therefore follow the window edges a scan crosses, not the
 values it reads: they can be made rarer (a larger I/O buffer), never
@@ -88,35 +90,86 @@ def fallback(reader, kernel: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batched primitive reads (value lists; caller applies the charges)
+# Batched primitive reads (value lists; the gather applies the charges)
 # ---------------------------------------------------------------------------
+#
+# A take window returns ``(pos, done, payload)``: where it stopped, the
+# datums it appended to ``out`` and, for a length-prefixed kind, their
+# payload bytes (what ``prim_cpu`` charges per byte).
+
+#: a read's ``wanted`` asking a string or bytes column for each value's
+#: length instead of the value (``_lengths``); other kinds read whole
+LENGTHS = "length"
+
+_CHUNK_KINDS = ("string", "bytes")
+
+
+def _zigzag_steps(buf, pos, plan, j, left, out):
+    """Walk ``plan`` (datum counts, hopped at even ``j`` and decoded onto
+    ``out`` at odd) from its ``j``-th count, ``left`` of it still to go.
+
+    Returns ``(pos, j, left, hopped, hop_bytes)``: ``j == len(plan)``
+    once it is all walked, else ``plan[j]`` stopped ``left`` short at a
+    varint the window does not hold whole, or an overlong one (the
+    hand-off raises on it)."""
+    append = out.append
+    end = len(plan)
+    hopped = hop_bytes = done = 0
+    try:
+        while True:
+            if j & 1:
+                base = len(out)
+                for _ in range(left):
+                    folded = buf[pos]
+                    p = pos + 1
+                    if folded >= 0x80:
+                        folded &= 0x7F
+                        shift = 7
+                        while True:
+                            b = buf[p]
+                            p += 1
+                            if b < 0x80:
+                                break
+                            folded |= (b & 0x7F) << shift
+                            shift += 7
+                        if shift >= _OVERLONG_SHIFT:
+                            raise IndexError  # left to the hand-off
+                        folded |= b << shift
+                    append(-((folded + 1) >> 1) if folded & 1 else folded >> 1)
+                    pos = p
+            else:  # inline LEB128 hops, as in hop_prims
+                mark = pos
+                for done in range(left):
+                    if buf[pos] < 0x80:
+                        pos += 1
+                    elif buf[pos + 1] < 0x80:
+                        pos += 2
+                    else:
+                        p = pos + 2
+                        while buf[p] >= 0x80:
+                            p += 1
+                        if p - pos >= MAX_VARINT_BYTES:
+                            raise IndexError
+                        pos = p + 1
+                hopped += left
+                hop_bytes += pos - mark
+            j += 1
+            if j == end:
+                return pos, j, 0, hopped, hop_bytes
+            left = plan[j]
+    except IndexError:
+        if j & 1:
+            left -= len(out) - base
+        else:
+            hopped += done
+            hop_bytes += pos - mark
+            left -= done
+        return pos, j, left, hopped, hop_bytes
 
 
 def _zigzags(buf, pos, k, out):
-    before = len(out)
-    append = out.append
-    try:
-        for _ in range(k):
-            folded = buf[pos]
-            p = pos + 1
-            if folded >= 0x80:
-                folded &= 0x7F
-                shift = 7
-                while True:
-                    b = buf[p]
-                    p += 1
-                    if b < 0x80:
-                        break
-                    folded |= (b & 0x7F) << shift
-                    shift += 7
-                if shift >= _OVERLONG_SHIFT:
-                    break
-                folded |= b << shift
-            append(-((folded + 1) >> 1) if folded & 1 else folded >> 1)
-            pos = p
-    except IndexError:
-        pass
-    return pos, len(out) - before
+    pos, _, left, _, _ = _zigzag_steps(buf, pos, (0, k), 1, k, out)
+    return pos, k - left, 0
 
 
 def _chunks(buf, pos, k, out):
@@ -137,20 +190,55 @@ def _chunks(buf, pos, k, out):
             pos = end
     except _OFF_WINDOW:
         pass
-    return pos, len(out) - before
+    return pos, len(out) - before, sum(map(len, out[before:]))
+
+
+def _lengths(buf, pos, k, out, text):
+    """:func:`_chunks` read as lengths: each prefix read, its payload
+    hopped.  A ``text`` (string) run whose bytes are not all ASCII is
+    walked again, and each non-ASCII payload kept as its bytes, for
+    ``len`` to decode (and raise on, as a whole read's decode does)."""
+    before = len(out)
+    append = out.append
+    limit = len(buf)
+    start = pos
+    try:
+        for _ in range(k):
+            n = buf[pos]
+            if n < 0x80:
+                end = pos + 1 + n
+            else:
+                n, end = decode_varint(buf, pos)
+                end += n
+            if end > limit:
+                break
+            append(n)
+            pos = end
+    except _OFF_WINDOW:
+        pass
+    payload = sum(out[before:])
+    if text and not buf[start:pos].isascii():
+        p = start
+        for i in range(before, len(out)):
+            n, p = decode_varint(buf, p)
+            chunk = buf[p:p + n]
+            if not chunk.isascii():
+                out[i] = bytes(chunk)
+            p += n
+    return pos, len(out) - before, payload
 
 
 def _doubles(buf, pos, k, out):
     done = max(0, min(k, (len(buf) - pos) // 8))
     if done:
         out.extend(struct.unpack_from(f"<{done}d", buf, pos))
-    return pos + 8 * done, done
+    return pos + 8 * done, done, 0
 
 
 def _booleans(buf, pos, k, out):
     done = max(0, min(k, len(buf) - pos))
     out.extend([b != 0 for b in buf[pos:pos + done]])
-    return pos + done, done
+    return pos + done, done, 0
 
 
 #: primitive kind -> (window loop, per-datum read, kernel, vector tag:
@@ -239,7 +327,7 @@ def _maps(buf, pos, k, out, value_kind, cost, metrics, keys, coded_keys,
                         for raw, name in wanted.get(n, ()):
                             if raw_key == raw:
                                 key = name
-                if ints:  # inline LEB128, as in _zigzags and hop_prims
+                if ints:  # inline LEB128, as in _zigzag_steps and hop_prims
                     if key is None:  # unwanted: hop it
                         if buf[p] < 0x80:
                             p += 1
@@ -314,7 +402,7 @@ def _maps(buf, pos, k, out, value_kind, cost, metrics, keys, coded_keys,
         + cost.prim_cpu(value_kind, entries, value_payload)
         + (pos - start) * profile.raw_scan_per_byte
     )
-    return pos, done
+    return pos, done, 0
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +622,29 @@ def _read_datum(schema, cost, metrics, reader):
     return BinaryDecoder(reader, cost, metrics).read_datum(schema)
 
 
+def _take_one(read, rates, metrics, measure, reader):
+    """One primitive off ``reader`` by ``read``, charged as
+    ``read_datum`` charges it: a fixed-width kind's cell and decode cpu
+    before the read (a raise carries them), a chunk's once its length
+    is read, and the raw scan of its bytes last.  ``measure`` keeps a
+    chunk as :func:`_lengths` does: "string" or "bytes", else None."""
+    rate, byte_rate, raw, chunks = rates
+    start = reader.offset
+    if chunks:
+        value = read(reader)
+        metrics.cells += 1
+        metrics.objects += 1
+        metrics.cpu_ticks += rate + len(value) * byte_rate
+        if measure == "bytes" or measure and value.isascii():
+            value = len(value)
+    else:
+        metrics.cells += 1
+        metrics.cpu_ticks += rate
+        value = read(reader)
+    metrics.cpu_ticks += (reader.offset - start) * raw
+    return value
+
+
 def _skip_data(schema, cost, metrics, reader, k=1):
     skip = BinaryDecoder(reader, cost, metrics).skip_datum
     for _ in range(k):
@@ -548,26 +659,32 @@ def _repeat(step, reader, k=1):
 class Gather:
     """One window loop over a column's datums, for a whole read.
 
-    :meth:`take` decodes the next ``k`` datums onto ``values`` and
-    :meth:`hop` passes ``k``, off the window of ``reader`` (repointed at
+    :meth:`steps` walks a plan of datum counts, alternately hopped and
+    decoded onto ``values``, off the window of ``reader`` (repointed at
     each compressed block a column reader opens); a datum on an edge
     goes to the per-datum method, one ``fallback`` count.  A kind with
     no window loop, and every kind in the per-datum mode (``batched``
     off: the reference), is one per-datum decode or skip per datum.
-    Primitives taken are charged once, by :meth:`finish`, as the
-    per-datum sums; anything else as it goes.  ``wanted`` cuts maps down
-    as :func:`read_maps` does.  A DCSL reader passes its per-datum
-    ``decode_one(reader)`` and ``skip_one(reader)``, and each block
-    dictionary to :meth:`use_keys`.  The take and the hop machinery are
-    each built on first use, and each counts one kernel call, however
-    many blocks the gather crosses.
+    Everything is charged as it goes, as the per-datum reads would have
+    charged it: a window run's primitives (a cell each, an object each
+    if var-length, their decode cpu and the raw scan of their bytes)
+    when the run ends, each hand-off by the per-datum method itself, so
+    a read that raises has charged what ``read_value`` would have.
+
+    ``wanted`` cuts maps down as :func:`read_maps` does, or
+    (:data:`LENGTHS`) reads a string or bytes column as each value's
+    length.  A DCSL reader passes its per-datum ``decode_one(reader)``
+    and ``skip_one(reader)``, and each block dictionary to
+    :meth:`use_keys`.  The take and the hop machinery are each built on
+    first use, and each counts one kernel call, however many blocks the
+    gather crosses.
     """
 
     #: whether datums go through the window loops; off, each goes to
     #: the per-datum decode or skip, and no kernel call is counted
     batched = True
     # built on first use (a skip builds no take machinery)
-    one = _hops = _keys = window = None
+    one = _hops = _keys = window = rates = None
     args = ()
     #: skip-list header bytes :meth:`take` parsed in place, its caller's
     #: to charge (also when a take raises)
@@ -577,27 +694,48 @@ class Gather:
         self, reader, field_schema, cost, metrics, wanted=None,
         decode_one=None, skip_one=None,
     ) -> None:
-        self.reader, self.schema, self.wanted = reader, field_schema, wanted
+        self.reader, self.schema = reader, field_schema
         self.cost, self.metrics = cost, metrics
-        self.values, self.span = [], 0  # and the primitives' bytes
+        lengths = wanted == LENGTHS
+        #: a string or bytes column read as its values' lengths
+        self.lengths = lengths and field_schema.kind in _CHUNK_KINDS
+        self.wanted = None if lengths else wanted
+        self.values = []
         self._decode_one, self._skip_one = decode_one, skip_one
 
     @property
     def tag(self) -> str:
         """What ``values`` hold: an array typecode, "str" for UTF-8
-        chunks, or "obj"."""
+        chunks, or "obj".  Lengths are "q", but for a non-ASCII string's
+        bytes among them (the vector then falls back to objects)."""
+        if self.lengths:
+            return "q"
         take = _TAKES.get(self.schema.kind)
         return take[3] if take else "obj"
 
     def _arm(self) -> None:
         """Build the take machinery."""
         schema, cost, metrics = self.schema, self.cost, self.metrics
+        kind = schema.kind
         self.one = self._decode_one or partial(
             _read_datum, schema, cost, metrics
         )
-        if schema.kind in _TAKES:
-            self.window, self.one, self.kernel, _ = _TAKES[schema.kind]
+        if kind in _TAKES:
+            self.window, read, self.kernel, _ = _TAKES[kind]
             self.args = (self.values,)
+            if self.lengths:
+                self.window, self.kernel = _lengths, "read_lengths"
+                self.args = (self.values, kind == "string")
+            #: per datum, per payload byte and per byte of span, and
+            #: whether each is an object
+            self.rates = (
+                cost.prim_cpu(kind, 1), cost.prim_cpu(kind, 0, 1),
+                cost.profile.raw_scan_per_byte, kind in _CHUNK_KINDS,
+            )
+            self.one = partial(
+                _take_one, read, self.rates, metrics,
+                kind if self.lengths else None,
+            )
         elif map_batch_supported(schema):
             self.window, self.kernel = _maps, "read_maps"
             lookup = None  # the wanted plain keys, by byte length
@@ -619,6 +757,14 @@ class Gather:
         elif self.window is not None:
             _kernel(self.kernel)
 
+    def _arm_hops(self) -> None:
+        """Build the hop machinery."""
+        self._hops = _hops(self.schema, self.cost, self.metrics, self._skip_one)
+        if not self.batched:
+            self._hops = (None, None, (), self._hops[3])
+        elif self._hops[1] is not None:
+            _kernel(self._hops[0])
+
     def use_keys(self, keys) -> None:
         """Map keys are ids into ``keys`` (a DCSL block dictionary) from
         here on; a key projection resolves them once per dictionary."""
@@ -627,6 +773,94 @@ class Gather:
             if self.wanted is not None:
                 keys = [key if key in self.wanted else None for key in keys]
             self.args[4:6] = keys, True
+
+    def _charge(self, n: int, payload: int, nbytes: int) -> None:
+        """Charge ``n`` primitives a window run took: ``payload`` bytes
+        of them, ``nbytes`` in all."""
+        rate, byte_rate, raw, objects = self.rates
+        metrics = self.metrics
+        metrics.cells += n
+        if objects:
+            metrics.objects += n
+        metrics.cpu_ticks += n * rate + payload * byte_rate + nbytes * raw
+
+    def steps(self, plan) -> None:
+        """Walk ``plan``, datum counts in one body (no header between
+        them) that are hopped, taken, hopped, taken and so on: one loop
+        over a selection's gaps and runs, handing a datum off only at a
+        window edge.  Hops are charged as that many per-datum skips."""
+        if self.one is None and any(plan[1::2]):
+            self._arm()
+        if self._hops is None and any(plan[0::2]):
+            self._arm_hops()
+        reader, values, one = self.reader, self.values, self.one
+        window, args, rates = self.window, self.args, self.rates
+        hop_kernel, hop_window, hop_args, skip = self._hops or (None,) * 4
+        if window is _zigzags:  # hops and takes fused in one inline loop
+            metrics, cost = self.metrics, self.cost
+            rate, _, raw, _ = rates
+            j, left, end = 0, plan[0], len(plan)
+            while True:
+                pos, before = reader.pos, len(values)
+                reader.pos, j, left, hopped, hop_bytes = _zigzag_steps(
+                    reader._buf, pos, plan, j, left, values
+                )
+                taken = len(values) - before
+                metrics.cells += taken
+                metrics.cpu_ticks += (
+                    taken * rate + (reader.pos - pos - hop_bytes) * raw
+                )
+                if hopped:
+                    metrics.cpu_ticks += cost.skip_discount(
+                        hopped * rate + hop_bytes * raw
+                    )
+                if j == end:
+                    return
+                if j & 1:
+                    fallback(reader, self.kernel)
+                    values.append(one(reader))
+                else:
+                    fallback(reader, hop_kernel)
+                    skip(reader)
+                left -= 1
+        for m in range(0, len(plan), 2):
+            k = plan[m]
+            if k and hop_window is None:
+                skip(reader, k)
+            elif k and type(hop_window) is int:
+                # A fixed-width run is position arithmetic wherever the
+                # window ends (reader.skip keeps the lazy-gap elision and
+                # EOF check).
+                schema, cost, metrics = hop_args
+                reader.skip(k * hop_window)
+                metrics.charge_cpu(cost.skip_discount(
+                    cost.prim_cpu(schema.kind, k)
+                    + k * hop_window * cost.profile.raw_scan_per_byte
+                ))
+            else:
+                while k:
+                    reader.pos, done = hop_window(
+                        reader._buf, reader.pos, k, *hop_args
+                    )
+                    k -= done
+                    if k:
+                        fallback(reader, hop_kernel)  # a datum on the edge
+                        skip(reader)
+                        k -= 1
+            k = plan[m + 1]
+            if k and window is None:
+                values += [one(reader) for _ in range(k)]
+                continue
+            while k:
+                pos = reader.pos
+                reader.pos, done, payload = window(reader._buf, pos, k, *args)
+                if rates is not None and done:
+                    self._charge(done, payload, reader.pos - pos)
+                k -= done
+                if k:
+                    fallback(reader, self.kernel)  # a datum on the edge
+                    values.append(one(reader))
+                    k -= 1
 
     def take(self, k: int, frame=None) -> None:
         """Decode the next ``k`` datums onto ``values``.  A skip-list run
@@ -638,16 +872,16 @@ class Gather:
         whose bottom block does not hold the rows a column of ``count``
         has there, and (``top``) one on a top-block row go to
         ``headers(row, 0)``."""
+        if frame is None:
+            self.steps((0, k))
+            return
         if self.one is None:
             self._arm()
         reader, one, values = self.reader, self.one, self.values
-        window, args = self.window, self.args
-        row, sizes, count, top, headers = frame or (
-            0, (k + 1,), 0, False, None
-        )
+        window, args, charged = self.window, self.args, self.rates is not None
+        row, sizes, count, top, headers = frame
         smallest, end = sizes[-1], row + k
-        start, parsed_before = reader.offset, self.parsed
-        ready = frame is None or row % smallest  # no headers pending
+        ready = row % smallest  # no headers pending
         while row < end:
             n = smallest - row % smallest  # to the next boundary or the
             n = n if n < end - row else end - row  # end (min() costs a call)
@@ -655,7 +889,10 @@ class Gather:
                 values += [one(reader) for _ in range(n)]
                 got = n
             elif ready:  # the rest of a bottom block, off the window
-                reader.pos, got = window(reader._buf, reader.pos, n, *args)
+                pos = reader.pos
+                reader.pos, got, payload = window(reader._buf, pos, n, *args)
+                if charged and got:
+                    self._charge(got, payload, reader.pos - pos)
             else:
                 buf, p = reader._buf, reader.pos
                 parts, spans, at, header, b = [], [], 0, 0, row
@@ -687,13 +924,13 @@ class Gather:
                 except (IndexError, VarintError):  # a header group off
                     pass  # the window, or one headers() rejects below
                 if not parts:
-                    before = reader.offset
                     headers(row, 0)
-                    start += reader.offset - before  # out of the span
                     ready = True
                     continue
                 n = min(b, end) - row  # then back into the body it ends in
-                at, got = window(b"".join(parts), 0, n, *args)
+                at, got, payload = window(b"".join(parts), 0, n, *args)
+                if charged and got:
+                    self._charge(got, payload, at)
                 j = bisect_right(spans, (at, len(buf) + 1)) - 1
                 reader.pos = spans[j][1] + at - spans[j][0]
                 self.parsed += spans[j][2]
@@ -703,58 +940,6 @@ class Gather:
                 values.append(one(reader))
                 row += 1
             ready = row % smallest
-        self.span += reader.offset - start - (self.parsed - parsed_before)
-
-    def hop(self, k: int) -> None:
-        """Pass ``k`` datums, charged as ``k`` per-datum skips."""
-        if self._hops is None:
-            self._hops = _hops(
-                self.schema, self.cost, self.metrics, self._skip_one
-            )
-            if not self.batched:
-                self._hops = (None, None, (), self._hops[3])
-            elif self._hops[1] is not None:
-                _kernel(self._hops[0])
-        kernel, window, args, skip = self._hops
-        reader = self.reader
-        if window is None:
-            skip(reader, k)
-        elif type(window) is int:
-            # A fixed-width run is position arithmetic wherever the window
-            # ends (reader.skip keeps the lazy-gap elision and EOF check).
-            schema, cost, metrics = args
-            reader.skip(k * window)
-            metrics.charge_cpu(cost.skip_discount(
-                cost.prim_cpu(schema.kind, k)
-                + k * window * cost.profile.raw_scan_per_byte
-            ))
-        else:
-            while True:
-                reader.pos, done = window(reader._buf, reader.pos, k, *args)
-                k -= done
-                if k <= 0:
-                    break
-                fallback(reader, kernel)  # a datum on the window's edge
-                skip(reader)
-                k -= 1
-
-    def finish(self) -> "Gather":
-        """Charge the primitives taken: a cell each, an object each if
-        var-length, their decode cpu and the raw scan of their bytes."""
-        n = len(self.values)
-        kind = self.schema.kind
-        if n and kind in _TAKES:
-            cost, metrics = self.cost, self.metrics
-            payload = 0
-            if _TAKES[kind][0] is _chunks:
-                payload = sum(map(len, self.values))
-                metrics.objects += n
-            metrics.cells += n
-            metrics.charge_cpu(
-                cost.prim_cpu(kind, n, payload)
-                + self.span * cost.profile.raw_scan_per_byte
-            )
-        return self
 
 
 def _cut(read, wanted, reader):
@@ -768,7 +953,6 @@ def batch_decode_values(reader, field_schema, k: int, ctx, keys=None):
     :class:`Gather`, charged as ``k`` per-datum ``read_datum`` calls."""
     gather = Gather(reader, field_schema, ctx.cost, ctx.metrics, keys)
     gather.take(k)
-    gather.finish()
     return gather.tag, gather.values
 
 

@@ -31,11 +31,22 @@ def python(*args):
 
 
 def imported_by(*argv):
-    """Every ``repro`` module a ``python -m repro ...`` run imports."""
-    proc = python("-X", "importtime", "-m", "repro", *argv)
+    """Every ``repro`` module in ``sys.modules`` when a ``python -m repro
+    ...`` run exits: what it loaded through the import statement and
+    through ``importlib.import_module`` alike (``-X importtime`` logs
+    only the first)."""
+    proc = python("-c", (
+        "import runpy, sys\n"
+        f"sys.argv = ['repro', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+        "print('--modules--', *sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'repro'))\n"
+    ))
     assert proc.returncode == 0, proc.stderr
-    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    return {name for name in names if name.split(".")[0] == "repro"}
+    return set(proc.stdout.rsplit("--modules--", 1)[1].split())
 
 
 class TestImportHygiene:
@@ -58,16 +69,23 @@ class TestImportHygiene:
     def test_cheap_verbs_import_no_engine(self, argv):
         modules = imported_by(*argv)
         assert "repro.cli" in modules
+        # bench list reads the scenario table in repro.bench.regress,
+        # which compares through repro.util.compare; --version loads no
+        # repro.bench module at all
+        bench = ("repro.bench", "repro.bench.regress") if "bench" in argv else ()
         heavy = [
             m for m in modules
             if m.startswith(("repro.hdfs", "repro.core", "repro.obs"))
-            or (m.startswith("repro.bench.") and m != "repro.bench.regress")
+            or (m.startswith("repro.bench") and m not in bench)
         ]
         assert heavy == []
 
     def test_an_engine_verb_imports_only_the_engine_it_runs(self):
         modules = imported_by("experiment", "fig10", "--records", "30")
-        assert {"repro.core.cif", "repro.obs.recorder"} <= modules
+        assert {
+            "repro.core.cif", "repro.obs.recorder",
+            "repro.bench.fig10_selectivity",  # loaded by its scenario
+        } <= modules
         unused = {
             f"repro.obs.{leaf}" for leaf in (
                 "tsdb", "alerts", "slo", "analysis", "export", "heatmap",

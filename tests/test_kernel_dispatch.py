@@ -13,6 +13,11 @@ The second guard counts every call into ``repro`` (the rule of
 rows crosses its skip-list blocks in one take, with their headers parsed
 in place, and a whole frame reaches ``Q`` in one ``to_list``, so neither
 a block nor a row costs a call.
+
+The third counts the calls of a selective ``Q`` over int columns: the
+gaps and runs of a selection inside one body (a plain column, an
+inflated block, a bottom block) are one step loop, so a run costs no
+call of its own.
 """
 
 import pytest
@@ -21,7 +26,7 @@ from repro.core import ColumnSpec, write_dataset
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.obs import FlightRecorder
 from repro.obs.opprofile import kernel_call_totals
-from repro.query import Q, col, count, sum_
+from repro.query import Q, col, count, max_, sum_
 from repro.workloads.micro import (
     INT_COLUMNS, MAP_COLUMN, STRING_COLUMNS, micro_records, micro_schema,
 )
@@ -100,3 +105,44 @@ def test_skiplist_and_dcsl_runs_cost_no_call_per_block(repro_calls):
     assert repro_calls["plain"] <= 13_000, repro_calls
     for name in ("skiplist", "dcsl"):
         assert repro_calls[name] <= 1.25 * repro_calls["plain"], repro_calls
+
+
+@pytest.fixture(scope="module")
+def selective_calls():
+    """Calls into ``repro`` of one warm ``narrow`` run per layout (the
+    cif_scan shape: ``int0 > cut``, then ``max(int1)`` over the
+    survivors), at a cut no row fails and at one half the rows fail,
+    with the number of runs of rows that half leaves."""
+    fs = FileSystem(ClusterConfig(num_nodes=4, io_buffer_size=12 * 1024))
+    records = list(micro_records(1800, seed=5))
+    rows = [i for i, r in enumerate(records) if r.get("int0") > 5000]
+    runs = 1 + sum(b != a + 1 for a, b in zip(rows, rows[1:]))
+    calls = {}
+    for name, spec in {
+        "plain": ColumnSpec("plain"),
+        "skiplist": ColumnSpec("skiplist"),
+        "cblock": ColumnSpec("cblock", codec="zlib"),
+    }.items():
+        path = f"/narrow/{name}"
+        write_dataset(
+            fs, path, micro_schema(), records, default_spec=spec,
+            split_bytes=128 * 1024,
+        )
+        for cut in (0, 5000):
+            q = Q(path).where(col("int0") > cut).aggregate(top=max_(col("int1")))
+            q.run(fs)
+            result, calls[name, cut] = count_calls(lambda: q.run(fs))
+            assert result.rows[0]["top"] == max(
+                r.get("int1") for r in records if r.get("int0") > cut
+            )
+    return calls, runs
+
+
+def test_a_half_selective_read_costs_no_call_per_run(selective_calls):
+    """Before the step loop, each run cost a ``hop`` and a ``take``
+    (and their window loops): 8 700, 9 445 and 9 004 calls at half
+    against 5 453, 5 565 and 5 757 at every row, over 460 runs."""
+    calls, runs = selective_calls
+    assert runs > 400
+    for name in ("plain", "skiplist", "cblock"):
+        assert calls[name, 5000] < calls[name, 0] + runs // 2, calls

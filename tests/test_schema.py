@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serde.schema import Field, Schema, SchemaError
+from repro.serde.schema import PRIMITIVES, Field, Schema, SchemaError
 
 
 def url_info_schema():
@@ -79,6 +79,19 @@ class TestJsonRoundtrip:
     def test_parse_bad_primitive(self):
         with pytest.raises(SchemaError):
             Schema.parse("varchar")
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_a_primitive_parses_the_same_in_every_form(self, name):
+        bare = Schema.parse(name)
+        assert bare == Schema(name) and bare.kind == name
+        assert Schema.parse(f'"{name}"') == bare
+        assert Schema.parse({"type": name}) == bare
+        assert Schema.parse(f'{{"type": "{name}"}}') == bare
+
+    @pytest.mark.parametrize("name", ["varchar", '"varchar"', "Int", ""])
+    def test_an_unknown_name_still_raises(self, name):
+        with pytest.raises(SchemaError):
+            Schema.parse(name)
 
 
 class TestProjection:

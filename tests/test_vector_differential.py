@@ -14,8 +14,11 @@ agreeing with ground truth.  Seeded fault plans ride along: a
 survivable plan must be invisible under both engines alike.
 """
 
+from functools import partial
+
 import pytest
 
+import repro.query.query as query_module
 from repro.check.generators import generate_case, normalize, to_records
 from repro.check.oracle import (
     CBLOCK_BYTES,
@@ -41,7 +44,9 @@ from repro.faults import FaultPlan
 from repro.hdfs import ClusterConfig, FileSystem
 from repro.mapreduce import Job, run_job
 from repro.obs import FlightRecorder
-from repro.query import Q, col
+from repro.query import Expr, Q, col, count, max_, sum_
+from repro.serde import vecdecode
+from repro.serde.record import Record
 from repro.serde.schema import Schema
 from repro.workloads.crawl import crawl_records, crawl_schema
 from repro.workloads.jobs import distinct_content_types_job, distinct_reducer
@@ -423,3 +428,178 @@ def test_filtered_q_reconciles_over_every_layout_and_window(
             scalar.job.map_metrics, vec.job.map_metrics
         ) == []
         assert vec.job.map_metrics == scalar.job.map_metrics
+
+
+# -- length reads ------------------------------------------------------------
+
+#: what a length read must measure as ``len`` does: empty, ASCII and
+#: non-ASCII values, and values of 128 bytes or more (a two-byte prefix)
+TEXTS = ["", "ascii", "é", "naïve café", "x" * 130, "ü" * 70, "中" * 50 + "!"]
+BLOBS = [b"", b"\x00", b"\xff\xfe raw", b"z" * 128, bytes(range(256))]
+BAD_ROW = 157  # the row of ``t`` whose bytes are not UTF-8
+
+
+class _NotUtf8(str):
+    """A string that encodes to bytes that are not UTF-8."""
+
+    def encode(self, *args, **kwargs):
+        return b"bad \xc3( utf-8"
+
+
+LENGTH_SCHEMA = Schema.record("lengths", [
+    ("i", Schema.int_()), ("s", Schema.string()), ("b", Schema.bytes_()),
+    ("t", Schema.string()), ("m", Schema.map(Schema.int_())),
+    ("a", Schema.array(Schema.long_())),
+])
+
+#: every column layout: plain, skip-list, cblock and DCSL read lengths
+#: off the window; rle, delta and a declared default answer whole values
+LENGTH_LAYOUTS = {
+    "plain": dict(default_spec=ColumnSpec("plain")),
+    "skiplist": dict(default_spec=ColumnSpec("skiplist", skip_sizes=SKIP_SIZES)),
+    "cblock": dict(default_spec=ColumnSpec(
+        "cblock", codec="zlib", block_bytes=CBLOCK_BYTES
+    )),
+    "dcsl": dict(
+        default_spec=ColumnSpec("skiplist", skip_sizes=SKIP_SIZES),
+        specs={"m": ColumnSpec("dcsl", skip_sizes=SKIP_SIZES)},
+    ),
+    "rle": dict(specs={
+        name: ColumnSpec("rle") for name in ("i", "s", "b", "t")
+    }),
+    "delta": dict(specs={"i": ColumnSpec("delta")}),
+}
+
+
+def _length_records():
+    records = []
+    for i in range(300):
+        record = Record(LENGTH_SCHEMA)
+        record.put("i", i)
+        record.put("s", TEXTS[i % len(TEXTS)] * (1 + i % 3))
+        record.put("b", BLOBS[i % len(BLOBS)])
+        record.put("t", _NotUtf8(f"bad{i}") if i == BAD_ROW else f"t{i}")
+        record.put("m", {f"k{j}": j for j in range(i % 4)})
+        record.put("a", list(range(i % 5)))
+        records.append(record)
+    return records
+
+
+@pytest.fixture(scope="module")
+def length_windows():
+    """The records in every ``LENGTH_LAYOUTS`` layout, with a declared
+    string column ``d``, behind each I/O buffer: {buffer: fs}."""
+    records = _length_records()
+    out = {}
+    for window in (61, 509, 12288):
+        fs = FileSystem(ClusterConfig(
+            num_nodes=4, block_size=64 * 1024, io_buffer_size=window,
+        ))
+        for name, layout in LENGTH_LAYOUTS.items():
+            write_dataset(
+                fs, f"/len/{name}", LENGTH_SCHEMA, records,
+                split_bytes=16 * 1024, **layout,
+            )
+            declare_column(fs, f"/len/{name}", "d", Schema.string(), "déjà")
+        out[window] = fs
+    return out
+
+
+def _length_queries(dataset):
+    """``.length()`` in a select, a filter and an aggregate; over ``t``
+    where a filter drops its bad row and where none does; over map and
+    array columns, which stay whole; and in ops whose rows are evaluated
+    whole (a filter that does not compile, a select that is refused),
+    which must see the values themselves."""
+    q = Q(dataset)
+    opaque = Expr(col("i").evaluate, col("i").columns, "opaque i")
+    return {
+        "select": q.select(
+            i=col("i"), s=col("s").length(), b=col("b").length(),
+            d=col("d").length(),
+        ),
+        "filter": q.where(col("s").length() > 20).select(
+            b=col("b").length(), i=col("i"),
+        ),
+        "aggregate": q.where(col("i").apply(lambda v: v % 4, "mod4") != 1).group_by(
+            g=col("i").apply(lambda v: v % 3, "mod3"),
+        ).aggregate(
+            n=count(), s=sum_(col("s").length()),
+            b=max_(col("b").length()),
+        ),
+        "hopped": q.where(col("i") != BAD_ROW).select(t=col("t").length()),
+        "bad": q.select(t=col("t").length()),
+        "whole": q.where(col("b").length() < 100).aggregate(
+            m=sum_(col("m").length()), a=sum_(col("a").length()),
+            s=sum_(col("s").length()),
+        ),
+        "row filter": q.where(
+            col("s").length().apply(lambda n: n > 20, "long")
+        ).select(b=col("b").length()),
+        "refused": q.select(s=col("s").length(), i=opaque),
+    }
+
+
+def _run_recorded(q, fs, execution):
+    """``(rows or error type, map metrics, lazy.* and column.rows.*)``."""
+    recorder = FlightRecorder(clock=lambda: 0.0)
+    with recorder.activate():
+        try:
+            result = q.run(fs, execution=execution)
+        except UnicodeDecodeError as error:
+            result = error
+    registry = {
+        (name, labels): metric.value
+        for name, labels, metric in recorder.registry
+        if name.startswith(("lazy.", "column.rows."))
+    }
+    if isinstance(result, Exception):
+        return (type(result), str(result)), None, None
+    return result.rows, result.job.map_metrics, registry
+
+
+@pytest.mark.parametrize("window", (61, 509, 12288))
+@pytest.mark.parametrize("layout", sorted(LENGTH_LAYOUTS))
+def test_length_reads_reconcile_over_every_layout_and_window(
+    length_windows, layout, window, monkeypatch
+):
+    """A string or bytes column read only through ``.length()`` is read
+    as lengths, off each length prefix with its payload hopped; a
+    non-ASCII value keeps its bytes for ``len`` to decode.  Rows (or the
+    error), every ``Metrics`` field, ``lazy.*`` and ``column.rows.*``
+    equal the per-datum reference's, for every layout: rle, delta and
+    the declared default answer whole values, which the ``length``
+    evaluator takes too.  Map and array columns are never read as
+    lengths."""
+    monkeypatch.setattr(
+        query_module, "ColumnInputFormat",
+        partial(ColumnInputFormat, batch_rows=64),
+    )
+    measured = set()  # (kind, read as lengths) of each LENGTHS gather
+
+    class Spy(vecdecode.Gather):
+        def __init__(self, reader, schema, cost, metrics, wanted=None,
+                     *args):
+            super().__init__(reader, schema, cost, metrics, wanted, *args)
+            if wanted == vecdecode.LENGTHS:
+                measured.add((schema.kind, self.lengths))
+
+    monkeypatch.setattr(vecdecode, "Gather", Spy)
+    fs = length_windows[window]
+    for kind, q in _length_queries(f"/len/{layout}").items():
+        scalar = _run_recorded(q, fs, "scalar")
+        vec = _run_recorded(q, fs, "vectorized")
+        assert vec[0] == scalar[0], kind
+        if kind == "bad":
+            assert vec[0][0] is UnicodeDecodeError
+            continue
+        assert len(vec[0]) > 0, kind
+        assert vec[2] == scalar[2], kind
+        assert reconcile_metrics(scalar[1], vec[1]) == [], kind
+        assert vec[1] == scalar[1], kind
+    if layout != "rle":  # rle strings and bytes answer whole values
+        assert {("string", True), ("bytes", True)} <= measured, measured
+    assert {kind for kind, lengths in measured if lengths} <= {
+        "string", "bytes"
+    }
+    assert ("map", False) in measured and ("array", False) in measured

@@ -270,10 +270,12 @@ ints64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
 def _take(kind):
-    """A gather's window loop over ``k`` datums of ``kind``, uncharged
-    (a primitive's charges wait for ``finish``)."""
+    """A gather's window loop over ``k`` datums of ``kind``, charged to a
+    ``Metrics`` of its own."""
     def take(reader, k):
-        gather = vecdecode.Gather(reader, Schema(kind), None, None)
+        gather = vecdecode.Gather(
+            reader, Schema(kind), CpuCostModel(), Metrics()
+        )
         gather.take(k)
         return gather.values
 
@@ -312,7 +314,7 @@ def _hop(schema, k, skip_one=None, kernel="hop"):
         gather = vecdecode.Gather(
             reader, schema, ctx.cost, ctx.metrics, None, None, skip_one,
         )
-        assert _kernel_calls(lambda: gather.hop(k)) == [kernel], (
+        assert _kernel_calls(lambda: gather.steps((k, 0))) == [kernel], (
             "the gather declined to hop in bulk"
         )
 
@@ -486,13 +488,32 @@ def _datum_run(schema):
     return encoder.getvalue(), len(datums)
 
 
-def _prim_reads(kind, kernel, one):
-    payload, k = _datum_run(Schema(kind))
-    return (
-        payload,
-        lambda reader, ctx: kernel(reader, k),
-        lambda reader, ctx: [one(reader) for _ in range(k)],
-    )
+def _charged_reads(kind, wanted=None):
+    """A gather's take of ``k`` datums of ``kind`` charged to ``ctx`` as
+    it goes (with ``wanted``, a :data:`~repro.serde.vecdecode.LENGTHS`
+    read, its values measured back), against ``k`` charged
+    ``read_datum`` calls."""
+    schema = Schema(kind)
+    payload, k = _datum_run(schema)
+
+    def batch(reader, ctx):
+        gather = vecdecode.Gather(reader, schema, ctx.cost, ctx.metrics, wanted)
+        gather.take(k)
+        if wanted is not None:
+            return [
+                v if type(v) is int else len(str(v, "utf-8"))
+                for v in gather.values
+            ]
+        if kind == "string":
+            return [str(v, "utf-8") for v in gather.values]
+        return gather.values
+
+    def scalar(reader, ctx):
+        decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
+        values = [decoder.read_datum(schema) for _ in range(k)]
+        return values if wanted is None else [len(v) for v in values]
+
+    return payload, batch, scalar
 
 
 def _picked(maps, wanted, projected=False):
@@ -657,21 +678,14 @@ _SKIP_SCHEMAS = (
     + [Schema.array(items=Schema(kind)) for kind in _PRIMS]
 )
 _EDGE_CASES = {
-    "read_zigzags": partial(
-        _prim_reads, "long", _take("long"), lambda r: r.read_zigzag()
-    ),
-    "read_chunks": partial(
-        _prim_reads, "bytes", _take("bytes"),
-        lambda r: r.read_len_prefixed(),
-    ),
-    "read_doubles": partial(
-        _prim_reads, "double", _take("double"),
-        lambda r: r.read_double(),
-    ),
-    "read_booleans": partial(
-        _prim_reads, "boolean", _take("boolean"),
-        lambda r: r.read_byte() != 0,
-    ),
+    "read_zigzags": partial(_charged_reads, "long"),
+    "read_chunks": partial(_charged_reads, "bytes"),
+    "read_chunks[string]": partial(_charged_reads, "string"),
+    "read_doubles": partial(_charged_reads, "double"),
+    "read_booleans": partial(_charged_reads, "boolean"),
+    **{f"read_lengths[{kind}]": partial(
+        _charged_reads, kind, vecdecode.LENGTHS
+    ) for kind in ("string", "bytes")},
     **{f"read_maps[{kind}]": partial(_map_reads, kind) for kind in _PRIMS},
     **{f"read_maps[dcsl,{kind}]": partial(_dcsl_reads, kind)
        for kind in _PRIMS},
@@ -1258,8 +1272,9 @@ def test_an_overlong_varint_raises_as_the_per_datum_gather_does(
     takes: read whole (a map also cut down to a key it lacks), or hopped
     to row 39, the window loops hand it off at its tenth continuation
     byte, so it raises (or its skip block passes it) as the per-datum
-    gather does, with the same charges and stream reads, wherever the
-    window ends."""
+    gather and the per-row ``read_value`` path do, with the same charges
+    and stream reads, wherever the window ends: a gather charges each
+    value as it takes it, so a raise carries ``read_value``'s books."""
     values = range(1000, 1040)
     if schema.kind == "map":
         values = [{"k": value} for value in values]
@@ -1285,17 +1300,30 @@ def test_an_overlong_varint_raises_as_the_per_datum_gather_does(
             return column.read_selected(rows)
         return walk
 
+    def per_row(rows):
+        def walk(reader, ctx):
+            column = open_column_reader(reader._stream, schema, ctx)
+            if rows is None:
+                return [column.read_value() for _ in range(column.count)]
+            return {row: column.value_at(row) for row in rows}
+        return walk
+
     reads = [(None, None), ([39], None)]
     if schema.kind == "map":
         reads.append((None, ("j",)))
     for rows, keys in reads:
         for window in [*range(1, len(payload) + 1), 4096]:
-            got, want = (
-                _run_at_window(fs, "/col", window,
-                               gather(rows, keys, batched), VarintError)
-                for batched in (True, False)
+            got, want, reference = (
+                _run_at_window(fs, "/col", window, walk, VarintError)
+                for walk in (
+                    gather(rows, keys, True), gather(rows, keys, False),
+                    per_row(rows),
+                )
             )
             assert got == want, f"rows={rows} keys={keys} window={window}"
+            assert got == reference, (
+                f"rows={rows} keys={keys} window={window}"
+            )
             if rows is None or layout == "plain":
                 assert got[0] is VarintError
 
