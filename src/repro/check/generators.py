@@ -16,6 +16,7 @@ skip-ahead paths get exercised, not just random noise.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -352,7 +353,7 @@ def normalize(value):
         return {
             name: normalize(v) for name, v in value.to_dict().items()
         }
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):  # a dict, or a lazy row's map cell
         return {k: normalize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [normalize(v) for v in value]
@@ -361,7 +362,7 @@ def normalize(value):
 
 def freeze(value):
     """A hashable, order-canonical form of a normalized value."""
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return tuple(sorted((k, freeze(v)) for k, v in value.items()))
     if isinstance(value, (list, tuple)):
         return tuple(freeze(v) for v in value)

@@ -19,15 +19,8 @@ class Codec:
     #: cost-model key ("zlib" or "lzo")
     name = ""
 
-    def compress(
-        self,
-        data: bytes,
-        cost: Optional[CpuCostModel] = None,
-        metrics: Optional[Metrics] = None,
-        registry=None,
-    ) -> bytes:
-        if cost is not None and metrics is not None:
-            cost.charge_deflate(metrics, self.name, len(data))
+    def compress(self, data: bytes, registry=None) -> bytes:
+        """``data`` deflated; the write side charges no simulated cpu."""
         out = self._compress(data)
         if registry is not None and registry.enabled:
             registry.counter("codec.blocks", codec=self.name, op="deflate").inc()

@@ -60,7 +60,6 @@ from repro.obs import NULL_PROFILER
 from repro.serde import vecdecode
 from repro.serde.binary import BinaryDecoder, BinaryEncoder, encode_values
 from repro.serde.schema import Schema, SchemaError
-from repro.sim.metrics import Metrics
 from repro.util.buffers import ByteReader, ByteWriter
 from repro.util.varint import VarintError, decode_varint, encode_varint
 
@@ -325,13 +324,18 @@ class ColumnReader:
 
     A read's ``keys`` (a tuple of map keys) asks for each map cut down
     to those keys, charged as the whole map; a read without a map
-    kernel for the column returns whole values.
+    kernel for the column returns whole values.  Each read walks with
+    this reader's one gather for its ``keys`` (:meth:`_new_gather`).
 
     ``labels`` (typically ``file=...``, ``column=...``) tag the
     per-reader access counters — ``column.rows.read`` and
     ``column.rows.skipped`` — so the storage heatmap can attribute
     row touches to a specific split/column.
     """
+
+    #: a DCSL reader's current block dictionary (its map keys are ids
+    #: into it); None where map keys are strings
+    _keys = None
 
     def __init__(
         self, reader, field_schema: Schema, count: int, ctx: TaskContext,
@@ -354,6 +358,7 @@ class ColumnReader:
         #: values (``_read_datum_fast`` asks per value)
         self._map_kernel = vecdecode.map_batch_supported(field_schema)
         self._decoder = BinaryDecoder(reader, ctx.cost, ctx.metrics)
+        self._gathers = {}  # keys -> this reader's gather for them
         # Operator attribution: every row this reader decodes or skips
         # is credited to whatever operator is current on the profiler.
         # Resolved at construction — profilers install on the ctx
@@ -403,28 +408,47 @@ class ColumnReader:
         raise NotImplementedError
 
     def _read_datum_fast(self, reader=None, decoder=None, keys=None):
-        """One datum via the batched map kernel when enabled (a lazy
-        row's cell read hits this); charge-identical to
-        ``read_datum`` either way."""
-        if self.batch_kernels and self._map_kernel:
-            return vecdecode.read_maps(
-                reader if reader is not None else self.reader,
-                self.field_schema, 1, self.ctx.cost, self.ctx.metrics,
-                wanted=keys,
-            )[0]
-        return (decoder if decoder is not None else self._decoder).read_datum(
-            self.field_schema
+        """One datum, charged as ``read_datum`` charges it (a lazy row's
+        cell read hits this).  With ``batch_kernels`` a map comes back as
+        a :class:`~repro.serde.vecdecode.MapCell` over its span, or with
+        ``keys`` as a dict of those it holds; one the window does not
+        hold whole, or that does not decode, goes to the per-datum
+        decode, which raises or reads it whole."""
+        if not (self.batch_kernels and self._map_kernel):
+            return (decoder if decoder is not None else self._decoder
+                    ).read_datum(self.field_schema)
+        reader = self.reader if reader is None else reader
+        ctx = self.ctx
+        value = vecdecode.map_cell(
+            reader, self.field_schema.values.kind, ctx.cost, ctx.metrics,
+            self._keys,
         )
+        if value is None:
+            vecdecode.fallback(reader, "read_maps")
+            value = self._decode_one_value(decoder)
+        if keys is not None:
+            value = {key: value[key] for key in keys if key in value}
+        return value
+
+    def _decode_one_value(self, decoder=None):
+        """One datum by the per-datum decode (``decoder`` if given)."""
+        return (decoder if decoder is not None else self._decoder
+                ).read_datum(self.field_schema)
 
     def _new_gather(self, reader, keys, *per_datum):
-        """The gather of one column read, in window steps or (without
-        ``batch_kernels``) per-datum ones; a DCSL reader passes its
-        ``per_datum`` decode and skip."""
-        gather = vecdecode.Gather(
-            reader, self.field_schema, self.ctx.cost, self.ctx.metrics, keys,
-            *per_datum,
-        )
-        gather.batched = self.batch_kernels
+        """The gather of one column read off ``reader``, in window steps
+        or (without ``batch_kernels``) per-datum ones: built on this
+        reader's first read for ``keys`` and restarted for each one
+        after.  A DCSL reader passes its ``per_datum`` decode and skip."""
+        gather = self._gathers.get(keys)
+        if gather is None or gather.batched != self.batch_kernels:
+            gather = self._gathers[keys] = vecdecode.Gather(
+                reader, self.field_schema, self.ctx.cost, self.ctx.metrics,
+                keys, *per_datum,
+            )
+            gather.batched = self.batch_kernels
+        else:
+            gather.restart(reader)
         return gather
 
     def read_vector(self, n: int, keys=None):
@@ -548,6 +572,7 @@ class SkipListColumnReader(ColumnReader):
     def _consume_dictionary(self) -> None:
         before = self.reader.offset
         self.dictionary = KeyDictionary.read(self.reader)
+        self._keys = self.dictionary.keys
         self.ctx.cost.charge_raw_scan(self.ctx.metrics, self.reader.offset - before)
 
     def _jump(self, block_count: int, nbytes: int) -> None:
@@ -565,7 +590,7 @@ class SkipListColumnReader(ColumnReader):
             self._consume_block_header()
             if level == 0 and self.has_dictionaries:
                 self._consume_dictionary()
-        value = self._decode_one_value(keys)
+        value = self._read_datum_fast(keys=keys)
         self.next_index += 1
         self._obs_rows_read.inc()
         self._profiler.on_cells(1)
@@ -584,8 +609,8 @@ class SkipListColumnReader(ColumnReader):
             (lambda _: self._decode_one_value(),
              lambda _: self._skip_one_value()) if dcsl else ()
         ))
-        if dcsl and self.dictionary is not None:
-            gather.use_keys(self.dictionary.keys)
+        if gather._keys is not self._keys:
+            gather.use_keys(self._keys)
         sizes, smallest = self.sizes, self.sizes[-1]
         parsed = 0  # header bytes parsed off the window
 
@@ -610,7 +635,7 @@ class SkipListColumnReader(ColumnReader):
                     return block_count
                 if level == 0 and dcsl:
                     self._consume_dictionary()
-                    gather.use_keys(self.dictionary.keys)
+                    gather.use_keys(self._keys)
             return 0
 
         i, plan = self.next_index, [0, 0]  # the bottom block's counts
@@ -644,23 +669,20 @@ class SkipListColumnReader(ColumnReader):
         self.next_index = i
         return gather
 
-    def _decode_one_value(self, keys=None):
-        return self._read_datum_fast(keys=keys)
-
 
 class DcslColumnReader(SkipListColumnReader):
     """Dictionary compressed skip list for map columns (Section 5.3)."""
 
     has_dictionaries = True
 
-    def _decode_one_value(self, keys=None) -> dict:
+    def _read_datum_fast(self, reader=None, decoder=None, keys=None):
+        if self.batch_kernels and self._map_kernel:
+            return super()._read_datum_fast(reader, decoder, keys)
+        return self._decode_one_value()
+
+    def _decode_one_value(self, decoder=None) -> dict:
         ctx = self.ctx
         reader = self.reader
-        if keys is not None and self._map_kernel:  # a key-projected read
-            return vecdecode.read_maps(
-                reader, self.field_schema, 1, ctx.cost, ctx.metrics,
-                self.dictionary.keys, self._decode_one_value, wanted=keys,
-            )[0]
         start = reader.offset
         entries = reader.read_varint()
         ctx.cost.charge_map(ctx.metrics, entries)
@@ -922,29 +944,52 @@ class DeltaColumnReader(ColumnReader):
         return self._current
 
     def _gather(self, runs, keys=None):
-        """One take of every delta up to the last run's end: deltas are
-        cumulative, so a gap's are summed too (cheap, they are bare
-        varints), and charged as skipped."""
-        cost, metrics = self.ctx.cost, self.ctx.metrics
-        first, runs = self.next_index, list(runs)
-        end = runs[-1][0] + runs[-1][1]
-        # the deltas are charged below, as skips and reads, not as the
-        # gather's takes (it charges a scratch Metrics)
-        deltas = vecdecode.Gather(self.reader, self.field_schema, cost, Metrics())
-        deltas.batched = self.batch_kernels
-        before = self.reader.offset
-        deltas.take(end - first)
-        sums = list(accumulate(deltas.values, initial=self._current))
-        values, i = [], first
-        cpu = (self.reader.offset - before) * cost.profile.raw_scan_per_byte
+        """Every delta up to the last run's end is taken (deltas are
+        cumulative, so a gap's are summed too; cheap, they are bare
+        varints) and charged as it is taken, per window run and per
+        hand-off: a run's deltas as ``read_value`` charges them, a gap's
+        as skipped (the raw scan, the decode cpu times
+        ``skip_fraction``).  A delta on a window edge goes to
+        ``read_zigzag``, which refills or raises."""
+        reader, cost, metrics = self.reader, self.ctx.cost, self.ctx.metrics
+        rate, raw = cost.prim_cpu("int", 1), cost.profile.raw_scan_per_byte
+
+        def charge(k, nbytes, take):
+            if take:
+                metrics.cells += k
+                metrics.cpu_ticks += k * rate + nbytes * raw
+            else:
+                metrics.cpu_ticks += cost.skip_discount(k * rate) + nbytes * raw
+
+        batched, counted = self.batch_kernels, False
+        values, current, i = [], self._current, self.next_index
         for start, length in runs:
-            if start > i:
-                cpu += cost.skip_discount(cost.prim_cpu("int", start - i))
-            values += sums[start - first + 1:start - first + 1 + length]
-            i = start + length
-        metrics.cells += len(values)
-        metrics.charge_cpu(cpu + cost.prim_cpu("int", len(values)))
-        self._current, self.next_index = sums[-1], end
+            for n, take in ((start - i, False), (length, True)):
+                i += n
+                while n:
+                    deltas = []
+                    if batched:
+                        if not counted:
+                            vecdecode.kernel("read_zigzags")
+                            counted = True
+                        pos = reader.pos
+                        reader.pos, done, _ = vecdecode.zigzags(
+                            reader._buf, pos, n, deltas
+                        )
+                        if done:
+                            charge(done, reader.pos - pos, take)
+                    if len(deltas) < n:  # a delta on the window's edge
+                        if batched:
+                            vecdecode.fallback(reader, "read_zigzags")
+                        before = reader.offset
+                        deltas.append(reader.read_zigzag())
+                        charge(1, reader.offset - before, take)
+                    n -= len(deltas)
+                    sums = list(accumulate(deltas, initial=current))
+                    current = sums[-1]
+                    if take:
+                        values += sums[1:]
+                    self._current, self.next_index = current, i - n
         return _Taken("q", values)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
+from collections.abc import Mapping
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -70,7 +71,7 @@ def _sizeof(obj) -> int:
         return len(obj) + 2
     if isinstance(obj, (list, tuple, set, frozenset)):
         return 4 + sum(_sizeof(x) for x in obj)
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):  # a dict, or a lazy row's map cell
         return 4 + sum(_sizeof(k) + _sizeof(v) for k, v in obj.items())
     return 16
 

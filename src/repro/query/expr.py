@@ -9,6 +9,7 @@ columns.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from typing import Callable, FrozenSet, Optional
 
 
@@ -207,7 +208,7 @@ class Expr:
         """
 
         def item(value):
-            if isinstance(value, dict):
+            if isinstance(value, Mapping):  # a dict, or a lazy map cell
                 return value.get(key)
             return value[key]
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+from collections.abc import Mapping
 from functools import partial
 from operator import methodcaller
 
@@ -78,7 +79,8 @@ def set_profile_sink(sink) -> None:
     _SINK = sink
 
 
-def _kernel(name: str) -> None:
+def kernel(name: str) -> None:
+    """Count one call of the batch kernel ``name``."""
     if _SINK is not None:
         _SINK.kernel(name)
 
@@ -167,7 +169,9 @@ def _zigzag_steps(buf, pos, plan, j, left, out):
         return pos, j, left, hopped, hop_bytes
 
 
-def _zigzags(buf, pos, k, out):
+def zigzags(buf, pos, k, out):
+    """Up to ``k`` zig-zag varints off the window onto ``out``:
+    ``(pos, done, 0)``, as any take window returns."""
     pos, _, left, _, _ = _zigzag_steps(buf, pos, (0, k), 1, k, out)
     return pos, k - left, 0
 
@@ -244,7 +248,7 @@ def _booleans(buf, pos, k, out):
 #: primitive kind -> (window loop, per-datum read, kernel, vector tag:
 #: an array typecode, "str" for UTF-8 chunks, or "obj")
 _TAKES = {
-    "int": (_zigzags, methodcaller("read_zigzag"), "read_zigzags", "q"),
+    "int": (zigzags, methodcaller("read_zigzag"), "read_zigzags", "q"),
     "double": (_doubles, methodcaller("read_double"), "read_doubles", "d"),
     "boolean": (
         _booleans, lambda reader: reader.read_byte() != 0, "read_booleans",
@@ -385,12 +389,22 @@ def _maps(buf, pos, k, out, value_kind, cost, metrics, keys, coded_keys,
     except _OFF_WINDOW + (UnicodeDecodeError,):
         pass
     done = len(out) - before
-    entries, key_payload, value_payload = whole
+    if metrics is not None:  # (a MapCell's dict: charged when it was read)
+        _charge_maps(cost, metrics, value_kind, coded_keys, done, *whole,
+                     pos - start)
+    return pos, done, 0
+
+
+def _charge_maps(cost, metrics, value_kind, coded_keys, done, entries,
+                 key_payload, value_payload, nbytes):
+    """Charge ``done`` whole maps of ``entries`` in all, ``nbytes`` long,
+    as that many per-datum decodes: map container, a key and a value per
+    entry, the raw scan of the span."""
     profile = cost.profile
     metrics.cells += 2 * entries  # keys + values
     # maps + entries, and a string per key unless it is looked up
     metrics.objects += done + (1 if coded_keys else 2) * entries
-    if value_kind in ("string", "bytes"):
+    if value_kind in _CHUNK_KINDS:
         metrics.objects += entries
     metrics.charge_cpu(
         done * profile.map_decode_base
@@ -400,9 +414,225 @@ def _maps(buf, pos, k, out, value_kind, cost, metrics, keys, coded_keys,
             else cost.prim_cpu("string", entries, key_payload)
         )
         + cost.prim_cpu(value_kind, entries, value_payload)
-        + (pos - start) * profile.raw_scan_per_byte
+        + nbytes * profile.raw_scan_per_byte
     )
-    return pos, done, 0
+
+
+# ---------------------------------------------------------------------------
+# Lazy map cells: a lazy row's map, one key decoded at a time
+# ---------------------------------------------------------------------------
+
+#: bytes of the window a cell read copies first; a longer map copies
+#: the rest of the window and keeps its own span
+_CELL_PEEK = 256
+
+_MISSING = object()
+
+
+def _walk_cell(span, value_kind, keys):
+    """Walk the map datum at the start of ``span`` (DCSL ids into
+    ``keys`` if given) as :func:`_hop_maps` does, checking that it
+    decodes: keys and string values UTF-8, no varint overlong, no id
+    past ``keys``, no key twice.  ``(end, start, count, key_payload,
+    value_payload)`` with ``start`` its first entry, or None if it runs
+    past ``span`` or does not decode."""
+    ints = value_kind in _INTEGER_KINDS
+    fixed = _FIXED_WIDTH.get(value_kind)
+    text = value_kind == "string"
+    key_payload = value_payload = 0
+    seen = set()
+    try:
+        count = span[0]
+        p = 1
+        if count >= 0x80:
+            count, p = decode_varint(span, 0)
+        start = p
+        for _ in range(count):
+            n = span[p]
+            if n < 0x80:
+                p += 1
+            else:
+                n, p = decode_varint(span, p)
+            if keys is None:
+                key = span[p:p + n]
+                p += n
+                key_payload += n
+                if not key.isascii():
+                    key.decode("utf-8")
+            else:
+                keys[n]  # an id past the dictionary raises
+                key = n
+            seen.add(key)
+            if ints:  # as in _hop_maps
+                if span[p] < 0x80:
+                    p += 1
+                elif span[p + 1] < 0x80:
+                    p += 2
+                else:
+                    q, p = p, p + 2
+                    while span[p] >= 0x80:
+                        p += 1
+                    if p - q >= MAX_VARINT_BYTES:
+                        return None
+                    p += 1
+            elif fixed:
+                p += fixed
+            else:
+                n = span[p]
+                if n < 0x80:
+                    p += 1
+                else:
+                    n, p = decode_varint(span, p)
+                if text and not span[p:p + n].isascii():
+                    span[p:p + n].decode("utf-8")
+                p += n
+                value_payload += n
+    except _OFF_WINDOW + (UnicodeDecodeError,):
+        return None
+    if p > len(span) or len(seen) < count:
+        return None
+    return p, start, count, key_payload, value_payload
+
+
+def map_cell(reader, value_kind, cost, metrics, keys=None):
+    """The map datum at ``reader``'s position as a :class:`MapCell` over
+    a copy of its span, walked once and charged as :func:`_maps` charges
+    the whole map (one ``read_maps`` kernel call); map keys are ids into
+    ``keys`` (a DCSL block dictionary) if given.  None, with nothing read
+    or charged, if the datum does not lie wholly in the window, does not
+    decode or holds a key twice: the per-datum decode takes it."""
+    if _SINK is not None:
+        _SINK.kernel("read_maps")
+    buf, pos = reader._buf, reader.pos
+    span = bytes(buf[pos:pos + _CELL_PEEK])
+    walked = _walk_cell(span, value_kind, keys)
+    if walked is None:
+        if pos + _CELL_PEEK >= len(buf):
+            return None
+        span = bytes(buf[pos:])  # a longer map: the rest of the window
+        walked = _walk_cell(span, value_kind, keys)
+        if walked is None:
+            return None
+        span = span[:walked[0]]
+    end, start, count, key_payload, value_payload = walked
+    reader.pos = pos + end
+    _charge_maps(cost, metrics, value_kind, keys is not None, 1, count,
+                 key_payload, value_payload, end)
+    return MapCell(span, start, count, value_kind, keys)
+
+
+class MapCell(Mapping):
+    """A map a lazy row read, over a copy of its span (:func:`map_cell`):
+    the paper's "value-level access" (Section 5.3) at the Record API.
+
+    ``get(k)``, ``m[k]`` and ``k in m`` walk the span for one key and
+    ``len(m)`` is its entry count.  Anything else (iteration, ``==``
+    either way, ``repr``, ``items``, ``dict(m)``, pickling, a key that
+    is not a ``str``) builds the dict once and delegates to it.  All of
+    it was charged when the cell was read.  It is read-only, and not a
+    ``dict`` subclass: code reading dict storage directly would see an
+    empty one.
+    """
+
+    __slots__ = ("_span", "_start", "_count", "_kind", "_keys", "_dict")
+
+    def __init__(self, span, start, count, value_kind, keys=None) -> None:
+        self._span, self._start, self._count = span, start, count
+        self._kind, self._keys, self._dict = value_kind, keys, None
+
+    def get(self, key, default=None):
+        """The value at ``key``, or ``default``: a hop walk that decodes
+        the one value it stops at."""
+        if self._dict is not None or type(key) is not str:
+            return self._built().get(key, default)
+        span, keys, kind = self._span, self._keys, self._kind
+        ints = kind in _INTEGER_KINDS
+        fixed = _FIXED_WIDTH.get(kind)
+        if keys is None:
+            raw = key.encode("utf-8", "surrogatepass")
+            size = len(raw)
+        p = self._start
+        for _ in range(self._count):
+            n = span[p]
+            if n < 0x80:
+                p += 1
+            else:
+                n, p = decode_varint(span, p)
+            if keys is None:
+                hit = n == size and span.startswith(raw, p)
+                p += n
+            else:
+                hit = keys[n] == key
+            if hit:
+                if ints:
+                    folded = decode_varint(span, p)[0]
+                    return -((folded + 1) >> 1) if folded & 1 else folded >> 1
+                if kind == "double":
+                    return _DOUBLE.unpack_from(span, p)[0]
+                if kind == "boolean":
+                    return span[p] != 0
+                n, p = decode_varint(span, p)
+                value = span[p:p + n]
+                return value.decode() if kind == "string" else value
+            if ints:
+                while span[p] >= 0x80:
+                    p += 1
+                p += 1
+            elif fixed:
+                p += fixed
+            else:
+                n = span[p]
+                if n < 0x80:
+                    p += 1 + n
+                else:
+                    n, p = decode_varint(span, p)
+                    p += n
+        return default
+
+    def _built(self) -> dict:
+        built = self._dict
+        if built is None:
+            out = []
+            coded = self._keys is not None
+            _maps(self._span, 0, 1, out, self._kind, None, None,
+                  self._keys if coded else {}, coded)
+            built = self._dict = out[0]
+        return built
+
+    def __getitem__(self, key):
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key) -> bool:
+        return self.get(key, _MISSING) is not _MISSING
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def keys(self):
+        return self._built().keys()
+
+    def items(self):
+        return self._built().items()
+
+    def values(self):
+        return self._built().values()
+
+    def __eq__(self, other) -> bool:
+        return self._built() == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def __reduce__(self):
+        return dict, (self._built(),)
 
 
 # ---------------------------------------------------------------------------
@@ -671,13 +901,15 @@ class Gather:
     when the run ends, each hand-off by the per-datum method itself, so
     a read that raises has charged what ``read_value`` would have.
 
-    ``wanted`` cuts maps down as :func:`read_maps` does, or
-    (:data:`LENGTHS`) reads a string or bytes column as each value's
-    length.  A DCSL reader passes its per-datum ``decode_one(reader)``
-    and ``skip_one(reader)``, and each block dictionary to
-    :meth:`use_keys`.  The take and the hop machinery are each built on
-    first use, and each counts one kernel call, however many blocks the
-    gather crosses.
+    ``wanted`` cuts each map down to the wanted keys it holds (charged
+    as the whole map), or (:data:`LENGTHS`) reads a string or bytes
+    column as each value's length.  A DCSL reader passes its per-datum
+    ``decode_one(reader)`` and ``skip_one(reader)``, and each block
+    dictionary to :meth:`use_keys`.  A column reader keeps one gather per
+    ``wanted`` and restarts it for each read (:meth:`restart`).  The
+    take and the hop machinery are each built on first use, and each
+    counts one kernel call per read that uses it, however many blocks
+    it crosses.
     """
 
     #: whether datums go through the window loops; off, each goes to
@@ -686,6 +918,8 @@ class Gather:
     # built on first use (a skip builds no take machinery)
     one = _hops = _keys = window = rates = None
     args = ()
+    #: whether this read has used (and counted) the take / hop machinery
+    taking = hopping = False
     #: skip-list header bytes :meth:`take` parsed in place, its caller's
     #: to charge (also when a take raises)
     parsed = 0
@@ -713,8 +947,25 @@ class Gather:
         take = _TAKES.get(self.schema.kind)
         return take[3] if take else "obj"
 
+    def restart(self, reader) -> None:
+        """Ready the gather for its column's next read, off ``reader``: a
+        fresh ``values`` list and no header bytes parsed.  What it has
+        built stays built, and counts its kernel call again on first
+        use."""
+        self.reader, self.values, self.parsed = reader, [], 0
+        self.taking = self.hopping = False
+        if self.args:
+            self.args[0] = self.values
+
     def _arm(self) -> None:
-        """Build the take machinery."""
+        """Ready the take machinery for this read (built on first use)."""
+        self.taking = True
+        if self.one is None:
+            self._build()
+        if _SINK is not None and self.window is not None:
+            _SINK.kernel(self.kernel)
+
+    def _build(self) -> None:
         schema, cost, metrics = self.schema, self.cost, self.metrics
         kind = schema.kind
         self.one = self._decode_one or partial(
@@ -722,10 +973,10 @@ class Gather:
         )
         if kind in _TAKES:
             self.window, read, self.kernel, _ = _TAKES[kind]
-            self.args = (self.values,)
+            self.args = [self.values]
             if self.lengths:
                 self.window, self.kernel = _lengths, "read_lengths"
-                self.args = (self.values, kind == "string")
+                self.args = [self.values, kind == "string"]
             #: per datum, per payload byte and per byte of span, and
             #: whether each is an object
             self.rates = (
@@ -754,16 +1005,18 @@ class Gather:
                 self.use_keys(self._keys)
         if not self.batched:
             self.window = None
-        elif self.window is not None:
-            _kernel(self.kernel)
 
     def _arm_hops(self) -> None:
-        """Build the hop machinery."""
-        self._hops = _hops(self.schema, self.cost, self.metrics, self._skip_one)
-        if not self.batched:
-            self._hops = (None, None, (), self._hops[3])
-        elif self._hops[1] is not None:
-            _kernel(self._hops[0])
+        """Ready the hop machinery for this read (built on first use)."""
+        self.hopping = True
+        if self._hops is None:
+            self._hops = _hops(
+                self.schema, self.cost, self.metrics, self._skip_one
+            )
+            if not self.batched:
+                self._hops = (None, None, (), self._hops[3])
+        if _SINK is not None and self._hops[1] is not None:
+            _SINK.kernel(self._hops[0])
 
     def use_keys(self, keys) -> None:
         """Map keys are ids into ``keys`` (a DCSL block dictionary) from
@@ -789,14 +1042,14 @@ class Gather:
         them) that are hopped, taken, hopped, taken and so on: one loop
         over a selection's gaps and runs, handing a datum off only at a
         window edge.  Hops are charged as that many per-datum skips."""
-        if self.one is None and any(plan[1::2]):
+        if not self.taking and any(plan[1::2]):
             self._arm()
-        if self._hops is None and any(plan[0::2]):
+        if not self.hopping and any(plan[0::2]):
             self._arm_hops()
         reader, values, one = self.reader, self.values, self.one
         window, args, rates = self.window, self.args, self.rates
         hop_kernel, hop_window, hop_args, skip = self._hops or (None,) * 4
-        if window is _zigzags:  # hops and takes fused in one inline loop
+        if window is zigzags:  # hops and takes fused in one inline loop
             metrics, cost = self.metrics, self.cost
             rate, _, raw, _ = rates
             j, left, end = 0, plan[0], len(plan)
@@ -875,7 +1128,7 @@ class Gather:
         if frame is None:
             self.steps((0, k))
             return
-        if self.one is None:
+        if not self.taking:
             self._arm()
         reader, one, values = self.reader, self.one, self.values
         window, args, charged = self.window, self.args, self.rates is not None
@@ -954,25 +1207,3 @@ def batch_decode_values(reader, field_schema, k: int, ctx, keys=None):
     gather = Gather(reader, field_schema, ctx.cost, ctx.metrics, keys)
     gather.take(k)
     return gather.tag, gather.values
-
-
-def read_maps(
-    reader, field_schema, k: int, cost, metrics, keys=None, read_one=None,
-    wanted=None,
-) -> list:
-    """Decode ``k`` map datums, charging exactly what ``k`` per-datum
-    decodes do: ``read_datum`` calls, or for a DCSL value stream, whose
-    key ids index the block dictionary's ``keys``, the column reader's
-    own ``read_one``.
-
-    With ``wanted`` (a tuple of keys), each map comes back as a dict of
-    the wanted keys it holds, still charged as the whole map.  A map
-    handed off is read whole by ``read_one`` and then cut down."""
-    gather = Gather(
-        reader, field_schema, cost, metrics, wanted,
-        read_one and (lambda _: read_one()),
-    )
-    if keys is not None:
-        gather.use_keys(keys)
-    gather.take(k)
-    return gather.values

@@ -205,8 +205,6 @@ class CostProfile:
     # Decompression, per *output* byte.
     zlib_inflate_per_byte: int
     lzo_inflate_per_byte: int
-    zlib_deflate_per_byte: int
-    lzo_deflate_per_byte: int
     # DCSL dictionary decode, per map entry.
     dictionary_lookup: int
     # Fixed cost to set up decompression of one compressed block.
@@ -259,8 +257,6 @@ MANAGED_PROFILE = CostProfile(
     text_parse_per_byte=ns(150),
     zlib_inflate_per_byte=ns(12),    # ~80 MB/s effective in-Hadoop
     lzo_inflate_per_byte=ns(5),      # ~200 MB/s effective in-Hadoop
-    zlib_deflate_per_byte=ns(30),    # ~33 MB/s
-    lzo_deflate_per_byte=ns(5),      # ~200 MB/s
     dictionary_lookup=ns(20),
     block_inflate_setup=ns(50_000),
     rcfile_field_overhead=ns(250),
@@ -289,8 +285,6 @@ NATIVE_PROFILE = CostProfile(
     text_parse_per_byte=ns(40),
     zlib_inflate_per_byte=ns(4),
     lzo_inflate_per_byte=ns(1),
-    zlib_deflate_per_byte=ns(20),
-    lzo_deflate_per_byte=ns(3),
     dictionary_lookup=ns(5),
     block_inflate_setup=ns(10_000),
     rcfile_field_overhead=ns(40),

@@ -148,13 +148,6 @@ class CpuCostModel:
         }[codec]
         metrics.charge_cpu(out_bytes * per_byte)
 
-    def charge_deflate(self, metrics: Metrics, codec: str, in_bytes: int) -> None:
-        per_byte = {
-            "zlib": self.profile.zlib_deflate_per_byte,
-            "lzo": self.profile.lzo_deflate_per_byte,
-        }[codec]
-        metrics.charge_cpu(in_bytes * per_byte)
-
     def charge_dictionary_lookup(self, metrics: Metrics, lookups: int = 1) -> None:
         metrics.charge_cpu(lookups * self.profile.dictionary_lookup)
 

@@ -117,3 +117,73 @@ def test_calls_per_record_stay_bounded(per_record, name):
 
 def test_a_call_into_repro_counts_once():
     assert count_calls(lambda: decode_varint(b"\x05")) == ((5, 1), 1)
+
+
+# -- a lazy CIF job's map cells -----------------------------------------------
+#
+# Appendix B.4's job as ``cluster_load`` submits it: ``str0`` on every
+# row, ``attrs.get("k0")`` on the rows whose ``str0`` holds an "e".  A
+# column reader arms one gather per ``wanted`` and restarts it for each
+# read, and a map cell is read as one span walked, so neither a cell
+# nor a gap builds a gather or its machinery.
+
+
+@pytest.fixture(scope="module")
+def analytics():
+    """``(job result, gathers built, column readers opened, calls per
+    record)`` of one warm ``analytics`` job over a small traffic
+    profile's filesystem."""
+    from repro.cluster import TrafficProfile, build_filesystem, make_job
+    from repro.core import columnio
+    from repro.serde import vecdecode
+
+    profile = TrafficProfile(seed=7)
+    profile.datasets = dict(
+        profile.datasets, crawl_records=1, micro_records=300
+    )
+    fs = build_filesystem(profile)
+    run_job(fs, make_job("analytics", "calls", 0))
+    built = {"gathers": 0, "readers": 0}
+
+    def counting(cls, name):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+
+        return wrapped
+
+    gather_init = vecdecode.Gather.__init__
+    reader_init = columnio.ColumnReader.__init__
+    vecdecode.Gather.__init__ = counting(vecdecode.Gather, "gathers")
+    columnio.ColumnReader.__init__ = counting(columnio.ColumnReader, "readers")
+    try:
+        result = run_job(fs, make_job("analytics", "calls", 0))
+    finally:
+        vecdecode.Gather.__init__ = gather_init
+        columnio.ColumnReader.__init__ = reader_init
+    _, calls = count_calls(
+        lambda: run_job(fs, make_job("analytics", "calls", 0))
+    )
+    records = result.map_metrics.records
+    return result, built["gathers"], built["readers"], calls / records
+
+
+def test_an_analytics_job_builds_one_gather_per_column_reader(analytics):
+    """Each of the job's column readers reads with one ``wanted``
+    (whole values), so it builds at most one gather: 5 for its 10
+    readers here, where building one per map cell and per gap built
+    169."""
+    result, gathers, readers, _ = analytics
+    assert result.map_metrics.records == 300
+    assert readers >= 2
+    assert gathers <= readers, (gathers, readers)
+
+
+def test_an_analytics_job_calls_into_repro_a_bounded_number_of_times(
+    analytics
+):
+    """Calls into ``repro`` per record: 36.1 here, 37.6 with a gather
+    built per map cell and per gap and each cell decoded whole."""
+    assert analytics[3] <= 37, analytics[3]

@@ -527,6 +527,21 @@ def _picked(maps, wanted, projected=False):
     return [tuple(m.get(key) for key in wanted) for m in maps]
 
 
+def _read_maps(reader, schema, k, cost, metrics, keys=None, read_one=None,
+               wanted=None):
+    """``k`` map datums through one gather's map take, as a column
+    read takes them: DCSL key ids into ``keys`` with ``read_one`` the
+    per-datum decode, each map cut down to ``wanted`` if given."""
+    gather = vecdecode.Gather(
+        reader, schema, cost, metrics, wanted,
+        read_one and (lambda _: read_one()),
+    )
+    if keys is not None:
+        gather.use_keys(keys)
+    gather.take(k)
+    return gather.values
+
+
 def _map_walks(schema, k, column=None, wanted=None):
     """The map read kernel and the per-datum reference over ``k`` datums
     of ``schema``, or with ``column`` (a DCSL reader over them) that
@@ -534,7 +549,7 @@ def _map_walks(schema, k, column=None, wanted=None):
     kernel reads key-projected and both walks give ``_picked`` values."""
     if column is None:
         def batch(reader, ctx):
-            return _picked(vecdecode.read_maps(
+            return _picked(_read_maps(
                 reader, schema, k, ctx.cost, ctx.metrics, wanted=wanted
             ), wanted, projected=True)
 
@@ -546,7 +561,7 @@ def _map_walks(schema, k, column=None, wanted=None):
     else:
         def batch(reader, ctx):
             col = column(reader, ctx)
-            return _picked(vecdecode.read_maps(
+            return _picked(_read_maps(
                 reader, col.field_schema, k, ctx.cost, ctx.metrics,
                 col.dictionary.keys, col._decode_one_value, wanted=wanted,
             ), wanted, projected=True)
@@ -1071,10 +1086,11 @@ def test_skiplist_run_loop_equals_per_row_path_at_every_window_edge(
 # The same sweep over an int column of multi-byte zig-zags and a DCSL
 # column read with a key projection, framed into blocks of 8/4/2 rows,
 # so that two or three header groups stack on one row.  The run loop's
-# hand-offs are compared too.  The per-row path hands nothing off, so
-# each of its header or datum reads that has to fetch is recorded as the
-# one the run loop hands off there ("skiplist_headers", or the datum's
-# kernel); its gaps are the run loop's own and record their own.
+# hand-offs are compared too.  Each per-row header or datum read that
+# has to fetch is recorded as the one the run loop hands off there
+# ("skiplist_headers", or the datum's kernel), unless it counted that
+# hand-off itself (a map cell read does); its gaps are the run loop's
+# own and record their own.
 
 _STACKED = {
     "int": (
@@ -1100,11 +1116,11 @@ def _record_per_row_hand_offs(monkeypatch, handed, cls, kernel):
         require(self, n)
 
     def per_row(method, name):
-        def wrapped(self, *args):
+        def wrapped(self, *args, **kwargs):
             fetches, hands = len(fetched), len(handed)
             depth.append(name)
             try:
-                return method(self, *args)
+                return method(self, *args, **kwargs)
             finally:
                 depth.pop()
                 if in_row and not depth and len(fetched) > fetches and (
@@ -1126,8 +1142,8 @@ def _record_per_row_hand_offs(monkeypatch, handed, cls, kernel):
     monkeypatch.setattr(SkipListColumnReader, "_consume_block_header", per_row(
         SkipListColumnReader._consume_block_header, "skiplist_headers",
     ))
-    monkeypatch.setattr(cls, "_decode_one_value", per_row(
-        cls._decode_one_value, kernel,
+    monkeypatch.setattr(cls, "_read_datum_fast", per_row(
+        cls._read_datum_fast, kernel,
     ))
 
 
@@ -1259,7 +1275,7 @@ def test_a_short_bottom_block_nbytes_reads_as_read_value_does():
         assert got[0] == values
 
 
-@pytest.mark.parametrize("layout", ["plain", "skiplist"])
+@pytest.mark.parametrize("layout", ["plain", "skiplist", "delta"])
 @pytest.mark.parametrize(
     "schema", [Schema.long_(), Schema.map(Schema.long_())],
     ids=["long", "map<long>"],
@@ -1268,22 +1284,32 @@ def test_an_overlong_varint_raises_as_the_per_datum_gather_does(
     layout, schema
 ):
     """40 longs 1000..1039 (bare, or each under key "k") whose row 13 is
-    a 12-byte varint, two bytes past the longest the per-datum decode
-    takes: read whole (a map also cut down to a key it lacks), or hopped
-    to row 39, the window loops hand it off at its tenth continuation
-    byte, so it raises (or its skip block passes it) as the per-datum
-    gather and the per-row ``read_value`` path do, with the same charges
-    and stream reads, wherever the window ends: a gather charges each
-    value as it takes it, so a raise carries ``read_value``'s books."""
+    a 12-byte varint (in a delta column, row 13's delta), two bytes past
+    the longest the per-datum decode takes: read whole (a map also cut
+    down to a key it lacks), or hopped to row 39, the window loops hand
+    it off at its tenth continuation byte, so it raises (or its skip
+    block passes it) as the per-datum gather and the per-row
+    ``read_value`` path do, with the same charges and stream reads,
+    wherever the window ends: a gather charges each value as it takes
+    it, so a raise carries ``read_value``'s books."""
+    if layout == "delta" and schema.kind == "map":
+        pytest.skip("a delta column holds integers only")
     values = range(1000, 1040)
     if schema.kind == "map":
         values = [{"k": value} for value in values]
     payload = bytearray(encode_column_file(
         schema, list(values), ColumnSpec(layout, skip_sizes=(10,)),
     ))
-    assert payload.count(b"\xea\x0f") == 1  # zig-zag 2026: the long 1013
-    at = payload.index(b"\xea\x0f")
-    payload[at:at + 2] = b"\xff" * 11 + b"\x01"
+    if layout == "delta":
+        # a 5-byte file header, 1000 as zig-zag 2000 (two bytes), then
+        # one byte per delta of 1
+        at = 5 + 2 + 12
+        assert payload[at:at + 2] == b"\x02\x02"
+        payload[at:at + 1] = b"\xff" * 11 + b"\x01"
+    else:
+        assert payload.count(b"\xea\x0f") == 1  # zig-zag 2026: 1013
+        at = payload.index(b"\xea\x0f")
+        payload[at:at + 2] = b"\xff" * 11 + b"\x01"
     if layout == "skiplist":
         # a 7-byte file header, then block 1: count 10, nbytes, its rows;
         # block 2, which holds row 13, frames ten more bytes
@@ -1324,8 +1350,13 @@ def test_an_overlong_varint_raises_as_the_per_datum_gather_does(
             assert got == reference, (
                 f"rows={rows} keys={keys} window={window}"
             )
-            if rows is None or layout == "plain":
+            if rows is None or layout != "skiplist":
                 assert got[0] is VarintError
+    if layout == "delta":  # rows 0..12 read, then row 13 raises
+        metrics = _run_at_window(
+            fs, "/col", 4096, gather(None, None, True), VarintError
+        )[2]
+        assert (metrics["cells"], metrics["cpu_ticks"]) == (13, 216_400)
 
 
 
